@@ -445,12 +445,6 @@ def _add_common(parser):
     parser.add_argument("--precision-bits", dest="precision_bits", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--format", dest="output_format", choices=("csv", "json"))
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap (evaluation is sequential at desk scale)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,9 +488,6 @@ def _overrides_from_args(args) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print(json.dumps({"error": "threads must be >= 1"}), file=sys.stderr)
-        return EXIT_CONFIG
     try:
         config = load_config(args.config, _overrides_from_args(args))
         if args.command == "converge":

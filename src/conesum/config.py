@@ -31,10 +31,6 @@ def parse_rational(value) -> Fraction:
     raise ConfigError(f"expected a rational, got {value!r}")
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def parse_element(field: TotallyRealField, coords) -> FieldElement:
     if not isinstance(coords, (list, tuple)) or len(coords) != field.degree:
         raise ConfigError(
@@ -49,7 +45,6 @@ class RunConfig:
     module: LatticeModule | None
     fan: FanDescription | None
     x0: FieldElement | None
-    s: int
     n_max: int
     tolerance: float
     precision_bits: int
@@ -136,7 +131,6 @@ def build_config(raw: dict, overrides: dict[str, Any] | None = None) -> RunConfi
         module=module,
         fan=fan,
         x0=x0,
-        s=_int("s", 1, 1),
         n_max=_int("N_max", 8, 1),
         tolerance=float(tol),
         precision_bits=_int("precision_bits", 128, 16),

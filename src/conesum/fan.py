@@ -8,10 +8,9 @@ finite face-closed truncations are enumerated on demand.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     ConeNotInFan,
@@ -20,125 +19,18 @@ from .errors import (
     RayOnExistingFace,
     UnitDoesNotPreserveM,
 )
-from .field import FieldElement, TotallyRealField, det_scaled, is_totally_positive, is_unit
+from .field import (
+    FieldElement,
+    TotallyRealField,
+    is_totally_positive,
+    is_unit,
+    minus_continued_fraction,
+)
 from .geometry import Cone, solve_in_basis
 
 
 # ---------------------------------------------------------------------------
-# quadratic hull walk
-
-
-def _embedding_box_candidates(
-    module_basis: Sequence[FieldElement], bounds: list[tuple[float, float]]
-) -> Iterable[tuple[int, int]]:
-    """Integer coordinate pairs whose embeddings can lie in the given box.
-
-    The box is only used to bound the search; membership is re-checked
-    exactly by the caller.
-    """
-    m1, m2 = module_basis
-    F = m1.field
-    e1 = [float(iv) for iv in F.embed(m1, 40)]
-    e2 = [float(iv) for iv in F.embed(m2, 40)]
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    corners = list(itertools.product(*[(lo, hi) for lo, hi in bounds]))
-    amin = amax = bmin = bmax = None
-    for x, y in corners:
-        a = (x * e2[1] - y * e2[0]) / det
-        b = (-x * e1[1] + y * e1[0]) / det
-        amin = a if amin is None else min(amin, a)
-        amax = a if amax is None else max(amax, a)
-        bmin = b if bmin is None else min(bmin, b)
-        bmax = b if bmax is None else max(bmax, b)
-    pad = 2
-    for a in range(int(amin) - pad, int(amax) + pad + 1):
-        for b in range(int(bmin) - pad, int(bmax) + pad + 1):
-            if a or b:
-                yield (a, b)
-
-
-def _module_point(module_basis, a, b) -> FieldElement:
-    return module_basis[0] * a + module_basis[1] * b
-
-
-def _tp_points_in_box(module_basis, upper1: FieldElement, upper2: FieldElement):
-    """Totally positive lattice points with embeddings below the given
-    elements at places 1 and 2 respectively (exact filtering)."""
-    F = module_basis[0].field
-    hi1 = float(F.embed_at(upper1, 0, 20).hi) + 0.01
-    hi2 = float(F.embed_at(upper2, 1, 20).hi) + 0.01
-    out = []
-    for a, b in _embedding_box_candidates(module_basis, [(0.0, hi1), (0.0, hi2)]):
-        mu = _module_point(module_basis, a, b)
-        if mu.is_zero():
-            continue
-        if F.sign_at(mu, 0) <= 0 or F.sign_at(mu, 1) <= 0:
-            continue
-        if F.sign_at(upper1 - mu, 0) < 0 or F.sign_at(upper2 - mu, 1) < 0:
-            continue
-        out.append(mu)
-    return out
-
-
-def _cross_sign(u: FieldElement, v: FieldElement) -> int:
-    """Sign of the 2x2 embedding determinant of (u, v); exact."""
-    d = det_scaled([u, v])
-    return 0 if d.q == 0 else (1 if d.q > 0 else -1)
-
-
-def _initial_support_point(module_basis) -> FieldElement:
-    """A trace-minimal totally positive lattice point (a hull support point)."""
-    F = module_basis[0].field
-    bound = 1
-    while bound < 2**20:
-        big = F.from_rational(bound)
-        pts = _tp_points_in_box(module_basis, big, big)
-        pts = [p for p in pts if p.trace() <= bound]
-        if pts:
-            best = min(pts, key=lambda p: (p.trace(), p.coords))
-            return best
-        bound *= 2
-    raise UnitDoesNotPreserveM("found no totally positive lattice point")
-
-
-def _next_support_point(module_basis, P: FieldElement, eps_up: FieldElement) -> FieldElement:
-    """Successor of P on the hull boundary, walking toward the second axis."""
-    F = P.field
-    top = eps_up * P
-    candidates = []
-    for mu in _tp_points_in_box(module_basis, P, top * 2):
-        if mu == P:
-            continue
-        if F.sign_at(mu - P, 1) <= 0:  # must strictly increase place 2
-            continue
-        if F.sign_at(P - mu, 0) <= 0:  # and strictly decrease place 1
-            continue
-        candidates.append(mu)
-    assert candidates, "hull walk found no candidates; box too small"
-
-    def cmp(r, s):
-        c = _cross_sign(r - P, s - P)
-        if c != 0:
-            return -c  # r first when cross(dr, ds) > 0 is false: see below
-        # collinear: nearer point first
-        ratio = solve_in_basis([s - P], r - P)
-        return -1 if ratio[0] < 1 else 1
-
-    # hull successor: every other candidate direction lies weakly on the
-    # non-positive cross side; sort most-extreme first
-    best = min(candidates, key=functools.cmp_to_key(lambda r, s: -_dir_order(P, r, s)))
-    return best
-
-
-def _dir_order(P, r, s) -> int:
-    """+1 when r's direction should precede s's on the hull walk."""
-    c = _cross_sign(r - P, s - P)
-    if c < 0:
-        return 1
-    if c > 0:
-        return -1
-    ratio = solve_in_basis([s - P], r - P)
-    return 1 if ratio[0] < 1 else -1
+# quadratic hull boundary
 
 
 @dataclass(frozen=True)
@@ -181,28 +73,33 @@ def build_quadratic_fan(
     if eps_up == F.one:
         raise UnitDoesNotPreserveM("unit acts trivially")
 
-    A0 = _initial_support_point(module_basis)
-    seq = [A0]
-    target = eps_up * A0
-    for _ in range(512):
-        nxt = _next_support_point(module_basis, seq[-1], eps_up)
-        if nxt == target:
-            break
-        seq.append(nxt)
-    else:
-        raise UnitDoesNotPreserveM("hull walk did not close up within 512 steps")
+    points, b_period, eps0 = minus_continued_fraction(module_basis)
+    cf = VertexSequence(
+        tuple(module_basis), eps0, len(points), tuple(points), tuple(b_period)
+    )
+    m = cf.period  # eps_up, which preserves M, is a power of the generator eps0
+    power = eps0
+    while power != eps_up:
+        power = power * eps0
+        m += cf.period
 
-    m = len(seq)
-    bs = []
-    for k in range(m):
-        prev = seq[k - 1] if k >= 1 else seq[m - 1] * eps_up.inverse()
-        nxt = seq[k + 1] if k + 1 < m else target
-        rel = solve_in_basis([seq[k]], prev + nxt)
-        assert rel is not None and rel[0].denominator == 1, "hull relation failed"
-        b = int(rel[0])
-        assert b >= 2, f"hull relation gives b = {b} < 2"
-        bs.append(b)
-    assert any(b >= 3 for b in bs), "degenerate hull: all b equal 2"
+    def trace(k: int):
+        return cf.point(k).trace()
+
+    # start at a trace-minimal point, ties broken by coordinates: the trace
+    # is convex along the boundary (b_k >= 2), so descend to the first
+    # minimal index and scan the plateau of ties after it
+    k = 0
+    while trace(k - 1) <= trace(k):
+        k -= 1
+    while trace(k + 1) < trace(k):
+        k += 1
+    ties = [k]
+    while trace(ties[-1] + 1) == trace(k):
+        ties.append(ties[-1] + 1)
+    start = min(ties, key=lambda i: cf.point(i).coords)
+    seq = [cf.point(start + i) for i in range(m)]
+    bs = [cf.b(start + i) for i in range(m)]
 
     # canonical rotation: lexicographically smallest b-cycle, ties broken by
     # the starting point's coordinates

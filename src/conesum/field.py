@@ -497,16 +497,9 @@ class TotallyRealField:
         self.degree = n
         self._check_irreducible(poly)
 
-        fpoly = [Fraction(c) for c in poly]
-        chain = sturm_chain(fpoly)
-        lead = fpoly[-1]
-        bound = Fraction(1) + max(abs(c / lead) for c in fpoly[:-1])
-        total = _sign_variations(chain, -bound) - _sign_variations(chain, bound)
-        if total < n:
-            raise NotTotallyReal(f"only {total} of {n} roots are real")
-        roots = isolate_real_roots(fpoly)
-        if len(roots) != n:
-            raise DegenerateRoots("could not isolate distinct real roots")
+        roots = isolate_real_roots([Fraction(c) for c in poly])
+        if len(roots) < n:
+            raise NotTotallyReal(f"only {len(roots)} of {n} roots are real")
         # refinement chains, one per root, extended lazily
         self._root_chains: list[list[RatInterval]] = [[iv] for iv in roots]
 
@@ -744,6 +737,18 @@ def is_unit(x: FieldElement) -> bool:
     return abs(mp[0]) == 1
 
 
+def root_index_at(x: FieldElement, root_ivs: Sequence[RatInterval], place: int) -> int:
+    """Index of the root of the minimal polynomial of x, given by its
+    isolating intervals root_ivs, that the embedding of x at place equals."""
+    depth = 0
+    while True:
+        iv = interval_poly_eval(x.coords, x.field._root_interval(place, depth))
+        hits = [k for k, r in enumerate(root_ivs) if not (iv.hi < r.lo or r.hi < iv.lo)]
+        if len(hits) == 1:
+            return hits[0]
+        depth += 1
+
+
 def limit_pair(eps: FieldElement) -> tuple[frozenset[int], frozenset[int]]:
     """(argmin places, argmax places) of the embeddings of a unit.
 
@@ -763,17 +768,7 @@ def limit_pair(eps: FieldElement) -> tuple[frozenset[int], frozenset[int]]:
         every = frozenset(range(1, field.degree + 1))
         return every, every
     root_ivs = isolate_real_roots(mp)
-    # map each place to the unique root of the minimal polynomial it carries
-    assignment = []
-    for place in range(field.degree):
-        depth = 0
-        while True:
-            iv = interval_poly_eval(eps.coords, field._root_interval(place, depth))
-            hits = [k for k, r in enumerate(root_ivs) if not (iv.hi < r.lo or r.hi < iv.lo)]
-            if len(hits) == 1:
-                assignment.append(hits[0])
-                break
-            depth += 1
+    assignment = [root_index_at(eps, root_ivs, place) for place in range(field.degree)]
     lo_root = min(assignment)
     hi_root = max(assignment)
     mins = frozenset(i + 1 for i, k in enumerate(assignment) if k == lo_root)
@@ -790,32 +785,80 @@ def _is_squarefree(d: int) -> bool:
     return True
 
 
-def fundamental_unit_quadratic(d: int, search_bound: int = 2_000_000) -> FieldElement:
+def _ceil_at(x: FieldElement, place: int) -> int:
+    """Exact ceiling of an irrational embedding, read off a refined interval."""
+    prec = 8
+    while True:
+        iv = x.field.embed_at(x, place, prec)
+        lo = math.floor(iv.lo)
+        if iv.hi < lo + 1:
+            return lo + 1
+        prec *= 2
+
+
+def minus_continued_fraction(
+    module_basis: Sequence[FieldElement],
+) -> tuple[list[FieldElement], list[int], FieldElement]:
+    """One period of the boundary of the convex hull of the totally positive
+    points of a lattice M in a real quadratic field.
+
+    Returns (A_0..A_{m-1}, b_0..b_{m-1}, eps): consecutive boundary points,
+    walking toward increasing embedding at place 1 (0-indexed), with
+    A_{k-1} + A_{k+1} = b_k A_k and A_{k+m} = eps A_k, where eps is the
+    totally positive unit generating the stabilizer of M.  The b_k are the
+    minus continued fraction of w_k = A_{k-1}/A_k, b_k = ceil(w_k) at place 0,
+    which is purely periodic once w_k is reduced (w_k > 1 > w_k' > 0); see
+    Zagier, "Zetafunktionen und quadratische Koerper" (1981), section 13.
+    """
+    from .geometry import primitive_generator, solve_in_basis  # geometry imports field
+
+    m1, m2 = module_basis
+    field = m1.field
+    # A_0: the primitive lattice point on the ray of 1; P completes it to a
+    # basis of M, since a*s + b*t = 1 makes det((a, b), (-t, s)) = 1
+    cur = primitive_generator(field.one, module_basis)
+    a, b = (int(c) for c in solve_in_basis(module_basis, cur))
+    s = pow(a, -1, abs(b)) if b else a
+    t = (1 - a * s) // b if b else 0
+    prev = m2 * s - m1 * t
+    # A_0 is rational, so w_0 = P/A_0 exceeds its conjugate at place 0 exactly
+    # when the theta-coordinate of P is negative
+    if prev.coords[1] > 0:
+        prev = -prev
+
+    def is_reduced(w: FieldElement) -> bool:
+        return (
+            field.sign_at(w - 1, 0) > 0
+            and field.sign_at(w - 1, 1) < 0
+            and field.sign_at(w, 1) > 0
+        )
+
+    # every A_k with k >= 1 is totally positive: A_{k+1} = (b_k - w_k) A_k
+    w = prev / cur
+    while not is_reduced(w):
+        prev, cur = cur, cur * _ceil_at(w, 0) - prev
+        w = prev / cur
+    w_start, points, bs = w, [], []
+    while True:
+        points.append(cur)
+        bs.append(_ceil_at(w, 0))
+        prev, cur = cur, cur * bs[-1] - prev
+        w = prev / cur
+        if w == w_start:
+            return points, bs, cur / points[0]
+
+
+def fundamental_unit_quadratic(d: int) -> FieldElement:
     """Smallest totally positive unit > 1 of the ring of integers of Q(sqrt(d)).
 
-    Brute-force Pell search over the second coordinate; if the fundamental
-    unit has norm -1 its square is returned.
+    This is the fundamental unit, or its square when that has norm -1; it
+    closes one period of the minus continued fraction of the maximal order.
     """
     if d < 2 or not _is_squarefree(d):
         raise SearchBoundExceeded(f"d = {d} must be a squarefree integer >= 2")
     field = make_field([-d, 0, 1])
-    half_coords = d % 4 == 1  # ring Z[(1+sqrt d)/2]
-    for b in range(1, search_bound + 1):
-        if half_coords:
-            for target in (d * b * b - 4, d * b * b + 4):
-                if target <= 0:
-                    continue
-                a = math.isqrt(target)
-                if a * a == target and (a - b * d) % 2 == 0:
-                    u = field.element([Fraction(a, 2), Fraction(b, 2)])
-                    return u if u.norm() == 1 else u * u
-        else:
-            for target in (d * b * b - 1, d * b * b + 1):
-                a = math.isqrt(target)
-                if a * a == target:
-                    u = field.element([a, b])
-                    return u if u.norm() == 1 else u * u
-    raise SearchBoundExceeded(f"no unit found with b <= {search_bound}")
+    omega = field.element([_ONE / 2, _ONE / 2]) if d % 4 == 1 else field.theta
+    return minus_continued_fraction((field.one, omega))[2]
 
 
 @dataclass(frozen=True)

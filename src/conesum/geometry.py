@@ -12,6 +12,7 @@ A projective polyhedron of dimension k is represented by the salient
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -95,9 +96,6 @@ class LinearSubspace:
             ]
             points.append(coords)
         return LinearSubspace(self.field, points)
-
-    def sum_with(self, other: "LinearSubspace") -> "LinearSubspace":
-        return LinearSubspace(self.field, list(self.basis) + list(other.basis))
 
     def orthogonal_complement(self) -> "LinearSubspace":
         """Trace-orthogonal complement inside R^n (exact)."""
@@ -477,13 +475,9 @@ def primitive_generator(
     coeffs = solve_in_basis(list(module_basis), ray)
     if coeffs is None:
         raise RayNotRational("ray direction is not in the span of the lattice")
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+    denom = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
+    g = math.gcd(*ints)
     if g == 0:
         raise RayNotRational("ray has no lattice point")
     ints = [v // g for v in ints]
@@ -491,9 +485,3 @@ def primitive_generator(
     for c, b in zip(ints, module_basis):
         result = result + b * c
     return result
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

@@ -135,9 +135,3 @@ def solve_unique(a: Iterable[Sequence], b: Sequence) -> Row:
     """Solution of a square nonsingular system."""
     inv = inverse(a)
     return mat_vec(inv, [Fraction(v) for v in b])
-
-
-def row_space_key(rows: Iterable[Sequence]) -> tuple:
-    """Canonical hashable key of the row space (its RREF)."""
-    red, _ = rref(rows)
-    return tuple(red)

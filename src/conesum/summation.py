@@ -17,7 +17,6 @@ import mpmath
 
 from . import linalg
 from .cycles import (
-    CPDFunction,
     Cycle,
     boundary_cycle,
     decompose_cycle,
@@ -134,16 +133,6 @@ def cone_term(t: Cone, module_basis: Sequence[FieldElement], x0: FieldElement) -
 
 # ---------------------------------------------------------------------------
 # evaluation of cycles against the cocycle value
-
-
-def value_function(x0: FieldElement) -> CPDFunction:
-    field = x0.field
-    return CPDFunction(
-        arity=field.degree,
-        evaluate=lambda pts: cocycle_value(pts, x0),
-        zero=ScaledRational.rational(0, field.disc_abs),
-        name="cocycle-value",
-    )
 
 
 def evaluate_cycle(z: Cycle, x0: FieldElement) -> ScaledRational:

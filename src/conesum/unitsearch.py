@@ -22,15 +22,16 @@ from .errors import (
     SingularMatrix,
     WindowTooSmall,
 )
+from .fan import ConditionReport, ValidationReport
 from .field import (
     FieldElement,
     UnitGroupData,
-    interval_poly_eval,
     is_totally_positive,
     is_unit,
     isolate_real_roots,
     limit_pair,
     min_poly_of,
+    root_index_at,
 )
 
 PREC_SCHEDULE = (64, 128, 256, 512, 1024)
@@ -140,31 +141,6 @@ class AdmissibleCandidate:
             assert is_unit(u) and is_totally_positive(u)
 
 
-@dataclass
-class ConditionResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class AdmissibilityReport:
-    conditions: list[ConditionResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-    def as_dict(self):
-        return {
-            "passed": self.passed,
-            "conditions": [
-                {"name": c.name, "pass": c.passed, "detail": c.detail}
-                for c in self.conditions
-            ],
-        }
-
-
 def compare_places(x: FieldElement, p: int, q: int) -> int:
     """Exact comparison of two real embeddings of the same element.
 
@@ -173,26 +149,11 @@ def compare_places(x: FieldElement, p: int, q: int) -> int:
     """
     if p == q:
         return 0
-    field = x.field
     mp = min_poly_of(x)
     if len(mp) == 2:
         return 0  # rational element: all embeddings coincide
     root_ivs = isolate_real_roots(mp)
-
-    def root_index(place):
-        depth = 0
-        while True:
-            iv = interval_poly_eval(x.coords, field._root_interval(place, depth))
-            hits = [
-                k
-                for k, r in enumerate(root_ivs)
-                if not (iv.hi < r.lo or r.hi < iv.lo)
-            ]
-            if len(hits) == 1:
-                return hits[0]
-            depth += 1
-
-    rp, rq = root_index(p), root_index(q)
+    rp, rq = root_index_at(x, root_ivs, p), root_index_at(x, root_ivs, q)
     return (rp > rq) - (rp < rq)
 
 
@@ -247,25 +208,25 @@ def unit_region_conditions(
     return c1, chain, c3, c4
 
 
-def check_admissible_bounds(cand: AdmissibleCandidate) -> AdmissibilityReport:
+def check_admissible_bounds(cand: AdmissibleCandidate) -> ValidationReport:
     """Per-unit verification of the sufficient ratio-bound conditions."""
     conditions = []
     for idx, eps in enumerate(cand.units):
         c1, c2, c3, c4 = unit_region_conditions(eps, idx, cand.a, cand.b)
         conditions.append(
-            ConditionResult(f"unit{idx+1}-below-above-one", c1)
+            ConditionReport(f"unit{idx+1}-below-above-one", c1)
         )
-        conditions.append(ConditionResult(f"unit{idx+1}-chain", c2))
+        conditions.append(ConditionReport(f"unit{idx+1}-chain", c2))
         conditions.append(
-            ConditionResult(f"unit{idx+1}-ratios-within-a", c3, f"a={cand.a}")
+            ConditionReport(f"unit{idx+1}-ratios-within-a", c3, f"a={cand.a}")
         )
         conditions.append(
-            ConditionResult(f"unit{idx+1}-ratio-exceeds-b", c4, f"b={cand.b}")
+            ConditionReport(f"unit{idx+1}-ratio-exceeds-b", c4, f"b={cand.b}")
         )
-    return AdmissibilityReport(conditions)
+    return ValidationReport(conditions)
 
 
-def check_admissible(units: Sequence[FieldElement]) -> AdmissibilityReport:
+def check_admissible(units: Sequence[FieldElement]) -> ValidationReport:
     """Direct verification of the limit-pair admissibility conditions."""
     field = units[0].field
     n = field.degree
@@ -277,13 +238,13 @@ def check_admissible(units: Sequence[FieldElement]) -> AdmissibilityReport:
         distinct = all(
             compare_places(eps, p, q) != 0 for p in range(n) for q in range(p + 1, n)
         )
-        conditions.append(ConditionResult(f"unit{idx+1}-distinct-coordinates", distinct))
+        conditions.append(ConditionReport(f"unit{idx+1}-distinct-coordinates", distinct))
 
     for idx, eps in enumerate(units):
         mins, maxs = limit_pair(eps)
         want = (frozenset({idx + 1}), frozenset({(idx + 1) % n + 1}))
         conditions.append(
-            ConditionResult(
+            ConditionReport(
                 f"unit{idx+1}-limit-pair",
                 (mins, maxs) == want,
                 f"got ({sorted(mins)},{sorted(maxs)})",
@@ -294,13 +255,13 @@ def check_admissible(units: Sequence[FieldElement]) -> AdmissibilityReport:
         ratio = units[i] * units[j].inverse()
         if ratio == field.one:
             conditions.append(
-                ConditionResult(f"ratio-{i+1}-{j+1}-limit-pair", False, "equal units")
+                ConditionReport(f"ratio-{i+1}-{j+1}-limit-pair", False, "equal units")
             )
             continue
         mins, maxs = limit_pair(ratio)
         want = (frozenset({i + 1}), frozenset({j + 1}))
         conditions.append(
-            ConditionResult(
+            ConditionReport(
                 f"ratio-{i+1}-{j+1}-limit-pair",
                 (mins, maxs) == want,
                 f"got ({sorted(mins)},{sorted(maxs)})",
@@ -315,11 +276,11 @@ def check_admissible(units: Sequence[FieldElement]) -> AdmissibilityReport:
         except PrecisionExhausted:
             ok = False
         conditions.append(
-            ConditionResult(
+            ConditionReport(
                 "independence-" + "".join(str(i + 1) for i in subset), ok
             )
         )
-    return AdmissibilityReport(conditions)
+    return ValidationReport(conditions)
 
 
 def search_admissible(

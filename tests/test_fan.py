@@ -1,4 +1,5 @@
-import random
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,66 @@ from conesum.fan import (
     refine_insert_ray,
 )
 from conesum.geometry import Cone, solve_in_basis
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle: totally positive lattice points in an embedding box
+
+
+def _embedding_box_candidates(module_basis, bounds):
+    """Integer coordinate pairs whose embeddings can lie in the given box.
+
+    The box is only used to bound the search; membership is re-checked
+    exactly by the caller.
+    """
+    m1, m2 = module_basis
+    F = m1.field
+    e1 = [float(iv) for iv in F.embed(m1, 40)]
+    e2 = [float(iv) for iv in F.embed(m2, 40)]
+    det = e1[0] * e2[1] - e1[1] * e2[0]
+    corners = list(itertools.product(*[(lo, hi) for lo, hi in bounds]))
+    amin = amax = bmin = bmax = None
+    for x, y in corners:
+        a = (x * e2[1] - y * e2[0]) / det
+        b = (-x * e1[1] + y * e1[0]) / det
+        amin = a if amin is None else min(amin, a)
+        amax = a if amax is None else max(amax, a)
+        bmin = b if bmin is None else min(bmin, b)
+        bmax = b if bmax is None else max(bmax, b)
+    pad = 2
+    for a in range(int(amin) - pad, int(amax) + pad + 1):
+        for b in range(int(bmin) - pad, int(bmax) + pad + 1):
+            if a or b:
+                yield (a, b)
+
+
+def _module_point(module_basis, a, b):
+    return module_basis[0] * a + module_basis[1] * b
+
+
+def _tp_points_in_box(module_basis, upper1, upper2):
+    """Totally positive lattice points with embeddings below the given
+    elements at places 1 and 2 respectively (exact filtering)."""
+    F = module_basis[0].field
+    hi1 = float(F.embed_at(upper1, 0, 20).hi) + 0.01
+    hi2 = float(F.embed_at(upper2, 1, 20).hi) + 0.01
+    out = []
+    for a, b in _embedding_box_candidates(module_basis, [(0.0, hi1), (0.0, hi2)]):
+        mu = _module_point(module_basis, a, b)
+        if mu.is_zero():
+            continue
+        if F.sign_at(mu, 0) <= 0 or F.sign_at(mu, 1) <= 0:
+            continue
+        if F.sign_at(upper1 - mu, 0) < 0 or F.sign_at(upper2 - mu, 1) < 0:
+            continue
+        out.append(mu)
+    return out
+
+
+def _cross_sign(u, v):
+    """Sign of the 2x2 embedding determinant of (u, v); exact."""
+    d = det_scaled([u, v])
+    return 0 if d.q == 0 else (1 if d.q > 0 else -1)
 
 
 def sqrt3_setup():
@@ -96,8 +157,6 @@ class TestQuadraticHull:
     def test_hull_property_no_point_below_polyline(self):
         # exact oracle: every totally positive lattice point lies weakly on
         # the far side of every boundary edge within the window
-        from conesum.fan import _tp_points_in_box, _cross_sign
-
         F, M, eps = sqrt3_setup()
         _, vs = build_quadratic_fan(M, eps)
         hi = vs.point(6)
@@ -121,6 +180,71 @@ class TestQuadraticHull:
         F, M, _ = sqrt3_setup()
         with pytest.raises(NotTotallyPositive):
             build_quadratic_fan(M, F.theta)  # not a TP unit
+
+
+H = Fraction(1, 2)
+
+# (d, module basis, eps, b_cycle, base_points), all in power-basis coords
+PINNED_FANS = [
+    (2, [(1, 0), (0, 1)], (3, 2), (2, 4), [(2, 1), (3, 2)]),
+    (3, [(1, 0), (0, 1)], (2, 1), (4,), [(1, 0)]),
+    (3, [(1, 0), (0, Fraction(1, 3))], (2, 1), (2, 3), [(1, 0), (1, Fraction(1, 3))]),
+    (5, [(1, 0), (H, H)], (Fraction(3, 2), H), (3,), [(1, 0)]),
+    (6, [(1, 0), (0, 1)], (5, 2), (2, 6), [(3, 1), (5, 2)]),
+    (7, [(1, 0), (0, 1)], (8, 3), (3, 6), [(3, 1), (8, 3)]),
+    (
+        13,
+        [(1, 0), (H, H)],
+        (Fraction(11, 2), Fraction(3, 2)),
+        (2, 2, 5),
+        [(Fraction(5, 2), H), (4, 1), (Fraction(11, 2), Fraction(3, 2))],
+    ),
+    (3, [(1, 0), (0, 2)], (7, 4), (2, 8), [(4, 2), (7, 4)]),
+    (2, [(3, 1), (1, 1)], (3, 2), (2, 2, 2, 3), [(3, 1), (4, 2), (5, 3), (6, 4)]),
+]
+
+
+@pytest.mark.parametrize("d, basis, eps, b_cycle, base_points", PINNED_FANS)
+def test_pinned_vertex_sequences(d, basis, eps, b_cycle, base_points):
+    F = make_field([-d, 0, 1])
+    M = tuple(F.element(c) for c in basis)
+    _, vs = build_quadratic_fan(M, F.element(eps))
+    assert vs.unit == F.element(eps)
+    assert vs.b_cycle == b_cycle
+    assert vs.base_points == tuple(F.element(c) for c in base_points)
+
+
+# maximal orders Z[sqrt d] whose units are too large for a box search
+LARGE_UNIT_FANS = [
+    (19, (170, 39), (2, 2, 3, 2, 10, 2, 3), (22, 5)),
+    (46, (24335, 3588), (2, 3, 5, 14, 5, 3, 2, 8), (1153, 170)),
+    (
+        151,
+        (1728148040, 140634693),
+        (2, 2, 2, 2, 2, 2, 3, 2, 2, 6, 3, 13, 3, 6, 2)
+        + (2, 3, 2, 2, 2, 2, 2, 2, 4, 2, 2, 26, 2, 2, 4),
+        (123, 10),
+    ),
+]
+
+
+@pytest.mark.parametrize("d, eps, b_cycle, first_point", LARGE_UNIT_FANS)
+def test_large_unit_fans_build_fast(d, eps, b_cycle, first_point):
+    F = make_field([-d, 0, 1])
+    M = (F.one, F.theta)
+    unit = fundamental_unit_quadratic(d)
+    assert unit == F.element(eps)
+    start = time.perf_counter()
+    _, vs = build_quadratic_fan(M, unit)
+    assert time.perf_counter() - start < 1.0
+    assert vs.unit == unit
+    assert vs.b_cycle == b_cycle
+    assert vs.base_points[0] == F.element(first_point)
+    for k in range(vs.period + 1):
+        assert vs.point(k - 1) + vs.point(k + 1) == vs.point(k) * vs.b(k)
+        # consecutive boundary points form a basis of M
+        a, b = (solve_in_basis(list(M), vs.point(k + j)) for j in (0, 1))
+        assert abs(a[0] * b[1] - a[1] * b[0]) == 1
 
 
 class TestTruncate:

@@ -331,6 +331,10 @@ class TestUnits:
                     if big.lo > 1:
                         assert big.hi > float(embed(u, 30)[1].lo)
 
+    def test_unit_beyond_brute_force_reach(self):
+        u = fundamental_unit_quadratic(151)
+        assert u.coords == (Fraction(1728148040), Fraction(140634693))
+
     def test_not_squarefree(self):
         with pytest.raises(SearchBoundExceeded):
             fundamental_unit_quadratic(4)
