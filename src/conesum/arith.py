@@ -15,14 +15,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     CutoffTooSmall,
+    EnumerationMismatch,
+    InvalidWeight,
     MissingIntersectionEntry,
+    NegativeIndex,
+    NotTotallyReal,
     UnitDoesNotPreserveM,
+    UnitRankMismatch,
+    UnsupportedDegree,
 )
 from .fan import VertexSequence
 from .field import (
@@ -37,7 +42,8 @@ from .geometry import solve_in_basis
 @lru_cache(maxsize=None)
 def bernoulli(k: int) -> Fraction:
     """Bernoulli numbers with B_1 = -1/2."""
-    assert k >= 0
+    if k < 0:
+        raise NegativeIndex(f"Bernoulli numbers need k >= 0, got {k}")
     if k == 0:
         return Fraction(1)
     # sum_{j=0}^{k} C(k+1, j) B_j = 0
@@ -131,7 +137,8 @@ def satake_rhs(
     Bernoulli product is nonzero, and a missing needed entry is an error.
     """
     ns = n * s
-    assert ns % 2 == 0, "odd n*s would leave an imaginary factor"
+    if ns % 2:
+        raise InvalidWeight(f"odd n*s = {ns} would leave an imaginary factor")
     r = data.components
     total = Fraction(0)
     for index in _compositions(ns, r):
@@ -206,20 +213,29 @@ def quadratic_intersections(
 class _QuadraticEnumerator:
     """Exact integer-form machinery for one quadratic module.
 
-    Every embedding of mu = rho + a m1 + b m2 is P + Q theta^(i) with P, Q
-    affine integer forms in (a, b) after clearing denominators; all sign
-    tests reduce to exact int64 arithmetic.
+    Every embedding of mu = rho + a m1 + b m2 is P + Q theta^(i), scaled by
+    den, with P, Q affine integer forms in (a, b).  ``slice_masks`` and
+    ``norm_scaled`` define the fundamental domain and the norm cut point by
+    point.  ``row_intervals`` solves the same conditions exactly for a fixed
+    a: each slice condition is then the sign of a form affine in b with
+    coefficients in Z[sqrt(d0)], a half-line, and the norm cut is a quadratic
+    inequality in b, so the kept points of a row are at most two integer
+    intervals per slice.
     """
 
     def __init__(self, module: LatticeModule):
         field = module.field
-        assert field.degree == 2, "numeric L-values are implemented for n = 2"
+        if field.degree != 2:
+            raise UnsupportedDegree(
+                f"numeric L-values are implemented for n = 2, not n = {field.degree}"
+            )
         self.module = module
         self.field = field
         c0, c1, _ = field.min_poly
         self.c0, self.c1 = c0, c1
         self.d0 = c1 * c1 - 4 * c0  # discriminant of the defining polynomial
-        assert self.d0 > 0
+        if self.d0 <= 0:
+            raise NotTotallyReal(f"defining polynomial has discriminant {self.d0}")
 
         m1, m2 = module.basis
         rho = module.rho
@@ -237,7 +253,10 @@ class _QuadraticEnumerator:
         (self.pc, self.qc) = ints(rho)
 
         gens = module.units.generators
-        assert len(gens) == 1, "quadratic coset sums need a rank-1 unit group"
+        if len(gens) != 1:
+            raise UnitRankMismatch(
+                f"quadratic coset sums need one unit generator, got {len(gens)}"
+            )
         eps = gens[0]
         if field.sign_at(eps - field.one, 1) < 0:
             eps = eps.inverse()
@@ -247,7 +266,7 @@ class _QuadraticEnumerator:
             se = se * x.denominator // math.gcd(se, x.denominator)
         self.eP, self.eQ = int(eps.coords[0] * se), int(eps.coords[1] * se)
 
-        # float embedding data for search boxes
+        # float embedding data for the a-range
         e1 = [float(iv) for iv in field.embed(m1, 40)]
         e2 = [float(iv) for iv in field.embed(m2, 40)]
         er = [float(iv) for iv in field.embed(rho, 40)]
@@ -273,7 +292,7 @@ class _QuadraticEnumerator:
         """den^2 * N(mu), an exact integer."""
         return P * P - self.c1 * P * Q + self.c0 * Q * Q
 
-    def slice_masks(self, a: int, b: np.ndarray):
+    def slice_masks(self, a, b: np.ndarray):
         """Masks of the fundamental-sector representatives among mu(a, b)
         for the two quadrants with positive first embedding."""
         P, Q = self._pq(np.full_like(b, a), b)
@@ -293,9 +312,12 @@ class _QuadraticEnumerator:
         pm = (s1 > 0) & (s2 < 0) & (x1px2 <= 0) & (lam_plus > 0)
         return pp, pm, P, Q
 
-    # -- candidate ranges -------------------------------------------------------
+    # -- exact row intervals ----------------------------------------------------
 
     def a_range(self, X: float) -> tuple[int, int]:
+        """Rows a that can hold a kept point at cutoff X: both slices have
+        |x1| <= sqrt(X) and |x2| <= sqrt(lambda X), bounded here in floats
+        with padding."""
         e1, e2, er = self._emb
         cap = math.sqrt((self.lam + 1) * X) * 1.05 + 2
         det = e1[0] * e2[1] - e1[1] * e2[0]
@@ -305,29 +327,96 @@ class _QuadraticEnumerator:
             amax = max(amax, abs(a))
         return (-int(amax) - 2, int(amax) + 2)
 
-    def b_window(self, a_lo: int, a_hi: int, X: float) -> tuple[int, int] | None:
-        """Float bounds on b over an a-chunk.
+    def row_intervals(self, a: int, Xi: int) -> list[tuple[int, int, int]]:
+        """The points of row a kept under |den^2 N(mu)| <= Xi, as sorted
+        (lo, hi, slice) triples: every b in [lo, hi] lies in the slice
+        (0: totally positive quadrant, 1: mixed quadrant, the two masks of
+        ``slice_masks``), and lo - 1 and hi + 1 do not.  Exact in Python
+        integers."""
+        d, c0, c1, eP, eQ = self.d0, self.c0, self.c1, self.eP, self.eQ
+        pb, qb = self.pb, self.qb
+        P0 = self.pa * a + self.pc  # P = pb b + P0, Q = qb b + Q0
+        Q0 = self.qa * a + self.qc
+        U1, U0 = 2 * pb - c1 * qb, 2 * P0 - c1 * Q0  # x1 + x2 = U1 b + U0
+        # the place-i embedding is (U1 b + U0 -+ (qb b + Q0) sqrt(d0)) / 2
+        x1_pos = _sqrt_affine_pos(U1, -qb, U0, -Q0, d)
+        x2_pos = _sqrt_affine_pos(U1, qb, U0, Q0, d)
+        x2_neg = _sqrt_affine_pos(-U1, -qb, -U0, -Q0, d)
+        lam_p, lam_q = 2 * eP - c1 * eQ, 2 * c0 * eQ - c1 * eP
+        pp = (
+            x1_pos,
+            x2_pos,
+            _affine_nonneg(qb, Q0),  # x2 - x1 >= 0
+            _affine_nonneg(eQ * pb - eP * qb, eQ * P0 - eP * Q0 - 1),  # x2 < lambda x1
+        )
+        pm = (
+            x1_pos,
+            x2_neg,
+            _affine_nonneg(-U1, -U0),  # x1 + x2 <= 0
+            _affine_nonneg(  # |x2| < lambda x1
+                lam_p * pb + lam_q * qb, lam_p * P0 + lam_q * Q0 - 1
+            ),
+        )
+        # den^2 N(mu) = N2 b^2 + N1 b + N0, positive on slice 0, negative on 1
+        N2 = pb * pb - c1 * pb * qb + c0 * qb * qb
+        N1 = 2 * pb * P0 - c1 * (pb * Q0 + qb * P0) + 2 * c0 * qb * Q0
+        N0 = P0 * P0 - c1 * P0 * Q0 + c0 * Q0 * Q0
+        out = [(lo, hi, 0) for lo, hi in _clip(pp, _quad_nonpos(N2, N1, N0 - Xi))]
+        out += [(lo, hi, 1) for lo, hi in _clip(pm, _quad_nonpos(-N2, -N1, -N0 - Xi))]
+        out.sort()
+        return out
 
-        In both fundamental slices the first embedding is at most sqrt(X)
-        and the second at most sqrt(lambda X) in absolute value (padded).
-        """
-        e1, e2, er = self._emb
-        caps = (math.sqrt(X) * 1.1 + 2, math.sqrt(self.lam * X) * 1.1 + 2)
-        lo, hi = -math.inf, math.inf
-        for i in range(2):
-            coef = e2[i]
-            if abs(coef) < 1e-12:
-                continue
-            bounds = []
-            for a in (a_lo, a_hi):
-                base = a * e1[i] + er[i]
-                bounds.append((-caps[i] - base) / coef)
-                bounds.append((caps[i] - base) / coef)
-            lo = max(lo, min(bounds))
-            hi = min(hi, max(bounds))
-        if lo > hi:
-            return None
-        return int(lo) - 2, int(hi) + 2
+    def kept_intervals(self, cutoff: float, Xi: int):
+        """Arrays (a, lo, hi) of every row's kept intervals in row order,
+        certified against ``slice_masks``.  They are int64 when the overflow
+        bound allows it, else object arrays of Python ints."""
+        alo, ahi = self.a_range(cutoff)
+        rows = [
+            (a, lo, hi, k)
+            for a in range(alo, ahi + 1)
+            for lo, hi, k in self.row_intervals(a, Xi)
+        ]
+        a, lo, hi, kind = (list(col) for col in zip(*rows)) if rows else ([],) * 4
+        bmax = max(map(abs, lo + hi), default=0) + 1  # the neighbours included
+        dtype = self.int_dtype(max(-alo, ahi, 1), bmax, Xi)
+        a, lo, hi = (np.array(col, dtype=dtype) for col in (a, lo, hi))
+        self.certify(a, lo, hi, np.array(kind, dtype=np.int8), Xi)
+        return a, lo, hi
+
+    def int_dtype(self, amax: int, bmax: int, Xi: int):
+        """np.int64 when no intermediate of ``_pq``, ``slice_masks`` or
+        ``norm_scaled`` reaches 2^62 for |a| <= amax, |b| <= bmax, and Xi is
+        below it too; otherwise object, so that numpy computes with Python
+        ints and never wraps."""
+        c0, c1, eP, eQ = abs(self.c0), abs(self.c1), abs(self.eP), abs(self.eQ)
+        P = abs(self.pa) * amax + abs(self.pb) * bmax + abs(self.pc)
+        Q = abs(self.qa) * amax + abs(self.qb) * bmax + abs(self.qc)
+        u = 2 * P + c1 * Q
+        worst = max(
+            Xi,
+            P * P + c1 * P * Q + c0 * Q * Q,  # norm_scaled
+            u * u + self.d0 * Q * Q,  # _sgn_quad
+            eQ * P + eP * Q,  # lam_cut
+            (2 * eP + c1 * eQ) * P + (c1 * eP + 2 * c0 * eQ) * Q,  # lam_plus
+        )
+        return np.int64 if worst < 1 << 62 else object
+
+    def certify(self, a, lo, hi, kind, Xi: int) -> None:
+        """Check intervals against ``slice_masks`` and ``norm_scaled`` in one
+        vectorized call: both ends of every interval must be kept by its
+        slice under the norm cut, and both outer neighbours rejected."""
+        pp, pm, P, Q = self.slice_masks(
+            np.concatenate((a, a, a, a)), np.concatenate((lo, hi, lo - 1, hi + 1))
+        )
+        Ni = self.norm_scaled(P, Q)
+        kept = np.where(np.tile(kind, 4) == 0, pp, pm) & (Ni != 0) & (np.abs(Ni) <= Xi)
+        n = 2 * len(a)
+        if not (kept[:n].all() and not kept[n:].any()):
+            bad = int(np.flatnonzero(kept != (np.arange(2 * n) < n))[0]) % len(a)
+            raise EnumerationMismatch(
+                f"row a = {a[bad]}: interval [{lo[bad]}, {hi[bad]}] of slice "
+                f"{kind[bad]} disagrees with slice_masks"
+            )
 
 
 def _sgn_quad(u: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
@@ -343,6 +432,98 @@ def _sgn_quad(u: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
     return s
 
 
+# integer sets on a row are closed intervals (lo, hi); an unbounded side is
+# +-inf, and an empty set has lo > hi
+
+
+def _affine_nonneg(alpha: int, beta: int) -> tuple:
+    """Integers b with alpha b + beta >= 0."""
+    if alpha > 0:
+        return -(beta // alpha), math.inf
+    if alpha < 0:
+        return -math.inf, beta // -alpha
+    return (-math.inf, math.inf) if beta >= 0 else (math.inf, -math.inf)
+
+
+def _floor_sqrt_multiple(w: int, d: int) -> int:
+    """floor(w sqrt(d)) for a non-square d > 0."""
+    r = math.isqrt(w * w * d)
+    return r if w >= 0 else -r - 1
+
+
+def _sqrt_affine_pos(a0: int, a1: int, b0: int, b1: int, d: int) -> tuple:
+    """Integers b with (a0 + a1 sqrt d) b + b0 + b1 sqrt d > 0, for a
+    non-square d > 0 and a nonzero slope a0 + a1 sqrt d."""
+    q = a0 * a0 - d * a1 * a1  # nonzero, since d is not a square
+    if a0 >= 0 and a1 >= 0:
+        rising = True
+    elif a0 <= 0 and a1 <= 0:
+        rising = False
+    else:  # opposite signs: the rational part wins when q > 0
+        rising = (a0 > 0) == (q > 0)
+    # the form vanishes at t = (r + w sqrt d) / q
+    r, w = d * a1 * b1 - a0 * b0, a1 * b0 - a0 * b1
+    if q < 0:
+        q, r, w = -q, -r, -w
+    if rising:  # b > t, i.e. b >= floor(t) + 1
+        return (r + _floor_sqrt_multiple(w, d)) // q + 1, math.inf
+    # b < t, i.e. b <= ceil(t) - 1 = -floor(-t) - 1
+    return -math.inf, -((-r + _floor_sqrt_multiple(-w, d)) // q) - 1
+
+
+def _quad_nonpos(A: int, B: int, C: int) -> list[tuple]:
+    """Integers b with A b^2 + B b + C <= 0, for A != 0: one interval when
+    A > 0, the complement of one when A < 0."""
+    if A < 0:
+        # the complement of -A b^2 - B b - C <= -1
+        inner = _quad_nonpos(-A, -B, 1 - C)
+        if not inner:
+            return [(-math.inf, math.inf)]
+        ((lo, hi),) = inner
+        return [(-math.inf, lo - 1), (hi + 1, math.inf)]
+    disc = B * B - 4 * A * C
+    if disc < 0:
+        return []
+    # 4A (A b^2 + B b + C) = t^2 - disc with the integer t = 2A b + B, so the
+    # inequality is |t| <= isqrt(disc)
+    root = math.isqrt(disc)
+    lo, hi = -((B + root) // (2 * A)), (root - B) // (2 * A)
+    return [(lo, hi)] if lo <= hi else []
+
+
+def _clip(halflines, pieces) -> list[tuple[int, int]]:
+    """The nonempty intersections of the half-lines with each piece."""
+    los, his = zip(*halflines)
+    lo, hi = max(los), min(his)
+    out = []
+    for plo, phi in pieces:
+        blo, bhi = max(lo, plo), min(hi, phi)
+        if blo <= bhi:
+            out.append((blo, bhi))
+    return out
+
+
+_CHUNK_POINTS = 1 << 20  # about 8 MB per int64 array
+
+
+def _interval_points(a, lo, hi):
+    """Yield arrays (A, B) of every point (a_i, b) with lo_i <= b <= hi_i, in
+    order, at most _CHUNK_POINTS points at a time."""
+    n = (hi - lo + 1).astype(np.int64)
+    ends = np.cumsum(n)
+    total = int(n.sum())
+    for p0 in range(0, total, _CHUNK_POINTS):
+        p1 = min(p0 + _CHUNK_POINTS, total)
+        i0 = int(np.searchsorted(ends, p0, side="right"))
+        i1 = int(np.searchsorted(ends, p1 - 1, side="right")) + 1
+        clo, chi = lo[i0:i1].copy(), hi[i0:i1].copy()
+        clo[0] += p0 - int(ends[i0] - n[i0])
+        chi[-1] -= int(ends[i1 - 1]) - p1
+        cn = (chi - clo + 1).astype(np.int64)
+        start = np.cumsum(cn) - cn
+        yield np.repeat(a[i0:i1], cn), np.repeat(clo - start, cn) + np.arange(p1 - p0)
+
+
 def lvalue_numeric(
     module: LatticeModule,
     s: int,
@@ -352,16 +533,20 @@ def lvalue_numeric(
 ) -> float:
     """Numeric value of the coset sum at integer s >= 1.
 
-    Representatives of (M+rho)/V are enumerated exactly in two slope slices
-    (one per sign quadrant up to the global -1 symmetry) and summed ordered
-    by |N(mu)| up to the cutoff.  For s = 1 the last two checkpoint partial
-    sums are averaged (one acceleration level).  A tolerance triggers
-    CutoffTooSmall when the internal error estimate exceeds it.
+    Representatives of (M+rho)/V lie in two slope slices (one per sign
+    quadrant up to the global -1 symmetry).  Each row a of the lattice meets
+    them, under the cut |N(mu)| <= cutoff, in exact integer b-intervals
+    (``_QuadraticEnumerator.row_intervals``); only those points are visited,
+    in chunks, and summed ordered by |N(mu)|.  For s = 1 the last two
+    checkpoint partial sums are averaged (one acceleration level).  A
+    tolerance triggers CutoffTooSmall when the internal error estimate
+    exceeds it.
     """
-    assert s >= 1 and int(s) == s
+    if s < 1 or int(s) != s:
+        raise InvalidWeight(f"s must be an integer >= 1, got {s!r}")
     enum = _QuadraticEnumerator(module)
     den = enum.den
-    Xi = int(cutoff * den * den)  # bound on the scaled integer norm
+    Xi = math.floor(Fraction(cutoff) * den * den)  # bound on the scaled integer norm
 
     ordered = s == 1
     nshells = 1 << 14
@@ -370,28 +555,12 @@ def lvalue_numeric(
     total = 0.0
     tail = 0.0  # contribution with |N| in the top decade, for the estimate
 
-    alo, ahi = enum.a_range(cutoff)
-    chunk = 256
-    for a0 in range(alo, ahi + 1, chunk):
-        a1 = min(a0 + chunk - 1, ahi)
-        win = enum.b_window(a0, a1, cutoff)
-        if win is None:
-            continue
-        avec = np.arange(a0, a1 + 1, dtype=np.int64)
-        bvec = np.arange(win[0], win[1] + 1, dtype=np.int64)
-        A = np.repeat(avec, len(bvec))
-        B = np.tile(bvec, len(avec))
-        pp, pm, P, Q = enum.slice_masks(A, B)
-        keep = pp | pm
-        if not np.any(keep):
-            continue
-        Ni = enum.norm_scaled(P[keep], Q[keep])
-        Ni = Ni[(Ni != 0) & (np.abs(Ni) <= Xi)]
-        if len(Ni) == 0:
-            continue
-        terms = (den * den / Ni.astype(float)) ** s
+    den2 = float(den * den)
+    for A, B in _interval_points(*enum.kept_intervals(cutoff, Xi)):
+        Ni = enum.norm_scaled(*enum._pq(A, B))
+        terms = (den2 / Ni.astype(float)) ** s
         if ordered:
-            idx = np.abs(Ni) // width
+            idx = (np.abs(Ni) // width).astype(np.intp)
             shells += np.bincount(idx, weights=terms, minlength=len(shells))
         else:
             total += float(np.sum(terms))

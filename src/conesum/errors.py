@@ -39,8 +39,8 @@ class NotTotallyPositive(ConesumError):
     pass
 
 
-class SearchBoundExceeded(ConesumError):
-    pass
+class NotSquarefree(ConesumError):
+    """A quadratic field Q(sqrt d) asked for with d not a squarefree integer >= 2."""
 
 
 class MixedExponents(ConesumError):
@@ -137,3 +137,23 @@ class MissingIntersectionEntry(ConesumError):
 
 class CutoffTooSmall(ConesumError):
     pass
+
+
+class UnsupportedDegree(ConesumError):
+    """Numeric L-values are implemented for real quadratic fields only."""
+
+
+class UnitRankMismatch(ConesumError):
+    """The unit group does not have the rank the computation needs."""
+
+
+class InvalidWeight(ConesumError):
+    """An L-value weight s that is not an integer >= 1, or an odd n*s."""
+
+
+class NegativeIndex(ConesumError):
+    """A Bernoulli number asked for at a negative index."""
+
+
+class EnumerationMismatch(ConesumError):
+    """Exact row intervals that disagree with the slice masks they solve."""

@@ -21,9 +21,9 @@ from .errors import (
     MixedExponents,
     NotAUnit,
     NotIrreducible,
+    NotSquarefree,
     NotTotallyPositive,
     NotTotallyReal,
-    SearchBoundExceeded,
     ZeroInput,
 )
 
@@ -161,11 +161,6 @@ def _sign_variations(chain, x: Fraction) -> int:
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> int:
-    chain = sturm_chain(p)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
 def isolate_real_roots(p: Sequence[Fraction]) -> list[RatInterval]:
@@ -855,7 +850,7 @@ def fundamental_unit_quadratic(d: int) -> FieldElement:
     closes one period of the minus continued fraction of the maximal order.
     """
     if d < 2 or not _is_squarefree(d):
-        raise SearchBoundExceeded(f"d = {d} must be a squarefree integer >= 2")
+        raise NotSquarefree(f"d = {d} must be a squarefree integer >= 2")
     field = make_field([-d, 0, 1])
     omega = field.element([_ONE / 2, _ONE / 2]) if d % 4 == 1 else field.theta
     return minus_continued_fraction((field.one, omega))[2]

@@ -1,19 +1,30 @@
 import math
+import time
+import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conesum.errors import (
     CutoffTooSmall,
+    EnumerationMismatch,
+    InvalidWeight,
     MissingIntersectionEntry,
+    NegativeIndex,
+    NotTotallyReal,
     UnitDoesNotPreserveM,
+    UnitRankMismatch,
+    UnsupportedDegree,
 )
 from conesum.field import (
     ScaledRational,
     UnitGroupData,
     fundamental_unit_quadratic,
+    is_totally_positive,
     make_field,
 )
+from conesum import arith
 from conesum.fan import build_quadratic_fan
 from conesum.arith import (
     SQRT3_EXPECTED,
@@ -48,6 +59,10 @@ class TestBernoulli:
     def test_odd_vanish(self):
         for k in (3, 5, 7, 9, 11):
             assert bernoulli(k) == 0
+
+    def test_negative_index(self):
+        with pytest.raises(NegativeIndex):
+            bernoulli(-1)
 
     def test_recurrence_identity(self):
         for k in range(2, 20):
@@ -164,6 +179,13 @@ class TestSatakeRhs:
         with pytest.raises(MissingIntersectionEntry):
             satake_rhs(IntersectionData(1, 2, entries), 1, 2, M.d_M)
 
+    def test_odd_weight_rejected(self):
+        # n * s = 3 * 1 is odd
+        M = sqrt3_module()
+        data = IntersectionData(s=1, components=2, entries=dict(SQRT3_REFERENCE[1]))
+        with pytest.raises(InvalidWeight):
+            satake_rhs(data, 1, 3, M.d_M)
+
     def test_odd_bernoulli_entries_not_needed(self):
         # s = 2 entries omit (3,1) and (1,3): B3 = 0 makes them irrelevant
         M = sqrt3_module()
@@ -211,6 +233,59 @@ class BruteForceOracle:
         return reps
 
 
+def masked_points(enum, Xi, box):
+    """Every (a, b, P, Q, N, slice) with |a|, |b| <= box that ``slice_masks``
+    keeps under the scaled norm cut: the point-by-point definition."""
+    grid = np.arange(-box, box + 1, dtype=np.int64)
+    A, B = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+    pp, pm, P, Q = enum.slice_masks(A, B)
+    Ni = enum.norm_scaled(P, Q)
+    keep = (pp | pm) & (Ni != 0) & (np.abs(Ni) <= Xi)
+    return A[keep], B[keep], P[keep], Q[keep], Ni[keep], np.where(pp, 0, 1)[keep]
+
+
+def sample_modules():
+    F3 = make_field([-3, 0, 1])
+    F2 = make_field([-2, 0, 1])
+    units3 = UnitGroupData((fundamental_unit_quadratic(3),))
+    return {
+        "sqrt3": sqrt3_module(),
+        "Z[sqrt2]": LatticeModule(
+            basis=(F2.one, F2.theta),
+            rho=F2.zero,
+            units=UnitGroupData((fundamental_unit_quadratic(2),)),
+        ),
+        # rho = (1 - sqrt3)/2 satisfies (eps - 1) rho = -1 in M
+        "sqrt3+rho": LatticeModule(
+            basis=(F3.one, F3.theta / 3),
+            rho=F3.element([Fraction(1, 2), Fraction(-1, 2)]),
+            units=units3,
+        ),
+        # the same lattice with N(m2) = 11/3 > 0: the norm cut keeps one
+        # b-interval of the totally positive slice and two half-lines of the
+        # mixed one, the other way round from the modules above
+        "sqrt3, N(m2) > 0": LatticeModule(
+            basis=(F3.one, F3.one * 2 + F3.theta / 3), rho=F3.zero, units=units3
+        ),
+    }
+
+
+def big_denominator_module():
+    """lambda * (Z + Z sqrt3/3) for a totally positive lambda of norm 1 whose
+    coordinates have a denominator near 10^12: the same norms, and so the
+    same L-values, as the sqrt3 module, but scaled norms far beyond int64."""
+    F = make_field([-3, 0, 1])
+    p, q = 10**6, 2 * 10**6 + 1
+    den = q * q - 3 * p * p  # N(q^2 + 3p^2 + 2pq sqrt3) = den^2
+    lam = F.element([Fraction(q * q + 3 * p * p, den), Fraction(2 * p * q, den)])
+    assert lam.norm() == 1 and is_totally_positive(lam)
+    return LatticeModule(
+        basis=(lam, lam * F.theta / 3),
+        rho=F.zero,
+        units=UnitGroupData((fundamental_unit_quadratic(3),)),
+    )
+
+
 class TestLvalueNumeric:
     def test_rep_enumeration_matches_bruteforce(self):
         # the vectorized slices pick exactly one representative per orbit of
@@ -220,46 +295,25 @@ class TestLvalueNumeric:
         oracle = BruteForceOracle(M, cutoff)
         expected = sorted(abs(mu.norm()) for mu in oracle.orbit_representatives())
 
-        import numpy as np
-
         enum = _QuadraticEnumerator(M)
         den = enum.den
-        Xi = cutoff * den * den
-        got = []
-        alo, ahi = enum.a_range(cutoff)
-        for a in range(alo, ahi + 1):
-            win = enum.b_window(a, a, cutoff)
-            if win is None:
-                continue
-            b = np.arange(win[0], win[1] + 1, dtype=np.int64)
-            pp, pm, P, Q = enum.slice_masks(np.full_like(b, a), b)
-            Ni = enum.norm_scaled(P, Q)
-            keep = (pp | pm) & (Ni != 0) & (np.abs(Ni) <= Xi)
-            got.extend(Fraction(int(v), den * den) for v in np.abs(Ni[keep]))
+        # kept points have |x1| <= sqrt(40) and |x2| <= sqrt(14 * 40), so
+        # |a| <= 15 and |b| <= 26; the box is four times wider
+        Ni = masked_points(enum, cutoff * den * den, 120)[4]
+        got = [Fraction(int(v), den * den) for v in np.abs(Ni)]
         # the oracle glues mu and -mu into one orbit, as do the two slices
         assert sorted(got) == expected
 
     def test_slice_uniqueness_under_unit_division(self):
         # no two enumerated representatives differ by a unit power (or -1)
-        import numpy as np
-
         M = sqrt3_module()
         enum = _QuadraticEnumerator(M)
         den = enum.den
-        reps = []
-        alo, ahi = enum.a_range(25)
-        for a in range(alo, ahi + 1):
-            win = enum.b_window(a, a, 25)
-            if win is None:
-                continue
-            b = np.arange(win[0], win[1] + 1, dtype=np.int64)
-            pp, pm, P, Q = enum.slice_masks(np.full_like(b, a), b)
-            Ni = enum.norm_scaled(P, Q)
-            keep = (pp | pm) & (Ni != 0) & (np.abs(Ni) <= 25 * den * den)
-            for pv, qv in zip(P[keep], Q[keep]):
-                reps.append(
-                    M.field.element([Fraction(int(pv), den), Fraction(int(qv), den)])
-                )
+        _, _, P, Q, _, _ = masked_points(enum, 25 * den * den, 120)
+        reps = [
+            M.field.element([Fraction(int(pv), den), Fraction(int(qv), den)])
+            for pv, qv in zip(P, Q)
+        ]
         eps = enum.eps
         keys = {mu.coords for mu in reps}
         assert len(keys) == len(reps)
@@ -271,6 +325,84 @@ class TestLvalueNumeric:
                         raise AssertionError(
                             f"{mu.coords} and {nu.coords} are in one orbit"
                         )
+
+    @pytest.mark.parametrize("name", list(sample_modules()))
+    def test_row_intervals_match_masks(self, name):
+        M = sample_modules()[name]
+        enum = _QuadraticEnumerator(M)
+        cutoff = 200
+        Xi = cutoff * enum.den**2
+        box = 250
+        A, B, _, _, _, kind = masked_points(enum, Xi, box)
+        expected = sorted(zip(A.tolist(), B.tolist(), kind.tolist()))
+        got = []
+        for a in range(-box, box + 1):
+            for lo, hi, k in enum.row_intervals(a, Xi):
+                assert -box < lo <= hi < box, "the box must hold every interval"
+                got.extend((a, b, k) for b in range(lo, hi + 1))
+        assert sorted(got) == expected
+        assert len(expected) > 100
+        # the box holds the a-range of the enumeration, which holds every
+        # kept row
+        alo, ahi = enum.a_range(cutoff)
+        assert -box < alo <= A.min() and A.max() <= ahi < box
+
+    def test_certificate_rejects_a_wrong_interval(self, monkeypatch):
+        enum = _QuadraticEnumerator(sqrt3_module())
+        Xi = 60 * enum.den**2
+        enum.kept_intervals(60, Xi)  # the true intervals pass
+        true_rows = enum.row_intervals
+
+        def one_too_long(a, Xi):
+            return [(lo, hi + (a == 3), k) for lo, hi, k in true_rows(a, Xi)]
+
+        monkeypatch.setattr(enum, "row_intervals", one_too_long)
+        with pytest.raises(EnumerationMismatch):
+            enum.kept_intervals(60, Xi)
+
+    @pytest.mark.parametrize("name", ["sqrt3", "sqrt3+rho", "sqrt3, N(m2) > 0"])
+    def test_matches_masked_sum(self, name):
+        # the visited points give the same sum as the masks over a box
+        M = sample_modules()[name]
+        enum = _QuadraticEnumerator(M)
+        den2 = enum.den**2
+        cutoff = 300
+        Ni = masked_points(enum, cutoff * den2, 250)[4]
+        for s in (1, 2, 3):
+            expected = 2 * float(np.sum((den2 / Ni.astype(float)) ** s))
+            got = lvalue_numeric(M, s, cutoff, accel=False)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_chunks_split_intervals(self, monkeypatch):
+        # chunk boundaries fall inside intervals, and no point is lost or
+        # repeated
+        monkeypatch.setattr(arith, "_CHUNK_POINTS", 7)
+        a = np.array([-2, -2, 0, 5])
+        lo = np.array([3, 10, -4, 1])
+        hi = np.array([5, 29, -4, 14])
+        chunks = [
+            list(zip(A.tolist(), B.tolist()))
+            for A, B in arith._interval_points(a, lo, hi)
+        ]
+        assert [len(c) for c in chunks] == [7, 7, 7, 7, 7, 3]
+        expected = [(ai, b) for ai, l, h in zip(a, lo, hi) for b in range(l, h + 1)]
+        assert sum(chunks, []) == expected
+
+    def test_scaled_norms_beyond_int64(self):
+        # den^2 * cutoff > 2^63: the enumeration falls back to Python ints
+        # rather than wrapping, and returns the sqrt3 module's values
+        M = big_denominator_module()
+        enum = _QuadraticEnumerator(M)
+        cutoff = 50
+        Xi = cutoff * enum.den**2
+        assert Xi > 2**63
+        assert enum.kept_intervals(cutoff, Xi)[0].dtype == object
+        start = time.monotonic()
+        for s in (1, 2, 3):
+            got = lvalue_numeric(M, s, cutoff, accel=False)
+            ref = lvalue_numeric(sqrt3_module(), s, cutoff, accel=False)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0)
+        assert time.monotonic() - start < 1.0
 
     def test_identity_values(self):
         M = sqrt3_module()
@@ -284,6 +416,30 @@ class TestLvalueNumeric:
         M = sqrt3_module()
         with pytest.raises(CutoffTooSmall):
             lvalue_numeric(M, 2, 2000, tol=1e-6)
+
+    @pytest.mark.parametrize("s", [0, -1, 1.5])
+    def test_weight_must_be_positive_integer(self, s):
+        with pytest.raises(InvalidWeight):
+            lvalue_numeric(sqrt3_module(), s, 100)
+
+    def test_rank_two_unit_group_rejected(self):
+        eps = fundamental_unit_quadratic(3)
+        M = sqrt3_module()
+        units = UnitGroupData((eps, eps * eps))
+        M2 = LatticeModule(basis=M.basis, rho=M.rho, units=units)
+        with pytest.raises(UnitRankMismatch):
+            lvalue_numeric(M2, 2, 100)
+
+    def test_cubic_field_rejected(self):
+        module = types.SimpleNamespace(field=make_field([1, -2, -1, 1]))
+        with pytest.raises(UnsupportedDegree):
+            _QuadraticEnumerator(module)
+
+    def test_nonpositive_discriminant_rejected(self):
+        # make_field admits no such quadratic field; a stand-in reaches the check
+        field = types.SimpleNamespace(degree=2, min_poly=(1, 0, 1))
+        with pytest.raises(NotTotallyReal):
+            _QuadraticEnumerator(types.SimpleNamespace(field=field))
 
 
 class TestSatakeReport:

@@ -7,8 +7,8 @@ import pytest
 from conesum import linalg
 from conesum.errors import (
     NotIrreducible,
+    NotSquarefree,
     NotTotallyReal,
-    SearchBoundExceeded,
     ZeroInput,
 )
 from conesum.field import (
@@ -336,7 +336,7 @@ class TestUnits:
         assert u.coords == (Fraction(1728148040), Fraction(140634693))
 
     def test_not_squarefree(self):
-        with pytest.raises(SearchBoundExceeded):
+        with pytest.raises(NotSquarefree):
             fundamental_unit_quadratic(4)
 
 
