@@ -48,6 +48,7 @@ from .fan import (
 from .summation import (
     ConeTerm,
     ConvergenceRow,
+    TermForm,
     cocycle_value,
     cone_term,
     converge,

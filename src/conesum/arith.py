@@ -24,6 +24,7 @@ from .errors import (
     InvalidWeight,
     MissingIntersectionEntry,
     NegativeIndex,
+    NotFullRank,
     NotTotallyReal,
     UnitDoesNotPreserveM,
     UnitRankMismatch,
@@ -67,9 +68,12 @@ class LatticeModule:
     units: UnitGroupData
 
     def __post_init__(self):
-        field = self.basis[0].field
-        assert len(self.basis) == field.degree
-        assert not det_scaled(list(self.basis)).is_zero(), "basis must be independent"
+        if not self.basis or len(self.basis) != self.basis[0].field.degree:
+            raise NotFullRank(
+                f"a lattice basis needs one element per degree, got {len(self.basis)}"
+            )
+        if det_scaled(list(self.basis)).is_zero():
+            raise NotFullRank("lattice basis elements are linearly dependent")
         for eps in self.units.generators:
             for m in self.basis:
                 sol = solve_in_basis(list(self.basis), eps * m)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -19,7 +20,6 @@ from .config import ConfigError, RunConfig, load_config, parse_rational
 from .errors import ConesumError, DegreeTooSmall
 from .fan import build_quadratic_fan, refine_insert_ray, truncate, validate_good_fan
 from .field import (
-    ScaledRational,
     UnitGroupData,
     fundamental_unit_quadratic,
     is_totally_positive,
@@ -60,7 +60,7 @@ def _rand_elem(field, rng, span=5):
 def suite_cocycle(config: RunConfig) -> list[dict]:
     from . import linalg
     from .field import det_scaled
-    from .summation import dual_basis
+    from .summation import TermForm
 
     rng = random.Random(config.seed)
     results = []
@@ -73,47 +73,44 @@ def suite_cocycle(config: RunConfig) -> list[dict]:
         for _ in range(100):
             tup = [_rand_elem(field, rng) for _ in range(n + 1)]
             # the pairing <x, a> is the dot product of x's coordinates with
-            # T a, so everything x-independent is precomputed per tuple
+            # T a, so everything x-independent is precomputed per tuple:
+            # the integer rows of T a over a common denominator den, which
+            # make det / prod <x, a> = det * den^n / prod (row . x), and the
+            # TermForm of the dual value.  Within one sum every term carries
+            # the same power of sqrt(D), so the sums are kept as rationals.
             subs = []
             for i in range(n + 1):
                 sub = tup[:i] + tup[i + 1 :]
                 det = det_scaled(sub)
                 if det.is_zero():
-                    subs.append((det, None, None))
                     continue
                 w_sub = [linalg.mat_vec(T, a.coords) for a in sub]
-                w_dual = [linalg.mat_vec(T, b.coords) for b in dual_basis(sub)]
-                subs.append((det, w_sub, w_dual))
+                den = math.lcm(*(c.denominator for w in w_sub for c in w))
+                rows = [[int(c * den) for c in w] for w in w_sub]
+                sign = (-1) ** i
+                subs.append((sign, sign * det.q * den**n, rows, TermForm(sub)))
             points_done = 0
             attempts = 0
             while points_done < 20 and attempts < 300:
                 attempts += 1
-                x = tuple(
-                    Fraction(rng.randint(-5, 5)) for _ in range(n)
-                )
+                x = tuple(rng.randint(-5, 5) for _ in range(n))
                 if not any(x):
                     continue
-                tot_h = ScaledRational.rational(0, field.disc_abs)
-                tot_hs = ScaledRational.rational(0, field.disc_abs)
+                tot_h = tot_hs = Fraction(0)
                 singular = False
-                for i, (det, w_sub, w_dual) in enumerate(subs):
-                    sign = (-1) ** i
-                    if w_sub is None:
-                        continue
-                    prod = Fraction(1)
-                    for w in w_sub:
+                for sign, h_scale, rows, form in subs:
+                    prod = 1
+                    for w in rows:
                         prod *= sum(xc * wc for xc, wc in zip(x, w))
-                    dprod = Fraction(1)
-                    for w in w_dual:
-                        dprod *= sum(xc * wc for xc, wc in zip(x, w))
-                    if prod == 0 or dprod == 0:
+                    dual = form.coefficient(x)
+                    if prod == 0 or dual is None:
                         singular = True
                         break
-                    tot_h = tot_h + det * (Fraction(sign) / prod)
-                    tot_hs = tot_hs + (det * dprod).inverse() * sign
+                    tot_h += h_scale / prod
+                    tot_hs += sign * dual
                 if singular:
                     continue
-                if not (tot_h.is_zero() and tot_hs.is_zero()):
+                if tot_h != 0 or tot_hs != 0:
                     failures += 1
                 points_done += 1
                 checked += 1

@@ -107,6 +107,10 @@ class DependentTuple(ConesumError):
     pass
 
 
+class NotSimplicial(ConesumError):
+    """A top cone whose extreme rays are not a basis, so it has no term."""
+
+
 class NotConvexUnion(ConesumError):
     pass
 
@@ -133,6 +137,10 @@ class WindowTooSmall(ConesumError):
 
 class MissingIntersectionEntry(ConesumError):
     pass
+
+
+class NotFullRank(ConesumError):
+    """A lattice basis with the wrong number of elements, or dependent ones."""
 
 
 class CutoffTooSmall(ConesumError):

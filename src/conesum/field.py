@@ -9,6 +9,7 @@ refinable to any width; signs of nonzero elements are decided exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -191,6 +192,48 @@ def isolate_real_roots(p: Sequence[Fraction]) -> list[RatInterval]:
         stack.append((mid, hi, k - kl))
     result.sort(key=lambda iv: iv.lo)
     return result
+
+
+def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """A greatest common divisor (not normalized); [] only when both are 0."""
+    a, b = poly_trim(list(a)), poly_trim(list(b))
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return a
+
+
+def _has_integer_root(p: Sequence[Fraction]) -> bool:
+    """Whether a squarefree monic integer polynomial has a rational root.
+
+    Such a root is an integer, so no half-integer is a root: Sturm counts
+    between half-integers narrow every real root down to a unit interval,
+    whose one integer is then tested exactly.
+    """
+    chain = sturm_chain(p)
+    half = Fraction(1, 2)
+    bound = 1 + max(abs(c) for c in p[:-1])  # every root lies below it
+    stack = [(-bound - half, bound + half)]
+    while stack:
+        lo, hi = stack.pop()
+        if _sign_variations(chain, lo) == _sign_variations(chain, hi):
+            continue
+        if hi - lo == 1:
+            if poly_eval(p, lo + half) == 0:
+                return True
+            continue
+        mid = math.floor((lo + hi) / 2) + half
+        stack += [(lo, mid), (mid, hi)]
+    return False
+
+
+def _monic_product(roots: Sequence[RatInterval]) -> list[RatInterval]:
+    """Interval coefficients (ascending) of prod (x - r) over the roots."""
+    zero = RatInterval(_ZERO, _ZERO)
+    coeffs = [RatInterval(_ONE, _ONE)]
+    for r in roots:
+        shifted = [zero] + coeffs
+        coeffs = [s - r * c for s, c in zip(shifted, coeffs + [zero])]
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -490,24 +533,54 @@ class TotallyRealField:
             raise NotIrreducible("defining polynomial must be monic of degree >= 2")
         self.min_poly = tuple(poly)
         self.degree = n
-        self._check_irreducible(poly)
+        fpoly = [Fraction(c) for c in poly]
+        if len(poly_gcd(fpoly, poly_deriv(fpoly))) > 1 or _has_integer_root(fpoly):
+            raise NotIrreducible(f"{poly} is reducible over the rationals")
 
-        roots = isolate_real_roots([Fraction(c) for c in poly])
+        roots = isolate_real_roots(fpoly)
         if len(roots) < n:
             raise NotTotallyReal(f"only {len(roots)} of {n} roots are real")
         # refinement chains, one per root, extended lazily
         self._root_chains: list[list[RatInterval]] = [[iv] for iv in roots]
+        if self._has_factor_of_degree_two_or_more():
+            raise NotIrreducible(f"{poly} is reducible over the rationals")
 
         self._build_tables()
 
-    @staticmethod
-    def _check_irreducible(poly: list[int]) -> None:
-        import sympy
+    def _has_factor_of_degree_two_or_more(self) -> bool:
+        """Whether some product of 2 <= k <= n/2 of the roots, prod (x - r_i),
+        is an integer polynomial dividing the defining one.
 
-        x = sympy.Symbol("x")
-        expr = sum(c * x**k for k, c in enumerate(poly))
-        if not sympy.Poly(expr, x, domain="QQ").is_irreducible:
-            raise NotIrreducible(f"{poly} is reducible over the rationals")
+        A monic integer polynomial with all roots real factors over Q exactly
+        when it has such a factor (Gauss's lemma).  The root intervals are
+        refined until each coefficient of a candidate product either holds no
+        integer, which rules the subset out, or pins exactly one; a fully
+        pinned candidate is then divided out exactly.
+        """
+        n = self.degree
+        poly = [Fraction(c) for c in self.min_poly]
+        subsets = [
+            s for k in range(2, n // 2 + 1) for s in itertools.combinations(range(n), k)
+        ]
+        depth = 0
+        while subsets:
+            roots = [self._root_interval(place, depth) for place in range(n)]
+            undecided = []
+            for subset in subsets:
+                pinned = []
+                for c in _monic_product([roots[i] for i in subset])[:-1]:
+                    lo, hi = math.ceil(c.lo), math.floor(c.hi)
+                    if lo > hi:
+                        break
+                    pinned.append(lo if lo == hi else None)
+                else:
+                    if None in pinned:
+                        undecided.append(subset)
+                    elif not poly_divmod(poly, [Fraction(c) for c in pinned] + [_ONE])[1]:
+                        return True
+            subsets = undecided
+            depth += 1
+        return False
 
     def _build_tables(self) -> None:
         n = self.degree

@@ -9,6 +9,8 @@ the convergence driver verifies window by window with exact partial sums.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -26,10 +28,11 @@ from .cycles import (
 from .errors import (
     DependentTuple,
     NotConvexUnion,
+    NotSimplicial,
     NotTotallyPositive,
     SingularAtX0,
 )
-from .fan import FanDescription, TermGroup, TruncatedFan, truncate
+from .fan import FanDescription, TermGroup, TruncatedFan
 from .field import (
     FieldElement,
     ScaledRational,
@@ -76,6 +79,51 @@ def dual_basis(points: Sequence[FieldElement]) -> list[FieldElement]:
     return out
 
 
+class TermForm:
+    """The dual value h*(A)(x) = 1 / (det(A) * prod_i Tr(x B_i)) of one
+    independent tuple A, prepared for evaluation at many points x.
+
+    Tr(x B_i) is the i-th coordinate of x in the basis A, because the B_i
+    are trace-dual to the A_i.  So the pairings are the rows of the inverse
+    of the coordinate matrix (the A_i as its columns) applied to x, and no
+    dual basis, Gram matrix or field product is needed.  With det(A) =
+    q*sqrt(D), the rows cleared to integers over a denominator den, and
+    x = X/dx, the value is den^n dx^n / (q * prod_i (row_i . X)) / sqrt(D).
+    """
+
+    __slots__ = ("rows", "scale", "disc")
+
+    def __init__(self, points: Sequence[FieldElement]):
+        q = linalg.det([p.coords for p in points])
+        if q == 0:
+            raise DependentTuple("tuple is linearly dependent")
+        inv = linalg.inverse(list(zip(*(p.coords for p in points))))
+        den = math.lcm(*(c.denominator for row in inv for c in row))
+        self.rows = tuple(tuple(int(c * den) for c in row) for row in inv)
+        self.scale = den ** len(points) / q
+        self.disc = points[0].field.disc_abs
+
+    def coefficient(self, coords: Sequence[Fraction]) -> Fraction | None:
+        """Rational c with h*(A)(x) = c / sqrt(D) at the point with these
+        power-basis coordinates, or None when x lies on a facet span of A."""
+        dx = math.lcm(*(c.denominator for c in coords))
+        X = [c.numerator * (dx // c.denominator) for c in coords]
+        prod = 1
+        for row in self.rows:
+            p = sum(w * v for w, v in zip(row, X))
+            if p == 0:
+                return None
+            prod *= p
+        scale = self.scale
+        return Fraction(scale.numerator * dx ** len(X), scale.denominator * prod)
+
+    def value(self, x: FieldElement) -> ScaledRational:
+        c = self.coefficient(x.coords)
+        if c is None:
+            raise SingularAtX0("evaluation point lies on a facet span of the tuple")
+        return ScaledRational(c, -1, self.disc)
+
+
 def dual_cocycle_value(
     points: Sequence[FieldElement], x0: FieldElement
 ) -> ScaledRational:
@@ -83,52 +131,38 @@ def dual_cocycle_value(
 
     By convention a linearly dependent tuple evaluates to zero.
     """
-    field = x0.field
-    det = det_scaled(list(points))
-    if det.is_zero():
-        return ScaledRational.rational(0, field.disc_abs)
-    B = dual_basis(points)
-    denom = Fraction(1)
-    for b in B:
-        p = trace_pairing(x0, b)
-        if p == 0:
-            raise SingularAtX0("evaluation point lies on a singular hyperplane")
-        denom *= p
-    value = (det * denom).inverse()
-    return value.with_exponent(-1) if value.e == 1 else value
+    try:
+        form = TermForm(points)
+    except DependentTuple:
+        return ScaledRational.rational(0, x0.field.disc_abs)
+    return form.value(x0)
 
 
 @dataclass(frozen=True)
 class ConeTerm:
-    """One top cone's contribution at x0, with its dual basis attached."""
+    """One top cone's contribution at x0, with its primitive generators."""
 
     cone: Cone
     primitive_gens: tuple[FieldElement, ...]
-    dual: tuple[FieldElement, ...]
     value: ScaledRational
+
+
+def _oriented_generators(t: Cone, module_basis: Sequence[FieldElement]) -> list[FieldElement]:
+    """Primitive generators of a simplicial top cone, positively ordered."""
+    prims = [primitive_generator(g, module_basis) for g in t.extreme_rays]
+    if len(prims) != t.field.degree:
+        raise NotSimplicial("cone term needs a simplicial top cone")
+    if det_scaled(prims).q < 0:
+        prims[0], prims[1] = prims[1], prims[0]
+    return prims
 
 
 def cone_term(t: Cone, module_basis: Sequence[FieldElement], x0: FieldElement) -> ConeTerm:
     """Term of a simplicial top cone from its positively ordered primitive
     generators."""
-    prims = [primitive_generator(g, module_basis) for g in t.extreme_rays]
-    assert len(prims) == t.field.degree, "cone term needs a simplicial top cone"
-    if det_scaled(prims).q < 0:
-        prims[0], prims[1] = prims[1], prims[0]
-    det = det_scaled(prims)
-    B = dual_basis(prims)
-    for a, b in zip(prims, B):
-        assert trace_pairing(a, b) == 1
-    denom = Fraction(1)
-    for b in B:
-        p = trace_pairing(x0, b)
-        if p == 0:
-            raise SingularAtX0("x0 lies on a facet span of the cone")
-        denom *= p
-    value = (det * denom).inverse()
-    if value.e == 1:
-        value = value.with_exponent(-1)
-    return ConeTerm(cone=t, primitive_gens=tuple(prims), dual=tuple(B), value=value)
+    prims = _oriented_generators(t, module_basis)
+    value = TermForm(prims).value(x0)
+    return ConeTerm(cone=t, primitive_gens=tuple(prims), value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +231,26 @@ def partial_sum(tf: TruncatedFan, x0: FieldElement) -> ConvergenceRow:
     """Exact sum of all term groups of the truncation at x0."""
     if not is_totally_positive(x0):
         raise NotTotallyPositive("partial sums are evaluated at totally positive x0")
-    field = x0.field
-    total = ScaledRational.rational(0, field.disc_abs)
-    for group in tf.group_singular_terms(x0):
+    total = _groups_value(tf.group_singular_terms(x0), tf.module_basis, x0)
+    return _row(tf.window, total, x0)
+
+
+def _groups_value(groups, module_basis, x0: FieldElement) -> ScaledRational:
+    total = ScaledRational.rational(0, x0.field.disc_abs)
+    for group in groups:
         if group.is_singleton:
-            total = total + cone_term(group.cones[0], tf.module_basis, x0).value
+            total = total + cone_term(group.cones[0], module_basis, x0).value
         else:
-            total = total + _star_group_value(group, tf.module_basis, x0)
+            total = total + _star_group_value(group, module_basis, x0)
+    return total
+
+
+def _row(window: int, total: ScaledRational, x0: FieldElement) -> ConvergenceRow:
     if total.e == 1:  # present window sums uniformly as q/sqrt(D)
         total = total.with_exponent(-1)
     target = Fraction(1) / x0.norm()
     return ConvergenceRow(
-        window=tf.window,
+        window=window,
         value=total,
         target=target,
         abs_error=_abs_error(total, target),
@@ -345,12 +387,88 @@ def converge(
     tol: float,
 ) -> list[ConvergenceRow]:
     """Exact partial sums over growing windows, stopping early once the
-    absolute error against 1/N(x0) drops below tol."""
+    absolute error against 1/N(x0) drops below tol.
+
+    Row N equals partial_sum(truncate(description, N), x0), but each window
+    only adds the terms of the cones that are new to it.  The fan is
+    periodic: a translate u*t of an orbit representative t has the term
+    h*(u t)(x0) = h*(t)(u^-1 x0) / |N(u)|, since the value is homogeneous of
+    degree zero in each generator.  So one TermForm per representative
+    serves every translate.  The top cones whose form vanishes at x0 are the
+    only ones in star groups (a star of a singular cone holds singular tops
+    only), so their grouped value is recomputed whenever that set grows.
+    """
+    if not is_totally_positive(x0):
+        raise NotTotallyPositive("partial sums are evaluated at totally positive x0")
+    forms = [
+        (rep, TermForm(_oriented_generators(rep, description.module_basis)))
+        for rep in _orbit_representatives(description)
+    ]
+    if description.kind == "quadratic-auto":
+        units = (description.vertex_sequence.unit,)
+    else:
+        units = description.units
+    inverses = [u.inverse() for u in units]
+    norms = [abs(u.norm()) for u in units]
+
+    def power(i: int, a: int) -> FieldElement:
+        return units[i] ** a if a >= 0 else inverses[i] ** -a
+
+    dedupe = description.kind == "explicit"  # quadratic cones never repeat
+    seen: set[frozenset] = set()
+    regular = Fraction(0)  # the non-singular terms, as c with value c/sqrt(D)
+    singular_tops: list[Cone] = []
+    star = ScaledRational.rational(0, x0.field.disc_abs)
     rows = []
     for window in range(1, n_max + 1):
-        tf = truncate(description, window)
-        row = partial_sum(tf, x0)
-        rows.append(row)
-        if row.abs_error < tol:
+        grew = False
+        for exponents in _new_exponents(description, window):
+            translator, x, norm = x0.field.one, x0, Fraction(1)
+            for i, a in enumerate(exponents):
+                if a:
+                    translator = translator * power(i, a)
+                    x = x * power(i, -a)
+                    norm *= norms[i] ** a
+            for rep, form in forms:
+                if dedupe:
+                    key = frozenset((g * translator).ray_key() for g in rep.extreme_rays)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                q = form.coefficient(x.coords)
+                if q is None:
+                    singular_tops.append(rep.mul_unit(translator))
+                    grew = True
+                else:
+                    regular += q if norm == 1 else q / norm
+        if grew:
+            tf = TruncatedFan(description, singular_tops, window)
+            star = _groups_value(tf.group_singular_terms(x0), tf.module_basis, x0)
+        total = ScaledRational(regular, -1, x0.field.disc_abs) + star
+        rows.append(_row(window, total, x0))
+        if rows[-1].abs_error < tol:
             break
     return rows
+
+
+def _orbit_representatives(description: FanDescription) -> list[Cone]:
+    if description.kind == "quadratic-auto":
+        vs = description.vertex_sequence
+        return [
+            Cone(description.field, [vs.point(r), vs.point(r + 1)])
+            for r in range(vs.period)
+        ]
+    return list(description.orbit_cones)
+
+
+def _new_exponents(description: FanDescription, window: int) -> list[tuple[int, ...]]:
+    """Unit exponents whose translates of the representatives enter the
+    window at this size: truncate(description, N) holds the quadratic cones
+    A_k A_{k+1} for k in [-Nm, Nm), and the explicit translates by unit
+    products with exponents in [-N, N]."""
+    if description.kind == "quadratic-auto":
+        return [(-window,), (window - 1,)]
+    box = itertools.product(range(-window, window + 1), repeat=len(description.units))
+    if window == 1:
+        return list(box)
+    return [a for a in box if max(map(abs, a), default=0) == window]

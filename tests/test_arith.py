@@ -12,6 +12,7 @@ from conesum.errors import (
     InvalidWeight,
     MissingIntersectionEntry,
     NegativeIndex,
+    NotFullRank,
     NotTotallyReal,
     UnitDoesNotPreserveM,
     UnitRankMismatch,
@@ -95,6 +96,20 @@ class TestLatticeModule:
             units=UnitGroupData((fundamental_unit_quadratic(3),)),
         )
         assert M.rho == rho
+
+    @pytest.mark.parametrize(
+        "coords",
+        [[[1, 0], [2, 0]], [[1, 0]], [[1, 0], [0, 1], [1, 1]]],
+        ids=["dependent", "too-few", "too-many"],
+    )
+    def test_basis_must_have_full_rank(self, coords):
+        F = make_field([-3, 0, 1])
+        with pytest.raises(NotFullRank):
+            LatticeModule(
+                basis=tuple(F.element(c) for c in coords),
+                rho=F.zero,
+                units=UnitGroupData((fundamental_unit_quadratic(3),)),
+            )
 
     def test_bad_coset_rejected(self):
         F = make_field([-3, 0, 1])

@@ -95,6 +95,20 @@ class TestConverge:
         bad.write_text("{not json")
         assert main(["converge", str(bad)]) == 2
 
+    def test_dependent_module_basis_exits_2(self, tmp_path):
+        cfg = json.loads(json.dumps(SQRT3_CONFIG))
+        cfg["module"]["basis"] = [["1", "0"], ["2", "0"]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "conesum.cli", "verify", "satake", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["kind"] == "config"
+
     def test_bad_min_poly_exits_2(self, tmp_path, capsys):
         cfg = dict(SQRT3_CONFIG)
         cfg["field"] = {"min_poly": [1, 0, 1]}  # complex roots

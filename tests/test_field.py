@@ -94,6 +94,68 @@ class TestMakeField:
         with pytest.raises(NotIrreducible):
             make_field([-3, 0, 2])
 
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            [6, 0, -5, 0, 1],  # (x^2 - 2)(x^2 - 3): no rational root
+            [4, 0, -4, 0, 1],  # (x^2 - 2)^2: not squarefree
+            [3, -3, -1, 1],  # (x - 1)(x^2 - 3)
+            [0, -3, 0, 1],  # x (x^2 - 3)
+            [-1, 0, 9, 0, -6, 0, 1],  # (x^3 - 3x - 1)(x^3 - 3x + 1)
+            [-(10**9 + 7) * (10**9 + 9), 2, 1],  # integer roots of ten digits
+        ],
+    )
+    def test_reducible_totally_real_rejected(self, poly):
+        with pytest.raises(NotIrreducible):
+            make_field(poly)
+
+    def test_irreducible_but_reducible_mod_every_prime(self):
+        # x^4 - 10x^2 + 1, the minimal polynomial of sqrt2 + sqrt3
+        F = make_field([1, 0, -10, 0, 1])
+        assert F.disc_abs == poly_disc_oracle([1, 0, -10, 0, 1])
+
+    def test_reducible_with_complex_roots_is_not_totally_real(self):
+        # (x^2 + 1)(x^2 - 2): the real-root count is checked before the
+        # factor search, which needs every root real
+        with pytest.raises(NotTotallyReal):
+            make_field([-2, 0, -1, 0, 1])
+
+    def test_irreducibility_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(17)
+        polys = [
+            [rng.randint(-9, 9) for _ in range(rng.randint(2, 5))] + [1]
+            for _ in range(120)
+        ]
+        for a, b in zip(polys[:40], polys[40:80]):
+            product = [0] * (len(a) + len(b) - 1)
+            for i, u in enumerate(a):
+                for j, v in enumerate(b):
+                    product[i + j] += u * v
+            if len(product) <= 7:
+                polys.append(product)
+        totally_real = 0
+        for poly in polys:
+            expr = sympy.Poly(sum(c * x**k for k, c in enumerate(poly)), x)
+            irreducible = expr.is_irreducible
+            real = len(expr.real_roots()) == len(poly) - 1
+            try:
+                make_field(poly)
+                outcome = "field"
+            except NotIrreducible:
+                outcome = "reducible"
+            except NotTotallyReal:
+                outcome = "not totally real"
+            if real:
+                totally_real += 1
+                assert outcome == ("field" if irreducible else "reducible"), poly
+            elif outcome == "field":
+                pytest.fail(f"{poly} has complex roots but built a field")
+            elif irreducible:
+                assert outcome == "not totally real", poly
+        assert totally_real >= 40
+
 
 class TestArithmetic:
     def test_trace_pairing_values(self):

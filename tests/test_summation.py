@@ -3,18 +3,26 @@ from fractions import Fraction
 
 import pytest
 
-from conesum.errors import NotConvexUnion, SingularAtX0
+from conesum.errors import (
+    ConesumError,
+    DependentTuple,
+    NotConvexUnion,
+    NotSimplicial,
+    SingularAtX0,
+)
 from conesum.field import (
     RatInterval,
     ScaledRational,
+    det_scaled,
     fundamental_unit_quadratic,
     make_field,
     trace_pairing,
 )
-from conesum.fan import build_quadratic_fan, truncate, refine_insert_ray
+from conesum.fan import FanDescription, build_quadratic_fan, truncate, refine_insert_ray
 from conesum.geometry import Cone
 from conesum.summation import (
     ConeTerm,
+    TermForm,
     cocycle_value,
     cone_term,
     converge,
@@ -51,6 +59,30 @@ def sqrt2_fan():
     F = make_field([-2, 0, 1])
     desc, vs = build_quadratic_fan((F.one, F.theta), fundamental_unit_quadratic(2))
     return F, desc, vs
+
+
+def sqrt5_fan():
+    F = make_field([-5, 0, 1])
+    omega = F.element([Fraction(1, 2), Fraction(1, 2)])
+    desc, vs = build_quadratic_fan((F.one, omega), fundamental_unit_quadratic(5))
+    return F, desc, vs
+
+
+def sqrt13_fan():
+    F = make_field([-13, 0, 1])
+    omega = F.element([Fraction(1, 2), Fraction(1, 2)])
+    desc, vs = build_quadratic_fan((F.one, omega), fundamental_unit_quadratic(13))
+    return F, desc, vs
+
+
+def explicit_from_auto(desc, vs):
+    """The explicit description whose orbit representatives are the cones of
+    one period of the quadratic fan."""
+    F = desc.field
+    reps = tuple(Cone(F, [vs.point(k), vs.point(k + 1)]) for k in range(vs.period))
+    return FanDescription(
+        kind="explicit", module_basis=desc.module_basis, units=(vs.unit,), orbit_cones=reps
+    )
 
 
 class TestCocycleValue:
@@ -180,6 +212,46 @@ class TestDualValue:
                     done += 1
 
 
+class TestTermForm:
+    def test_matches_dual_basis_pairings(self):
+        # Tr(x B_i) is the i-th coordinate of x in the basis A, so the form
+        # must reproduce 1/(det(A) prod Tr(x B_i)) from the explicit dual basis
+        rng = random.Random(8)
+        checked = 0
+        for poly in (QUADRATIC, CUBIC, QUARTIC):
+            F = make_field(poly)
+            for _ in range(40):
+                A = rand_tuple(F, rng, F.degree)
+                x = rand_elem(F, rng)
+                try:
+                    form = TermForm(A)
+                except DependentTuple:
+                    continue
+                pairings = [trace_pairing(x, b) for b in dual_basis(A)]
+                if 0 in pairings:
+                    assert form.coefficient(x.coords) is None
+                    continue
+                prod = Fraction(1)
+                for p in pairings:
+                    prod *= p
+                expected = (det_scaled(A) * prod).inverse()
+                assert form.value(x) == expected
+                checked += 1
+        assert checked >= 100
+
+    def test_dependent_tuple_rejected(self):
+        F = make_field(QUADRATIC)
+        with pytest.raises(DependentTuple):
+            TermForm([F.one, F.one * 3])
+
+    def test_singular_point(self):
+        F = make_field(QUADRATIC)
+        form = TermForm([F.one, F.theta])
+        assert form.coefficient(F.one.coords) is None
+        with pytest.raises(SingularAtX0):
+            form.value(F.one * 2)
+
+
 class TestConeTerm:
     def test_generator_order_invariance(self):
         F, desc, vs = sqrt3_fan()
@@ -204,6 +276,12 @@ class TestConeTerm:
         x0 = t.extreme_rays[0] * 5  # on a facet span of t
         with pytest.raises(SingularAtX0):
             cone_term(t, tf.module_basis, x0)
+
+    def test_non_simplicial_cone_rejected(self):
+        F, desc, vs = sqrt3_fan()
+        ray = Cone(F, [vs.point(0)])
+        with pytest.raises(NotSimplicial):
+            cone_term(ray, desc.module_basis, F.element([4, 1]))
 
     def test_subdivision_additivity(self):
         # inserting a ray splits a cone into two whose values add back exactly
@@ -425,3 +503,97 @@ class TestConverge:
         rows = converge(desc, F.element([3, 1]), 3, 0.0)
         for row in rows:
             assert row.value.e == -1
+
+
+def _window_by_window(desc, x0, n_max):
+    """Rows of partial_sum over full truncations, or the first error and the
+    window it was raised at."""
+    rows = []
+    for window in range(1, n_max + 1):
+        try:
+            rows.append(partial_sum(truncate(desc, window), x0))
+        except ConesumError as exc:
+            return rows, (type(exc), window)
+    return rows, None
+
+
+def _x0_cases(F, vs):
+    """A point inside the cone A_0 A_1, a point on the ray A_0 inside window
+    1, and points on the rays A_m and A_2m that close the quadratic windows 1
+    and 2, whose stars there hold one cone only."""
+    return {
+        "generic": vs.point(0) * 2 + vs.point(1) * 3,
+        "interior-ray": vs.point(0) * 3,
+        "edge-ray": vs.point(vs.period),
+        "next-edge-ray": vs.point(2 * vs.period),
+    }
+
+
+class TestIncrementalConverge:
+    @pytest.mark.parametrize("builder", [sqrt2_fan, sqrt3_fan, sqrt5_fan, sqrt13_fan])
+    @pytest.mark.parametrize("kind", ["quadratic-auto", "explicit", "explicit-redundant"])
+    def test_matches_full_windows(self, builder, kind):
+        F, desc, vs = builder()
+        if kind == "explicit":
+            desc = explicit_from_auto(desc, vs)
+        elif kind == "explicit-redundant":
+            # a representative repeated by a translate, and a unit action
+            # 2*eps, which moves cones as eps does but has norm 4
+            reps = explicit_from_auto(desc, vs).orbit_cones
+            desc = FanDescription(
+                kind="explicit",
+                module_basis=desc.module_basis,
+                units=(vs.unit * 2,),
+                orbit_cones=reps + (reps[0].mul_unit(vs.unit),),
+            )
+        n_max = 4 if kind == "quadratic-auto" else 3
+        for name, x0 in _x0_cases(F, vs).items():
+            expected, error = _window_by_window(desc, x0, n_max)
+            if kind == "quadratic-auto" and name.endswith("edge-ray"):
+                assert error == (SingularAtX0, 1 if name == "edge-ray" else 2)
+            elif kind == "explicit" and name == "next-edge-ray":
+                assert error == (SingularAtX0, 1)  # explicit window 1 ends at A_2m
+            else:
+                assert error is None
+            if error is None:
+                rows = converge(desc, x0, n_max, 0.0)
+                assert [r.window for r in rows] == list(range(1, n_max + 1))
+                assert [r.value for r in rows] == [r.value for r in expected], name
+                assert [r.value.exact_str() for r in rows] == [
+                    r.value.exact_str() for r in expected
+                ]
+                assert [r.abs_error for r in rows] == [r.abs_error for r in expected]
+            else:
+                exc_type, window = error
+                with pytest.raises(exc_type):
+                    converge(desc, x0, window, 0.0)
+                # every earlier window still agrees
+                if window > 1:
+                    rows = converge(desc, x0, window - 1, 0.0)
+                    assert [r.value for r in rows] == [r.value for r in expected]
+
+    def test_edge_ray_of_sqrt3_module_is_singular_at_window_one(self):
+        F, desc, vs = sqrt3_fan()
+        x0 = F.element([2, 1])  # 2 + sqrt3
+        assert vs.point(vs.period) == x0
+        with pytest.raises(SingularAtX0):
+            converge(desc, x0, 3, 0.0)
+        with pytest.raises(SingularAtX0):
+            partial_sum(truncate(desc, 1), x0)
+
+    def test_two_period_terms_per_window(self, monkeypatch):
+        # the walk evaluates exactly the 2m cones that are new to each window
+        F, desc, vs = sqrt13_fan()
+        calls = []
+        original = TermForm.coefficient
+
+        def counted(self, coords):
+            calls.append(coords)
+            return original(self, coords)
+
+        monkeypatch.setattr(TermForm, "coefficient", counted)
+        for n_max in (1, 2, 5, 12):
+            calls.clear()
+            rows = converge(desc, F.element([4, 1]), n_max, 0.0)
+            assert len(rows) == n_max
+            assert len(calls) == 2 * vs.period * n_max

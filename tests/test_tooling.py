@@ -1,11 +1,26 @@
-"""The traced benchmark run wraps conesum functions by name; every name it
-lists must still resolve, or a deletion breaks the benchmark silently."""
+"""Checks on the program as a tool: the names the traced benchmark run
+wraps must still resolve (a deletion would break it silently), output may
+not depend on ``python -O``, and importing it stays free of sympy."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
+
+
+def _python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, cwd=ROOT, env=env
+    )
 
 
 def test_layertrace_targets_resolve():
@@ -19,3 +34,22 @@ def test_layertrace_targets_resolve():
         for attr in path:
             assert hasattr(obj, attr), f"{target} no longer resolves"
             obj = getattr(obj, attr)
+
+
+def test_optimized_mode_gives_the_same_output():
+    # asserts vanish under -O; no result may depend on them
+    args = ["-m", "conesum.cli", "converge", "configs/sqrt3.json"]
+    plain = _python(*args)
+    optimized = _python("-O", *args)
+    assert plain.returncode == 0, plain.stderr
+    assert (optimized.stdout, optimized.returncode) == (plain.stdout, plain.returncode)
+
+
+def test_field_construction_does_not_import_sympy():
+    probe = _python(
+        "-c",
+        "import sys, conesum; conesum.make_field([-3, 0, 1]); "
+        "print('sympy' in sys.modules)",
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
