@@ -121,6 +121,10 @@ class DegreeTooSmall(ConesumError):
     pass
 
 
+class InvalidBounds(ConfigError):
+    """Unit-search ratio bounds that do not satisfy b > a > 1."""
+
+
 class SingularMatrix(ConesumError):
     pass
 

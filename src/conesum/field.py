@@ -50,9 +50,6 @@ class RatInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
     def contains(self, value) -> bool:
         return self.lo <= value <= self.hi
 
@@ -84,14 +81,6 @@ class RatInterval:
         )
         return RatInterval(min(products), max(products))
 
-    def scale(self, c: Fraction) -> "RatInterval":
-        if c >= 0:
-            return RatInterval(self.lo * c, self.hi * c)
-        return RatInterval(self.hi * c, self.lo * c)
-
-    def shift(self, c: Fraction) -> "RatInterval":
-        return RatInterval(self.lo + c, self.hi + c)
-
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
@@ -100,12 +89,21 @@ class RatInterval:
 
 
 def interval_poly_eval(coeffs: Sequence[Fraction], iv: RatInterval) -> RatInterval:
-    """Interval Horner evaluation of a rational polynomial."""
-    acc = RatInterval(_ZERO, _ZERO)
-    for c in reversed(coeffs):
-        acc = acc * iv
-        acc = acc.shift(c)
-    return acc
+    """Interval Horner evaluation of a rational polynomial, on integer
+    numerators over the common denominator c_den * d^k after k steps, with
+    d = lcm(den lo, den hi): the same interval as Horner on Fractions."""
+    d = math.lcm(iv.lo.denominator, iv.hi.denominator)
+    lo = iv.lo.numerator * (d // iv.lo.denominator)
+    hi = iv.hi.numerator * (d // iv.hi.denominator)
+    c_den = math.lcm(*(c.denominator for c in coeffs))
+    *rest, top = [c.numerator * (c_den // c.denominator) for c in coeffs] or [0]
+    acc_lo = acc_hi = top
+    scale = 1
+    for c in reversed(rest):
+        scale *= d
+        products = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+        acc_lo, acc_hi = min(products) + c * scale, max(products) + c * scale
+    return RatInterval(Fraction(acc_lo, c_den * scale), Fraction(acc_hi, c_den * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +489,6 @@ class FieldElement:
     def norm(self) -> Fraction:
         return self.field.norm(self)
 
-    def embeddings(self, prec_bits: int = 30) -> list[RatInterval]:
-        return self.field.embed(self, prec_bits)
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
 
@@ -685,26 +680,50 @@ class TotallyRealField:
 
     def _root_interval(self, place: int, depth: int) -> RatInterval:
         chain = self._root_chains[place]
+        # p is monic with n simple real roots, so at every lower end of the
+        # chain of the root at place it has the sign (-1)^(n - place); a
+        # rational midpoint is never a root of an irreducible p of degree >= 2
+        lo_sign = (-1) ** (self.degree - place)
         while len(chain) <= depth:
             iv = chain[-1]
             mid = iv.midpoint()
-            fpoly = [Fraction(c) for c in self.min_poly]
-            # the midpoint is rational, hence never a root of an irreducible
-            # polynomial of degree >= 2
-            if poly_eval(fpoly, iv.lo) * poly_eval(fpoly, mid) < 0:
-                chain.append(RatInterval(iv.lo, mid))
-            else:
+            if interval_poly_eval(self.min_poly, RatInterval(mid, mid)).sign() == lo_sign:
                 chain.append(RatInterval(mid, iv.hi))
+            else:
+                chain.append(RatInterval(iv.lo, mid))
         return chain[depth]
 
-    def embed_at(self, x: FieldElement, place: int, prec_bits: int) -> RatInterval:
-        target = Fraction(1, 2**prec_bits)
-        depth = 0
+    def _refine(self, x: FieldElement, place: int, decided, goal, least=False):
+        """Interval of x at place at the first depth found where decided(iv)
+        holds, or at the least such depth.  The chain is nested and interval
+        Horner inclusion-monotone, so a decision holds at all greater depths:
+        each step jumps by about log2(width / goal(iv)), since widths halve per
+        depth, and stays between the greatest failing and least deciding depth
+        seen."""
+        lo, hi, depth = -1, None, 0
         while True:
             iv = interval_poly_eval(x.coords, self._root_interval(place, depth))
-            if iv.width <= target:
-                return iv
-            depth += 1
+            if decided(iv):
+                if not least:
+                    return iv
+                hi, best = depth, iv
+            else:
+                lo = depth
+            if hi == lo + 1:
+                return best
+            g = goal(iv)
+            r = iv.width / g if g else Fraction(2)
+            step = r.numerator.bit_length() - r.denominator.bit_length()
+            depth = max(depth + step, lo + 1)
+            if hi is not None:
+                depth = min(depth, hi - 1)
+
+    def embed_at(self, x: FieldElement, place: int, prec_bits: int) -> RatInterval:
+        """Interval of x at place at the least depth of width <= 2^-prec_bits."""
+        target = Fraction(1, 2**prec_bits)
+        return self._refine(
+            x, place, lambda iv: iv.width <= target, lambda _: target, least=True
+        )
 
     def embed(self, x: FieldElement, prec_bits: int = 30) -> list[RatInterval]:
         return [self.embed_at(x, i, prec_bits) for i in range(self.degree)]
@@ -713,13 +732,9 @@ class TotallyRealField:
         """Exact sign of the embedding of x at the given place."""
         if x.is_zero():
             return 0
-        depth = 0
-        while True:
-            iv = interval_poly_eval(x.coords, self._root_interval(place, depth))
-            s = iv.sign()
-            if s is not None:
-                return s
-            depth += 1
+        return self._refine(
+            x, place, lambda iv: iv.sign() is not None, lambda iv: abs(iv.midpoint())
+        ).sign()
 
     def signs(self, x: FieldElement) -> list[int]:
         return [self.sign_at(x, i) for i in range(self.degree)]
@@ -808,13 +823,15 @@ def is_unit(x: FieldElement) -> bool:
 def root_index_at(x: FieldElement, root_ivs: Sequence[RatInterval], place: int) -> int:
     """Index of the root of the minimal polynomial of x, given by its
     isolating intervals root_ivs, that the embedding of x at place equals."""
-    depth = 0
-    while True:
-        iv = interval_poly_eval(x.coords, x.field._root_interval(place, depth))
-        hits = [k for k, r in enumerate(root_ivs) if not (iv.hi < r.lo or r.hi < iv.lo)]
-        if len(hits) == 1:
-            return hits[0]
-        depth += 1
+
+    def hits(iv):
+        return [k for k, r in enumerate(root_ivs) if not (iv.hi < r.lo or r.hi < iv.lo)]
+
+    def goal(iv):  # midpoint to the nearest root-interval end, which iv holds
+        ends = [e for r in root_ivs for e in (r.lo, r.hi) if iv.contains(e)]
+        return min(abs(e - iv.midpoint()) for e in ends)
+
+    return hits(x.field._refine(x, place, lambda iv: len(hits(iv)) == 1, goal))[0]
 
 
 def limit_pair(eps: FieldElement) -> tuple[frozenset[int], frozenset[int]]:

@@ -10,6 +10,7 @@ polynomial.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -18,6 +19,7 @@ import mpmath
 
 from .errors import (
     DegreeTooSmall,
+    InvalidBounds,
     PrecisionExhausted,
     SingularMatrix,
     WindowTooSmall,
@@ -35,6 +37,18 @@ from .field import (
 )
 
 PREC_SCHEDULE = (64, 128, 256, 512, 1024)
+
+
+@contextmanager
+def _iv_precision(prec: int):
+    """Run a block at mpmath.iv precision prec and restore the caller's;
+    mpmath.iv has no workprec."""
+    saved = mpmath.iv.prec
+    mpmath.iv.prec = prec
+    try:
+        yield
+    finally:
+        mpmath.iv.prec = saved
 
 
 def _iv_from_fraction(q: Fraction):
@@ -101,8 +115,7 @@ class LogLattice:
         gens = self.units.generators
         r = len(gens)
         for prec in PREC_SCHEDULE:
-            with mpmath.workprec(prec):
-                mpmath.iv.prec = prec
+            with mpmath.workprec(prec), _iv_precision(prec):
                 rows = [
                     [_log_embedding_iv(g, p, prec) for p in range(r)] for g in gens
                 ]
@@ -293,7 +306,8 @@ def search_admissible(
     if n < 3:
         raise DegreeTooSmall("the search requires degree at least 3")
     a, b = Fraction(a), Fraction(b)
-    assert b > a > 1, "bounds must satisfy b > a > 1"
+    if not b > a > 1:
+        raise InvalidBounds(f"bounds must satisfy b > a > 1, got a={a}, b={b}")
 
     found: dict[int, FieldElement] = {}
     rank = V.rank
@@ -404,55 +418,55 @@ def hull_chart(
 
     last_exc: Exception | None = None
     for prec in PREC_SCHEDULE:
-        mpmath.iv.prec = prec
         try:
-            # row p, column q: log of the chart coordinate p of eps_q; the
-            # positive normalization of the boundary exponents needs the
-            # omitted-place log first in the difference
-            places = [p for p in range(n) if p != j]
-            rows = []
-            for p in places:
-                row = []
-                for q in I:
-                    row.append(
-                        _log_embedding_iv(units[q], j, prec)
-                        - _log_embedding_iv(units[q], p, prec)
-                    )
-                rows.append(row)
-            ones = [mpmath.iv.mpf(1)] * (n - 1)
-            # solve a E = (1,...,1): transpose the system
-            a_vec = _iv_solve([list(col) for col in zip(*rows)], ones)
-            if not all(_iv_sign(ai) == 1 for ai in a_vec):
-                raise PrecisionExhausted("exponents not certified positive")
+            with _iv_precision(prec):
+                # row p, column q: log of the chart coordinate p of eps_q; the
+                # positive normalization of the boundary exponents needs the
+                # omitted-place log first in the difference
+                places = [p for p in range(n) if p != j]
+                rows = []
+                for p in places:
+                    row = []
+                    for q in I:
+                        row.append(
+                            _log_embedding_iv(units[q], j, prec)
+                            - _log_embedding_iv(units[q], p, prec)
+                        )
+                    rows.append(row)
+                ones = [mpmath.iv.mpf(1)] * (n - 1)
+                # solve a E = (1,...,1): transpose the system
+                a_vec = _iv_solve([list(col) for col in zip(*rows)], ones)
+                if not all(_iv_sign(ai) == 1 for ai in a_vec):
+                    raise PrecisionExhausted("exponents not certified positive")
 
-            points = {}
-            for exp in _zero_sum_exponents(len(I), window):
-                x = field.one
-                for q, e in zip(I, exp):
-                    if e:
-                        x = x * units[q] ** e
-                points[exp] = _chart_point(x, j, prec)
+                points = {}
+                for exp in _zero_sum_exponents(len(I), window):
+                    x = field.one
+                    for q, e in zip(I, exp):
+                        if e:
+                            x = x * units[q] ** e
+                    points[exp] = _chart_point(x, j, prec)
 
-            # every charted point lies on the boundary surface
-            for exp, z in points.items():
-                total = mpmath.iv.mpf(0)
-                for ai, zi in zip(a_vec, z):
-                    total = total + ai * mpmath.iv.log(zi)
-                if 0 not in total:
-                    raise PrecisionExhausted(
-                        f"charted point {exp} is off the boundary surface"
-                    )
-            chart = HullChart(
-                index_set=I,
-                omitted=j,
-                exponents=tuple((float(ai.a), float(ai.b)) for ai in a_vec),
-                window=window,
-                points=points,
-                units=tuple(units),
-                prec=prec,
-            )
-            _chart_cache[cache_key] = chart
-            return chart
+                # every charted point lies on the boundary surface
+                for exp, z in points.items():
+                    total = mpmath.iv.mpf(0)
+                    for ai, zi in zip(a_vec, z):
+                        total = total + ai * mpmath.iv.log(zi)
+                    if 0 not in total:
+                        raise PrecisionExhausted(
+                            f"charted point {exp} is off the boundary surface"
+                        )
+                chart = HullChart(
+                    index_set=I,
+                    omitted=j,
+                    exponents=tuple((float(ai.a), float(ai.b)) for ai in a_vec),
+                    window=window,
+                    points=points,
+                    units=tuple(units),
+                    prec=prec,
+                )
+                _chart_cache[cache_key] = chart
+                return chart
         except (PrecisionExhausted, SingularMatrix) as exc:
             last_exc = exc
             continue
@@ -477,30 +491,31 @@ def verify_vertices(chart: HullChart) -> bool:
     The candidate functional at P is the gradient of sum a_i log z_i; the
     certificate itself is a plain linear separation, checked in intervals.
     """
-    pts = chart.points
-    keys = sorted(pts)
-    a_vec = chart.exponents
-    for key in keys:
-        P = pts[key]
-        grad = []
-        for (alo, ahi), zi in zip(a_vec, P):
-            ai = mpmath.iv.mpf([alo, ahi])
-            grad.append(ai / zi)
-        for other in keys:
-            if other == key:
-                continue
-            Q = pts[other]
-            total = mpmath.iv.mpf(0)
-            for g, qi, pi in zip(grad, Q, P):
-                total = total + g * (qi - pi)
-            s = _iv_sign(total)
-            if s is None:
-                raise PrecisionExhausted(
-                    f"cannot certify separation of {key} from {other}"
-                )
-            if s <= 0:
-                return False
-    return True
+    with _iv_precision(chart.prec):
+        pts = chart.points
+        keys = sorted(pts)
+        a_vec = chart.exponents
+        for key in keys:
+            P = pts[key]
+            grad = []
+            for (alo, ahi), zi in zip(a_vec, P):
+                ai = mpmath.iv.mpf([alo, ahi])
+                grad.append(ai / zi)
+            for other in keys:
+                if other == key:
+                    continue
+                Q = pts[other]
+                total = mpmath.iv.mpf(0)
+                for g, qi, pi in zip(grad, Q, P):
+                    total = total + g * (qi - pi)
+                s = _iv_sign(total)
+                if s is None:
+                    raise PrecisionExhausted(
+                        f"cannot certify separation of {key} from {other}"
+                    )
+                if s <= 0:
+                    return False
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -540,70 +555,59 @@ def _chart_region_contains(chart: HullChart, y: FieldElement) -> bool | None:
     the bracketing edge of the boundary polyline.  Lying strictly below the
     smooth boundary surface, or below a bracketing edge, certifies False.
     """
-    mpmath.iv.prec = chart.prec
-    z = _chart_point(y, chart.omitted, chart.prec)
-    keys = sorted(chart.points)
-    pts = [chart.points[k] for k in keys]
-    d = len(z)
+    with _iv_precision(chart.prec):
+        z = _chart_point(y, chart.omitted, chart.prec)
+        keys = sorted(chart.points)
+        pts = [chart.points[k] for k in keys]
+        d = len(z)
 
-    # outside the smooth region that contains the hull: certified False
-    total = mpmath.iv.mpf(0)
-    for (alo, ahi), zi in zip(chart.exponents, z):
-        total = total + mpmath.iv.mpf([alo, ahi]) * mpmath.iv.log(zi)
-    if _iv_sign(total) == -1:
-        return False
+        # outside the smooth region that contains the hull: certified False
+        total = mpmath.iv.mpf(0)
+        for (alo, ahi), zi in zip(chart.exponents, z):
+            total = total + mpmath.iv.mpf([alo, ahi]) * mpmath.iv.log(zi)
+        if _iv_sign(total) == -1:
+            return False
 
-    # domination of a charted point
-    for P in pts:
-        if all(_iv_sign(zi - pi) == 1 for zi, pi in zip(z, P)):
-            return True
-
-    if d != 2:
-        # simplex certificates only; enough for interior points near the window
-        for simplex in itertools.combinations(range(len(pts)), d + 1):
-            if _certify_in_simplex([pts[i] for i in simplex], z):
+        # domination of a charted point
+        for P in pts:
+            if all(_iv_sign(zi - pi) == 1 for zi, pi in zip(z, P)):
                 return True
-        return None
 
-    # two-dimensional chart: consecutive charted points are consecutive
-    # lattice points, so the windowed polyline edges are true hull edges
-    order = sorted(range(len(pts)), key=lambda i: float(pts[i][0].mid))
-    pts = [pts[i] for i in order]
-    for P, Q in zip(pts, pts[1:]):
-        left = _iv_sign(z[0] - P[0])
-        right = _iv_sign(Q[0] - z[0])
-        if left is None or right is None:
+        if d != 2:
+            # simplex certificates only; enough for interior points near the window
+            for simplex in itertools.combinations(range(len(pts)), d + 1):
+                if _certify_in_simplex([pts[i] for i in simplex], z):
+                    return True
             return None
-        if left < 0 or right < 0:
-            continue  # not bracketed by this edge
-        cross = (Q[0] - P[0]) * (z[1] - P[1]) - (Q[1] - P[1]) * (z[0] - P[0])
-        s = _iv_sign(cross)
-        if s is None:
-            return None
-        return s > 0  # above the edge: inside; below: outside
-    return None
+
+        # two-dimensional chart: consecutive charted points are consecutive
+        # lattice points, so the windowed polyline edges are true hull edges
+        order = sorted(range(len(pts)), key=lambda i: float(pts[i][0].mid))
+        pts = [pts[i] for i in order]
+        for P, Q in zip(pts, pts[1:]):
+            left = _iv_sign(z[0] - P[0])
+            right = _iv_sign(Q[0] - z[0])
+            if left is None or right is None:
+                return None
+            if left < 0 or right < 0:
+                continue  # not bracketed by this edge
+            cross = (Q[0] - P[0]) * (z[1] - P[1]) - (Q[1] - P[1]) * (z[0] - P[0])
+            s = _iv_sign(cross)
+            if s is None:
+                return None
+            return s > 0  # above the edge: inside; below: outside
+        return None
 
 
 def _certify_in_simplex(vertices, z) -> bool:
     """Interval barycentric test: all signed volumes share the sign of the
     reference volume."""
     d = len(z)
-
-    def det_iv(rows):
-        if len(rows) == 1:
-            return rows[0][0]
-        total = mpmath.iv.mpf(0)
-        for j in range(len(rows)):
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            term = rows[0][j] * det_iv(minor)
-            total = total + term if j % 2 == 0 else total - term
-        return total
-
     base = vertices[0]
     ref_rows = [
         [vertices[i + 1][k] - base[k] for k in range(d)] for i in range(d)
     ]
-    ref = det_iv(ref_rows)
+    ref = _iv_det(ref_rows)
     if _iv_sign(ref) is None:
         return False
     for i in range(d + 1):
@@ -613,7 +617,7 @@ def _certify_in_simplex(vertices, z) -> bool:
                 continue
             corner = vertices[m]
             rows.append([corner[k] - z[k] for k in range(d)])
-        vol = det_iv(rows)
+        vol = _iv_det(rows)
         s = _iv_sign(vol * ref)
         if s is None or ((-1) ** i) * s < 0:
             return False

@@ -5,6 +5,13 @@ import sys
 import pytest
 
 from conesum.cli import main
+from conesum.config import build_config
+from conesum.errors import (
+    ConfigError,
+    NotAUnit,
+    NotTotallyPositive,
+    UnitDoesNotPreserveM,
+)
 
 SQRT3_CONFIG = {
     "field": {"min_poly": [-3, 0, 1]},
@@ -171,6 +178,48 @@ class TestVerify:
         assert all(r["pass"] for r in payload["results"])
 
 
+class TestExplicitFanUnits:
+    """An explicit fan's unit action is checked as module units are."""
+
+    def config(self, basis, module_units, unit_action):
+        return {
+            "field": {"min_poly": [-3, 0, 1]},
+            "module": {"basis": basis, "units": module_units},
+            "fan": {
+                "type": "explicit",
+                "cones": [[["1", "0"], ["2", "1"]]],
+                "unit_action": unit_action,
+            },
+        }
+
+    @pytest.mark.parametrize(
+        "basis, module_units, unit_action, cause",
+        [
+            # 2*eps, eps = 2 + sqrt3: norm 4
+            (SQRT3_CONFIG["module"]["basis"], [["2", "1"]], [["4", "2"]], NotAUnit),
+            (SQRT3_CONFIG["module"]["basis"], [["2", "1"]], [["-2", "-1"]], NotTotallyPositive),
+            # eps maps 1 out of Z[2 sqrt3]; eps^2 = 7 + 4 sqrt3 preserves it
+            ([["1", "0"], ["0", "2"]], [["7", "4"]], [["2", "1"]], UnitDoesNotPreserveM),
+        ],
+        ids=["two-eps", "negative", "off-lattice"],
+    )
+    def test_bad_unit_action_rejected(self, tmp_path, capsys, basis, module_units, unit_action, cause):
+        cfg = self.config(basis, module_units, unit_action)
+        with pytest.raises(ConfigError) as info:
+            build_config(cfg)
+        assert isinstance(info.value.__cause__, cause)
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", "goodfan", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+    def test_units_preserving_m_accepted(self):
+        basis = SQRT3_CONFIG["module"]["basis"]
+        for unit_action in ([], [["2", "1"]], [["7", "4"]]):
+            fan = build_config(self.config(basis, [["2", "1"]], unit_action)).fan
+            assert len(fan.units) == len(unit_action)
+
+
 class TestUnitsearch:
     def test_finds_candidate(self, cubic_cfg, capsys):
         code = main(["unitsearch", cubic_cfg])
@@ -189,6 +238,14 @@ class TestUnitsearch:
         payload = json.loads(capsys.readouterr().out)
         assert code == 3
         assert payload["found"] is False
+
+    @pytest.mark.parametrize("a, b", [("3", "2"), ("1", "5/2"), ("2", "2")])
+    def test_bad_bounds_exit_2(self, cubic_cfg, capsys, a, b):
+        code = main(["unitsearch", cubic_cfg, "--a", a, "--b", b])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["kind"] == "config"
+        assert "b > a > 1" in err["error"]
 
     def test_quadratic_field_exits_1_with_record(self, sqrt3_cfg, capsys):
         code = main(["unitsearch", sqrt3_cfg])

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -18,12 +19,16 @@ from conesum.field import (
     det_scaled,
     embed,
     fundamental_unit_quadratic,
+    interval_poly_eval,
     is_totally_positive,
     is_unit,
+    isolate_real_roots,
     limit_pair,
     make_field,
     min_poly_of,
     norm,
+    poly_eval,
+    root_index_at,
     trace_pairing,
 )
 
@@ -235,6 +240,142 @@ class TestEmbed:
                 if prev is not None:
                     assert prev.lo <= iv.lo and iv.hi <= prev.hi
                 prev = iv
+
+
+def fraction_horner(coeffs, iv):
+    """Interval Horner on Fractions, one RatInterval operation per step."""
+    acc = RatInterval(Fraction(0), Fraction(0))
+    for c in reversed(coeffs):
+        acc = acc * iv + RatInterval(c, c)
+    return acc
+
+
+class ReferenceChain:
+    """Root intervals by plain bisection of the isolating interval, one
+    Fraction evaluation of p at both ends of every step."""
+
+    def __init__(self, min_poly, place):
+        self.poly = [Fraction(c) for c in min_poly]
+        self.chain = [isolate_real_roots(self.poly)[place]]
+
+    def at(self, depth):
+        while len(self.chain) <= depth:
+            iv = self.chain[-1]
+            mid = iv.midpoint()
+            if poly_eval(self.poly, iv.lo) * poly_eval(self.poly, mid) < 0:
+                self.chain.append(RatInterval(iv.lo, mid))
+            else:
+                self.chain.append(RatInterval(mid, iv.hi))
+        return self.chain[depth]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_chain(min_poly, place):
+    return ReferenceChain(min_poly, place)
+
+
+def scan(x, chain, decided):
+    """First depth, scanned one by one, whose interval satisfies decided."""
+    depth = 0
+    while not decided(fraction_horner(x.coords, chain.at(depth))):
+        depth += 1
+    return fraction_horner(x.coords, chain.at(depth))
+
+
+def scan_embeddings(x, chain, precs):
+    """{prec: interval at the first depth of width <= 2^-prec}, from one
+    depth-by-depth walk on the integer kernel, which
+    test_interval_poly_eval_matches_fraction_horner checks on its own."""
+    found, depth = {}, 0
+    while len(found) < len(precs):
+        iv = interval_poly_eval(x.coords, chain.at(depth))
+        for prec in precs:
+            if prec not in found and iv.width <= Fraction(1, 2**prec):
+                found[prec] = iv
+        depth += 1
+    return found
+
+
+REFINE_PRECS = (20, 64, 128, 256, 1024)
+
+
+def refinement_cases():
+    """(field, elements): unit powers up to exponent +-8, a unit power minus
+    the integer part of its embedding at the last place, where it keeps
+    only the fractional part, and small elements."""
+    rng = random.Random(5)
+    cases = []
+    for poly, unit_coords in (
+        (QUADRATIC, [[2, 1]]),
+        (CUBIC, [[0, 1, 0], [-1, 1, 0]]),
+        (QUARTIC, [[0, 1, 0, 0], [-1, 1, 0, 0]]),
+    ):
+        F = make_field(poly)
+        units = [F.element(c) for c in unit_coords]
+        xs = [units[0] ** k for k in (-8, -1, 2, 8)] + [u**k for u in units[1:] for k in (-8, 8)]
+        big = units[0] ** 8
+        xs += [big - math.floor(F.embed_at(big, F.degree - 1, 8).lo)]
+        xs += [units[0] - F.from_rational(Fraction(7, 3)), random_element(F, rng)]
+        cases.append((F, xs))
+    return cases
+
+
+FIELD_IDS = ["quadratic", "cubic", "quartic"]
+
+
+class TestRefinement:
+    """embed_at, sign_at and root_index_at jump through the root chain; they
+    must return what a depth-by-depth scan returns."""
+
+    @pytest.mark.parametrize("case", range(3), ids=FIELD_IDS)
+    def test_embed_at_is_least_depth_interval(self, case):
+        F, xs = refinement_cases()[case]
+        for place in range(F.degree):
+            chain = reference_chain(F.min_poly, place)
+            for x in xs:
+                ref = scan_embeddings(x, chain, REFINE_PRECS)
+                for prec in REFINE_PRECS:
+                    assert F.embed_at(x, place, prec) == ref[prec]
+
+    @pytest.mark.parametrize("case", range(3), ids=FIELD_IDS)
+    def test_sign_and_root_index_match_scan(self, case):
+        F, xs = refinement_cases()[case]
+        for place in range(F.degree):
+            chain = reference_chain(F.min_poly, place)
+            for x in xs:
+                iv = scan(x, chain, lambda iv: iv.sign() is not None)
+                assert F.sign_at(x, place) == iv.sign()
+
+                root_ivs = isolate_real_roots(min_poly_of(x))
+
+                def hits(iv):
+                    return [k for k, r in enumerate(root_ivs) if iv.hi >= r.lo and r.hi >= iv.lo]
+
+                iv = scan(x, chain, lambda iv: len(hits(iv)) == 1)
+                assert root_index_at(x, root_ivs, place) == hits(iv)[0]
+
+    def test_root_chain_matches_reference(self):
+        for poly in (QUADRATIC, CUBIC, QUARTIC):
+            F = make_field(poly)
+            for place in range(F.degree):
+                ref = reference_chain(F.min_poly, place)
+                depths = range(0, 1100, 7)
+                assert [F._root_interval(place, d) for d in depths] == [
+                    ref.at(d) for d in depths
+                ]
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    fracs = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
+
+    @given(coeffs=st.lists(fracs, max_size=7), ends=st.lists(fracs, min_size=2, max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_interval_poly_eval_matches_fraction_horner(self, coeffs, ends):
+        iv = RatInterval(min(ends), max(ends))
+        assert interval_poly_eval(coeffs, iv) == fraction_horner(coeffs, iv)
+        point = RatInterval(ends[0], ends[0])
+        assert interval_poly_eval(coeffs, point) == fraction_horner(coeffs, point)
 
 
 class TestDetScaled:

@@ -1,9 +1,11 @@
 import itertools
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from conesum.errors import DegreeTooSmall, WindowTooSmall
+from conesum import unitsearch
+from conesum.errors import DegreeTooSmall, InvalidBounds, WindowTooSmall
 from conesum.field import UnitGroupData, make_field
 from conesum.unitsearch import (
     AdmissibleCandidate,
@@ -84,6 +86,12 @@ class TestSearch:
         u = fundamental_unit_quadratic(3)
         with pytest.raises(DegreeTooSmall):
             check_admissible((u, u))
+
+    @pytest.mark.parametrize("a, b", [(3, 2), (1, 2), (2, 2)])
+    def test_bounds_must_satisfy_b_above_a_above_one(self, a, b):
+        _, V = cubic_units()
+        with pytest.raises(InvalidBounds):
+            search_admissible(V, Fraction(a), Fraction(b), RADIUS)
 
     def test_radius_zero_finds_nothing(self):
         _, V = cubic_units()
@@ -195,6 +203,34 @@ class TestExhaustion:
     def test_one_is_contained_quickly(self, found_candidate):
         F, _ = cubic_units()
         assert exhaustion_contains(found_candidate, 1, F.one, window=5)
+
+
+class TestIntervalPrecision:
+    """The interval code sets mpmath.iv.prec only for its own blocks."""
+
+    def test_prec_restored(self, found_candidate, monkeypatch):
+        F, V = cubic_units()
+        monkeypatch.setattr(unitsearch, "_chart_cache", {})  # chart afresh
+        monkeypatch.setattr(mpmath.iv, "prec", 37)
+        chart = hull_chart(found_candidate, (0, 1), 3)
+        assert mpmath.iv.prec == 37
+        assert exhaustion_contains(found_candidate, 1, F.one, window=3)
+        assert mpmath.iv.prec == 37
+        assert LogLattice(V).regulator_nonzero()
+        assert mpmath.iv.prec == 37
+        assert verify_vertices(chart)
+        assert mpmath.iv.prec == 37
+
+    def test_vertices_certified_at_chart_precision(self, found_candidate, monkeypatch):
+        chart = hull_chart(found_candidate, (0, 2), 3)
+        seen = []
+        real_sign = unitsearch._iv_sign
+        monkeypatch.setattr(
+            unitsearch, "_iv_sign", lambda iv: seen.append(mpmath.iv.prec) or real_sign(iv)
+        )
+        monkeypatch.setattr(mpmath.iv, "prec", 20)
+        assert verify_vertices(chart)
+        assert seen and set(seen) == {chart.prec}
 
 
 class TestConvexityCheck:
