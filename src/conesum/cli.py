@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -17,7 +16,7 @@ from fractions import Fraction
 from . import __version__
 from .arith import LatticeModule, satake_report
 from .config import ConfigError, RunConfig, load_config, parse_rational
-from .errors import ConesumError, DegreeTooSmall
+from .errors import ConesumError, DegreeTooSmall, DependentTuple
 from .fan import build_quadratic_fan, refine_insert_ray, truncate, validate_good_fan
 from .field import (
     UnitGroupData,
@@ -58,8 +57,6 @@ def _rand_elem(field, rng, span=5):
 
 
 def suite_cocycle(config: RunConfig) -> list[dict]:
-    from . import linalg
-    from .field import det_scaled
     from .summation import TermForm
 
     rng = random.Random(config.seed)
@@ -67,28 +64,20 @@ def suite_cocycle(config: RunConfig) -> list[dict]:
     for poly in _TEST_FIELDS:
         field = make_field(poly)
         n = field.degree
-        T = [tuple(row) for row in field.trace_matrix]
         checked = 0
         failures = 0
         for _ in range(100):
             tup = [_rand_elem(field, rng) for _ in range(n + 1)]
-            # the pairing <x, a> is the dot product of x's coordinates with
-            # T a, so everything x-independent is precomputed per tuple:
-            # the integer rows of T a over a common denominator den, which
-            # make det / prod <x, a> = det * den^n / prod (row . x), and the
-            # TermForm of the dual value.  Within one sum every term carries
-            # the same power of sqrt(D), so the sums are kept as rationals.
+            # the value and the dual value of each independent sub-tuple, as
+            # forms precomputed once per tuple; within one sum every term
+            # carries the same power of sqrt(D), so the sums are rationals
             subs = []
             for i in range(n + 1):
                 sub = tup[:i] + tup[i + 1 :]
-                det = det_scaled(sub)
-                if det.is_zero():
+                try:
+                    subs.append(((-1) ** i, TermForm.primal(sub), TermForm(sub)))
+                except DependentTuple:
                     continue
-                w_sub = [linalg.mat_vec(T, a.coords) for a in sub]
-                den = math.lcm(*(c.denominator for w in w_sub for c in w))
-                rows = [[int(c * den) for c in w] for w in w_sub]
-                sign = (-1) ** i
-                subs.append((sign, sign * det.q * den**n, rows, TermForm(sub)))
             points_done = 0
             attempts = 0
             while points_done < 20 and attempts < 300:
@@ -98,15 +87,13 @@ def suite_cocycle(config: RunConfig) -> list[dict]:
                     continue
                 tot_h = tot_hs = Fraction(0)
                 singular = False
-                for sign, h_scale, rows, form in subs:
-                    prod = 1
-                    for w in rows:
-                        prod *= sum(xc * wc for xc, wc in zip(x, w))
-                    dual = form.coefficient(x)
-                    if prod == 0 or dual is None:
+                for sign, form, dual_form in subs:
+                    h = form.coefficient(x)
+                    dual = dual_form.coefficient(x)
+                    if h is None or dual is None:
                         singular = True
                         break
-                    tot_h += h_scale / prod
+                    tot_h += sign * h
                     tot_hs += sign * dual
                 if singular:
                     continue
@@ -194,6 +181,7 @@ def suite_hurwitz(config: RunConfig) -> list[dict]:
     from .field import trace_pairing
 
     rng = random.Random(config.seed)
+    nodes = 64 * 64  # the full tensor rule on the triangle
     field = make_field(_TEST_FIELDS[1])
     basis = [field.element([1 if i == j else 0 for j in range(3)]) for i in range(3)]
     done = 0
@@ -216,14 +204,14 @@ def suite_hurwitz(config: RunConfig) -> list[dict]:
             continue
         if any(abs(trace_pairing(x0, a)) < Fraction(1, 2) for a in tup):
             continue
-        area = hurwitz_area(tup, x0, samples=90000)
+        area = hurwitz_area(tup, x0, samples=nodes)
         worst = max(worst, abs(area - exact))
         done += 1
     return [
         {
             "name": "area-matches-value-50-instances",
             "pass": worst <= 1e-3,
-            "detail": f"max |difference| = {worst:.2e} at 90000 samples",
+            "detail": f"max |difference| = {worst:.2e} at {nodes} nodes",
         }
     ]
 

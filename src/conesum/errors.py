@@ -44,7 +44,11 @@ class NotSquarefree(ConesumError):
 
 
 class MixedExponents(ConesumError):
-    """Sum of a rational and an irrational scaled-rational value."""
+    """Sum of a rational and an irrational value, or an exponent not -1, 0, 1."""
+
+
+class DegreeMismatch(ConesumError):
+    """A coordinate vector whose length is not the degree of its field."""
 
 
 # -- geometry -----------------------------------------------------------------
@@ -95,6 +99,10 @@ class OverlappingStars(ConesumError):
 
 class RayOnExistingFace(ConesumError):
     pass
+
+
+class UnsupportedFanKind(ConesumError):
+    """An operation for quadratic-auto fans asked of an explicit fan."""
 
 
 # -- summation ----------------------------------------------------------------
@@ -164,7 +172,7 @@ class InvalidWeight(ConesumError):
 
 
 class NegativeIndex(ConesumError):
-    """A Bernoulli number asked for at a negative index."""
+    """A Bernoulli number or a fan truncation asked for at a negative index."""
 
 
 class EnumerationMismatch(ConesumError):

@@ -14,10 +14,12 @@ from typing import Sequence
 
 from .errors import (
     ConeNotInFan,
+    NegativeIndex,
     NotTotallyPositive,
     OverlappingStars,
     RayOnExistingFace,
     UnitDoesNotPreserveM,
+    UnsupportedFanKind,
 )
 from .field import (
     FieldElement,
@@ -270,7 +272,8 @@ class TermGroup:
 def truncate(description: FanDescription, window: int) -> TruncatedFan:
     """All cones whose orbit representatives are translated by unit powers
     in [-window, window], closed under faces."""
-    assert window >= 0
+    if window < 0:
+        raise NegativeIndex(f"window {window} is negative")
     if description.kind == "quadratic-auto":
         vs = description.vertex_sequence
         m = vs.period
@@ -423,7 +426,8 @@ def refine_insert_ray(tf: TruncatedFan, ray: FieldElement) -> TruncatedFan:
     """Split the quadratic cone containing the ray (and all its unit
     translates inside the window) in two."""
     desc = tf.description
-    assert desc.kind == "quadratic-auto", "ray insertion is supported on quadratic fans"
+    if desc.kind != "quadratic-auto":
+        raise UnsupportedFanKind("ray insertion is supported on quadratic fans")
     field = tf.field
     for key in tf._ray_keys:
         if field.element(key).ray_key() == ray.ray_key():

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .errors import (
     DegenerateRoots,
+    DegreeMismatch,
     MixedExponents,
     NotAUnit,
     NotIrreducible,
@@ -257,8 +258,10 @@ class ScaledRational:
     disc: int
 
     def __post_init__(self):
-        assert self.e in (-1, 0, 1)
-        assert self.disc > 0
+        if self.e not in (-1, 0, 1):
+            raise MixedExponents(f"exponent {self.e} is not -1, 0 or 1")
+        if self.disc <= 0:
+            raise DegenerateRoots(f"discriminant {self.disc} is not positive")
         q = Fraction(self.q)
         e = self.e
         if q == 0:
@@ -400,7 +403,8 @@ class FieldElement:
     def __init__(self, field: "TotallyRealField", coords: Iterable):
         self.field = field
         c = tuple(Fraction(v) for v in coords)
-        assert len(c) == field.degree
+        if len(c) != field.degree:
+            raise DegreeMismatch(f"{len(c)} coordinates for a field of degree {field.degree}")
         self.coords = c
 
     # -- ring structure ------------------------------------------------------
@@ -488,13 +492,6 @@ class FieldElement:
 
     def norm(self) -> Fraction:
         return self.field.norm(self)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
-    def rational_value(self) -> Fraction:
-        assert self.is_rational()
-        return self.coords[0]
 
     # -- canonical projective / ray keys ---------------------------------------
 
@@ -611,9 +608,7 @@ class TotallyRealField:
         self.power_traces = tuple(p[k] for k in range(n))
 
         # trace form on the power basis and the discriminant
-        self.trace_matrix = [
-            tuple(self._trace_of_power(i + j) for j in range(n)) for i in range(n)
-        ]
+        self.trace_matrix = [tuple(p[i + j] for j in range(n)) for i in range(n)]
         disc = linalg.det(self.trace_matrix)
         if disc.denominator != 1 or disc <= 0:
             raise DegenerateRoots(f"discriminant {disc} is not a positive integer")
@@ -624,9 +619,6 @@ class TotallyRealField:
         self.theta = FieldElement(
             self, [Fraction(1) if i == 1 else Fraction(0) for i in range(n)]
         )
-
-    def _trace_of_power(self, k: int) -> Fraction:
-        return self._power_sums[k]
 
     # -- element constructors ---------------------------------------------------
 
@@ -789,7 +781,8 @@ def det_scaled(elements: Sequence[FieldElement]) -> ScaledRational:
     determinant +sqrt(D), so the sign of q is the orientation of the tuple.
     """
     field = elements[0].field
-    assert len(elements) == field.degree
+    if len(elements) != field.degree:
+        raise DegreeMismatch(f"{len(elements)} elements for a field of degree {field.degree}")
     q = linalg.det([e.coords for e in elements])
     return ScaledRational(q, 1, field.disc_abs)
 
@@ -834,26 +827,33 @@ def root_index_at(x: FieldElement, root_ivs: Sequence[RatInterval], place: int) 
     return hits(x.field._refine(x, place, lambda iv: len(hits(iv)) == 1, goal))[0]
 
 
-def limit_pair(eps: FieldElement) -> tuple[frozenset[int], frozenset[int]]:
+def root_indices(x: FieldElement, places: Sequence[int]) -> list[int]:
+    """root_index_at for each of the places, from one minimal polynomial and
+    one root isolation; a rational x has one root, index 0, at every place."""
+    mp = min_poly_of(x)
+    if len(mp) == 2:
+        return [0] * len(places)
+    root_ivs = isolate_real_roots(mp)
+    return [root_index_at(x, root_ivs, place) for place in places]
+
+
+def limit_pair(
+    eps: FieldElement, assignment: Sequence[int] | None = None
+) -> tuple[frozenset[int], frozenset[int]]:
     """(argmin places, argmax places) of the embeddings of a unit.
 
     Powers of a totally positive unit converge projectively to the basis
     direction of the largest embedding (and, for negative powers, of the
     smallest); the unit is generic exactly when both sets are singletons.
-    Places are numbered from 1.
+    Places are numbered from 1.  assignment, when given, is
+    root_indices(eps, range(degree)), already computed by the caller.
     """
-    field = eps.field
     if not is_unit(eps):
         raise NotAUnit(f"{eps} is not a unit")
     if not is_totally_positive(eps):
         raise NotTotallyPositive(f"{eps} is not totally positive")
-
-    mp = min_poly_of(eps)
-    if len(mp) == 2:  # rational, hence +-1; all embeddings equal
-        every = frozenset(range(1, field.degree + 1))
-        return every, every
-    root_ivs = isolate_real_roots(mp)
-    assignment = [root_index_at(eps, root_ivs, place) for place in range(field.degree)]
+    if assignment is None:
+        assignment = root_indices(eps, range(eps.field.degree))
     lo_root = min(assignment)
     hi_root = max(assignment)
     mins = frozenset(i + 1 for i, k in enumerate(assignment) if k == lo_root)

@@ -27,6 +27,7 @@ from .cycles import (
 )
 from .errors import (
     DependentTuple,
+    NotACycle,
     NotConvexUnion,
     NotSimplicial,
     NotTotallyPositive,
@@ -49,17 +50,15 @@ def cocycle_value(points: Sequence[FieldElement], x0: FieldElement) -> ScaledRat
     Homogeneous of degree zero in each point, so any projective
     representatives give the same value.
     """
-    field = x0.field
-    det = det_scaled(list(points))
-    if det.is_zero():
-        return ScaledRational.rational(0, field.disc_abs)
-    denom = Fraction(1)
-    for a in points:
-        p = trace_pairing(x0, a)
-        if p == 0:
-            raise SingularAtX0(f"pairing with {a} vanishes at the evaluation point")
-        denom *= p
-    return det * (Fraction(1) / denom)
+    try:
+        form = TermForm.primal(points)
+    except DependentTuple:
+        return ScaledRational.rational(0, x0.field.disc_abs)
+    c = form.coefficient(x0.coords)
+    if c is None:
+        a = next(a for a in points if trace_pairing(x0, a) == 0)
+        raise SingularAtX0(f"pairing with {a} vanishes at the evaluation point")
+    return ScaledRational(c, form.e, form.disc)
 
 
 def dual_basis(points: Sequence[FieldElement]) -> list[FieldElement]:
@@ -81,7 +80,8 @@ def dual_basis(points: Sequence[FieldElement]) -> list[FieldElement]:
 
 class TermForm:
     """The dual value h*(A)(x) = 1 / (det(A) * prod_i Tr(x B_i)) of one
-    independent tuple A, prepared for evaluation at many points x.
+    independent tuple A, prepared for evaluation at many points x; or, from
+    TermForm.primal, the value h(A)(x) = det(A) / prod_i <x, A_i>.
 
     Tr(x B_i) is the i-th coordinate of x in the basis A, because the B_i
     are trace-dual to the A_i.  So the pairings are the rows of the inverse
@@ -89,23 +89,37 @@ class TermForm:
     dual basis, Gram matrix or field product is needed.  With det(A) =
     q*sqrt(D), the rows cleared to integers over a denominator den, and
     x = X/dx, the value is den^n dx^n / (q * prod_i (row_i . X)) / sqrt(D).
+    The primal pairing <x, A_i> is x . (T A_i) for the trace matrix T, so
+    its rows are the T A_i and its value q den^n dx^n / prod_i (row_i . X)
+    * sqrt(D).
     """
 
-    __slots__ = ("rows", "scale", "disc")
+    __slots__ = ("rows", "scale", "e", "disc")
 
     def __init__(self, points: Sequence[FieldElement]):
-        q = linalg.det([p.coords for p in points])
-        if q == 0:
-            raise DependentTuple("tuple is linearly dependent")
+        q = _tuple_det(points)
         inv = linalg.inverse(list(zip(*(p.coords for p in points))))
-        den = math.lcm(*(c.denominator for row in inv for c in row))
-        self.rows = tuple(tuple(int(c * den) for c in row) for row in inv)
-        self.scale = den ** len(points) / q
-        self.disc = points[0].field.disc_abs
+        self._clear(inv, 1 / q, -1, points[0].field)
+
+    @classmethod
+    def primal(cls, points: Sequence[FieldElement]) -> "TermForm":
+        q = _tuple_det(points)
+        T = points[0].field.trace_matrix
+        form = cls.__new__(cls)
+        form._clear([linalg.mat_vec(T, a.coords) for a in points], q, 1, points[0].field)
+        return form
+
+    def _clear(self, rows, factor: Fraction, e: int, field) -> None:
+        den = math.lcm(*(c.denominator for row in rows for c in row))
+        self.rows = tuple(tuple(int(c * den) for c in row) for row in rows)
+        self.scale = factor * den ** len(rows)
+        self.e = e
+        self.disc = field.disc_abs
 
     def coefficient(self, coords: Sequence[Fraction]) -> Fraction | None:
-        """Rational c with h*(A)(x) = c / sqrt(D) at the point with these
-        power-basis coordinates, or None when x lies on a facet span of A."""
+        """Rational c with value c * sqrt(D)^e at the point with these
+        power-basis coordinates, or None when x lies on a facet span of A
+        (dual) or pairs to zero with some A_i (primal)."""
         dx = math.lcm(*(c.denominator for c in coords))
         X = [c.numerator * (dx // c.denominator) for c in coords]
         prod = 1
@@ -121,7 +135,14 @@ class TermForm:
         c = self.coefficient(x.coords)
         if c is None:
             raise SingularAtX0("evaluation point lies on a facet span of the tuple")
-        return ScaledRational(c, -1, self.disc)
+        return ScaledRational(c, self.e, self.disc)
+
+
+def _tuple_det(points: Sequence[FieldElement]) -> Fraction:
+    q = linalg.det([p.coords for p in points])
+    if q == 0:
+        raise DependentTuple("tuple is linearly dependent")
+    return q
 
 
 def dual_cocycle_value(
@@ -176,7 +197,8 @@ def evaluate_cycle(z: Cycle, x0: FieldElement) -> ScaledRational:
     that base makes an individual simplex singular at x0 while the total is
     finite, alternative bases from the cycle's own points are tried.
     """
-    assert is_cycle(z)
+    if not is_cycle(z):
+        raise NotACycle("the cocycle value extends to cycles only")
     field = z.field
     zero = ScaledRational.rational(0, field.disc_abs)
     candidates = [None] + [field.element(p) for p in sorted(z.points())]
@@ -185,8 +207,6 @@ def evaluate_cycle(z: Cycle, x0: FieldElement) -> ScaledRational:
         try:
             total = zero
             for coef, pts in decompose_cycle(z, base=base):
-                if linalg.rank([p.coords for p in pts]) != len(pts):
-                    continue
                 total = total + cocycle_value(pts, x0) * coef
             return total
         except SingularAtX0 as exc:
@@ -308,17 +328,26 @@ def _check_tiling(cones: Sequence[Cone], union: Cone) -> None:
 # geometric area oracle
 
 
+MAX_NODES_PER_AXIS = 64  # node generation costs grow as k^3
+
+
 def hurwitz_area(
     points: Sequence[FieldElement],
     x0: FieldElement,
     samples: int = 200_000,
-    seed: int = 0,
 ) -> float:
     """Numerical projective area of the region spanned by the points on the
     positive side of x0, in the affine chart {<x0, y> = 1}.
 
     Up to the chart orientation this reproduces the cocycle value; the
-    quadrature is independent of the exact code path.
+    quadrature is independent of the exact code path.  With the pairings
+    c_i = |<x0, A_i>|, the area is det(A) (n-1)! times the integral of
+    (sum_i lam_i c_i)^-n over the simplex {lam >= 0, sum lam = 1}.  The rule
+    is deterministic for every degree n: a tensor Gauss-Legendre rule on the
+    unit cube pulled back by the collapsed (Duffy) coordinates lam_1 = u_1,
+    lam_k = u_k prod_{j<k} (1 - u_j), lam_n = prod_j (1 - u_j), whose
+    Jacobian is prod_{j <= n-2} (1 - u_j)^(n-1-j).  Each axis gets about
+    samples^(1/(n-1)) nodes, at least 2 and at most MAX_NODES_PER_AXIS.
     """
     field = x0.field
     n = field.degree
@@ -336,44 +365,20 @@ def hurwitz_area(
     det_f = float(det.to_mpf(80))
     c = [float(p) for p in pairings]
 
-    if n == 2:
-        k = max(samples, 8)
-        total = 0.0
-        h = 1.0 / k
-        for i in range(k):
-            lam = (i + 0.5) * h
-            denom = lam * c[0] + (1 - lam) * c[1]
-            total += h / (denom * denom)
-        return det_f * total
-
-    if n == 3:
-        import math
-
-        k = max(int(math.isqrt(samples)), 8)
-        total = 0.0
-        cell = 1.0 / (k * k)
-        for i in range(k):
-            for j in range(k - i):
-                l1 = (i + 1.0 / 3.0) / k
-                l2 = (j + 1.0 / 3.0) / k
-                denom = l1 * c[0] + l2 * c[1] + (1 - l1 - l2) * c[2]
-                total += (cell / 2) / (denom**3)
-                if i + j < k - 1:
-                    l1 = (i + 2.0 / 3.0) / k
-                    l2 = (j + 2.0 / 3.0) / k
-                    denom = l1 * c[0] + l2 * c[1] + (1 - l1 - l2) * c[2]
-                    total += (cell / 2) / (denom**3)
-        return 2.0 * det_f * total
-
-    # higher degree: seeded Monte Carlo over the simplex; the simplex volume
-    # 1/(n-1)! cancels the form's (n-1)! prefactor
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    lam = rng.dirichlet(np.ones(n), size=samples)
-    denom = lam @ np.array(c)
-    mean = float(np.mean(denom ** (-n)))
-    return det_f * mean
+    k = min(max(round(samples ** (1 / (n - 1))), 2), MAX_NODES_PER_AXIS)
+    u, w = np.polynomial.legendre.leggauss(k)
+    u, w = (u + 1) / 2, w / 2
+    # flattened tensor grid, one axis u_j at a time: the partial sum of
+    # lam_i c_i, the weight with its Jacobian factor, and prod (1 - u_j)
+    denom, weight, rest = np.zeros(1), np.ones(1), np.ones(1)
+    for j in range(n - 1):
+        denom = (denom[:, None] + c[j] * np.outer(rest, u)).ravel()
+        weight = np.outer(weight, w * (1 - u) ** (n - 2 - j)).ravel()
+        rest = np.outer(rest, 1 - u).ravel()
+    denom += c[n - 1] * rest
+    return det_f * math.factorial(n - 1) * float(np.dot(weight, denom ** -n))
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,8 @@ from .field import (
     UnitGroupData,
     is_totally_positive,
     is_unit,
-    isolate_real_roots,
     limit_pair,
-    min_poly_of,
-    root_index_at,
+    root_indices,
 )
 
 PREC_SCHEDULE = (64, 128, 256, 512, 1024)
@@ -162,11 +160,7 @@ def compare_places(x: FieldElement, p: int, q: int) -> int:
     """
     if p == q:
         return 0
-    mp = min_poly_of(x)
-    if len(mp) == 2:
-        return 0  # rational element: all embeddings coincide
-    root_ivs = isolate_real_roots(mp)
-    rp, rq = root_index_at(x, root_ivs, p), root_index_at(x, root_ivs, q)
+    rp, rq = root_indices(x, (p, q))
     return (rp > rq) - (rp < rq)
 
 
@@ -246,15 +240,14 @@ def check_admissible(units: Sequence[FieldElement]) -> ValidationReport:
     if n < 3:
         raise DegreeTooSmall("admissibility requires degree at least 3")
     conditions = []
+    assignments = [root_indices(eps, range(n)) for eps in units]
 
-    for idx, eps in enumerate(units):
-        distinct = all(
-            compare_places(eps, p, q) != 0 for p in range(n) for q in range(p + 1, n)
-        )
+    for idx, assignment in enumerate(assignments):
+        distinct = len(set(assignment)) == n
         conditions.append(ConditionReport(f"unit{idx+1}-distinct-coordinates", distinct))
 
-    for idx, eps in enumerate(units):
-        mins, maxs = limit_pair(eps)
+    for idx, (eps, assignment) in enumerate(zip(units, assignments)):
+        mins, maxs = limit_pair(eps, assignment)
         want = (frozenset({idx + 1}), frozenset({(idx + 1) % n + 1}))
         conditions.append(
             ConditionReport(

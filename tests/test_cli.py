@@ -81,6 +81,16 @@ class TestConverge:
         assert code == 2
         assert json.loads(err)["kind"] == "config"
 
+    def test_singular_x0_names_the_vanishing_pairing(self, sqrt3_cfg, capsys):
+        # 2 + sqrt3 lies on the edge ray of window 1; its star group's first
+        # base makes one simplex pair to zero with the point 1 - (2/3) sqrt3
+        code = main(["converge", sqrt3_cfg, "--x0", "2,1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            '{"error": "pairing with FieldElement(Fraction(1, 1), Fraction(-2, 3)) '
+            'vanishes at the evaluation point", "kind": "SingularAtX0"}\n'
+        )
+
     def test_unreachable_tolerance_exits_1(self, sqrt3_cfg, capsys):
         code = main(["converge", sqrt3_cfg, "--N-max", "2", "--tol", "1e-9"])
         capsys.readouterr()
@@ -170,6 +180,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("seed", [3265, 15201])
+    def test_hurwitz_meets_its_tolerance_at_spread_seeds(self, sqrt3_cfg, capsys, seed):
+        # seeds whose instances spread their pairings widely
+        code = main(["verify", "hurwitz", sqrt3_cfg, "--seed", str(seed), "--format", "json"])
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        assert code == 0
+        worst = float(result["detail"].split("= ")[1].split(" at")[0])
+        assert worst <= 1e-8
 
     def test_lemma3_revalidates_found_set(self, cubic_cfg, capsys):
         code = main(["verify", "lemma3", cubic_cfg, "--format", "json"])

@@ -6,9 +6,11 @@ import pytest
 
 from conesum.errors import (
     ConeNotInFan,
+    NegativeIndex,
     NotTotallyPositive,
     RayOnExistingFace,
     UnitDoesNotPreserveM,
+    UnsupportedFanKind,
 )
 from conesum.field import (
     det_scaled,
@@ -261,6 +263,12 @@ class TestTruncate:
         tf = truncate(desc, 0)
         assert sorted(tf.labels.values()) == list(range(vs.period))
 
+    def test_negative_window_rejected(self):
+        _, M, eps = sqrt3_setup()
+        desc, _ = build_quadratic_fan(M, eps)
+        with pytest.raises(NegativeIndex):
+            truncate(desc, -1)
+
     def test_truncations_nest(self):
         _, M, eps = sqrt3_setup()
         desc, _ = build_quadratic_fan(M, eps)
@@ -429,6 +437,17 @@ class TestRefinement:
         tf = truncate(desc, 1)
         with pytest.raises(RayOnExistingFace):
             refine_insert_ray(tf, vs.point(0))
+
+    def test_explicit_fan_rejected(self):
+        F, M, eps = sqrt3_setup()
+        desc, vs = build_quadratic_fan(M, eps)
+        reps = tuple(Cone(F, [vs.point(k), vs.point(k + 1)]) for k in range(vs.period))
+        explicit = FanDescription(
+            kind="explicit", module_basis=M, units=(vs.unit,), orbit_cones=reps
+        )
+        tf = truncate(explicit, 1)
+        with pytest.raises(UnsupportedFanKind):
+            refine_insert_ray(tf, tf.top_cones[0].interior_point())
 
     def test_exterior_ray_rejected(self):
         F, M, eps = sqrt3_setup()

@@ -4,9 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conesum import linalg
 from conesum.errors import (
+    DegenerateRoots,
+    DegreeMismatch,
+    MixedExponents,
     NotIrreducible,
     NotSquarefree,
     NotTotallyReal,
@@ -163,6 +168,12 @@ class TestMakeField:
 
 
 class TestArithmetic:
+    @pytest.mark.parametrize("coords", [[1], [1, 2, 3]])
+    def test_coordinate_count_must_match_degree(self, coords):
+        F = make_field(QUADRATIC)
+        with pytest.raises(DegreeMismatch):
+            F.element(coords)
+
     def test_trace_pairing_values(self):
         F = make_field(QUADRATIC)
         one, rt3 = F.one, F.theta
@@ -388,6 +399,11 @@ class TestDetScaled:
         F = make_field(QUADRATIC)
         assert det_scaled([F.one, F.one]).is_zero()
 
+    def test_element_count_must_match_degree(self):
+        F = make_field(CUBIC)
+        with pytest.raises(DegreeMismatch):
+            det_scaled([F.one, F.theta])
+
     def test_gram_consistency_500(self):
         rng = random.Random(123)
         count = 0
@@ -468,6 +484,87 @@ class TestScaledRationalProperties:
                     assert prod.contains(x * y)
 
 
+@st.composite
+def scaled_triples(draw, mixed=False):
+    """Three scaled rationals over one discriminant (49 folds every exponent
+    to 0): on one line of equal sqrt(D) parity, where sums are defined, or
+    with freely mixed exponents."""
+    disc = draw(st.sampled_from([2, 5, 12, 49]))
+    if mixed:
+        exps = st.sampled_from([-1, 0, 1])
+    else:
+        exps = st.sampled_from([-1, 1] if draw(st.booleans()) else [0])
+    fracs = st.fractions(min_value=-100, max_value=100, max_denominator=40)
+    return [ScaledRational(draw(fracs), draw(exps), disc) for _ in range(3)]
+
+
+@st.composite
+def element_triples(draw):
+    """Three elements of one field of degree 2, 3 or 4."""
+    F = make_field(draw(st.sampled_from([QUADRATIC, CUBIC, QUARTIC])))
+    fracs = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    coords = st.lists(fracs, min_size=F.degree, max_size=F.degree)
+    return [F.element(draw(coords)) for _ in range(3)]
+
+
+class TestRingLaws:
+    @given(vals=scaled_triples())
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_addition(self, vals):
+        a, b, c = vals
+        zero = ScaledRational.rational(0, a.disc)
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert a + zero == a == zero + a
+        assert (a + (-a)).is_zero()
+
+    @given(vals=scaled_triples(mixed=True), line=scaled_triples())
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_multiplication_and_distributivity(self, vals, line):
+        a, b, c = vals
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        _, d, e = line
+        f = ScaledRational(a.q, a.e, d.disc)
+        assert f * (d + e) == f * d + f * e
+
+    @given(vals=scaled_triples(mixed=True))
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_inverse_and_zero(self, vals):
+        a = vals[0]
+        assert (a * ScaledRational.rational(0, a.disc)).is_zero()
+        if a.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+        else:
+            assert a * a.inverse() == ScaledRational.rational(1, a.disc)
+            assert a.inverse().inverse() == a
+
+    @given(vals=element_triples())
+    @settings(max_examples=60, deadline=None)
+    def test_field_ring_laws(self, vals):
+        x, y, z = vals
+        F = x.field
+        assert x + y == y + x
+        assert (x + y) + z == x + (y + z)
+        assert x * y == y * x
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert x + F.zero == x and x * F.one == x
+        assert (x * F.zero).is_zero() and (x - x).is_zero()
+
+    @given(vals=element_triples())
+    @settings(max_examples=60, deadline=None)
+    def test_field_inverse_and_zero(self, vals):
+        x, y, _ = vals
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        else:
+            assert x * x.inverse() == x.field.one
+            assert (x * y) / x == y
+
+
 class TestScaledRational:
     def test_add_same_exponent(self):
         a = ScaledRational(Fraction(1, 2), -1, 12)
@@ -492,6 +589,16 @@ class TestScaledRational:
         for e in (-1, 0, 1):
             a = ScaledRational(Fraction(3, 5), e, 12)
             assert a * a.inverse() == ScaledRational(Fraction(1), 0, 12)
+
+    @pytest.mark.parametrize("e", [2, -2])
+    def test_exponent_out_of_range_rejected(self, e):
+        with pytest.raises(MixedExponents):
+            ScaledRational(Fraction(1), e, 12)
+
+    @pytest.mark.parametrize("disc", [0, -12])
+    def test_nonpositive_discriminant_rejected(self, disc):
+        with pytest.raises(DegenerateRoots):
+            ScaledRational(Fraction(1), 1, disc)
 
     def test_exact_str(self):
         assert ScaledRational(Fraction(1, 4), 1, 12).exact_str() == "1/4√12"

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conesum.cycles import Cycle
 from conesum.errors import (
     ConesumError,
     DependentTuple,
+    NotACycle,
     NotConvexUnion,
     NotSimplicial,
     SingularAtX0,
@@ -28,6 +32,7 @@ from conesum.summation import (
     converge,
     dual_basis,
     dual_cocycle_value,
+    evaluate_cycle,
     hurwitz_area,
     partial_sum,
     sum_via_dual_cycle,
@@ -239,10 +244,38 @@ class TestTermForm:
                 checked += 1
         assert checked >= 100
 
+    def test_primal_matches_pairing_product(self):
+        # the primal rows are T A_i, so the form must reproduce
+        # det(A) / prod <x, A_i> from the field's own products and traces
+        rng = random.Random(9)
+        checked = 0
+        for poly in (QUADRATIC, CUBIC, QUARTIC):
+            F = make_field(poly)
+            for _ in range(40):
+                A = rand_tuple(F, rng, F.degree)
+                x = rand_elem(F, rng)
+                try:
+                    form = TermForm.primal(A)
+                except DependentTuple:
+                    assert det_scaled(A).is_zero()
+                    continue
+                pairings = [trace_pairing(x, a) for a in A]
+                if 0 in pairings:
+                    assert form.coefficient(x.coords) is None
+                    continue
+                prod = Fraction(1)
+                for p in pairings:
+                    prod *= p
+                assert form.value(x) == det_scaled(A) / prod
+                checked += 1
+        assert checked >= 100
+
     def test_dependent_tuple_rejected(self):
         F = make_field(QUADRATIC)
         with pytest.raises(DependentTuple):
             TermForm([F.one, F.one * 3])
+        with pytest.raises(DependentTuple):
+            TermForm.primal([F.one, F.one * 3])
 
     def test_singular_point(self):
         F = make_field(QUADRATIC)
@@ -373,6 +406,12 @@ class TestDualCycleBridge:
                 checked += 1
         assert checked == 20
 
+    def test_non_cycle_rejected(self):
+        F = make_field(QUADRATIC)
+        chain = Cycle(F, 0, {(): {F.one.proj_key(): 1}})  # boundary 1, not 0
+        with pytest.raises(NotACycle):
+            evaluate_cycle(chain, F.element([4, 1]))
+
     def test_non_adjacent_cones_rejected(self):
         F, desc, vs = sqrt3_fan()
         tf = truncate(desc, 2)
@@ -438,9 +477,27 @@ class TestHurwitzArea:
         ]
         x0 = F.element([2, 1, 0])
         exact = float(cocycle_value(A, x0).to_mpf(64))
-        coarse = abs(hurwitz_area(A, x0, samples=400) - exact)
+        coarse = abs(hurwitz_area(A, x0, samples=9) - exact)
         fine = abs(hurwitz_area(A, x0, samples=160000) - exact)
         assert fine < coarse
+        assert fine < 1e-12
+
+    @given(poly=st.sampled_from([QUADRATIC, CUBIC, QUARTIC]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_value_on_separated_pairings(self, poly, data):
+        # integer points pair to integers, so nonzero pairings are at least 1;
+        # each point is flipped to pair positively, which keeps the value, and
+        # the pairings stay within a factor 16 of each other
+        F = make_field(poly)
+        coords = st.lists(st.integers(-3, 3), min_size=F.degree, max_size=F.degree)
+        A = [F.element(data.draw(coords)) for _ in range(F.degree)]
+        x0 = F.element(data.draw(coords))
+        pairings = [trace_pairing(x0, a) for a in A]
+        assume(0 not in pairings and not det_scaled(A).is_zero())
+        assume(max(map(abs, pairings)) <= 16 * min(map(abs, pairings)))
+        A = [a if p > 0 else -a for a, p in zip(A, pairings)]
+        exact = float(cocycle_value(A, x0).to_mpf(64))
+        assert abs(hurwitz_area(A, x0) - exact) < 1e-9
 
     def test_singular_region_rejected(self):
         F = make_field(QUADRATIC)
@@ -448,7 +505,7 @@ class TestHurwitzArea:
         with pytest.raises(SingularAtX0):
             hurwitz_area(A, F.theta * 3, samples=100)  # Tr(3 theta * 1) = 0
 
-    def test_quartic_monte_carlo_path(self):
+    def test_quartic_chart_value(self):
         F = make_field(QUARTIC)
         basis = [F.element([1 if i == j else 0 for j in range(4)]) for i in range(4)]
         A = [
@@ -458,8 +515,8 @@ class TestHurwitzArea:
         ]
         x0 = F.element([2, 1, 0, 0])
         exact = float(cocycle_value(A, x0).to_mpf(64))
-        area = hurwitz_area(A, x0, samples=200000, seed=3)
-        assert abs(area - exact) < 1e-4
+        area = hurwitz_area(A, x0, samples=200000)
+        assert abs(area - exact) < 1e-12
 
 
 class TestConverge:
@@ -588,7 +645,8 @@ class TestIncrementalConverge:
         original = TermForm.coefficient
 
         def counted(self, coords):
-            calls.append(coords)
+            if self.e == -1:  # star groups evaluate primal forms, e = 1
+                calls.append(coords)
             return original(self, coords)
 
         monkeypatch.setattr(TermForm, "coefficient", counted)

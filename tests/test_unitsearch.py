@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -110,6 +111,28 @@ class TestSearch:
         report = check_admissible(found_candidate.units)
         assert report.passed, report.as_dict()
 
+    def test_one_root_isolation_per_unit(self, found_candidate):
+        # each of the three units and each of their six ratios has its
+        # minimal polynomial's roots isolated once; calls are counted by code
+        # object, however the function was imported
+        from conesum.field import isolate_real_roots
+
+        code = isolate_real_roots.__code__
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(frame.f_code.co_name)
+
+        units = found_candidate.units
+        sys.setprofile(profile)
+        try:
+            report = check_admissible(units)
+        finally:
+            sys.setprofile(None)
+        assert report.passed
+        assert len(calls) == len(units) + len(units) * (len(units) - 1)
+
     def test_limit_pairs_cycle_through_places(self, found_candidate):
         from conesum.field import limit_pair
 
@@ -118,6 +141,14 @@ class TestSearch:
             mins, maxs = limit_pair(eps)
             assert mins == frozenset({i + 1})
             assert maxs == frozenset({(i + 1) % n + 1})
+
+    def test_rational_unit_has_no_distinct_coordinates(self):
+        F, _ = cubic_units()
+        report = check_admissible((F.one, F.one, F.one))
+        names = {c.name: c.passed for c in report.conditions}
+        assert not report.passed
+        assert not names["unit1-distinct-coordinates"]
+        assert names["unit1-limit-pair"] is False  # ({1, 2, 3}, {1, 2, 3})
 
     def test_trivial_units_fail(self):
         F, _ = cubic_units()
