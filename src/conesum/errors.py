@@ -48,7 +48,7 @@ class MixedExponents(ConesumError):
 
 
 class DegreeMismatch(ConesumError):
-    """A coordinate vector whose length is not the degree of its field."""
+    """A coordinate vector, tuple or place set not fitting its field's degree."""
 
 
 # -- geometry -----------------------------------------------------------------
@@ -164,7 +164,7 @@ class UnsupportedDegree(ConesumError):
 
 
 class UnitRankMismatch(ConesumError):
-    """The unit group does not have the rank the computation needs."""
+    """A unit group or exponent vector without the rank the computation needs."""
 
 
 class InvalidWeight(ConesumError):

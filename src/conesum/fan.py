@@ -24,6 +24,7 @@ from .errors import (
 from .field import (
     FieldElement,
     TotallyRealField,
+    UnitPowers,
     is_totally_positive,
     is_unit,
     minus_continued_fraction,
@@ -290,12 +291,10 @@ def truncate(description: FanDescription, window: int) -> TruncatedFan:
 
     # explicit: translate orbit representatives by bounded unit products
     seen: dict[frozenset, Cone] = {}
+    powers = UnitPowers(description.field, description.units)
     ranges = [range(-window, window + 1)] * len(description.units)
     for exponents in itertools.product(*ranges):
-        translator = description.field.one
-        for u, a in zip(description.units, exponents):
-            if a:
-                translator = translator * u**a
+        translator = powers(exponents)
         for rep in description.orbit_cones:
             c = rep.mul_unit(translator)
             seen.setdefault(c.key(), c)

@@ -26,6 +26,7 @@ from .errors import (
     NotSquarefree,
     NotTotallyPositive,
     NotTotallyReal,
+    UnitRankMismatch,
     ZeroInput,
 )
 
@@ -969,9 +970,30 @@ class UnitGroupData:
     def field(self) -> TotallyRealField:
         return self.generators[0].field
 
-    def power_product(self, exponents: Sequence[int]) -> FieldElement:
-        result = self.field.one
-        for g, a in zip(self.generators, exponents):
-            if a:
-                result = result * g**a
-        return result
+
+class UnitPowers:
+    """prod_i u_i^(e_i) over exponent vectors e, memoized for one computation.
+
+    u_i and u_i^-1 are computed once.  A new vector is one multiplication away
+    from its neighbour one step nearer zero, the first nonzero coordinate moved
+    toward 0: the walk descends to the nearest vector in the table and
+    multiplies back up, without recursion.  Over no units it gives field.one.
+    """
+
+    def __init__(self, field: TotallyRealField, units: Sequence[FieldElement]):
+        self._steps = [(u, u.inverse()) for u in units]
+        self._table = {(0,) * len(self._steps): field.one}
+
+    def __call__(self, exponents: Sequence[int]) -> FieldElement:
+        e, path = tuple(exponents), []
+        if len(e) != len(self._steps):
+            raise UnitRankMismatch(f"{len(e)} exponents for {len(self._steps)} units")
+        while e not in self._table:
+            i = next(k for k, a in enumerate(e) if a)
+            path.append((e, i))
+            e = e[:i] + (e[i] - 1 if e[i] > 0 else e[i] + 1,) + e[i + 1 :]
+        x = self._table[e]
+        for e, i in reversed(path):
+            up, down = self._steps[i]
+            x = self._table[e] = x * (up if e[i] > 0 else down)
+        return x

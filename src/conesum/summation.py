@@ -37,6 +37,7 @@ from .fan import FanDescription, TermGroup, TruncatedFan
 from .field import (
     FieldElement,
     ScaledRational,
+    UnitPowers,
     det_scaled,
     is_totally_positive,
     trace_pairing,
@@ -399,9 +400,11 @@ def converge(
     periodic: a translate u*t of an orbit representative t has the term
     h*(u t)(x0) = h*(t)(u^-1 x0) / |N(u)|, since the value is homogeneous of
     degree zero in each generator.  So one TermForm per representative
-    serves every translate.  The top cones whose form vanishes at x0 are the
-    only ones in star groups (a star of a singular cone holds singular tops
-    only), so their grouped value is recomputed whenever that set grows.
+    serves every translate, and one UnitPowers walk builds both u and u^-1,
+    one multiplication each per new exponent vector.  The top cones whose
+    form vanishes at x0 are the only ones in star groups (a star of a
+    singular cone holds singular tops only), so their grouped value is
+    recomputed whenever that set grows.
     """
     if not is_totally_positive(x0):
         raise NotTotallyPositive("partial sums are evaluated at totally positive x0")
@@ -413,12 +416,8 @@ def converge(
         units = (description.vertex_sequence.unit,)
     else:
         units = description.units
-    inverses = [u.inverse() for u in units]
+    powers = UnitPowers(x0.field, units)
     norms = [abs(u.norm()) for u in units]
-
-    def power(i: int, a: int) -> FieldElement:
-        return units[i] ** a if a >= 0 else inverses[i] ** -a
-
     dedupe = description.kind == "explicit"  # quadratic cones never repeat
     seen: set[frozenset] = set()
     regular = Fraction(0)  # the non-singular terms, as c with value c/sqrt(D)
@@ -428,12 +427,11 @@ def converge(
     for window in range(1, n_max + 1):
         grew = False
         for exponents in _new_exponents(description, window):
-            translator, x, norm = x0.field.one, x0, Fraction(1)
-            for i, a in enumerate(exponents):
-                if a:
-                    translator = translator * power(i, a)
-                    x = x * power(i, -a)
-                    norm *= norms[i] ** a
+            translator = powers(exponents)
+            x = x0 * powers(-a for a in exponents)
+            norm = Fraction(1)
+            for u_norm, a in zip(norms, exponents):
+                norm *= u_norm**a
             for rep, form in forms:
                 if dedupe:
                     key = frozenset((g * translator).ray_key() for g in rep.extreme_rays)

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import mpmath
 
 from .errors import (
+    DegreeMismatch,
     DegreeTooSmall,
     InvalidBounds,
     PrecisionExhausted,
@@ -28,8 +29,7 @@ from .fan import ConditionReport, ValidationReport
 from .field import (
     FieldElement,
     UnitGroupData,
-    is_totally_positive,
-    is_unit,
+    UnitPowers,
     limit_pair,
     root_indices,
 )
@@ -104,7 +104,7 @@ class LogLattice:
         self.field = units.field
 
     def log_vector(self, exponents: Sequence[int], prec: int):
-        eps = self.units.power_product(exponents)
+        eps = UnitPowers(self.field, self.units.generators)(exponents)
         return [_log_embedding_iv(eps, i, prec) for i in range(self.field.degree)]
 
     def regulator_nonzero(self) -> bool:
@@ -148,8 +148,7 @@ class AdmissibleCandidate:
     b: Fraction
 
     def __post_init__(self):
-        for u in self.units:
-            assert is_unit(u) and is_totally_positive(u)
+        UnitGroupData(self.units)  # raises NotAUnit / NotTotallyPositive
 
 
 def compare_places(x: FieldElement, p: int, q: int) -> int:
@@ -292,8 +291,10 @@ def check_admissible(units: Sequence[FieldElement]) -> ValidationReport:
 def search_admissible(
     V: UnitGroupData, a: Fraction, b: Fraction, radius: int
 ) -> AdmissibleCandidate | None:
-    """Enumerate exponent boxes of the unit lattice and return one unit per
-    search region, or None when the radius is too small."""
+    """Enumerate exponent boxes of the unit lattice by growing max-norm and
+    return one unit per search region, or None when the radius is too small.
+    Candidates come from one UnitPowers walk, so each new one costs one
+    multiplication by a generator or its inverse."""
     field = V.field
     n = field.degree
     if n < 3:
@@ -303,6 +304,7 @@ def search_admissible(
         raise InvalidBounds(f"bounds must satisfy b > a > 1, got a={a}, b={b}")
 
     found: dict[int, FieldElement] = {}
+    powers = UnitPowers(field, V.generators)
     rank = V.rank
     exponents = sorted(
         itertools.product(range(-radius, radius + 1), repeat=rank),
@@ -313,7 +315,7 @@ def search_admissible(
             continue
         if len(found) == n:
             break
-        eps = V.power_product(exp)
+        eps = powers(exp)
         for i in range(n):
             if i in found:
                 continue
@@ -393,21 +395,21 @@ def hull_chart(
 ) -> HullChart:
     """Chart the exponent-sum-zero sublattice for the given (n-1)-subset of
     unit indices (0-indexed), omitting the complementary place."""
-    cache_key = (
-        cand.units[0].field.min_poly,
-        tuple(u.coords for u in cand.units),
-        tuple(sorted(index_set)),
-        window,
-    )
-    cached = _chart_cache.get(cache_key)
-    if cached is not None:
-        return cached
     units = cand.units
     field = units[0].field
     n = field.degree
     I = tuple(sorted(index_set))
-    assert len(I) == n - 1
-    (j,) = set(range(n)) - set(I)
+    cache_key = (field.min_poly, tuple(u.coords for u in units), I, window)
+    cached = _chart_cache.get(cache_key)
+    if cached is not None:
+        return cached
+    omitted = set(range(n)) - set(I)
+    if len(I) != n - 1 or len(omitted) != 1:
+        raise DegreeMismatch(f"{I} is not n-1 = {n - 1} distinct places of {n}")
+    (j,) = omitted
+    # the products are exact, so only their embeddings wait for a precision
+    powers = UnitPowers(field, [units[q] for q in I])
+    exact = {exp: powers(exp) for exp in _zero_sum_exponents(len(I), window)}
 
     last_exc: Exception | None = None
     for prec in PREC_SCHEDULE:
@@ -432,13 +434,7 @@ def hull_chart(
                 if not all(_iv_sign(ai) == 1 for ai in a_vec):
                     raise PrecisionExhausted("exponents not certified positive")
 
-                points = {}
-                for exp in _zero_sum_exponents(len(I), window):
-                    x = field.one
-                    for q, e in zip(I, exp):
-                        if e:
-                            x = x * units[q] ** e
-                    points[exp] = _chart_point(x, j, prec)
+                points = {exp: _chart_point(x, j, prec) for exp, x in exact.items()}
 
                 # every charted point lies on the boundary surface
                 for exp, z in points.items():

@@ -1,6 +1,8 @@
 import functools
+import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,12 +17,15 @@ from conesum.errors import (
     NotIrreducible,
     NotSquarefree,
     NotTotallyReal,
+    UnitRankMismatch,
     ZeroInput,
 )
 from conesum.field import (
     FieldElement,
     RatInterval,
     ScaledRational,
+    TotallyRealField,
+    UnitPowers,
     det_scaled,
     embed,
     fundamental_unit_quadratic,
@@ -661,8 +666,9 @@ class TestUnitGroupData:
         u = fundamental_unit_quadratic(3)
         V = UnitGroupData((u,))
         assert V.rank == 1
-        assert V.power_product([3]) == u * u * u
-        assert V.power_product([-2]) == (u * u).inverse()
+        powers = UnitPowers(V.field, V.generators)
+        assert powers([3]) == u * u * u
+        assert powers([-2]) == (u * u).inverse()
 
     def test_rejects_non_unit(self):
         from conesum.errors import NotAUnit
@@ -679,6 +685,76 @@ class TestUnitGroupData:
         F2 = make_field([-2, 0, 1])
         with pytest.raises(NotTotallyPositive):
             UnitGroupData((F2.element([1, 1]),))  # 1+sqrt2: a unit, not TP
+
+
+def power_product_reference(field, units, exponents):
+    x = field.one
+    for u, a in zip(units, exponents):
+        x = x * u**a
+    return x
+
+
+def walk_units(name):
+    if name == "cubic":
+        F = make_field(CUBIC)
+        th = F.theta
+        return F, (th * th, (th - 1) * (th - 1))
+    eps = fundamental_unit_quadratic(3)
+    # 2eps is a non-unit action of norm 4
+    units = {"sqrt3": (eps,), "2eps": (eps * 2,), "sqrt3-2eps": (eps, eps * 2)}
+    return eps.field, units[name]
+
+
+class TestUnitPowers:
+    @pytest.mark.parametrize("name", ["cubic", "sqrt3", "2eps", "sqrt3-2eps"])
+    def test_matches_power_product(self, name):
+        field, units = walk_units(name)
+        rng = random.Random(name)
+        powers = UnitPowers(field, units)
+        vectors = [(0,) * len(units)] + [
+            tuple(rng.randint(-6, 6) for _ in units) for _ in range(25)
+        ]
+        for e in vectors:
+            assert powers(e) == power_product_reference(field, units, e)
+        assert powers((0,) * len(units)) == field.one
+
+    def test_no_units(self):
+        F = make_field(CUBIC)
+        assert UnitPowers(F, ())(()) == F.one
+
+    def test_exponent_count_must_match(self):
+        from conesum.errors import UnitRankMismatch
+        u = fundamental_unit_quadratic(3)
+        powers = UnitPowers(u.field, (u, u * u))
+        for e in [(1,), (1, 0, 0), ()]:
+            with pytest.raises(UnitRankMismatch):
+                powers(e)
+
+    def test_one_multiply_per_vector(self, monkeypatch):
+        F = make_field(CUBIC)
+        th = F.theta
+        powers = UnitPowers(F, (th * th, (th - 1) * (th - 1)))  # builds inverses
+        calls = []
+        multiply = TotallyRealField._multiply
+
+        def counting(self, x, y):
+            calls.append(1)
+            return multiply(self, x, y)
+
+        monkeypatch.setattr(TotallyRealField, "_multiply", counting)
+        box = list(itertools.product(range(-3, 4), repeat=2))
+        random.Random(5).shuffle(box)
+        for e in box:
+            powers(e)
+        assert len(calls) == len(box) - 1
+        for e in box:
+            powers(e)
+        assert len(calls) == len(box) - 1
+
+    def test_deep_vector_on_fresh_table(self):
+        u = fundamental_unit_quadratic(3)
+        k = sys.getrecursionlimit() + 100
+        assert UnitPowers(u.field, (u,))((-k,)) == u.inverse() ** k
 
 
 class TestLimitPair:

@@ -6,7 +6,14 @@ import mpmath
 import pytest
 
 from conesum import unitsearch
-from conesum.errors import DegreeTooSmall, InvalidBounds, WindowTooSmall
+from conesum.errors import (
+    DegreeMismatch,
+    DegreeTooSmall,
+    InvalidBounds,
+    NotAUnit,
+    NotTotallyPositive,
+    WindowTooSmall,
+)
 from conesum.field import UnitGroupData, make_field
 from conesum.unitsearch import (
     AdmissibleCandidate,
@@ -159,6 +166,14 @@ class TestSearch:
             c1, _, _, _ = unit_region_conditions(ones[0], 0, A_BOUND, B_BOUND)
             assert c1
 
+    @pytest.mark.parametrize("bad,error", [(2, NotAUnit), (-1, NotTotallyPositive)])
+    def test_candidate_units_checked(self, bad, error):
+        F, _ = cubic_units()
+        with pytest.raises(error):
+            AdmissibleCandidate(
+                units=(F.one, F.from_rational(bad), F.one), a=A_BOUND, b=B_BOUND
+            )
+
     def test_squared_unit_breaks_ratio_condition(self, found_candidate):
         # squaring one unit doubles its log vector: the ratio bound (a) for
         # the places away from the minimum is violated, and only that
@@ -185,6 +200,11 @@ class TestHullChart:
     def test_omitted_index_is_complement(self, found_candidate):
         chart = hull_chart(found_candidate, (0, 2), 3)
         assert chart.omitted == 1
+
+    @pytest.mark.parametrize("I", [(0,), (0, 0), (0, 5)])
+    def test_index_set_must_be_n_minus_one_places(self, found_candidate, I):
+        with pytest.raises(DegreeMismatch):
+            hull_chart(found_candidate, I, 3)
 
 
 class TestVerifyVertices:
