@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import (
     CutoffTooSmall,
     EnumerationMismatch,
@@ -299,6 +297,7 @@ class _QuadraticEnumerator:
     def slice_masks(self, a, b: np.ndarray):
         """Masks of the fundamental-sector representatives among mu(a, b)
         for the two quadrants with positive first embedding."""
+        import numpy as np
         P, Q = self._pq(np.full_like(b, a), b)
         s1 = self._sign_at_place(P, Q, 0)
         s2 = self._sign_at_place(P, Q, 1)
@@ -374,6 +373,7 @@ class _QuadraticEnumerator:
         """Arrays (a, lo, hi) of every row's kept intervals in row order,
         certified against ``slice_masks``.  They are int64 when the overflow
         bound allows it, else object arrays of Python ints."""
+        import numpy as np
         alo, ahi = self.a_range(cutoff)
         rows = [
             (a, lo, hi, k)
@@ -392,6 +392,7 @@ class _QuadraticEnumerator:
         ``norm_scaled`` reaches 2^62 for |a| <= amax, |b| <= bmax, and Xi is
         below it too; otherwise object, so that numpy computes with Python
         ints and never wraps."""
+        import numpy as np
         c0, c1, eP, eQ = abs(self.c0), abs(self.c1), abs(self.eP), abs(self.eQ)
         P = abs(self.pa) * amax + abs(self.pb) * bmax + abs(self.pc)
         Q = abs(self.qa) * amax + abs(self.qb) * bmax + abs(self.qc)
@@ -409,6 +410,7 @@ class _QuadraticEnumerator:
         """Check intervals against ``slice_masks`` and ``norm_scaled`` in one
         vectorized call: both ends of every interval must be kept by its
         slice under the norm cut, and both outer neighbours rejected."""
+        import numpy as np
         pp, pm, P, Q = self.slice_masks(
             np.concatenate((a, a, a, a)), np.concatenate((lo, hi, lo - 1, hi + 1))
         )
@@ -425,6 +427,7 @@ class _QuadraticEnumerator:
 
 def _sgn_quad(u: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
     """Vectorized exact sign of u + v sqrt(d) for integer arrays."""
+    import numpy as np
     s = np.zeros_like(u)
     pos = (u >= 0) & (v >= 0) & ((u > 0) | (v > 0))
     neg = (u <= 0) & (v <= 0) & ((u < 0) | (v < 0))
@@ -513,6 +516,7 @@ _CHUNK_POINTS = 1 << 20  # about 8 MB per int64 array
 def _interval_points(a, lo, hi):
     """Yield arrays (A, B) of every point (a_i, b) with lo_i <= b <= hi_i, in
     order, at most _CHUNK_POINTS points at a time."""
+    import numpy as np
     n = (hi - lo + 1).astype(np.int64)
     ends = np.cumsum(n)
     total = int(n.sum())
@@ -546,6 +550,7 @@ def lvalue_numeric(
     tolerance triggers CutoffTooSmall when the internal error estimate
     exceeds it.
     """
+    import numpy as np
     if s < 1 or int(s) != s:
         raise InvalidWeight(f"s must be an integer >= 1, got {s!r}")
     enum = _QuadraticEnumerator(module)

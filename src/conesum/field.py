@@ -2,9 +2,12 @@
 
 A field is described by a monic irreducible integer polynomial with all
 roots real.  Elements are rational coordinate vectors in the power basis
-1, t, ..., t^(n-1) of a root t.  Real embeddings are ordered by increasing
-root and are only ever produced as rational-endpoint enclosing intervals,
-refinable to any width; signs of nonzero elements are decided exactly.
+1, t, ..., t^(n-1) of a root t, stored as integer numerators over one
+positive common denominator; products, inverses, norms, minimal
+polynomials, Sturm sequences and embedding refinement run on integers.
+Real embeddings are ordered by increasing root and are only ever produced
+as rational-endpoint enclosing intervals, refinable to any width; signs of
+nonzero elements are decided exactly.
 """
 
 from __future__ import annotations
@@ -83,6 +86,17 @@ class RatInterval:
         )
         return RatInterval(min(products), max(products))
 
+    @classmethod
+    def scaled(cls, lo: int, hi: int, s: int) -> "RatInterval":
+        """[lo/s, hi/s] for integers lo <= hi and s > 0."""
+        return cls(Fraction(lo, s), Fraction(hi, s))
+
+    def bounds(self) -> tuple[int, int, int]:
+        """(lo, hi, s) with integers and [lo/s, hi/s] this interval."""
+        s = math.lcm(self.lo.denominator, self.hi.denominator)
+        lo, hi = (e.numerator * (s // e.denominator) for e in (self.lo, self.hi))
+        return lo, hi, s
+
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
@@ -90,77 +104,85 @@ class RatInterval:
         return float(self.midpoint())
 
 
-def interval_poly_eval(coeffs: Sequence[Fraction], iv: RatInterval) -> RatInterval:
-    """Interval Horner evaluation of a rational polynomial, on integer
-    numerators over the common denominator c_den * d^k after k steps, with
-    d = lcm(den lo, den hi): the same interval as Horner on Fractions."""
-    d = math.lcm(iv.lo.denominator, iv.hi.denominator)
-    lo = iv.lo.numerator * (d // iv.lo.denominator)
-    hi = iv.hi.numerator * (d // iv.hi.denominator)
-    c_den = math.lcm(*(c.denominator for c in coeffs))
-    *rest, top = [c.numerator * (c_den // c.denominator) for c in coeffs] or [0]
+def interval_poly_eval(
+    num: Sequence[int], den: int, bounds: tuple[int, int, int]
+) -> tuple[int, int, int]:
+    """Interval Horner evaluation of the polynomial with coefficients
+    num[i] / den for integers num[i] on the interval [lo/d, hi/d] given by
+    bounds = (lo, hi, d), on integer numerators over the common denominator
+    den * d^k after k steps.  Returns bounds (lo, hi, s) of the interval
+    [lo/s, hi/s], the same interval as Horner on Fractions."""
+    lo, hi, d = bounds
+    *rest, top = num or [0]
     acc_lo = acc_hi = top
     scale = 1
     for c in reversed(rest):
         scale *= d
         products = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
         acc_lo, acc_hi = min(products) + c * scale, max(products) + c * scale
-    return RatInterval(Fraction(acc_lo, c_den * scale), Fraction(acc_hi, c_den * scale))
+    return acc_lo, acc_hi, den * scale
 
 
 # ---------------------------------------------------------------------------
-# polynomials over the rationals (dense, ascending coefficients)
+# polynomials (dense, ascending coefficients); Sturm chains and the root
+# searches run on integer coefficients
 
 
-def poly_trim(p: list[Fraction]) -> list[Fraction]:
+def poly_trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = _ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_deriv(p: Sequence[Fraction]) -> list[Fraction]:
+def poly_deriv(p: Sequence) -> list:
     return [c * k for k, c in enumerate(p)][1:]
 
 
-def poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
-    num = list(num)
-    den = list(den)
-    if len(num) < len(den):
-        return [], num
-    quot = [_ZERO] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        q = num[k + len(den) - 1] / lead
-        quot[k] = q
-        if q != 0:
-            for i, c in enumerate(den):
-                num[k + i] -= q * c
-    return quot, poly_trim(num)
+def _positive_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The remainder of a modulo b times a positive rational, as a primitive
+    integer polynomial ([] when b divides a): the pseudo-remainder, negated
+    when the power of the leading coefficient of b it carries is negative."""
+    r = poly_trim(list(a))
+    lead, steps = b[-1], 0
+    while len(r) >= len(b):
+        c, shift = r[-1], len(r) - len(b)
+        r = [v * lead for v in r]
+        for i, v in enumerate(b):
+            r[shift + i] -= c * v
+        steps += 1
+        poly_trim(r)
+    if lead < 0 and steps % 2:
+        r = [-v for v in r]
+    g = math.gcd(*r)
+    return [v // g for v in r] if g > 1 else r
 
 
-def sturm_chain(p: Sequence[Fraction]) -> list[list[Fraction]]:
+def sturm_chain(p: Sequence[int]) -> list[list[int]]:
+    """Sturm chain of an integer polynomial, each member a positive multiple
+    of the classical one, so with the same signs everywhere; the last member
+    is gcd(p, p') up to a constant."""
     chain = [list(p), poly_deriv(p)]
     while len(chain[-1]) > 1:
-        _, rem = poly_divmod(chain[-2], chain[-1])
+        rem = _positive_remainder(chain[-2], chain[-1])
         if not rem:
             break
         chain.append([-c for c in rem])
     return chain
 
 
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _sign_at(p: Sequence[int], a: int, b: int) -> int:
+    """Sign of the integer polynomial p at a/b for b > 0, read off the
+    integer b^deg(p) p(a/b) by homogeneous Horner."""
+    *rest, acc = p
+    bk = 1
+    for c in reversed(rest):
+        bk *= b
+        acc = acc * a + c * bk
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
+    signs = [s for s in (_sign_at(p, x.numerator, x.denominator) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -170,12 +192,15 @@ def isolate_real_roots(p: Sequence[Fraction]) -> list[RatInterval]:
     Assumes p squarefree with no rational roots, so interval endpoints are
     never roots themselves.
     """
+    p = [Fraction(c) for c in p]
     lead = p[-1]
-    bound = Fraction(1) + max(abs(c / lead) for c in p[:-1]) if len(p) > 1 else _ONE
-    chain = sturm_chain(p)
+    bound = 1 + max(abs(c / lead) for c in p[:-1]) if len(p) > 1 else _ONE
+    d = math.lcm(*(c.denominator for c in p))
+    chain = sturm_chain([c.numerator * (d // c.denominator) for c in p])
+    variations = lru_cache(maxsize=None)(lambda x: _sign_variations(chain, x))
 
     def nroots(lo, hi):
-        return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+        return variations(lo) - variations(hi)
 
     result: list[RatInterval] = []
     stack = [(-bound, bound, nroots(-bound, bound))]
@@ -194,15 +219,7 @@ def isolate_real_roots(p: Sequence[Fraction]) -> list[RatInterval]:
     return result
 
 
-def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """A greatest common divisor (not normalized); [] only when both are 0."""
-    a, b = poly_trim(list(a)), poly_trim(list(b))
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return a
-
-
-def _has_integer_root(p: Sequence[Fraction]) -> bool:
+def _has_integer_root(p: Sequence[int]) -> bool:
     """Whether a squarefree monic integer polynomial has a rational root.
 
     Such a root is an integer, so no half-integer is a root: Sturm counts
@@ -218,7 +235,7 @@ def _has_integer_root(p: Sequence[Fraction]) -> bool:
         if _sign_variations(chain, lo) == _sign_variations(chain, hi):
             continue
         if hi - lo == 1:
-            if poly_eval(p, lo + half) == 0:
+            if _sign_at(p, int(lo + half), 1) == 0:
                 return True
             continue
         mid = math.floor((lo + hi) / 2) + half
@@ -397,16 +414,40 @@ class ScaledRational:
 
 
 class FieldElement:
-    """Element of a totally real field in power-basis coordinates."""
+    """Element of a totally real field: power-basis coordinates num[i] / den
+    with integers num[i] and den > 0, kept canonical, gcd(den, *num) = 1."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "num", "den", "_coords")
 
     def __init__(self, field: "TotallyRealField", coords: Iterable):
-        self.field = field
-        c = tuple(Fraction(v) for v in coords)
+        c = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in coords]
         if len(c) != field.degree:
             raise DegreeMismatch(f"{len(c)} coordinates for a field of degree {field.degree}")
-        self.coords = c
+        # the least common denominator of reduced fractions is coprime to
+        # the numerators it scales them to
+        den = math.lcm(*(v.denominator for v in c))
+        self.field = field
+        self.num = tuple(v.numerator * (den // v.denominator) for v in c)
+        self.den = den
+        self._coords = None
+
+    @classmethod
+    def _make(cls, field: "TotallyRealField", num: Sequence[int], den: int) -> "FieldElement":
+        """The element num / den for den > 0, brought to canonical form."""
+        g = math.gcd(den, *num)
+        x = object.__new__(cls)
+        x.field = field
+        x.num = tuple(v // g for v in num) if g > 1 else tuple(num)
+        x.den = den // g
+        x._coords = None
+        return x
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions, built on first use."""
+        if self._coords is None:
+            self._coords = tuple(Fraction(v, self.den) for v in self.num)
+        return self._coords
 
     # -- ring structure ------------------------------------------------------
 
@@ -419,30 +460,41 @@ class FieldElement:
             return self.field.from_rational(other)
         return None
 
+    def _combine(self, o: "FieldElement", sign: int) -> "FieldElement":
+        """self + sign * o."""
+        g = math.gcd(self.den, o.den)
+        ma, mb = o.den // g, sign * (self.den // g)
+        num = [a * ma + b * mb for a, b in zip(self.num, o.num)]
+        return FieldElement._make(self.field, num, self.den * ma)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, (a + b for a, b in zip(self.coords, o.coords)))
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, (-a for a in self.coords))
+        return FieldElement._make(self.field, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, (a - b for a, b in zip(self.coords, o.coords)))
+        return self._combine(o, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
+    def _scale(self, q: Fraction) -> "FieldElement":
+        return FieldElement._make(
+            self.field, [a * q.numerator for a in self.num], self.den * q.denominator
+        )
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return FieldElement(self.field, (a * q for a in self.coords))
+            return self._scale(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -455,8 +507,7 @@ class FieldElement:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return FieldElement(self.field, (a / q for a in self.coords))
+            return self._scale(1 / Fraction(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -478,18 +529,18 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coords == o.coords
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
         return hash((id(self.field), self.coords))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     # -- invariants ------------------------------------------------------------
 
     def trace(self) -> Fraction:
-        return sum(c * p for c, p in zip(self.coords, self.field.power_traces))
+        return Fraction(sum(a * p for a, p in zip(self.num, self.field.power_traces)), self.den)
 
     def norm(self) -> Fraction:
         return self.field.norm(self)
@@ -499,17 +550,17 @@ class FieldElement:
     def proj_key(self) -> tuple[Fraction, ...]:
         """Canonical representative of the projective point: first nonzero
         coordinate scaled to 1."""
-        for c in self.coords:
-            if c != 0:
-                return tuple(v / c for v in self.coords)
+        for c in self.num:
+            if c:
+                return tuple(Fraction(v, c) for v in self.num)
         raise ZeroInput("zero vector has no projective class")
 
     def ray_key(self) -> tuple[Fraction, ...]:
         """Canonical representative of the ray: positive scaling with first
         nonzero coordinate of absolute value 1."""
-        for c in self.coords:
-            if c != 0:
-                return tuple(v / abs(c) for v in self.coords)
+        for c in self.num:
+            if c:
+                return tuple(Fraction(v, abs(c)) for v in self.num)
         raise ZeroInput("zero vector spans no ray")
 
     def __repr__(self):
@@ -526,15 +577,15 @@ class TotallyRealField:
             raise NotIrreducible("defining polynomial must be monic of degree >= 2")
         self.min_poly = tuple(poly)
         self.degree = n
-        fpoly = [Fraction(c) for c in poly]
-        if len(poly_gcd(fpoly, poly_deriv(fpoly))) > 1 or _has_integer_root(fpoly):
+        # the last member of the Sturm chain is gcd(p, p')
+        if len(sturm_chain(poly)[-1]) > 1 or _has_integer_root(poly):
             raise NotIrreducible(f"{poly} is reducible over the rationals")
 
-        roots = isolate_real_roots(fpoly)
+        roots = isolate_real_roots(poly)
         if len(roots) < n:
             raise NotTotallyReal(f"only {len(roots)} of {n} roots are real")
-        # refinement chains, one per root, extended lazily
-        self._root_chains: list[list[RatInterval]] = [[iv] for iv in roots]
+        # refinement chains of bounds, one per root, extended lazily
+        self._root_chains = [[iv.bounds()] for iv in roots]
         if self._has_factor_of_degree_two_or_more():
             raise NotIrreducible(f"{poly} is reducible over the rationals")
 
@@ -551,13 +602,14 @@ class TotallyRealField:
         pinned candidate is then divided out exactly.
         """
         n = self.degree
-        poly = [Fraction(c) for c in self.min_poly]
         subsets = [
             s for k in range(2, n // 2 + 1) for s in itertools.combinations(range(n), k)
         ]
         depth = 0
         while subsets:
-            roots = [self._root_interval(place, depth) for place in range(n)]
+            roots = [
+                RatInterval.scaled(*self._root_interval(place, depth)) for place in range(n)
+            ]
             undecided = []
             for subset in subsets:
                 pinned = []
@@ -569,7 +621,7 @@ class TotallyRealField:
                 else:
                     if None in pinned:
                         undecided.append(subset)
-                    elif not poly_divmod(poly, [Fraction(c) for c in pinned] + [_ONE])[1]:
+                    elif not _positive_remainder(self.min_poly, pinned + [1]):
                         return True
             subsets = undecided
             depth += 1
@@ -577,36 +629,22 @@ class TotallyRealField:
 
     def _build_tables(self) -> None:
         n = self.degree
-        # theta^k for k = 0 .. 2n-2, reduced to the power basis
-        powers: list[tuple[Fraction, ...]] = []
-        cur = [_ZERO] * n
-        cur[0] = _ONE
-        powers.append(tuple(cur))
-        for _ in range(2 * n - 2):
-            shifted = [_ZERO] + cur[:]
-            if len(shifted) > n:
-                top = shifted.pop()
-                # theta^n = -(a_0 + a_1 theta + ... + a_{n-1} theta^{n-1})
-                shifted = [
-                    s - top * Fraction(self.min_poly[i]) for i, s in enumerate(shifted)
-                ]
-            cur = shifted
-            powers.append(tuple(cur))
+        # theta^k for k = 0 .. 2n-2, reduced to the power basis; integral,
+        # since the defining polynomial is monic over Z
+        powers = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        for _ in range(n - 1):
+            powers.append(self._times_theta(powers[-1]))
         self._power_table = powers
 
         # power sums of the roots via Newton's identities
         a = self.min_poly
-        p: list[Fraction] = [Fraction(n)]
+        p = [n]
         for k in range(1, 2 * n - 1):
-            s = _ZERO
-            for i in range(1, k):
-                if k - i <= n:
-                    s += Fraction(a[n - (k - i)]) * p[i]
+            s = sum(a[n - (k - i)] * p[i] for i in range(1, k) if k - i <= n)
             if k <= n:
-                s += Fraction(k) * Fraction(a[n - k])
+                s += k * a[n - k]
             p.append(-s)
-        self._power_sums = p
-        self.power_traces = tuple(p[k] for k in range(n))
+        self.power_traces = tuple(p[:n])
 
         # trace form on the power basis and the discriminant
         self.trace_matrix = [tuple(p[i + j] for j in range(n)) for i in range(n)]
@@ -615,11 +653,15 @@ class TotallyRealField:
             raise DegenerateRoots(f"discriminant {disc} is not a positive integer")
         self.disc_abs = int(disc)
 
-        self.zero = FieldElement(self, [Fraction(0)] * n)
+        self.zero = FieldElement._make(self, [0] * n, 1)
         self.one = self.from_rational(1)
-        self.theta = FieldElement(
-            self, [Fraction(1) if i == 1 else Fraction(0) for i in range(n)]
-        )
+        self.theta = FieldElement._make(self, powers[1], 1)
+
+    def _times_theta(self, v: Sequence[int]) -> tuple[int, ...]:
+        """Integer coordinates of theta * v: theta^n = -(a_0 + ... + a_{n-1}
+        theta^{n-1})."""
+        top = v[-1]
+        return tuple(s - top * a for s, a in zip((0, *v[:-1]), self.min_poly))
 
     # -- element constructors ---------------------------------------------------
 
@@ -627,96 +669,98 @@ class TotallyRealField:
         return FieldElement(self, coords)
 
     def from_rational(self, q) -> FieldElement:
-        coords = [Fraction(q)] + [_ZERO] * (self.degree - 1)
-        return FieldElement(self, coords)
+        q = Fraction(q)
+        return FieldElement._make(self, [q.numerator] + [0] * (self.degree - 1), q.denominator)
 
     # -- arithmetic backends ------------------------------------------------------
 
     def _multiply(self, x: FieldElement, y: FieldElement) -> FieldElement:
+        """Integer convolution of the numerators, reduced by the integer
+        power table, over the product of the denominators."""
         n = self.degree
-        prod = [_ZERO] * (2 * n - 1)
-        for i, a in enumerate(x.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(y.coords):
-                if b != 0:
+        prod = [0] * (2 * n - 1)
+        for i, a in enumerate(x.num):
+            if a:
+                for j, b in enumerate(y.num):
                     prod[i + j] += a * b
-        coords = [_ZERO] * n
-        for k, c in enumerate(prod):
-            if c != 0:
+        coords = prod[:n]
+        for k in range(n, 2 * n - 1):
+            c = prod[k]
+            if c:
                 for j, t in enumerate(self._power_table[k]):
                     coords[j] += c * t
-        return FieldElement(self, coords)
+        return FieldElement._make(self, coords, x.den * y.den)
 
-    def mult_matrix(self, x: FieldElement) -> list[tuple[Fraction, ...]]:
-        """Matrix of multiplication by x on the power basis (rows = images)."""
-        cols = []
-        for k in range(self.degree):
-            basis_vec = FieldElement(
-                self, [_ONE if i == k else _ZERO for i in range(self.degree)]
-            )
-            cols.append((x * basis_vec).coords)
+    def _mult_columns(self, x: FieldElement) -> list[tuple[int, ...]]:
+        """Columns of the matrix of multiplication by den * x on the power
+        basis: the integer coordinates of num * theta^k."""
+        cols = [x.num]
+        for _ in range(self.degree - 1):
+            cols.append(self._times_theta(cols[-1]))
         return cols
 
     def norm(self, x: FieldElement) -> Fraction:
-        return linalg.det(self.mult_matrix(x))
+        return linalg.det(self._mult_columns(x)) / x.den**self.degree
 
     def _invert(self, x: FieldElement) -> FieldElement:
+        """den / num, from the integer system (num * theta^k)_k z = e_0."""
         if x.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        rows = list(zip(*self.mult_matrix(x)))  # columns act on coordinates
-        e0 = [_ONE] + [_ZERO] * (self.degree - 1)
-        sol = linalg.solve_unique(rows, e0)
-        return FieldElement(self, sol)
+        rows = list(zip(*self._mult_columns(x)))
+        sol = linalg.solve_unique(rows, [1] + [0] * (self.degree - 1))
+        return FieldElement(self, sol)._scale(x.den)
 
     # -- embeddings and signs ----------------------------------------------------
 
-    def _root_interval(self, place: int, depth: int) -> RatInterval:
+    def _root_interval(self, place: int, depth: int) -> tuple[int, int, int]:
+        """Bounds (lo, hi, s) of the isolating interval [lo/s, hi/s] of the
+        root at place after depth bisections."""
         chain = self._root_chains[place]
         # p is monic with n simple real roots, so at every lower end of the
         # chain of the root at place it has the sign (-1)^(n - place); a
         # rational midpoint is never a root of an irreducible p of degree >= 2
         lo_sign = (-1) ** (self.degree - place)
         while len(chain) <= depth:
-            iv = chain[-1]
-            mid = iv.midpoint()
-            if interval_poly_eval(self.min_poly, RatInterval(mid, mid)).sign() == lo_sign:
-                chain.append(RatInterval(mid, iv.hi))
+            lo, hi, s = chain[-1]
+            if _sign_at(self.min_poly, lo + hi, 2 * s) == lo_sign:
+                chain.append((lo + hi, 2 * hi, 2 * s))
             else:
-                chain.append(RatInterval(iv.lo, mid))
+                chain.append((2 * lo, lo + hi, 2 * s))
         return chain[depth]
 
-    def _refine(self, x: FieldElement, place: int, decided, goal, least=False):
-        """Interval of x at place at the first depth found where decided(iv)
-        holds, or at the least such depth.  The chain is nested and interval
-        Horner inclusion-monotone, so a decision holds at all greater depths:
-        each step jumps by about log2(width / goal(iv)), since widths halve per
-        depth, and stays between the greatest failing and least deciding depth
-        seen."""
+    def _refine(self, x: FieldElement, place: int, decided, excess, least=False):
+        """Bounds (lo, hi, s) of the interval [lo/s, hi/s] of x at place at the
+        first depth found where decided(lo, hi, s) holds, or at the least such
+        depth.  The chain is nested and interval Horner inclusion-monotone, so
+        a decision holds at all greater depths: each step jumps by
+        excess(lo, hi, s), about log2(width / the width the decision needs),
+        since widths halve per depth, and stays between the greatest failing
+        and least deciding depth seen."""
         lo, hi, depth = -1, None, 0
         while True:
-            iv = interval_poly_eval(x.coords, self._root_interval(place, depth))
-            if decided(iv):
+            bounds = interval_poly_eval(x.num, x.den, self._root_interval(place, depth))
+            if decided(*bounds):
                 if not least:
-                    return iv
-                hi, best = depth, iv
+                    return bounds
+                hi, best = depth, bounds
             else:
                 lo = depth
             if hi == lo + 1:
                 return best
-            g = goal(iv)
-            r = iv.width / g if g else Fraction(2)
-            step = r.numerator.bit_length() - r.denominator.bit_length()
-            depth = max(depth + step, lo + 1)
+            depth = max(depth + excess(*bounds), lo + 1)
             if hi is not None:
                 depth = min(depth, hi - 1)
 
     def embed_at(self, x: FieldElement, place: int, prec_bits: int) -> RatInterval:
         """Interval of x at place at the least depth of width <= 2^-prec_bits."""
-        target = Fraction(1, 2**prec_bits)
-        return self._refine(
-            x, place, lambda iv: iv.width <= target, lambda _: target, least=True
-        )
+
+        def narrow(lo, hi, s):
+            return (hi - lo) << prec_bits <= s
+
+        def excess(lo, hi, s):
+            return _excess_bits((hi - lo) << prec_bits, s)
+
+        return RatInterval.scaled(*self._refine(x, place, narrow, excess, least=True))
 
     def embed(self, x: FieldElement, prec_bits: int = 30) -> list[RatInterval]:
         return [self.embed_at(x, i, prec_bits) for i in range(self.degree)]
@@ -725,9 +769,15 @@ class TotallyRealField:
         """Exact sign of the embedding of x at the given place."""
         if x.is_zero():
             return 0
-        return self._refine(
-            x, place, lambda iv: iv.sign() is not None, lambda iv: abs(iv.midpoint())
-        ).sign()
+
+        def signed(lo, hi, s):
+            return lo > 0 or hi < 0 or lo == hi == 0
+
+        def excess(lo, hi, s):  # the goal is the distance of the midpoint to 0
+            return _excess_bits(2 * (hi - lo), abs(lo + hi))
+
+        lo, hi, _ = self._refine(x, place, signed, excess)
+        return (lo > 0) - (hi < 0)
 
     def signs(self, x: FieldElement) -> list[int]:
         return [self.sign_at(x, i) for i in range(self.degree)]
@@ -737,6 +787,12 @@ class TotallyRealField:
 
     def __reduce__(self):
         return (make_field, (self.min_poly,))
+
+
+def _excess_bits(width: int, goal: int) -> int:
+    """About log2(width / goal) for integers width, goal >= 0 over one
+    denominator; 1 when the goal is 0."""
+    return width.bit_length() - goal.bit_length() if goal else 1
 
 
 @lru_cache(maxsize=None)
@@ -784,24 +840,21 @@ def det_scaled(elements: Sequence[FieldElement]) -> ScaledRational:
     field = elements[0].field
     if len(elements) != field.degree:
         raise DegreeMismatch(f"{len(elements)} elements for a field of degree {field.degree}")
-    q = linalg.det([e.coords for e in elements])
+    q = linalg.det([e.num for e in elements]) / math.prod(e.den for e in elements)
     return ScaledRational(q, 1, field.disc_abs)
 
 
 def min_poly_of(x: FieldElement) -> list[Fraction]:
     """Monic minimal polynomial of x over the rationals, ascending."""
-    field = x.field
-    rows = []
-    power = field.one
-    for _ in range(field.degree + 1):
-        rows.append(power.coords)
-        ker = linalg.kernel(list(zip(*rows)))
-        if ker:
-            coeffs = list(ker[0])
-            lead = next(c for c in reversed(coeffs) if c != 0)
-            return [c / lead for c in poly_trim(coeffs)]
-        power = power * x
-    raise AssertionError("unreachable: degree bound exceeded")
+    powers = [x.field.one]
+    for _ in range(x.field.degree):
+        powers.append(powers[-1] * x)
+    # the first kernel vector e of the integer matrix with columns num(x^k)
+    # has its 1 at the first power dependent on the lower ones, so
+    # sum_k e_k den(x^k) x^k = 0 is the minimal relation
+    ker = linalg.kernel(list(zip(*(p.num for p in powers))))
+    coeffs = poly_trim([e * p.den for e, p in zip(ker[0], powers)])
+    return [c / coeffs[-1] for c in coeffs]
 
 
 def is_unit(x: FieldElement) -> bool:
@@ -817,15 +870,21 @@ def is_unit(x: FieldElement) -> bool:
 def root_index_at(x: FieldElement, root_ivs: Sequence[RatInterval], place: int) -> int:
     """Index of the root of the minimal polynomial of x, given by its
     isolating intervals root_ivs, that the embedding of x at place equals."""
+    roots = [r.bounds() for r in root_ivs]
 
-    def hits(iv):
-        return [k for k, r in enumerate(root_ivs) if not (iv.hi < r.lo or r.hi < iv.lo)]
+    def hits(lo, hi, s):  # root intervals meeting [lo/s, hi/s]
+        return [k for k, (a, b, d) in enumerate(roots) if a * s <= hi * d and lo * d <= b * s]
 
-    def goal(iv):  # midpoint to the nearest root-interval end, which iv holds
-        ends = [e for r in root_ivs for e in (r.lo, r.hi) if iv.contains(e)]
-        return min(abs(e - iv.midpoint()) for e in ends)
+    def excess(lo, hi, s):  # the goal is the distance of the midpoint to the
+        # nearest root-interval end in [lo/s, hi/s]; there is one, as two meet it
+        return max(
+            _excess_bits(2 * d * (hi - lo), abs(2 * s * e - (lo + hi) * d))
+            for a, b, d in roots
+            for e in (a, b)
+            if lo * d <= e * s <= hi * d
+        )
 
-    return hits(x.field._refine(x, place, lambda iv: len(hits(iv)) == 1, goal))[0]
+    return hits(*x.field._refine(x, place, lambda *b: len(hits(*b)) == 1, excess))[0]
 
 
 def root_indices(x: FieldElement, places: Sequence[int]) -> list[int]:
@@ -968,6 +1027,8 @@ class UnitGroupData:
 
     @property
     def field(self) -> TotallyRealField:
+        if not self.generators:
+            raise UnitRankMismatch("a unit group without generators names no field")
         return self.generators[0].field
 
 

@@ -1,12 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists (or tuples) of rows of Fractions.  Sizes here are tiny
-(degree of the field, or a handful of cone generators), so plain Gaussian
-elimination with exact pivots is the right tool.
+Matrices are lists (or tuples) of rows of rationals (Fractions or ints).
+Every routine first clears each row to integers and eliminates on integers,
+building Fractions only for its result: ``det`` by Bareiss's fraction-free
+elimination, ``rref`` and the solvers by Gauss-Jordan elimination on integer
+rows, each updated row divided by the gcd of its entries.  The reduced row
+echelon form is unique, so these give exactly the Fractions that elimination
+on Fractions gives.  Sizes here are tiny (degree of the field, or a handful
+of cone generators).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -34,56 +40,76 @@ def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Row:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def rref(rows: Iterable[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = [list(Fraction(v) for v in row) for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _cleared(row: Iterable) -> tuple[list[int], int]:
+    """(integer numerators, d): the row times d, its least common denominator."""
+    row = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+    d = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (d // v.denominator) for v in row], d
+
+
+def _eliminate(m: list[list[int]]) -> list[int]:
+    """Gauss-Jordan elimination in place on integer rows; returns the pivot
+    columns.  Afterwards the first len(pivots) rows are nonzero multiples of
+    the rows of the reduced row echelon form."""
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = _ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f:
+                new = [p * x - f * y for x, y in zip(row, prow)]
+                g = math.gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return [tuple(row) for row in m[:r]], pivots
+    return pivots
+
+
+def rref(rows: Iterable[Sequence]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    m = [_cleared(row)[0] for row in rows]
+    pivots = _eliminate(m)
+    return [tuple(Fraction(x, row[p]) for x in row) for row, p in zip(m, pivots)], pivots
 
 
 def rank(rows: Iterable[Sequence]) -> int:
-    return len(rref(rows)[0])
+    return len(_eliminate([_cleared(row)[0] for row in rows]))
 
 
 def det(rows: Iterable[Sequence]) -> Fraction:
-    m = [list(Fraction(v) for v in row) for row in rows]
+    """Determinant by Bareiss elimination: after step k every entry below
+    and right of the pivots is a minor of order k + 1 of the integer matrix,
+    so each division by the previous pivot is exact."""
+    m, scale = [], 1
+    for row in rows:
+        ints, d = _cleared(row)
+        m.append(ints)
+        scale *= d
     n = len(m)
     assert all(len(row) == n for row in m), "determinant needs a square matrix"
-    sign = 1
-    result = _ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
         if pivot is None:
             return _ZERO
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        result *= m[c][c]
-        inv = _ONE / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result * sign
+        prow = m[k]
+        p = prow[k]
+        for i in range(k + 1, n):
+            f = m[i][k]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def solve(a: Iterable[Sequence], b: Sequence) -> Row | None:
@@ -91,47 +117,50 @@ def solve(a: Iterable[Sequence], b: Sequence) -> Row | None:
 
     If the system is underdetermined the free variables are set to zero.
     """
-    arows = [list(Fraction(v) for v in row) for row in a]
-    bvec = [Fraction(v) for v in b]
-    aug = [row + [bv] for row, bv in zip(arows, bvec)]
-    red, pivots = rref(aug)
+    arows = [list(row) for row in a]
+    aug = [_cleared(row + [bv])[0] for row, bv in zip(arows, b)]
+    pivots = _eliminate(aug)
     ncols = len(arows[0]) if arows else 0
     if ncols in pivots:
         return None  # pivot in the augmented column
     x = [_ZERO] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = row[-1]
+    for row, p in zip(aug, pivots):
+        x[p] = Fraction(row[-1], row[p])
     return tuple(x)
 
 
 def kernel(rows: Iterable[Sequence]) -> Matrix:
     """Basis of the right null space of A, one row per basis vector."""
-    red, pivots = rref(rows)
-    if not red:
+    m = [_cleared(row)[0] for row in rows]
+    pivots = _eliminate(m)
+    if not pivots:
         return []
-    ncols = len(red[0])
+    ncols = len(m[0])
     free = [c for c in range(ncols) if c not in pivots]
     basis: Matrix = []
     for fc in free:
         v = [_ZERO] * ncols
         v[fc] = _ONE
-        for row, p in zip(red, pivots):
-            v[p] = -row[fc]
+        for row, p in zip(m, pivots):
+            v[p] = Fraction(-row[fc], row[p])
         basis.append(tuple(v))
     return basis
 
 
 def inverse(rows: Iterable[Sequence]) -> Matrix:
-    m = [list(Fraction(v) for v in row) for row in rows]
+    m = [_cleared(row) for row in rows]
     n = len(m)
-    aug = [m[i] + [(_ONE if i == j else _ZERO) for j in range(n)] for i in range(n)]
-    red, pivots = rref(aug)
+    aug = [ints + [d if i == j else 0 for j in range(n)] for i, (ints, d) in enumerate(m)]
+    pivots = _eliminate(aug)
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [tuple(row[n:]) for row in red]
+    return [tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(aug)]
 
 
 def solve_unique(a: Iterable[Sequence], b: Sequence) -> Row:
     """Solution of a square nonsingular system."""
-    inv = inverse(a)
-    return mat_vec(inv, [Fraction(v) for v in b])
+    aug = [_cleared(list(row) + [bv])[0] for row, bv in zip(a, b)]
+    pivots = _eliminate(aug)
+    if pivots != list(range(len(aug))):
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(Fraction(row[-1], row[i]) for i, row in enumerate(aug))

@@ -55,7 +55,7 @@ def cocycle_value(points: Sequence[FieldElement], x0: FieldElement) -> ScaledRat
         form = TermForm.primal(points)
     except DependentTuple:
         return ScaledRational.rational(0, x0.field.disc_abs)
-    c = form.coefficient(x0.coords)
+    c = form.coefficient(x0.num, x0.den)
     if c is None:
         a = next(a for a in points if trace_pairing(x0, a) == 0)
         raise SingularAtX0(f"pairing with {a} vanishes at the evaluation point")
@@ -117,23 +117,22 @@ class TermForm:
         self.e = e
         self.disc = field.disc_abs
 
-    def coefficient(self, coords: Sequence[Fraction]) -> Fraction | None:
-        """Rational c with value c * sqrt(D)^e at the point with these
-        power-basis coordinates, or None when x lies on a facet span of A
-        (dual) or pairs to zero with some A_i (primal)."""
-        dx = math.lcm(*(c.denominator for c in coords))
-        X = [c.numerator * (dx // c.denominator) for c in coords]
+    def coefficient(self, num: Sequence[int], den: int = 1) -> Fraction | None:
+        """Rational c with value c * sqrt(D)^e at the point x = X/dx with
+        integer power-basis coordinates X = num over dx = den, or None when x
+        lies on a facet span of A (dual) or pairs to zero with some A_i
+        (primal)."""
         prod = 1
         for row in self.rows:
-            p = sum(w * v for w, v in zip(row, X))
+            p = sum(w * v for w, v in zip(row, num))
             if p == 0:
                 return None
             prod *= p
         scale = self.scale
-        return Fraction(scale.numerator * dx ** len(X), scale.denominator * prod)
+        return Fraction(scale.numerator * den ** len(num), scale.denominator * prod)
 
     def value(self, x: FieldElement) -> ScaledRational:
-        c = self.coefficient(x.coords)
+        c = self.coefficient(x.num, x.den)
         if c is None:
             raise SingularAtX0("evaluation point lies on a facet span of the tuple")
         return ScaledRational(c, self.e, self.disc)
@@ -438,7 +437,7 @@ def converge(
                     if key in seen:
                         continue
                     seen.add(key)
-                q = form.coefficient(x.coords)
+                q = form.coefficient(x.num, x.den)
                 if q is None:
                     singular_tops.append(rep.mul_unit(translator))
                     grew = True

@@ -387,6 +387,9 @@ def _iv_solve(rows, rhs):
     return [m[i][size] / m[i][i] for i in range(size)]
 
 
+# charts by (defining polynomial, exact units, index set, window); the
+# oldest entry is evicted once _CHART_CACHE_SIZE are held
+_CHART_CACHE_SIZE = 32
 _chart_cache: dict[tuple, HullChart] = {}
 
 
@@ -399,7 +402,7 @@ def hull_chart(
     field = units[0].field
     n = field.degree
     I = tuple(sorted(index_set))
-    cache_key = (field.min_poly, tuple(u.coords for u in units), I, window)
+    cache_key = (field.min_poly, tuple((u.num, u.den) for u in units), I, window)
     cached = _chart_cache.get(cache_key)
     if cached is not None:
         return cached
@@ -454,6 +457,8 @@ def hull_chart(
                     units=tuple(units),
                     prec=prec,
                 )
+                if len(_chart_cache) >= _CHART_CACHE_SIZE:
+                    del _chart_cache[next(iter(_chart_cache))]
                 _chart_cache[cache_key] = chart
                 return chart
         except (PrecisionExhausted, SingularMatrix) as exc:

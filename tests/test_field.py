@@ -37,7 +37,6 @@ from conesum.field import (
     make_field,
     min_poly_of,
     norm,
-    poly_eval,
     root_index_at,
     trace_pairing,
 )
@@ -258,6 +257,14 @@ class TestEmbed:
                 prev = iv
 
 
+def poly_eval(p, x):
+    """Horner on Fractions."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
 def fraction_horner(coeffs, iv):
     """Interval Horner on Fractions, one RatInterval operation per step."""
     acc = RatInterval(Fraction(0), Fraction(0))
@@ -304,7 +311,7 @@ def scan_embeddings(x, chain, precs):
     test_interval_poly_eval_matches_fraction_horner checks on its own."""
     found, depth = {}, 0
     while len(found) < len(precs):
-        iv = interval_poly_eval(x.coords, chain.at(depth))
+        iv = RatInterval.scaled(*interval_poly_eval(x.num, x.den, chain.at(depth).bounds()))
         for prec in precs:
             if prec not in found and iv.width <= Fraction(1, 2**prec):
                 found[prec] = iv
@@ -376,7 +383,7 @@ class TestRefinement:
             for place in range(F.degree):
                 ref = reference_chain(F.min_poly, place)
                 depths = range(0, 1100, 7)
-                assert [F._root_interval(place, d) for d in depths] == [
+                assert [RatInterval.scaled(*F._root_interval(place, d)) for d in depths] == [
                     ref.at(d) for d in depths
                 ]
 
@@ -388,10 +395,11 @@ class TestRefinement:
     @given(coeffs=st.lists(fracs, max_size=7), ends=st.lists(fracs, min_size=2, max_size=2))
     @settings(max_examples=200, deadline=None)
     def test_interval_poly_eval_matches_fraction_horner(self, coeffs, ends):
-        iv = RatInterval(min(ends), max(ends))
-        assert interval_poly_eval(coeffs, iv) == fraction_horner(coeffs, iv)
-        point = RatInterval(ends[0], ends[0])
-        assert interval_poly_eval(coeffs, point) == fraction_horner(coeffs, point)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        for iv in (RatInterval(min(ends), max(ends)), RatInterval(ends[0], ends[0])):
+            bounds = interval_poly_eval(num, den, iv.bounds())
+            assert RatInterval.scaled(*bounds) == fraction_horner(coeffs, iv)
 
 
 class TestDetScaled:
@@ -780,3 +788,180 @@ class TestLimitPair:
         assert is_unit(sq) and is_totally_positive(sq)
         mins, maxs = limit_pair(sq)
         assert len(mins) == 1 and len(maxs) == 1
+
+
+@st.composite
+def elements_with_coords(draw):
+    """(field, coordinates) in degree 2, 3 or 4; zero coordinates are common."""
+    F = make_field(draw(st.sampled_from([QUADRATIC, CUBIC, QUARTIC])))
+    fracs = st.one_of(
+        st.just(Fraction(0)), st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    )
+    return F, draw(st.lists(fracs, min_size=F.degree, max_size=F.degree))
+
+
+def reference_product(F, x, y):
+    """x * y from Fraction coordinates: the polynomial product reduced
+    modulo the defining polynomial by long division."""
+    n = F.degree
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += a * b
+    for k in range(2 * n - 2, n - 1, -1):
+        top, prod[k] = prod[k], Fraction(0)
+        for i in range(n):
+            prod[k - n + i] -= top * F.min_poly[i]
+    return tuple(prod[:n])
+
+
+class TestElementRepresentation:
+    """Elements are integer numerators over one canonical denominator; what
+    they show outside must equal what Fraction coordinates give."""
+
+    @staticmethod
+    def assert_canonical(x, coords):
+        assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+        assert x.coords == tuple(coords)
+        assert tuple(Fraction(a, x.den) for a in x.num) == tuple(coords)
+
+    @given(case=elements_with_coords(), other=elements_with_coords())
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_form_and_arithmetic(self, case, other):
+        F, coords = case
+        x = F.element(coords)
+        self.assert_canonical(x, coords)
+        self.assert_canonical(F.element([str(c) for c in coords]), coords)
+        ycoords = (other[1] + [Fraction(0)] * F.degree)[: F.degree]
+        y = F.element(ycoords)
+        self.assert_canonical(x + y, [a + b for a, b in zip(coords, ycoords)])
+        self.assert_canonical(x - y, [a - b for a, b in zip(coords, ycoords)])
+        self.assert_canonical(-x, [-a for a in coords])
+        self.assert_canonical(x * Fraction(-4, 6), [a * Fraction(-2, 3) for a in coords])
+        self.assert_canonical(x / Fraction(-3, 5), [a * Fraction(-5, 3) for a in coords])
+        self.assert_canonical(x * y, reference_product(F, coords, ycoords))
+        if not y.is_zero():
+            self.assert_canonical((x * y) / y, coords)
+
+    @given(case=elements_with_coords(), other=elements_with_coords())
+    @settings(max_examples=200, deadline=None)
+    def test_equality_hash_and_keys_match_fraction_coords(self, case, other):
+        F, coords = case
+        x = F.element(coords)
+        assert hash(x) == hash((id(F), tuple(coords)))
+        for y in (x * 3 / 3, (x + x) - x, -(-x), x * F.one):
+            assert y == x and hash(y) == hash(x) and (y.num, y.den) == (x.num, x.den)
+        ycoords = (other[1] + [Fraction(0)] * F.degree)[: F.degree]
+        assert (F.element(ycoords) == x) == (ycoords == coords)
+        if not x.is_zero():  # equal numerators over another denominator
+            assert x / 2 != x and x * 3 != x
+        if F.degree == 2 and coords[1] == 0:
+            assert (x == coords[0]) and (coords[0] == x)
+        nonzero = [c for c in coords if c != 0]
+        if not nonzero:
+            with pytest.raises(ZeroInput):
+                x.proj_key()
+            with pytest.raises(ZeroInput):
+                x.ray_key()
+            return
+        assert x.proj_key() == tuple(c / nonzero[0] for c in coords)
+        assert x.ray_key() == tuple(c / abs(nonzero[0]) for c in coords)
+
+    @given(case=elements_with_coords())
+    @settings(max_examples=100, deadline=None)
+    def test_trace_norm_and_inverse_match_fraction_coords(self, case):
+        F, coords = case
+        x = F.element(coords)
+        assert x.trace() == sum(c * t for c, t in zip(coords, F.power_traces))
+        columns = [coords]
+        for _ in range(F.degree - 1):
+            columns.append(reference_product(F, columns[-1], F.theta.coords))
+        assert norm(x) == linalg.det(columns)
+        if not x.is_zero():
+            self.assert_canonical(x.inverse() * x, F.one.coords)
+
+
+def fraction_sturm_chain(p):
+    """The classical Sturm chain on Fractions: p, p', then the negated
+    remainders of polynomial long division."""
+
+    def remainder(a, b):
+        a = list(a)
+        while len(a) >= len(b) and a:
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            while a and a[-1] == 0:
+                a.pop()
+        return a
+
+    chain = [[Fraction(c) for c in p]]
+    chain.append([k * c for k, c in enumerate(chain[0])][1:])
+    while len(chain[-1]) > 1:
+        rem = remainder(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
+class TestSturmOnIntegers:
+    int_polys = st.lists(st.integers(-20, 20), min_size=2, max_size=7).filter(
+        lambda p: p[-1] != 0
+    )
+
+    @given(p=int_polys, x=st.fractions(min_value=-40, max_value=40, max_denominator=10**4))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_chain_signs_match_fraction_chain(self, p, x):
+        from conesum.field import _sign_at, _sign_variations, sturm_chain
+
+        def sign(v):
+            return (v > 0) - (v < 0)
+
+        chain, reference = sturm_chain(p), fraction_sturm_chain(p)
+        assert len(chain) == len(reference)
+        assert all(isinstance(c, int) for q in chain for c in q)
+        signs = [_sign_at(q, x.numerator, x.denominator) for q in chain]
+        assert signs == [sign(poly_eval(r, x)) for r in reference]
+        signs = [sign(poly_eval(r, x)) for r in reference if poly_eval(r, x) != 0]
+        changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        assert _sign_variations(chain, x) == changes
+
+
+class TestRatIntervalEnclosure:
+    fracs = st.fractions(min_value=-60, max_value=60, max_denominator=50)
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=30)
+
+    @staticmethod
+    def point(iv, t):
+        return iv.lo + t * (iv.hi - iv.lo)
+
+    @given(ends=st.lists(fracs, min_size=4, max_size=4), s=unit, t=unit)
+    @settings(max_examples=200, deadline=None)
+    def test_arithmetic_encloses_point_results(self, ends, s, t):
+        a = RatInterval(min(ends[:2]), max(ends[:2]))
+        b = RatInterval(min(ends[2:]), max(ends[2:]))
+        x, y = self.point(a, s), self.point(b, t)
+        assert a.contains(x) and b.contains(y)
+        assert (a + b).contains(x + y)
+        assert (a - b).contains(x - y)
+        assert (a * b).contains(x * y)
+        assert (-a).contains(-x)
+        assert a.contains(a.midpoint())
+        sign = a.sign()
+        if sign is not None:
+            assert (x > 0) - (x < 0) == sign
+
+    @given(
+        coeffs=st.lists(fracs, max_size=6),
+        ends=st.lists(fracs, min_size=2, max_size=2),
+        t=unit,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_horner_encloses_point_values(self, coeffs, ends, t):
+        iv = RatInterval(min(ends), max(ends))
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        value = poly_eval(coeffs, self.point(iv, t))
+        assert RatInterval.scaled(*interval_poly_eval(num, den, iv.bounds())).contains(value)

@@ -644,10 +644,10 @@ class TestIncrementalConverge:
         calls = []
         original = TermForm.coefficient
 
-        def counted(self, coords):
+        def counted(self, *point):
             if self.e == -1:  # star groups evaluate primal forms, e = 1
-                calls.append(coords)
-            return original(self, coords)
+                calls.append(point)
+            return original(self, *point)
 
         monkeypatch.setattr(TermForm, "coefficient", counted)
         for n_max in (1, 2, 5, 12):

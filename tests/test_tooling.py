@@ -1,6 +1,7 @@
 """Checks on the program as a tool: the names the traced benchmark run
 wraps must still resolve (a deletion would break it silently), output may
-not depend on ``python -O``, and importing it stays free of sympy."""
+not depend on ``python -O``, importing it stays free of sympy, and field
+construction and ``converge`` stay free of numpy."""
 
 import importlib
 import importlib.util
@@ -53,3 +54,19 @@ def test_field_construction_does_not_import_sympy():
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "False"
+
+
+def test_field_and_converge_do_not_import_numpy():
+    # numpy is imported only by the L-value enumerator and the area oracle
+    probe = _python(
+        "-c",
+        "import contextlib, io, sys\n"
+        "import conesum\n"
+        "from conesum import cli\n"
+        "conesum.make_field([-3, 0, 1])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['converge', 'configs/sqrt3.json'])\n"
+        "print(code, 'numpy' in sys.modules)\n",
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "0 False"

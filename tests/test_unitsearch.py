@@ -12,6 +12,7 @@ from conesum.errors import (
     InvalidBounds,
     NotAUnit,
     NotTotallyPositive,
+    UnitRankMismatch,
     WindowTooSmall,
 )
 from conesum.field import UnitGroupData, make_field
@@ -78,8 +79,16 @@ class TestLogLattice:
             total = total + entry
         assert 0 in total
 
+    def test_empty_unit_group_is_a_rank_mismatch(self):
+        with pytest.raises(UnitRankMismatch):
+            LogLattice(UnitGroupData(()))
+
 
 class TestSearch:
+    def test_empty_unit_group_is_a_rank_mismatch(self):
+        with pytest.raises(UnitRankMismatch):
+            search_admissible(UnitGroupData(()), 2, 3, 2)
+
     def test_requires_degree_three(self):
         F2 = make_field([-3, 0, 1])
         from conesum.field import fundamental_unit_quadratic
@@ -205,6 +214,18 @@ class TestHullChart:
     def test_index_set_must_be_n_minus_one_places(self, found_candidate, I):
         with pytest.raises(DegreeMismatch):
             hull_chart(found_candidate, I, 3)
+
+    def test_cache_holds_at_most_its_bound(self, found_candidate, monkeypatch):
+        # the bound is lowered so that a few small charts overflow it
+        bound = 3
+        monkeypatch.setattr(unitsearch, "_chart_cache", {})
+        monkeypatch.setattr(unitsearch, "_CHART_CACHE_SIZE", bound)
+        windows = range(1, bound + 3)
+        for window in windows:
+            hull_chart(found_candidate, (0, 1), window)
+        assert len(unitsearch._chart_cache) == bound
+        # the oldest charts were evicted first
+        assert [key[-1] for key in unitsearch._chart_cache] == list(windows)[-bound:]
 
 
 class TestVerifyVertices:
