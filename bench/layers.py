@@ -5,8 +5,8 @@
 ``--src`` names the ``src`` directory that ``conesum`` is imported from, so
 the same script can measure a checkout of another commit.  Each case is
 timed with ``time.perf_counter``: a repeat runs the case ``loops`` times,
-with ``loops`` chosen so that a repeat lasts at least ``--min-repeat-s``, and
-the reported time per call is the median over ``--repeats`` repeats, next to
+with ``loops`` chosen so that a repeat lasts at least ``MIN_REPEAT_S``, and
+the reported time per call is the median over ``REPEATS`` repeats, next to
 the lowest and highest.  The result is stored under ``runs[label]`` of the
 output file; the runs already there are kept, and when both ``parent`` and
 ``change`` are present, ``ratio`` holds change / parent per case.
@@ -32,9 +32,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CUBIC = [1, -2, -1, 1]  # x^3 - x^2 - 2x + 1, discriminant 49
 QUARTIC = [1, 1, -4, 0, 1]  # totally real quartic used by the field tests
+REPEATS = 7
+MIN_REPEAT_S = 0.05
 
 
-def timed(fn, repeats: int, min_repeat_s: float) -> dict:
+def timed(fn) -> dict:
     fn()  # warm caches that a long-lived process would hold
     loops = 1
     while True:
@@ -42,11 +44,11 @@ def timed(fn, repeats: int, min_repeat_s: float) -> dict:
         for _ in range(loops):
             fn()
         elapsed = time.perf_counter() - start
-        if elapsed >= min_repeat_s:
+        if elapsed >= MIN_REPEAT_S:
             break
         loops *= 2
     samples = [elapsed / loops]
-    for _ in range(repeats - 1):
+    for _ in range(REPEATS - 1):
         start = time.perf_counter()
         for _ in range(loops):
             fn()
@@ -56,14 +58,14 @@ def timed(fn, repeats: int, min_repeat_s: float) -> dict:
         "min_s": min(samples),
         "max_s": max(samples),
         "loops": loops,
-        "repeats": repeats,
+        "repeats": REPEATS,
     }
 
 
-def command_timed(setup, command, repeats: int) -> dict:
-    """Median over repeats of one command call, each after a fresh setup."""
+def command_timed(setup, command) -> dict:
+    """Median over REPEATS of one command call, each after a fresh setup."""
     samples = []
-    for _ in range(repeats + 1):  # the first call warms the imports
+    for _ in range(REPEATS + 1):  # the first call warms the imports
         state = setup()
         start = time.perf_counter()
         command(state)
@@ -74,7 +76,7 @@ def command_timed(setup, command, repeats: int) -> dict:
         "min_s": min(samples),
         "max_s": max(samples),
         "loops": 1,
-        "repeats": repeats,
+        "repeats": REPEATS,
     }
 
 
@@ -106,7 +108,7 @@ def layer_cases():
     return cases
 
 
-def command_cases(repeats: int) -> dict:
+def command_cases() -> dict:
     from conesum import cli, config, field, unitsearch
 
     def fresh(path):
@@ -122,12 +124,10 @@ def command_cases(repeats: int) -> dict:
         "cli.cmd_unitsearch.cubic49": command_timed(
             fresh("configs/cubic49.json"),
             lambda cfg: cli.cmd_unitsearch(cfg, args, out=io.StringIO()),
-            repeats,
         ),
         "cli.cmd_verify.theorem2.sqrt3": command_timed(
             fresh("configs/sqrt3.json"),
             lambda cfg: cli.cmd_verify(cfg, "theorem2", out=io.StringIO()),
-            repeats,
         ),
     }
 
@@ -144,20 +144,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--label", required=True)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_8.json"))
-    parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--min-repeat-s", type=float, default=0.05)
+    parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
-    layers = {
-        name: timed(fn, args.repeats, args.min_repeat_s)
-        for name, fn in layer_cases().items()
-    }
     run = {
-        "layers": layers,
-        "commands": command_cases(args.repeats),
+        "layers": {name: timed(fn) for name, fn in layer_cases().items()},
+        "commands": command_cases(),
         "src_lines": line_counts(src),
     }
 

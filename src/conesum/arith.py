@@ -279,7 +279,7 @@ class _QuadraticEnumerator:
 
     # -- exact sign helpers ---------------------------------------------------
 
-    def _pq(self, a: np.ndarray, b: np.ndarray):
+    def _pq(self, a, b):
         P = self.pa * a + self.pb * b + self.pc
         Q = self.qa * a + self.qb * b + self.qc
         return P, Q
@@ -294,7 +294,7 @@ class _QuadraticEnumerator:
         """den^2 * N(mu), an exact integer."""
         return P * P - self.c1 * P * Q + self.c0 * Q * Q
 
-    def slice_masks(self, a, b: np.ndarray):
+    def slice_masks(self, a, b):
         """Masks of the fundamental-sector representatives among mu(a, b)
         for the two quadrants with positive first embedding."""
         import numpy as np
@@ -425,7 +425,7 @@ class _QuadraticEnumerator:
             )
 
 
-def _sgn_quad(u: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
+def _sgn_quad(u, v, d: int):
     """Vectorized exact sign of u + v sqrt(d) for integer arrays."""
     import numpy as np
     s = np.zeros_like(u)

@@ -167,7 +167,7 @@ class SimplexSpec:
 
 
 def _independent(field: TotallyRealField, points: Sequence[FieldElement]) -> bool:
-    return linalg.rank([p.coords for p in points]) == len(points)
+    return linalg.rank([p.num for p in points]) == len(points)
 
 
 def simplex_cycle(

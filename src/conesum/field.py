@@ -91,12 +91,6 @@ class RatInterval:
         """[lo/s, hi/s] for integers lo <= hi and s > 0."""
         return cls(Fraction(lo, s), Fraction(hi, s))
 
-    def bounds(self) -> tuple[int, int, int]:
-        """(lo, hi, s) with integers and [lo/s, hi/s] this interval."""
-        s = math.lcm(self.lo.denominator, self.hi.denominator)
-        lo, hi = (e.numerator * (s // e.denominator) for e in (self.lo, self.hi))
-        return lo, hi, s
-
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
@@ -181,41 +175,40 @@ def _sign_at(p: Sequence[int], a: int, b: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    signs = [s for s in (_sign_at(p, x.numerator, x.denominator) for p in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_variations(chain: Sequence[Sequence[int]], a: int, b: int) -> int:
+    """Sign variations of the chain at a/b for b > 0."""
+    signs = [s for s in (_sign_at(p, a, b) for p in chain) if s]
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
-def isolate_real_roots(p: Sequence[Fraction]) -> list[RatInterval]:
-    """Disjoint isolating intervals for the real roots, sorted increasing.
+def isolate_real_roots(p: Sequence) -> list[tuple[int, int, int]]:
+    """Isolating intervals for the real roots, sorted increasing and meeting
+    at most at an end, each as bounds (lo, hi, s) of [lo/s, hi/s] in lowest
+    terms.
 
     Assumes p squarefree with no rational roots, so interval endpoints are
     never roots themselves.
     """
     p = [Fraction(c) for c in p]
-    lead = p[-1]
-    bound = 1 + max(abs(c / lead) for c in p[:-1]) if len(p) > 1 else _ONE
     d = math.lcm(*(c.denominator for c in p))
-    chain = sturm_chain([c.numerator * (d // c.denominator) for c in p])
-    variations = lru_cache(maxsize=None)(lambda x: _sign_variations(chain, x))
-
-    def nroots(lo, hi):
-        return variations(lo) - variations(hi)
-
-    result: list[RatInterval] = []
-    stack = [(-bound, bound, nroots(-bound, bound))]
+    q = [c.numerator * (d // c.denominator) for c in p]
+    chain = sturm_chain(q)
+    # every root lies in [-b/s, b/s] with b/s = 1 + max |q_i| / |q_lead|
+    s = abs(q[-1])
+    b = s + max((abs(c) for c in q[:-1]), default=0)
+    result = []
+    # entries (lo, hi, s, variations at lo/s, variations at hi/s)
+    stack = [(-b, b, s, _sign_variations(chain, -b, s), _sign_variations(chain, b, s))]
     while stack:
-        lo, hi, k = stack.pop()
-        if k == 0:
-            continue
-        if k == 1:
-            result.append(RatInterval(lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        kl = nroots(lo, mid)
-        stack.append((lo, mid, kl))
-        stack.append((mid, hi, k - kl))
-    result.sort(key=lambda iv: iv.lo)
+        lo, hi, s, vlo, vhi = stack.pop()
+        if vlo - vhi == 1:
+            g = math.gcd(lo, hi, s)
+            result.append((lo // g, hi // g, s // g))
+        elif vlo > vhi:
+            vmid = _sign_variations(chain, lo + hi, 2 * s)
+            stack.append((2 * lo, lo + hi, 2 * s, vlo, vmid))
+            stack.append((lo + hi, 2 * hi, 2 * s, vmid, vhi))
+    result.sort(key=lambda bounds: Fraction(bounds[0], bounds[2]))
     return result
 
 
@@ -227,18 +220,18 @@ def _has_integer_root(p: Sequence[int]) -> bool:
     whose one integer is then tested exactly.
     """
     chain = sturm_chain(p)
-    half = Fraction(1, 2)
     bound = 1 + max(abs(c) for c in p[:-1])  # every root lies below it
-    stack = [(-bound - half, bound + half)]
+    # intervals [lo/2, hi/2] between half-integers, lo and hi odd
+    stack = [(-2 * bound - 1, 2 * bound + 1)]
     while stack:
         lo, hi = stack.pop()
-        if _sign_variations(chain, lo) == _sign_variations(chain, hi):
+        if _sign_variations(chain, lo, 2) == _sign_variations(chain, hi, 2):
             continue
-        if hi - lo == 1:
-            if _sign_at(p, int(lo + half), 1) == 0:
+        if hi - lo == 2:
+            if _sign_at(p, (lo + 1) // 2, 1) == 0:
                 return True
             continue
-        mid = math.floor((lo + hi) / 2) + half
+        mid = 2 * ((lo + hi) // 4) + 1
         stack += [(lo, mid), (mid, hi)]
     return False
 
@@ -585,7 +578,7 @@ class TotallyRealField:
         if len(roots) < n:
             raise NotTotallyReal(f"only {len(roots)} of {n} roots are real")
         # refinement chains of bounds, one per root, extended lazily
-        self._root_chains = [[iv.bounds()] for iv in roots]
+        self._root_chains = [[bounds] for bounds in roots]
         if self._has_factor_of_degree_two_or_more():
             raise NotIrreducible(f"{poly} is reducible over the rationals")
 
@@ -840,8 +833,12 @@ def det_scaled(elements: Sequence[FieldElement]) -> ScaledRational:
     field = elements[0].field
     if len(elements) != field.degree:
         raise DegreeMismatch(f"{len(elements)} elements for a field of degree {field.degree}")
-    q = linalg.det([e.num for e in elements]) / math.prod(e.den for e in elements)
-    return ScaledRational(q, 1, field.disc_abs)
+    return ScaledRational(coord_det(elements), 1, field.disc_abs)
+
+
+def coord_det(elements: Sequence[FieldElement]) -> Fraction:
+    """Determinant of the power-basis coordinate rows of n elements."""
+    return linalg.det([e.num for e in elements]) / math.prod(e.den for e in elements)
 
 
 def min_poly_of(x: FieldElement) -> list[Fraction]:
@@ -867,10 +864,12 @@ def is_unit(x: FieldElement) -> bool:
     return abs(mp[0]) == 1
 
 
-def root_index_at(x: FieldElement, root_ivs: Sequence[RatInterval], place: int) -> int:
-    """Index of the root of the minimal polynomial of x, given by its
-    isolating intervals root_ivs, that the embedding of x at place equals."""
-    roots = [r.bounds() for r in root_ivs]
+def root_index_at(
+    x: FieldElement, roots: Sequence[tuple[int, int, int]], place: int
+) -> int:
+    """Index of the root of the minimal polynomial of x, given by the bounds
+    of its isolating intervals from isolate_real_roots, that the embedding of
+    x at place equals."""
 
     def hits(lo, hi, s):  # root intervals meeting [lo/s, hi/s]
         return [k for k, (a, b, d) in enumerate(roots) if a * s <= hi * d and lo * d <= b * s]
@@ -893,8 +892,8 @@ def root_indices(x: FieldElement, places: Sequence[int]) -> list[int]:
     mp = min_poly_of(x)
     if len(mp) == 2:
         return [0] * len(places)
-    root_ivs = isolate_real_roots(mp)
-    return [root_index_at(x, root_ivs, place) for place in places]
+    roots = isolate_real_roots(mp)
+    return [root_index_at(x, roots, place) for place in places]
 
 
 def limit_pair(

@@ -50,7 +50,7 @@ class LinearSubspace:
 
     @classmethod
     def from_points(cls, field: TotallyRealField, points: Iterable[FieldElement]):
-        return cls(field, [p.coords for p in points])
+        return cls(field, [p.num for p in points])
 
     @property
     def dim(self) -> int:
@@ -69,7 +69,7 @@ class LinearSubspace:
     def contains(self, x: FieldElement) -> bool:
         if x.is_zero():
             return True
-        stacked = list(self.basis) + [x.coords]
+        stacked = list(self.basis) + [x.num]
         return linalg.rank(stacked) == self.dim
 
     def contains_subspace(self, other: "LinearSubspace") -> bool:
@@ -118,8 +118,9 @@ def solve_in_basis(
 ) -> tuple[Fraction, ...] | None:
     """Coefficients of x in a list of independent F-points, or None."""
     n = x.field.degree
-    rows = [tuple(b.coords[i] for b in basis) for i in range(n)]
-    return linalg.solve(rows, x.coords)
+    # y solves on the numerators of the basis; c_j = y_j den_j / den(x)
+    y = linalg.solve([tuple(b.num[i] for b in basis) for i in range(n)], x.num)
+    return None if y is None else tuple(c * b.den / x.den for c, b in zip(y, basis))
 
 
 class Cone:
@@ -187,7 +188,7 @@ class Cone:
     def is_salient(self) -> bool:
         if self.dim <= 1:
             return True
-        normals = [n.coords for n in self.facet_normals()]
+        normals = [n.num for n in self.facet_normals()]
         return linalg.rank(normals) == self.dim
 
     @cached_property
@@ -199,7 +200,7 @@ class Cone:
         result = []
         for i, g in enumerate(gens):
             tight_normals = [
-                normal.coords for normal, tight in self._facet_data if i in tight
+                normal.num for normal, tight in self._facet_data if i in tight
             ]
             if linalg.rank(tight_normals) == m - 1:
                 result.append(g)

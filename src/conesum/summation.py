@@ -38,6 +38,7 @@ from .field import (
     FieldElement,
     ScaledRational,
     UnitPowers,
+    coord_det,
     det_scaled,
     is_totally_positive,
     trace_pairing,
@@ -99,8 +100,11 @@ class TermForm:
 
     def __init__(self, points: Sequence[FieldElement]):
         q = _tuple_det(points)
-        inv = linalg.inverse(list(zip(*(p.coords for p in points))))
-        self._clear(inv, 1 / q, -1, points[0].field)
+        # the coordinate matrix is (num_i / den_i)_i as columns, so row i of
+        # its inverse is den_i times row i of the inverse of (num_i)_i
+        inv = linalg.inverse(list(zip(*(p.num for p in points))))
+        rows = [[c * p.den for c in row] for row, p in zip(inv, points)]
+        self._clear(rows, 1 / q, -1, points[0].field)
 
     @classmethod
     def primal(cls, points: Sequence[FieldElement]) -> "TermForm":
@@ -139,7 +143,7 @@ class TermForm:
 
 
 def _tuple_det(points: Sequence[FieldElement]) -> Fraction:
-    q = linalg.det([p.coords for p in points])
+    q = coord_det(points)
     if q == 0:
         raise DependentTuple("tuple is linearly dependent")
     return q

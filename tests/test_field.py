@@ -265,6 +265,12 @@ def poly_eval(p, x):
     return acc
 
 
+def bounds_of(iv):
+    """(lo, hi, s) with integers and [lo/s, hi/s] the interval iv."""
+    s = math.lcm(iv.lo.denominator, iv.hi.denominator)
+    return tuple(e.numerator * (s // e.denominator) for e in (iv.lo, iv.hi)) + (s,)
+
+
 def fraction_horner(coeffs, iv):
     """Interval Horner on Fractions, one RatInterval operation per step."""
     acc = RatInterval(Fraction(0), Fraction(0))
@@ -279,7 +285,7 @@ class ReferenceChain:
 
     def __init__(self, min_poly, place):
         self.poly = [Fraction(c) for c in min_poly]
-        self.chain = [isolate_real_roots(self.poly)[place]]
+        self.chain = [RatInterval.scaled(*isolate_real_roots(self.poly)[place])]
 
     def at(self, depth):
         while len(self.chain) <= depth:
@@ -311,7 +317,7 @@ def scan_embeddings(x, chain, precs):
     test_interval_poly_eval_matches_fraction_horner checks on its own."""
     found, depth = {}, 0
     while len(found) < len(precs):
-        iv = RatInterval.scaled(*interval_poly_eval(x.num, x.den, chain.at(depth).bounds()))
+        iv = RatInterval.scaled(*interval_poly_eval(x.num, x.den, bounds_of(chain.at(depth))))
         for prec in precs:
             if prec not in found and iv.width <= Fraction(1, 2**prec):
                 found[prec] = iv
@@ -369,13 +375,14 @@ class TestRefinement:
                 iv = scan(x, chain, lambda iv: iv.sign() is not None)
                 assert F.sign_at(x, place) == iv.sign()
 
-                root_ivs = isolate_real_roots(min_poly_of(x))
+                roots = isolate_real_roots(min_poly_of(x))
+                root_ivs = [RatInterval.scaled(*r) for r in roots]
 
                 def hits(iv):
                     return [k for k, r in enumerate(root_ivs) if iv.hi >= r.lo and r.hi >= iv.lo]
 
                 iv = scan(x, chain, lambda iv: len(hits(iv)) == 1)
-                assert root_index_at(x, root_ivs, place) == hits(iv)[0]
+                assert root_index_at(x, roots, place) == hits(iv)[0]
 
     def test_root_chain_matches_reference(self):
         for poly in (QUADRATIC, CUBIC, QUARTIC):
@@ -398,7 +405,7 @@ class TestRefinement:
         den = math.lcm(*(c.denominator for c in coeffs))
         num = [c.numerator * (den // c.denominator) for c in coeffs]
         for iv in (RatInterval(min(ends), max(ends)), RatInterval(ends[0], ends[0])):
-            bounds = interval_poly_eval(num, den, iv.bounds())
+            bounds = interval_poly_eval(num, den, bounds_of(iv))
             assert RatInterval.scaled(*bounds) == fraction_horner(coeffs, iv)
 
 
@@ -926,7 +933,29 @@ class TestSturmOnIntegers:
         assert signs == [sign(poly_eval(r, x)) for r in reference]
         signs = [sign(poly_eval(r, x)) for r in reference if poly_eval(r, x) != 0]
         changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-        assert _sign_variations(chain, x) == changes
+        assert _sign_variations(chain, x.numerator, x.denominator) == changes
+
+
+class TestIsolateRealRoots:
+    @given(
+        ds=st.sets(
+            st.integers(2, 60).filter(lambda d: math.isqrt(d) ** 2 != d), min_size=1, max_size=3
+        ),
+        lead=st.integers(1, 9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bounds_isolate_each_root(self, ds, lead):
+        """lead * prod (x^2 - d): the bounds are in lowest terms, sorted, at
+        most sharing ends, one per root, and p changes sign across each."""
+        p = [Fraction(lead)]
+        for d in ds:
+            p = [a - d * b for a, b in zip([0, 0] + p, p + [0, 0])]
+        roots = isolate_real_roots(p)
+        assert len(roots) == 2 * len(ds)
+        assert all(math.gcd(lo, hi, s) == 1 and s > 0 and lo < hi for lo, hi, s in roots)
+        ivs = [RatInterval.scaled(*r) for r in roots]
+        assert all(a.hi <= b.lo for a, b in zip(ivs, ivs[1:]))
+        assert all(poly_eval(p, iv.lo) * poly_eval(p, iv.hi) < 0 for iv in ivs)
 
 
 class TestRatIntervalEnclosure:
@@ -964,4 +993,4 @@ class TestRatIntervalEnclosure:
         den = math.lcm(*(c.denominator for c in coeffs))
         num = [c.numerator * (den // c.denominator) for c in coeffs]
         value = poly_eval(coeffs, self.point(iv, t))
-        assert RatInterval.scaled(*interval_poly_eval(num, den, iv.bounds())).contains(value)
+        assert RatInterval.scaled(*interval_poly_eval(num, den, bounds_of(iv))).contains(value)
