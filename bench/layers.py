@@ -1,6 +1,7 @@
-"""Layer microbenchmarks and two in-process commands, merged into a BENCH file.
+"""Layer microbenchmarks, the L-value enumerator and two in-process commands,
+merged into a BENCH file.
 
-    python bench/layers.py --src src --label change --out BENCH_8.json
+    python bench/layers.py --src src --label change --out BENCH_9.json
 
 ``--src`` names the ``src`` directory that ``conesum`` is imported from, so
 the same script can measure a checkout of another commit.  Each case is
@@ -108,6 +109,24 @@ def layer_cases():
     return cases
 
 
+def lvalue_cases() -> dict:
+    """The L-value enumerator on the Q(sqrt 3) module at the three shipped
+    (s, cutoff) points, and its row stage alone at the largest cutoff."""
+    from conesum import arith, config
+
+    module = config.load_config(str(ROOT / "configs/sqrt3.json")).module
+    cases = {
+        f"arith.lvalue_numeric.s{s}": lambda s=s, cutoff=cutoff: arith.lvalue_numeric(
+            module, s, cutoff
+        )
+        for s, cutoff in ((1, 6e5), (2, 8e6), (3, 1e5))
+    }
+    enum = arith._QuadraticEnumerator(module)
+    Xi = 8 * 10**6 * enum.den**2
+    cases["arith.kept_intervals.8e6"] = lambda: enum.kept_intervals(8e6, Xi)
+    return cases
+
+
 def command_cases() -> dict:
     from conesum import cli, config, field, unitsearch
 
@@ -150,7 +169,9 @@ def main(argv=None) -> int:
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     run = {
-        "layers": {name: timed(fn) for name, fn in layer_cases().items()},
+        "layers": {
+            name: timed(fn) for name, fn in {**layer_cases(), **lvalue_cases()}.items()
+        },
         "commands": command_cases(),
         "src_lines": line_counts(src),
     }

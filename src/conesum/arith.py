@@ -10,7 +10,6 @@ power of a sum of Bernoulli symbols against intersection numbers.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,11 +217,14 @@ class _QuadraticEnumerator:
     Every embedding of mu = rho + a m1 + b m2 is P + Q theta^(i), scaled by
     den, with P, Q affine integer forms in (a, b).  ``slice_masks`` and
     ``norm_scaled`` define the fundamental domain and the norm cut point by
-    point.  ``row_intervals`` solves the same conditions exactly for a fixed
-    a: each slice condition is then the sign of a form affine in b with
-    coefficients in Z[sqrt(d0)], a half-line, and the norm cut is a quadratic
-    inequality in b, so the kept points of a row are at most two integer
-    intervals per slice.
+    point.  ``row_intervals`` solves the same conditions exactly for every
+    row a of ``box`` at once: on a row each slice condition is the sign of a
+    form affine in b with coefficients in Z[sqrt(d0)], a half-line, and the
+    norm cut is a quadratic inequality in b, so a row keeps one integer
+    interval of one slice and at most two of the other.  On a row
+    den^2 N(mu) is the quadratic N2 b^2 + N1 b + N0 (``row_norm``), which the
+    point stage evaluates; ``certify`` checks the intervals against the
+    masks.
     """
 
     def __init__(self, module: LatticeModule):
@@ -253,6 +255,8 @@ class _QuadraticEnumerator:
         (self.pa, self.qa) = ints(m1)
         (self.pb, self.qb) = ints(m2)
         (self.pc, self.qc) = ints(rho)
+        # den^2 N(m2), the b^2 coefficient of every row's norm; nonzero
+        self.N2 = self.pb * self.pb - c1 * self.pb * self.qb + c0 * self.qb * self.qb
 
         gens = module.units.generators
         if len(gens) != 1:
@@ -268,7 +272,7 @@ class _QuadraticEnumerator:
             se = se * x.denominator // math.gcd(se, x.denominator)
         self.eP, self.eQ = int(eps.coords[0] * se), int(eps.coords[1] * se)
 
-        # float embedding data for the a-range
+        # float embedding data for the box
         e1 = [float(iv) for iv in field.embed(m1, 40)]
         e2 = [float(iv) for iv in field.embed(m2, 40)]
         er = [float(iv) for iv in field.embed(rho, 40)]
@@ -317,92 +321,186 @@ class _QuadraticEnumerator:
 
     # -- exact row intervals ----------------------------------------------------
 
-    def a_range(self, X: float) -> tuple[int, int]:
-        """Rows a that can hold a kept point at cutoff X: both slices have
-        |x1| <= sqrt(X) and |x2| <= sqrt(lambda X), bounded here in floats
-        with padding."""
-        e1, e2, er = self._emb
-        cap = math.sqrt((self.lam + 1) * X) * 1.05 + 2
-        det = e1[0] * e2[1] - e1[1] * e2[0]
-        amax = 0
-        for x, y in itertools.product((-cap, cap), repeat=2):
-            a = ((x - er[0]) * e2[1] - (y - er[1]) * e2[0]) / det
-            amax = max(amax, abs(a))
-        return (-int(amax) - 2, int(amax) + 2)
+    def box(self, X: float) -> tuple[int, int, int]:
+        """(alo, ahi, bmax): every point kept under |N(mu)| <= X has
+        alo <= a <= ahi and |b| <= bmax.
 
-    def row_intervals(self, a: int, Xi: int) -> list[tuple[int, int, int]]:
-        """The points of row a kept under |den^2 N(mu)| <= Xi, as sorted
-        (lo, hi, slice) triples: every b in [lo, hi] lies in the slice
-        (0: totally positive quadrant, 1: mixed quadrant, the two masks of
-        ``slice_masks``), and lo - 1 and hi + 1 do not.  Exact in Python
-        integers."""
+        In the embedding plane the two slices are the sectors
+        {t (1, +-m) : 1 <= m <= lambda, t^2 m <= X}.  Along each ray an affine
+        form is extreme at t = 0 or on the norm curve t = sqrt(X / m), where
+        as a function of m it is extreme at m = 1, at m = lambda or where it
+        is stationary.  The extremes of a and b, computed in floats, are
+        rounded to the integers between them and padded by one row against
+        the rounding of the 40-bit embeddings."""
+        e1, e2, er = self._emb
+        det = e1[0] * e2[1] - e1[1] * e2[0]
+        bounds = []
+        # a and b are each cx x1 + cy x2 + c, by the inverse embedding matrix
+        for cx, cy in ((e2[1] / det, -e2[0] / det), (-e1[1] / det, e1[0] / det)):
+            values = [0.0]
+            for gy in (cy, -cy):  # the slices x2 = m x1 and x2 = -m x1
+                ms = [1.0, self.lam]
+                if cx * gy > 0 and 1 < cx / gy < self.lam:
+                    ms.append(cx / gy)
+                values += [math.sqrt(X / m) * (cx + gy * m) for m in ms]
+            c = -(cx * er[0] + cy * er[1])
+            bounds.append((math.ceil(c + min(values)) - 1, math.floor(c + max(values)) + 1))
+        (alo, ahi), (blo, bhi) = bounds
+        return alo, ahi, max(-blo, bhi)
+
+    def row_norm(self, a):
+        """(N1, N0) with den^2 N(mu) = N2 b^2 + N1 b + N0 on each row a: the
+        form of ``norm_scaled`` expanded in b.  (Not through
+        ``norm_scaled``, whose traced calls count certified points.)"""
+        c0, c1, pb, qb = self.c0, self.c1, self.pb, self.qb
+        P0 = self.pa * a + self.pc
+        Q0 = self.qa * a + self.qc
+        N1 = (2 * pb - c1 * qb) * P0 + (2 * c0 * qb - c1 * pb) * Q0
+        return N1, P0 * P0 - c1 * P0 * Q0 + c0 * Q0 * Q0
+
+    def row_intervals(self, a, Xi: int, bmax: int):
+        """The points of the rows a (an integer array) kept under
+        |den^2 N(mu)| <= Xi, as arrays (a, lo, hi, slice) ordered by row and
+        then by lo: every b in [lo, hi] lies in the slice (0: totally
+        positive quadrant, 1: mixed quadrant, the two masks of
+        ``slice_masks``), and lo - 1 and hi + 1 do not.  Every row is solved
+        in the same array operations, in exact integers of a's dtype.  The
+        intervals are clipped to |b| <= bmax, which ``box`` makes hold every
+        kept point and which ``certify`` would catch failing."""
+        import numpy as np
         d, c0, c1, eP, eQ = self.d0, self.c0, self.c1, self.eP, self.eQ
         pb, qb = self.pb, self.qb
         P0 = self.pa * a + self.pc  # P = pb b + P0, Q = qb b + Q0
         Q0 = self.qa * a + self.qc
         U1, U0 = 2 * pb - c1 * qb, 2 * P0 - c1 * Q0  # x1 + x2 = U1 b + U0
+
+        # a half-line is a pair (lo, hi) with -bmax or bmax on its open side;
+        # the slopes do not depend on a, so only the crossing points are arrays
+        def affine_nonneg(alpha: int, beta):
+            """b with alpha b + beta >= 0."""
+            if alpha > 0:
+                return -(beta // alpha), bmax
+            if alpha < 0:
+                return -bmax, beta // -alpha
+            return np.where(beta >= 0, -bmax, bmax + 1), bmax
+
+        def sqrt_affine_pos(a0: int, a1: int, b0, b1):
+            """b with (a0 + a1 sqrt d) b + b0 + b1 sqrt d > 0, for a nonzero
+            slope: the form vanishes at t = (r + w sqrt d) / q."""
+            q = a0 * a0 - d * a1 * a1  # nonzero, since d is not a square
+            if a0 >= 0 and a1 >= 0:
+                rising = True
+            elif a0 <= 0 and a1 <= 0:
+                rising = False
+            else:  # opposite signs: the rational part wins when q > 0
+                rising = (a0 > 0) == (q > 0)
+            r, w = d * a1 * b1 - a0 * b0, a1 * b0 - a0 * b1
+            if q < 0:
+                q, r, w = -q, -r, -w
+            root = _isqrt(w * w * d)  # floor(|w| sqrt d); w sqrt d is irrational
+            if rising:  # b > t, i.e. b >= floor(t) + 1
+                return (r + np.where(w >= 0, root, -root - 1)) // q + 1, bmax
+            # b < t, i.e. b <= ceil(t) - 1 = -floor(-t) - 1
+            return -bmax, -((np.where(w <= 0, root, -root - 1) - r) // q) - 1
+
         # the place-i embedding is (U1 b + U0 -+ (qb b + Q0) sqrt(d0)) / 2
-        x1_pos = _sqrt_affine_pos(U1, -qb, U0, -Q0, d)
-        x2_pos = _sqrt_affine_pos(U1, qb, U0, Q0, d)
-        x2_neg = _sqrt_affine_pos(-U1, -qb, -U0, -Q0, d)
+        x1_pos = sqrt_affine_pos(U1, -qb, U0, -Q0)
         lam_p, lam_q = 2 * eP - c1 * eQ, 2 * c0 * eQ - c1 * eP
-        pp = (
-            x1_pos,
-            x2_pos,
-            _affine_nonneg(qb, Q0),  # x2 - x1 >= 0
-            _affine_nonneg(eQ * pb - eP * qb, eQ * P0 - eP * Q0 - 1),  # x2 < lambda x1
-        )
-        pm = (
-            x1_pos,
-            x2_neg,
-            _affine_nonneg(-U1, -U0),  # x1 + x2 <= 0
-            _affine_nonneg(  # |x2| < lambda x1
-                lam_p * pb + lam_q * qb, lam_p * P0 + lam_q * Q0 - 1
+        halflines = (
+            (
+                x1_pos,
+                sqrt_affine_pos(U1, qb, U0, Q0),  # x2 > 0
+                affine_nonneg(qb, Q0),  # x2 - x1 >= 0
+                affine_nonneg(eQ * pb - eP * qb, eQ * P0 - eP * Q0 - 1),  # x2 < lambda x1
+            ),
+            (
+                x1_pos,
+                sqrt_affine_pos(-U1, -qb, -U0, -Q0),  # x2 < 0
+                affine_nonneg(-U1, -U0),  # x1 + x2 <= 0
+                affine_nonneg(  # |x2| < lambda x1
+                    lam_p * pb + lam_q * qb, lam_p * P0 + lam_q * Q0 - 1
+                ),
             ),
         )
-        # den^2 N(mu) = N2 b^2 + N1 b + N0, positive on slice 0, negative on 1
-        N2 = pb * pb - c1 * pb * qb + c0 * qb * qb
-        N1 = 2 * pb * P0 - c1 * (pb * Q0 + qb * P0) + 2 * c0 * qb * Q0
-        N0 = P0 * P0 - c1 * P0 * Q0 + c0 * Q0 * Q0
-        out = [(lo, hi, 0) for lo, hi in _clip(pp, _quad_nonpos(N2, N1, N0 - Xi))]
-        out += [(lo, hi, 1) for lo, hi in _clip(pm, _quad_nonpos(-N2, -N1, -N0 - Xi))]
-        out.sort()
-        return out
+        sector = []
+        for lines in halflines:
+            lo, hi = np.full_like(a, -bmax), np.full_like(a, bmax)
+            for llo, lhi in lines:
+                lo, hi = np.maximum(lo, llo), np.minimum(hi, lhi)
+            sector.append((lo, hi))
+
+        # den^2 N(mu) is positive on slice 0 and negative on slice 1; with
+        # sigma = sign(N2) the cut on slice `inner` is A b^2 + B b + C <= 0
+        # for A > 0, one interval, and on the other slice it is the
+        # complement of A b^2 + B b + C + 2 Xi + 1 <= 0
+        N1, N0 = self.row_norm(a)
+        sigma = 1 if self.N2 > 0 else -1
+        A, B, C = sigma * self.N2, sigma * N1, sigma * N0 - Xi
+        inner, outer = (0, 1) if sigma > 0 else (1, 0)
+        qlo, qhi = _quad_interval(A, B, C)
+        glo, ghi = _quad_interval(A, B, C + (2 * Xi + 1))
+        gap = glo <= ghi
+        (ilo, ihi), (olo, ohi) = sector[inner], sector[outer]
+        los = (np.maximum(ilo, qlo), olo, np.maximum(olo, np.where(gap, ghi + 1, bmax + 1)))
+        his = (np.minimum(ihi, qhi), np.minimum(ohi, np.where(gap, glo - 1, bmax)), ohi)
+        lo, hi = np.stack(los, axis=1), np.stack(his, axis=1)
+        order = np.argsort(lo, axis=1)
+        lo = np.take_along_axis(lo, order, axis=1).ravel()
+        hi = np.take_along_axis(hi, order, axis=1).ravel()
+        kind = np.array([inner, outer, outer], dtype=np.int8)[order].ravel()
+        keep = lo <= hi
+        return np.repeat(a, 3)[keep], lo[keep], hi[keep], kind[keep]
 
     def kept_intervals(self, cutoff: float, Xi: int):
         """Arrays (a, lo, hi) of every row's kept intervals in row order,
         certified against ``slice_masks``.  They are int64 when the overflow
         bound allows it, else object arrays of Python ints."""
         import numpy as np
-        alo, ahi = self.a_range(cutoff)
-        rows = [
-            (a, lo, hi, k)
-            for a in range(alo, ahi + 1)
-            for lo, hi, k in self.row_intervals(a, Xi)
-        ]
-        a, lo, hi, kind = (list(col) for col in zip(*rows)) if rows else ([],) * 4
-        bmax = max(map(abs, lo + hi), default=0) + 1  # the neighbours included
-        dtype = self.int_dtype(max(-alo, ahi, 1), bmax, Xi)
-        a, lo, hi = (np.array(col, dtype=dtype) for col in (a, lo, hi))
-        self.certify(a, lo, hi, np.array(kind, dtype=np.int8), Xi)
+        alo, ahi, bmax = self.box(cutoff)
+        dtype = self.int_dtype(max(-alo, ahi, 1), bmax + 1, Xi)
+        a, lo, hi, kind = self.row_intervals(
+            np.arange(alo, ahi + 1).astype(dtype), Xi, bmax
+        )
+        self.certify(a, lo, hi, kind, Xi)
         return a, lo, hi
 
     def int_dtype(self, amax: int, bmax: int, Xi: int):
-        """np.int64 when no intermediate of ``_pq``, ``slice_masks`` or
-        ``norm_scaled`` reaches 2^62 for |a| <= amax, |b| <= bmax, and Xi is
-        below it too; otherwise object, so that numpy computes with Python
-        ints and never wraps."""
+        """np.int64 when no intermediate reaches 2^62 for |a| <= amax,
+        |b| <= bmax and the scaled cut Xi, else object, so that numpy computes
+        with Python ints and never wraps.  The intermediates are those of
+        ``_pq``, ``slice_masks`` and ``norm_scaled``, of ``row_intervals``
+        (the crossing points r + w sqrt(d0) with w^2 d0, and the quadratic
+        cut's discriminant) and of ``_interval_norms``, whose quadratics are
+        re-centred at |b| <= bmax + _CHUNK_POINTS."""
         import numpy as np
-        c0, c1, eP, eQ = abs(self.c0), abs(self.c1), abs(self.eP), abs(self.eQ)
-        P = abs(self.pa) * amax + abs(self.pb) * bmax + abs(self.pc)
-        Q = abs(self.qa) * amax + abs(self.qb) * bmax + abs(self.qc)
+        c0, c1, eP, eQ, d = abs(self.c0), abs(self.c1), abs(self.eP), abs(self.eQ), self.d0
+        pb, qb, N2 = abs(self.pb), abs(self.qb), abs(self.N2)
+
+        def pq(b):  # bounds on |P| and |Q|
+            return (
+                abs(self.pa) * amax + pb * b + abs(self.pc),
+                abs(self.qa) * amax + qb * b + abs(self.qc),
+            )
+
+        def norm(P, Q):
+            return P * P + c1 * P * Q + c0 * Q * Q
+
+        P, Q = pq(bmax)
         u = 2 * P + c1 * Q
+        U1 = 2 * pb + c1 * qb
+        w = qb * u + U1 * Q
+        N1 = U1 * P + (2 * c0 * qb + c1 * pb) * Q
+        far = 2 * bmax + 3 * _CHUNK_POINTS  # bounds |k + 2 off| in _interval_norms
         worst = max(
             Xi,
-            P * P + c1 * P * Q + c0 * Q * Q,  # norm_scaled
-            u * u + self.d0 * Q * Q,  # _sgn_quad
+            norm(P, Q),  # norm_scaled
+            u * u + d * Q * Q,  # _sgn_quad
             eQ * P + eP * Q,  # lam_cut
             (2 * eP + c1 * eQ) * P + (c1 * eP + 2 * c0 * eQ) * Q,  # lam_plus
+            w * w * d,  # the crossing points' isqrt
+            d * qb * Q + U1 * u + w * (math.isqrt(d) + 1),  # r + floor(w sqrt d)
+            N1 * N1 + 4 * N2 * (norm(P, Q) + 2 * Xi + 1),  # discriminant
+            (N2 * far + N1) * far + norm(*pq(far)),  # re-centred quadratics
         )
         return np.int64 if worst < 1 << 62 else object
 
@@ -439,87 +537,50 @@ def _sgn_quad(u, v, d: int):
     return s
 
 
-# integer sets on a row are closed intervals (lo, hi); an unbounded side is
-# +-inf, and an empty set has lo > hi
+def _isqrt(n):
+    """Elementwise floor(sqrt(n)) of a nonnegative integer array, exactly: a
+    float square root corrected by one either way in int64 (n < 2^62), or
+    ``math.isqrt`` per element on an object array."""
+    import numpy as np
+    if n.dtype == object:
+        return np.array([math.isqrt(v) for v in n], dtype=object)
+    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
+    return r
 
 
-def _affine_nonneg(alpha: int, beta: int) -> tuple:
-    """Integers b with alpha b + beta >= 0."""
-    if alpha > 0:
-        return -(beta // alpha), math.inf
-    if alpha < 0:
-        return -math.inf, beta // -alpha
-    return (-math.inf, math.inf) if beta >= 0 else (math.inf, -math.inf)
-
-
-def _floor_sqrt_multiple(w: int, d: int) -> int:
-    """floor(w sqrt(d)) for a non-square d > 0."""
-    r = math.isqrt(w * w * d)
-    return r if w >= 0 else -r - 1
-
-
-def _sqrt_affine_pos(a0: int, a1: int, b0: int, b1: int, d: int) -> tuple:
-    """Integers b with (a0 + a1 sqrt d) b + b0 + b1 sqrt d > 0, for a
-    non-square d > 0 and a nonzero slope a0 + a1 sqrt d."""
-    q = a0 * a0 - d * a1 * a1  # nonzero, since d is not a square
-    if a0 >= 0 and a1 >= 0:
-        rising = True
-    elif a0 <= 0 and a1 <= 0:
-        rising = False
-    else:  # opposite signs: the rational part wins when q > 0
-        rising = (a0 > 0) == (q > 0)
-    # the form vanishes at t = (r + w sqrt d) / q
-    r, w = d * a1 * b1 - a0 * b0, a1 * b0 - a0 * b1
-    if q < 0:
-        q, r, w = -q, -r, -w
-    if rising:  # b > t, i.e. b >= floor(t) + 1
-        return (r + _floor_sqrt_multiple(w, d)) // q + 1, math.inf
-    # b < t, i.e. b <= ceil(t) - 1 = -floor(-t) - 1
-    return -math.inf, -((-r + _floor_sqrt_multiple(-w, d)) // q) - 1
-
-
-def _quad_nonpos(A: int, B: int, C: int) -> list[tuple]:
-    """Integers b with A b^2 + B b + C <= 0, for A != 0: one interval when
-    A > 0, the complement of one when A < 0."""
-    if A < 0:
-        # the complement of -A b^2 - B b - C <= -1
-        inner = _quad_nonpos(-A, -B, 1 - C)
-        if not inner:
-            return [(-math.inf, math.inf)]
-        ((lo, hi),) = inner
-        return [(-math.inf, lo - 1), (hi + 1, math.inf)]
+def _quad_interval(A: int, B, C):
+    """Bounds (lo, hi) of the integers b with A b^2 + B b + C <= 0 for
+    A > 0 and integer arrays B, C; lo > hi where there are none."""
+    import numpy as np
     disc = B * B - 4 * A * C
-    if disc < 0:
-        return []
     # 4A (A b^2 + B b + C) = t^2 - disc with the integer t = 2A b + B, so the
     # inequality is |t| <= isqrt(disc)
-    root = math.isqrt(disc)
+    root = _isqrt(np.maximum(disc, 0))
     lo, hi = -((B + root) // (2 * A)), (root - B) // (2 * A)
-    return [(lo, hi)] if lo <= hi else []
+    return np.where(disc < 0, hi + 1, lo), hi
 
 
-def _clip(halflines, pieces) -> list[tuple[int, int]]:
-    """The nonempty intersections of the half-lines with each piece."""
-    los, his = zip(*halflines)
-    lo, hi = max(los), min(his)
-    out = []
-    for plo, phi in pieces:
-        blo, bhi = max(lo, plo), min(hi, phi)
-        if blo <= bhi:
-            out.append((blo, bhi))
-    return out
+_CHUNK_POINTS = 1 << 16  # 512 kB per int64 array, so a chunk stays in cache
 
 
-_CHUNK_POINTS = 1 << 20  # about 8 MB per int64 array
+def _interval_norms(N2: int, N1, N0, lo, hi):
+    """Yield den^2 N(mu) = N2 b^2 + N1_i b + N0_i for every b in
+    [lo_i, hi_i], interval by interval and in order, at most _CHUNK_POINTS
+    values at a time.
 
-
-def _interval_points(a, lo, hi):
-    """Yield arrays (A, B) of every point (a_i, b) with lo_i <= b <= hi_i, in
-    order, at most _CHUNK_POINTS points at a time."""
+    A chunk's k-th value lies on an interval with b = off_i + k, where it
+    is (N2 k + L_i) k + M_i for the quadratic re-centred at off_i; so every
+    chunk shares the arrays k and N2 k, and builds its norms in one reused
+    buffer, which the next chunk overwrites."""
     import numpy as np
     n = (hi - lo + 1).astype(np.int64)
     ends = np.cumsum(n)
-    total = int(n.sum())
+    total = int(ends[-1]) if len(ends) else 0
+    k = np.arange(min(total, _CHUNK_POINTS)).astype(lo.dtype)
+    n2k = N2 * k
+    buf = np.empty_like(k)
     for p0 in range(0, total, _CHUNK_POINTS):
         p1 = min(p0 + _CHUNK_POINTS, total)
         i0 = int(np.searchsorted(ends, p0, side="right"))
@@ -528,8 +589,13 @@ def _interval_points(a, lo, hi):
         clo[0] += p0 - int(ends[i0] - n[i0])
         chi[-1] -= int(ends[i1 - 1]) - p1
         cn = (chi - clo + 1).astype(np.int64)
-        start = np.cumsum(cn) - cn
-        yield np.repeat(a[i0:i1], cn), np.repeat(clo - start, cn) + np.arange(p1 - p0)
+        off = clo - (np.cumsum(cn) - cn)
+        L = 2 * N2 * off + N1[i0:i1]
+        M = (N2 * off + N1[i0:i1]) * off + N0[i0:i1]
+        Ni = np.add(n2k[: p1 - p0], np.repeat(L, cn), out=buf[: p1 - p0])
+        Ni *= k[: p1 - p0]
+        Ni += np.repeat(M, cn)
+        yield Ni
 
 
 def lvalue_numeric(
@@ -543,12 +609,13 @@ def lvalue_numeric(
 
     Representatives of (M+rho)/V lie in two slope slices (one per sign
     quadrant up to the global -1 symmetry).  Each row a of the lattice meets
-    them, under the cut |N(mu)| <= cutoff, in exact integer b-intervals
-    (``_QuadraticEnumerator.row_intervals``); only those points are visited,
-    in chunks, and summed ordered by |N(mu)|.  For s = 1 the last two
-    checkpoint partial sums are averaged (one acceleration level).  A
-    tolerance triggers CutoffTooSmall when the internal error estimate
-    exceeds it.
+    them, under the cut |N(mu)| <= cutoff, in exact integer b-intervals,
+    solved for every row of the slices' bounding box in one array pass and
+    certified (``_QuadraticEnumerator.kept_intervals``).  Only those points
+    are visited, in cache-sized chunks, each norm the row's quadratic in b,
+    and summed ordered by |N(mu)|.  For s = 1 the last two checkpoint
+    partial sums are averaged (one acceleration level).  A tolerance
+    triggers CutoffTooSmall when the internal error estimate exceeds it.
     """
     import numpy as np
     if s < 1 or int(s) != s:
@@ -562,18 +629,23 @@ def lvalue_numeric(
     width = max(1, Xi // nshells)
     shells = np.zeros(Xi // width + 2) if ordered else None
     total = 0.0
-    tail = 0.0  # contribution with |N| in the top decade, for the estimate
+    tail = 0.0  # contribution with |N| in the top decade, for a tolerance
 
     den2 = float(den * den)
-    for A, B in _interval_points(*enum.kept_intervals(cutoff, Xi)):
-        Ni = enum.norm_scaled(*enum._pq(A, B))
-        terms = (den2 / Ni.astype(float)) ** s
+    top = math.floor(Xi * 0.9)  # |N| > top: the top decade
+    a, lo, hi = enum.kept_intervals(cutoff, Xi)
+    buf = np.empty(_CHUNK_POINTS)
+    for Ni in _interval_norms(enum.N2, *enum.row_norm(a), lo, hi):
+        # "unsafe" lets object arrays of Python ints convert too
+        terms = np.divide(den2, Ni, out=buf[: len(Ni)], casting="unsafe")
+        terms **= s
         if ordered:
             idx = (np.abs(Ni) // width).astype(np.intp)
             shells += np.bincount(idx, weights=terms, minlength=len(shells))
         else:
             total += float(np.sum(terms))
-            tail += float(np.sum(np.abs(terms)[np.abs(Ni) > Xi * 0.9]))
+            if tol is not None:
+                tail += float(np.sum(np.abs(terms[np.abs(Ni) > top])))
 
     if ordered:
         csum = 2.0 * np.cumsum(shells)  # the -1 symmetry doubles every orbit

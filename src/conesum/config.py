@@ -31,6 +31,12 @@ def parse_rational(value) -> Fraction:
     raise ConfigError(f"expected a rational, got {value!r}")
 
 
+def parse_elements(field: TotallyRealField, items, what: str) -> tuple[FieldElement, ...]:
+    if not isinstance(items, list):
+        raise ConfigError(f"{what} must be a list of elements, got {items!r}")
+    return tuple(parse_element(field, c) for c in items)
+
+
 def parse_element(field: TotallyRealField, coords) -> FieldElement:
     if not isinstance(coords, (list, tuple)) or len(coords) != field.degree:
         raise ConfigError(
@@ -91,13 +97,11 @@ def build_config(raw: dict, overrides: dict[str, Any] | None = None) -> RunConfi
         mdesc = raw["module"]
         if not isinstance(mdesc, dict) or "basis" not in mdesc or "units" not in mdesc:
             raise ConfigError('module needs "basis" and "units"')
-        basis = tuple(parse_element(field, c) for c in mdesc["basis"])
+        basis = parse_elements(field, mdesc["basis"], "module basis")
         rho = (
             parse_element(field, mdesc["rho"]) if "rho" in mdesc else field.zero
         )
-        units = UnitGroupData(
-            tuple(parse_element(field, c) for c in mdesc["units"])
-        )
+        units = UnitGroupData(parse_elements(field, mdesc["units"], "module units"))
         try:
             module = LatticeModule(basis=basis, rho=rho, units=units)
         except ConesumError as exc:
@@ -122,6 +126,17 @@ def build_config(raw: dict, overrides: dict[str, Any] | None = None) -> RunConfi
             raise ConfigError(f"{name} must be an integer >= {minimum}")
         return v
 
+    unitsearch = raw.get("unitsearch", {})
+    if not isinstance(unitsearch, dict):
+        raise ConfigError("unitsearch must be an object")
+    for name in ("a", "b"):
+        if name in unitsearch:
+            parse_rational(unitsearch[name])
+    for name in ("radius", "window"):
+        v = unitsearch.get(name, 0)
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"unitsearch {name} must be an integer")
+
     tol = merged.get("tolerance", 1e-6)
     if not isinstance(tol, (int, float)) or tol < 0:
         raise ConfigError("tolerance must be a nonnegative number")
@@ -136,7 +151,7 @@ def build_config(raw: dict, overrides: dict[str, Any] | None = None) -> RunConfi
         precision_bits=_int("precision_bits", 128, 16),
         seed=_int("seed", 0, 0),
         output_format=out_fmt,
-        unitsearch=raw.get("unitsearch", {}),
+        unitsearch=unitsearch,
         raw=raw,
     )
 
@@ -158,6 +173,8 @@ def _build_fan(fdesc, field, module) -> FanDescription:
             raise ConfigError("quadratic-auto fan needs a module")
         if field.degree != 2:
             raise ConfigError("quadratic-auto fan needs a quadratic field")
+        if not module.units.generators:
+            raise ConfigError("quadratic-auto fan needs a unit generator")
         try:
             desc, _ = build_quadratic_fan(module.basis, module.units.generators[0])
         except ConesumError as exc:
@@ -166,10 +183,13 @@ def _build_fan(fdesc, field, module) -> FanDescription:
     if kind == "explicit":
         if "cones" not in fdesc or "unit_action" not in fdesc:
             raise ConfigError('explicit fan needs "cones" and "unit_action"')
-        cones = []
-        for gens in fdesc["cones"]:
-            cones.append(Cone(field, [parse_element(field, g) for g in gens]))
-        units = tuple(parse_element(field, u) for u in fdesc["unit_action"])
+        if not isinstance(fdesc["cones"], list) or not fdesc["cones"]:
+            raise ConfigError("explicit fan cones must be a nonempty list")
+        cones = [
+            Cone(field, list(parse_elements(field, gens, "cone generators")))
+            for gens in fdesc["cones"]
+        ]
+        units = parse_elements(field, fdesc["unit_action"], "fan unit action")
         basis = module.basis if module else tuple(
             field.element([1 if i == j else 0 for j in range(field.degree)])
             for i in range(field.degree)

@@ -130,11 +130,12 @@ def solve(a: Iterable[Sequence], b: Sequence) -> Row | None:
 
 
 def kernel(rows: Iterable[Sequence]) -> Matrix:
-    """Basis of the right null space of A, one row per basis vector."""
+    """Basis of the right null space of A, one row per basis vector: the
+    standard basis when A is zero."""
     m = [_cleared(row)[0] for row in rows]
-    pivots = _eliminate(m)
-    if not pivots:
+    if not m:
         return []
+    pivots = _eliminate(m)
     ncols = len(m[0])
     free = [c for c in range(ncols) if c not in pivots]
     basis: Matrix = []

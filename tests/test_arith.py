@@ -248,10 +248,10 @@ class BruteForceOracle:
         return reps
 
 
-def masked_points(enum, Xi, box):
+def masked_points(enum, Xi, box, dtype=np.int64):
     """Every (a, b, P, Q, N, slice) with |a|, |b| <= box that ``slice_masks``
     keeps under the scaled norm cut: the point-by-point definition."""
-    grid = np.arange(-box, box + 1, dtype=np.int64)
+    grid = np.arange(-box, box + 1).astype(dtype)
     A, B = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
     pp, pm, P, Q = enum.slice_masks(A, B)
     Ni = enum.norm_scaled(P, Q)
@@ -341,26 +341,58 @@ class TestLvalueNumeric:
                             f"{mu.coords} and {nu.coords} are in one orbit"
                         )
 
-    @pytest.mark.parametrize("name", list(sample_modules()))
+    @pytest.mark.parametrize("name", [*sample_modules(), "big denominator"])
     def test_row_intervals_match_masks(self, name):
-        M = sample_modules()[name]
+        # every row of the box solved in one array pass gives exactly the
+        # points the masks keep; the big-denominator module runs on object
+        # arrays of Python ints
+        big = name == "big denominator"
+        M = big_denominator_module() if big else sample_modules()[name]
         enum = _QuadraticEnumerator(M)
-        cutoff = 200
+        cutoff, box = (50, 120) if big else (200, 250)
         Xi = cutoff * enum.den**2
-        box = 250
-        A, B, _, _, _, kind = masked_points(enum, Xi, box)
+        dtype = enum.int_dtype(box, box + 1, Xi)
+        assert (dtype is object) == big
+        A, B, _, _, _, kind = masked_points(enum, Xi, box, dtype)
         expected = sorted(zip(A.tolist(), B.tolist(), kind.tolist()))
-        got = []
-        for a in range(-box, box + 1):
-            for lo, hi, k in enum.row_intervals(a, Xi):
-                assert -box < lo <= hi < box, "the box must hold every interval"
-                got.extend((a, b, k) for b in range(lo, hi + 1))
+        a, lo, hi, k = enum.row_intervals(np.arange(-box, box + 1).astype(dtype), Xi, box)
+        assert a.dtype == lo.dtype == hi.dtype == dtype
+        assert (-box < lo).all() and (hi < box).all(), "the box must hold every interval"
+        rows = list(zip(a.tolist(), lo.tolist(), hi.tolist(), k.tolist()))
+        # ordered by row, then by lo, and disjoint within a row
+        assert rows == sorted(rows)
+        assert all(r[2] < s[1] for r, s in zip(rows, rows[1:]) if r[0] == s[0])
+        got = [(ai, b, ki) for ai, l, h, ki in rows for b in range(l, h + 1)]
         assert sorted(got) == expected
-        assert len(expected) > 100
-        # the box holds the a-range of the enumeration, which holds every
-        # kept row
-        alo, ahi = enum.a_range(cutoff)
+        assert len(expected) > (40 if big else 100)
+        # the box of the enumeration holds every kept point
+        alo, ahi, bmax = enum.box(cutoff)
         assert -box < alo <= A.min() and A.max() <= ahi < box
+        assert np.abs(B).max() <= bmax < box
+
+    @pytest.mark.parametrize("cutoff", [6e5, 8e6])
+    def test_row_range_is_tight(self, cutoff):
+        # the rows of the box exceed the first and last rows that hold a kept
+        # point by at most 3 on each side
+        enum = _QuadraticEnumerator(sqrt3_module())
+        Xi = math.floor(Fraction(cutoff) * enum.den**2)
+        alo, ahi, bmax = enum.box(cutoff)
+        wide = np.arange(2 * alo, 2 * ahi + 1)
+        a = enum.row_intervals(wide, Xi, 2 * bmax)[0]
+        first, last = int(a.min()), int(a.max())
+        assert first - 3 <= alo <= first and last <= ahi <= last + 3
+        assert enum.kept_intervals(cutoff, Xi)[0].tolist() == a.tolist()
+
+    def test_isqrt_is_exact(self):
+        # int64 inputs stay below 2^62, as int_dtype guarantees
+        roots = np.array([0, 1, 2, 3, 1 << 20, 3 << 29, (1 << 31) - 1])
+        n = np.concatenate([roots * roots - 1, roots * roots, roots * roots + 1])
+        n = np.concatenate([n[n >= 0], [(1 << 62) - 1]])
+        expected = [math.isqrt(int(v)) for v in n]
+        assert arith._isqrt(n).tolist() == expected
+        assert arith._isqrt(n.astype(object)).tolist() == expected
+        big = np.array([10**40, 10**40 - 1], dtype=object)
+        assert arith._isqrt(big).tolist() == [10**20, 10**20 - 1]
 
     def test_certificate_rejects_a_wrong_interval(self, monkeypatch):
         enum = _QuadraticEnumerator(sqrt3_module())
@@ -368,8 +400,9 @@ class TestLvalueNumeric:
         enum.kept_intervals(60, Xi)  # the true intervals pass
         true_rows = enum.row_intervals
 
-        def one_too_long(a, Xi):
-            return [(lo, hi + (a == 3), k) for lo, hi, k in true_rows(a, Xi)]
+        def one_too_long(a, Xi, bmax):
+            ra, lo, hi, k = true_rows(a, Xi, bmax)
+            return ra, lo, hi + (ra == 3), k
 
         monkeypatch.setattr(enum, "row_intervals", one_too_long)
         with pytest.raises(EnumerationMismatch):
@@ -390,17 +423,22 @@ class TestLvalueNumeric:
 
     def test_chunks_split_intervals(self, monkeypatch):
         # chunk boundaries fall inside intervals, and no point is lost or
-        # repeated
+        # repeated; each norm is its interval's quadratic in b
         monkeypatch.setattr(arith, "_CHUNK_POINTS", 7)
-        a = np.array([-2, -2, 0, 5])
+        N2 = 3
         lo = np.array([3, 10, -4, 1])
         hi = np.array([5, 29, -4, 14])
+        N1 = np.array([-2, 7, 0, 11])
+        N0 = np.array([5, -1000, 9, 40])
         chunks = [
-            list(zip(A.tolist(), B.tolist()))
-            for A, B in arith._interval_points(a, lo, hi)
+            Ni.tolist() for Ni in arith._interval_norms(N2, N1, N0, lo, hi)
         ]
         assert [len(c) for c in chunks] == [7, 7, 7, 7, 7, 3]
-        expected = [(ai, b) for ai, l, h in zip(a, lo, hi) for b in range(l, h + 1)]
+        expected = [
+            (N2 * b + n1) * b + n0
+            for l, h, n1, n0 in zip(lo.tolist(), hi.tolist(), N1.tolist(), N0.tolist())
+            for b in range(l, h + 1)
+        ]
         assert sum(chunks, []) == expected
 
     def test_scaled_norms_beyond_int64(self):

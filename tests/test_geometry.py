@@ -79,6 +79,25 @@ class TestLinearSubspace:
         assert meet.contains(elem(F, 5, 0, 0))
 
 
+class TestConeIntersection:
+    def test_shared_edge_ray(self):
+        # two 2-dimensional cones in a 3-dimensional space meet in their
+        # common edge: the kernel of a rank-0 system in the 1-dimensional
+        # span must give that ray
+        F = make_field(CUBIC)
+        t = F.theta
+        meet = Cone(F, [F.one, t]).intersection(Cone(F, [F.one, t * t]))
+        assert meet is not None and meet.dim == 1
+        assert meet == Cone(F, [F.one * 3])
+
+    def test_spans_meet_outside_both_cones(self):
+        # the spans share the line through 3 theta - 1 (theta^3 + theta =
+        # theta^2 + 3 theta - 1), which neither cone holds on either side
+        F = make_field(CUBIC)
+        t = F.theta
+        assert Cone(F, [F.one, t]).intersection(Cone(F, [t * t, t * t * t + t])) is None
+
+
 class TestDualCone:
     def test_orthant_selfdual_up_to_trace_form(self):
         # the dual of the coordinate orthant consists of the trace-dual rays

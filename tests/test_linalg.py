@@ -68,10 +68,8 @@ def reference_det(rows):
 
 def reference_kernel(rows):
     """One basis vector per free column of the reference RREF; a matrix of
-    rank 0 gives no vectors, as linalg.kernel does."""
+    rank 0 gives the standard basis."""
     red, pivots = reference_rref(rows)
-    if not red:
-        return []
     ncols = len(rows[0])
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
@@ -150,3 +148,9 @@ def test_integer_and_mixed_entries():
     assert linalg.rref(m) == reference_rref(m)
     assert linalg.det([]) == 1
     assert linalg.rref([]) == ([], [])
+
+
+def test_kernel_of_a_zero_matrix_is_everything():
+    assert linalg.kernel([(0,)]) == [(1,)]
+    assert linalg.kernel([(0, 0), (0, 0)]) == [(1, 0), (0, 1)]
+    assert linalg.kernel([]) == []

@@ -70,3 +70,28 @@ def test_field_and_converge_do_not_import_numpy():
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "0 False"
+
+
+def test_traced_lvalue_run_counts_certified_points():
+    # the traced benchmark run wraps slice_masks and norm_scaled and counts
+    # the points of their array arguments; the enumerator calls them only
+    # from certify, on the two ends and two outer neighbours of each interval
+    probe = _python(
+        "-c",
+        "import sys\n"
+        "sys.path.insert(0, 'perfbench')\n"
+        "import layertrace\n"
+        "from conesum import arith, cli, config, cycles, fan, field, geometry\n"
+        "from conesum import linalg, summation, unitsearch\n"
+        "cfg = config.load_config('configs/sqrt3.json')\n"
+        "tracer = layertrace.Tracer()\n"
+        "tracer.install()\n"
+        "arith.lvalue_numeric(cfg.module, 2, 1e4)\n"
+        "tracer.uninstall()\n"
+        "enum = arith._QuadraticEnumerator(cfg.module)\n"
+        "intervals = len(enum.kept_intervals(1e4, 9 * 10**4)[0])\n"
+        "c = tracer.summary()['counters']\n"
+        "print(c['arith.candidates'] == c['arith.kept'] == 4 * intervals > 0)\n",
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "True"
