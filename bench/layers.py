@@ -1,7 +1,7 @@
 """Layer microbenchmarks, the L-value enumerator and two in-process commands,
 merged into a BENCH file.
 
-    python bench/layers.py --src src --label change --out BENCH_9.json
+    python bench/layers.py --src src --label change --out BENCH_10.json
 
 ``--src`` names the ``src`` directory that ``conesum`` is imported from, so
 the same script can measure a checkout of another commit.  Each case is
@@ -109,6 +109,28 @@ def layer_cases():
     return cases
 
 
+def polyhedral_cases() -> dict:
+    """Facets of a fresh cube cone, the intersection of two fresh cubic cones,
+    and the boundary and dual cycles of the cube in P^3."""
+    from conesum import cycles, field
+    from conesum.geometry import Cone, ProjPolyhedron
+
+    Q = field.make_field(QUARTIC)
+    cube = [Q.element([sx, sy, sz, 1]) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
+    C = field.make_field(CUBIC)
+    a = [C.element(v) for v in ([2, 1, 0], [0, 2, 1], [1, 0, 2])]
+    b = [C.element(v) for v in ([3, 1, 1], [1, 3, 1], [1, 1, 3], [2, 2, -1])]
+    z = cycles.boundary_cycle(ProjPolyhedron.from_points(Q, cube))
+    return {
+        "geometry.facet_data.cube": lambda: Cone(Q, cube)._facet_data,
+        "geometry.intersection.cubic": lambda: Cone(C, a).intersection(Cone(C, b)),
+        "cycles.boundary_cycle.cube": lambda: cycles.boundary_cycle(
+            ProjPolyhedron.from_points(Q, cube)
+        ),
+        "cycles.dual_cycle.cube": lambda: cycles.dual_cycle(z),
+    }
+
+
 def lvalue_cases() -> dict:
     """The L-value enumerator on the Q(sqrt 3) module at the three shipped
     (s, cutoff) points, and its row stage alone at the largest cutoff."""
@@ -170,7 +192,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     run = {
         "layers": {
-            name: timed(fn) for name, fn in {**layer_cases(), **lvalue_cases()}.items()
+            name: timed(fn)
+            for name, fn in {**layer_cases(), **polyhedral_cases(), **lvalue_cases()}.items()
         },
         "commands": command_cases(),
         "src_lines": line_counts(src),

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import linalg
-from .errors import NotACycle, NotTopDegree
-from .field import FieldElement, TotallyRealField, trace_pairing
+from .errors import DegreeMismatch, DependentTuple, MixedExponents, NotACycle, NotTopDegree
+from .field import FieldElement, TotallyRealField
 from .geometry import Cone, LinearSubspace, ProjPolyhedron
 
 PointKey = tuple[Fraction, ...]
@@ -30,6 +30,20 @@ def _point_key(p) -> PointKey:
     if isinstance(p, FieldElement):
         return p.proj_key()
     return tuple(Fraction(v) for v in p)
+
+
+def _merge(out: dict[Flag, Leaf], flag: Flag, leaf: Leaf, sign: int = 1) -> None:
+    """Add sign * leaf into out[flag], point by point."""
+    tgt = out.setdefault(flag, {})
+    for p, w in leaf.items():
+        tgt[p] = tgt.get(p, 0) + sign * w
+
+
+def _segment(a: PointKey, b: PointKey, sign: int = 1) -> dict[Flag, Leaf]:
+    """The degree-0 chain sign * ([a] - [b])."""
+    out = {(): {a: sign}}
+    _merge(out, (), {b: -sign})
+    return out
 
 
 class Cycle:
@@ -55,12 +69,12 @@ class Cycle:
         return not self.data
 
     def __add__(self, other: "Cycle") -> "Cycle":
-        assert self.degree == other.degree
-        data: dict[Flag, Leaf] = {f: dict(l) for f, l in self.data.items()}
-        for flag, leaf in other.data.items():
-            tgt = data.setdefault(flag, {})
-            for p, w in leaf.items():
-                tgt[p] = tgt.get(p, 0) + w
+        if self.degree != other.degree:
+            raise DegreeMismatch(f"cycles of degrees {self.degree} and {other.degree}")
+        data: dict[Flag, Leaf] = {}
+        for c in (self, other):
+            for flag, leaf in c.data.items():
+                _merge(data, flag, leaf)
         return Cycle(self.field, self.degree, data)
 
     def __neg__(self) -> "Cycle":
@@ -104,10 +118,7 @@ class Cycle:
         for level in range(self.degree - 1):
             merged: dict[tuple, Leaf] = {}
             for flag, leaf in self.data.items():
-                gapped = flag[:level] + flag[level + 1 :]
-                tgt = merged.setdefault(gapped, {})
-                for p, w in leaf.items():
-                    tgt[p] = tgt.get(p, 0) + w
+                _merge(merged, flag[:level] + flag[level + 1 :], leaf)
             for leafsum in merged.values():
                 if any(w != 0 for w in leafsum.values()):
                     return False
@@ -141,9 +152,7 @@ def boundary(c: Cycle):
         return sum(w for leaf in c.data.values() for w in leaf.values())
     data: dict[Flag, Leaf] = {}
     for flag, leaf in c.data.items():
-        tgt = data.setdefault(flag[:-1], {})
-        for p, w in leaf.items():
-            tgt[p] = tgt.get(p, 0) + w
+        _merge(data, flag[:-1], leaf)
     return Cycle(c.field, c.degree - 1, data)
 
 
@@ -182,7 +191,8 @@ def simplex_cycle(
         points = points.points
     pts = [field.element(_point_key(p)) for p in points]
     g = len(pts) - 2
-    assert g >= 0
+    if g < 0:
+        raise DegreeMismatch(f"a simplex cycle needs at least 2 points, got {len(pts)}")
     if not _independent(field, pts):
         return Cycle.zero(field, g)
     return Cycle(field, g, _simplex_expand(field, pts))
@@ -192,19 +202,14 @@ def _simplex_expand(
     field: TotallyRealField, pts: Sequence[FieldElement]
 ) -> dict[Flag, Leaf]:
     if len(pts) == 2:
-        a, b = pts[0].proj_key(), pts[1].proj_key()
-        leaf: Leaf = {a: 1}
-        leaf[b] = leaf.get(b, 0) - 1
-        return {(): leaf}
+        return _segment(pts[0].proj_key(), pts[1].proj_key())
     out: dict[Flag, Leaf] = {}
     for r in range(len(pts)):
         rest = pts[:r] + pts[r + 1 :]
         span_key = LinearSubspace.from_points(field, rest).key
         sign = 1 if r % 2 == 0 else -1
         for flag, leaf in _simplex_expand(field, rest).items():
-            tgt = out.setdefault(flag + (span_key,), {})
-            for p, w in leaf.items():
-                tgt[p] = tgt.get(p, 0) + sign * w
+            _merge(out, flag + (span_key,), leaf, sign)
     return out
 
 
@@ -265,7 +270,8 @@ def cpd_extend(f: CPDFunction, z: Cycle):
     """Value of the unique homomorphism extending f to cycles."""
     if not is_cycle(z):
         raise NotACycle("cpd extension is defined on cycles only")
-    assert f.arity == z.degree + 2
+    if f.arity != z.degree + 2:
+        raise DegreeMismatch(f"{f.name} takes {f.arity} points, not {z.degree + 2}")
     total = f.zero
     for coef, pts in decompose_cycle(z):
         if not _independent(z.field, pts):
@@ -280,7 +286,8 @@ def cpd_extend(f: CPDFunction, z: Cycle):
 def orthogonal_point(field: TotallyRealField, points: Sequence[FieldElement]) -> FieldElement:
     """The F-point spanning the trace-orthogonal complement of n-1 points."""
     comp = LinearSubspace.from_points(field, points).orthogonal_complement()
-    assert comp.dim == 1
+    if comp.dim != 1:
+        raise DependentTuple(f"{len(points)} points with a {comp.dim}-dimensional complement")
     return field.element(comp.basis_elements()[0].ray_key())
 
 
@@ -313,49 +320,28 @@ def dual_cycle(z: Cycle) -> Cycle:
 # the boundary cycle of a projective polyhedron
 
 
-def _solve_in_rows(rows: Sequence[tuple], vec: Sequence[Fraction]) -> tuple | None:
-    cols = list(zip(*rows))
-    return linalg.solve(cols, vec)
+def _orientation_det(span: LinearSubspace, vectors: Sequence[Sequence[Fraction]]) -> Fraction:
+    return linalg.det([span.coordinates(v) for v in vectors])
 
 
-def _orientation_det(
-    basis_rows: Sequence[tuple], vectors: Sequence[FieldElement]
-) -> Fraction:
-    coeffs = []
-    for v in vectors:
-        sol = _solve_in_rows(basis_rows, v.coords)
-        assert sol is not None
-        coeffs.append(sol)
-    return linalg.det(coeffs)
-
-
-def _cone_boundary(cone, basis_rows: Sequence[tuple], sign: int) -> dict[Flag, Leaf]:
-    m = cone.dim
-    field = cone.field
-    if m == 2:
+def _cone_boundary(cone: Cone, span: LinearSubspace, sign: int) -> dict[Flag, Leaf]:
+    """Boundary chain of a cone full-dimensional in span, oriented by the
+    span's echelon basis times sign."""
+    if cone.dim == 2:
         x, y = cone.extreme_rays
-        d = _orientation_det(basis_rows, [x, y])
-        s = sign if d > 0 else -sign
-        leaf: Leaf = {x.proj_key(): s}
-        yk = y.proj_key()
-        leaf[yk] = leaf.get(yk, 0) - s
-        return {(): leaf}
+        d = _orientation_det(span, [x.coords, y.coords])
+        return _segment(x.proj_key(), y.proj_key(), sign if d > 0 else -sign)
     out: dict[Flag, Leaf] = {}
-    for normal, tight in cone._facet_data:
-        facet = Cone(field, [cone.generators[i] for i in tight])
-        inward = field.zero
-        for g in cone.extreme_rays:
-            if trace_pairing(normal, g) > 0:
-                inward = inward + g
-        f_basis = facet.span.basis
-        d = _orientation_det(basis_rows, [inward] + [field.element(r) for r in f_basis])
-        child_sign = sign if d > 0 else -sign
-        child = _cone_boundary(facet, f_basis, child_sign)
-        span_key = facet.span.key
+    for _, tight in cone._facet_data:
+        facet = Cone(cone.field, [cone.generators[i] for i in tight])
+        # off the facet every generator pairs positively with its inner normal
+        inward = sum(
+            (g for i, g in enumerate(cone.generators) if i not in tight), cone.field.zero
+        )
+        d = _orientation_det(span, [inward.coords, *facet.span.basis])
+        child = _cone_boundary(facet, facet.span, sign if d > 0 else -sign)
         for flag, leaf in child.items():
-            tgt = out.setdefault(flag + (span_key,), {})
-            for p, w in leaf.items():
-                tgt[p] = tgt.get(p, 0) + w
+            _merge(out, flag + (facet.span.key,), leaf)
     return out
 
 
@@ -365,10 +351,9 @@ def boundary_cycle(K: ProjPolyhedron, orientation: int = 1) -> Cycle:
     K must be full-dimensional in its span; the span is oriented by its
     canonical echelon basis, flipped by the global sign.
     """
-    assert orientation in (1, -1)
-    basis = K.cone.span.basis
-    data = _cone_boundary(K.cone, basis, orientation)
-    return Cycle(K.field, K.dim - 1, data)
+    if orientation not in (1, -1):
+        raise MixedExponents(f"orientation must be 1 or -1, got {orientation}")
+    return Cycle(K.field, K.dim - 1, _cone_boundary(K.cone, K.cone.span, orientation))
 
 
 def duality_check(K: ProjPolyhedron) -> bool:

@@ -135,13 +135,23 @@ def build_quadratic_fan(
 @dataclass(frozen=True)
 class FanDescription:
     """V-periodic fan, given either by the quadratic hull data or by explicit
-    cone orbit representatives."""
+    cone orbit representatives; a quadratic description derives its
+    representatives from the hull data."""
 
     kind: str  # "quadratic-auto" | "explicit"
     module_basis: tuple[FieldElement, ...]
     units: tuple[FieldElement, ...]
     vertex_sequence: VertexSequence | None = None
     orbit_cones: tuple[Cone, ...] = ()
+
+    def __post_init__(self):
+        # a quadratic fan's orbit representatives: A_r A_{r+1} over one period
+        if self.kind == "quadratic-auto" and not self.orbit_cones:
+            vs = self.vertex_sequence
+            cones = tuple(
+                Cone(self.field, [vs.point(r), vs.point(r + 1)]) for r in range(vs.period)
+            )
+            object.__setattr__(self, "orbit_cones", cones)
 
     @property
     def field(self) -> TotallyRealField:
@@ -184,20 +194,12 @@ class TruncatedFan:
                 seen.setdefault(f.key(), f)
         return [seen[k] for k in sorted(seen, key=lambda s: tuple(sorted(s)))]
 
-    def contains_cone(self, sigma: Cone) -> bool:
-        keys = {c.key() for c in self.all_cones()}
-        return sigma.key() in keys
-
     def star(self, sigma: Cone) -> list[Cone]:
         """Cones of the truncation having sigma as a face (sigma included)."""
-        if not self.contains_cone(sigma):
+        skey = sigma.key()
+        out = [c for c in self.all_cones() if skey <= c.key()]
+        if not any(c.key() == skey for c in out):
             raise ConeNotInFan(f"{sigma} is not in the truncation")
-        skeys = set(g.ray_key() for g in sigma.extreme_rays)
-        out = []
-        for c in self.all_cones():
-            ckeys = set(g.ray_key() for g in c.extreme_rays)
-            if skeys <= ckeys:
-                out.append(c)
         return out
 
     def star_tops(self, sigma: Cone) -> list[Cone]:
@@ -207,18 +209,13 @@ class TruncatedFan:
     def link(self, sigma: Cone) -> list[Cone | None]:
         """Faces of the star cones that do not contain sigma; includes the
         zero cone (reported as None)."""
-        star = self.star(sigma)
-        skeys = set(g.ray_key() for g in sigma.extreme_rays)
+        skey = sigma.key()
         out: dict[frozenset, Cone] = {}
-        include_zero = False
-        for t in star:
-            faces = [t] + t.proper_faces()
-            include_zero = True
-            for f in faces:
-                fkeys = set(g.ray_key() for g in f.extreme_rays)
-                if not skeys <= fkeys:
+        for t in self.star(sigma):  # never empty: sigma is in its own star
+            for f in [t] + t.proper_faces():
+                if not skey <= f.key():
                     out.setdefault(f.key(), f)
-        result: list[Cone | None] = [None] if include_zero else []
+        result: list[Cone | None] = [None]
         result.extend(out[k] for k in sorted(out, key=lambda s: tuple(sorted(s))))
         return result
 
@@ -231,10 +228,7 @@ class TruncatedFan:
                 continue
             if not c.span.contains(x0):
                 continue
-            ckeys = set(g.ray_key() for g in c.extreme_rays)
-            if any(
-                set(g.ray_key() for g in f.extreme_rays) <= ckeys for f in found
-            ):
+            if any(f.key() <= c.key() for f in found):
                 continue
             found.append(c)
         return found
@@ -371,9 +365,7 @@ def validate_good_fan(tf: TruncatedFan) -> ValidationReport:
     for i, a in enumerate(tops):
         for b in tops[i + 1 :]:
             meet = a.intersection(b)
-            common = set(g.ray_key() for g in a.extreme_rays) & set(
-                g.ray_key() for g in b.extreme_rays
-            )
+            common = a.key() & b.key()
             if meet is None:
                 if common:
                     proper = False

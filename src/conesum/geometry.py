@@ -28,9 +28,6 @@ from .errors import (
 )
 from .field import FieldElement, TotallyRealField, trace_pairing
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class LinearSubspace:
     """Q-span of F-points, canonically keyed by its reduced echelon basis.
@@ -40,12 +37,13 @@ class LinearSubspace:
     coordinate vectors faithfully encode projective subspaces.
     """
 
-    __slots__ = ("field", "basis", "_key")
+    __slots__ = ("field", "basis", "pivots", "_key")
 
     def __init__(self, field: TotallyRealField, rows: Iterable[Sequence[Fraction]]):
         self.field = field
-        red, _ = linalg.rref(rows)
+        red, pivots = linalg.rref(rows)
         self.basis: tuple[tuple[Fraction, ...], ...] = tuple(red)
+        self.pivots: tuple[int, ...] = tuple(pivots)
         self._key = (len(self.basis),) + self.basis
 
     @classmethod
@@ -66,44 +64,47 @@ class LinearSubspace:
     def __hash__(self):
         return hash(self._key)
 
+    def coordinates(self, v: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+        """The c with v = sum c_j b_j, or None when v is outside the span.
+
+        Basis row j is 1 at pivot j and 0 at the other pivots, so c_j is the
+        entry of v at pivot j; the entries off the pivots decide membership.
+        """
+        c = tuple(v[p] for p in self.pivots)
+        for i, x in enumerate(v):
+            if i not in self.pivots and x != sum(cj * b[i] for cj, b in zip(c, self.basis)):
+                return None
+        return c
+
+    def point(self, c: Sequence[Fraction]) -> FieldElement:
+        """The F-point sum c_j b_j."""
+        return self.field.element(
+            [sum(cj * b[i] for cj, b in zip(c, self.basis)) for i in range(self.field.degree)]
+        )
+
     def contains(self, x: FieldElement) -> bool:
-        if x.is_zero():
-            return True
-        stacked = list(self.basis) + [x.num]
-        return linalg.rank(stacked) == self.dim
+        return self.coordinates(x.num) is not None
 
     def contains_subspace(self, other: "LinearSubspace") -> bool:
-        stacked = list(self.basis) + list(other.basis)
-        return linalg.rank(stacked) == self.dim
+        return all(self.coordinates(b) is not None for b in other.basis)
 
     def basis_elements(self) -> list[FieldElement]:
         return [self.field.element(row) for row in self.basis]
 
     def intersection(self, other: "LinearSubspace") -> "LinearSubspace":
         # x in both spans: solve [B1^T | -B2^T] kernel
-        n = self.field.degree
-        rows = []
-        for i in range(n):
-            rows.append(
-                tuple(b[i] for b in self.basis) + tuple(-b[i] for b in other.basis)
-            )
-        ker = linalg.kernel(rows)
-        points = []
-        for vec in ker:
-            coeffs = vec[: self.dim]
-            coords = [
-                sum(c * b[i] for c, b in zip(coeffs, self.basis)) for i in range(n)
-            ]
-            points.append(coords)
+        rows = [
+            tuple(b[i] for b in self.basis) + tuple(-b[i] for b in other.basis)
+            for i in range(self.field.degree)
+        ]
+        points = [self.point(vec[: self.dim]).num for vec in linalg.kernel(rows)]
         return LinearSubspace(self.field, points)
 
     def orthogonal_complement(self) -> "LinearSubspace":
         """Trace-orthogonal complement inside R^n (exact)."""
-        rows = []
+        # Tr(b * x) = b^T T x as a linear functional on coordinates
         T = self.field.trace_matrix
-        for b in self.basis:
-            # Tr(b * x) = b^T T x as a linear functional on coordinates
-            rows.append(linalg.mat_vec([tuple(T[i]) for i in range(len(T))], b))
+        rows = [linalg.mat_vec(T, b) for b in self.basis]
         return LinearSubspace(self.field, linalg.kernel(rows))
 
     def is_full(self) -> bool:
@@ -151,36 +152,19 @@ class Cone:
     def _facet_data(self) -> list[tuple[FieldElement, tuple[int, ...]]]:
         """Inner normals of the facets, with indices of tight generators.
 
-        Every facet of a polyhedral cone is generated by the generators lying
-        on it, so scanning (m-1)-subsets finds all supporting hyperplanes.
+        In span-basis coordinates the normals are the extreme rays of the
+        dual cone {c : sum_j c_j Tr(b_j g) >= 0 for every generator g}.
         """
-        m = self.dim
-        gens = self.generators
-        if m < 2:
+        if self.dim < 2:
             return []
-        span_basis = self.span.basis_elements()
-        found: dict[tuple, tuple[FieldElement, tuple[int, ...]]] = {}
-        for subset in itertools.combinations(range(len(gens)), m - 1):
-            rows = [
-                tuple(trace_pairing(b, gens[i]) for b in span_basis) for i in subset
-            ]
-            ker = linalg.kernel(rows)
-            if len(ker) != 1:
-                continue
-            normal = self.field.zero
-            for c, b in zip(ker[0], span_basis):
-                normal = normal + b * c
-            values = [trace_pairing(normal, g) for g in gens]
-            if all(v >= 0 for v in values):
-                pass
-            elif all(v <= 0 for v in values):
-                normal = -normal
-                values = [-v for v in values]
-            else:
-                continue
-            tight = tuple(i for i, v in enumerate(values) if v == 0)
-            found.setdefault(normal.ray_key(), (self.field.element(normal.ray_key()), tight))
-        return [found[k] for k in sorted(found)]
+        span = self.span
+        basis = span.basis_elements()
+        pairing = [tuple(trace_pairing(b, g) for b in basis) for g in self.generators]
+        normals = sorted(
+            (span.point(ray).ray_key(), tight)
+            for ray, tight in _enumerate_rays(pairing, self.dim)
+        )
+        return [(self.field.element(k), tight) for k, tight in normals]
 
     def facet_normals(self) -> list[FieldElement]:
         return [normal for normal, _ in self._facet_data]
@@ -267,26 +251,18 @@ class Cone:
         span = self.span.intersection(other.span)
         if span.dim == 0:
             return None
-        basis = span.basis_elements()
-        constraints = []
-        for n in self.facet_normals() + other.facet_normals():
-            constraints.append(tuple(trace_pairing(n, b) for b in basis))
         if self.dim == 1:
             g = self.generators[0]
             return Cone(self.field, [g]) if other.contains(g) else None
         if other.dim == 1:
             return other.intersection(self)
-        rays = _enumerate_rays(constraints, span.dim)
-        points = []
-        for ray in rays:
-            coords = [
-                sum(c * b.coords[i] for c, b in zip(ray, basis))
-                for i in range(self.field.degree)
-            ]
-            points.append(self.field.element(coords))
-        if not points:
-            return None
-        return Cone(self.field, points)
+        basis = span.basis_elements()
+        constraints = [
+            tuple(trace_pairing(n, b) for b in basis)
+            for n in self.facet_normals() + other.facet_normals()
+        ]
+        points = [span.point(ray) for ray, _ in _enumerate_rays(constraints, span.dim)]
+        return Cone(self.field, points) if points else None
 
     def mul_unit(self, eps: FieldElement) -> "Cone":
         return Cone(self.field, [g * eps for g in self.generators])
@@ -295,44 +271,39 @@ class Cone:
         return f"Cone(dim={self.dim}, rays={len(self.extreme_rays)})"
 
 
-def _enumerate_rays(constraints: list[tuple[Fraction, ...]], m: int) -> list[tuple]:
-    """Extreme rays of {u in R^m : C u >= 0} assuming the cone is salient.
+def _enumerate_rays(
+    constraints: list[tuple[Fraction, ...]], m: int
+) -> list[tuple[tuple[Fraction, ...], tuple[int, ...]]]:
+    """Extreme rays of the salient cone {u in Q^m : C u >= 0}, each scaled so
+    its first nonzero entry is +-1 and paired with the indices of the
+    constraints tight on it, in ray order.
 
-    Brute force over (m-1)-subsets of constraints; fine at desk scale.
+    Every extreme ray spans the kernel of some m-1 constraints, so brute
+    force over (m-1)-subsets finds them all; fine at desk scale.
     """
-    if m == 0:
+    if m == 0 or not constraints:
         return []
-    if not constraints:
-        return []
-    found: dict[tuple, tuple] = {}
-    idx = range(len(constraints))
-    for subset in itertools.combinations(idx, m - 1):
-        rows = [constraints[i] for i in subset]
-        ker = linalg.kernel(rows) if rows else linalg.kernel([tuple([_ZERO] * m)])
+    # positive multiples in integers keep every sign, so signs and tight
+    # sets are decided on integer dot products
+    rows = [linalg.cleared(con)[0] for con in constraints]
+    found: dict[tuple, tuple[int, ...]] = {}
+    for subset in itertools.combinations(range(len(rows)), m - 1):
+        ker = linalg.kernel([rows[i] for i in subset] or [(0,) * m])
         if len(ker) != 1:
             continue
-        ray = ker[0]
-        values = [sum(c * r for c, r in zip(con, ray)) for con in constraints]
+        ray = linalg.cleared(ker[0])[0]
+        values = [sum(c * r for c, r in zip(row, ray)) for row in rows]
         if all(v >= 0 for v in values):
             pass
         elif all(v <= 0 for v in values):
             ray = tuple(-r for r in ray)
-            values = [-v for v in values]
         else:
             continue
-        tight = [constraints[i] for i, v in enumerate(values) if v == 0]
-        if linalg.rank(tight) != m - 1:
-            continue
-        key = _ray_canonical(ray)
-        found.setdefault(key, key)
-    return sorted(found)
-
-
-def _ray_canonical(vec: Sequence[Fraction]) -> tuple:
-    for c in vec:
-        if c != 0:
-            return tuple(v / abs(c) for v in vec)
-    raise ZeroInput("zero ray")
+        lead = abs(next(r for r in ray if r))
+        found.setdefault(
+            tuple(Fraction(r, lead) for r in ray), tuple(i for i, v in enumerate(values) if v == 0)
+        )
+    return sorted(found.items())
 
 
 class ProjPolyhedron:
@@ -405,19 +376,14 @@ class ProjPolyhedron:
         vkey = v.ray_key()
         result = []
         for f in self.cone.proper_faces():
-            if f.dim != 2:
-                continue
-            keys = [g.ray_key() for g in f.extreme_rays]
-            if vkey in keys:
-                for g in f.extreme_rays:
-                    if g.ray_key() != vkey:
-                        result.append(g)
+            if f.dim == 2 and vkey in f.key():
+                result.extend(g for g in f.extreme_rays if g.ray_key() != vkey)
         return result
 
     def vertex_hyperplane(self, v: FieldElement) -> LinearSubspace:
         """Hyperplane through the edge midpoints at v, separating v from the
         hull of the remaining vertices."""
-        if not any(v.ray_key() == w.ray_key() for w in self.vertices):
+        if v.ray_key() not in self.cone.key():
             raise DegenerateVertex(f"{v} is not a vertex")
         c = self._chart_functional()
         vhat = self._chart_rep(v, c)

@@ -40,7 +40,7 @@ def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Row:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def _cleared(row: Iterable) -> tuple[list[int], int]:
+def cleared(row: Iterable) -> tuple[list[int], int]:
     """(integer numerators, d): the row times d, its least common denominator."""
     row = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
     d = math.lcm(*(v.denominator for v in row))
@@ -75,13 +75,13 @@ def _eliminate(m: list[list[int]]) -> list[int]:
 
 def rref(rows: Iterable[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    m = [_cleared(row)[0] for row in rows]
+    m = [cleared(row)[0] for row in rows]
     pivots = _eliminate(m)
     return [tuple(Fraction(x, row[p]) for x in row) for row, p in zip(m, pivots)], pivots
 
 
 def rank(rows: Iterable[Sequence]) -> int:
-    return len(_eliminate([_cleared(row)[0] for row in rows]))
+    return len(_eliminate([cleared(row)[0] for row in rows]))
 
 
 def det(rows: Iterable[Sequence]) -> Fraction:
@@ -90,7 +90,7 @@ def det(rows: Iterable[Sequence]) -> Fraction:
     so each division by the previous pivot is exact."""
     m, scale = [], 1
     for row in rows:
-        ints, d = _cleared(row)
+        ints, d = cleared(row)
         m.append(ints)
         scale *= d
     n = len(m)
@@ -118,7 +118,7 @@ def solve(a: Iterable[Sequence], b: Sequence) -> Row | None:
     If the system is underdetermined the free variables are set to zero.
     """
     arows = [list(row) for row in a]
-    aug = [_cleared(row + [bv])[0] for row, bv in zip(arows, b)]
+    aug = [cleared(row + [bv])[0] for row, bv in zip(arows, b)]
     pivots = _eliminate(aug)
     ncols = len(arows[0]) if arows else 0
     if ncols in pivots:
@@ -132,7 +132,7 @@ def solve(a: Iterable[Sequence], b: Sequence) -> Row | None:
 def kernel(rows: Iterable[Sequence]) -> Matrix:
     """Basis of the right null space of A, one row per basis vector: the
     standard basis when A is zero."""
-    m = [_cleared(row)[0] for row in rows]
+    m = [cleared(row)[0] for row in rows]
     if not m:
         return []
     pivots = _eliminate(m)
@@ -149,7 +149,7 @@ def kernel(rows: Iterable[Sequence]) -> Matrix:
 
 
 def inverse(rows: Iterable[Sequence]) -> Matrix:
-    m = [_cleared(row) for row in rows]
+    m = [cleared(row) for row in rows]
     n = len(m)
     aug = [ints + [d if i == j else 0 for j in range(n)] for i, (ints, d) in enumerate(m)]
     pivots = _eliminate(aug)
@@ -160,7 +160,7 @@ def inverse(rows: Iterable[Sequence]) -> Matrix:
 
 def solve_unique(a: Iterable[Sequence], b: Sequence) -> Row:
     """Solution of a square nonsingular system."""
-    aug = [_cleared(list(row) + [bv])[0] for row, bv in zip(a, b)]
+    aug = [cleared(list(row) + [bv])[0] for row, bv in zip(a, b)]
     pivots = _eliminate(aug)
     if pivots != list(range(len(aug))):
         raise ZeroDivisionError("matrix is singular")

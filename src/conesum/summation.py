@@ -413,14 +413,10 @@ def converge(
         raise NotTotallyPositive("partial sums are evaluated at totally positive x0")
     forms = [
         (rep, TermForm(_oriented_generators(rep, description.module_basis)))
-        for rep in _orbit_representatives(description)
+        for rep in description.orbit_cones
     ]
-    if description.kind == "quadratic-auto":
-        units = (description.vertex_sequence.unit,)
-    else:
-        units = description.units
-    powers = UnitPowers(x0.field, units)
-    norms = [abs(u.norm()) for u in units]
+    powers = UnitPowers(x0.field, description.units)
+    norms = [abs(u.norm()) for u in description.units]
     dedupe = description.kind == "explicit"  # quadratic cones never repeat
     seen: set[frozenset] = set()
     regular = Fraction(0)  # the non-singular terms, as c with value c/sqrt(D)
@@ -455,16 +451,6 @@ def converge(
         if rows[-1].abs_error < tol:
             break
     return rows
-
-
-def _orbit_representatives(description: FanDescription) -> list[Cone]:
-    if description.kind == "quadratic-auto":
-        vs = description.vertex_sequence
-        return [
-            Cone(description.field, [vs.point(r), vs.point(r + 1)])
-            for r in range(vs.period)
-        ]
-    return list(description.orbit_cones)
 
 
 def _new_exponents(description: FanDescription, window: int) -> list[tuple[int, ...]]:

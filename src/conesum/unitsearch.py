@@ -352,9 +352,6 @@ class HullChart:
     units: tuple[FieldElement, ...]
     prec: int
 
-    def exponent_intervals(self):
-        return self.exponents
-
 
 def _chart_point(x: FieldElement, omitted: int, prec: int):
     field = x.field

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conesum.errors import NotACycle, NotTopDegree
+from conesum.errors import (
+    DegreeMismatch,
+    DependentTuple,
+    MixedExponents,
+    NotACycle,
+    NotTopDegree,
+)
 from conesum.field import make_field
 from conesum.geometry import ProjPolyhedron
 from conesum.cycles import (
@@ -18,6 +24,7 @@ from conesum.cycles import (
     dual_point_function,
     duality_check,
     is_cycle,
+    orthogonal_point,
     simplex_cycle,
 )
 
@@ -367,6 +374,41 @@ class TestDualityTheorem:
                 c[i] = s
                 octa.append(F.element(c))
         assert duality_check(ProjPolyhedron.from_points(F, octa))
+
+
+class TestTypedErrors:
+    """Bad input that a library caller can pass raises a ConesumError, also
+    under python -O."""
+
+    def test_adding_mixed_degrees(self):
+        F = make_field(CUBIC)
+        a, b, c = F.element([1, 0, 0]), F.element([0, 1, 0]), F.element([0, 0, 1])
+        with pytest.raises(DegreeMismatch):
+            simplex_cycle(F, [a, b]) + simplex_cycle(F, [a, b, c])
+
+    def test_simplex_on_one_point(self):
+        F = make_field(CUBIC)
+        with pytest.raises(DegreeMismatch):
+            simplex_cycle(F, [F.element([1, 0, 0])])
+
+    def test_cpd_extend_wrong_arity(self):
+        F = make_field(CUBIC)
+        z = simplex_cycle(F, [F.element([1, 0, 0]), F.element([0, 1, 0])])
+        with pytest.raises(DegreeMismatch):
+            cpd_extend(dual_point_function(F), z)
+
+    @pytest.mark.parametrize("orientation", [5, 0, -2])
+    def test_boundary_cycle_orientation(self, orientation):
+        F = make_field(QUADRATIC)
+        K = ProjPolyhedron.from_points(F, [F.element([1, 0]), F.element([1, 1])])
+        with pytest.raises(MixedExponents):
+            boundary_cycle(K, orientation=orientation)
+
+    def test_orthogonal_point_of_dependent_points(self):
+        F = make_field(CUBIC)
+        a = F.element([1, 2, 0])
+        with pytest.raises(DependentTuple):
+            orthogonal_point(F, [a, a * 3])
 
 
 class TestSerialization:

@@ -363,6 +363,19 @@ class TestStarLink:
         with pytest.raises(ConeNotInFan):
             tf.star(Cone(F, [F.element([7, 1])]))
 
+    def test_diagonal_of_a_square_cone_is_not_in_fan(self):
+        # the two diagonal rays lie on one top cone, but span no face of it
+        F = make_field([1, -2, -1, 1])
+        a, b, c, d = (F.element(v) for v in ([1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]))
+        square = Cone(F, [a, b, c, d])
+        basis = (F.one, F.theta, F.theta**2)
+        desc = FanDescription(kind="explicit", module_basis=basis, units=(), orbit_cones=(square,))
+        tf = truncate(desc, 0)
+        edge = Cone(F, [a, b])
+        assert {t.key() for t in tf.star(edge)} == {edge.key(), square.key()}
+        with pytest.raises(ConeNotInFan):
+            tf.star(Cone(F, [a, c]))
+
 
 class TestSingularCones:
     def test_generic_interior_point(self):

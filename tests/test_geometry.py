@@ -1,7 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conesum import linalg
 
 from conesum.errors import (
     DegenerateVertex,
@@ -304,3 +309,156 @@ class TestPrimitiveGenerator:
             # p lies on the same ray as the input
             ratio = solve_in_basis([ray], p)
             assert ratio is not None and ratio[0] > 0
+
+
+# ---------------------------------------------------------------------------
+# the facet and ray enumeration against the brute-force loops it replaced
+
+
+def reference_facet_data(cone):
+    """Per (m-1)-subset of generators: rebuild its pairing rows, keep a
+    1-dimensional kernel whose normal has one sign on every generator."""
+    F, gens, m = cone.field, cone.generators, cone.dim
+    if m < 2:
+        return []
+    span_basis = cone.span.basis_elements()
+    found = {}
+    for subset in itertools.combinations(range(len(gens)), m - 1):
+        rows = [tuple(trace_pairing(b, gens[i]) for b in span_basis) for i in subset]
+        ker = linalg.kernel(rows)
+        if len(ker) != 1:
+            continue
+        normal = F.zero
+        for c, b in zip(ker[0], span_basis):
+            normal = normal + b * c
+        values = [trace_pairing(normal, g) for g in gens]
+        if all(v >= 0 for v in values):
+            pass
+        elif all(v <= 0 for v in values):
+            normal, values = -normal, [-v for v in values]
+        else:
+            continue
+        tight = tuple(i for i, v in enumerate(values) if v == 0)
+        found.setdefault(normal.ray_key(), (F.element(normal.ray_key()), tight))
+    return [found[k] for k in sorted(found)]
+
+
+def reference_rays(constraints, m):
+    """Canonical extreme rays of {u : C u >= 0}, with the tight-rank check."""
+    if m == 0 or not constraints:
+        return []
+    found = set()
+    for subset in itertools.combinations(range(len(constraints)), m - 1):
+        rows = [constraints[i] for i in subset] or [(Fraction(0),) * m]
+        ker = linalg.kernel(rows)
+        if len(ker) != 1:
+            continue
+        ray = ker[0]
+        values = [sum(c * r for c, r in zip(con, ray)) for con in constraints]
+        if all(v >= 0 for v in values):
+            pass
+        elif all(v <= 0 for v in values):
+            ray, values = tuple(-r for r in ray), [-v for v in values]
+        else:
+            continue
+        tight = [constraints[i] for i, v in enumerate(values) if v == 0]
+        if linalg.rank(tight) != m - 1:
+            continue
+        lead = next(abs(r) for r in ray if r != 0)
+        found.add(tuple(r / lead for r in ray))
+    return sorted(found)
+
+
+def reference_intersection(a, b):
+    F = a.field
+    span = a.span.intersection(b.span)
+    if span.dim == 0:
+        return None
+    if a.dim == 1:
+        return Cone(F, [a.generators[0]]) if b.contains(a.generators[0]) else None
+    if b.dim == 1:
+        return reference_intersection(b, a)
+    basis = span.basis_elements()
+    normals = [n for n, _ in reference_facet_data(a) + reference_facet_data(b)]
+    constraints = [tuple(trace_pairing(n, e) for e in basis) for n in normals]
+    points = []
+    for ray in reference_rays(constraints, span.dim):
+        total = F.zero
+        for c, e in zip(ray, basis):
+            total = total + e * c
+        points.append(total)
+    return Cone(F, points) if points else None
+
+
+FIELDS = [QUADRATIC, CUBIC, QUARTIC]
+
+
+@st.composite
+def generator_sets(draw, poly=None):
+    """Up to degree + 2 nonzero generators with small coordinates, mostly
+    nonnegative, so the cones are usually salient and often overlap."""
+    F = make_field(poly or draw(st.sampled_from(FIELDS)))
+    n = F.degree
+    vec = st.lists(st.integers(-1, 3), min_size=n, max_size=n).filter(any)
+    return F, [F.element(v) for v in draw(st.lists(vec, min_size=1, max_size=n + 2))]
+
+
+class TestAgainstReferenceLoops:
+    @settings(max_examples=80, deadline=None)
+    @given(generator_sets())
+    def test_facet_data_matches(self, case):
+        F, gens = case
+        cone = Cone(F, gens)
+        assert cone._facet_data == reference_facet_data(cone)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FIELDS).flatmap(
+        lambda poly: st.tuples(generator_sets(poly), generator_sets(poly))
+    ))
+    def test_intersection_matches(self, cases):
+        (F, ga), (_, gb) = cases
+        a, b = Cone(F, ga), Cone(F, gb)
+        meet, expected = a.intersection(b), reference_intersection(a, b)
+        assert (meet is None) == (expected is None)
+        if meet is not None:
+            assert meet.key() == expected.key()
+
+
+@st.composite
+def subspace_and_vector(draw):
+    """A span of up to degree rows and a vector: a rational combination of
+    the rows, or a free vector."""
+    F = make_field(draw(st.sampled_from(FIELDS)))
+    n = F.degree
+    coord = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    rows = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=0, max_size=n))
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(coord, min_size=len(rows), max_size=len(rows)))
+        v = [sum((c * r[i] for c, r in zip(coeffs, rows)), Fraction(0)) for i in range(n)]
+    else:
+        v = draw(st.lists(coord, min_size=n, max_size=n))
+    return LinearSubspace(F, rows), tuple(v)
+
+
+class TestCoordinates:
+    @settings(max_examples=200, deadline=None)
+    @given(subspace_and_vector())
+    def test_coordinates_match_solve_and_rank(self, case):
+        S, v = case
+        c = S.coordinates(v)
+        inside = linalg.rank(list(S.basis) + [v]) == S.dim
+        assert (c is not None) == inside
+        if S.dim:
+            # the basis rows are independent, so a solution is unique
+            assert c == linalg.solve([tuple(b[i] for b in S.basis) for i in range(len(v))], v)
+        if inside:
+            assert S.point(c).coords == v
+            assert S.contains(S.field.element(v))
+
+    @settings(max_examples=100, deadline=None)
+    @given(subspace_and_vector(), st.data())
+    def test_contains_subspace_matches_rank(self, case, data):
+        S, v = case
+        k = data.draw(st.integers(0, S.dim))
+        T = LinearSubspace(S.field, list(S.basis[:k]) + [v])
+        assert S.contains_subspace(T) == (linalg.rank(list(S.basis) + list(T.basis)) == S.dim)
