@@ -1,7 +1,7 @@
-"""Layer microbenchmarks, the L-value enumerator and two in-process commands,
-merged into a BENCH file.
+"""Layer microbenchmarks, the L-value enumerator, two in-process commands and
+a cold import, merged into a BENCH file.
 
-    python bench/layers.py --src src --label change --out BENCH_10.json
+    python bench/layers.py --src src --label change --out BENCH_11.json
 
 ``--src`` names the ``src`` directory that ``conesum`` is imported from, so
 the same script can measure a checkout of another commit.  Each case is
@@ -14,7 +14,10 @@ output file; the runs already there are kept, and when both ``parent`` and
 
 The commands are timed as a fresh process would run them after set-up: the
 field cache and the hull-chart cache are emptied and the configuration is
-loaded again before every call, and only the command itself is timed.
+loaded again before every call, and only the command itself is timed.  The
+cold import runs ``import conesum.cli`` in a new interpreter REPEATS times,
+after one run that writes the bytecode cache, and reports the wall time of
+the whole process.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -131,6 +135,62 @@ def polyhedral_cases() -> dict:
     }
 
 
+def unitsearch_cases() -> dict:
+    """The hull chart and its vertex certificate on the cubic field at
+    window 3 with the chart cache emptied, the interval log of a point at the
+    first and last precision of the schedule, and the error of one converge
+    row whose error cancels below 1e-30."""
+    from conesum import config, summation, unitsearch
+    from conesum.field import ScaledRational
+
+    units = config.load_config(str(ROOT / "configs/cubic49.json")).module.units
+    cand = unitsearch.search_admissible(units, Fraction(13, 10), Fraction(5, 2), 4)
+
+    def chart_and_vertices():
+        unitsearch._chart_cache.clear()
+        return unitsearch.verify_vertices(unitsearch.hull_chart(cand, (0, 1), 3))
+
+    cases = {"unitsearch.hull_chart_verify.cubic49.w3": chart_and_vertices}
+    for prec in (64, 1024):
+        m = (3 << prec) // 7  # a point near 3/7 with prec bits
+        if hasattr(unitsearch, "Interval"):
+            iv = unitsearch.Interval(m, m, -prec, prec + unitsearch.GUARD_BITS)
+            cases[f"unitsearch.log.{prec}"] = lambda iv=iv: iv.log()
+        else:  # mpmath intervals, before the dyadic ones
+            import mpmath
+
+            def mp_log(prec=prec, m=m):
+                with unitsearch._iv_precision(prec):
+                    return mpmath.iv.log(mpmath.iv.mpf(m) / 2**prec)
+
+            cases[f"unitsearch.log.{prec}"] = mp_log
+    value = ScaledRational(
+        Fraction(6921524866628675854881021986016, 11772407243860061574569575541873), -1, 28
+    )
+    cases["summation.abs_error.sqrt7"] = lambda: summation._abs_error(value, Fraction(1, 9))
+    return cases
+
+
+def cold_import(src: Path) -> dict:
+    """Wall time of a new interpreter running ``import conesum.cli``, with
+    bytecode caching on as in an installed package."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    samples = []
+    for _ in range(REPEATS + 1):  # the first run warms the file cache
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import conesum.cli"], env=env, check=True)
+        samples.append(time.perf_counter() - start)
+    samples = samples[1:]
+    return {
+        "median_s": statistics.median(samples),
+        "min_s": min(samples),
+        "max_s": max(samples),
+        "loops": 1,
+        "repeats": REPEATS,
+    }
+
+
 def lvalue_cases() -> dict:
     """The L-value enumerator on the Q(sqrt 3) module at the three shipped
     (s, cutoff) points, and its row stage alone at the largest cutoff."""
@@ -193,9 +253,14 @@ def main(argv=None) -> int:
     run = {
         "layers": {
             name: timed(fn)
-            for name, fn in {**layer_cases(), **polyhedral_cases(), **lvalue_cases()}.items()
+            for name, fn in {
+                **layer_cases(),
+                **polyhedral_cases(),
+                **unitsearch_cases(),
+                **lvalue_cases(),
+            }.items()
         },
-        "commands": command_cases(),
+        "commands": {**command_cases(), "import.conesum.cli": cold_import(src)},
         "src_lines": line_counts(src),
     }
 

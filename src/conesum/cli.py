@@ -398,7 +398,7 @@ def cmd_unitsearch(config: RunConfig, args, out=None) -> int:
             {
                 "index_set": [i + 1 for i in chart.index_set],
                 "omitted_place": chart.omitted + 1,
-                "exponent_intervals": [[lo, hi] for lo, hi in chart.exponents],
+                "exponent_intervals": [[float(lo), float(hi)] for lo, hi in chart.exponents],
                 "points": len(chart.points),
                 "vertices_certified": ok,
             }

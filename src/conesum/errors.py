@@ -49,7 +49,12 @@ class MixedExponents(ConesumError):
 
 
 class DegreeMismatch(ConesumError):
-    """A coordinate vector, tuple or place set not fitting its field's degree."""
+    """A coordinate vector, tuple or place set not fitting its field's degree,
+    or a determinant asked of a matrix that is not square."""
+
+
+class EmptyInterval(ConesumError):
+    """A rational interval whose lower end exceeds its upper end."""
 
 
 # -- geometry -----------------------------------------------------------------
@@ -140,6 +145,10 @@ class SingularMatrix(ConesumError):
 
 class PrecisionExhausted(ConesumError):
     pass
+
+
+class NonPositiveInput(ConesumError, ValueError):
+    """Convexity-check exponents or grid points not all positive, or of the wrong length."""
 
 
 class WindowTooSmall(ConesumError):

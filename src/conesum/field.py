@@ -23,6 +23,7 @@ from . import linalg
 from .errors import (
     DegenerateRoots,
     DegreeMismatch,
+    EmptyInterval,
     MixedExponents,
     NotAUnit,
     NotIrreducible,
@@ -49,7 +50,8 @@ class RatInterval:
     hi: Fraction
 
     def __post_init__(self):
-        assert self.lo <= self.hi
+        if self.lo > self.hi:
+            raise EmptyInterval(f"[{self.lo}, {self.hi}] has lo > hi")
 
     @property
     def width(self) -> Fraction:
@@ -255,6 +257,29 @@ def _exact_isqrt(d: int) -> int | None:
     return r if r * r == d else None
 
 
+def surd_float(a: Fraction, c: Fraction, disc: int) -> float:
+    """a + c sqrt(disc), correctly rounded to the nearest float.
+
+    c sqrt(disc) is bracketed between neighbours of the 2^-k grid by an
+    integer square root, and k doubles until both ends of the bracket round
+    to the same float.  An irrational value is never a rounding tie, so the
+    loop ends."""
+    if c == 0:
+        return float(a)
+    square, den2 = c.numerator**2 * disc, c.denominator**2
+    k = 64
+    while True:
+        scaled = square << 2 * k
+        root = math.isqrt(scaled // den2)
+        on_grid = root * root * den2 == scaled  # c sqrt(disc) = root / 2^k
+        lo, hi = Fraction(root, 1 << k), Fraction(root + (not on_grid), 1 << k)
+        if c < 0:
+            lo, hi = -hi, -lo
+        if float(a + lo) == float(a + hi):
+            return float(a + lo)
+        k *= 2
+
+
 @dataclass(frozen=True)
 class ScaledRational:
     """Exact value q * sqrt(D)^e with rational q and e in {-1, 0, 1}.
@@ -289,7 +314,7 @@ class ScaledRational:
     def rational(cls, q, disc: int) -> "ScaledRational":
         return cls(Fraction(q), 0, disc)
 
-    def _parts(self) -> tuple[Fraction, Fraction]:
+    def parts(self) -> tuple[Fraction, Fraction]:
         """(rational part, coefficient of sqrt(D))."""
         if self.e == 0:
             return self.q, _ZERO
@@ -302,15 +327,15 @@ class ScaledRational:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScaledRational):
             return NotImplemented
-        a0, a1 = self._parts()
-        b0, b1 = other._parts()
+        a0, a1 = self.parts()
+        b0, b1 = other.parts()
         if a1 != 0 or b1 != 0:
             if self.disc != other.disc:
                 return False
         return (a0, a1) == (b0, b1)
 
     def __hash__(self):
-        r, c = self._parts()
+        r, c = self.parts()
         return hash((r, c, self.disc if c != 0 else 0))
 
     def __neg__(self) -> "ScaledRational":
@@ -389,7 +414,7 @@ class ScaledRational:
             return +val
 
     def __float__(self) -> float:
-        return float(self.to_mpf(64))
+        return surd_float(*self.parts(), self.disc)
 
     def exact_str(self) -> str:
         if self.e == 0:

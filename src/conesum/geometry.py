@@ -368,7 +368,7 @@ class ProjPolyhedron:
 
     def _chart_rep(self, v: FieldElement, c: FieldElement) -> FieldElement:
         t = trace_pairing(c, v)
-        assert t > 0
+        assert t > 0  # internal invariant: c pairs positively with every vertex ray
         return v / t
 
     def neighbors(self, v: FieldElement) -> list[FieldElement]:
@@ -401,7 +401,7 @@ class ProjPolyhedron:
             raise DegenerateVertex("no separating normal inside the span")
         normal = normal_rows.basis_elements()[0]
         side_v = trace_pairing(normal, v)
-        assert side_v != 0
+        assert side_v != 0  # internal invariant: H.contains(v) was ruled out above
         for w in self.vertices:
             if w.ray_key() == v.ray_key():
                 continue

@@ -16,6 +16,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import DegreeMismatch
+
 Row = tuple[Fraction, ...]
 Matrix = list[Row]
 
@@ -94,7 +96,8 @@ def det(rows: Iterable[Sequence]) -> Fraction:
         m.append(ints)
         scale *= d
     n = len(m)
-    assert all(len(row) == n for row in m), "determinant needs a square matrix"
+    if any(len(row) != n for row in m):
+        raise DegreeMismatch("determinant needs a square matrix")
     sign, prev = 1, 1
     for k in range(n):
         pivot = next((i for i in range(k, n) if m[i][k]), None)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
-
 from . import linalg
 from .cycles import (
     Cycle,
@@ -41,6 +39,7 @@ from .field import (
     coord_det,
     det_scaled,
     is_totally_positive,
+    surd_float,
     trace_pairing,
 )
 from .geometry import Cone, ProjPolyhedron, primitive_generator
@@ -281,11 +280,10 @@ def _row(window: int, total: ScaledRational, x0: FieldElement) -> ConvergenceRow
     )
 
 
-def _abs_error(value: ScaledRational, target: Fraction, prec_bits: int = 128) -> float:
-    with mpmath.workprec(prec_bits):
-        v = value.to_mpf(prec_bits)
-        t = mpmath.mpf(target.numerator) / target.denominator
-        return float(abs(v - t))
+def _abs_error(value: ScaledRational, target: Fraction) -> float:
+    """|value - target|, correctly rounded."""
+    rational, coef = value.parts()
+    return abs(surd_float(rational - target, coef, value.disc))
 
 
 def sum_via_dual_cycle(

@@ -10,17 +10,16 @@ polynomial.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
-
-import mpmath
 
 from .errors import (
     DegreeMismatch,
     DegreeTooSmall,
     InvalidBounds,
+    NonPositiveInput,
     PrecisionExhausted,
     SingularMatrix,
     WindowTooSmall,
@@ -35,33 +34,151 @@ from .field import (
 )
 
 PREC_SCHEDULE = (64, 128, 256, 512, 1024)
+# mantissa bits of the intervals beyond the embedding precision
+GUARD_BITS = 16
 
 
-@contextmanager
-def _iv_precision(prec: int):
-    """Run a block at mpmath.iv precision prec and restore the caller's;
-    mpmath.iv has no workprec."""
-    saved = mpmath.iv.prec
-    mpmath.iv.prec = prec
-    try:
-        yield
-    finally:
-        mpmath.iv.prec = saved
+# ---------------------------------------------------------------------------
+# dyadic intervals
 
 
-def _iv_from_fraction(q: Fraction):
-    return mpmath.iv.mpf(q.numerator) / q.denominator
+class Interval:
+    """Closed interval [lo 2^exp, hi 2^exp] with integer mantissas of about
+    prec bits.  Every operation rounds its result outward to the larger
+    operand precision, so it encloses the exact result on any points of the
+    operands; ints and Fractions mix in rounded outward.  The precision
+    travels with the value: no global state is read."""
+
+    __slots__ = ("lo", "hi", "exp", "prec")
+
+    def __init__(self, lo: int, hi: int, exp: int, prec: int):
+        shift = max(lo.bit_length(), hi.bit_length()) - prec
+        if shift > 0:
+            lo, hi, exp = lo >> shift, -(-hi >> shift), exp + shift
+        self.lo, self.hi, self.exp, self.prec = lo, hi, exp, prec
+
+    @classmethod
+    def of(cls, lo, hi, prec: int) -> "Interval":
+        """The rational interval [lo, hi], rounded outward to prec bits."""
+        lo, hi = Fraction(lo), Fraction(hi)
+        big = max(abs(lo), abs(hi))
+        s = prec + big.denominator.bit_length() - big.numerator.bit_length()
+        up, down = max(s, 0), max(-s, 0)  # scale by 2^s
+        return cls((lo.numerator << up) // (lo.denominator << down),
+                   -((-hi.numerator << up) // (hi.denominator << down)), -s, prec)
+
+    def _coerce(self, other) -> "Interval":
+        return other if isinstance(other, Interval) else Interval.of(other, other, self.prec)
+
+    def endpoints(self) -> tuple[Fraction, Fraction]:
+        scale = Fraction(2) ** self.exp
+        return self.lo * scale, self.hi * scale
+
+    def __contains__(self, value) -> bool:
+        lo, hi = self.endpoints()
+        return lo <= value <= hi
+
+    def __add__(self, other) -> "Interval":
+        other = self._coerce(other)
+        exp = min(self.exp, other.exp)
+        a, b = self.exp - exp, other.exp - exp
+        return Interval((self.lo << a) + (other.lo << b), (self.hi << a) + (other.hi << b),
+                        exp, max(self.prec, other.prec))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Interval":
+        return Interval(-self.hi, -self.lo, self.exp, self.prec)
+
+    def __sub__(self, other) -> "Interval":
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other) -> "Interval":
+        return -self + other
+
+    def __mul__(self, other) -> "Interval":
+        other = self._coerce(other)
+        products = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+        return Interval(min(products), max(products), self.exp + other.exp,
+                        max(self.prec, other.prec))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Interval":
+        if isinstance(other, Interval):
+            a, b, c, d = self.lo, self.hi, other.lo, other.hi
+            exp, prec = self.exp - other.exp, max(self.prec, other.prec)
+        else:  # a rational n/m: multiply by m, divide by n
+            q = Fraction(other)
+            a, b = self.lo * q.denominator, self.hi * q.denominator
+            c = d = q.numerator
+            exp, prec = self.exp, self.prec
+        if c <= 0 <= d:
+            raise PrecisionExhausted("divisor interval contains zero")
+        # shift the dividend so that every quotient has more than prec bits
+        s = max(0, prec + 2 + max(c.bit_length(), d.bit_length())
+                - max(a.bit_length(), b.bit_length()))
+        pairs = [(x << s, y) for x in (a, b) for y in (c, d)]
+        return Interval(min(x // y for x, y in pairs), max(-(-x // y) for x, y in pairs),
+                        exp - s, prec)
+
+    def log(self) -> "Interval":
+        """Natural log, from the bounds of log lo: concavity gives
+        log hi <= log lo + (hi - lo)/lo."""
+        if self.lo <= 0:
+            raise PrecisionExhausted("log of an interval not certified positive")
+        k = abs(self.exp + self.lo.bit_length())
+        w = self.prec + GUARD_BITS + k.bit_length()
+        lo, hi = _log_fixed(self.lo, self.exp, w)
+        return Interval(lo, hi - (-(self.hi - self.lo << w) // self.lo), -w, self.prec)
 
 
-def _embedding_iv(x: FieldElement, place: int, prec: int):
-    """Certified mpmath interval for one real embedding."""
+def _atanh_fixed(p: int, q: int, w: int) -> tuple[int, int]:
+    """(s, err) with s <= 2^w atanh(p/q) <= s + err, for 0 <= 3p <= q.
+
+    Every step floors, so each power of x and each term falls short of its
+    exact value: a power by less than 7/4 units (p/q <= 1/3 shrinks the
+    carried error by 9 per step), a term by less than 11/4.  The series
+    stops at the first power that reaches 0, and the terms from there on sum
+    to less than 2, so J terms are short by less than 3J + 2."""
+    x = (p << w) // q
+    x2 = x * x >> w
+    s, j, power = 0, 0, x
+    while power:
+        s += power // (2 * j + 1)
+        power = power * x2 >> w
+        j += 1
+    return s, 3 * j + 2
+
+
+@lru_cache(maxsize=64)
+def _ln2_fixed(w: int) -> tuple[int, int]:
+    """(s, err) with s <= 2^w ln 2 <= s + err; ln 2 = 2 atanh(1/3)."""
+    s, err = _atanh_fixed(1, 3, w)
+    return 2 * s, 2 * err
+
+
+def _log_fixed(m: int, e: int, w: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^w log(m 2^e) <= hi for m > 0.
+
+    With m 2^e = 2^k a/b and a/b = m / 2^bitlen(m) in [1/2, 1),
+    log = k ln 2 - 2 atanh((b - a)/(b + a)), and the atanh argument is at
+    most 1/3."""
+    n = m.bit_length()
+    k, b = e + n, 1 << n
+    s, err = _atanh_fixed(b - m, b + m, w)
+    ln2, ln2_err = _ln2_fixed(w)
+    k_lo, k_hi = sorted((k * ln2, k * (ln2 + ln2_err)))
+    return k_lo - 2 * (s + err), k_hi - 2 * s
+
+
+def _embedding_iv(x: FieldElement, place: int, prec: int) -> Interval:
+    """Certified interval for one real embedding."""
     riv = x.field.embed_at(x, place, prec)
-    lo = _iv_from_fraction(riv.lo)
-    hi = _iv_from_fraction(riv.hi)
-    return mpmath.iv.mpf([lo.a, hi.b])
+    return Interval.of(riv.lo, riv.hi, prec + GUARD_BITS)
 
 
-def _embedding_iv_positive(x: FieldElement, place: int, prec: int):
+def _embedding_iv_positive(x: FieldElement, place: int, prec: int) -> Interval:
     """Interval for a positive embedding with certified relative width.
 
     Needed wherever logs or quotients of values with a huge dynamic range
@@ -70,9 +187,7 @@ def _embedding_iv_positive(x: FieldElement, place: int, prec: int):
     while True:
         riv = x.field.embed_at(x, place, k)
         if riv.lo > 0 and riv.width * 2**prec <= riv.lo:
-            lo = _iv_from_fraction(riv.lo)
-            hi = _iv_from_fraction(riv.hi)
-            return mpmath.iv.mpf([lo.a, hi.b])
+            return Interval.of(riv.lo, riv.hi, prec + GUARD_BITS)
         if riv.hi < 0:
             raise PrecisionExhausted("expected a positive embedding")
         k *= 2
@@ -80,14 +195,10 @@ def _embedding_iv_positive(x: FieldElement, place: int, prec: int):
             raise PrecisionExhausted("relative refinement exhausted")
 
 
-def _log_embedding_iv(x: FieldElement, place: int, prec: int):
-    return mpmath.iv.log(_embedding_iv(x, place, prec))
-
-
-def _iv_sign(iv) -> int | None:
-    if iv.a > 0:
+def _iv_sign(iv: Interval) -> int | None:
+    if iv.lo > 0:
         return 1
-    if iv.b < 0:
+    if iv.hi < 0:
         return -1
     return None
 
@@ -105,7 +216,7 @@ class LogLattice:
 
     def log_vector(self, exponents: Sequence[int], prec: int):
         eps = UnitPowers(self.field, self.units.generators)(exponents)
-        return [_log_embedding_iv(eps, i, prec) for i in range(self.field.degree)]
+        return [_embedding_iv(eps, i, prec).log() for i in range(self.field.degree)]
 
     def regulator_nonzero(self) -> bool:
         """Certify that the generator log vectors are linearly independent
@@ -113,21 +224,20 @@ class LogLattice:
         gens = self.units.generators
         r = len(gens)
         for prec in PREC_SCHEDULE:
-            with mpmath.workprec(prec), _iv_precision(prec):
-                rows = [
-                    [_log_embedding_iv(g, p, prec) for p in range(r)] for g in gens
-                ]
-                det = _iv_det(rows)
-                if _iv_sign(det) is not None:
-                    return True
+            try:
+                rows = [[_embedding_iv(g, p, prec).log() for p in range(r)] for g in gens]
+            except PrecisionExhausted:
+                continue
+            if _iv_sign(_iv_det(rows)) is not None:
+                return True
         raise PrecisionExhausted("cannot certify a nonzero regulator")
 
 
-def _iv_det(rows):
+def _iv_det(rows) -> Interval:
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    total = mpmath.iv.mpf(0)
+    total = 0
     for j in range(n):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         term = rows[0][j] * _iv_det(minor)
@@ -346,22 +456,17 @@ class HullChart:
 
     index_set: tuple[int, ...]  # places kept (0-indexed)
     omitted: int
-    exponents: tuple[tuple[float, float], ...]  # certified (lo, hi) per a_i
+    exponents: tuple[tuple[Fraction, Fraction], ...]  # certified (lo, hi) per a_i
     window: int
-    points: dict[tuple[int, ...], tuple]  # exponent vector -> interval coords
+    points: dict[tuple[int, ...], tuple[Interval, ...]]  # exponent vector -> coords
     units: tuple[FieldElement, ...]
     prec: int
 
 
-def _chart_point(x: FieldElement, omitted: int, prec: int):
-    field = x.field
-    n = field.degree
+def _chart_point(x: FieldElement, omitted: int, prec: int) -> tuple[Interval, ...]:
     denom = _embedding_iv_positive(x, omitted, prec)
-    return tuple(
-        _embedding_iv_positive(x, p, prec) / denom
-        for p in range(n)
-        if p != omitted
-    )
+    places = (p for p in range(x.field.degree) if p != omitted)
+    return tuple(_embedding_iv_positive(x, p, prec) / denom for p in places)
 
 
 def _iv_solve(rows, rhs):
@@ -369,11 +474,7 @@ def _iv_solve(rows, rhs):
     m = [list(r) + [v] for r, v in zip(rows, rhs)]
     size = len(m)
     for c in range(size):
-        pivot = None
-        for i in range(c, size):
-            if _iv_sign(m[i][c]) is not None:
-                pivot = i
-                break
+        pivot = next((i for i in range(c, size) if _iv_sign(m[i][c]) is not None), None)
         if pivot is None:
             raise SingularMatrix("interval pivot contains zero")
         m[c], m[pivot] = m[pivot], m[c]
@@ -414,50 +515,37 @@ def hull_chart(
     last_exc: Exception | None = None
     for prec in PREC_SCHEDULE:
         try:
-            with _iv_precision(prec):
-                # row p, column q: log of the chart coordinate p of eps_q; the
-                # positive normalization of the boundary exponents needs the
-                # omitted-place log first in the difference
-                places = [p for p in range(n) if p != j]
-                rows = []
-                for p in places:
-                    row = []
-                    for q in I:
-                        row.append(
-                            _log_embedding_iv(units[q], j, prec)
-                            - _log_embedding_iv(units[q], p, prec)
-                        )
-                    rows.append(row)
-                ones = [mpmath.iv.mpf(1)] * (n - 1)
-                # solve a E = (1,...,1): transpose the system
-                a_vec = _iv_solve([list(col) for col in zip(*rows)], ones)
-                if not all(_iv_sign(ai) == 1 for ai in a_vec):
-                    raise PrecisionExhausted("exponents not certified positive")
+            # row q, column p: log of the chart coordinate p of eps_q; the
+            # positive normalization of the boundary exponents needs the
+            # omitted-place log first in the difference
+            logs = [[_embedding_iv(units[q], p, prec).log() for p in range(n)] for q in I]
+            rows = [[row[j] - row[p] for p in range(n) if p != j] for row in logs]
+            # the exponents solve sum_p a_p rows[q][p] = 1 for every q
+            a_vec = _iv_solve(rows, [1] * (n - 1))
+            if not all(_iv_sign(ai) == 1 for ai in a_vec):
+                raise PrecisionExhausted("exponents not certified positive")
 
-                points = {exp: _chart_point(x, j, prec) for exp, x in exact.items()}
+            points = {exp: _chart_point(x, j, prec) for exp, x in exact.items()}
 
-                # every charted point lies on the boundary surface
-                for exp, z in points.items():
-                    total = mpmath.iv.mpf(0)
-                    for ai, zi in zip(a_vec, z):
-                        total = total + ai * mpmath.iv.log(zi)
-                    if 0 not in total:
-                        raise PrecisionExhausted(
-                            f"charted point {exp} is off the boundary surface"
-                        )
-                chart = HullChart(
-                    index_set=I,
-                    omitted=j,
-                    exponents=tuple((float(ai.a), float(ai.b)) for ai in a_vec),
-                    window=window,
-                    points=points,
-                    units=tuple(units),
-                    prec=prec,
-                )
-                if len(_chart_cache) >= _CHART_CACHE_SIZE:
-                    del _chart_cache[next(iter(_chart_cache))]
-                _chart_cache[cache_key] = chart
-                return chart
+            # every charted point lies on the boundary surface
+            for exp, z in points.items():
+                if 0 not in _log_form(a_vec, z):
+                    raise PrecisionExhausted(
+                        f"charted point {exp} is off the boundary surface"
+                    )
+            chart = HullChart(
+                index_set=I,
+                omitted=j,
+                exponents=tuple(ai.endpoints() for ai in a_vec),
+                window=window,
+                points=points,
+                units=tuple(units),
+                prec=prec,
+            )
+            if len(_chart_cache) >= _CHART_CACHE_SIZE:
+                del _chart_cache[next(iter(_chart_cache))]
+            _chart_cache[cache_key] = chart
+            return chart
         except (PrecisionExhausted, SingularMatrix) as exc:
             last_exc = exc
             continue
@@ -466,13 +554,19 @@ def hull_chart(
     raise PrecisionExhausted(f"hull chart failed at all precisions: {last_exc}")
 
 
+def _log_form(a_vec, z) -> Interval:
+    """sum a_i log z_i, the boundary surface's defining form."""
+    return sum(ai * zi.log() for ai, zi in zip(a_vec, z))
+
+
+def _exponent_ivs(chart: HullChart) -> list[Interval]:
+    return [Interval.of(lo, hi, chart.prec + GUARD_BITS) for lo, hi in chart.exponents]
+
+
 def _zero_sum_exponents(r: int, window: int):
     """Exponent vectors with entries in [-window, window] summing to zero."""
-    out = []
-    for exp in itertools.product(range(-window, window + 1), repeat=r):
-        if sum(exp) == 0:
-            out.append(exp)
-    return sorted(out)
+    box = itertools.product(range(-window, window + 1), repeat=r)
+    return sorted(exp for exp in box if sum(exp) == 0)
 
 
 def verify_vertices(chart: HullChart) -> bool:
@@ -482,31 +576,24 @@ def verify_vertices(chart: HullChart) -> bool:
     The candidate functional at P is the gradient of sum a_i log z_i; the
     certificate itself is a plain linear separation, checked in intervals.
     """
-    with _iv_precision(chart.prec):
-        pts = chart.points
-        keys = sorted(pts)
-        a_vec = chart.exponents
-        for key in keys:
-            P = pts[key]
-            grad = []
-            for (alo, ahi), zi in zip(a_vec, P):
-                ai = mpmath.iv.mpf([alo, ahi])
-                grad.append(ai / zi)
-            for other in keys:
-                if other == key:
-                    continue
-                Q = pts[other]
-                total = mpmath.iv.mpf(0)
-                for g, qi, pi in zip(grad, Q, P):
-                    total = total + g * (qi - pi)
-                s = _iv_sign(total)
-                if s is None:
-                    raise PrecisionExhausted(
-                        f"cannot certify separation of {key} from {other}"
-                    )
-                if s <= 0:
-                    return False
-        return True
+    pts = chart.points
+    keys = sorted(pts)
+    a_vec = _exponent_ivs(chart)
+    for key in keys:
+        P = pts[key]
+        grad = [ai / zi for ai, zi in zip(a_vec, P)]
+        for other in keys:
+            if other == key:
+                continue
+            Q = pts[other]
+            s = _iv_sign(sum(g * (qi - pi) for g, qi, pi in zip(grad, Q, P)))
+            if s is None:
+                raise PrecisionExhausted(
+                    f"cannot certify separation of {key} from {other}"
+                )
+            if s <= 0:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -546,48 +633,44 @@ def _chart_region_contains(chart: HullChart, y: FieldElement) -> bool | None:
     the bracketing edge of the boundary polyline.  Lying strictly below the
     smooth boundary surface, or below a bracketing edge, certifies False.
     """
-    with _iv_precision(chart.prec):
-        z = _chart_point(y, chart.omitted, chart.prec)
-        keys = sorted(chart.points)
-        pts = [chart.points[k] for k in keys]
-        d = len(z)
+    z = _chart_point(y, chart.omitted, chart.prec)
+    keys = sorted(chart.points)
+    pts = [chart.points[k] for k in keys]
+    d = len(z)
 
-        # outside the smooth region that contains the hull: certified False
-        total = mpmath.iv.mpf(0)
-        for (alo, ahi), zi in zip(chart.exponents, z):
-            total = total + mpmath.iv.mpf([alo, ahi]) * mpmath.iv.log(zi)
-        if _iv_sign(total) == -1:
-            return False
+    # outside the smooth region that contains the hull: certified False
+    if _iv_sign(_log_form(_exponent_ivs(chart), z)) == -1:
+        return False
 
-        # domination of a charted point
-        for P in pts:
-            if all(_iv_sign(zi - pi) == 1 for zi, pi in zip(z, P)):
+    # domination of a charted point
+    for P in pts:
+        if all(_iv_sign(zi - pi) == 1 for zi, pi in zip(z, P)):
+            return True
+
+    if d != 2:
+        # simplex certificates only; enough for interior points near the window
+        for simplex in itertools.combinations(range(len(pts)), d + 1):
+            if _certify_in_simplex([pts[i] for i in simplex], z):
                 return True
-
-        if d != 2:
-            # simplex certificates only; enough for interior points near the window
-            for simplex in itertools.combinations(range(len(pts)), d + 1):
-                if _certify_in_simplex([pts[i] for i in simplex], z):
-                    return True
-            return None
-
-        # two-dimensional chart: consecutive charted points are consecutive
-        # lattice points, so the windowed polyline edges are true hull edges
-        order = sorted(range(len(pts)), key=lambda i: float(pts[i][0].mid))
-        pts = [pts[i] for i in order]
-        for P, Q in zip(pts, pts[1:]):
-            left = _iv_sign(z[0] - P[0])
-            right = _iv_sign(Q[0] - z[0])
-            if left is None or right is None:
-                return None
-            if left < 0 or right < 0:
-                continue  # not bracketed by this edge
-            cross = (Q[0] - P[0]) * (z[1] - P[1]) - (Q[1] - P[1]) * (z[0] - P[0])
-            s = _iv_sign(cross)
-            if s is None:
-                return None
-            return s > 0  # above the edge: inside; below: outside
         return None
+
+    # two-dimensional chart: consecutive charted points are consecutive
+    # lattice points, so the windowed polyline edges are true hull edges
+    order = sorted(range(len(pts)), key=lambda i: sum(pts[i][0].endpoints()))
+    pts = [pts[i] for i in order]
+    for P, Q in zip(pts, pts[1:]):
+        left = _iv_sign(z[0] - P[0])
+        right = _iv_sign(Q[0] - z[0])
+        if left is None or right is None:
+            return None
+        if left < 0 or right < 0:
+            continue  # not bracketed by this edge
+        cross = (Q[0] - P[0]) * (z[1] - P[1]) - (Q[1] - P[1]) * (z[0] - P[0])
+        s = _iv_sign(cross)
+        if s is None:
+            return None
+        return s > 0  # above the edge: inside; below: outside
+    return None
 
 
 def _certify_in_simplex(vertices, z) -> bool:
@@ -630,7 +713,7 @@ def convexity_check(p: Sequence[Fraction], grid: Sequence[Sequence[float]],
 
     p = [Fraction(v) for v in p]
     if any(v <= 0 for v in p):
-        raise ValueError("all exponents must be positive")
+        raise NonPositiveInput("all exponents must be positive")
     r = len(p)
     pf = np.array([float(v) for v in p])
 
@@ -639,7 +722,8 @@ def convexity_check(p: Sequence[Fraction], grid: Sequence[Sequence[float]],
 
     for z in grid:
         z = np.asarray(z, dtype=float)
-        assert len(z) == r and np.all(z > 0)
+        if len(z) != r or not np.all(z > 0):
+            raise NonPositiveInput(f"grid point {z.tolist()} is not {r} positive coordinates")
         fz = f(z)
         # analytic Hessian: f * (v v^T + diag(p_i / z_i^2)), v_i = p_i / z_i
         v = pf / z

@@ -5,6 +5,7 @@ import random
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from conesum import linalg
 from conesum.errors import (
     DegenerateRoots,
     DegreeMismatch,
+    EmptyInterval,
     MixedExponents,
     NotIrreducible,
     NotSquarefree,
@@ -38,6 +40,7 @@ from conesum.field import (
     min_poly_of,
     norm,
     root_index_at,
+    surd_float,
     trace_pairing,
 )
 
@@ -620,6 +623,30 @@ class TestScaledRational:
         with pytest.raises(DegenerateRoots):
             ScaledRational(Fraction(1), 1, disc)
 
+    @given(
+        a=st.fractions(max_denominator=10**6),
+        c=st.fractions(max_denominator=10**6),
+        disc=st.integers(min_value=2, max_value=10**6),
+        scale=st.integers(min_value=-80, max_value=80),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_surd_float_is_correctly_rounded(self, a, c, disc, scale):
+        # a near -c sqrt(D) makes the sum cancel; the reference is rounded
+        # once from 3000 bits
+        c = c * Fraction(2) ** scale
+        with mpmath.workprec(3000):
+            root = mpmath.sqrt(disc)
+            if scale % 3 == 0:  # cancel against a 60-bit rounding of c sqrt(D)
+                a = -Fraction(int(mpmath.nint(c.numerator * root * 2**60 / c.denominator)), 2**60)
+            exact = mpmath.mpf(a.numerator) / a.denominator + mpmath.mpf(c.numerator) / c.denominator * root
+            assert surd_float(a, c, disc) == float(exact)
+
+    def test_float_of_a_scaled_rational(self):
+        assert float(ScaledRational(Fraction(1, 4), 1, 12)) == math.sqrt(12) / 4
+        assert float(ScaledRational(Fraction(-3), -1, 12)) == -math.sqrt(3) / 2
+        assert float(ScaledRational(Fraction(2), 1, 49)) == 14.0
+        assert surd_float(Fraction(-3), Fraction(1), 9) == 0.0
+
     def test_exact_str(self):
         assert ScaledRational(Fraction(1, 4), 1, 12).exact_str() == "1/4√12"
         assert ScaledRational(Fraction(1, 4), -1, 12).exact_str() == "1/4/√12"
@@ -961,6 +988,11 @@ class TestIsolateRealRoots:
 class TestRatIntervalEnclosure:
     fracs = st.fractions(min_value=-60, max_value=60, max_denominator=50)
     unit = st.fractions(min_value=0, max_value=1, max_denominator=30)
+
+    def test_reversed_ends_are_a_typed_error(self):
+        # a plain check, so it also holds under python -O
+        with pytest.raises(EmptyInterval):
+            RatInterval(Fraction(1), Fraction(0))
 
     @staticmethod
     def point(iv, t):

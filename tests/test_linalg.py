@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conesum import linalg
+from conesum.errors import DegreeMismatch
 
 fracs = st.fractions(min_value=-12, max_value=12, max_denominator=7)
 
@@ -148,6 +149,14 @@ def test_integer_and_mixed_entries():
     assert linalg.rref(m) == reference_rref(m)
     assert linalg.det([]) == 1
     assert linalg.rref([]) == ([], [])
+
+
+def test_det_of_a_non_square_matrix_is_a_typed_error():
+    # a plain check, so it also holds under python -O
+    with pytest.raises(DegreeMismatch):
+        linalg.det([[1, 2]])
+    with pytest.raises(DegreeMismatch):
+        linalg.det([[1, 2], [3]])
 
 
 def test_kernel_of_a_zero_matrix_is_everything():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,7 @@ from conesum.summation import (
     dual_basis,
     dual_cocycle_value,
     evaluate_cycle,
+    _abs_error,
     hurwitz_area,
     partial_sum,
     sum_via_dual_cycle,
@@ -560,6 +562,25 @@ class TestConverge:
         rows = converge(desc, F.element([3, 1]), 3, 0.0)
         for row in rows:
             assert row.value.e == -1
+
+
+class TestAbsError:
+    def test_correctly_rounded_under_cancellation(self):
+        # row 13 of converge on Q(sqrt 7) at x0 = 4 - sqrt 7: the error is
+        # about 5e-31, of which a 128-bit subtraction keeps only 20 bits
+        value = ScaledRational(
+            Fraction(6921524866628675854881021986016, 11772407243860061574569575541873),
+            -1,
+            28,
+        )
+        target = Fraction(1, 9)
+        with mpmath.workprec(3000):
+            q = mpmath.mpf(value.q.numerator) / value.q.denominator
+            reference = float(abs(q / mpmath.sqrt(28) - mpmath.mpf(1) / 9))
+        assert _abs_error(value, target) == reference == 4.746099477841002e-31
+
+    def test_rational_value(self):
+        assert _abs_error(ScaledRational.rational(Fraction(1, 3), 12), Fraction(1, 2)) == 1 / 6
 
 
 def _window_by_window(desc, x0, n_max):

@@ -1,7 +1,8 @@
 """Checks on the program as a tool: the names the traced benchmark run
 wraps must still resolve (a deletion would break it silently), output may
-not depend on ``python -O``, importing it stays free of sympy, and field
-construction and ``converge`` stay free of numpy."""
+not depend on ``python -O``, importing it stays free of sympy, field
+construction and ``converge`` stay free of numpy, and neither they nor
+``unitsearch`` load mpmath."""
 
 import importlib
 import importlib.util
@@ -57,19 +58,27 @@ def test_field_construction_does_not_import_sympy():
 
 
 def test_field_and_converge_do_not_import_numpy():
-    # numpy is imported only by the L-value enumerator and the area oracle
+    # numpy is imported only by the L-value enumerator and the area oracle;
+    # mpmath only by reports at a requested precision (ScaledRational.to_mpf,
+    # such as the csv decimals), so neither the import, nor a json converge,
+    # nor unitsearch loads it
     probe = _python(
         "-c",
         "import contextlib, io, sys\n"
-        "import conesum\n"
+        "import conesum, conesum.config\n"
         "from conesum import cli\n"
+        "print('mpmath' in sys.modules)\n"
         "conesum.make_field([-3, 0, 1])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['converge', 'configs/sqrt3.json', '--format', 'json']),\n"
+        "             cli.main(['unitsearch', 'configs/cubic49.json'])]\n"
+        "print(codes, 'mpmath' in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['converge', 'configs/sqrt3.json'])\n"
         "print(code, 'numpy' in sys.modules)\n",
     )
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.strip() == "0 False"
+    assert probe.stdout.splitlines() == ["False", "[0, 0] False", "0 False"]
 
 
 def test_traced_lvalue_run_counts_certified_points():

@@ -4,20 +4,27 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conesum import unitsearch
 from conesum.errors import (
+    ConesumError,
     DegreeMismatch,
     DegreeTooSmall,
     InvalidBounds,
+    NonPositiveInput,
     NotAUnit,
     NotTotallyPositive,
+    PrecisionExhausted,
     UnitRankMismatch,
     WindowTooSmall,
 )
 from conesum.field import UnitGroupData, make_field
 from conesum.unitsearch import (
+    GUARD_BITS,
     AdmissibleCandidate,
+    Interval,
     LogLattice,
     check_admissible,
     check_admissible_bounds,
@@ -69,15 +76,11 @@ class TestLogLattice:
         assert LogLattice(V).regulator_nonzero()
 
     def test_log_vectors_sum_to_zero(self):
-        import mpmath
-
         _, V = cubic_units()
         lat = LogLattice(V)
         vec = lat.log_vector((1, -2), 128)
-        total = mpmath.iv.mpf(0)
-        for entry in vec:
-            total = total + entry
-        assert 0 in total
+        assert all(isinstance(entry, Interval) for entry in vec)
+        assert 0 in sum(vec)
 
     def test_empty_unit_group_is_a_rank_mismatch(self):
         with pytest.raises(UnitRankMismatch):
@@ -228,6 +231,118 @@ class TestHullChart:
         assert [key[-1] for key in unitsearch._chart_cache] == list(windows)[-bound:]
 
 
+def _mpf(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+class TestExponentIntervals:
+    def test_contain_a_high_precision_solve(self, found_candidate):
+        # sum_p a_p (log eps_q^(j) - log eps_q^(p)) = 1 for each unit q of the
+        # chart, solved at 300 bits from embeddings refined to 2^-400; the
+        # stored endpoints are exact, so the true exponent lies between them
+        units = found_candidate.units
+        F = units[0].field
+        with mpmath.workprec(300):
+            logs = [
+                [mpmath.log(_mpf(F.embed_at(u, p, 400).midpoint())) for p in range(3)]
+                for u in units
+            ]
+            for window in range(2, 6):
+                for I in itertools.combinations(range(3), 2):
+                    chart = hull_chart(found_candidate, I, window)
+                    j = chart.omitted
+                    places = [p for p in range(3) if p != j]
+                    E = mpmath.matrix(
+                        [[logs[q][j] - logs[q][p] for p in places] for q in I]
+                    )
+                    a = mpmath.lu_solve(E, mpmath.matrix([1, 1]))
+                    for (lo, hi), ai in zip(chart.exponents, a):
+                        assert _mpf(Fraction(lo)) <= ai <= _mpf(Fraction(hi)), (window, I)
+
+
+class TestIntervalArithmetic:
+    """Every operation encloses the exact result on any points of its
+    operands; log is checked against mpmath at 3000 bits."""
+
+    precs = st.sampled_from([80, 144, 272, 1040])
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+
+    @staticmethod
+    @st.composite
+    def intervals(draw, positive=False):
+        prec = draw(TestIntervalArithmetic.precs)
+        lo = draw(st.integers(min_value=1 if positive else -(2**prec), max_value=2**prec))
+        hi = lo + draw(st.integers(min_value=0, max_value=2 ** (prec // 2)))
+        return Interval(lo, hi, draw(st.integers(min_value=-400, max_value=400)), prec)
+
+    @staticmethod
+    def point(iv, t):
+        lo, hi = iv.endpoints()
+        return lo + t * (hi - lo)
+
+    @given(a=intervals(), b=intervals(), s=unit, t=unit, r=st.fractions())
+    @settings(max_examples=300, deadline=None)
+    def test_arithmetic_encloses_point_results(self, a, b, s, t, r):
+        x, y = self.point(a, s), self.point(b, t)
+        assert x in a and y in b
+        assert x + y in a + b
+        assert x - y in a - b
+        assert x * y in a * b
+        assert -x in -a
+        assert x + r in a + r and r - x in r - a and x * r in r * a
+        if b.lo > 0 or b.hi < 0:
+            assert x / y in a / b
+        else:
+            with pytest.raises(PrecisionExhausted):
+                a / b
+        if r:
+            assert x / r in a / r
+
+    @given(a=intervals(positive=True), t=unit)
+    @settings(max_examples=300, deadline=None)
+    def test_log_encloses_the_log(self, a, t):
+        x = self.point(a, t)
+        log = a.log()
+        lo, hi = log.endpoints()
+        with mpmath.workprec(3000):
+            exact = mpmath.log(_mpf(x))
+            assert _mpf(lo) <= exact <= _mpf(hi)
+
+    @given(
+        p=st.integers(min_value=0, max_value=2**1100),
+        m=st.integers(min_value=1, max_value=2**1100),
+        e=st.integers(min_value=-3000, max_value=3000),
+        w=st.integers(min_value=64, max_value=1100),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fixed_point_kernels_bound_the_exact_values(self, p, m, e, w):
+        # the kernels' own bounds in units of 2^-w, before an interval
+        # rounds them outward to its precision
+        q = 3 * p + m
+        s, err = unitsearch._atanh_fixed(p, q, w)
+        lo, hi = unitsearch._log_fixed(m, e, w)
+        with mpmath.workprec(3000):
+            assert s <= mpmath.atanh(mpmath.mpf(p) / q) * 2**w <= s + err
+            assert lo <= mpmath.log(mpmath.mpf(m) * mpmath.mpf(2) ** e) * 2**w <= hi
+
+    @pytest.mark.parametrize("prec", [80, 144, 272, 1040])
+    def test_log_of_a_point_is_tight(self, prec):
+        for m, e in ((3, 0), (2**prec - 1, -prec), (12345, 900), (1, -3000)):
+            lo, hi = Interval(m, m, e, prec).log().endpoints()
+            scale = max(1, abs(lo))
+            assert (hi - lo) / scale < Fraction(1, 2 ** (prec - 4))
+
+    def test_log_needs_a_positive_interval(self):
+        with pytest.raises(PrecisionExhausted):
+            Interval(0, 1, 0, 80).log()
+
+    def test_rationals_round_outward(self):
+        third = Interval.of(Fraction(1, 3), Fraction(1, 3), 80)
+        lo, hi = third.endpoints()
+        assert lo < Fraction(1, 3) < hi and hi - lo < Fraction(1, 2**79)
+        assert Interval.of(5, 5, 80).endpoints() == (5, 5)
+
+
 class TestVerifyVertices:
     def test_window_three(self, found_candidate):
         for I in itertools.combinations(range(3), 2):
@@ -278,31 +393,40 @@ class TestExhaustion:
 
 
 class TestIntervalPrecision:
-    """The interval code sets mpmath.iv.prec only for its own blocks."""
+    """The intervals carry their own precision: no result depends on the
+    global precision of mpmath."""
 
-    def test_prec_restored(self, found_candidate, monkeypatch):
+    @staticmethod
+    def results(cand, monkeypatch):
         F, V = cubic_units()
         monkeypatch.setattr(unitsearch, "_chart_cache", {})  # chart afresh
-        monkeypatch.setattr(mpmath.iv, "prec", 37)
-        chart = hull_chart(found_candidate, (0, 1), 3)
-        assert mpmath.iv.prec == 37
-        assert exhaustion_contains(found_candidate, 1, F.one, window=3)
-        assert mpmath.iv.prec == 37
-        assert LogLattice(V).regulator_nonzero()
-        assert mpmath.iv.prec == 37
-        assert verify_vertices(chart)
-        assert mpmath.iv.prec == 37
+        chart = hull_chart(cand, (0, 1), 3)
+        points = {k: [z.endpoints() for z in v] for k, v in chart.points.items()}
+        return (
+            chart.exponents,
+            points,
+            chart.prec,
+            verify_vertices(chart),
+            exhaustion_contains(cand, 1, F.one, window=3),
+            LogLattice(V).regulator_nonzero(),
+        )
+
+    def test_prec_restored(self, found_candidate, monkeypatch):
+        default = self.results(found_candidate, monkeypatch)
+        monkeypatch.setattr(mpmath.mp, "prec", 20)
+        monkeypatch.setattr(mpmath.iv, "prec", 20)
+        assert self.results(found_candidate, monkeypatch) == default
+        assert default[3:] == (True, True, True)
 
     def test_vertices_certified_at_chart_precision(self, found_candidate, monkeypatch):
         chart = hull_chart(found_candidate, (0, 2), 3)
         seen = []
         real_sign = unitsearch._iv_sign
         monkeypatch.setattr(
-            unitsearch, "_iv_sign", lambda iv: seen.append(mpmath.iv.prec) or real_sign(iv)
+            unitsearch, "_iv_sign", lambda iv: seen.append(iv.prec) or real_sign(iv)
         )
-        monkeypatch.setattr(mpmath.iv, "prec", 20)
         assert verify_vertices(chart)
-        assert seen and set(seen) == {chart.prec}
+        assert seen and set(seen) == {chart.prec + GUARD_BITS}
 
 
 class TestConvexityCheck:
@@ -318,6 +442,13 @@ class TestConvexityCheck:
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError):
             convexity_check([1, 0], [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("p, point", [([1, 0], [1.0, 1.0]), ([1, 1], [1.0]), ([1, 1], [1.0, -2.0])])
+    def test_bad_input_is_a_typed_error(self, p, point):
+        # a plain check, so it also holds under python -O
+        with pytest.raises(NonPositiveInput) as info:
+            convexity_check(p, [point])
+        assert isinstance(info.value, ConesumError)
 
     def test_finite_differences_match_closed_form(self):
         # the check itself enforces the 1e-6-relative agreement at step 1e-4
