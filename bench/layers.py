@@ -1,7 +1,7 @@
-"""Layer microbenchmarks, the L-value enumerator, two in-process commands and
-a cold import, merged into a BENCH file.
+"""Layer microbenchmarks, the L-value enumerator, three in-process commands,
+a cold import and a cold ``converge``, merged into a BENCH file.
 
-    python bench/layers.py --src src --label change --out BENCH_11.json
+    python bench/layers.py --src src --label change --out BENCH_12.json
 
 ``--src`` names the ``src`` directory that ``conesum`` is imported from, so
 the same script can measure a checkout of another commit.  Each case is
@@ -17,7 +17,8 @@ field cache and the hull-chart cache are emptied and the configuration is
 loaded again before every call, and only the command itself is timed.  The
 cold import runs ``import conesum.cli`` in a new interpreter REPEATS times,
 after one run that writes the bytecode cache, and reports the wall time of
-the whole process.
+the whole process; the cold converge does the same for ``python -m
+conesum.cli converge configs/sqrt3.json``.
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ def layer_cases():
         cases[f"field.sign_at.{name}"] = lambda F=F, z=z: [
             F.sign_at(z, place) for place in range(F.degree)
         ]
+    q = Fraction(3, 7)
+    cases["field.scaled_rational.new"] = lambda: field.ScaledRational(q, 1, 12)
     m = [[Fraction(i * j + 1, i + j + 2) - (i == j) * 3 for j in range(4)] for i in range(4)]
     cases["linalg.det.4x4"] = lambda: linalg.det(m)
     cases["linalg.rref.4x4"] = lambda: linalg.rref(m)
@@ -171,15 +174,17 @@ def unitsearch_cases() -> dict:
     return cases
 
 
-def cold_import(src: Path) -> dict:
-    """Wall time of a new interpreter running ``import conesum.cli``, with
-    bytecode caching on as in an installed package."""
+def cold_run(src: Path, *args: str) -> dict:
+    """Wall time of a new interpreter running ``python *args`` from the root
+    of the checkout, with bytecode caching on as in an installed package."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     samples = []
     for _ in range(REPEATS + 1):  # the first run warms the file cache
         start = time.perf_counter()
-        subprocess.run([sys.executable, "-c", "import conesum.cli"], env=env, check=True)
+        subprocess.run(
+            [sys.executable, *args], env=env, cwd=ROOT, stdout=subprocess.DEVNULL, check=True
+        )
         samples.append(time.perf_counter() - start)
     samples = samples[1:]
     return {
@@ -222,6 +227,9 @@ def command_cases() -> dict:
 
     args = argparse.Namespace(a=None, b=None, radius=None)
     return {
+        "cli.cmd_converge.sqrt3": command_timed(
+            fresh("configs/sqrt3.json"), lambda cfg: cli.cmd_converge(cfg, out=io.StringIO())
+        ),
         "cli.cmd_unitsearch.cubic49": command_timed(
             fresh("configs/cubic49.json"),
             lambda cfg: cli.cmd_unitsearch(cfg, args, out=io.StringIO()),
@@ -260,7 +268,13 @@ def main(argv=None) -> int:
                 **lvalue_cases(),
             }.items()
         },
-        "commands": {**command_cases(), "import.conesum.cli": cold_import(src)},
+        "commands": {
+            **command_cases(),
+            "import.conesum.cli": cold_run(src, "-c", "import conesum.cli"),
+            "process.converge.sqrt3": cold_run(
+                src, "-m", "conesum.cli", "converge", "configs/sqrt3.json"
+            ),
+        },
         "src_lines": line_counts(src),
     }
 

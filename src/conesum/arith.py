@@ -11,7 +11,6 @@ power of a sum of Bernoulli symbols against intersection numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,6 +34,7 @@ from .field import (
     det_scaled,
 )
 from .geometry import solve_in_basis
+from .record import FrozenRecord
 
 
 @lru_cache(maxsize=None)
@@ -55,31 +55,27 @@ def bernoulli(k: int) -> Fraction:
 # lattice modules
 
 
-@dataclass(frozen=True)
-class LatticeModule:
+class LatticeModule(FrozenRecord):
     """Full-rank lattice M (+ optional translation rho) with a unit group
     preserving the coset."""
 
-    basis: tuple[FieldElement, ...]
-    rho: FieldElement
-    units: UnitGroupData
+    __slots__ = ("basis", "rho", "units")
 
-    def __post_init__(self):
-        if not self.basis or len(self.basis) != self.basis[0].field.degree:
-            raise NotFullRank(
-                f"a lattice basis needs one element per degree, got {len(self.basis)}"
-            )
-        if det_scaled(list(self.basis)).is_zero():
+    def __init__(self, basis: tuple[FieldElement, ...], rho: FieldElement, units: UnitGroupData):
+        if not basis or len(basis) != basis[0].field.degree:
+            raise NotFullRank(f"a lattice basis needs one element per degree, got {len(basis)}")
+        if det_scaled(list(basis)).is_zero():
             raise NotFullRank("lattice basis elements are linearly dependent")
-        for eps in self.units.generators:
-            for m in self.basis:
-                sol = solve_in_basis(list(self.basis), eps * m)
+        for eps in units.generators:
+            for m in basis:
+                sol = solve_in_basis(list(basis), eps * m)
                 if sol is None or any(c.denominator != 1 for c in sol):
                     raise UnitDoesNotPreserveM(f"{eps} does not preserve the lattice")
-            shift = eps * self.rho - self.rho
-            sol = solve_in_basis(list(self.basis), shift) if not shift.is_zero() else ()
+            shift = eps * rho - rho
+            sol = solve_in_basis(list(basis), shift) if not shift.is_zero() else ()
             if sol is None or any(c.denominator != 1 for c in sol):
                 raise UnitDoesNotPreserveM(f"{eps} does not preserve the coset")
+        self._fill(basis, rho, units)
 
     @property
     def field(self):
@@ -97,14 +93,14 @@ class LatticeModule:
 # intersection data and the closed-form identity
 
 
-@dataclass(frozen=True)
-class IntersectionData:
+class IntersectionData(FrozenRecord):
     """kappa-normalized intersection numbers of the cusp divisor components,
     keyed by exponent multi-index (k_1, ..., k_r) with sum = n*s."""
 
-    s: int
-    components: int
-    entries: dict[tuple[int, ...], Fraction]
+    __slots__ = ("s", "components", "entries")
+
+    def __init__(self, s: int, components: int, entries: dict[tuple[int, ...], Fraction]):
+        self._fill(s, components, entries)
 
     def value(self, index: tuple[int, ...]) -> Fraction:
         if index not in self.entries:
@@ -112,12 +108,13 @@ class IntersectionData:
         return self.entries[index]
 
 
-@dataclass(frozen=True)
-class SatakePrediction:
+class SatakePrediction(FrozenRecord):
     """Exact prediction q * sqrt(D)^e * pi^(n s) for an L-value."""
 
-    coeff: ScaledRational
-    pi_power: int
+    __slots__ = ("coeff", "pi_power")
+
+    def __init__(self, coeff: ScaledRational, pi_power: int):
+        self._fill(coeff, pi_power)
 
     def to_float(self) -> float:
         return float(self.coeff) * math.pi**self.pi_power

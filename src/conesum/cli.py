@@ -7,7 +7,6 @@ no timestamps or environment data are emitted.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
@@ -236,9 +235,16 @@ def suite_satake(config: RunConfig) -> list[dict]:
     return report["results"]
 
 
+def _check_x0(config: RunConfig) -> None:
+    # zero is not totally positive, though is_totally_positive refuses to judge it
+    if config.x0.is_zero() or not is_totally_positive(config.x0):
+        raise ConfigError("x0 must be totally positive")
+
+
 def suite_lemma1(config: RunConfig) -> list[dict]:
     if config.fan is None or config.x0 is None:
         raise ConfigError("the fan-refinement suite needs a fan and x0")
+    _check_x0(config)
     results = []
     for window in (3, 5):
         tf = truncate(config.fan, window)
@@ -324,8 +330,7 @@ def cmd_converge(config: RunConfig, out=None) -> int:
         raise ConfigError("converge needs a fan")
     if config.x0 is None:
         raise ConfigError("converge needs x0")
-    if not is_totally_positive(config.x0):
-        raise ConfigError("x0 must be totally positive")
+    _check_x0(config)
     rows = converge(config.fan, config.x0, config.n_max, config.tolerance)
     if config.output_format == "csv":
         print("N,partial_sum_decimal,target_decimal,abs_error", file=out)
@@ -370,6 +375,8 @@ def cmd_unitsearch(config: RunConfig, args, out=None) -> int:
     a = parse_rational(args.a if args.a is not None else params.get("a", "13/10"))
     b = parse_rational(args.b if args.b is not None else params.get("b", "5/2"))
     radius = args.radius if args.radius is not None else int(params.get("radius", 4))
+    if radius < 0:
+        raise ConfigError("unitsearch radius must be an integer >= 0")
     window = int(params.get("window", 3))
 
     cand = search_admissible(config.module.units, a, b, radius)
@@ -432,7 +439,9 @@ def _add_common(parser):
     parser.add_argument("--format", dest="output_format", choices=("csv", "json"))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse  # only the entry point parses arguments; importing stays cheap
+
     parser = argparse.ArgumentParser(
         prog="conesum",
         description="Exact cone sums over unit-periodic fans and L-value checks",

@@ -7,7 +7,6 @@ exact machinery is parsed as a Fraction, never as a float.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Any
 
@@ -16,6 +15,7 @@ from .errors import ConfigError, ConesumError
 from .fan import FanDescription, build_quadratic_fan
 from .field import FieldElement, TotallyRealField, UnitGroupData, make_field
 from .geometry import Cone
+from .record import Record
 
 
 def parse_rational(value) -> Fraction:
@@ -45,19 +45,21 @@ def parse_element(field: TotallyRealField, coords) -> FieldElement:
     return field.element([parse_rational(c) for c in coords])
 
 
-@dataclass
-class RunConfig:
-    field: TotallyRealField
-    module: LatticeModule | None
-    fan: FanDescription | None
-    x0: FieldElement | None
-    n_max: int
-    tolerance: float
-    precision_bits: int
-    seed: int
-    output_format: str
-    unitsearch: dict = dc_field(default_factory=dict)
-    raw: dict = dc_field(default_factory=dict)
+class RunConfig(Record):
+    __slots__ = (
+        "field", "module", "fan", "x0", "n_max", "tolerance", "precision_bits", "seed",
+        "output_format", "unitsearch", "raw",
+    )
+
+    def __init__(
+        self, field: TotallyRealField, module: LatticeModule | None, fan: FanDescription | None,
+        x0: FieldElement | None, n_max: int, tolerance: float, precision_bits: int, seed: int,
+        output_format: str, unitsearch: dict | None = None, raw: dict | None = None,
+    ):
+        self._fill(
+            field, module, fan, x0, n_max, tolerance, precision_bits, seed, output_format,
+            {} if unitsearch is None else unitsearch, {} if raw is None else raw,
+        )
 
 
 def load_config(path: str, overrides: dict[str, Any] | None = None) -> RunConfig:
@@ -132,13 +134,13 @@ def build_config(raw: dict, overrides: dict[str, Any] | None = None) -> RunConfi
     for name in ("a", "b"):
         if name in unitsearch:
             parse_rational(unitsearch[name])
-    for name in ("radius", "window"):
-        v = unitsearch.get(name, 0)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"unitsearch {name} must be an integer")
+    for name, minimum in (("radius", 0), ("window", 1)):
+        v = unitsearch.get(name, minimum)
+        if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
+            raise ConfigError(f"unitsearch {name} must be an integer >= {minimum}")
 
     tol = merged.get("tolerance", 1e-6)
-    if not isinstance(tol, (int, float)) or tol < 0:
+    if not isinstance(tol, (int, float)) or not tol >= 0:  # NaN compares false
         raise ConfigError("tolerance must be a nonnegative number")
 
     return RunConfig(

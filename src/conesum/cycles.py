@@ -12,7 +12,6 @@ cycle of degree k-1; the top degree on P^(n-1) is n-2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -20,6 +19,7 @@ from . import linalg
 from .errors import DegreeMismatch, DependentTuple, MixedExponents, NotACycle, NotTopDegree
 from .field import FieldElement, TotallyRealField
 from .geometry import Cone, LinearSubspace, ProjPolyhedron
+from .record import FrozenRecord
 
 PointKey = tuple[Fraction, ...]
 Flag = tuple  # tuple of LinearSubspace keys, increasing dimension
@@ -165,11 +165,13 @@ def is_cycle(c: Cycle) -> bool:
 # simplicial cycles
 
 
-@dataclass(frozen=True)
-class SimplexSpec:
+class SimplexSpec(FrozenRecord):
     """Ordered tuple of projective F-points defining a simplicial cycle."""
 
-    points: tuple[FieldElement, ...]
+    __slots__ = ("points",)
+
+    def __init__(self, points: tuple[FieldElement, ...]):
+        self._fill(points)
 
     def degree(self) -> int:
         return len(self.points) - 2
@@ -217,15 +219,17 @@ def _simplex_expand(
 # CPD functions and the extension to cycles
 
 
-@dataclass(frozen=True)
-class CPDFunction:
+class CPDFunction(FrozenRecord):
     """A function on point tuples satisfying the cocycle, permutation and
     degeneracy properties, with values in a torsion-free abelian group."""
 
-    arity: int
-    evaluate: Callable[[tuple[FieldElement, ...]], object]
-    zero: object
-    name: str = "cpd"
+    __slots__ = ("arity", "evaluate", "zero", "name")
+
+    def __init__(
+        self, arity: int, evaluate: Callable[[tuple[FieldElement, ...]], object], zero: object,
+        name: str = "cpd",
+    ):
+        self._fill(arity, evaluate, zero, name)
 
 
 def decompose_cycle(

@@ -9,7 +9,6 @@ finite face-closed truncations are enumerated on demand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from .errors import (
@@ -30,23 +29,25 @@ from .field import (
     minus_continued_fraction,
 )
 from .geometry import Cone, solve_in_basis
+from .record import FrozenRecord, Record
 
 
 # ---------------------------------------------------------------------------
 # quadratic hull boundary
 
 
-@dataclass(frozen=True)
-class VertexSequence:
+class VertexSequence(FrozenRecord):
     """Periodic boundary points A_k of the hull of totally positive lattice
     points, with unit translation A_{k+m} = eps * A_k and the integer
     relations A_{k-1} + A_{k+1} = b_k A_k."""
 
-    module_basis: tuple[FieldElement, ...]
-    unit: FieldElement  # translates the sequence forward by one period
-    period: int
-    base_points: tuple[FieldElement, ...]
-    b_cycle: tuple[int, ...]
+    __slots__ = ("module_basis", "unit", "period", "base_points", "b_cycle")
+
+    def __init__(
+        self, module_basis: tuple[FieldElement, ...], unit: FieldElement, period: int,
+        base_points: tuple[FieldElement, ...], b_cycle: tuple[int, ...],
+    ):
+        self._fill(module_basis, unit, period, base_points, b_cycle)
 
     def point(self, k: int) -> FieldElement:
         q, r = divmod(k, self.period)
@@ -132,26 +133,25 @@ def build_quadratic_fan(
 # fan descriptions and truncations
 
 
-@dataclass(frozen=True)
-class FanDescription:
-    """V-periodic fan, given either by the quadratic hull data or by explicit
-    cone orbit representatives; a quadratic description derives its
-    representatives from the hull data."""
+class FanDescription(FrozenRecord):
+    """V-periodic fan, given either by the quadratic hull data (kind
+    "quadratic-auto") or by explicit cone orbit representatives (kind
+    "explicit"); a quadratic description derives its representatives from
+    the hull data."""
 
-    kind: str  # "quadratic-auto" | "explicit"
-    module_basis: tuple[FieldElement, ...]
-    units: tuple[FieldElement, ...]
-    vertex_sequence: VertexSequence | None = None
-    orbit_cones: tuple[Cone, ...] = ()
+    __slots__ = ("kind", "module_basis", "units", "vertex_sequence", "orbit_cones")
 
-    def __post_init__(self):
+    def __init__(
+        self, kind: str, module_basis: tuple[FieldElement, ...], units: tuple[FieldElement, ...],
+        vertex_sequence: VertexSequence | None = None, orbit_cones: tuple[Cone, ...] = (),
+    ):
         # a quadratic fan's orbit representatives: A_r A_{r+1} over one period
-        if self.kind == "quadratic-auto" and not self.orbit_cones:
-            vs = self.vertex_sequence
-            cones = tuple(
-                Cone(self.field, [vs.point(r), vs.point(r + 1)]) for r in range(vs.period)
+        if kind == "quadratic-auto" and not orbit_cones:
+            vs, field = vertex_sequence, module_basis[0].field
+            orbit_cones = tuple(
+                Cone(field, [vs.point(r), vs.point(r + 1)]) for r in range(vs.period)
             )
-            object.__setattr__(self, "orbit_cones", cones)
+        self._fill(kind, module_basis, units, vertex_sequence, orbit_cones)
 
     @property
     def field(self) -> TotallyRealField:
@@ -254,10 +254,11 @@ class TruncatedFan:
         return groups
 
 
-@dataclass(frozen=True)
-class TermGroup:
-    sigma: Cone | None
-    cones: tuple[Cone, ...]
+class TermGroup(FrozenRecord):
+    __slots__ = ("sigma", "cones")
+
+    def __init__(self, sigma: Cone | None, cones: tuple[Cone, ...]):
+        self._fill(sigma, cones)
 
     @property
     def is_singleton(self) -> bool:
@@ -300,16 +301,18 @@ def truncate(description: FanDescription, window: int) -> TruncatedFan:
 # validation
 
 
-@dataclass
-class ConditionReport:
-    name: str
-    passed: bool
-    detail: str = ""
+class ConditionReport(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self._fill(name, passed, detail)
 
 
-@dataclass
-class ValidationReport:
-    conditions: list[ConditionReport] = dc_field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("conditions",)
+
+    def __init__(self, conditions: list[ConditionReport] | None = None):
+        self._fill([] if conditions is None else conditions)
 
     @property
     def passed(self) -> bool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -33,6 +32,7 @@ from .errors import (
     UnitRankMismatch,
     ZeroInput,
 )
+from .record import FrozenRecord
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -42,16 +42,15 @@ _ONE = Fraction(1)
 # rational intervals
 
 
-@dataclass(frozen=True)
-class RatInterval:
+class RatInterval(FrozenRecord):
     """Closed interval with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise EmptyInterval(f"[{self.lo}, {self.hi}] has lo > hi")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise EmptyInterval(f"[{lo}, {hi}] has lo > hi")
+        self._fill(lo, hi)
 
     @property
     def width(self) -> Fraction:
@@ -280,8 +279,7 @@ def surd_float(a: Fraction, c: Fraction, disc: int) -> float:
         k *= 2
 
 
-@dataclass(frozen=True)
-class ScaledRational:
+class ScaledRational(FrozenRecord):
     """Exact value q * sqrt(D)^e with rational q and e in {-1, 0, 1}.
 
     D is the positive discriminant of the ambient field; determinants of
@@ -289,26 +287,22 @@ class ScaledRational:
     is a perfect square the sqrt folds into q and e normalizes to 0.
     """
 
-    q: Fraction
-    e: int
-    disc: int
+    __slots__ = ("q", "e", "disc")
 
-    def __post_init__(self):
-        if self.e not in (-1, 0, 1):
-            raise MixedExponents(f"exponent {self.e} is not -1, 0 or 1")
-        if self.disc <= 0:
-            raise DegenerateRoots(f"discriminant {self.disc} is not positive")
-        q = Fraction(self.q)
-        e = self.e
+    def __init__(self, q: Fraction, e: int, disc: int):
+        if e not in (-1, 0, 1):
+            raise MixedExponents(f"exponent {e} is not -1, 0 or 1")
+        if disc <= 0:
+            raise DegenerateRoots(f"discriminant {disc} is not positive")
+        q = Fraction(q)
         if q == 0:
             e = 0
         elif e != 0:
-            s = _exact_isqrt(self.disc)
+            s = _exact_isqrt(disc)
             if s is not None:
                 q = q * s if e == 1 else q / s
                 e = 0
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "e", e)
+        self._fill(q, e, disc)
 
     @classmethod
     def rational(cls, q, disc: int) -> "ScaledRational":
@@ -1030,20 +1024,19 @@ def fundamental_unit_quadratic(d: int) -> FieldElement:
     return minus_continued_fraction((field.one, omega))[2]
 
 
-@dataclass(frozen=True)
-class UnitGroupData:
+class UnitGroupData(FrozenRecord):
     """Generators of a finite-index group of totally positive units."""
 
-    generators: tuple[FieldElement, ...]
+    __slots__ = ("generators",)
 
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, generators: Sequence[FieldElement]):
+        gens = tuple(generators)
         for g in gens:
             if not is_unit(g):
                 raise NotAUnit(f"{g} is not a unit")
             if not is_totally_positive(g):
                 raise NotTotallyPositive(f"{g} is not totally positive")
+        self._fill(gens)
 
     @property
     def rank(self) -> int:

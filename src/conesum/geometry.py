@@ -219,6 +219,10 @@ class Cone:
         return total
 
     def key(self) -> frozenset:
+        return self._key
+
+    @cached_property
+    def _key(self) -> frozenset:
         return frozenset(g.ray_key() for g in self.extreme_rays)
 
     def __eq__(self, other):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,6 +42,7 @@ from .field import (
     trace_pairing,
 )
 from .geometry import Cone, ProjPolyhedron, primitive_generator
+from .record import FrozenRecord
 
 
 def cocycle_value(points: Sequence[FieldElement], x0: FieldElement) -> ScaledRational:
@@ -162,13 +162,15 @@ def dual_cocycle_value(
     return form.value(x0)
 
 
-@dataclass(frozen=True)
-class ConeTerm:
+class ConeTerm(FrozenRecord):
     """One top cone's contribution at x0, with its primitive generators."""
 
-    cone: Cone
-    primitive_gens: tuple[FieldElement, ...]
-    value: ScaledRational
+    __slots__ = ("cone", "primitive_gens", "value")
+
+    def __init__(
+        self, cone: Cone, primitive_gens: tuple[FieldElement, ...], value: ScaledRational
+    ):
+        self._fill(cone, primitive_gens, value)
 
 
 def _oriented_generators(t: Cone, module_basis: Sequence[FieldElement]) -> list[FieldElement]:
@@ -221,12 +223,11 @@ def evaluate_cycle(z: Cycle, x0: FieldElement) -> ScaledRational:
 # partial sums over truncations
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    window: int
-    value: ScaledRational
-    target: Fraction
-    abs_error: float
+class ConvergenceRow(FrozenRecord):
+    __slots__ = ("window", "value", "target", "abs_error")
+
+    def __init__(self, window: int, value: ScaledRational, target: Fraction, abs_error: float):
+        self._fill(window, value, target, abs_error)
 
     def as_dict(self):
         return {

@@ -10,7 +10,6 @@ polynomial.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -32,6 +31,7 @@ from .field import (
     limit_pair,
     root_indices,
 )
+from .record import FrozenRecord, Record
 
 PREC_SCHEDULE = (64, 128, 256, 512, 1024)
 # mantissa bits of the intervals beyond the embedding precision
@@ -249,16 +249,14 @@ def _iv_det(rows) -> Interval:
 # admissibility
 
 
-@dataclass(frozen=True)
-class AdmissibleCandidate:
+class AdmissibleCandidate(FrozenRecord):
     """Units indexed by place with the ratio bounds they were searched for."""
 
-    units: tuple[FieldElement, ...]
-    a: Fraction
-    b: Fraction
+    __slots__ = ("units", "a", "b")
 
-    def __post_init__(self):
-        UnitGroupData(self.units)  # raises NotAUnit / NotTotallyPositive
+    def __init__(self, units: tuple[FieldElement, ...], a: Fraction, b: Fraction):
+        UnitGroupData(units)  # raises NotAUnit / NotTotallyPositive
+        self._fill(units, a, b)
 
 
 def compare_places(x: FieldElement, p: int, q: int) -> int:
@@ -446,21 +444,24 @@ def search_admissible(
 # hull charts of the exhaustion sets
 
 
-@dataclass
-class HullChart:
+class HullChart(Record):
     """Chart of the projected unit sublattice with exponent-sum zero.
 
-    The chart drops the omitted place j; the boundary surface through the
-    charted points is prod z_i^(a_i) = 1 with certified-positive exponents.
+    The chart drops the omitted place j and keeps the places of index_set
+    (0-indexed); the boundary surface through the charted points is
+    prod z_i^(a_i) = 1 with certified-positive exponents, each a_i enclosed by
+    its (lo, hi) in exponents.  points maps exponent vectors to coordinates.
     """
 
-    index_set: tuple[int, ...]  # places kept (0-indexed)
-    omitted: int
-    exponents: tuple[tuple[Fraction, Fraction], ...]  # certified (lo, hi) per a_i
-    window: int
-    points: dict[tuple[int, ...], tuple[Interval, ...]]  # exponent vector -> coords
-    units: tuple[FieldElement, ...]
-    prec: int
+    __slots__ = ("index_set", "omitted", "exponents", "window", "points", "units", "prec")
+
+    def __init__(
+        self, index_set: tuple[int, ...], omitted: int,
+        exponents: tuple[tuple[Fraction, Fraction], ...], window: int,
+        points: dict[tuple[int, ...], tuple[Interval, ...]], units: tuple[FieldElement, ...],
+        prec: int,
+    ):
+        self._fill(index_set, omitted, exponents, window, points, units, prec)
 
 
 def _chart_point(x: FieldElement, omitted: int, prec: int) -> tuple[Interval, ...]:

@@ -81,6 +81,33 @@ class TestConverge:
         assert code == 2
         assert json.loads(err)["kind"] == "config"
 
+    @pytest.mark.parametrize(
+        "command, x0",
+        [(["converge"], "0,0"), (["verify", "lemma1"], "0,0"), (["verify", "lemma1"], "0,1")],
+        ids=["converge-zero", "lemma1-zero", "lemma1-not-positive"],
+    )
+    def test_zero_or_non_totally_positive_x0_is_a_config_error(
+        self, sqrt3_cfg, capsys, command, x0
+    ):
+        # is_totally_positive raises ZeroInput on 0; lemma1 reached partial_sum
+        code = main([*command, sqrt3_cfg, "--x0", x0])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "x0 must be totally positive",
+            "kind": "config",
+        }
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_nan_tolerance_exits_2(self, tmp_path, capsys, where):
+        cfg = dict(SQRT3_CONFIG, tolerance=float("nan"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg if where == "config" else SQRT3_CONFIG))
+        flags = ["--tol", "nan"] if where == "flag" else []
+        code = main(["converge", str(path), *flags])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "tolerance must be a nonnegative number"
+
     def test_singular_x0_names_the_vanishing_pairing(self, sqrt3_cfg, capsys):
         # 2 + sqrt3 lies on the edge ray of window 1; its star group's first
         # base makes one simplex pair to zero with the point 1 - (2/3) sqrt3
@@ -257,6 +284,28 @@ class TestUnitsearch:
         payload = json.loads(capsys.readouterr().out)
         assert code == 3
         assert payload["found"] is False
+
+    @pytest.mark.parametrize(
+        "params, flags, message",
+        [
+            ({"window": 0}, [], "unitsearch window must be an integer >= 1"),
+            ({"window": -1}, [], "unitsearch window must be an integer >= 1"),
+            ({"radius": -1}, [], "unitsearch radius must be an integer >= 0"),
+            ({}, ["--radius", "-1"], "unitsearch radius must be an integer >= 0"),
+        ],
+        ids=["window-0", "window-negative", "radius-negative", "radius-flag-negative"],
+    )
+    def test_vacuous_search_box_exits_2(self, tmp_path, capsys, params, flags, message):
+        # window 0 charted no points and certified every chart; a negative
+        # radius searched nothing and reported "not found"
+        cfg = json.loads(json.dumps(CUBIC_CONFIG))
+        cfg["unitsearch"].update(params)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["unitsearch", str(path), *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {"error": message, "kind": "config"}
 
     @pytest.mark.parametrize("a, b", [("3", "2"), ("1", "5/2"), ("2", "2")])
     def test_bad_bounds_exit_2(self, cubic_cfg, capsys, a, b):

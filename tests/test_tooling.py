@@ -1,8 +1,9 @@
 """Checks on the program as a tool: the names the traced benchmark run
 wraps must still resolve (a deletion would break it silently), output may
 not depend on ``python -O``, importing it stays free of sympy, field
-construction and ``converge`` stay free of numpy, and neither they nor
-``unitsearch`` load mpmath."""
+construction and ``converge`` stay free of numpy, neither they nor
+``unitsearch`` load mpmath, and importing the CLI loads neither
+``dataclasses`` (with ``inspect``) nor ``argparse``."""
 
 import importlib
 import importlib.util
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conesum import __version__
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
@@ -79,6 +82,24 @@ def test_field_and_converge_do_not_import_numpy():
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.splitlines() == ["False", "[0, 0] False", "0 False"]
+
+
+def test_cli_import_skips_dataclasses_inspect_and_argparse():
+    # -S: no site hooks, so only what conesum itself imports is counted;
+    # argparse loads when main parses arguments
+    probe = _python(
+        "-S",
+        "-c",
+        "import sys\n"
+        "import conesum.cli\n"
+        "print([m for m in ('dataclasses', 'inspect', 'argparse') if m in sys.modules])\n"
+        "try:\n"
+        "    conesum.cli.main(['--version'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'argparse' in sys.modules)\n",
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.splitlines() == ["[]", __version__, "0 True"]
 
 
 def test_traced_lvalue_run_counts_certified_points():
