@@ -1,7 +1,7 @@
 """Layer microbenchmarks, the L-value enumerator, three in-process commands,
 a cold import and a cold ``converge``, merged into a BENCH file.
 
-    python bench/layers.py --src src --label change --out BENCH_12.json
+    python bench/layers.py --src src --label change --out BENCH_13.json
 
 ``--src`` names the ``src`` directory that ``conesum`` is imported from, so
 the same script can measure a checkout of another commit.  Each case is
@@ -139,21 +139,30 @@ def polyhedral_cases() -> dict:
 
 
 def unitsearch_cases() -> dict:
-    """The hull chart and its vertex certificate on the cubic field at
-    window 3 with the chart cache emptied, the interval log of a point at the
-    first and last precision of the schedule, and the error of one converge
-    row whose error cancels below 1e-30."""
+    """The admissible-unit search on the cubic field at the shipped a, b and
+    radius (each call builds its own ``UnitPowers``), the limit-pair check of
+    the units it finds, the hull chart and its vertex certificate at window 3
+    with the chart cache emptied, the interval log of a point at the first
+    and last precision of the schedule, and the error of one converge row
+    whose error cancels below 1e-30."""
     from conesum import config, summation, unitsearch
     from conesum.field import ScaledRational
 
     units = config.load_config(str(ROOT / "configs/cubic49.json")).module.units
-    cand = unitsearch.search_admissible(units, Fraction(13, 10), Fraction(5, 2), 4)
+    a, b = Fraction(13, 10), Fraction(5, 2)
+    cand = unitsearch.search_admissible(units, a, b, 4)
 
     def chart_and_vertices():
         unitsearch._chart_cache.clear()
         return unitsearch.verify_vertices(unitsearch.hull_chart(cand, (0, 1), 3))
 
-    cases = {"unitsearch.hull_chart_verify.cubic49.w3": chart_and_vertices}
+    cases = {
+        "unitsearch.search_admissible.cubic49": lambda: unitsearch.search_admissible(
+            units, a, b, 4
+        ),
+        "unitsearch.check_admissible.cubic49": lambda: unitsearch.check_admissible(cand.units),
+        "unitsearch.hull_chart_verify.cubic49.w3": chart_and_vertices,
+    }
     for prec in (64, 1024):
         m = (3 << prec) // 7  # a point near 3/7 with prec bits
         if hasattr(unitsearch, "Interval"):

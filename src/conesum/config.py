@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
 
 from .arith import LatticeModule
 from .errors import ConfigError, ConesumError
@@ -62,7 +61,7 @@ class RunConfig(Record):
         )
 
 
-def load_config(path: str, overrides: dict[str, Any] | None = None) -> RunConfig:
+def load_config(path: str, overrides: dict[str, object] | None = None) -> RunConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -73,7 +72,7 @@ def load_config(path: str, overrides: dict[str, Any] | None = None) -> RunConfig
     return build_config(raw, overrides or {})
 
 
-def build_config(raw: dict, overrides: dict[str, Any] | None = None) -> RunConfig:
+def build_config(raw: dict, overrides: dict[str, object] | None = None) -> RunConfig:
     overrides = overrides or {}
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be an object")

@@ -12,8 +12,8 @@ cycle of degree k-1; the top degree on P^(n-1) is n-2.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from . import linalg
 from .errors import DegreeMismatch, DependentTuple, MixedExponents, NotACycle, NotTopDegree

@@ -182,7 +182,7 @@ class InvalidWeight(ConesumError):
 
 
 class NegativeIndex(ConesumError):
-    """A Bernoulli number or a fan truncation asked for at a negative index."""
+    """A Bernoulli number, fan truncation, chart window or search radius below 0."""
 
 
 class EnumerationMismatch(ConesumError):

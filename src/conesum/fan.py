@@ -9,7 +9,7 @@ finite face-closed truncations are enumerated on demand.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import (
     ConeNotInFan,

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import (

@@ -13,8 +13,8 @@ of cone generators).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import DegreeMismatch
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import linalg
 from .cycles import (

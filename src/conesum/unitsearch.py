@@ -3,24 +3,26 @@
 All log-space quantities are handled as certified intervals over a precision
 schedule: a comparison is reported only when the intervals separate, and
 anything that stays undecided raises PrecisionExhausted instead of guessing.
-Place comparisons of a single unit are decided exactly through its minimal
-polynomial.
+The search decides its region conditions by integer sums over the generators'
+certified log matrix and sends only what that leaves open to the exact test.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .errors import (
     DegreeMismatch,
     DegreeTooSmall,
     InvalidBounds,
+    NegativeIndex,
     NonPositiveInput,
     PrecisionExhausted,
     SingularMatrix,
+    UnitRankMismatch,
     WindowTooSmall,
 )
 from .fan import ConditionReport, ValidationReport
@@ -206,17 +208,37 @@ def _iv_sign(iv: Interval) -> int | None:
 class LogLattice:
     """Log-embedding image of a finite-index totally positive unit group.
 
-    Exponent vectors are exact; the log vectors are certified intervals at
-    any requested precision.
-    """
+    Exponent vectors are exact.  The generators' log matrix is certified once
+    per precision and kept as integer bounds over one common power of two, so
+    a log vector is an exact integer sum of certified bounds."""
 
     def __init__(self, units: UnitGroupData):
         self.units = units
         self.field = units.field
+        self._matrices: dict[int, tuple[int, list]] = {}
 
-    def log_vector(self, exponents: Sequence[int], prec: int):
-        eps = UnitPowers(self.field, self.units.generators)(exponents)
-        return [_embedding_iv(eps, i, prec).log() for i in range(self.field.degree)]
+    def log_matrix(self, prec: int) -> tuple[int, list[list[tuple[int, int]]]]:
+        """(exp, M) with M[p][q] = (lo, hi) and lo 2^exp <= log u_q^(p) <= hi 2^exp."""
+        if prec not in self._matrices:
+            gens, n = self.units.generators, self.field.degree
+            ivs = [[_embedding_iv_positive(g, p, prec).log() for g in gens] for p in range(n)]
+            exp = min(iv.exp for row in ivs for iv in row)
+            self._matrices[prec] = exp, [[_on_scale(iv, exp) for iv in row] for row in ivs]
+        return self._matrices[prec]
+
+    def log_bounds(self, exponents: Sequence[int], prec: int) -> list[tuple[int, int]]:
+        """Bounds over 2^exp on log eps^(p) = sum_q e_q log u_q^(p) at each place:
+        the sign of e_q picks the bound of log u_q^(p) in each end of the sum."""
+        _, M = self.log_matrix(prec)
+        if len(exponents) != len(M[0]):
+            raise UnitRankMismatch(f"{len(exponents)} exponents for {len(M[0])} units")
+        return [(sum(e * b[e < 0] for e, b in zip(exponents, row)),
+                 sum(e * b[e >= 0] for e, b in zip(exponents, row))) for row in M]
+
+    def log_vector(self, exponents: Sequence[int], prec: int = PREC_SCHEDULE[0]):
+        exp, _ = self.log_matrix(prec)
+        bounds = self.log_bounds(exponents, prec)
+        return [Interval(lo, hi, exp, prec + GUARD_BITS) for lo, hi in bounds]
 
     def regulator_nonzero(self) -> bool:
         """Certify that the generator log vectors are linearly independent
@@ -231,6 +253,12 @@ class LogLattice:
             if _iv_sign(_iv_det(rows)) is not None:
                 return True
         raise PrecisionExhausted("cannot certify a nonzero regulator")
+
+
+def _on_scale(iv: Interval, exp: int) -> tuple[int, int]:
+    """Integer bounds on iv over 2^exp, rounded outward."""
+    s = iv.exp - exp
+    return (iv.lo << s, iv.hi << s) if s >= 0 else (iv.lo >> -s, -(-iv.hi >> -s))
 
 
 def _iv_det(rows) -> Interval:
@@ -396,13 +424,39 @@ def check_admissible(units: Sequence[FieldElement]) -> ValidationReport:
     return ValidationReport(conditions)
 
 
+def _region_decision(logs, i: int, log_a, log_b) -> bool | None:
+    """all(unit_region_conditions(eps, i, a, b)) from integer bounds on log eps^(p),
+    log a and log b: None when an interval leaves a condition open."""
+    others = [(i + k) % len(logs) for k in range(1, len(logs))]
+
+    def diff(j, k):  # log eps^(j) - log eps^(k)
+        return logs[j][0] - logs[k][1], logs[j][1] - logs[k][0]
+
+    # the conditions in their order, each as a quantity that must be positive
+    quantities = itertools.chain(
+        [(-logs[i][1], -logs[i][0])],  # c1: eps^(i) < 1 < eps^(j)
+        (logs[j] for j in others),
+        (diff(j, k) for j, k in zip(others, others[1:])),  # the chain
+        ((log_a[0] - hi, log_a[1] - lo)  # c3: each ratio eps^(j) / eps^(k) < a
+         for lo, hi in itertools.starmap(diff, itertools.permutations(others, 2))),
+        ((lo - log_b[1], hi - log_b[0]) for lo, hi in (diff(j, i) for j in others)),  # c4: > b
+    )
+    decided = True
+    for lo, hi in quantities:
+        if hi <= 0:
+            return False
+        if lo <= 0:
+            decided = None
+    return decided
+
+
 def search_admissible(
     V: UnitGroupData, a: Fraction, b: Fraction, radius: int
 ) -> AdmissibleCandidate | None:
     """Enumerate exponent boxes of the unit lattice by growing max-norm and
     return one unit per search region, or None when the radius is too small.
-    Candidates come from one UnitPowers walk, so each new one costs one
-    multiplication by a generator or its inverse."""
+    Only a (candidate, region) the log matrix leaves open goes to the exact
+    unit_region_conditions, and only it and the units found are built exactly."""
     field = V.field
     n = field.degree
     if n < 3:
@@ -410,34 +464,39 @@ def search_admissible(
     a, b = Fraction(a), Fraction(b)
     if not b > a > 1:
         raise InvalidBounds(f"bounds must satisfy b > a > 1, got a={a}, b={b}")
+    if radius < 0:
+        raise NegativeIndex(f"radius {radius} is negative")
 
     found: dict[int, FieldElement] = {}
     powers = UnitPowers(field, V.generators)
-    rank = V.rank
+    lattice, prec = LogLattice(V), PREC_SCHEDULE[0]
+    scale, _ = lattice.log_matrix(prec)
+    log_a, log_b = (_on_scale(Interval.of(x, x, prec + GUARD_BITS).log(), scale) for x in (a, b))
     exponents = sorted(
-        itertools.product(range(-radius, radius + 1), repeat=rank),
+        itertools.product(range(-radius, radius + 1), repeat=V.rank),
         key=lambda e: (max(abs(v) for v in e) if e else 0, e),
     )
     for exp in exponents:
-        if all(v == 0 for v in exp):
+        if not any(exp):
             continue
         if len(found) == n:
             break
-        eps = powers(exp)
+        logs = lattice.log_bounds(exp, prec)
         for i in range(n):
             if i in found:
                 continue
-            try:
-                if all(unit_region_conditions(eps, i, a, b, short_circuit=True)):
-                    found[i] = eps
-                    break
-            except PrecisionExhausted:
-                continue
+            ok = _region_decision(logs, i, log_a, log_b)
+            if ok is None:
+                try:
+                    ok = all(unit_region_conditions(powers(exp), i, a, b, short_circuit=True))
+                except PrecisionExhausted:
+                    continue
+            if ok:
+                found[i] = powers(exp)
+                break
     if len(found) < n:
         return None
-    return AdmissibleCandidate(
-        units=tuple(found[i] for i in range(n)), a=a, b=b
-    )
+    return AdmissibleCandidate(units=tuple(found[i] for i in range(n)), a=a, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +559,8 @@ def hull_chart(
     units = cand.units
     field = units[0].field
     n = field.degree
+    if window < 0:
+        raise NegativeIndex(f"window {window} is negative")
     I = tuple(sorted(index_set))
     cache_key = (field.min_poly, tuple((u.num, u.den) for u in units), I, window)
     cached = _chart_cache.get(cache_key)

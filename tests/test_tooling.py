@@ -2,8 +2,8 @@
 wraps must still resolve (a deletion would break it silently), output may
 not depend on ``python -O``, importing it stays free of sympy, field
 construction and ``converge`` stay free of numpy, neither they nor
-``unitsearch`` load mpmath, and importing the CLI loads neither
-``dataclasses`` (with ``inspect``) nor ``argparse``."""
+``unitsearch`` load mpmath, and importing the CLI loads none of
+``dataclasses`` (with ``inspect``), ``argparse`` and ``typing``."""
 
 import importlib
 import importlib.util
@@ -86,13 +86,14 @@ def test_field_and_converge_do_not_import_numpy():
 
 def test_cli_import_skips_dataclasses_inspect_and_argparse():
     # -S: no site hooks, so only what conesum itself imports is counted;
-    # argparse loads when main parses arguments
+    # argparse loads when main parses arguments; annotations are never
+    # evaluated, so typing is not needed for them
     probe = _python(
         "-S",
         "-c",
         "import sys\n"
         "import conesum.cli\n"
-        "print([m for m in ('dataclasses', 'inspect', 'argparse') if m in sys.modules])\n"
+        "print([m for m in ('dataclasses', 'inspect', 'argparse', 'typing') if m in sys.modules])\n"
         "try:\n"
         "    conesum.cli.main(['--version'])\n"
         "except SystemExit as exc:\n"

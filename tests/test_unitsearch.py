@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -13,6 +15,7 @@ from conesum.errors import (
     DegreeMismatch,
     DegreeTooSmall,
     InvalidBounds,
+    NegativeIndex,
     NonPositiveInput,
     NotAUnit,
     NotTotallyPositive,
@@ -20,7 +23,7 @@ from conesum.errors import (
     UnitRankMismatch,
     WindowTooSmall,
 )
-from conesum.field import UnitGroupData, make_field
+from conesum.field import UnitGroupData, UnitPowers, make_field
 from conesum.unitsearch import (
     GUARD_BITS,
     AdmissibleCandidate,
@@ -47,6 +50,41 @@ def cubic_units():
     F = make_field(CUBIC)
     th = F.theta
     return F, UnitGroupData((th * th, (th - F.one) * (th - F.one)))
+
+
+def benchmark_bound_pairs():
+    """The (a, b) pairs of the unitsearch benchmark, b > a^3 > 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [
+        (Fraction(a), Fraction(b))
+        for a in workloads.UNITSEARCH_A
+        for b in workloads.UNITSEARCH_B
+        if Fraction(b) > Fraction(a) ** 3 > 1
+    ]
+
+
+def reference_search(V, a, b, radius):
+    """The search with every (candidate, region) sent through the exact
+    unit_region_conditions, in the search's order."""
+    n = V.field.degree
+    powers = UnitPowers(V.field, V.generators)
+    box = itertools.product(range(-radius, radius + 1), repeat=V.rank)
+    found = {}
+    for exp in sorted(box, key=lambda e: (max(map(abs, e)), e)):
+        if not any(exp) or len(found) == n:
+            continue
+        eps = powers(exp)
+        for i in (i for i in range(n) if i not in found):
+            try:
+                if all(unit_region_conditions(eps, i, a, b, short_circuit=True)):
+                    found[i] = eps
+                    break
+            except PrecisionExhausted:
+                continue
+    return tuple(found[i] for i in range(n)) if len(found) == n else None
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +124,22 @@ class TestLogLattice:
         with pytest.raises(UnitRankMismatch):
             LogLattice(UnitGroupData(()))
 
+    def test_exponent_count_must_match_the_rank(self):
+        _, V = cubic_units()
+        with pytest.raises(UnitRankMismatch):
+            LogLattice(V).log_vector((1, 2, 3))
+
+    @pytest.mark.parametrize("exp", [(1, 0), (0, -3), (-5, 0), (1, -2), (4, -3), (-5, 5)])
+    def test_log_vector_encloses_the_log_of_the_product(self, exp):
+        # the integer sum of the generators' bounds against the log of the
+        # exact product's embedding at 256 bits: both enclose log eps^(p)
+        F, V = cubic_units()
+        eps = UnitPowers(F, V.generators)(exp)
+        for p, entry in enumerate(LogLattice(V).log_vector(exp)):
+            lo, hi = entry.endpoints()
+            ref_lo, ref_hi = unitsearch._embedding_iv(eps, p, 256).log().endpoints()
+            assert lo <= hi and lo <= ref_hi and ref_lo <= hi, (exp, p)
+
 
 class TestSearch:
     def test_empty_unit_group_is_a_rank_mismatch(self):
@@ -116,6 +170,48 @@ class TestSearch:
     def test_radius_zero_finds_nothing(self):
         _, V = cubic_units()
         assert search_admissible(V, A_BOUND, B_BOUND, 0) is None
+
+    def test_negative_radius_is_a_negative_index(self):
+        _, V = cubic_units()
+        with pytest.raises(NegativeIndex):
+            search_admissible(V, A_BOUND, B_BOUND, -1)
+
+    @pytest.mark.parametrize("radius", [2, 3, 4, 5])
+    def test_same_units_as_the_exact_reference(self, radius):
+        _, V = cubic_units()
+        for a, b in benchmark_bound_pairs():
+            cand = search_admissible(V, a, b, radius)
+            assert (cand and cand.units) == reference_search(V, a, b, radius), (a, b)
+
+    def test_undecided_intervals_fall_back_to_the_exact_conditions(self, monkeypatch):
+        # a log matrix known only to within 2^200 of its scale leaves every
+        # interval around 0, so every (candidate, region) goes to the exact test
+        _, V = cubic_units()
+        real_matrix = LogLattice.log_matrix
+        real_decision = unitsearch._region_decision
+        real_conditions = unitsearch.unit_region_conditions
+        decisions, exact_calls = [], []
+
+        def coarse_matrix(self, prec):
+            exp, M = real_matrix(self, prec)
+            slack = 1 << max(0, 200 - exp)
+            return exp, [[(lo - slack, hi + slack) for lo, hi in row] for row in M]
+
+        def decision(*args):
+            decisions.append(real_decision(*args))
+            return decisions[-1]
+
+        def conditions(*args, **kwargs):
+            exact_calls.append(args[1])
+            return real_conditions(*args, **kwargs)
+
+        monkeypatch.setattr(LogLattice, "log_matrix", coarse_matrix)
+        monkeypatch.setattr(unitsearch, "_region_decision", decision)
+        monkeypatch.setattr(unitsearch, "unit_region_conditions", conditions)
+        cand = search_admissible(V, A_BOUND, B_BOUND, RADIUS)
+        assert cand.units == reference_search(V, A_BOUND, B_BOUND, RADIUS)
+        assert decisions and set(decisions) == {None}
+        assert len(exact_calls) == len(decisions)
 
     def test_search_finds_candidate(self, found_candidate):
         cand = found_candidate
@@ -212,6 +308,13 @@ class TestHullChart:
     def test_omitted_index_is_complement(self, found_candidate):
         chart = hull_chart(found_candidate, (0, 2), 3)
         assert chart.omitted == 1
+
+    def test_negative_window_is_a_negative_index(self, found_candidate):
+        F, _ = cubic_units()
+        with pytest.raises(NegativeIndex):
+            hull_chart(found_candidate, (0, 1), -1)
+        with pytest.raises(NegativeIndex):
+            exhaustion_contains(found_candidate, 1, F.one, window=-1)
 
     @pytest.mark.parametrize("I", [(0,), (0, 0), (0, 5)])
     def test_index_set_must_be_n_minus_one_places(self, found_candidate, I):
