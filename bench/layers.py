@@ -1,7 +1,7 @@
-"""Layer microbenchmarks, the L-value enumerator, three in-process commands,
+"""Layer microbenchmarks, the L-value enumerator, five in-process commands,
 a cold import and a cold ``converge``, merged into a BENCH file.
 
-    python bench/layers.py --src src --label change --out BENCH_13.json
+    python bench/layers.py --src src --label change --out BENCH_14.json
 
 ``--src`` names the ``src`` directory that ``conesum`` is imported from, so
 the same script can measure a checkout of another commit.  Each case is
@@ -14,7 +14,8 @@ output file; the runs already there are kept, and when both ``parent`` and
 
 The commands are timed as a fresh process would run them after set-up: the
 field cache and the hull-chart cache are emptied and the configuration is
-loaded again before every call, and only the command itself is timed.  The
+loaded again before every call, and only the command itself is timed; two
+of the converge commands are ops of the benchmark's ``converge`` workload.  The
 cold import runs ``import conesum.cli`` in a new interpreter REPEATS times,
 after one run that writes the bytecode cache, and reports the wall time of
 the whole process; the cold converge does the same for ``python -m
@@ -118,7 +119,8 @@ def layer_cases():
 
 def polyhedral_cases() -> dict:
     """Facets of a fresh cube cone, the intersection of two fresh cubic cones,
-    and the boundary and dual cycles of the cube in P^3."""
+    the extreme rays of a fresh simplicial cubic cone, and the boundary and
+    dual cycles of the cube in P^3."""
     from conesum import cycles, field
     from conesum.geometry import Cone, ProjPolyhedron
 
@@ -131,10 +133,32 @@ def polyhedral_cases() -> dict:
     return {
         "geometry.facet_data.cube": lambda: Cone(Q, cube)._facet_data,
         "geometry.intersection.cubic": lambda: Cone(C, a).intersection(Cone(C, b)),
+        "geometry.extreme_rays.cubic": lambda: Cone(C, a).extreme_rays,
         "cycles.boundary_cycle.cube": lambda: cycles.boundary_cycle(
             ProjPolyhedron.from_points(Q, cube)
         ),
         "cycles.dual_cycle.cube": lambda: cycles.dual_cycle(z),
+    }
+
+
+def fan_summation_cases() -> dict:
+    """The star grouping of a point on a fan ray over a new window-6
+    truncation of the shipped Q(sqrt 3) fan (its top cones built once), and
+    the primal value of a pair of points of the shipped module."""
+    from conesum import config, summation
+    from conesum.fan import TruncatedFan, truncate
+
+    cfg = config.load_config(str(ROOT / "configs/sqrt3.json"))
+    desc, F = cfg.fan, cfg.field
+    tops = truncate(desc, 6).top_cones
+    x0 = tops[3].extreme_rays[0] * 3
+    pair = [F.element([1, Fraction(-1, 3)]), F.element([1, Fraction(1, 3)])]
+    point = F.element([4, Fraction(1, 3)])
+    return {
+        "fan.group_singular_terms.sqrt3.w6": lambda: TruncatedFan(
+            desc, tops, 6
+        ).group_singular_terms(x0),
+        "summation.cocycle_value.sqrt3": lambda: summation.cocycle_value(pair, point),
     }
 
 
@@ -234,11 +258,34 @@ def command_cases() -> dict:
 
         return setup
 
+    def sqrt13_op(x0):
+        # a converge op of the benchmark: Q(sqrt 13), its maximal order
+        raw = {
+            "field": {"min_poly": [-13, 0, 1]},
+            "module": {"basis": [["1", "0"], ["1/2", "1/2"]], "rho": ["0", "0"],
+                       "units": [["11/2", "3/2"]]},
+            "fan": {"type": "quadratic-auto"},
+        }
+
+        def setup():
+            field._field_cache.cache_clear()
+            overrides = {"x0": x0, "N_max": 20, "tolerance": 1e-12, "format": "json"}
+            return config.build_config(raw, overrides)
+
+        return setup
+
     args = argparse.Namespace(a=None, b=None, radius=None)
+
+    def converge_cmd(cfg):
+        return cli.cmd_converge(cfg, out=io.StringIO())
+
     return {
-        "cli.cmd_converge.sqrt3": command_timed(
-            fresh("configs/sqrt3.json"), lambda cfg: cli.cmd_converge(cfg, out=io.StringIO())
+        "cli.cmd_converge.sqrt3": command_timed(fresh("configs/sqrt3.json"), converge_cmd),
+        # a generic point, and 5 + sqrt 13 on the ray of a hull vertex
+        "cli.cmd_converge.sqrt13.generic": command_timed(
+            sqrt13_op(["7/2", "1/2"]), converge_cmd
         ),
+        "cli.cmd_converge.sqrt13.ray": command_timed(sqrt13_op(["5", "1"]), converge_cmd),
         "cli.cmd_unitsearch.cubic49": command_timed(
             fresh("configs/cubic49.json"),
             lambda cfg: cli.cmd_unitsearch(cfg, args, out=io.StringIO()),
@@ -273,6 +320,7 @@ def main(argv=None) -> int:
             for name, fn in {
                 **layer_cases(),
                 **polyhedral_cases(),
+                **fan_summation_cases(),
                 **unitsearch_cases(),
                 **lvalue_cases(),
             }.items()

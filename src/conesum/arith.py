@@ -635,7 +635,10 @@ def lvalue_numeric(
     for Ni in _interval_norms(enum.N2, *enum.row_norm(a), lo, hi):
         # "unsafe" lets object arrays of Python ints convert too
         terms = np.divide(den2, Ni, out=buf[: len(Ni)], casting="unsafe")
-        terms **= s
+        if s % 2 and s > 1:  # pow of a negative base is some 20x slower
+            np.copysign(np.abs(terms) ** s, terms, out=terms)
+        else:
+            terms **= s
         if ordered:
             idx = (np.abs(Ni) // width).astype(np.intp)
             shells += np.bincount(idx, weights=terms, minlength=len(shells))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
+from functools import cached_property
 
 from .errors import (
     ConeNotInFan,
@@ -185,22 +186,26 @@ class TruncatedFan:
     def rays(self) -> list[Cone]:
         return [Cone(self.field, [g]) for _, g in sorted(self._ray_keys.items())]
 
+    @cached_property
+    def _faces(self) -> dict[frozenset, tuple[Cone, list[Cone]]]:
+        """The face lattice, built once: each nonzero cone's key, in
+        Fraction-key order, with the cone and the top cones it is a face of."""
+        faces: dict[frozenset, tuple[Cone, list[Cone]]] = {}
+        for t in self.top_cones:
+            for f in [t] + t.proper_faces():
+                faces.setdefault(f.key(), (f, []))[1].append(t)
+        return {k: faces[k] for k in sorted(faces, key=lambda s: tuple(sorted(s)))}
+
     def all_cones(self) -> list[Cone]:
         """Every nonzero cone of the truncation, faces included."""
-        seen: dict[frozenset, Cone] = {}
-        for t in self.top_cones:
-            seen.setdefault(t.key(), t)
-            for f in t.proper_faces():
-                seen.setdefault(f.key(), f)
-        return [seen[k] for k in sorted(seen, key=lambda s: tuple(sorted(s)))]
+        return [c for c, _ in self._faces.values()]
 
     def star(self, sigma: Cone) -> list[Cone]:
         """Cones of the truncation having sigma as a face (sigma included)."""
         skey = sigma.key()
-        out = [c for c in self.all_cones() if skey <= c.key()]
-        if not any(c.key() == skey for c in out):
+        if skey not in self._faces:
             raise ConeNotInFan(f"{sigma} is not in the truncation")
-        return out
+        return [c for k, (c, _) in self._faces.items() if skey <= k]
 
     def star_tops(self, sigma: Cone) -> list[Cone]:
         n = self.field.degree
@@ -209,15 +214,13 @@ class TruncatedFan:
     def link(self, sigma: Cone) -> list[Cone | None]:
         """Faces of the star cones that do not contain sigma; includes the
         zero cone (reported as None)."""
-        skey = sigma.key()
-        out: dict[frozenset, Cone] = {}
-        for t in self.star(sigma):  # never empty: sigma is in its own star
-            for f in [t] + t.proper_faces():
-                if not skey <= f.key():
-                    out.setdefault(f.key(), f)
-        result: list[Cone | None] = [None]
-        result.extend(out[k] for k in sorted(out, key=lambda s: tuple(sorted(s))))
-        return result
+        star = {c.key() for c in self.star(sigma)}
+        # every star cone is a face of a top cone in the star
+        return [None] + [
+            c
+            for k, (c, tops) in self._faces.items()
+            if k not in star and any(t.key() in star for t in tops)
+        ]
 
     def singular_cones(self, x0: FieldElement) -> list[Cone]:
         """Minimal proper cones whose linear span contains x0."""

@@ -102,9 +102,13 @@ class LinearSubspace:
 
     def orthogonal_complement(self) -> "LinearSubspace":
         """Trace-orthogonal complement inside R^n (exact)."""
-        # Tr(b * x) = b^T T x as a linear functional on coordinates
+        # Tr(b * x) = b^T T x as a linear functional on coordinates; a
+        # positive multiple of b, cleared to integers, has the same kernel
         T = self.field.trace_matrix
-        rows = [linalg.mat_vec(T, b) for b in self.basis]
+        rows = []
+        for b in self.basis:
+            v = linalg.cleared(b)[0]
+            rows.append([sum(t * c for t, c in zip(row, v)) for row in T])
         return LinearSubspace(self.field, linalg.kernel(rows))
 
     def is_full(self) -> bool:
@@ -139,6 +143,14 @@ class Cone:
         self.generators: tuple[FieldElement, ...] = tuple(
             seen[k] for k in sorted(seen)
         )
+
+    @classmethod
+    def _canonical(cls, field: TotallyRealField, generators: tuple[FieldElement, ...]):
+        """The cone over generators that are already canonical ray points in
+        sorted order, such as a subsequence of another cone's generators."""
+        cone = cls.__new__(cls)
+        cone.field, cone.generators = field, generators
+        return cone
 
     @cached_property
     def span(self) -> LinearSubspace:
@@ -179,6 +191,8 @@ class Cone:
     def extreme_rays(self) -> tuple[FieldElement, ...]:
         gens = self.generators
         m = self.dim
+        if len(gens) == m:  # independent generators are all extreme
+            return gens
         if m == 1:
             return (gens[0],)
         result = []
@@ -238,17 +252,27 @@ class Cone:
         return result
 
     def proper_faces(self) -> list["Cone"]:
-        """All proper nonzero faces, deduplicated."""
-        seen: dict[frozenset, Cone] = {}
-        stack = self.facets()
-        while stack:
-            f = stack.pop()
-            if f.key() in seen:
-                continue
-            seen[f.key()] = f
-            if f.dim >= 2:
-                stack.extend(f.facets())
-        return sorted(seen.values(), key=lambda c: (c.dim, sorted(c.key())))
+        """All proper nonzero faces, deduplicated: for independent generators
+        the cones over their nonempty proper subsets."""
+        gens = self.generators
+        if len(gens) == self.dim:
+            faces = [
+                Cone._canonical(self.field, sub)
+                for k in range(1, len(gens))
+                for sub in itertools.combinations(gens, k)
+            ]
+        else:
+            seen: dict[frozenset, Cone] = {}
+            stack = self.facets()
+            while stack:
+                f = stack.pop()
+                if f.key() in seen:
+                    continue
+                seen[f.key()] = f
+                if f.dim >= 2:
+                    stack.extend(f.facets())
+            faces = list(seen.values())
+        return sorted(faces, key=lambda c: (c.dim, sorted(c.key())))
 
     def intersection(self, other: "Cone") -> "Cone | None":
         """Exact intersection; None when it is the zero cone."""

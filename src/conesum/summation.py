@@ -35,7 +35,6 @@ from .field import (
     FieldElement,
     ScaledRational,
     UnitPowers,
-    coord_det,
     det_scaled,
     is_totally_positive,
     surd_float,
@@ -90,15 +89,17 @@ class TermForm:
     dual basis, Gram matrix or field product is needed.  With det(A) =
     q*sqrt(D), the rows cleared to integers over a denominator den, and
     x = X/dx, the value is den^n dx^n / (q * prod_i (row_i . X)) / sqrt(D).
-    The primal pairing <x, A_i> is x . (T A_i) for the trace matrix T, so
-    its rows are the T A_i and its value q den^n dx^n / prod_i (row_i . X)
-    * sqrt(D).
+    The primal value is homogeneous of degree zero in each A_i, so it is
+    computed on the integer numerators num_i of A_i = num_i/den_i.  The
+    pairing <x, num_i> is x . (T num_i) for the trace matrix T, so its rows
+    are the integers T num_i and its value det(num) dx^n / prod_i
+    (row_i . X) * sqrt(D).
     """
 
     __slots__ = ("rows", "scale", "e", "disc")
 
     def __init__(self, points: Sequence[FieldElement]):
-        q = _tuple_det(points)
+        q = _tuple_det(points) / math.prod(p.den for p in points)
         # the coordinate matrix is (num_i / den_i)_i as columns, so row i of
         # its inverse is den_i times row i of the inverse of (num_i)_i
         inv = linalg.inverse(list(zip(*(p.num for p in points))))
@@ -107,10 +108,10 @@ class TermForm:
 
     @classmethod
     def primal(cls, points: Sequence[FieldElement]) -> "TermForm":
-        q = _tuple_det(points)
         T = points[0].field.trace_matrix
+        rows = [[sum(t * v for t, v in zip(row, a.num)) for row in T] for a in points]
         form = cls.__new__(cls)
-        form._clear([linalg.mat_vec(T, a.coords) for a in points], q, 1, points[0].field)
+        form._clear(rows, _tuple_det(points), 1, points[0].field)
         return form
 
     def _clear(self, rows, factor: Fraction, e: int, field) -> None:
@@ -142,7 +143,8 @@ class TermForm:
 
 
 def _tuple_det(points: Sequence[FieldElement]) -> Fraction:
-    q = coord_det(points)
+    """Determinant of the numerator rows num_i; DependentTuple when 0."""
+    q = linalg.det([p.num for p in points])
     if q == 0:
         raise DependentTuple("tuple is linearly dependent")
     return q
@@ -256,7 +258,7 @@ def partial_sum(tf: TruncatedFan, x0: FieldElement) -> ConvergenceRow:
     if not is_totally_positive(x0):
         raise NotTotallyPositive("partial sums are evaluated at totally positive x0")
     total = _groups_value(tf.group_singular_terms(x0), tf.module_basis, x0)
-    return _row(tf.window, total, x0)
+    return _row(tf.window, total, 1 / x0.norm())
 
 
 def _groups_value(groups, module_basis, x0: FieldElement) -> ScaledRational:
@@ -269,10 +271,9 @@ def _groups_value(groups, module_basis, x0: FieldElement) -> ScaledRational:
     return total
 
 
-def _row(window: int, total: ScaledRational, x0: FieldElement) -> ConvergenceRow:
+def _row(window: int, total: ScaledRational, target: Fraction) -> ConvergenceRow:
     if total.e == 1:  # present window sums uniformly as q/sqrt(D)
         total = total.with_exponent(-1)
-    target = Fraction(1) / x0.norm()
     return ConvergenceRow(
         window=window,
         value=total,
@@ -421,6 +422,7 @@ def converge(
     regular = Fraction(0)  # the non-singular terms, as c with value c/sqrt(D)
     singular_tops: list[Cone] = []
     star = ScaledRational.rational(0, x0.field.disc_abs)
+    target = 1 / x0.norm()
     rows = []
     for window in range(1, n_max + 1):
         grew = False
@@ -446,7 +448,7 @@ def converge(
             tf = TruncatedFan(description, singular_tops, window)
             star = _groups_value(tf.group_singular_terms(x0), tf.module_basis, x0)
         total = ScaledRational(regular, -1, x0.field.disc_abs) + star
-        rows.append(_row(window, total, x0))
+        rows.append(_row(window, total, target))
         if rows[-1].abs_error < tol:
             break
     return rows

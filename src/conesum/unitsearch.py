@@ -163,15 +163,19 @@ def _ln2_fixed(w: int) -> tuple[int, int]:
 def _log_fixed(m: int, e: int, w: int) -> tuple[int, int]:
     """(lo, hi) with lo <= 2^w log(m 2^e) <= hi for m > 0.
 
-    With m 2^e = 2^k a/b and a/b = m / 2^bitlen(m) in [1/2, 1),
-    log = k ln 2 - 2 atanh((b - a)/(b + a)), and the atanh argument is at
-    most 1/3."""
+    With m 2^e = 2^k m/b for the power of two b that puts m/b in
+    [1/sqrt 2, sqrt 2), log = k ln 2 + 2 atanh((m - b)/(m + b)), and the
+    atanh argument is at most 3 - 2 sqrt 2 < 0.172 in absolute value."""
     n = m.bit_length()
+    if m * m < 1 << 2 * n - 1:  # m/2^n < 1/sqrt 2
+        n -= 1
     k, b = e + n, 1 << n
-    s, err = _atanh_fixed(b - m, b + m, w)
+    s, err = _atanh_fixed(abs(m - b), m + b, w)
     ln2, ln2_err = _ln2_fixed(w)
     k_lo, k_hi = sorted((k * ln2, k * (ln2 + ln2_err)))
-    return k_lo - 2 * (s + err), k_hi - 2 * s
+    if m < b:
+        return k_lo - 2 * (s + err), k_hi - 2 * s
+    return k_lo + 2 * s, k_hi + 2 * (s + err)
 
 
 def _embedding_iv(x: FieldElement, place: int, prec: int) -> Interval:

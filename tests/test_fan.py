@@ -377,6 +377,85 @@ class TestStarLink:
             tf.star(Cone(F, [a, c]))
 
 
+# ---------------------------------------------------------------------------
+# the face lattice against brute-force rebuilds of every query
+
+
+def _by_key(cones):
+    return sorted(cones, key=lambda c: tuple(sorted(c.key())))
+
+
+def brute_all_cones(tf):
+    seen = {}
+    for t in tf.top_cones:
+        seen.setdefault(t.key(), t)
+        for f in t.proper_faces():
+            seen.setdefault(f.key(), f)
+    return _by_key(seen.values())
+
+
+def brute_star(cones, sigma):
+    return [c for c in cones if sigma.key() <= c.key()]
+
+
+def brute_link(cones, sigma):
+    out = {}
+    for t in brute_star(cones, sigma):
+        for f in [t] + t.proper_faces():
+            if not sigma.key() <= f.key():
+                out.setdefault(f.key(), f)
+    return [None] + _by_key(out.values())
+
+
+def brute_singular_cones(tf, x0):
+    found = []
+    for c in sorted(brute_all_cones(tf), key=lambda c: c.dim):
+        if c.dim < tf.field.degree and c.span.contains(x0):
+            if not any(f.key() <= c.key() for f in found):
+                found.append(c)
+    return found
+
+
+def colmez_cubic_fan():
+    """The cones C(1, e1, e1 e2) and C(1, e2, e1 e2) over the totally
+    positive units of the cubic field of discriminant 49."""
+    F = make_field([1, -2, -1, 1])
+    e1, e2 = F.theta**2, F.element([1, -2, 1])
+    reps = (Cone(F, [F.one, e1, e1 * e2]), Cone(F, [F.one, e2, e1 * e2]))
+    basis = (F.one, F.theta, F.theta**2)
+    return FanDescription(kind="explicit", module_basis=basis, units=(e1, e2), orbit_cones=reps)
+
+
+def _keys(cones):
+    return [None if c is None else c.key() for c in cones]
+
+
+class TestFaceLattice:
+    @pytest.mark.parametrize("fan", ["sqrt3", "cubic"])
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_queries_match_brute_force(self, fan, window):
+        if fan == "sqrt3":
+            _, M, eps = sqrt3_setup()
+            desc, _ = build_quadratic_fan(M, eps)
+        else:
+            desc = colmez_cubic_fan()
+        # reversed top cones: no answer may follow the order they come in
+        tf = TruncatedFan(desc, truncate(desc, window).top_cones[::-1], window)
+        F, n = tf.field, tf.field.degree
+        cones = brute_all_cones(tf)
+        assert _keys(tf.all_cones()) == _keys(cones)
+        for sigma in cones:
+            star = brute_star(cones, sigma)
+            assert _keys(tf.star(sigma)) == _keys(star)
+            assert _keys(tf.star_tops(sigma)) == _keys(c for c in star if c.dim == n)
+            assert _keys(tf.link(sigma)) == _keys(brute_link(cones, sigma))
+        t = tf.top_cones[0]
+        rays = t.extreme_rays
+        points = [F.element([5, 1, 1][:n]), rays[0] * 3, rays[0] + rays[1], t.interior_point()]
+        for x0 in points:
+            assert _keys(tf.singular_cones(x0)) == _keys(brute_singular_cones(tf, x0))
+
+
 class TestSingularCones:
     def test_generic_interior_point(self):
         F, M, eps = sqrt3_setup()

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conesum import linalg
@@ -422,6 +422,77 @@ class TestAgainstReferenceLoops:
         assert (meet is None) == (expected is None)
         if meet is not None:
             assert meet.key() == expected.key()
+
+
+def reference_extreme_rays(cone):
+    """The generators on which reference facet normals of rank m - 1 are
+    tight."""
+    m = cone.dim
+    if m < 2:
+        return cone.generators[:m]
+    facets = reference_facet_data(cone)
+    return tuple(
+        g
+        for i, g in enumerate(cone.generators)
+        if linalg.rank([n.num for n, tight in facets if i in tight]) == m - 1
+    )
+
+
+def reference_faces(cone):
+    """(dim, sorted ray keys) of every proper nonzero face, by descent through
+    the reference facets."""
+    found, stack = set(), [cone]
+    while stack:
+        c = stack.pop()
+        for _, tight in reference_facet_data(c):
+            f = Cone(c.field, [c.generators[i] for i in tight])
+            face = (f.dim, tuple(sorted(g.ray_key() for g in reference_extreme_rays(f))))
+            if face not in found:
+                found.add(face)
+                stack.append(f)
+    return sorted(found)
+
+
+def faces(cone):
+    return [(f.dim, tuple(sorted(f.key()))) for f in cone.proper_faces()]
+
+
+@st.composite
+def independent_generators(draw):
+    """One to degree independent generators with small coordinates."""
+    F = make_field(draw(st.sampled_from(FIELDS)))
+    n = F.degree
+    vec = st.lists(st.integers(-2, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(vec, min_size=1, max_size=n))
+    assume(linalg.rank(rows) == len(rows))
+    return F, [F.element(v) for v in rows]
+
+
+class TestRaysAndFacesAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(independent_generators())
+    def test_simplicial(self, case):
+        F, gens = case
+        cone = Cone(F, gens)
+        assert cone.extreme_rays == reference_extreme_rays(cone)
+        assert faces(cone) == reference_faces(cone)
+
+    def test_cube(self):
+        F = make_field(QUARTIC)
+        cube = Cone(F, [elem(F, sx, sy, sz, 1) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)])
+        assert len(cube.extreme_rays) == 8
+        assert cube.extreme_rays == reference_extreme_rays(cube)
+        assert faces(cube) == reference_faces(cube)
+
+    def test_non_simplicial_intersection(self):
+        # a triangle and a quadrilateral meet in a hexagon
+        F = make_field(CUBIC)
+        a = Cone(F, [elem(F, 2, 1, 0), elem(F, 0, 2, 1), elem(F, 1, 0, 2)])
+        b = Cone(F, [elem(F, 3, 1, 1), elem(F, 1, 3, 1), elem(F, 1, 1, 3), elem(F, 2, 2, -1)])
+        meet = a.intersection(b)
+        assert not meet.is_simplicial()
+        assert meet.extreme_rays == reference_extreme_rays(meet)
+        assert faces(meet) == reference_faces(meet)
 
 
 @st.composite

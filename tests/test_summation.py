@@ -272,6 +272,52 @@ class TestTermForm:
                 checked += 1
         assert checked >= 100
 
+    def test_primal_on_fractional_coordinates(self):
+        # the primal rows are built on the numerators of the A_i; with
+        # denominators in A and x the coefficient must still be det(A) /
+        # prod <x, A_i> worked out on the Fraction coordinates
+        def det(rows):
+            if len(rows) == 1:
+                return rows[0][0]
+            return sum(
+                (-1) ** j * rows[0][j] * det([r[:j] + r[j + 1 :] for r in rows[1:]])
+                for j in range(len(rows))
+            )
+
+        def pairing(x, a, T):
+            return sum(
+                xi * t * aj for xi, row in zip(x.coords, T) for t, aj in zip(row, a.coords)
+            )
+
+        rng = random.Random(10)
+        F3 = make_field(QUADRATIC)
+        module = (F3.one, F3.theta / 3)  # the shipped Z + Z sqrt(3)/3
+        checked = 0
+        for poly in (QUADRATIC, CUBIC, QUARTIC):
+            F = make_field(poly)
+            for trial in range(40):
+                if F is F3 and trial % 2:
+                    A = [module[0] * rng.randint(-5, 5) + module[1] * rng.randint(-5, 5)
+                         for _ in range(2)]
+                    x = module[0] * rng.randint(1, 9) + module[1] * rng.randint(-5, 5)
+                else:
+                    A = [rand_elem(F, rng) / rng.randint(1, 7) for _ in range(F.degree)]
+                    x = rand_elem(F, rng) / rng.randint(1, 7)
+                q = det([a.coords for a in A])
+                if q == 0:
+                    continue
+                pairings = [pairing(x, a, F.trace_matrix) for a in A]
+                c = TermForm.primal(A).coefficient(x.num, x.den)
+                if 0 in pairings:
+                    assert c is None
+                    continue
+                prod = Fraction(1)
+                for p in pairings:
+                    prod *= p
+                assert c == q / prod
+                checked += 1
+        assert checked >= 100
+
     def test_dependent_tuple_rejected(self):
         F = make_field(QUADRATIC)
         with pytest.raises(DependentTuple):

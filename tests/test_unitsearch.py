@@ -435,6 +435,19 @@ class TestIntervalArithmetic:
             scale = max(1, abs(lo))
             assert (hi - lo) / scale < Fraction(1, 2 ** (prec - 4))
 
+    @pytest.mark.parametrize("prec", [64, 256, 1024])
+    def test_log_of_a_rational_encloses_the_log(self, prec):
+        # mantissas m / 2^bitlen(m) on both sides of 1/sqrt 2, where the
+        # argument reduction switches, and exact powers of two
+        values = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 7), Fraction(4, 7),
+                  Fraction(11, 20), Fraction(7, 10), Fraction(5, 7), Fraction(70, 99),
+                  Fraction(99, 140), Fraction(10**6 + 1), Fraction(1, 3**40), Fraction(2**90, 3)]
+        for q in values:
+            lo, hi = Interval.of(q, q, prec).log().endpoints()
+            with mpmath.workprec(2048):
+                exact = mpmath.log(_mpf(q))
+                assert _mpf(lo) <= exact <= _mpf(hi)
+
     def test_log_needs_a_positive_interval(self):
         with pytest.raises(PrecisionExhausted):
             Interval(0, 1, 0, 80).log()
