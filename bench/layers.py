@@ -1,7 +1,7 @@
 """Layer microbenchmarks, the L-value enumerator, five in-process commands,
 a cold import and a cold ``converge``, merged into a BENCH file.
 
-    python bench/layers.py --src src --label change --out BENCH_14.json
+    python bench/layers.py --src src --label change --out BENCH_15.json
 
 ``--src`` names the ``src`` directory that ``conesum`` is imported from, so
 the same script can measure a checkout of another commit.  Each case is
@@ -143,13 +143,21 @@ def polyhedral_cases() -> dict:
 
 def fan_summation_cases() -> dict:
     """The star grouping of a point on a fan ray over a new window-6
-    truncation of the shipped Q(sqrt 3) fan (its top cones built once), and
-    the primal value of a pair of points of the shipped module."""
+    truncation of the shipped Q(sqrt 3) fan (its top cones built once), the
+    primal value of a pair of points of the shipped module, and the hull
+    construction and the window-4 truncation of the Q(sqrt 19) fan of
+    Z[sqrt 19]."""
     from conesum import config, summation
-    from conesum.fan import TruncatedFan, truncate
+    from conesum.fan import TruncatedFan, build_quadratic_fan, truncate
 
     cfg = config.load_config(str(ROOT / "configs/sqrt3.json"))
     desc, F = cfg.fan, cfg.field
+    sqrt19 = config.build_config({
+        "field": {"min_poly": [-19, 0, 1]},
+        "module": {"basis": [["1", "0"], ["0", "1"]], "rho": ["0", "0"],
+                   "units": [["170", "39"]]},
+        "fan": {"type": "quadratic-auto"},
+    }).fan
     tops = truncate(desc, 6).top_cones
     x0 = tops[3].extreme_rays[0] * 3
     pair = [F.element([1, Fraction(-1, 3)]), F.element([1, Fraction(1, 3)])]
@@ -159,6 +167,10 @@ def fan_summation_cases() -> dict:
             desc, tops, 6
         ).group_singular_terms(x0),
         "summation.cocycle_value.sqrt3": lambda: summation.cocycle_value(pair, point),
+        "fan.build_quadratic_fan.sqrt19": lambda: build_quadratic_fan(
+            sqrt19.module_basis, sqrt19.units[0]
+        ),
+        "fan.truncate.sqrt19.w4": lambda: truncate(sqrt19, 4),
     }
 
 

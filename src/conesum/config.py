@@ -46,17 +46,17 @@ def parse_element(field: TotallyRealField, coords) -> FieldElement:
 
 class RunConfig(Record):
     __slots__ = (
-        "field", "module", "fan", "x0", "n_max", "tolerance", "precision_bits", "seed",
-        "output_format", "unitsearch", "raw",
+        "field", "module", "fan", "x0", "n_max", "tolerance", "seed", "output_format",
+        "unitsearch", "raw",
     )
 
     def __init__(
         self, field: TotallyRealField, module: LatticeModule | None, fan: FanDescription | None,
-        x0: FieldElement | None, n_max: int, tolerance: float, precision_bits: int, seed: int,
-        output_format: str, unitsearch: dict | None = None, raw: dict | None = None,
+        x0: FieldElement | None, n_max: int, tolerance: float, seed: int, output_format: str,
+        unitsearch: dict | None = None, raw: dict | None = None,
     ):
         self._fill(
-            field, module, fan, x0, n_max, tolerance, precision_bits, seed, output_format,
+            field, module, fan, x0, n_max, tolerance, seed, output_format,
             {} if unitsearch is None else unitsearch, {} if raw is None else raw,
         )
 
@@ -149,7 +149,6 @@ def build_config(raw: dict, overrides: dict[str, object] | None = None) -> RunCo
         x0=x0,
         n_max=_int("N_max", 8, 1),
         tolerance=float(tol),
-        precision_bits=_int("precision_bits", 128, 16),
         seed=_int("seed", 0, 0),
         output_format=out_fmt,
         unitsearch=unitsearch,

@@ -79,17 +79,19 @@ def build_quadratic_fan(
         raise UnitDoesNotPreserveM("unit acts trivially")
 
     points, b_period, eps0 = minus_continued_fraction(module_basis)
-    cf = VertexSequence(
-        tuple(module_basis), eps0, len(points), tuple(points), tuple(b_period)
-    )
-    m = cf.period  # eps_up, which preserves M, is a power of the generator eps0
-    power = eps0
-    while power != eps_up:
-        power = power * eps0
-        m += cf.period
+    p = len(points)
+    powers = UnitPowers(F, (eps0,))
+
+    def point(k: int) -> FieldElement:  # each power of eps0 is built once
+        q, r = divmod(k, p)
+        return points[r] * powers((q,))
+
+    m = p  # eps_up, which preserves M, is a power of the generator eps0
+    while powers((m // p,)) != eps_up:
+        m += p
 
     def trace(k: int):
-        return cf.point(k).trace()
+        return point(k).trace()
 
     # start at a trace-minimal point, ties broken by coordinates: the trace
     # is convex along the boundary (b_k >= 2), so descend to the first
@@ -102,9 +104,9 @@ def build_quadratic_fan(
     ties = [k]
     while trace(ties[-1] + 1) == trace(k):
         ties.append(ties[-1] + 1)
-    start = min(ties, key=lambda i: cf.point(i).coords)
-    seq = [cf.point(start + i) for i in range(m)]
-    bs = [cf.b(start + i) for i in range(m)]
+    start = min(ties, key=lambda i: point(i).coords)
+    seq = [point(start + i) for i in range(m)]
+    bs = [b_period[(start + i) % p] for i in range(m)]
 
     # canonical rotation: lexicographically smallest b-cycle, ties broken by
     # the starting point's coordinates
@@ -149,9 +151,8 @@ class FanDescription(FrozenRecord):
         # a quadratic fan's orbit representatives: A_r A_{r+1} over one period
         if kind == "quadratic-auto" and not orbit_cones:
             vs, field = vertex_sequence, module_basis[0].field
-            orbit_cones = tuple(
-                Cone(field, [vs.point(r), vs.point(r + 1)]) for r in range(vs.period)
-            )
+            ring = vs.base_points + (vs.base_points[0] * vs.unit,)
+            orbit_cones = tuple(Cone(field, ring[r : r + 2]) for r in range(vs.period))
         self._fill(kind, module_basis, units, vertex_sequence, orbit_cones)
 
     @property
@@ -268,36 +269,40 @@ class TermGroup(FrozenRecord):
         return self.sigma is None
 
 
-def truncate(description: FanDescription, window: int) -> TruncatedFan:
-    """All cones whose orbit representatives are translated by unit powers
-    in [-window, window], closed under faces."""
+def window_exponents(description: FanDescription, window: int) -> list[tuple[int, ...]]:
+    """The unit exponents e whose translates u^e t of the orbit
+    representatives t make up window N, in increasing order: e in [-N, N)
+    on a quadratic fan, whose window N is then A_k A_{k+1} for k in
+    [-Nm, Nm) (window 0 holds the representatives, e = 0), and [-N, N] in
+    each unit on an explicit fan."""
     if window < 0:
         raise NegativeIndex(f"window {window} is negative")
     if description.kind == "quadratic-auto":
-        vs = description.vertex_sequence
-        m = vs.period
-        tops = []
-        labels = {}
-        lo, hi = -window * m, window * m
-        if window == 0:
-            lo, hi = 0, m  # orbit representatives only
-        for k in range(lo, hi):
-            cone = Cone(description.field, [vs.point(k), vs.point(k + 1)])
-            labels[cone.key()] = k
-            tops.append(cone)
-        return TruncatedFan(description, tops, window, labels)
+        return [(e,) for e in range(-window, max(window, 1))]
+    box = range(-window, window + 1)
+    return list(itertools.product(box, repeat=len(description.units)))
 
-    # explicit: translate orbit representatives by bounded unit products
-    seen: dict[frozenset, Cone] = {}
+
+def truncate(description: FanDescription, window: int) -> TruncatedFan:
+    """The translates of the orbit representatives by the unit powers of
+    window_exponents, closed under faces.  A quadratic cone A_k A_{k+1} is
+    labelled k = e*m + r and the tops run in label order; explicit tops are
+    deduplicated and run in Fraction-key order."""
+    quadratic = description.kind == "quadratic-auto"
+    reps = description.orbit_cones
     powers = UnitPowers(description.field, description.units)
-    ranges = [range(-window, window + 1)] * len(description.units)
-    for exponents in itertools.product(*ranges):
+    seen: dict[frozenset, Cone] = {}
+    labels = {}
+    for exponents in window_exponents(description, window):
         translator = powers(exponents)
-        for rep in description.orbit_cones:
+        for r, rep in enumerate(reps):
             c = rep.mul_unit(translator)
-            seen.setdefault(c.key(), c)
-    tops = [seen[k] for k in sorted(seen, key=lambda s: tuple(sorted(s)))]
-    return TruncatedFan(description, tops, window)
+            if seen.setdefault(c.key(), c) is c and quadratic:
+                labels[c.key()] = exponents[0] * len(reps) + r
+    tops = list(seen.values())
+    if not quadratic:
+        tops.sort(key=lambda c: tuple(sorted(c.key())))
+    return TruncatedFan(description, tops, window, labels)
 
 
 # ---------------------------------------------------------------------------

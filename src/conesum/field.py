@@ -396,17 +396,6 @@ class ScaledRational(FrozenRecord):
             return ScaledRational(q, e, self.disc)
         raise MixedExponents(f"cannot rewrite exponent {self.e} as {e}")
 
-    def to_mpf(self, prec_bits: int = 128):
-        import mpmath
-
-        with mpmath.workprec(prec_bits):
-            val = mpmath.mpf(self.q.numerator) / self.q.denominator
-            if self.e == 1:
-                val *= mpmath.sqrt(self.disc)
-            elif self.e == -1:
-                val /= mpmath.sqrt(self.disc)
-            return +val
-
     def __float__(self) -> float:
         return surd_float(*self.parts(), self.disc)
 

@@ -9,7 +9,6 @@ the convergence driver verifies window by window with exact partial sums.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from fractions import Fraction
@@ -30,7 +29,7 @@ from .errors import (
     NotTotallyPositive,
     SingularAtX0,
 )
-from .fan import FanDescription, TermGroup, TruncatedFan
+from .fan import FanDescription, TermGroup, TruncatedFan, window_exponents
 from .field import (
     FieldElement,
     ScaledRational,
@@ -366,7 +365,7 @@ def hurwitz_area(
     det = det_scaled([a * s for a, s in zip(points, signs)])
     if det.is_zero():
         raise DependentTuple("area region needs independent points")
-    det_f = float(det.to_mpf(80))
+    det_f = float(det)
     c = [float(p) for p in pairings]
 
     import numpy as np
@@ -399,7 +398,8 @@ def converge(
     absolute error against 1/N(x0) drops below tol.
 
     Row N equals partial_sum(truncate(description, N), x0), but each window
-    only adds the terms of the cones that are new to it.  The fan is
+    only adds the terms of the translates by the window_exponents that the
+    windows before it lack.  The fan is
     periodic: a translate u*t of an orbit representative t has the term
     h*(u t)(x0) = h*(t)(u^-1 x0) / |N(u)|, since the value is homogeneous of
     degree zero in each generator.  So one TermForm per representative
@@ -423,10 +423,14 @@ def converge(
     singular_tops: list[Cone] = []
     star = ScaledRational.rational(0, x0.field.disc_abs)
     target = 1 / x0.norm()
+    walked: set[tuple[int, ...]] = set()
     rows = []
     for window in range(1, n_max + 1):
         grew = False
-        for exponents in _new_exponents(description, window):
+        for exponents in window_exponents(description, window):
+            if exponents in walked:
+                continue
+            walked.add(exponents)
             translator = powers(exponents)
             x = x0 * powers(-a for a in exponents)
             norm = Fraction(1)
@@ -452,16 +456,3 @@ def converge(
         if rows[-1].abs_error < tol:
             break
     return rows
-
-
-def _new_exponents(description: FanDescription, window: int) -> list[tuple[int, ...]]:
-    """Unit exponents whose translates of the representatives enter the
-    window at this size: truncate(description, N) holds the quadratic cones
-    A_k A_{k+1} for k in [-Nm, Nm), and the explicit translates by unit
-    products with exponents in [-N, N]."""
-    if description.kind == "quadratic-auto":
-        return [(-window,), (window - 1,)]
-    box = itertools.product(range(-window, window + 1), repeat=len(description.units))
-    if window == 1:
-        return list(box)
-    return [a for a in box if max(map(abs, a), default=0) == window]

@@ -26,6 +26,7 @@ from conesum.fan import (
     refine_insert_ray,
 )
 from conesum.geometry import Cone, solve_in_basis
+from conesum.summation import converge, partial_sum
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +105,12 @@ def sqrt5_setup():
     F = make_field([-5, 0, 1])
     phi = F.element([Fraction(1, 2), Fraction(1, 2)])
     return F, (F.one, phi), fundamental_unit_quadratic(5)
+
+
+def sqrt13_setup():
+    F = make_field([-13, 0, 1])
+    omega = F.element([Fraction(1, 2), Fraction(1, 2)])
+    return F, (F.one, omega), fundamental_unit_quadratic(13)
 
 
 class TestQuadraticHull:
@@ -262,6 +269,20 @@ class TestTruncate:
         desc, vs = build_quadratic_fan(M, eps)
         tf = truncate(desc, 0)
         assert sorted(tf.labels.values()) == list(range(vs.period))
+
+    @pytest.mark.parametrize("setup", [sqrt2_setup, sqrt3_setup, sqrt5_setup, sqrt13_setup])
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    def test_matches_vertex_index_definition(self, setup, window):
+        # window N holds A_k A_{k+1} for k in [-Nm, Nm), labelled k and in
+        # that order; window 0 holds k in [0, m)
+        F, M, eps = setup()
+        desc, vs = build_quadratic_fan(M, eps)
+        m = vs.period
+        ks = list(range(-window * m, window * m) if window else range(m))
+        tf = truncate(desc, window)
+        expected = [Cone(F, [vs.point(k), vs.point(k + 1)]) for k in ks]
+        assert [t.generators for t in tf.top_cones] == [c.generators for c in expected]
+        assert [tf.labels[t.key()] for t in tf.top_cones] == ks
 
     def test_negative_window_rejected(self):
         _, M, eps = sqrt3_setup()
@@ -424,6 +445,15 @@ def colmez_cubic_fan():
     reps = (Cone(F, [F.one, e1, e1 * e2]), Cone(F, [F.one, e2, e1 * e2]))
     basis = (F.one, F.theta, F.theta**2)
     return FanDescription(kind="explicit", module_basis=basis, units=(e1, e2), orbit_cones=reps)
+
+
+class TestConvergeOnRankTwoFan:
+    @pytest.mark.parametrize("coords", [[5, 1, 1], [7, -1, 2], [3, 0, 1]])
+    def test_rows_match_full_windows(self, coords):
+        desc = colmez_cubic_fan()
+        x0 = desc.field.element(coords)
+        rows = converge(desc, x0, 3, 0.0)
+        assert rows == [partial_sum(truncate(desc, n), x0) for n in (1, 2, 3)]
 
 
 def _keys(cones):

@@ -1,8 +1,8 @@
 """Checks on the program as a tool: the names the traced benchmark run
 wraps must still resolve (a deletion would break it silently), output may
 not depend on ``python -O``, importing it stays free of sympy, field
-construction and ``converge`` stay free of numpy, neither they nor
-``unitsearch`` load mpmath, and importing the CLI loads none of
+construction and ``converge`` stay free of numpy, the library never
+loads mpmath, and importing the CLI loads none of
 ``dataclasses`` (with ``inspect``), ``argparse`` and ``typing``."""
 
 import importlib
@@ -62,9 +62,8 @@ def test_field_construction_does_not_import_sympy():
 
 def test_field_and_converge_do_not_import_numpy():
     # numpy is imported only by the L-value enumerator and the area oracle;
-    # mpmath only by reports at a requested precision (ScaledRational.to_mpf,
-    # such as the csv decimals), so neither the import, nor a json converge,
-    # nor unitsearch loads it
+    # the library never imports mpmath, so neither the import, nor converge
+    # in either format, nor unitsearch, nor the area suite loads it
     probe = _python(
         "-c",
         "import contextlib, io, sys\n"
@@ -78,10 +77,13 @@ def test_field_and_converge_do_not_import_numpy():
         "print(codes, 'mpmath' in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['converge', 'configs/sqrt3.json'])\n"
-        "print(code, 'numpy' in sys.modules)\n",
+        "print(code, 'numpy' in sys.modules, 'mpmath' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', 'hurwitz', 'configs/sqrt3.json'])\n"
+        "print(code, 'mpmath' in sys.modules)\n",
     )
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.splitlines() == ["False", "[0, 0] False", "0 False"]
+    assert probe.stdout.splitlines() == ["False", "[0, 0] False", "0 False False", "0 False"]
 
 
 def test_cli_import_skips_dataclasses_inspect_and_argparse():
