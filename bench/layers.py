@@ -1,7 +1,7 @@
 """Layer microbenchmarks, the L-value enumerator, five in-process commands,
 a cold import and a cold ``converge``, merged into a BENCH file.
 
-    python bench/layers.py --src src --label change --out BENCH_15.json
+    python bench/layers.py --src src --label change --out BENCH_16.json
 
 ``--src`` names the ``src`` directory that ``conesum`` is imported from, so
 the same script can measure a checkout of another commit.  Each case is
@@ -144,11 +144,13 @@ def polyhedral_cases() -> dict:
 def fan_summation_cases() -> dict:
     """The star grouping of a point on a fan ray over a new window-6
     truncation of the shipped Q(sqrt 3) fan (its top cones built once), the
-    primal value of a pair of points of the shipped module, and the hull
+    primal value of a pair of points of the shipped module, the hull
     construction and the window-4 truncation of the Q(sqrt 19) fan of
-    Z[sqrt 19]."""
+    Z[sqrt 19], and the insertion of a ray into the first top cone of that
+    window-4 truncation and of the window-5 truncation of the Q(sqrt 3)
+    fan (both truncations built once)."""
     from conesum import config, summation
-    from conesum.fan import TruncatedFan, build_quadratic_fan, truncate
+    from conesum.fan import TruncatedFan, build_quadratic_fan, refine_insert_ray, truncate
 
     cfg = config.load_config(str(ROOT / "configs/sqrt3.json"))
     desc, F = cfg.fan, cfg.field
@@ -162,6 +164,8 @@ def fan_summation_cases() -> dict:
     x0 = tops[3].extreme_rays[0] * 3
     pair = [F.element([1, Fraction(-1, 3)]), F.element([1, Fraction(1, 3)])]
     point = F.element([4, Fraction(1, 3)])
+    w4, w5 = truncate(sqrt19, 4), truncate(desc, 5)
+    ray4, ray5 = (tf.top_cones[0].interior_point() for tf in (w4, w5))
     return {
         "fan.group_singular_terms.sqrt3.w6": lambda: TruncatedFan(
             desc, tops, 6
@@ -171,6 +175,8 @@ def fan_summation_cases() -> dict:
             sqrt19.module_basis, sqrt19.units[0]
         ),
         "fan.truncate.sqrt19.w4": lambda: truncate(sqrt19, 4),
+        "fan.refine_insert_ray.sqrt19.w4": lambda: refine_insert_ray(w4, ray4),
+        "fan.refine_insert_ray.sqrt3.w5": lambda: refine_insert_ray(w5, ray5),
     }
 
 

@@ -25,6 +25,7 @@ from .field import (
     FieldElement,
     TotallyRealField,
     UnitPowers,
+    coord_det,
     is_totally_positive,
     is_unit,
     minus_continued_fraction,
@@ -285,8 +286,9 @@ def window_exponents(description: FanDescription, window: int) -> list[tuple[int
 
 def truncate(description: FanDescription, window: int) -> TruncatedFan:
     """The translates of the orbit representatives by the unit powers of
-    window_exponents, closed under faces.  A quadratic cone A_k A_{k+1} is
-    labelled k = e*m + r and the tops run in label order; explicit tops are
+    window_exponents, closed under faces.  A quadratic top u^e t_r is
+    labelled e*len(reps) + r (the vertex index k of A_k A_{k+1} only on an
+    unrefined fan) and the tops run in label order; explicit tops are
     deduplicated and run in Fraction-key order."""
     quadratic = description.kind == "quadratic-auto"
     reps = description.orbit_cones
@@ -421,45 +423,40 @@ def validate_good_fan(tf: TruncatedFan) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# refinement by ray insertion (quadratic truncations)
+# refinement by ray insertion (quadratic fans)
+
+
+def _strict_host(cones: Sequence[Cone], ray: FieldElement) -> int:
+    """Index of the first cone whose relative interior holds the ray."""
+    for i, c in enumerate(cones):
+        if c.contains_strictly(ray):
+            return i
+    raise RayOnExistingFace(f"{ray} spans a fan ray or is interior to no cone")
+
+
+def refine(description: FanDescription, ray: FieldElement) -> FanDescription:
+    """The quadratic fan whose orbit representative A B holding the ray
+    strictly is replaced, in place, by A ray and ray B (A before B)."""
+    d = description
+    if d.kind != "quadratic-auto":
+        raise UnsupportedFanKind("ray insertion is supported on quadratic fans")
+    reps, i = d.orbit_cones, _strict_host(d.orbit_cones, ray)
+    a, b = reps[i].generators
+    if coord_det([a, b]) < 0:  # generators come in ray-key order, not boundary order
+        a, b = b, a
+    halves = (Cone(d.field, [a, ray]), Cone(d.field, [ray, b]))
+    return FanDescription(
+        d.kind, d.module_basis, d.units, d.vertex_sequence, reps[:i] + halves + reps[i + 1 :]
+    )
 
 
 def refine_insert_ray(tf: TruncatedFan, ray: FieldElement) -> TruncatedFan:
-    """Split the quadratic cone containing the ray (and all its unit
-    translates inside the window) in two."""
+    """The window of the fan refined by the ray, moved into its orbit
+    representative: the top holding it and its translates split in two."""
     desc = tf.description
     if desc.kind != "quadratic-auto":
         raise UnsupportedFanKind("ray insertion is supported on quadratic fans")
-    field = tf.field
-    for key in tf._ray_keys:
-        if field.element(key).ray_key() == ray.ray_key():
-            raise RayOnExistingFace(f"{ray} already spans a fan ray")
-    host = None
-    for t in tf.top_cones:
-        if t.contains_strictly(ray):
-            host = t
-            break
-    if host is None:
-        raise RayOnExistingFace(f"{ray} is not interior to any cone of the window")
-
-    vs = desc.vertex_sequence
-    k_host = tf.labels[host.key()]
-    m = vs.period
-    eps = vs.unit
-    new_tops = []
-    labels = {}
-    for t in tf.top_cones:
-        k = tf.labels[t.key()]
-        if k % m == k_host % m:
-            shift = (k - k_host) // m
-            r = ray * eps**shift
-            a, b = vs.point(k), vs.point(k + 1)
-            c1 = Cone(field, [a, r])
-            c2 = Cone(field, [r, b])
-            labels[c1.key()] = (k, 0)
-            labels[c2.key()] = (k, 1)
-            new_tops.extend([c1, c2])
-        else:
-            labels[t.key()] = (k,)
-            new_tops.append(t)
-    return TruncatedFan(desc, new_tops, tf.window, labels)
+    host = tf.top_cones[_strict_host(tf.top_cones, ray)]
+    e = tf.labels[host.key()] // len(desc.orbit_cones)
+    moved = ray * UnitPowers(tf.field, desc.units)((-e,))
+    return truncate(refine(desc, moved), tf.window)

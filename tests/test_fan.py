@@ -21,9 +21,10 @@ from conesum.fan import (
     FanDescription,
     TruncatedFan,
     build_quadratic_fan,
+    refine,
+    refine_insert_ray,
     truncate,
     validate_good_fan,
-    refine_insert_ray,
 )
 from conesum.geometry import Cone, solve_in_basis
 from conesum.summation import converge, partial_sum
@@ -111,6 +112,22 @@ def sqrt13_setup():
     F = make_field([-13, 0, 1])
     omega = F.element([Fraction(1, 2), Fraction(1, 2)])
     return F, (F.one, omega), fundamental_unit_quadratic(13)
+
+
+def sqrt19_setup():
+    F = make_field([-19, 0, 1])
+    return F, (F.one, F.theta), fundamental_unit_quadratic(19)
+
+
+FIVE_FIELDS = [sqrt2_setup, sqrt3_setup, sqrt5_setup, sqrt13_setup, sqrt19_setup]
+
+
+def positive_roots_setup():
+    # Q(sqrt 5) as Q(theta), theta^2 - 3 theta + 1 = 0: both roots are
+    # positive, so a cone's generators, sorted by ray key, can run against
+    # the boundary orientation
+    F = make_field([1, -3, 1])
+    return F, (F.one, F.theta), F.theta
 
 
 class TestQuadraticHull:
@@ -577,3 +594,76 @@ class TestRefinement:
         tf = truncate(desc, 1)
         with pytest.raises(RayOnExistingFace):
             refine_insert_ray(tf, F.element([1, -1]))  # outside the window
+
+
+def _label_split(tf, ray):
+    """Reference refinement of an unrefined quadratic truncation, from its
+    vertex labels: each translate A_k A_{k+1} of the host residue class
+    becomes A_k r and r A_{k+1}, with r = ray * eps^shift."""
+    vs = tf.description.vertex_sequence
+    m, eps = vs.period, vs.unit
+    host = next(t for t in tf.top_cones if t.contains_strictly(ray))
+    k_host = tf.labels[host.key()]
+    tops = []
+    for t in tf.top_cones:
+        k = tf.labels[t.key()]
+        if k % m == k_host % m:
+            r = ray * eps ** ((k - k_host) // m)
+            tops += [Cone(tf.field, [vs.point(k), r]), Cone(tf.field, [r, vs.point(k + 1)])]
+        else:
+            tops.append(t)
+    return tops
+
+
+class TestRefineDescription:
+    @pytest.mark.parametrize("setup", FIVE_FIELDS + [positive_roots_setup])
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
+    def test_matches_label_definition(self, setup, window):
+        # a ray in the first, a middle and the last top of the window
+        _, M, eps = setup()
+        desc, _ = build_quadratic_fan(M, eps)
+        tf = truncate(desc, window)
+        n = len(tf.top_cones)
+        for host in (tf.top_cones[0], tf.top_cones[n // 2], tf.top_cones[-1]):
+            ray = host.interior_point()
+            refined = refine_insert_ray(tf, ray)
+            expected = _label_split(tf, ray)
+            assert [t.generators for t in refined.top_cones] == [c.generators for c in expected]
+
+    @pytest.mark.parametrize("setup", [sqrt3_setup, sqrt19_setup])
+    def test_refine_twice(self, setup):
+        # the second ray lies in a half of the first split
+        F, M, eps = setup()
+        desc, _ = build_quadratic_fan(M, eps)
+        tf = truncate(desc, 3)
+        r1 = tf.top_cones[1].interior_point()
+        once = refine_insert_ray(tf, r1)
+        half = next(t for t in once.top_cones if r1.ray_key() in t.key())
+        twice = refine_insert_ray(once, half.interior_point())
+        assert len(once.top_cones) == len(tf.top_cones) + 2 * tf.window
+        assert len(twice.top_cones) == len(once.top_cones) + 2 * tf.window
+        x0 = F.element([5, Fraction(2, 7)])
+        assert partial_sum(twice, x0) == partial_sum(tf, x0)
+
+    @pytest.mark.parametrize("setup", FIVE_FIELDS)
+    def test_converge_rows_unchanged(self, setup):
+        # Lemma 1 on the converge path; the ray lies in the last
+        # representative, which is the first only when the period is 1
+        F, M, eps = setup()
+        desc, _ = build_quadratic_fan(M, eps)
+        a, b = desc.orbit_cones[-1].generators
+        x0 = F.element([5, Fraction(2, 7)])
+        refined = refine(desc, a + b * 2)
+        assert len(refined.orbit_cones) == len(desc.orbit_cones) + 1
+        assert converge(refined, x0, 6, 0.0) == converge(desc, x0, 6, 0.0)
+
+    def test_explicit_fan_rejected(self):
+        desc = colmez_cubic_fan()
+        with pytest.raises(UnsupportedFanKind):
+            refine(desc, desc.orbit_cones[0].interior_point())
+
+    def test_representative_generator_rejected(self):
+        _, M, eps = sqrt3_setup()
+        desc, _ = build_quadratic_fan(M, eps)
+        with pytest.raises(RayOnExistingFace):
+            refine(desc, desc.orbit_cones[0].generators[0])
