@@ -1,7 +1,7 @@
-"""Layer microbenchmarks, the L-value enumerator, five in-process commands,
+"""Layer microbenchmarks, the L-value enumerator, six in-process commands,
 a cold import and a cold ``converge``, merged into a BENCH file.
 
-    python bench/layers.py --src src --label change --out BENCH_16.json
+    python bench/layers.py --src src --label change --out BENCH_17.json
 
 ``--src`` names the ``src`` directory that ``conesum`` is imported from, so
 the same script can measure a checkout of another commit.  Each case is
@@ -143,7 +143,8 @@ def polyhedral_cases() -> dict:
 
 def fan_summation_cases() -> dict:
     """The star grouping of a point on a fan ray over a new window-6
-    truncation of the shipped Q(sqrt 3) fan (its top cones built once), the
+    truncation of the shipped Q(sqrt 3) fan (its top cones built once) and
+    the partial sum at that point over one such truncation built once, the
     primal value of a pair of points of the shipped module, the hull
     construction and the window-4 truncation of the Q(sqrt 19) fan of
     Z[sqrt 19], and the insertion of a ray into the first top cone of that
@@ -162,6 +163,7 @@ def fan_summation_cases() -> dict:
     }).fan
     tops = truncate(desc, 6).top_cones
     x0 = tops[3].extreme_rays[0] * 3
+    w6 = TruncatedFan(desc, tops, 6)
     pair = [F.element([1, Fraction(-1, 3)]), F.element([1, Fraction(1, 3)])]
     point = F.element([4, Fraction(1, 3)])
     w4, w5 = truncate(sqrt19, 4), truncate(desc, 5)
@@ -170,6 +172,7 @@ def fan_summation_cases() -> dict:
         "fan.group_singular_terms.sqrt3.w6": lambda: TruncatedFan(
             desc, tops, 6
         ).group_singular_terms(x0),
+        "summation.partial_sum.sqrt3.w6.ray": lambda: summation.partial_sum(w6, x0),
         "summation.cocycle_value.sqrt3": lambda: summation.cocycle_value(pair, point),
         "fan.build_quadratic_fan.sqrt19": lambda: build_quadratic_fan(
             sqrt19.module_basis, sqrt19.units[0]
@@ -312,6 +315,7 @@ def command_cases() -> dict:
             fresh("configs/sqrt3.json"),
             lambda cfg: cli.cmd_verify(cfg, "theorem2", out=io.StringIO()),
         ),
+        "cli.suite_lemma1.sqrt3": command_timed(fresh("configs/sqrt3.json"), cli.suite_lemma1),
     }
 
 

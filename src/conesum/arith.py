@@ -33,7 +33,7 @@ from .field import (
     UnitGroupData,
     det_scaled,
 )
-from .geometry import solve_in_basis
+from .geometry import in_lattice
 from .record import FrozenRecord
 
 
@@ -67,13 +67,9 @@ class LatticeModule(FrozenRecord):
         if det_scaled(list(basis)).is_zero():
             raise NotFullRank("lattice basis elements are linearly dependent")
         for eps in units.generators:
-            for m in basis:
-                sol = solve_in_basis(list(basis), eps * m)
-                if sol is None or any(c.denominator != 1 for c in sol):
-                    raise UnitDoesNotPreserveM(f"{eps} does not preserve the lattice")
-            shift = eps * rho - rho
-            sol = solve_in_basis(list(basis), shift) if not shift.is_zero() else ()
-            if sol is None or any(c.denominator != 1 for c in sol):
+            if not all(in_lattice(basis, eps * m) for m in basis):
+                raise UnitDoesNotPreserveM(f"{eps} does not preserve the lattice")
+            if not in_lattice(basis, eps * rho - rho):
                 raise UnitDoesNotPreserveM(f"{eps} does not preserve the coset")
         self._fill(basis, rho, units)
 
@@ -240,13 +236,13 @@ class _QuadraticEnumerator:
 
         m1, m2 = module.basis
         rho = module.rho
-        den = 1
-        for x in (*m1.coords, *m2.coords, *rho.coords):
-            den = den * x.denominator // math.gcd(den, x.denominator)
+        # a canonical element is integer numerators over the lcm of its
+        # coordinate denominators, so den is the lcm of all six
+        den = math.lcm(m1.den, m2.den, rho.den)
         self.den = den
 
         def ints(x):
-            return (int(x.coords[0] * den), int(x.coords[1] * den))
+            return tuple(v * (den // x.den) for v in x.num)
 
         # P = pa a + pb b + pc ; Q = qa a + qb b + qc   (scaled by den)
         (self.pa, self.qa) = ints(m1)
@@ -264,10 +260,7 @@ class _QuadraticEnumerator:
         if field.sign_at(eps - field.one, 1) < 0:
             eps = eps.inverse()
         self.eps = eps  # place-2 embedding > 1
-        se = 1
-        for x in eps.coords:
-            se = se * x.denominator // math.gcd(se, x.denominator)
-        self.eP, self.eQ = int(eps.coords[0] * se), int(eps.coords[1] * se)
+        self.eP, self.eQ = eps.num
 
         # float embedding data for the box
         e1 = [float(iv) for iv in field.embed(m1, 40)]

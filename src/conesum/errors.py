@@ -99,10 +99,6 @@ class ConeNotInFan(ConesumError):
     pass
 
 
-class OverlappingStars(ConesumError):
-    pass
-
-
 class RayOnExistingFace(ConesumError):
     pass
 
@@ -122,7 +118,7 @@ class DependentTuple(ConesumError):
 
 
 class NotSimplicial(ConesumError):
-    """A top cone whose extreme rays are not a basis, so it has no term."""
+    """A cone whose extreme rays are not a basis of its span: no term, no carrier."""
 
 
 class NotConvexUnion(ConesumError):

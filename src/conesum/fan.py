@@ -16,7 +16,6 @@ from .errors import (
     ConeNotInFan,
     NegativeIndex,
     NotTotallyPositive,
-    OverlappingStars,
     RayOnExistingFace,
     UnitDoesNotPreserveM,
     UnsupportedFanKind,
@@ -30,7 +29,7 @@ from .field import (
     is_unit,
     minus_continued_fraction,
 )
-from .geometry import Cone, solve_in_basis
+from .geometry import Cone, in_lattice
 from .record import FrozenRecord, Record
 
 
@@ -69,10 +68,8 @@ def build_quadratic_fan(
         raise UnitDoesNotPreserveM("hull construction applies to quadratic fields only")
     if not is_unit(unit) or not is_totally_positive(unit):
         raise NotTotallyPositive(f"{unit} is not a totally positive unit")
-    for m in module_basis:
-        sol = solve_in_basis(list(module_basis), unit * m)
-        if sol is None or any(c.denominator != 1 for c in sol):
-            raise UnitDoesNotPreserveM(f"{unit} does not preserve the lattice")
+    if not all(in_lattice(module_basis, unit * m) for m in module_basis):
+        raise UnitDoesNotPreserveM(f"{unit} does not preserve the lattice")
 
     # walk in the direction of increasing place-2 embedding
     eps_up = unit if F.sign_at(unit - F.one, 1) > 0 else unit.inverse()
@@ -176,17 +173,10 @@ class TruncatedFan:
         self.top_cones = tuple(top_cones)
         self.window = window
         self.labels = labels or {}
-        self._ray_keys = {}
-        for t in self.top_cones:
-            for g in t.extreme_rays:
-                self._ray_keys.setdefault(g.ray_key(), g)
 
     @property
     def module_basis(self):
         return self.description.module_basis
-
-    def rays(self) -> list[Cone]:
-        return [Cone(self.field, [g]) for _, g in sorted(self._ray_keys.items())]
 
     @cached_property
     def _faces(self) -> dict[frozenset, tuple[Cone, list[Cone]]]:
@@ -225,38 +215,34 @@ class TruncatedFan:
         ]
 
     def singular_cones(self, x0: FieldElement) -> list[Cone]:
-        """Minimal proper cones whose linear span contains x0."""
-        n = self.field.degree
-        found: list[Cone] = []
-        for c in sorted(self.all_cones(), key=lambda c: c.dim):
-            if c.dim >= n:
-                continue
-            if not c.span.contains(x0):
-                continue
-            if any(f.key() <= c.key() for f in found):
-                continue
-            found.append(c)
-        return found
+        """Minimal proper cones whose linear span contains x0, in (dim, key) order."""
+        return [g.sigma for g in self.group_singular_terms(x0) if not g.is_singleton]
 
     def group_singular_terms(self, x0: FieldElement) -> list["TermGroup"]:
-        """Partition of the top cones into singletons and star groups, one
-        group per singular cone of x0."""
-        singular = self.singular_cones(x0)
-        claimed: dict[frozenset, Cone] = {}
-        groups: list[TermGroup] = []
-        for sigma in singular:
-            members = self.star_tops(sigma)
-            for t in members:
-                if t.key() in claimed:
-                    raise OverlappingStars(
-                        "two singular cones share a top cone; refusing to guess"
-                    )
-                claimed[t.key()] = sigma
-            groups.append(TermGroup(sigma=sigma, cones=tuple(members)))
+        """Partition of the top cones into star groups, one per singular cone
+        of x0 (by dim, then key; members by key), then singletons in top order.
+        A top joins the star of its carrier when that is a proper face: two
+        singular faces of one top both contain its carrier, so by minimality
+        both equal it, and a carrier inside another top's carrier would be a
+        smaller face of that other top holding x0."""
+        stars: dict[frozenset, tuple[Cone, list[Cone]]] = {}
+        singletons: list[TermGroup] = []
         for t in self.top_cones:
-            if t.key() not in claimed:
-                groups.append(TermGroup(sigma=None, cones=(t,)))
-        return groups
+            sigma = t.carrier(x0)
+            if sigma is None or sigma is t:
+                singletons.append(TermGroup(sigma=None, cones=(t,)))
+            else:
+                stars.setdefault(sigma.key(), (sigma, []))[1].append(t)
+        ordered = sorted(stars.values(), key=lambda s: (len(s[0].generators), _key_order(s[0])))
+        return [
+            TermGroup(sigma=sigma, cones=tuple(sorted(tops, key=_key_order)))
+            for sigma, tops in ordered
+        ] + singletons
+
+
+def _key_order(cone: Cone) -> tuple:
+    """The Fraction-key order of cones."""
+    return tuple(sorted(cone.key()))
 
 
 class TermGroup(FrozenRecord):
@@ -303,7 +289,7 @@ def truncate(description: FanDescription, window: int) -> TruncatedFan:
                 labels[c.key()] = exponents[0] * len(reps) + r
     tops = list(seen.values())
     if not quadratic:
-        tops.sort(key=lambda c: tuple(sorted(c.key())))
+        tops.sort(key=_key_order)
     return TruncatedFan(description, tops, window, labels)
 
 

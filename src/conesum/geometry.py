@@ -22,6 +22,7 @@ from .errors import (
     DegenerateVertex,
     NotFullDim,
     NotSalient,
+    NotSimplicial,
     PointNotInterior,
     RayNotRational,
     ZeroInput,
@@ -128,6 +129,12 @@ def solve_in_basis(
     return None if y is None else tuple(c * b.den / x.den for c, b in zip(y, basis))
 
 
+def in_lattice(basis: Sequence[FieldElement], x: FieldElement) -> bool:
+    """Whether x is an integer combination of a basis of independent F-points."""
+    coeffs = solve_in_basis(basis, x)
+    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+
+
 class Cone:
     """Salient rational polyhedral cone with F-point generators."""
 
@@ -146,10 +153,11 @@ class Cone:
 
     @classmethod
     def _canonical(cls, field: TotallyRealField, generators: tuple[FieldElement, ...]):
-        """The cone over generators that are already canonical ray points in
-        sorted order, such as a subsequence of another cone's generators."""
+        """The simplicial cone over independent canonical ray points in sorted
+        order, such as a subsequence of a simplicial cone's extreme rays."""
         cone = cls.__new__(cls)
         cone.field, cone.generators = field, generators
+        cone.extreme_rays = generators
         return cone
 
     @cached_property
@@ -210,21 +218,39 @@ class Cone:
     def contains(self, x: FieldElement) -> bool:
         if x.is_zero():
             return True
+        if len(self.generators) == self.dim:  # simplicial: all coordinates >= 0
+            coeffs = solve_in_basis(self.generators, x)
+            return coeffs is not None and all(c >= 0 for c in coeffs)
         if not self.span.contains(x):
             return False
-        if self.dim == 1:
-            coeffs = solve_in_basis([self.generators[0]], x)
-            return coeffs is not None and coeffs[0] >= 0
         return all(trace_pairing(n, x) >= 0 for n in self.facet_normals())
 
     def contains_strictly(self, x: FieldElement) -> bool:
         """Membership in the relative interior."""
-        if not self.span.contains(x) or x.is_zero():
+        if x.is_zero():
             return False
-        if self.dim == 1:
-            coeffs = solve_in_basis([self.generators[0]], x)
-            return coeffs is not None and coeffs[0] > 0
+        if len(self.generators) == self.dim:  # simplicial: all coordinates > 0
+            coeffs = solve_in_basis(self.generators, x)
+            return coeffs is not None and all(c > 0 for c in coeffs)
+        if not self.span.contains(x):
+            return False
         return all(trace_pairing(n, x) > 0 for n in self.facet_normals())
+
+    def carrier(self, x: FieldElement) -> "Cone | None":
+        """The smallest face whose span holds x: for a simplicial cone, the
+        face over the extreme rays at which x has a nonzero coordinate (the
+        cone itself when all are nonzero), None when x is outside the span.
+        NotSimplicial for other cones, ZeroInput for x = 0."""
+        if x.is_zero():
+            raise ZeroInput("the zero point lies on every face")
+        rays = self.extreme_rays
+        if len(rays) != self.dim:
+            raise NotSimplicial(f"{self} is not simplicial")
+        coeffs = solve_in_basis(rays, x)
+        if coeffs is None:
+            return None
+        support = tuple(g for g, c in zip(rays, coeffs) if c)
+        return self if len(support) == len(rays) else Cone._canonical(self.field, support)
 
     def interior_point(self) -> FieldElement:
         total = self.field.zero

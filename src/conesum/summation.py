@@ -239,12 +239,9 @@ class ConvergenceRow(FrozenRecord):
         }
 
 
-def _star_group_value(
-    group: TermGroup, module_basis, x0: FieldElement
-) -> ScaledRational:
+def _star_group_value(group: TermGroup, x0: FieldElement) -> ScaledRational:
     """Combined finite value of a star of cones around a singular cone: the
     internal singular walls cancel in the summed dual boundary cycle."""
-    field = x0.field
     total_cycle = None
     for t in group.cones:
         z = boundary_cycle(ProjPolyhedron(t, check=False))
@@ -266,7 +263,7 @@ def _groups_value(groups, module_basis, x0: FieldElement) -> ScaledRational:
         if group.is_singleton:
             total = total + cone_term(group.cones[0], module_basis, x0).value
         else:
-            total = total + _star_group_value(group, module_basis, x0)
+            total = total + _star_group_value(group, x0)
     return total
 
 

@@ -7,10 +7,12 @@ import pytest
 from conesum.errors import (
     ConeNotInFan,
     NegativeIndex,
+    NotSimplicial,
     NotTotallyPositive,
     RayOnExistingFace,
     UnitDoesNotPreserveM,
     UnsupportedFanKind,
+    ZeroInput,
 )
 from conesum.field import (
     det_scaled,
@@ -557,6 +559,78 @@ class TestGrouping:
             groups = tf.group_singular_terms(x0)
             keys = [t.key() for g in groups for t in g.cones]
             assert len(keys) == len(set(keys)) == len(tf.top_cones)
+
+
+def reference_groups(tf, x0):
+    """The claim loop that grouped terms before carriers: each brute-force
+    singular cone claims the top cones of its star, in star order, and the
+    unclaimed tops follow as singletons in top order; as sigma keys and
+    member keys."""
+    n = tf.field.degree
+    cones = brute_all_cones(tf)
+    claimed, groups = set(), []
+    for sigma in brute_singular_cones(tf, x0):
+        members = [c.key() for c in brute_star(cones, sigma) if c.dim == n]
+        assert claimed.isdisjoint(members)
+        claimed.update(members)
+        groups.append((sigma.key(), members))
+    return groups + [(None, [t.key()]) for t in tf.top_cones if t.key() not in claimed]
+
+
+def _square_fan():
+    F = make_field([1, -2, -1, 1])
+    square = Cone(F, [F.element(v) for v in ([1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1])])
+    basis = (F.one, F.theta, F.theta**2)
+    return truncate(FanDescription("explicit", basis, (), orbit_cones=(square,)), 0)
+
+
+class TestGroupingByCarrier:
+    @pytest.mark.parametrize(
+        "fan, window",
+        [(s, w) for s in FIVE_FIELDS[:4] for w in (1, 2, 3, 4)]
+        + [("cubic", w) for w in (1, 2, 3)],
+    )
+    def test_matches_claim_loop(self, fan, window):
+        desc = colmez_cubic_fan() if fan == "cubic" else build_quadratic_fan(*fan()[1:])[0]
+        tops = truncate(desc, window).top_cones
+        F = desc.field
+        points = [F.element([5, 1, 1][: F.degree])]
+        for t in (tops[0], tops[len(tops) // 2], tops[-1]):
+            rays = t.extreme_rays
+            points += [g * 3 for g in rays] + [rays[0] + rays[1] * 2, t.interior_point()]
+        for order in (tops, tops[::-1]):
+            for x0 in points:
+                tf = TruncatedFan(desc, order, window)
+                groups = tf.group_singular_terms(x0)
+                got = [
+                    (None if g.sigma is None else g.sigma.key(), [t.key() for t in g.cones])
+                    for g in groups
+                ]
+                assert got == reference_groups(tf, x0)
+                assert _keys(tf.singular_cones(x0)) == [k for k, _ in got if k is not None]
+
+    @pytest.mark.parametrize("fan", ["sqrt3", "cubic"])
+    def test_builds_no_face_lattice(self, fan):
+        desc = colmez_cubic_fan() if fan == "cubic" else build_quadratic_fan(*sqrt3_setup()[1:])[0]
+        tf = truncate(desc, 2)
+        rays = tf.top_cones[0].extreme_rays
+        for x0 in (rays[0] * 3, rays[0] + rays[1]):
+            stars = [g.sigma for g in tf.group_singular_terms(x0) if not g.is_singleton]
+            assert stars or x0 != rays[0] * 3
+            # no face lattice, and no span of a proper face reduced
+            assert "_faces" not in tf.__dict__
+            assert all("span" not in sigma.__dict__ for sigma in stars)
+
+    def test_zero_point_rejected(self):
+        F, M, eps = sqrt3_setup()
+        tf = truncate(build_quadratic_fan(M, eps)[0], 2)
+        with pytest.raises(ZeroInput):
+            tf.group_singular_terms(F.zero)
+
+    def test_non_simplicial_top_rejected(self):
+        tf = _square_fan()
+        with pytest.raises(NotSimplicial):
+            tf.group_singular_terms(tf.field.element([1, 0, 2]))
 
 
 class TestRefinement:

@@ -11,8 +11,10 @@ from conesum import linalg
 from conesum.errors import (
     DegenerateVertex,
     NotFullDim,
+    NotSimplicial,
     PointNotInterior,
     RayNotRational,
+    ZeroInput,
 )
 from conesum.field import make_field, trace_pairing
 from conesum.geometry import (
@@ -533,3 +535,87 @@ class TestCoordinates:
         k = data.draw(st.integers(0, S.dim))
         T = LinearSubspace(S.field, list(S.basis[:k]) + [v])
         assert S.contains_subspace(T) == (linalg.rank(list(S.basis) + list(T.basis)) == S.dim)
+
+
+# ---------------------------------------------------------------------------
+# carriers, and membership by coordinates against the facet-normal test
+
+
+def triangle_generators(F):
+    """Independent generators g_1..g_n with small coordinates."""
+    n = F.degree
+    return [F.element([2 if i == j else 1 for j in range(n)]) for i in range(n)]
+
+
+class TestCarrier:
+    @pytest.mark.parametrize("poly", FIELDS)
+    def test_faces_of_a_simplicial_cone(self, poly):
+        F = make_field(poly)
+        g = triangle_generators(F)
+        cone = Cone(F, g)
+        assert cone.carrier(g[0] * 3).key() == Cone(F, [g[0]]).key()
+        # a point on a 2-face: the cone itself in degree 2
+        wall = cone.carrier(g[0] + g[1] * Fraction(1, 2))
+        assert wall.key() == Cone(F, g[:2]).key()
+        assert (wall is cone) == (F.degree == 2)
+        assert cone.carrier(cone.interior_point()) is cone
+        # the coordinates decide, not the sign: -g_1 + g_2 has carrier g_1 g_2
+        assert cone.carrier(g[1] - g[0]).key() == Cone(F, g[:2]).key()
+
+    @pytest.mark.parametrize("poly", FIELDS)
+    def test_point_outside_the_span(self, poly):
+        F = make_field(poly)
+        g = triangle_generators(F)
+        assert Cone(F, g[:-1]).carrier(g[-1]) is None
+
+    def test_square_cone_is_not_simplicial(self):
+        F = make_field(CUBIC)
+        corners = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+        square = Cone(F, [elem(F, *c) for c in corners])
+        with pytest.raises(NotSimplicial):
+            square.carrier(elem(F, 0, 0, 1))
+
+    @pytest.mark.parametrize("poly", FIELDS)
+    def test_zero_point_rejected(self, poly):
+        F = make_field(poly)
+        with pytest.raises(ZeroInput):
+            Cone(F, triangle_generators(F)).carrier(F.zero)
+
+
+def reference_contains(cone, x, strict):
+    """Membership as the facet normals decided it for every simplicial cone,
+    with a coefficient test on a ray."""
+    if x.is_zero():
+        return not strict
+    if not cone.span.contains(x):
+        return False
+    if cone.dim == 1:
+        coeffs = solve_in_basis([cone.generators[0]], x)
+        return coeffs is not None and (coeffs[0] > 0 if strict else coeffs[0] >= 0)
+    pairings = [trace_pairing(n, x) for n, _ in reference_facet_data(cone)]
+    return all(p > 0 if strict else p >= 0 for p in pairings)
+
+
+@st.composite
+def cone_and_point(draw):
+    """Independent generators and a point: a combination of them with
+    coefficients in -1..2 (on a face, inside or outside the cone), or a free
+    vector (usually outside a lower-dimensional span)."""
+    F, gens = draw(independent_generators())
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-1, 2), min_size=len(gens), max_size=len(gens)))
+        x = F.zero
+        for c, g in zip(coeffs, gens):
+            x = x + g * c
+    else:
+        x = F.element(draw(st.lists(st.integers(-3, 3), min_size=F.degree, max_size=F.degree)))
+    return Cone(F, gens), x
+
+
+class TestContainsByCoordinates:
+    @settings(max_examples=150, deadline=None)
+    @given(cone_and_point())
+    def test_matches_facet_normals(self, case):
+        cone, x = case
+        assert cone.contains(x) == reference_contains(cone, x, strict=False)
+        assert cone.contains_strictly(x) == reference_contains(cone, x, strict=True)
