@@ -1,7 +1,7 @@
 """Layer microbenchmarks, the L-value enumerator, six in-process commands,
 a cold import and a cold ``converge``, merged into a BENCH file.
 
-    python bench/layers.py --src src --label change --out BENCH_17.json
+    python bench/layers.py --src src --label change --out BENCH_18.json
 
 ``--src`` names the ``src`` directory that ``conesum`` is imported from, so
 the same script can measure a checkout of another commit.  Each case is
@@ -183,6 +183,34 @@ def fan_summation_cases() -> dict:
     }
 
 
+def converge_cases() -> dict:
+    """``converge`` with its fan built once: Q(sqrt 5) at 7/2 + sqrt(5)/2,
+    14 windows of one orbit representative, and Q(sqrt 19) at 7 +
+    sqrt(19)/3, 3 windows of seven representatives, both to 1e-12; and
+    ``surd_float`` on the error of the last Q(sqrt 5) row."""
+    from conesum import config, field, summation
+
+    def built(d, basis, unit, x0):
+        raw = {
+            "field": {"min_poly": [-d, 0, 1]},
+            "module": {"basis": basis, "rho": ["0", "0"], "units": [unit]},
+            "fan": {"type": "quadratic-auto"},
+        }
+        cfg = config.build_config(raw, {"x0": x0})
+        return cfg.fan, cfg.x0
+
+    sqrt5 = built(5, [["1", "0"], ["1/2", "1/2"]], ["3/2", "1/2"], ["7/2", "1/2"])
+    sqrt19 = built(19, [["1", "0"], ["0", "1"]], ["170", "39"], ["7", "1/3"])
+    last = summation.converge(*sqrt5, 20, 1e-12)[-1]
+    rational, coef = last.value.parts()
+    error = (rational - last.target, coef, last.value.disc)
+    return {
+        "summation.converge.sqrt5.generic": lambda: summation.converge(*sqrt5, 20, 1e-12),
+        "summation.converge.sqrt19.generic": lambda: summation.converge(*sqrt19, 20, 1e-12),
+        "field.surd_float": lambda: field.surd_float(*error),
+    }
+
+
 def unitsearch_cases() -> dict:
     """The admissible-unit search on the cubic field at the shipped a, b and
     radius (each call builds its own ``UnitPowers``), the limit-pair check of
@@ -343,6 +371,7 @@ def main(argv=None) -> int:
                 **layer_cases(),
                 **polyhedral_cases(),
                 **fan_summation_cases(),
+                **converge_cases(),
                 **unitsearch_cases(),
                 **lvalue_cases(),
             }.items()

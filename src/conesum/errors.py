@@ -50,7 +50,7 @@ class MixedExponents(ConesumError):
 
 class DegreeMismatch(ConesumError):
     """A coordinate vector, tuple or place set not fitting its field's degree,
-    or a determinant asked of a matrix that is not square."""
+    or a determinant or adjugate asked of a matrix that is not square."""
 
 
 class EmptyInterval(ConesumError):

@@ -261,21 +261,25 @@ def surd_float(a: Fraction, c: Fraction, disc: int) -> float:
 
     c sqrt(disc) is bracketed between neighbours of the 2^-k grid by an
     integer square root, and k doubles until both ends of the bracket round
-    to the same float.  An irrational value is never a rounding tie, so the
-    loop ends."""
+    to the same float.  With a = p/q an end r/2^k gives a + r/2^k =
+    (p 2^k + q r) / (q 2^k), and int / int division rounds correctly.  An
+    irrational value is never a rounding tie, so the loop ends."""
     if c == 0:
         return float(a)
+    p, q = a.numerator, a.denominator
     square, den2 = c.numerator**2 * disc, c.denominator**2
     k = 64
     while True:
         scaled = square << 2 * k
         root = math.isqrt(scaled // den2)
         on_grid = root * root * den2 == scaled  # c sqrt(disc) = root / 2^k
-        lo, hi = Fraction(root, 1 << k), Fraction(root + (not on_grid), 1 << k)
+        lo, hi = root, root + (not on_grid)
         if c < 0:
             lo, hi = -hi, -lo
-        if float(a + lo) == float(a + hi):
-            return float(a + lo)
+        base, den = p << k, q << k
+        value = (base + q * lo) / den
+        if value == (base + q * hi) / den:
+            return value
         k *= 2
 
 
@@ -1038,29 +1042,34 @@ class UnitGroupData(FrozenRecord):
         return self.generators[0].field
 
 
-class UnitPowers:
-    """prod_i u_i^(e_i) over exponent vectors e, memoized for one computation.
+class ExponentTable:
+    """Values v(e) over exponent vectors e, memoized: v(e) is step(v(e'), i,
+    up) for the neighbour e' one step nearer zero in the first nonzero
+    coordinate i (up when e_i > 0).  The walk descends to the nearest vector
+    in the table and steps back up, without recursion."""
 
-    u_i and u_i^-1 are computed once.  A new vector is one multiplication away
-    from its neighbour one step nearer zero, the first nonzero coordinate moved
-    toward 0: the walk descends to the nearest vector in the table and
-    multiplies back up, without recursion.  Over no units it gives field.one.
-    """
+    def __init__(self, rank: int, origin, step):
+        self._rank, self._step = rank, step
+        self._table = {(0,) * rank: origin}
 
-    def __init__(self, field: TotallyRealField, units: Sequence[FieldElement]):
-        self._steps = [(u, u.inverse()) for u in units]
-        self._table = {(0,) * len(self._steps): field.one}
-
-    def __call__(self, exponents: Sequence[int]) -> FieldElement:
+    def __call__(self, exponents: Sequence[int]):
         e, path = tuple(exponents), []
-        if len(e) != len(self._steps):
-            raise UnitRankMismatch(f"{len(e)} exponents for {len(self._steps)} units")
+        if len(e) != self._rank:
+            raise UnitRankMismatch(f"{len(e)} exponents for {self._rank} units")
         while e not in self._table:
             i = next(k for k, a in enumerate(e) if a)
             path.append((e, i))
             e = e[:i] + (e[i] - 1 if e[i] > 0 else e[i] + 1,) + e[i + 1 :]
         x = self._table[e]
         for e, i in reversed(path):
-            up, down = self._steps[i]
-            x = self._table[e] = x * (up if e[i] > 0 else down)
+            x = self._table[e] = self._step(x, i, e[i] > 0)
         return x
+
+
+class UnitPowers(ExponentTable):
+    """prod_i u_i^(e_i), one multiplication per new vector; field.one over
+    no units."""
+
+    def __init__(self, field: TotallyRealField, units: Sequence[FieldElement]):
+        steps = [(u.inverse(), u) for u in units]
+        super().__init__(len(steps), field.one, lambda x, i, up: x * steps[i][up])

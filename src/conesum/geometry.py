@@ -129,6 +129,15 @@ def solve_in_basis(
     return None if y is None else tuple(c * b.den / x.den for c, b in zip(y, basis))
 
 
+def coordinate_rows(points: Sequence[FieldElement]) -> tuple[list[list[int]], int]:
+    """Integer rows R and d > 0 with x = sum_i (R_i . num(x)) / (d den(x))
+    points_i for n independent F-points (ZeroDivisionError if dependent):
+    row i is den_i adj_i / det for the matrix of columns num_i."""
+    adj, det = linalg.adjugate(list(zip(*(p.num for p in points))))
+    s = 1 if det > 0 else -1
+    return [[s * p.den * v for v in row] for row, p in zip(adj, points)], abs(det)
+
+
 def in_lattice(basis: Sequence[FieldElement], x: FieldElement) -> bool:
     """Whether x is an integer combination of a basis of independent F-points."""
     coeffs = solve_in_basis(basis, x)
@@ -190,8 +199,8 @@ class Cone:
         return [normal for normal, _ in self._facet_data]
 
     def is_salient(self) -> bool:
-        if self.dim <= 1:
-            return True
+        if self.dim <= 1:  # a line has two opposite generators
+            return len(self.generators) <= 1
         normals = [n.num for n in self.facet_normals()]
         return linalg.rank(normals) == self.dim
 
@@ -215,26 +224,41 @@ class Cone:
     def is_simplicial(self) -> bool:
         return len(self.extreme_rays) == self.dim
 
+    @cached_property
+    def _rows(self) -> list[list[int]] | None:
+        """coordinate_rows of a full-dimensional simplicial cone's generators."""
+        if len(self.generators) == self.field.degree:
+            try:
+                return coordinate_rows(self.generators)[0]
+            except ZeroDivisionError:
+                pass
+        return None
+
+    def _coordinates(self, x: FieldElement) -> Sequence[Fraction] | None:
+        """Positive multiples of the coordinates of x in independent
+        generators, None when x is outside their span."""
+        rows = self._rows
+        return solve_in_basis(self.generators, x) if rows is None else linalg.mat_vec(rows, x.num)
+
     def contains(self, x: FieldElement) -> bool:
-        if x.is_zero():
-            return True
-        if len(self.generators) == self.dim:  # simplicial: all coordinates >= 0
-            coeffs = solve_in_basis(self.generators, x)
-            return coeffs is not None and all(c >= 0 for c in coeffs)
-        if not self.span.contains(x):
-            return False
-        return all(trace_pairing(n, x) >= 0 for n in self.facet_normals())
+        return self._contains(x, strict=False)
 
     def contains_strictly(self, x: FieldElement) -> bool:
         """Membership in the relative interior."""
+        return self._contains(x, strict=True)
+
+    def _contains(self, x: FieldElement, strict: bool) -> bool:
+        """Decided by the coordinates in independent generators (all >= 0, or
+        all > 0), otherwise by the pairings with the facet normals."""
         if x.is_zero():
-            return False
-        if len(self.generators) == self.dim:  # simplicial: all coordinates > 0
-            coeffs = solve_in_basis(self.generators, x)
-            return coeffs is not None and all(c > 0 for c in coeffs)
-        if not self.span.contains(x):
-            return False
-        return all(trace_pairing(n, x) > 0 for n in self.facet_normals())
+            return not strict
+        if self._rows is not None or len(self.generators) == self.dim:
+            values = self._coordinates(x)
+        elif self.span.contains(x):
+            values = [trace_pairing(n, x) for n in self.facet_normals()]
+        else:
+            values = None
+        return values is not None and all(v > 0 if strict else v >= 0 for v in values)
 
     def carrier(self, x: FieldElement) -> "Cone | None":
         """The smallest face whose span holds x: for a simplicial cone, the
@@ -243,10 +267,13 @@ class Cone:
         NotSimplicial for other cones, ZeroInput for x = 0."""
         if x.is_zero():
             raise ZeroInput("the zero point lies on every face")
-        rays = self.extreme_rays
-        if len(rays) != self.dim:
-            raise NotSimplicial(f"{self} is not simplicial")
-        coeffs = solve_in_basis(rays, x)
+        if self._rows is not None:  # full-dimensional simplicial
+            rays, coeffs = self.generators, self._coordinates(x)
+        else:
+            rays = self.extreme_rays
+            if len(rays) != self.dim:
+                raise NotSimplicial(f"{self} is not simplicial")
+            coeffs = solve_in_basis(rays, x)
         if coeffs is None:
             return None
         support = tuple(g for g, c in zip(rays, coeffs) if c)

@@ -3,7 +3,8 @@
 Matrices are lists (or tuples) of rows of rationals (Fractions or ints).
 Every routine first clears each row to integers and eliminates on integers,
 building Fractions only for its result: ``det`` by Bareiss's fraction-free
-elimination, ``rref`` and the solvers by Gauss-Jordan elimination on integer
+elimination, ``adjugate`` (and ``inverse`` through it) by its Gauss-Jordan
+form, ``rref`` and the solvers by Gauss-Jordan elimination on integer
 rows, each updated row divided by the gcd of its entries.  The reduced row
 echelon form is unique, so these give exactly the Fractions that elimination
 on Fractions gives.  Sizes here are tiny (degree of the field, or a handful
@@ -152,13 +153,34 @@ def kernel(rows: Iterable[Sequence]) -> Matrix:
 
 
 def inverse(rows: Iterable[Sequence]) -> Matrix:
+    """A^-1 = M^-1 diag(d) for the rows of A cleared to M_i over d_i."""
     m = [cleared(row) for row in rows]
-    n = len(m)
-    aug = [ints + [d if i == j else 0 for j in range(n)] for i, (ints, d) in enumerate(m)]
-    pivots = _eliminate(aug)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(aug)]
+    adj, det = adjugate([ints for ints, _ in m])
+    return [tuple(Fraction(x * d, det) for x, (_, d) in zip(row, m)) for row in adj]
+
+
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(adj(A), det(A)) of a nonsingular integer matrix, by fraction-free
+    Gauss-Jordan elimination of [A | I]: every entry stays an integer minor,
+    so each division by the previous pivot is exact, and [A | I] ends as
+    +-[det(A) I | adj(A)], the sign that of the row swaps."""
+    n, prev, sign = len(rows), 1, 1
+    if any(len(row) != n for row in rows):
+        raise DegreeMismatch("adjugate needs a square matrix")
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            raise ZeroDivisionError("matrix is singular")
+        if p != k:
+            m[k], m[p], sign = m[p], m[k], -sign
+        prow, pivot = m[k], m[k][k]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[k]
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = pivot
+    return [[sign * x for x in row[n:]] for row in m], sign * prev
 
 
 def solve_unique(a: Iterable[Sequence], b: Sequence) -> Row:

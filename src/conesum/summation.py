@@ -22,24 +22,27 @@ from .cycles import (
     is_cycle,
 )
 from .errors import (
+    DegreeMismatch,
     DependentTuple,
     NotACycle,
     NotConvexUnion,
     NotSimplicial,
     NotTotallyPositive,
     SingularAtX0,
+    UnitDoesNotPreserveM,
 )
 from .fan import FanDescription, TermGroup, TruncatedFan, window_exponents
 from .field import (
+    ExponentTable,
     FieldElement,
     ScaledRational,
-    UnitPowers,
+    coord_det,
     det_scaled,
     is_totally_positive,
     surd_float,
     trace_pairing,
 )
-from .geometry import Cone, ProjPolyhedron, primitive_generator
+from .geometry import Cone, ProjPolyhedron, coordinate_rows
 from .record import FrozenRecord
 
 
@@ -85,32 +88,45 @@ class TermForm:
     Tr(x B_i) is the i-th coordinate of x in the basis A, because the B_i
     are trace-dual to the A_i.  So the pairings are the rows of the inverse
     of the coordinate matrix (the A_i as its columns) applied to x, and no
-    dual basis, Gram matrix or field product is needed.  With det(A) =
-    q*sqrt(D), the rows cleared to integers over a denominator den, and
-    x = X/dx, the value is den^n dx^n / (q * prod_i (row_i . X)) / sqrt(D).
-    The primal value is homogeneous of degree zero in each A_i, so it is
-    computed on the integer numerators num_i of A_i = num_i/den_i.  The
-    pairing <x, num_i> is x . (T num_i) for the trace matrix T, so its rows
-    are the integers T num_i and its value det(num) dx^n / prod_i
-    (row_i . X) * sqrt(D).
+    dual basis, Gram matrix or field product is needed.  Both values are
+    homogeneous of degree zero in each A_i, so they are computed on the
+    integer numerators num_i of A_i = num_i/den_i.  With N the matrix of
+    columns num_i and x = X/dx, the pairings are adj(N)_i . X / (det(N) dx)
+    and the dual value is det(N)^(n-1) dx^n / prod_i (adj(N)_i . X) /
+    sqrt(D).  The pairing <x, num_i> is x . (T num_i) for the trace matrix
+    T, so the primal rows are the integers T num_i and its value det(N)
+    dx^n / prod_i (row_i . X) * sqrt(D).
     """
 
     __slots__ = ("rows", "scale", "e", "disc")
 
     def __init__(self, points: Sequence[FieldElement]):
-        q = _tuple_det(points) / math.prod(p.den for p in points)
-        # the coordinate matrix is (num_i / den_i)_i as columns, so row i of
-        # its inverse is den_i times row i of the inverse of (num_i)_i
-        inv = linalg.inverse(list(zip(*(p.num for p in points))))
-        rows = [[c * p.den for c in row] for row, p in zip(inv, points)]
-        self._clear(rows, 1 / q, -1, points[0].field)
+        # degree zero in each point: their numerators serve, in the power basis
+        form = TermForm.in_basis([p.num for p in points], 1, points[0].field)
+        self.rows, self.scale, self.e, self.disc = form.rows, form.scale, form.e, form.disc
+
+    @classmethod
+    def in_basis(cls, columns: Sequence[Sequence[int]], basis_det: Fraction, field) -> "TermForm":
+        """The dual form of the points B C_i for integer columns C_i in a
+        basis B of coordinate determinant basis_det, for coefficient(Y, dy) at
+        x = B Y / dy: det(C)^(n-1) dy^n / (basis_det prod_i adj(C)_i . Y)."""
+        try:
+            adj, det = linalg.adjugate(list(zip(*columns)))
+        except ZeroDivisionError:
+            raise DependentTuple("tuple is linearly dependent") from None
+        form = cls.__new__(cls)
+        form._clear(adj, Fraction(det ** (len(adj) - 1)) / basis_det, -1, field)
+        return form
 
     @classmethod
     def primal(cls, points: Sequence[FieldElement]) -> "TermForm":
+        det = linalg.det([p.num for p in points])
+        if det == 0:
+            raise DependentTuple("tuple is linearly dependent")
         T = points[0].field.trace_matrix
         rows = [[sum(t * v for t, v in zip(row, a.num)) for row in T] for a in points]
         form = cls.__new__(cls)
-        form._clear(rows, _tuple_det(points), 1, points[0].field)
+        form._clear(rows, det, 1, points[0].field)
         return form
 
     def _clear(self, rows, factor: Fraction, e: int, field) -> None:
@@ -135,18 +151,13 @@ class TermForm:
         return Fraction(scale.numerator * den ** len(num), scale.denominator * prod)
 
     def value(self, x: FieldElement) -> ScaledRational:
-        c = self.coefficient(x.num, x.den)
+        return self.value_at(x.num, x.den)
+
+    def value_at(self, num: Sequence[int], den: int = 1) -> ScaledRational:
+        c = self.coefficient(num, den)
         if c is None:
             raise SingularAtX0("evaluation point lies on a facet span of the tuple")
         return ScaledRational(c, self.e, self.disc)
-
-
-def _tuple_det(points: Sequence[FieldElement]) -> Fraction:
-    """Determinant of the numerator rows num_i; DependentTuple when 0."""
-    q = linalg.det([p.num for p in points])
-    if q == 0:
-        raise DependentTuple("tuple is linearly dependent")
-    return q
 
 
 def dual_cocycle_value(
@@ -174,22 +185,82 @@ class ConeTerm(FrozenRecord):
         self._fill(cone, primitive_gens, value)
 
 
-def _oriented_generators(t: Cone, module_basis: Sequence[FieldElement]) -> list[FieldElement]:
-    """Primitive generators of a simplicial top cone, positively ordered."""
-    prims = [primitive_generator(g, module_basis) for g in t.extreme_rays]
-    if len(prims) != t.field.degree:
-        raise NotSimplicial("cone term needs a simplicial top cone")
-    if det_scaled(prims).q < 0:
-        prims[0], prims[1] = prims[1], prims[0]
-    return prims
+class LatticeFrame:
+    """Integer coordinates x = B Y / d in the module with basis B, and each
+    unit u as the integer matrix U of x -> u x with inv = |det U| U^-1.
+    |det U| = |N(u)| is 1 for a unit, but a multiple of one, such as 2 eps,
+    moves the cones as the unit does."""
+
+    def __init__(self, module_basis: Sequence[FieldElement], units: Sequence[FieldElement] = ()):
+        self.basis, self.field = tuple(module_basis), module_basis[0].field
+        self.det = coord_det(self.basis)
+        self._rows, self._den = coordinate_rows(self.basis)
+        self.units = []
+        for u in units:
+            images = [self.coordinates(u * b) for b in self.basis]
+            if any(d != 1 for _, d in images):
+                raise UnitDoesNotPreserveM(f"{u} does not preserve the lattice")
+            U = list(zip(*(y for y, _ in images)))
+            adj, det = linalg.adjugate(U)
+            self.units.append((U, [[v if det > 0 else -v for v in row] for row in adj], abs(det)))
+
+    def coordinates(self, x: FieldElement) -> tuple[tuple[int, ...], int]:
+        """(Y, d) in lowest terms."""
+        Y, d = linalg.mat_vec(self._rows, x.num), self._den * x.den
+        g = math.gcd(d, *Y)
+        return tuple(v // g for v in Y), d // g
+
+    def point(self, y: Sequence[int]) -> FieldElement:
+        return sum((b * c for b, c in zip(self.basis, y)), self.field.zero)
+
+    def oriented(self, t: Cone) -> tuple[list[tuple[int, ...]], TermForm]:
+        """The primitive module vectors C of a simplicial top cone's rays,
+        positively ordered (sign det C = sign det B), and its TermForm on
+        module coordinates.  Degree-many independent generators are its
+        rays, so no span is reduced then."""
+        n = self.field.degree
+        rays = t.generators if len(t.generators) == n else t.extreme_rays
+        cols = [_primitive(linalg.mat_vec(self._rows, g.num)) for g in rays]
+        try:
+            form = TermForm.in_basis(cols, self.det, self.field)
+        except (DegreeMismatch, DependentTuple):
+            raise NotSimplicial("cone term needs a simplicial top cone") from None
+        # adj(C) C = det(C) I, and swapping two columns negates the value
+        if (sum(a * c for a, c in zip(form.rows[0], cols[0])) > 0) != (self.det > 0):
+            cols[0], cols[1] = cols[1], cols[0]
+            form.scale = -form.scale
+        return cols, form
+
+    def term(self, t: Cone, x0: FieldElement) -> ConeTerm:
+        cols, form = self.oriented(t)
+        value = form.value_at(*self.coordinates(x0))
+        return ConeTerm(cone=t, primitive_gens=tuple(map(self.point, cols)), value=value)
+
+    def walk(self, x0: FieldElement) -> ExponentTable:
+        """(Y, d) of u^-e x0 over exponent vectors e."""
+        def step(x, i, up):
+            (U, inv, norm), (Y, d) = self.units[i], x
+            return (linalg.mat_vec(inv, Y), d * norm) if up else (linalg.mat_vec(U, Y), d)
+
+        return ExponentTable(len(self.units), self.coordinates(x0), step)
+
+    def moved(self, cols: Sequence[Sequence[int]], exponents: Sequence[int]) -> list:
+        """Positive multiples of the module vectors of u^e c for columns c."""
+        for (U, inv, _), a in zip(self.units, exponents):
+            for _ in range(abs(a)):
+                cols = [linalg.mat_vec(U if a > 0 else inv, c) for c in cols]
+        return cols
+
+
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    g = math.gcd(*v)
+    return tuple(c // g for c in v)
 
 
 def cone_term(t: Cone, module_basis: Sequence[FieldElement], x0: FieldElement) -> ConeTerm:
     """Term of a simplicial top cone from its positively ordered primitive
     generators."""
-    prims = _oriented_generators(t, module_basis)
-    value = TermForm(prims).value(x0)
-    return ConeTerm(cone=t, primitive_gens=tuple(prims), value=value)
+    return LatticeFrame(module_basis).term(t, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +324,15 @@ def partial_sum(tf: TruncatedFan, x0: FieldElement) -> ConvergenceRow:
     """Exact sum of all term groups of the truncation at x0."""
     if not is_totally_positive(x0):
         raise NotTotallyPositive("partial sums are evaluated at totally positive x0")
-    total = _groups_value(tf.group_singular_terms(x0), tf.module_basis, x0)
+    total = _groups_value(tf.group_singular_terms(x0), LatticeFrame(tf.module_basis), x0)
     return _row(tf.window, total, 1 / x0.norm())
 
 
-def _groups_value(groups, module_basis, x0: FieldElement) -> ScaledRational:
+def _groups_value(groups, frame: LatticeFrame, x0: FieldElement) -> ScaledRational:
     total = ScaledRational.rational(0, x0.field.disc_abs)
     for group in groups:
         if group.is_singleton:
-            total = total + cone_term(group.cones[0], module_basis, x0).value
+            total = total + frame.term(group.cones[0], x0).value
         else:
             total = total + _star_group_value(group, x0)
     return total
@@ -399,21 +470,20 @@ def converge(
     windows before it lack.  The fan is
     periodic: a translate u*t of an orbit representative t has the term
     h*(u t)(x0) = h*(t)(u^-1 x0) / |N(u)|, since the value is homogeneous of
-    degree zero in each generator.  So one TermForm per representative
-    serves every translate, and one UnitPowers walk builds both u and u^-1,
-    one multiplication each per new exponent vector.  The top cones whose
-    form vanishes at x0 are the only ones in star groups (a star of a
-    singular cone holds singular tops only), so their grouped value is
-    recomputed whenever that set grows.
+    degree zero in each generator.  So one TermForm per representative, on
+    integer coordinates of the module, serves every translate, and the
+    coordinates of u^-e x0 are walked by one integer matrix-vector product
+    per new exponent vector.  The top cones whose form vanishes at x0 are
+    the only ones in star groups (a star of a singular cone holds singular
+    tops only), so their grouped value is recomputed whenever that set
+    grows.
     """
     if not is_totally_positive(x0):
         raise NotTotallyPositive("partial sums are evaluated at totally positive x0")
-    forms = [
-        (rep, TermForm(_oriented_generators(rep, description.module_basis)))
-        for rep in description.orbit_cones
-    ]
-    powers = UnitPowers(x0.field, description.units)
-    norms = [abs(u.norm()) for u in description.units]
+    frame = LatticeFrame(description.module_basis, description.units)
+    forms = [frame.oriented(rep) for rep in description.orbit_cones]
+    points = frame.walk(x0)
+    norms = [norm for _, _, norm in frame.units]
     dedupe = description.kind == "explicit"  # quadratic cones never repeat
     seen: set[frozenset] = set()
     regular = Fraction(0)  # the non-singular terms, as c with value c/sqrt(D)
@@ -428,26 +498,24 @@ def converge(
             if exponents in walked:
                 continue
             walked.add(exponents)
-            translator = powers(exponents)
-            x = x0 * powers(-a for a in exponents)
-            norm = Fraction(1)
-            for u_norm, a in zip(norms, exponents):
-                norm *= u_norm**a
-            for rep, form in forms:
-                if dedupe:
-                    key = frozenset((g * translator).ray_key() for g in rep.extreme_rays)
+            Y, d = points(exponents)
+            norm = math.prod(Fraction(u) ** a for u, a in zip(norms, exponents) if u != 1)
+            for cols, form in forms:
+                if dedupe:  # the primitive module vectors of the translated rays
+                    key = frozenset(map(_primitive, frame.moved(cols, exponents)))
                     if key in seen:
                         continue
                     seen.add(key)
-                q = form.coefficient(x.num, x.den)
+                q = form.coefficient(Y, d)
                 if q is None:
-                    singular_tops.append(rep.mul_unit(translator))
+                    gens = map(frame.point, frame.moved(cols, exponents))
+                    singular_tops.append(Cone(x0.field, gens))
                     grew = True
                 else:
                     regular += q if norm == 1 else q / norm
         if grew:
             tf = TruncatedFan(description, singular_tops, window)
-            star = _groups_value(tf.group_singular_terms(x0), tf.module_basis, x0)
+            star = _groups_value(tf.group_singular_terms(x0), frame, x0)
         total = ScaledRational(regular, -1, x0.field.disc_abs) + star
         rows.append(_row(window, total, target))
         if rows[-1].abs_error < tol:

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conesum import linalg
+from conesum import geometry, linalg
 
 from conesum.errors import (
     DegenerateVertex,
     NotFullDim,
+    NotSalient,
     NotSimplicial,
     PointNotInterior,
     RayNotRational,
@@ -619,3 +620,54 @@ class TestContainsByCoordinates:
         cone, x = case
         assert cone.contains(x) == reference_contains(cone, x, strict=False)
         assert cone.contains_strictly(x) == reference_contains(cone, x, strict=True)
+
+
+class TestSalience:
+    def test_line_is_not_salient(self):
+        F = make_field(QUADRATIC)
+        g = elem(F, 1, 1)  # 1 + sqrt3
+        line = Cone(F, [g, -g])
+        assert line.dim == 1 and not line.is_salient()
+        with pytest.raises(NotSalient):
+            ProjPolyhedron(line)
+
+    def test_ray_and_zero_cone_are_salient(self):
+        F = make_field(QUADRATIC)
+        assert Cone(F, [elem(F, 1, 1)]).is_salient()
+        assert Cone(F, []).is_salient()
+
+
+class TestCoordinateRows:
+    @pytest.mark.parametrize("poly", FIELDS)
+    def test_full_dimensional_cone_solves_no_system(self, poly, monkeypatch):
+        F = make_field(poly)
+        g = triangle_generators(F)
+        cone = Cone(F, g)
+        calls = []
+
+        def counted(basis, x):
+            calls.append(x)
+            return solve_in_basis(basis, x)
+
+        monkeypatch.setattr(geometry, "solve_in_basis", counted)
+        for x in (g[0] * 3, g[0] + g[1] * Fraction(1, 2), cone.interior_point(), g[1] - g[0]):
+            cone.carrier(x), cone.contains(x), cone.contains_strictly(x)
+        assert calls == []
+        # a lower-dimensional face keeps its solve
+        assert Cone(F, g[:-1]).carrier(g[0]).key() == Cone(F, [g[0]]).key()
+        assert len(calls) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(FIELDS), st.data())
+    def test_rows_give_coordinates(self, poly, data):
+        F = make_field(poly)
+        n = F.degree
+        vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        rows = data.draw(st.lists(vec, min_size=n, max_size=n))
+        assume(linalg.rank(rows) == n)
+        dens = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+        gens = [F.element([Fraction(v, d) for v in row]) for row, d in zip(rows, dens)]
+        x = F.element([Fraction(v, 5) for v in data.draw(vec)])
+        rows, d = geometry.coordinate_rows(gens)
+        coords = [Fraction(sum(r * v for r, v in zip(row, x.num)), d * x.den) for row in rows]
+        assert d > 0 and coords == list(solve_in_basis(gens, x))

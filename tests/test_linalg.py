@@ -143,6 +143,30 @@ def test_inverse_and_solve_unique_match_reference(m, data):
     )
 
 
+@given(m=matrices(square=True))
+@settings(max_examples=200, deadline=None)
+def test_adjugate_is_det_times_inverse(m):
+    # integer matrices: the numerators of the rows over their common
+    # denominator, singular ones included; the inverse by the reference
+    den = math.lcm(*(v.denominator for row in m for v in row))
+    ints = [[int(v * den) for v in row] for row in m]
+    d = reference_det(ints)
+    if d == 0:
+        with pytest.raises(ZeroDivisionError):
+            linalg.adjugate(ints)
+        return
+    adj, det = linalg.adjugate(ints)
+    assert det == d and all(type(v) is int for row in adj for v in row)
+    n = len(ints)
+    red, _ = reference_rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(ints)])
+    assert adj == [[v * d for v in row[n:]] for row in red]
+
+
+def test_adjugate_of_a_non_square_matrix_is_a_typed_error():
+    with pytest.raises(DegreeMismatch):
+        linalg.adjugate([[1, 2]])
+
+
 def test_integer_and_mixed_entries():
     m = [[2, Fraction(1, 3), 0], [4, 1, Fraction(-5, 2)], [0, 7, 1]]
     assert linalg.det(m) == reference_det(m)

@@ -1,4 +1,7 @@
+import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -14,17 +17,29 @@ from conesum.errors import (
     NotConvexUnion,
     NotSimplicial,
     SingularAtX0,
+    UnitDoesNotPreserveM,
 )
+from conesum import geometry, summation
 from conesum.field import (
     RatInterval,
     ScaledRational,
+    TotallyRealField,
+    UnitPowers,
+    coord_det,
     det_scaled,
     fundamental_unit_quadratic,
     make_field,
+    surd_float,
     trace_pairing,
 )
-from conesum.fan import FanDescription, build_quadratic_fan, truncate, refine_insert_ray
-from conesum.geometry import Cone
+from conesum.fan import (
+    FanDescription,
+    build_quadratic_fan,
+    refine_insert_ray,
+    truncate,
+    window_exponents,
+)
+from conesum.geometry import Cone, primitive_generator, solve_in_basis
 from conesum.summation import (
     ConeTerm,
     TermForm,
@@ -722,3 +737,218 @@ class TestIncrementalConverge:
             rows = converge(desc, F.element([4, 1]), n_max, 0.0)
             assert len(rows) == n_max
             assert len(calls) == 2 * vs.period * n_max
+
+
+# ---------------------------------------------------------------------------
+# module coordinates
+
+
+def sqrt19_fan():
+    F = make_field([-19, 0, 1])
+    desc, vs = build_quadratic_fan((F.one, F.theta), F.element([170, 39]))
+    return F, desc, vs
+
+
+def cubic_fan():
+    """The cones C(1, e1, e1 e2) and C(1, e2, e1 e2) over the totally
+    positive units of the cubic field of discriminant 49."""
+    F = make_field(CUBIC)
+    e1, e2 = F.theta**2, F.element([1, -2, 1])
+    reps = (Cone(F, [F.one, e1, e1 * e2]), Cone(F, [F.one, e2, e1 * e2]))
+    basis = (F.one, F.theta, F.theta**2)
+    desc = FanDescription(kind="explicit", module_basis=basis, units=(e1, e2), orbit_cones=reps)
+    return F, desc, None
+
+
+def doubled_unit_fan():
+    """The explicit Q(sqrt 3) fan acted on by 2*eps, of norm 4."""
+    F, desc, vs = sqrt3_fan()
+    reps = explicit_from_auto(desc, vs).orbit_cones
+    return F, FanDescription("explicit", desc.module_basis, (vs.unit * 2,), orbit_cones=reps), vs
+
+
+def oriented_generators(t, module_basis):
+    """Primitive generators of a simplicial top cone, positively ordered, by
+    one Fraction solve per ray."""
+    prims = [primitive_generator(g, module_basis) for g in t.extreme_rays]
+    if len(prims) != t.field.degree:
+        raise NotSimplicial("cone term needs a simplicial top cone")
+    if det_scaled(prims).q < 0:
+        prims[0], prims[1] = prims[1], prims[0]
+    return prims
+
+
+def reference_term(t, module_basis, x0):
+    """The oriented primitive generators and the dual coefficient 1 / (det *
+    prod of the coordinates of x0 in them), None on a facet span; TermForm
+    on the generators agrees."""
+    prims = oriented_generators(t, module_basis)
+    coords = solve_in_basis(prims, x0)
+    expected = None if 0 in coords else 1 / (coord_det(prims) * math.prod(coords))
+    assert TermForm(prims).coefficient(x0.num, x0.den) == expected
+    return prims, expected
+
+
+MODULE_FANS = {
+    "sqrt2": sqrt2_fan, "sqrt3": sqrt3_fan, "sqrt5": sqrt5_fan, "sqrt13": sqrt13_fan,
+    "sqrt19": sqrt19_fan, "cubic": cubic_fan, "doubled-unit": doubled_unit_fan,
+}
+
+
+@st.composite
+def fan_and_point(draw):
+    """A fan and a totally positive point: a nonnegative combination of the
+    generators of its representatives over a positive denominator, so it
+    often lies on their rays and walls."""
+    F, desc, _ = MODULE_FANS[draw(st.sampled_from(sorted(MODULE_FANS)))]()
+    gens = [g for rep in desc.orbit_cones for g in rep.generators]
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(gens), max_size=len(gens)))
+    assume(any(weights))
+    x0 = sum((g * w for g, w in zip(gens, weights)), F.zero) / draw(st.integers(1, 9))
+    return desc, x0
+
+
+class TestModuleCoordinates:
+    @settings(max_examples=120, deadline=None)
+    @given(fan_and_point())
+    def test_cone_terms_match_reference(self, case):
+        desc, x0 = case
+        for rep in desc.orbit_cones:
+            prims, expected = reference_term(rep, desc.module_basis, x0)
+            if expected is None:
+                with pytest.raises(SingularAtX0):
+                    cone_term(rep, desc.module_basis, x0)
+            else:
+                term = cone_term(rep, desc.module_basis, x0)
+                assert term.primitive_gens == tuple(prims)
+                assert term.value == ScaledRational(expected, -1, x0.field.disc_abs)
+
+    @settings(max_examples=120, deadline=None)
+    @given(fan_and_point())
+    def test_forms_match_reference(self, case):
+        desc, x0 = case
+        frame = summation.LatticeFrame(desc.module_basis, desc.units)
+        Y, d = frame.coordinates(x0)
+        assert frame.point(Y) == x0 * d
+        for rep in desc.orbit_cones:
+            prims, expected = reference_term(rep, desc.module_basis, x0)
+            cols, form = frame.oriented(rep)
+            assert form.coefficient(Y, d) == expected
+            assert [frame.point(c) for c in cols] == prims
+
+    @pytest.mark.parametrize("name", ["sqrt13", "cubic", "doubled-unit"])
+    def test_walk_translates_by_unit_powers(self, name):
+        # the walked point u^-e x0 and the translator u^e, against field
+        # products, at every exponent vector of window 2
+        F, desc, _ = MODULE_FANS[name]()
+        x0 = F.element([7, 1, 2][: F.degree])
+        frame = summation.LatticeFrame(desc.module_basis, desc.units)
+        points = frame.walk(x0)
+        powers = UnitPowers(F, desc.units)
+        for e in window_exponents(desc, 2):
+            Y, d = points(e)
+            assert frame.point(Y) / d == x0 * powers([-a for a in e])
+            basis = [[int(i == j) for j in range(F.degree)] for i in range(F.degree)]
+            images = frame.moved(basis, e)
+            for b, image in zip(desc.module_basis, images):
+                assert (frame.point(image) / (b * powers(e))).ray_key() == (1, 0, 0)[: F.degree]
+
+    def test_redundant_generator_reads_the_extreme_rays(self):
+        F, desc, vs = sqrt3_fan()
+        a, b = vs.point(0), vs.point(1)
+        x0 = F.element([4, 1])
+        term = cone_term(Cone(F, [a, b, a + b]), desc.module_basis, x0)
+        assert term.value == cone_term(Cone(F, [a, b]), desc.module_basis, x0).value
+        prims = oriented_generators(Cone(F, [a, b]), desc.module_basis)
+        assert term.primitive_gens == tuple(prims)
+
+    def test_unit_must_preserve_the_module(self):
+        F, desc, vs = sqrt3_fan()
+        with pytest.raises(UnitDoesNotPreserveM):
+            summation.LatticeFrame(desc.module_basis, (vs.unit / 2,))
+
+    def test_dependent_columns_are_not_simplicial(self):
+        F, desc, vs = sqrt3_fan()
+        frame = summation.LatticeFrame(desc.module_basis)
+        with pytest.raises(NotSimplicial):
+            frame.oriented(Cone(F, [vs.point(0), vs.point(0) * -1]))
+
+
+def reference_surd_float(a, c, disc):
+    """The Fraction bracket: both ends of c sqrt(disc) on the 2^-k grid added
+    to a as Fractions, k doubled until they round alike."""
+    if c == 0:
+        return float(a)
+    square, den2 = c.numerator**2 * disc, c.denominator**2
+    k = 64
+    while True:
+        scaled = square << 2 * k
+        root = math.isqrt(scaled // den2)
+        on_grid = root * root * den2 == scaled
+        lo, hi = Fraction(root, 1 << k), Fraction(root + (not on_grid), 1 << k)
+        if c < 0:
+            lo, hi = -hi, -lo
+        if float(a + lo) == float(a + hi):
+            return float(a + lo)
+        k *= 2
+
+
+fractions = st.builds(
+    Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)
+)
+
+
+@st.composite
+def surd_cases(draw):
+    """(a, c, disc), a square disc a fifth of the time, and a near -c
+    sqrt(disc) half of the time, off by a Fraction as small as 2^-200."""
+    disc = draw(st.integers(1, 10**6))
+    if draw(st.integers(0, 4)) == 0:
+        disc = disc * disc
+    c = draw(fractions)
+    a = draw(fractions)
+    if c and draw(st.booleans()):
+        k = draw(st.integers(1, 200))
+        root = math.isqrt((c.numerator**2 * disc << 2 * k) // c.denominator**2)
+        a = Fraction(-root if c > 0 else root, 1 << k) + a / (1 << draw(st.integers(0, 200)))
+    return a, c, disc
+
+
+class TestSurdFloat:
+    @settings(max_examples=400, deadline=None)
+    @given(surd_cases())
+    def test_matches_fraction_bracket(self, case):
+        a, c, disc = case
+        assert surd_float(a, c, disc) == reference_surd_float(a, c, disc)
+
+
+class TestConvergeCounts:
+    @pytest.mark.parametrize(
+        "fan_of, coords", [(sqrt13_fan, [4, 1]), (sqrt19_fan, [7, Fraction(1, 3)])]
+    )
+    def test_no_solves_and_constant_field_products(self, fan_of, coords, monkeypatch):
+        F, desc, vs = fan_of()
+        x0 = F.element(coords)
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, owner in (("_multiply", TotallyRealField), ("_invert", TotallyRealField)):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        for module in [m for k, m in sys.modules.items() if k.startswith("conesum.")]:
+            for name in ("primitive_generator", "solve_in_basis"):
+                if getattr(module, name, None) is getattr(geometry, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(geometry, name)))
+        products = []
+        for n_max in (2, 8):
+            counts.clear()
+            rows = converge(desc, x0, n_max, 0.0)
+            assert len(rows) == n_max
+            assert counts["primitive_generator"] == counts["solve_in_basis"] == 0
+            products.append((counts["_multiply"], counts["_invert"]))
+        assert products[0] == products[1]
