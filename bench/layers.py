@@ -1,7 +1,7 @@
 """Layer microbenchmarks, the L-value enumerator, six in-process commands,
 a cold import and a cold ``converge``, merged into a BENCH file.
 
-    python bench/layers.py --src src --label change --out BENCH_18.json
+    python bench/layers.py --src src --label change --out BENCH_19.json
 
 ``--src`` names the ``src`` directory that ``conesum`` is imported from, so
 the same script can measure a checkout of another commit.  Each case is
@@ -145,13 +145,15 @@ def fan_summation_cases() -> dict:
     """The star grouping of a point on a fan ray over a new window-6
     truncation of the shipped Q(sqrt 3) fan (its top cones built once) and
     the partial sum at that point over one such truncation built once, the
-    primal value of a pair of points of the shipped module, the hull
+    primal value of a pair of points of the shipped module, the cocycle
+    value at that ray point of the dual star cycle around it, the hull
     construction and the window-4 truncation of the Q(sqrt 19) fan of
     Z[sqrt 19], and the insertion of a ray into the first top cone of that
     window-4 truncation and of the window-5 truncation of the Q(sqrt 3)
     fan (both truncations built once)."""
-    from conesum import config, summation
+    from conesum import config, cycles, summation
     from conesum.fan import TruncatedFan, build_quadratic_fan, refine_insert_ray, truncate
+    from conesum.geometry import ProjPolyhedron
 
     cfg = config.load_config(str(ROOT / "configs/sqrt3.json"))
     desc, F = cfg.fan, cfg.field
@@ -168,12 +170,18 @@ def fan_summation_cases() -> dict:
     point = F.element([4, Fraction(1, 3)])
     w4, w5 = truncate(sqrt19, 4), truncate(desc, 5)
     ray4, ray5 = (tf.top_cones[0].interior_point() for tf in (w4, w5))
+    (star,) = [g for g in w6.group_singular_terms(x0) if not g.is_singleton]
+    star_cycle = cycles.dual_cycle(sum(
+        (cycles.boundary_cycle(ProjPolyhedron(t, check=False)) for t in star.cones[1:]),
+        cycles.boundary_cycle(ProjPolyhedron(star.cones[0], check=False)),
+    ))
     return {
         "fan.group_singular_terms.sqrt3.w6": lambda: TruncatedFan(
             desc, tops, 6
         ).group_singular_terms(x0),
         "summation.partial_sum.sqrt3.w6.ray": lambda: summation.partial_sum(w6, x0),
         "summation.cocycle_value.sqrt3": lambda: summation.cocycle_value(pair, point),
+        "summation.evaluate_cycle.sqrt3.star": lambda: summation.evaluate_cycle(star_cycle, x0),
         "fan.build_quadratic_fan.sqrt19": lambda: build_quadratic_fan(
             sqrt19.module_basis, sqrt19.units[0]
         ),
@@ -186,9 +194,12 @@ def fan_summation_cases() -> dict:
 def converge_cases() -> dict:
     """``converge`` with its fan built once: Q(sqrt 5) at 7/2 + sqrt(5)/2,
     14 windows of one orbit representative, and Q(sqrt 19) at 7 +
-    sqrt(19)/3, 3 windows of seven representatives, both to 1e-12; and
-    ``surd_float`` on the error of the last Q(sqrt 5) row."""
+    sqrt(19)/3, 3 windows of seven representatives, both to 1e-12; the
+    explicit rank-two fan of the cubic field at 5 + theta + theta^2, all 5
+    windows; and ``surd_float`` on the error of the last Q(sqrt 5) row."""
     from conesum import config, field, summation
+    from conesum.fan import FanDescription
+    from conesum.geometry import Cone
 
     def built(d, basis, unit, x0):
         raw = {
@@ -201,12 +212,21 @@ def converge_cases() -> dict:
 
     sqrt5 = built(5, [["1", "0"], ["1/2", "1/2"]], ["3/2", "1/2"], ["7/2", "1/2"])
     sqrt19 = built(19, [["1", "0"], ["0", "1"]], ["170", "39"], ["7", "1/3"])
+    # the explicit fan C(1, e1, e1 e2), C(1, e2, e1 e2) of the cubic field
+    F = field.make_field(CUBIC)
+    e1, e2 = F.theta**2, F.element([1, -2, 1])
+    cubic = FanDescription(
+        kind="explicit", module_basis=(F.one, F.theta, F.theta**2), units=(e1, e2),
+        orbit_cones=(Cone(F, [F.one, e1, e1 * e2]), Cone(F, [F.one, e2, e1 * e2])),
+    )
+    cubic_x0 = F.element([5, 1, 1])
     last = summation.converge(*sqrt5, 20, 1e-12)[-1]
     rational, coef = last.value.parts()
     error = (rational - last.target, coef, last.value.disc)
     return {
         "summation.converge.sqrt5.generic": lambda: summation.converge(*sqrt5, 20, 1e-12),
         "summation.converge.sqrt19.generic": lambda: summation.converge(*sqrt19, 20, 1e-12),
+        "summation.converge.cubic.explicit": lambda: summation.converge(cubic, cubic_x0, 5, 0.0),
         "field.surd_float": lambda: field.surd_float(*error),
     }
 
@@ -215,9 +235,11 @@ def unitsearch_cases() -> dict:
     """The admissible-unit search on the cubic field at the shipped a, b and
     radius (each call builds its own ``UnitPowers``), the limit-pair check of
     the units it finds, the hull chart and its vertex certificate at window 3
-    with the chart cache emptied, the interval log of a point at the first
-    and last precision of the schedule, and the error of one converge row
-    whose error cancels below 1e-30."""
+    with the chart cache emptied, the relative-width embedding intervals of
+    the generators and the found units at every place and precision of the
+    schedule, the interval log of a point at the first and last precision
+    of the schedule, and the error of one converge row whose error cancels
+    below 1e-30."""
     from conesum import config, summation, unitsearch
     from conesum.field import ScaledRational
 
@@ -235,6 +257,12 @@ def unitsearch_cases() -> dict:
         ),
         "unitsearch.check_admissible.cubic49": lambda: unitsearch.check_admissible(cand.units),
         "unitsearch.hull_chart_verify.cubic49.w3": chart_and_vertices,
+        "unitsearch.embedding_iv_positive.cubic49": lambda: [
+            unitsearch._embedding_iv_positive(x, p, prec)
+            for x in (*units.generators, *cand.units)
+            for p in range(3)
+            for prec in unitsearch.PREC_SCHEDULE
+        ],
     }
     for prec in (64, 1024):
         m = (3 << prec) // 7  # a point near 3/7 with prec bits

@@ -273,15 +273,27 @@ def suite_goodfan(config: RunConfig) -> list[dict]:
     ]
 
 
+def _admissible_search(config: RunConfig, a=None, b=None, radius=None):
+    """(a, b, radius, found) of the config's unit search, with any a, b and
+    radius given in place of the config's; found is None or (candidate, bound
+    conditions, limit-pair conditions)."""
+    params = config.unitsearch
+    a = parse_rational(params.get("a", "13/10") if a is None else a)
+    b = parse_rational(params.get("b", "5/2") if b is None else b)
+    radius = int(params.get("radius", 4)) if radius is None else radius
+    if radius < 0:
+        raise ConfigError("unitsearch radius must be an integer >= 0")
+    cand = search_admissible(config.module.units, a, b, radius)
+    if cand is None:
+        return a, b, radius, None
+    return a, b, radius, (cand, check_admissible_bounds(cand), check_admissible(cand.units))
+
+
 def suite_lemma3(config: RunConfig) -> list[dict]:
     if config.module is None:
         raise ConfigError("the admissibility suite needs a module with units")
-    params = config.unitsearch
-    a = parse_rational(params.get("a", "13/10"))
-    b = parse_rational(params.get("b", "5/2"))
-    radius = int(params.get("radius", 4))
-    cand = search_admissible(config.module.units, a, b, radius)
-    if cand is None:
+    a, b, radius, found = _admissible_search(config)
+    if found is None:
         return [
             {
                 "name": "search",
@@ -289,9 +301,8 @@ def suite_lemma3(config: RunConfig) -> list[dict]:
                 "detail": f"no admissible set within radius {radius}",
             }
         ]
-    bounds = check_admissible_bounds(cand)
-    admissible = check_admissible(cand.units)
-    results = [
+    cand, bounds, admissible = found
+    return [
         {
             "name": "search",
             "pass": True,
@@ -306,7 +317,6 @@ def suite_lemma3(config: RunConfig) -> list[dict]:
         },
         {"name": "limit-pair-conditions", "pass": admissible.passed, "detail": ""},
     ]
-    return results
 
 
 SUITE_RUNNERS = {
@@ -370,16 +380,9 @@ def cmd_unitsearch(config: RunConfig, args, out=None) -> int:
         raise ConfigError("unitsearch needs a module with unit generators")
     if config.field.degree < 3:
         raise DegreeTooSmall("unitsearch requires a field of degree at least 3")
-    params = dict(config.unitsearch)
-    a = parse_rational(args.a if args.a is not None else params.get("a", "13/10"))
-    b = parse_rational(args.b if args.b is not None else params.get("b", "5/2"))
-    radius = args.radius if args.radius is not None else int(params.get("radius", 4))
-    if radius < 0:
-        raise ConfigError("unitsearch radius must be an integer >= 0")
-    window = int(params.get("window", 3))
-
-    cand = search_admissible(config.module.units, a, b, radius)
-    if cand is None:
+    a, b, radius, found = _admissible_search(config, args.a, args.b, args.radius)
+    window = int(config.unitsearch.get("window", 3))
+    if found is None:
         print(
             json.dumps(
                 {"found": False, "radius": radius, "a": str(a), "b": str(b)},
@@ -389,8 +392,7 @@ def cmd_unitsearch(config: RunConfig, args, out=None) -> int:
         )
         return EXIT_NOT_FOUND
 
-    bounds = check_admissible_bounds(cand)
-    admissible = check_admissible(cand.units)
+    cand, bounds, admissible = found
     charts = []
     vertices_ok = True
     n = config.field.degree

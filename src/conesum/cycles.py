@@ -16,7 +16,9 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from . import linalg
-from .errors import DegreeMismatch, DependentTuple, MixedExponents, NotACycle, NotTopDegree
+from .errors import (
+    DegreeMismatch, DependentTuple, MixedExponents, NotACycle, NotTopDegree, SingularAtX0,
+)
 from .field import FieldElement, TotallyRealField
 from .geometry import Cone, LinearSubspace, ProjPolyhedron
 from .record import FrozenRecord
@@ -71,6 +73,8 @@ class Cycle:
     def __add__(self, other: "Cycle") -> "Cycle":
         if self.degree != other.degree:
             raise DegreeMismatch(f"cycles of degrees {self.degree} and {other.degree}")
+        if not other.data or not self.data:  # immutable, so a summand serves
+            return self if not other.data else other
         data: dict[Flag, Leaf] = {}
         for c in (self, other):
             for flag, leaf in c.data.items():
@@ -271,20 +275,24 @@ def decompose_cycle(
 
 
 def cpd_extend(f: CPDFunction, z: Cycle):
-    """Value of the unique homomorphism extending f to cycles."""
+    """Value of the unique homomorphism extending f to cycles.  The cycle is
+    coned from the canonical base point or, while f raises SingularAtX0 on a
+    simplex, from its own points in sorted order; the last error stands when
+    every base fails.  f vanishes on dependent tuples, so they need no test."""
     if not is_cycle(z):
         raise NotACycle("cpd extension is defined on cycles only")
     if f.arity != z.degree + 2:
         raise DegreeMismatch(f"{f.name} takes {f.arity} points, not {z.degree + 2}")
-    total = f.zero
-    for coef, pts in decompose_cycle(z):
-        if not _independent(z.field, pts):
-            continue  # degenerate simplices contribute zero
-        value = f.evaluate(tuple(pts))
-        if coef != 1:
-            value = value * coef
-        total = total + value
-    return total
+    for base in [None] + [z.field.element(p) for p in sorted(z.points())]:
+        try:
+            total = f.zero
+            for coef, pts in decompose_cycle(z, base):
+                value = f.evaluate(pts)
+                total = total + (value if coef == 1 else value * coef)
+            return total
+        except SingularAtX0 as exc:
+            error = exc
+    raise error
 
 
 def orthogonal_point(field: TotallyRealField, points: Sequence[FieldElement]) -> FieldElement:

@@ -190,9 +190,7 @@ def isolate_real_roots(p: Sequence) -> list[tuple[int, int, int]]:
     Assumes p squarefree with no rational roots, so interval endpoints are
     never roots themselves.
     """
-    p = [Fraction(c) for c in p]
-    d = math.lcm(*(c.denominator for c in p))
-    q = [c.numerator * (d // c.denominator) for c in p]
+    q = linalg.cleared(p)[0]
     chain = sturm_chain(q)
     # every root lies in [-b/s, b/s] with b/s = 1 + max |q_i| / |q_lead|
     s = abs(q[-1])
@@ -942,14 +940,18 @@ def _is_squarefree(d: int) -> bool:
 
 
 def _ceil_at(x: FieldElement, place: int) -> int:
-    """Exact ceiling of an irrational embedding, read off a refined interval."""
-    prec = 8
-    while True:
-        iv = x.field.embed_at(x, place, prec)
-        lo = math.floor(iv.lo)
-        if iv.hi < lo + 1:
-            return lo + 1
-        prec *= 2
+    """Exact ceiling of an embedding, read off the first interval on which
+    the ceiling is constant: one that holds no integer, for irrational x."""
+
+    def decided(lo, hi, s):
+        return -(-lo // s) == -(-hi // s)
+
+    def excess(lo, hi, s):  # the goal is the distance of the midpoint to an integer
+        r = (lo + hi) % (2 * s)
+        return _excess_bits(2 * (hi - lo), min(r, 2 * s - r))
+
+    lo, _, s = x.field._refine(x, place, decided, excess)
+    return -(-lo // s)
 
 
 def minus_continued_fraction(

@@ -523,8 +523,7 @@ def primitive_generator(
     coeffs = solve_in_basis(list(module_basis), ray)
     if coeffs is None:
         raise RayNotRational("ray direction is not in the span of the lattice")
-    denom = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
+    ints = linalg.cleared(coeffs)[0]
     g = math.gcd(*ints)
     if g == 0:
         raise RayNotRational("ray has no lattice point")

@@ -14,17 +14,10 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from . import linalg
-from .cycles import (
-    Cycle,
-    boundary_cycle,
-    decompose_cycle,
-    dual_cycle,
-    is_cycle,
-)
+from .cycles import CPDFunction, Cycle, boundary_cycle, cpd_extend, dual_cycle
 from .errors import (
     DegreeMismatch,
     DependentTuple,
-    NotACycle,
     NotConvexUnion,
     NotSimplicial,
     NotTotallyPositive,
@@ -236,20 +229,24 @@ class LatticeFrame:
         value = form.value_at(*self.coordinates(x0))
         return ConeTerm(cone=t, primitive_gens=tuple(map(self.point, cols)), value=value)
 
+    def _step(self, y: Sequence[int], i: int, inverse: bool) -> tuple[int, ...]:
+        """u_i y, or |N(u_i)| u_i^-1 y when inverse."""
+        U, inv, _ = self.units[i]
+        return linalg.mat_vec(inv if inverse else U, y)
+
     def walk(self, x0: FieldElement) -> ExponentTable:
         """(Y, d) of u^-e x0 over exponent vectors e."""
         def step(x, i, up):
-            (U, inv, norm), (Y, d) = self.units[i], x
-            return (linalg.mat_vec(inv, Y), d * norm) if up else (linalg.mat_vec(U, Y), d)
+            Y, d = x
+            return self._step(Y, i, up), (d * self.units[i][2] if up else d)
 
         return ExponentTable(len(self.units), self.coordinates(x0), step)
 
-    def moved(self, cols: Sequence[Sequence[int]], exponents: Sequence[int]) -> list:
-        """Positive multiples of the module vectors of u^e c for columns c."""
-        for (U, inv, _), a in zip(self.units, exponents):
-            for _ in range(abs(a)):
-                cols = [linalg.mat_vec(U if a > 0 else inv, c) for c in cols]
-        return cols
+    def moved(self, cols: Sequence[Sequence[int]]) -> ExponentTable:
+        """Positive multiples of the module vectors of u^e c for the columns
+        c, over exponent vectors e."""
+        return ExponentTable(len(self.units), tuple(cols),
+                             lambda cs, i, up: tuple(self._step(c, i, not up) for c in cs))
 
 
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -268,27 +265,10 @@ def cone_term(t: Cone, module_basis: Sequence[FieldElement], x0: FieldElement) -
 
 
 def evaluate_cycle(z: Cycle, x0: FieldElement) -> ScaledRational:
-    """Extension of the cocycle value to a top-degree cycle.
-
-    The simplicial decomposition is coned from the canonical base point; if
-    that base makes an individual simplex singular at x0 while the total is
-    finite, alternative bases from the cycle's own points are tried.
-    """
-    if not is_cycle(z):
-        raise NotACycle("the cocycle value extends to cycles only")
-    field = z.field
-    zero = ScaledRational.rational(0, field.disc_abs)
-    candidates = [None] + [field.element(p) for p in sorted(z.points())]
-    last_error: Exception | None = None
-    for base in candidates:
-        try:
-            total = zero
-            for coef, pts in decompose_cycle(z, base=base):
-                total = total + cocycle_value(pts, x0) * coef
-            return total
-        except SingularAtX0 as exc:
-            last_error = exc
-    raise last_error
+    """Extension of the cocycle value at x0 to a top-degree cycle."""
+    zero = ScaledRational.rational(0, x0.field.disc_abs)
+    value = CPDFunction(x0.field.degree, lambda pts: cocycle_value(pts, x0), zero, "cocycle")
+    return cpd_extend(value, z)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +447,14 @@ def converge(
 
     Row N equals partial_sum(truncate(description, N), x0), but each window
     only adds the terms of the translates by the window_exponents that the
-    windows before it lack.  The fan is
-    periodic: a translate u*t of an orbit representative t has the term
-    h*(u t)(x0) = h*(t)(u^-1 x0) / |N(u)|, since the value is homogeneous of
-    degree zero in each generator.  So one TermForm per representative, on
-    integer coordinates of the module, serves every translate, and the
-    coordinates of u^-e x0 are walked by one integer matrix-vector product
-    per new exponent vector.  The top cones whose form vanishes at x0 are
+    windows before it lack.  The fan is periodic: a translate u*t of an
+    orbit representative t has the term h*(u t)(x0) = h*(t)(u^-1 x0) /
+    |N(u)|, since the value is homogeneous of degree zero in each
+    generator.  So one TermForm per representative, on integer coordinates
+    of the module, serves every translate.  The coordinates of u^-e x0, and
+    the translated rays that explicit fans dedupe and singular tops are
+    built from, are walked by one integer matrix-vector product per vector
+    and new exponent vector.  The top cones whose form vanishes at x0 are
     the only ones in star groups (a star of a singular cone holds singular
     tops only), so their grouped value is recomputed whenever that set
     grows.
@@ -482,6 +463,7 @@ def converge(
         raise NotTotallyPositive("partial sums are evaluated at totally positive x0")
     frame = LatticeFrame(description.module_basis, description.units)
     forms = [frame.oriented(rep) for rep in description.orbit_cones]
+    moves = [frame.moved(cols) for cols, _ in forms]
     points = frame.walk(x0)
     norms = [norm for _, _, norm in frame.units]
     dedupe = description.kind == "explicit"  # quadratic cones never repeat
@@ -500,16 +482,15 @@ def converge(
             walked.add(exponents)
             Y, d = points(exponents)
             norm = math.prod(Fraction(u) ** a for u, a in zip(norms, exponents) if u != 1)
-            for cols, form in forms:
+            for (_, form), moved in zip(forms, moves):
                 if dedupe:  # the primitive module vectors of the translated rays
-                    key = frozenset(map(_primitive, frame.moved(cols, exponents)))
+                    key = frozenset(map(_primitive, moved(exponents)))
                     if key in seen:
                         continue
                     seen.add(key)
                 q = form.coefficient(Y, d)
                 if q is None:
-                    gens = map(frame.point, frame.moved(cols, exponents))
-                    singular_tops.append(Cone(x0.field, gens))
+                    singular_tops.append(Cone(x0.field, map(frame.point, moved(exponents))))
                     grew = True
                 else:
                     regular += q if norm == 1 else q / norm

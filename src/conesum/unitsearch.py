@@ -30,6 +30,7 @@ from .field import (
     FieldElement,
     UnitGroupData,
     UnitPowers,
+    _excess_bits,
     limit_pair,
     root_indices,
 )
@@ -185,20 +186,24 @@ def _embedding_iv(x: FieldElement, place: int, prec: int) -> Interval:
 
 
 def _embedding_iv_positive(x: FieldElement, place: int, prec: int) -> Interval:
-    """Interval for a positive embedding with certified relative width.
+    """Interval for a positive embedding at the least depth of relative
+    width <= 2^-prec.
 
     Needed wherever logs or quotients of values with a huge dynamic range
     are taken (high unit powers)."""
-    k = prec
-    while True:
-        riv = x.field.embed_at(x, place, k)
-        if riv.lo > 0 and riv.width * 2**prec <= riv.lo:
-            return Interval.of(riv.lo, riv.hi, prec + GUARD_BITS)
-        if riv.hi < 0:
-            raise PrecisionExhausted("expected a positive embedding")
-        k *= 2
-        if k > 1 << 16:
-            raise PrecisionExhausted("relative refinement exhausted")
+    if x.is_zero():
+        raise PrecisionExhausted("expected a positive embedding, got 0")
+
+    def decided(lo, hi, s):  # narrow enough, or certified negative
+        return (hi - lo) << prec <= lo if lo > 0 else hi < 0
+
+    def excess(lo, hi, s):  # the goal is the midpoint over 2^prec
+        return _excess_bits((hi - lo) << (prec + 1), abs(lo + hi))
+
+    lo, hi, s = x.field._refine(x, place, decided, excess, least=True)
+    if hi < 0:
+        raise PrecisionExhausted("expected a positive embedding")
+    return Interval.of(Fraction(lo, s), Fraction(hi, s), prec + GUARD_BITS)
 
 
 def _iv_sign(iv: Interval) -> int | None:

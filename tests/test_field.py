@@ -24,6 +24,7 @@ from conesum.errors import (
 )
 from conesum.field import (
     FieldElement,
+    _ceil_at,
     RatInterval,
     ScaledRational,
     TotallyRealField,
@@ -328,6 +329,18 @@ def scan_embeddings(x, chain, precs):
     return found
 
 
+def reference_ceil_at(x, place):
+    """The loop _ceil_at ran before its one depth search: embed_at at 8, 16,
+    32, ... bits until the interval lies below the next integer."""
+    prec = 8
+    while True:
+        iv = x.field.embed_at(x, place, prec)
+        lo = math.floor(iv.lo)
+        if iv.hi < lo + 1:
+            return lo + 1
+        prec *= 2
+
+
 REFINE_PRECS = (20, 64, 128, 256, 1024)
 
 
@@ -396,6 +409,32 @@ class TestRefinement:
                 assert [RatInterval.scaled(*F._root_interval(place, d)) for d in depths] == [
                     ref.at(d) for d in depths
                 ]
+
+    @pytest.mark.parametrize(
+        "poly", [QUADRATIC, [-13, 0, 1], CUBIC], ids=["sqrt3", "sqrt13", "cubic"]
+    )
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ceil_at_matches_doubling_loop(self, poly, data):
+        # random elements plus a power of 2 + theta, whose embeddings come
+        # close to integers where a conjugate is small (as for 2 + sqrt 3)
+        F = make_field(poly)
+        span = st.integers(-10**6, 10**6)
+        coords = data.draw(st.lists(span, min_size=F.degree, max_size=F.degree))
+        den = data.draw(st.integers(1, 10**4))
+        x = F.element([Fraction(c, den) for c in coords]) + (F.theta + 2) ** data.draw(
+            st.integers(0, 16)
+        )
+        if x.coords[1:] == (0,) * (F.degree - 1):  # keep x irrational
+            x = x + F.theta
+        for place in range(F.degree):
+            assert _ceil_at(x, place) == reference_ceil_at(x, place)
+
+    def test_ceil_at_rational(self):
+        F = make_field(CUBIC)
+        for q in (Fraction(7), Fraction(-7), Fraction(22, 7), Fraction(-22, 7)):
+            for place in range(F.degree):
+                assert _ceil_at(F.from_rational(q), place) == math.ceil(q)
 
     from hypothesis import given, settings
     from hypothesis import strategies as st

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conesum.cycles import Cycle
+from conesum.cycles import Cycle, boundary_cycle, decompose_cycle, dual_cycle, is_cycle
 from conesum.errors import (
     ConesumError,
     DependentTuple,
@@ -19,7 +20,7 @@ from conesum.errors import (
     SingularAtX0,
     UnitDoesNotPreserveM,
 )
-from conesum import geometry, summation
+from conesum import geometry, linalg, summation
 from conesum.field import (
     RatInterval,
     ScaledRational,
@@ -39,7 +40,7 @@ from conesum.fan import (
     truncate,
     window_exponents,
 )
-from conesum.geometry import Cone, primitive_generator, solve_in_basis
+from conesum.geometry import Cone, ProjPolyhedron, primitive_generator, solve_in_basis
 from conesum.summation import (
     ConeTerm,
     TermForm,
@@ -849,7 +850,7 @@ class TestModuleCoordinates:
             Y, d = points(e)
             assert frame.point(Y) / d == x0 * powers([-a for a in e])
             basis = [[int(i == j) for j in range(F.degree)] for i in range(F.degree)]
-            images = frame.moved(basis, e)
+            images = frame.moved(basis)(e)
             for b, image in zip(desc.module_basis, images):
                 assert (frame.point(image) / (b * powers(e))).ray_key() == (1, 0, 0)[: F.degree]
 
@@ -952,3 +953,129 @@ class TestConvergeCounts:
             assert counts["primitive_generator"] == counts["solve_in_basis"] == 0
             products.append((counts["_multiply"], counts["_invert"]))
         assert products[0] == products[1]
+
+    def test_module_walk_is_linear_in_the_window(self, monkeypatch):
+        # converge walks u^-e x0 and the translated columns of each
+        # representative by one mat_vec per vector and new exponent vector,
+        # so the calls beyond the set-up per exponent vector do not grow with
+        # the window on the rank-two cubic fan
+        F, desc, _ = cubic_fan()
+        x0 = F.element([5, 1, 1])
+        calls = []
+        original = linalg.mat_vec
+
+        def counted(a, v):
+            calls.append(1)
+            return original(a, v)
+
+        monkeypatch.setattr(linalg, "mat_vec", counted)
+        converge(desc, x0, 0, 0.0)
+        setup = len(calls)
+        per_vector = []
+        for n_max in (2, 5):
+            calls.clear()
+            assert len(converge(desc, x0, n_max, 0.0)) == n_max
+            walked = {e for w in range(1, n_max + 1) for e in window_exponents(desc, w)}
+            per_vector.append(Fraction(len(calls) - setup, len(walked) - 1))
+        assert per_vector[0] == per_vector[1]
+
+
+# ---------------------------------------------------------------------------
+# the cocycle value on star cycles
+
+
+def reference_evaluate_cycle(z, x0):
+    """The base search evaluate_cycle ran before it was cpd_extend of the
+    cocycle value: the decomposition from the canonical base, then from each
+    point of the cycle in sorted order, re-raising the last SingularAtX0."""
+    if not is_cycle(z):
+        raise NotACycle("the cocycle value extends to cycles only")
+    field = z.field
+    zero = ScaledRational.rational(0, field.disc_abs)
+    candidates = [None] + [field.element(p) for p in sorted(z.points())]
+    last_error = None
+    for base in candidates:
+        try:
+            total = zero
+            for coef, pts in decompose_cycle(z, base=base):
+                total = total + cocycle_value(pts, x0) * coef
+            return total
+        except SingularAtX0 as exc:
+            last_error = exc
+    raise last_error
+
+
+STAR_FANS = {"sqrt2": sqrt2_fan, "sqrt3": sqrt3_fan, "sqrt13": sqrt13_fan, "cubic": cubic_fan}
+
+
+@functools.lru_cache(maxsize=None)
+def star_window(name, window):
+    F, desc, vs = STAR_FANS[name]()
+    return F, truncate(desc, window), vs
+
+
+def star_cycles(tf, x0):
+    """The dual of the summed boundary cycles of the tops of each star group
+    at x0, as _star_group_value evaluates them."""
+    cycles = []
+    for group in tf.group_singular_terms(x0):
+        if not group.is_singleton:
+            z = sum((boundary_cycle(ProjPolyhedron(t, check=False)) for t in group.cones[1:]),
+                    boundary_cycle(ProjPolyhedron(group.cones[0], check=False)))
+            cycles.append(dual_cycle(z))
+    return cycles
+
+
+def outcome(evaluate, z, x0):
+    try:
+        value = evaluate(z, x0)
+    except SingularAtX0 as exc:
+        return "SingularAtX0", str(exc)
+    return value, value.exact_str()
+
+
+@st.composite
+def star_cases(draw):
+    """A window of a fan, a ray or wall of one of its tops, and a point in
+    that face's relative interior."""
+    F, tf, _ = star_window(draw(st.sampled_from(sorted(STAR_FANS))), draw(st.sampled_from([1, 2])))
+    rays = draw(st.sampled_from(tf.top_cones)).extreme_rays
+    face = draw(st.lists(st.sampled_from(rays), min_size=1, max_size=F.degree - 1, unique=True))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(face), max_size=len(face)))
+    return tf, sum((r * w for r, w in zip(face, weights)), F.zero)
+
+
+class TestEvaluateCycle:
+    @settings(max_examples=60, deadline=None)
+    @given(star_cases())
+    def test_matches_the_base_search(self, case):
+        tf, x0 = case
+        cycles = star_cycles(tf, x0)
+        assert cycles
+        for z in cycles:
+            assert outcome(evaluate_cycle, z, x0) == outcome(reference_evaluate_cycle, z, x0)
+
+    def test_singular_canonical_base(self):
+        # the star of three cubic tops around a ray on the edge of window 1:
+        # the canonical decomposition is singular, so every base is tried
+        F, tf, _ = star_window("cubic", 1)
+        x0 = tf.top_cones[0].extreme_rays[0]
+        (z,) = star_cycles(tf, x0)
+        with pytest.raises(SingularAtX0):
+            for coef, pts in decompose_cycle(z):
+                cocycle_value(pts, x0)
+        expected = outcome(reference_evaluate_cycle, z, x0)
+        assert expected[0] == "SingularAtX0"
+        assert outcome(evaluate_cycle, z, x0) == expected
+
+    def test_edge_ray_message(self):
+        F, tf, vs = star_window("sqrt3", 1)
+        x0 = vs.point(vs.period)
+        (z,) = star_cycles(tf, x0)
+        expected = outcome(reference_evaluate_cycle, z, x0)
+        assert expected == (
+            "SingularAtX0",
+            "pairing with FieldElement(Fraction(1, 1), Fraction(-2, 3)) vanishes at the "
+            "evaluation point",
+        )
+        assert outcome(evaluate_cycle, z, x0) == expected

@@ -141,6 +141,31 @@ class TestLogLattice:
             assert lo <= hi and lo <= ref_hi and ref_lo <= hi, (exp, p)
 
 
+class TestEmbeddingIvPositive:
+    @pytest.mark.parametrize("prec", [64, 256, 1024])
+    @pytest.mark.parametrize("exp", [(0, 0), (1, 0), (0, -3), (4, -3), (-9, 9), (40, 0)])
+    def test_encloses_with_relative_width(self, exp, prec):
+        # exactly lo <= x^(p) <= hi, and (hi - lo) / lo <= 2^-prec up to the
+        # outward rounding to prec + GUARD_BITS bits
+        F, V = cubic_units()
+        x = UnitPowers(F, V.generators)(exp) * Fraction(3, 7)
+        for p in range(F.degree):
+            lo, hi = unitsearch._embedding_iv_positive(x, p, prec).endpoints()
+            assert F.sign_at(x - lo, p) >= 0 and F.sign_at(hi - x, p) >= 0
+            assert (hi - lo) * 2**prec <= lo * (1 + Fraction(1, 2 ** (GUARD_BITS - 3)))
+
+    def test_negative_embedding_and_zero_raise(self):
+        F, _ = cubic_units()
+        for x in (-F.one, F.theta - 10, F.zero):
+            for p in range(F.degree):
+                with pytest.raises(PrecisionExhausted):
+                    unitsearch._embedding_iv_positive(x, p, 64)
+        # theta is negative at the first place only
+        with pytest.raises(PrecisionExhausted):
+            unitsearch._embedding_iv_positive(F.theta, 0, 64)
+        assert unitsearch._embedding_iv_positive(F.theta, 1, 64).lo > 0
+
+
 class TestSearch:
     def test_empty_unit_group_is_a_rank_mismatch(self):
         with pytest.raises(UnitRankMismatch):
