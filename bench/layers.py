@@ -1,7 +1,7 @@
 """Layer microbenchmarks, the L-value enumerator, six in-process commands,
 a cold import and a cold ``converge``, merged into a BENCH file.
 
-    python bench/layers.py --src src --label change --out BENCH_19.json
+    python bench/layers.py --src src --label change --out BENCH_20.json
 
 ``--src`` names the ``src`` directory that ``conesum`` is imported from, so
 the same script can measure a checkout of another commit.  Each case is
@@ -141,12 +141,28 @@ def polyhedral_cases() -> dict:
     }
 
 
+def cubic_fan():
+    """The explicit fan C(1, e1, e1 e2), C(1, e2, e1 e2) of the cubic field."""
+    from conesum import field
+    from conesum.fan import FanDescription
+    from conesum.geometry import Cone
+
+    F = field.make_field(CUBIC)
+    e1, e2 = F.theta**2, F.element([1, -2, 1])
+    return FanDescription(
+        kind="explicit", module_basis=(F.one, F.theta, F.theta**2), units=(e1, e2),
+        orbit_cones=(Cone(F, [F.one, e1, e1 * e2]), Cone(F, [F.one, e2, e1 * e2])),
+    )
+
+
 def fan_summation_cases() -> dict:
     """The star grouping of a point on a fan ray over a new window-6
     truncation of the shipped Q(sqrt 3) fan (its top cones built once) and
     the partial sum at that point over one such truncation built once, the
     primal value of a pair of points of the shipped module, the cocycle
-    value at that ray point of the dual star cycle around it, the hull
+    value at that ray point of the dual star cycle around it, the value of
+    the star around it and of the star of six tops around a ray of window 1
+    of the explicit cubic fan (both star groups built once), the hull
     construction and the window-4 truncation of the Q(sqrt 19) fan of
     Z[sqrt 19], and the insertion of a ray into the first top cone of that
     window-4 truncation and of the window-5 truncation of the Q(sqrt 3)
@@ -175,6 +191,9 @@ def fan_summation_cases() -> dict:
         (cycles.boundary_cycle(ProjPolyhedron(t, check=False)) for t in star.cones[1:]),
         cycles.boundary_cycle(ProjPolyhedron(star.cones[0], check=False)),
     ))
+    cubic_w1 = truncate(cubic_fan(), 1)
+    cubic_x0 = cubic_w1.top_cones[1].extreme_rays[1]
+    (cubic_star,) = [g for g in cubic_w1.group_singular_terms(cubic_x0) if not g.is_singleton]
     return {
         "fan.group_singular_terms.sqrt3.w6": lambda: TruncatedFan(
             desc, tops, 6
@@ -182,6 +201,10 @@ def fan_summation_cases() -> dict:
         "summation.partial_sum.sqrt3.w6.ray": lambda: summation.partial_sum(w6, x0),
         "summation.cocycle_value.sqrt3": lambda: summation.cocycle_value(pair, point),
         "summation.evaluate_cycle.sqrt3.star": lambda: summation.evaluate_cycle(star_cycle, x0),
+        "summation.star_group_value.sqrt3.w6.ray": lambda: summation._star_group_value(star, x0),
+        "summation.star_group_value.cubic.w1": lambda: summation._star_group_value(
+            cubic_star, cubic_x0
+        ),
         "fan.build_quadratic_fan.sqrt19": lambda: build_quadratic_fan(
             sqrt19.module_basis, sqrt19.units[0]
         ),
@@ -198,8 +221,6 @@ def converge_cases() -> dict:
     explicit rank-two fan of the cubic field at 5 + theta + theta^2, all 5
     windows; and ``surd_float`` on the error of the last Q(sqrt 5) row."""
     from conesum import config, field, summation
-    from conesum.fan import FanDescription
-    from conesum.geometry import Cone
 
     def built(d, basis, unit, x0):
         raw = {
@@ -212,14 +233,8 @@ def converge_cases() -> dict:
 
     sqrt5 = built(5, [["1", "0"], ["1/2", "1/2"]], ["3/2", "1/2"], ["7/2", "1/2"])
     sqrt19 = built(19, [["1", "0"], ["0", "1"]], ["170", "39"], ["7", "1/3"])
-    # the explicit fan C(1, e1, e1 e2), C(1, e2, e1 e2) of the cubic field
-    F = field.make_field(CUBIC)
-    e1, e2 = F.theta**2, F.element([1, -2, 1])
-    cubic = FanDescription(
-        kind="explicit", module_basis=(F.one, F.theta, F.theta**2), units=(e1, e2),
-        orbit_cones=(Cone(F, [F.one, e1, e1 * e2]), Cone(F, [F.one, e2, e1 * e2])),
-    )
-    cubic_x0 = F.element([5, 1, 1])
+    cubic = cubic_fan()
+    cubic_x0 = cubic.module_basis[0].field.element([5, 1, 1])
     last = summation.converge(*sqrt5, 20, 1e-12)[-1]
     rational, coef = last.value.parts()
     error = (rational - last.target, coef, last.value.disc)

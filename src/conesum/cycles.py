@@ -16,9 +16,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from . import linalg
-from .errors import (
-    DegreeMismatch, DependentTuple, MixedExponents, NotACycle, NotTopDegree, SingularAtX0,
-)
+from .errors import DegreeMismatch, DependentTuple, MixedExponents, NotACycle, NotTopDegree
 from .field import FieldElement, TotallyRealField
 from .geometry import Cone, LinearSubspace, ProjPolyhedron
 from .record import FrozenRecord
@@ -236,33 +234,22 @@ class CPDFunction(FrozenRecord):
         self._fill(arity, evaluate, zero, name)
 
 
-def decompose_cycle(
-    z: Cycle, base: FieldElement | None = None
-) -> list[tuple[int, tuple[FieldElement, ...]]]:
+def decompose_cycle(z: Cycle) -> list[tuple[int, tuple[FieldElement, ...]]]:
     """Write a cycle as an integer combination of simplices.
 
     Components at each top subspace are decomposed recursively and coned from
-    a base point: by default the lexicographically smallest canonical point of
-    the cycle, so the result is deterministic; any other base gives a
-    different decomposition of the same cycle.
+    the canonical base, the lexicographically smallest canonical point of the
+    cycle, so the result is deterministic.
     """
     field = z.field
     if z.is_zero():
         return []
     if z.degree == 0:
         (leaf,) = z.data.values()
-        base_key = base.proj_key() if base is not None else min(leaf)
-        base_el = field.element(base_key)
-        return [
-            (w, (field.element(p), base_el))
-            for p, w in sorted(leaf.items())
-            if p != base_key
-        ]
-    base_el = (
-        field.element(base.proj_key())
-        if base is not None
-        else field.element(min(z.points()))
-    )
+        base_key = min(leaf)
+        base = field.element(base_key)
+        return [(w, (field.element(p), base)) for p, w in sorted(leaf.items()) if p != base_key]
+    base = field.element(min(z.points()))
     terms: list[tuple[int, tuple[FieldElement, ...]]] = []
     groups: dict[tuple, dict[Flag, Leaf]] = {}
     for flag, leaf in z.data.items():
@@ -270,29 +257,24 @@ def decompose_cycle(
     for top_key in sorted(groups):
         component = Cycle(field, z.degree - 1, groups[top_key])
         for coef, pts in decompose_cycle(component):
-            terms.append((coef, (base_el,) + pts))
+            terms.append((coef, (base,) + pts))
     return terms
 
 
 def cpd_extend(f: CPDFunction, z: Cycle):
-    """Value of the unique homomorphism extending f to cycles.  The cycle is
-    coned from the canonical base point or, while f raises SingularAtX0 on a
-    simplex, from its own points in sorted order; the last error stands when
-    every base fails.  f vanishes on dependent tuples, so they need no test."""
+    """Value of the unique homomorphism extending f to cycles, summed over
+    the canonical decomposition of z; a SingularAtX0 of f on one of its
+    simplices propagates.  f vanishes on dependent tuples, so they need no
+    test."""
     if not is_cycle(z):
         raise NotACycle("cpd extension is defined on cycles only")
     if f.arity != z.degree + 2:
         raise DegreeMismatch(f"{f.name} takes {f.arity} points, not {z.degree + 2}")
-    for base in [None] + [z.field.element(p) for p in sorted(z.points())]:
-        try:
-            total = f.zero
-            for coef, pts in decompose_cycle(z, base):
-                value = f.evaluate(pts)
-                total = total + (value if coef == 1 else value * coef)
-            return total
-        except SingularAtX0 as exc:
-            error = exc
-    raise error
+    total = f.zero
+    for coef, pts in decompose_cycle(z):
+        value = f.evaluate(pts)
+        total = total + (value if coef == 1 else value * coef)
+    return total
 
 
 def orthogonal_point(field: TotallyRealField, points: Sequence[FieldElement]) -> FieldElement:
@@ -315,7 +297,7 @@ def dual_point_function(field: TotallyRealField) -> CPDFunction:
         for i in range(len(pts)):
             rest = pts[:i] + pts[i + 1 :]
             duals.append(orthogonal_point(field, rest))
-        return simplex_cycle(field, duals)
+        return Cycle(field, n - 2, _simplex_expand(field, duals))
 
     return CPDFunction(arity=n, evaluate=evaluate, zero=Cycle.zero(field, n - 2), name="dual")
 

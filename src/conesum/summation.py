@@ -14,7 +14,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from . import linalg
-from .cycles import CPDFunction, Cycle, boundary_cycle, cpd_extend, dual_cycle
+from .cycles import (
+    CPDFunction, Cycle, boundary_cycle, cpd_extend, dual_cycle, dual_point_function,
+)
 from .errors import (
     DegreeMismatch,
     DependentTuple,
@@ -292,12 +294,16 @@ class ConvergenceRow(FrozenRecord):
 
 def _star_group_value(group: TermGroup, x0: FieldElement) -> ScaledRational:
     """Combined finite value of a star of cones around a singular cone: the
-    internal singular walls cancel in the summed dual boundary cycle."""
-    total_cycle = None
+    internal singular walls cancel in the summed dual boundary cycle.  A
+    simplicial top's boundary cycle is the simplex cycle on its rays, signed
+    by their orientation, so its dual is their signed dual simplex."""
+    dual = dual_point_function(x0.field)
+    total = dual.zero
     for t in group.cones:
-        z = boundary_cycle(ProjPolyhedron(t, check=False))
-        total_cycle = z if total_cycle is None else total_cycle + z
-    return evaluate_cycle(dual_cycle(total_cycle), x0)
+        rays = t.extreme_rays  # simplicial, as grouping by carriers checks
+        z = dual.evaluate(rays)
+        total = total + (z if coord_det(rays) > 0 else -z)
+    return evaluate_cycle(total, x0)
 
 
 def partial_sum(tf: TruncatedFan, x0: FieldElement) -> ConvergenceRow:

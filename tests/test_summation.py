@@ -10,7 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conesum.cycles import Cycle, boundary_cycle, decompose_cycle, dual_cycle, is_cycle
+from conesum.cycles import (
+    Cycle, boundary_cycle, decompose_cycle, dual_cycle, dual_point_function, is_cycle,
+)
 from conesum.errors import (
     ConesumError,
     DependentTuple,
@@ -984,25 +986,54 @@ class TestConvergeCounts:
 # the cocycle value on star cycles
 
 
+def coned_from(z, base):
+    """The decomposition of z coned from base, as decompose_cycle(z, base)
+    gave it before the base parameter went: the canonical decompositions of
+    the components at each top subspace, coned from base, or in degree 0
+    the pairs (p, base) over the points p other than base."""
+    if z.degree == 0:
+        (leaf,) = z.data.values()
+        key = base.proj_key()
+        return [(w, (z.field.element(p), base)) for p, w in sorted(leaf.items()) if p != key]
+    groups = {}
+    for flag, leaf in z.data.items():
+        groups.setdefault(flag[-1], {})[flag[:-1]] = leaf
+    return [
+        (coef, (base,) + pts)
+        for top in sorted(groups)
+        for coef, pts in decompose_cycle(Cycle(z.field, z.degree - 1, groups[top]))
+    ]
+
+
 def reference_evaluate_cycle(z, x0):
-    """The base search evaluate_cycle ran before it was cpd_extend of the
-    cocycle value: the decomposition from the canonical base, then from each
-    point of the cycle in sorted order, re-raising the last SingularAtX0."""
+    """The base search evaluate_cycle ran before it was one canonical
+    decomposition: the canonical base, then each point of the cycle in
+    sorted order, re-raising the last SingularAtX0."""
     if not is_cycle(z):
         raise NotACycle("the cocycle value extends to cycles only")
     field = z.field
     zero = ScaledRational.rational(0, field.disc_abs)
-    candidates = [None] + [field.element(p) for p in sorted(z.points())]
     last_error = None
-    for base in candidates:
+    for base in [None] + [field.element(p) for p in sorted(z.points())]:
         try:
             total = zero
-            for coef, pts in decompose_cycle(z, base=base):
+            for coef, pts in decompose_cycle(z) if base is None else coned_from(z, base):
                 total = total + cocycle_value(pts, x0) * coef
             return total
         except SingularAtX0 as exc:
             last_error = exc
     raise last_error
+
+
+def first_singular_message(z, x0):
+    """The SingularAtX0 message of the first simplex of the canonical
+    decomposition of z whose cocycle value at x0 is singular."""
+    for _, pts in decompose_cycle(z):
+        try:
+            cocycle_value(pts, x0)
+        except SingularAtX0 as exc:
+            return str(exc)
+    return None
 
 
 STAR_FANS = {"sqrt2": sqrt2_fan, "sqrt3": sqrt3_fan, "sqrt13": sqrt13_fan, "cubic": cubic_fan}
@@ -1045,6 +1076,16 @@ def star_cases(draw):
     return tf, sum((r * w for r, w in zip(face, weights)), F.zero)
 
 
+def canonical_outcome(z, x0):
+    """The reference outcome, except that a singular cycle names the first
+    vanishing pairing of its canonical decomposition, not of the last base
+    the search tried."""
+    expected = outcome(reference_evaluate_cycle, z, x0)
+    if expected[0] == "SingularAtX0":
+        return "SingularAtX0", first_singular_message(z, x0)
+    return expected
+
+
 class TestEvaluateCycle:
     @settings(max_examples=60, deadline=None)
     @given(star_cases())
@@ -1053,20 +1094,53 @@ class TestEvaluateCycle:
         cycles = star_cycles(tf, x0)
         assert cycles
         for z in cycles:
-            assert outcome(evaluate_cycle, z, x0) == outcome(reference_evaluate_cycle, z, x0)
+            assert outcome(evaluate_cycle, z, x0) == canonical_outcome(z, x0)
 
     def test_singular_canonical_base(self):
         # the star of three cubic tops around a ray on the edge of window 1:
-        # the canonical decomposition is singular, so every base is tried
+        # the canonical decomposition is singular, and so is every other base
         F, tf, _ = star_window("cubic", 1)
         x0 = tf.top_cones[0].extreme_rays[0]
         (z,) = star_cycles(tf, x0)
         with pytest.raises(SingularAtX0):
             for coef, pts in decompose_cycle(z):
                 cocycle_value(pts, x0)
-        expected = outcome(reference_evaluate_cycle, z, x0)
-        assert expected[0] == "SingularAtX0"
-        assert outcome(evaluate_cycle, z, x0) == expected
+        assert outcome(reference_evaluate_cycle, z, x0)[0] == "SingularAtX0"
+        assert outcome(evaluate_cycle, z, x0) == canonical_outcome(z, x0)
+
+    def test_one_decomposition(self, monkeypatch):
+        # a singular canonical decomposition is not tried again from other bases
+        F, tf, _ = star_window("cubic", 1)
+        x0 = tf.top_cones[0].extreme_rays[0]
+        (z,) = star_cycles(tf, x0)
+        calls = []
+        original = summation.cocycle_value
+
+        def counted(pts, x):
+            calls.append(1)
+            return original(pts, x)
+
+        monkeypatch.setattr(summation, "cocycle_value", counted)
+        with pytest.raises(SingularAtX0):
+            evaluate_cycle(z, x0)
+        assert 0 < len(calls) <= len(decompose_cycle(z))
+
+    def test_first_vanishing_pairing_of_the_canonical_decomposition(self):
+        # a cubic star whose last base named another pairing than the first
+        # singular simplex of the canonical decomposition does
+        F, tf, _ = star_window("cubic", 1)
+        x0 = tf.top_cones[0].extreme_rays[2]
+        (z,) = star_cycles(tf, x0)
+        assert outcome(reference_evaluate_cycle, z, x0) == (
+            "SingularAtX0",
+            "pairing with FieldElement(Fraction(1, 1), Fraction(5, 1), Fraction(-3, 1)) "
+            "vanishes at the evaluation point",
+        )
+        assert outcome(evaluate_cycle, z, x0) == (
+            "SingularAtX0",
+            "pairing with FieldElement(Fraction(1, 1), Fraction(-7, 2), Fraction(3, 2)) "
+            "vanishes at the evaluation point",
+        )
 
     def test_edge_ray_message(self):
         F, tf, vs = star_window("sqrt3", 1)
@@ -1079,3 +1153,53 @@ class TestEvaluateCycle:
             "evaluation point",
         )
         assert outcome(evaluate_cycle, z, x0) == expected
+
+
+def signed_dual_simplex(gens):
+    """The dual simplex of a simplicial top's generators, negated when they
+    are negatively ordered."""
+    z = dual_point_function(gens[0].field).evaluate(tuple(gens))
+    return z if coord_det(gens) > 0 else -z
+
+
+@st.composite
+def simplicial_cones(draw):
+    """Degree-many independent small integer points of a field of degree
+    2, 3 or 4, in either orientation."""
+    F = make_field(draw(st.sampled_from([QUADRATIC, CUBIC, QUARTIC])))
+    coords = st.lists(st.integers(-3, 3), min_size=F.degree, max_size=F.degree)
+    gens = [F.element(c) for c in draw(st.lists(coords, min_size=F.degree, max_size=F.degree))]
+    assume(coord_det(gens) != 0)
+    return Cone(F, gens)
+
+
+class TestStarFromDualSimplices:
+    """A simplicial top's dual boundary cycle is its signed dual simplex, so
+    a star's value needs neither boundary cycles nor a second extension."""
+
+    def test_tops_of_star_fans(self):
+        checked = 0
+        for name in sorted(STAR_FANS):
+            for window in (1, 2):
+                _, tf, _ = star_window(name, window)
+                for t in tf.top_cones:
+                    z = dual_cycle(boundary_cycle(ProjPolyhedron(t, check=False)))
+                    assert z == signed_dual_simplex(t.generators)
+                    checked += 1
+        assert checked >= 100
+
+    @settings(max_examples=40, deadline=None)
+    @given(simplicial_cones())
+    def test_simplicial_cones(self, t):
+        z = dual_cycle(boundary_cycle(ProjPolyhedron(t, check=False)))
+        assert z == signed_dual_simplex(t.generators)
+
+    @settings(max_examples=60, deadline=None)
+    @given(star_cases())
+    def test_star_value_matches_the_summed_dual_boundary_cycle(self, case):
+        tf, x0 = case
+        stars = [g for g in tf.group_singular_terms(x0) if not g.is_singleton]
+        cycles = star_cycles(tf, x0)
+        assert len(stars) == len(cycles) > 0
+        for group, z in zip(stars, cycles):
+            assert outcome(summation._star_group_value, group, x0) == outcome(evaluate_cycle, z, x0)
