@@ -63,7 +63,6 @@ from .unitsearch import (
     LogLattice,
     check_admissible,
     check_admissible_bounds,
-    convexity_check,
     exhaustion_contains,
     hull_chart,
     search_admissible,

@@ -112,35 +112,6 @@ class Cycle:
             out.update(leaf)
         return out
 
-    def validate_chain(self) -> bool:
-        """Check the internal cycle conditions at every level below the top."""
-        for leaf in self.data.values():
-            if sum(leaf.values()) != 0:
-                return False
-        for level in range(self.degree - 1):
-            merged: dict[tuple, Leaf] = {}
-            for flag, leaf in self.data.items():
-                _merge(merged, flag[:level] + flag[level + 1 :], leaf)
-            for leafsum in merged.values():
-                if any(w != 0 for w in leafsum.values()):
-                    return False
-        return True
-
-    def to_jsonable(self):
-        def frac(x):
-            return str(x)
-
-        out = []
-        for flag in sorted(self.data):
-            leaf = self.data[flag]
-            out.append(
-                {
-                    "flag": [[ [frac(v) for v in row] for row in key[1:]] for key in flag],
-                    "leaf": {"|".join(frac(v) for v in p): w for p, w in sorted(leaf.items())},
-                }
-            )
-        return out
-
     def __repr__(self):
         return f"Cycle(degree={self.degree}, flags={len(self.data)})"
 

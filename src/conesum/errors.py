@@ -67,14 +67,6 @@ class NotSalient(ConesumError):
     pass
 
 
-class DegenerateVertex(ConesumError):
-    pass
-
-
-class PointNotInterior(ConesumError):
-    pass
-
-
 class RayNotRational(ConesumError):
     pass
 
@@ -92,10 +84,6 @@ class NotTopDegree(ConesumError):
 # -- fans ---------------------------------------------------------------------
 
 class UnitDoesNotPreserveM(ConesumError):
-    pass
-
-
-class ConeNotInFan(ConesumError):
     pass
 
 
@@ -141,10 +129,6 @@ class SingularMatrix(ConesumError):
 
 class PrecisionExhausted(ConesumError):
     pass
-
-
-class NonPositiveInput(ConesumError, ValueError):
-    """Convexity-check exponents or grid points not all positive, or of the wrong length."""
 
 
 class WindowTooSmall(ConesumError):

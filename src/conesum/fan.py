@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from functools import cached_property
 
 from .errors import (
-    ConeNotInFan,
     NegativeIndex,
     NotTotallyPositive,
     RayOnExistingFace,
@@ -177,42 +175,6 @@ class TruncatedFan:
     @property
     def module_basis(self):
         return self.description.module_basis
-
-    @cached_property
-    def _faces(self) -> dict[frozenset, tuple[Cone, list[Cone]]]:
-        """The face lattice, built once: each nonzero cone's key, in
-        Fraction-key order, with the cone and the top cones it is a face of."""
-        faces: dict[frozenset, tuple[Cone, list[Cone]]] = {}
-        for t in self.top_cones:
-            for f in [t] + t.proper_faces():
-                faces.setdefault(f.key(), (f, []))[1].append(t)
-        return {k: faces[k] for k in sorted(faces, key=lambda s: tuple(sorted(s)))}
-
-    def all_cones(self) -> list[Cone]:
-        """Every nonzero cone of the truncation, faces included."""
-        return [c for c, _ in self._faces.values()]
-
-    def star(self, sigma: Cone) -> list[Cone]:
-        """Cones of the truncation having sigma as a face (sigma included)."""
-        skey = sigma.key()
-        if skey not in self._faces:
-            raise ConeNotInFan(f"{sigma} is not in the truncation")
-        return [c for k, (c, _) in self._faces.items() if skey <= k]
-
-    def star_tops(self, sigma: Cone) -> list[Cone]:
-        n = self.field.degree
-        return [c for c in self.star(sigma) if c.dim == n]
-
-    def link(self, sigma: Cone) -> list[Cone | None]:
-        """Faces of the star cones that do not contain sigma; includes the
-        zero cone (reported as None)."""
-        star = {c.key() for c in self.star(sigma)}
-        # every star cone is a face of a top cone in the star
-        return [None] + [
-            c
-            for k, (c, tops) in self._faces.items()
-            if k not in star and any(t.key() in star for t in tops)
-        ]
 
     def singular_cones(self, x0: FieldElement) -> list[Cone]:
         """Minimal proper cones whose linear span contains x0, in (dim, key) order."""

@@ -19,11 +19,9 @@ from functools import cached_property
 
 from . import linalg
 from .errors import (
-    DegenerateVertex,
     NotFullDim,
     NotSalient,
     NotSimplicial,
-    PointNotInterior,
     RayNotRational,
     ZeroInput,
 )
@@ -408,13 +406,6 @@ class ProjPolyhedron:
     def vertices(self) -> tuple[FieldElement, ...]:
         return self.cone.extreme_rays
 
-    def facets(self) -> list[tuple["ProjPolyhedron", LinearSubspace]]:
-        """Facets with the linear subspaces they span."""
-        result = []
-        for f in self.cone.facets():
-            result.append((ProjPolyhedron(f, check=False), f.span))
-        return result
-
     def faces_by_dim(self) -> dict[int, list["ProjPolyhedron"]]:
         out: dict[int, list[ProjPolyhedron]] = {self.dim: [self]}
         for f in self.cone.proper_faces():
@@ -427,79 +418,11 @@ class ProjPolyhedron:
         normals = self.cone.facet_normals()
         return ProjPolyhedron(Cone(self.field, normals))
 
-    def contains(self, x: FieldElement) -> bool:
-        return self.cone.contains(x)
-
     def __eq__(self, other):
         return isinstance(other, ProjPolyhedron) and self.cone == other.cone
 
     def __hash__(self):
         return hash(self.cone)
-
-    # -- chart helpers ---------------------------------------------------------
-
-    def _chart_functional(self) -> FieldElement:
-        """An F-point c with Tr(c*v) > 0 for every vertex ray v."""
-        if self.cone.dim == 1:
-            return self.cone.generators[0]
-        total = self.field.zero
-        for n in self.cone.facet_normals():
-            total = total + n
-        return total
-
-    def _chart_rep(self, v: FieldElement, c: FieldElement) -> FieldElement:
-        t = trace_pairing(c, v)
-        assert t > 0  # internal invariant: c pairs positively with every vertex ray
-        return v / t
-
-    def neighbors(self, v: FieldElement) -> list[FieldElement]:
-        """Vertices sharing an edge (2-dimensional cone face) with v."""
-        vkey = v.ray_key()
-        result = []
-        for f in self.cone.proper_faces():
-            if f.dim == 2 and vkey in f.key():
-                result.extend(g for g in f.extreme_rays if g.ray_key() != vkey)
-        return result
-
-    def vertex_hyperplane(self, v: FieldElement) -> LinearSubspace:
-        """Hyperplane through the edge midpoints at v, separating v from the
-        hull of the remaining vertices."""
-        if v.ray_key() not in self.cone.key():
-            raise DegenerateVertex(f"{v} is not a vertex")
-        c = self._chart_functional()
-        vhat = self._chart_rep(v, c)
-        nbrs = self.neighbors(v)
-        if not nbrs:
-            raise DegenerateVertex("vertex has no incident edges")
-        midpoints = [(vhat + self._chart_rep(w, c)) / 2 for w in nbrs]
-        H = LinearSubspace.from_points(self.field, midpoints)
-        m = self.cone.dim
-        if H.dim != m - 1 or H.contains(v):
-            raise DegenerateVertex("midpoint cut is degenerate at this vertex")
-        # exact separation check: v on one side, all other vertices on the other
-        normal_rows = H.orthogonal_complement().intersection(self.cone.span)
-        if normal_rows.dim != 1:
-            raise DegenerateVertex("no separating normal inside the span")
-        normal = normal_rows.basis_elements()[0]
-        side_v = trace_pairing(normal, v)
-        assert side_v != 0  # internal invariant: H.contains(v) was ruled out above
-        for w in self.vertices:
-            if w.ray_key() == v.ray_key():
-                continue
-            side_w = trace_pairing(normal, self._chart_rep(w, c))
-            if side_w * side_v > 0:
-                raise DegenerateVertex("midpoint cut fails to separate")
-        return H
-
-    def cone_over_face(
-        self, u: FieldElement, facet: "ProjPolyhedron"
-    ) -> "ProjPolyhedron":
-        """The simplicial piece c(u, F) of the stellar decomposition at u."""
-        if not self.cone.contains_strictly(u):
-            raise PointNotInterior(f"{u} is not interior to the polyhedron")
-        return ProjPolyhedron(
-            Cone(self.field, [u] + list(facet.cone.generators)), check=False
-        )
 
     def __repr__(self):
         return f"ProjPolyhedron(dim={self.dim}, vertices={len(self.vertices)})"

@@ -19,7 +19,6 @@ from .errors import (
     DegreeTooSmall,
     InvalidBounds,
     NegativeIndex,
-    NonPositiveInput,
     PrecisionExhausted,
     SingularMatrix,
     UnitRankMismatch,
@@ -243,11 +242,6 @@ class LogLattice:
             raise UnitRankMismatch(f"{len(exponents)} exponents for {len(M[0])} units")
         return [(sum(e * b[e < 0] for e, b in zip(exponents, row)),
                  sum(e * b[e >= 0] for e, b in zip(exponents, row))) for row in M]
-
-    def log_vector(self, exponents: Sequence[int], prec: int = PREC_SCHEDULE[0]):
-        exp, _ = self.log_matrix(prec)
-        bounds = self.log_bounds(exponents, prec)
-        return [Interval(lo, hi, exp, prec + GUARD_BITS) for lo, hi in bounds]
 
     def regulator_nonzero(self) -> bool:
         """Certify that the generator log vectors are linearly independent
@@ -768,58 +762,3 @@ def _certify_in_simplex(vertices, z) -> bool:
             return False
     return True
 
-
-# ---------------------------------------------------------------------------
-# the convexity certificate for the chart boundary
-
-
-def convexity_check(p: Sequence[Fraction], grid: Sequence[Sequence[float]],
-                    fd_step: float = 1e-4, rel_tol: float = 1e-6) -> bool:
-    """Check the closed-form leading minors of the Hessian of
-    f(z) = prod z_i^(-p_i) against finite differences, and their positivity.
-
-    det M_k = (1 + sum_{i<=k} p_i) * prod_{i<=k} (p_i / z_i^2) * f(z)^k.
-    """
-    import numpy as np
-
-    p = [Fraction(v) for v in p]
-    if any(v <= 0 for v in p):
-        raise NonPositiveInput("all exponents must be positive")
-    r = len(p)
-    pf = np.array([float(v) for v in p])
-
-    def f(z):
-        return float(np.prod(np.asarray(z, dtype=float) ** (-pf)))
-
-    for z in grid:
-        z = np.asarray(z, dtype=float)
-        if len(z) != r or not np.all(z > 0):
-            raise NonPositiveInput(f"grid point {z.tolist()} is not {r} positive coordinates")
-        fz = f(z)
-        # analytic Hessian: f * (v v^T + diag(p_i / z_i^2)), v_i = p_i / z_i
-        v = pf / z
-        hess = fz * (np.outer(v, v) + np.diag(pf / z**2))
-        # finite differences
-        fd = np.zeros((r, r))
-        h = fd_step
-        for i in range(r):
-            for j in range(r):
-                zpp = z.copy(); zpp[i] += h; zpp[j] += h
-                zpm = z.copy(); zpm[i] += h; zpm[j] -= h
-                zmp = z.copy(); zmp[i] -= h; zmp[j] += h
-                zmm = z.copy(); zmm[i] -= h; zmm[j] -= h
-                fd[i, j] = (f(zpp) - f(zpm) - f(zmp) + f(zmm)) / (4 * h * h)
-        for k in range(1, r + 1):
-            analytic = (1 + float(sum(p[:k]))) * float(
-                np.prod(pf[:k] / z[:k] ** 2)
-            ) * fz**k
-            minor_h = float(np.linalg.det(hess[:k, :k]))
-            minor_fd = float(np.linalg.det(fd[:k, :k]))
-            scale = max(1.0, abs(analytic))
-            if abs(minor_h - analytic) > rel_tol * scale:
-                return False
-            if abs(minor_fd - analytic) > max(rel_tol * scale, 1e-5 * scale):
-                return False
-            if analytic <= 0:
-                return False
-    return True

@@ -130,7 +130,7 @@ class TestBoundary:
         rng = random.Random(7)
         F = make_field(QUARTIC)
         z = rand_cycle(F, rng)
-        assert z.validate_chain()
+        assert is_cycle(z)
 
 
 class TestDecomposition:
@@ -410,12 +410,3 @@ class TestTypedErrors:
         with pytest.raises(DependentTuple):
             orthogonal_point(F, [a, a * 3])
 
-
-class TestSerialization:
-    def test_jsonable_roundtrip_stability(self):
-        rng = random.Random(18)
-        F = make_field(CUBIC)
-        z = rand_cycle(F, rng)
-        j1 = z.to_jsonable()
-        j2 = (z + Cycle.zero(F, z.degree)).to_jsonable()
-        assert j1 == j2

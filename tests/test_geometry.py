@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from conesum import geometry, linalg
 
 from conesum.errors import (
-    DegenerateVertex,
     NotFullDim,
     NotSalient,
     NotSimplicial,
-    PointNotInterior,
     RayNotRational,
     ZeroInput,
 )
@@ -147,8 +145,8 @@ class TestFaces:
     def test_simplex_has_three_edges(self):
         F = make_field(CUBIC)
         K = ProjPolyhedron.from_points(F, std_basis(F))
-        assert len(K.facets()) == 3
-        assert all(span.dim == 2 for _, span in K.facets())
+        assert len(K.cone.facets()) == 3
+        assert all(f.span.dim == 2 for f in K.cone.facets())
 
     def test_square_has_four_facets(self):
         F = make_field(CUBIC)
@@ -160,14 +158,14 @@ class TestFaces:
         ]
         K = ProjPolyhedron.from_points(F, pts)
         assert len(K.vertices) == 4
-        assert len(K.facets()) == 4
+        assert len(K.cone.facets()) == 4
 
     def test_cube_has_six_facets(self):
         F = make_field(QUARTIC)
         pts = [elem(F, sx, sy, sz, 1) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
         K = ProjPolyhedron.from_points(F, pts)
         assert len(K.vertices) == 8
-        assert len(K.facets()) == 6
+        assert len(K.cone.facets()) == 6
         counts = {d: len(v) for d, v in K.faces_by_dim().items()}
         assert counts[0] == 8 and counts[1] == 12 and counts[2] == 6
 
@@ -181,7 +179,7 @@ class TestFaces:
                 pts.append(F.element(coords))
         K = ProjPolyhedron.from_points(F, pts)
         assert len(K.vertices) == 6
-        assert len(K.facets()) == 8
+        assert len(K.cone.facets()) == 8
 
 
 class TestDualPolyhedron:
@@ -198,72 +196,13 @@ class TestDualPolyhedron:
         F = make_field(CUBIC)
         pts = [elem(F, 1, 0, 1), elem(F, -1, 0, 1), elem(F, 0, 1, 1), elem(F, 0, -1, 1)]
         K = ProjPolyhedron.from_points(F, pts)
-        assert len(K.dual().vertices) == len(K.facets())
+        assert len(K.dual().vertices) == len(K.cone.facets())
 
     def test_double_dual(self):
         F = make_field(CUBIC)
         pts = [elem(F, 1, 0, 1), elem(F, -1, 0, 1), elem(F, 0, 1, 1), elem(F, 0, -1, 1)]
         K = ProjPolyhedron.from_points(F, pts)
         assert K.dual().dual() == K
-
-
-class TestVertexHyperplane:
-    def test_simplex_vertex(self):
-        F = make_field(CUBIC)
-        K = ProjPolyhedron.from_points(F, std_basis(F))
-        v = K.vertices[0]
-        H = K.vertex_hyperplane(v)
-        assert H.dim == 2
-        assert not H.contains(v)
-
-    def test_square_vertex_through_neighbors_midpoints(self):
-        F = make_field(CUBIC)
-        pts = [elem(F, 1, 0, 1), elem(F, -1, 0, 1), elem(F, 0, 1, 1), elem(F, 0, -1, 1)]
-        K = ProjPolyhedron.from_points(F, pts)
-        H = K.vertex_hyperplane(K.vertices[0])
-        assert H.dim == 2
-
-    def test_interior_point_rejected(self):
-        F = make_field(CUBIC)
-        K = ProjPolyhedron.from_points(F, std_basis(F))
-        with pytest.raises(DegenerateVertex):
-            K.vertex_hyperplane(elem(F, 1, 1, 1))
-
-
-class TestConeOverFace:
-    def test_simplex_stellar_decomposition(self):
-        F = make_field(CUBIC)
-        K = ProjPolyhedron.from_points(F, std_basis(F))
-        u = K.cone.interior_point()
-        pieces = [K.cone_over_face(u, f) for f, _ in K.facets()]
-        assert len(pieces) == 3
-        for piece in pieces:
-            assert piece.cone.is_simplicial()
-            for g in piece.cone.generators:
-                assert K.contains(g)
-
-    def test_square_center_gives_four_triangles(self):
-        F = make_field(CUBIC)
-        pts = [elem(F, 1, 0, 1), elem(F, -1, 0, 1), elem(F, 0, 1, 1), elem(F, 0, -1, 1)]
-        K = ProjPolyhedron.from_points(F, pts)
-        u = elem(F, 0, 0, 1)
-        pieces = [K.cone_over_face(u, f) for f, _ in K.facets()]
-        assert len(pieces) == 4
-        assert all(p.cone.is_simplicial() for p in pieces)
-        # pieces pairwise meet in common faces and tile K
-        for i in range(4):
-            for j in range(i + 1, 4):
-                meet = pieces[i].cone.intersection(pieces[j].cone)
-                if meet is not None:
-                    assert all(pieces[i].cone.contains(g) for g in meet.generators)
-                    assert meet.dim < 3
-
-    def test_point_not_interior(self):
-        F = make_field(CUBIC)
-        K = ProjPolyhedron.from_points(F, std_basis(F))
-        facet = K.facets()[0][0]
-        with pytest.raises(PointNotInterior):
-            K.cone_over_face(elem(F, 1, 0, 0), facet)
 
 
 class TestPrimitiveGenerator:

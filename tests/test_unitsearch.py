@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 
 from conesum import unitsearch
 from conesum.errors import (
-    ConesumError,
     DegreeMismatch,
     DegreeTooSmall,
     InvalidBounds,
     NegativeIndex,
-    NonPositiveInput,
     NotAUnit,
     NotTotallyPositive,
     PrecisionExhausted,
@@ -32,7 +30,6 @@ from conesum.unitsearch import (
     check_admissible,
     check_admissible_bounds,
     compare_places,
-    convexity_check,
     exhaustion_contains,
     hull_chart,
     search_admissible,
@@ -113,12 +110,11 @@ class TestLogLattice:
         _, V = cubic_units()
         assert LogLattice(V).regulator_nonzero()
 
-    def test_log_vectors_sum_to_zero(self):
+    def test_log_bounds_sum_to_zero(self):
         _, V = cubic_units()
-        lat = LogLattice(V)
-        vec = lat.log_vector((1, -2), 128)
-        assert all(isinstance(entry, Interval) for entry in vec)
-        assert 0 in sum(vec)
+        bounds = LogLattice(V).log_bounds((1, -2), 128)
+        assert all(isinstance(lo, int) and lo <= hi for lo, hi in bounds)
+        assert sum(lo for lo, _ in bounds) <= 0 <= sum(hi for _, hi in bounds)
 
     def test_empty_unit_group_is_a_rank_mismatch(self):
         with pytest.raises(UnitRankMismatch):
@@ -127,16 +123,18 @@ class TestLogLattice:
     def test_exponent_count_must_match_the_rank(self):
         _, V = cubic_units()
         with pytest.raises(UnitRankMismatch):
-            LogLattice(V).log_vector((1, 2, 3))
+            LogLattice(V).log_bounds((1, 2, 3), 64)
 
     @pytest.mark.parametrize("exp", [(1, 0), (0, -3), (-5, 0), (1, -2), (4, -3), (-5, 5)])
-    def test_log_vector_encloses_the_log_of_the_product(self, exp):
+    def test_log_bounds_enclose_the_log_of_the_product(self, exp):
         # the integer sum of the generators' bounds against the log of the
         # exact product's embedding at 256 bits: both enclose log eps^(p)
         F, V = cubic_units()
         eps = UnitPowers(F, V.generators)(exp)
-        for p, entry in enumerate(LogLattice(V).log_vector(exp)):
-            lo, hi = entry.endpoints()
+        lat = LogLattice(V)
+        scale = Fraction(2) ** lat.log_matrix(64)[0]
+        for p, (lo, hi) in enumerate(lat.log_bounds(exp, 64)):
+            lo, hi = lo * scale, hi * scale
             ref_lo, ref_hi = unitsearch._embedding_iv(eps, p, 256).log().endpoints()
             assert lo <= hi and lo <= ref_hi and ref_lo <= hi, (exp, p)
 
@@ -569,28 +567,3 @@ class TestIntervalPrecision:
         assert verify_vertices(chart)
         assert seen and set(seen) == {chart.prec + GUARD_BITS}
 
-
-class TestConvexityCheck:
-    def test_reference_value_two_variables(self):
-        # n = 4 gives two chart variables; at p = (1,1), z = (1,1) the first
-        # leading minor is p1 (1 + p1) = 2
-        assert convexity_check([1, 1], [[1.0, 1.0]])
-
-    def test_grid(self):
-        grid = [[0.7, 1.3], [1.0, 2.0], [2.5, 0.8], [1.1, 1.1]]
-        assert convexity_check([Fraction(1, 2), Fraction(3, 2)], grid)
-
-    def test_rejects_nonpositive_exponent(self):
-        with pytest.raises(ValueError):
-            convexity_check([1, 0], [[1.0, 1.0]])
-
-    @pytest.mark.parametrize("p, point", [([1, 0], [1.0, 1.0]), ([1, 1], [1.0]), ([1, 1], [1.0, -2.0])])
-    def test_bad_input_is_a_typed_error(self, p, point):
-        # a plain check, so it also holds under python -O
-        with pytest.raises(NonPositiveInput) as info:
-            convexity_check(p, [point])
-        assert isinstance(info.value, ConesumError)
-
-    def test_finite_differences_match_closed_form(self):
-        # the check itself enforces the 1e-6-relative agreement at step 1e-4
-        assert convexity_check([2, 1], [[1.5, 0.9]], fd_step=1e-4, rel_tol=1e-6)
