@@ -162,7 +162,8 @@ def fan_summation_cases() -> dict:
     primal value of a pair of points of the shipped module, the cocycle
     value at that ray point of the dual star cycle around it, the value of
     the star around it and of the star of six tops around a ray of window 1
-    of the explicit cubic fan (both star groups built once), the hull
+    of the explicit cubic fan (both stars' carriers and oriented columns
+    read once, and valued by ``summation.stars_value``), the hull
     construction and the window-4 truncation of the Q(sqrt 19) fan of
     Z[sqrt 19], and the insertion of a ray into the first top cone of that
     window-4 truncation and of the window-5 truncation of the Q(sqrt 3)
@@ -194,6 +195,16 @@ def fan_summation_cases() -> dict:
     cubic_w1 = truncate(cubic_fan(), 1)
     cubic_x0 = cubic_w1.top_cones[1].extreme_rays[1]
     (cubic_star,) = [g for g in cubic_w1.group_singular_terms(cubic_x0) if not g.is_singleton]
+
+    def read_star(tf, group, x):
+        """The frame of the truncation and the star's (carrier, columns) pairs."""
+        frame = summation.LatticeFrame(tf.module_basis)
+        Y, _ = frame.coordinates(x)
+        tops = [frame.oriented(t) for t in group.cones]
+        return [(summation.carrier(cols, form, Y), cols) for cols, form in tops], frame
+
+    star_tops, frame = read_star(w6, star, x0)
+    cubic_tops, cubic_frame = read_star(cubic_w1, cubic_star, cubic_x0)
     return {
         "fan.group_singular_terms.sqrt3.w6": lambda: TruncatedFan(
             desc, tops, 6
@@ -201,9 +212,11 @@ def fan_summation_cases() -> dict:
         "summation.partial_sum.sqrt3.w6.ray": lambda: summation.partial_sum(w6, x0),
         "summation.cocycle_value.sqrt3": lambda: summation.cocycle_value(pair, point),
         "summation.evaluate_cycle.sqrt3.star": lambda: summation.evaluate_cycle(star_cycle, x0),
-        "summation.star_group_value.sqrt3.w6.ray": lambda: summation._star_group_value(star, x0),
-        "summation.star_group_value.cubic.w1": lambda: summation._star_group_value(
-            cubic_star, cubic_x0
+        "summation.star_group_value.sqrt3.w6.ray": lambda: summation.stars_value(
+            star_tops, frame, x0
+        ),
+        "summation.star_group_value.cubic.w1": lambda: summation.stars_value(
+            cubic_tops, cubic_frame, cubic_x0
         ),
         "fan.build_quadratic_fan.sqrt19": lambda: build_quadratic_fan(
             sqrt19.module_basis, sqrt19.units[0]

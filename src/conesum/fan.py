@@ -17,6 +17,7 @@ from .errors import (
     RayOnExistingFace,
     UnitDoesNotPreserveM,
     UnsupportedFanKind,
+    ZeroInput,
 )
 from .field import (
     FieldElement,
@@ -176,35 +177,31 @@ class TruncatedFan:
     def module_basis(self):
         return self.description.module_basis
 
-    def singular_cones(self, x0: FieldElement) -> list[Cone]:
-        """Minimal proper cones whose linear span contains x0, in (dim, key) order."""
-        return [g.sigma for g in self.group_singular_terms(x0) if not g.is_singleton]
-
     def group_singular_terms(self, x0: FieldElement) -> list["TermGroup"]:
-        """Partition of the top cones into star groups, one per singular cone
-        of x0 (by dim, then key; members by key), then singletons in top order.
-        A top joins the star of its carrier when that is a proper face: two
-        singular faces of one top both contain its carrier, so by minimality
-        both equal it, and a carrier inside another top's carrier would be a
-        smaller face of that other top holding x0."""
-        stars: dict[frozenset, tuple[Cone, list[Cone]]] = {}
-        singletons: list[TermGroup] = []
+        """The top cones in the stars of summation.star_groups, one per
+        singular cone of x0 and in its order, then the regular tops as
+        singletons in top order.  ZeroInput for x0 = 0, NotSimplicial for a
+        top that is not a full-dimensional simplicial cone."""
+        from .summation import LatticeFrame, carrier, star_groups  # summation imports fan
+
+        if x0.is_zero():
+            raise ZeroInput("the zero point lies on every face")
+        frame = LatticeFrame(self.module_basis)
+        Y, _ = frame.coordinates(x0)
+        singular, tops, singletons = [], {}, []
         for t in self.top_cones:
-            sigma = t.carrier(x0)
-            if sigma is None or sigma is t:
-                singletons.append(TermGroup(sigma=None, cones=(t,)))
+            cols, form = frame.oriented(t)
+            sigma = carrier(cols, form, Y)
+            if len(sigma) < len(cols):
+                singular.append((sigma, cols))
+                tops[tuple(cols)] = t
             else:
-                stars.setdefault(sigma.key(), (sigma, []))[1].append(t)
-        ordered = sorted(stars.values(), key=lambda s: (len(s[0].generators), _key_order(s[0])))
+                singletons.append(TermGroup(sigma=None, cones=(t,)))
         return [
-            TermGroup(sigma=sigma, cones=tuple(sorted(tops, key=_key_order)))
-            for sigma, tops in ordered
+            TermGroup(sigma=Cone._canonical(self.field, tuple(map(self.field.element, keys))),
+                      cones=tuple(tops[tuple(cols)] for cols in members))
+            for keys, members in star_groups(singular, frame)
         ] + singletons
-
-
-def _key_order(cone: Cone) -> tuple:
-    """The Fraction-key order of cones."""
-    return tuple(sorted(cone.key()))
 
 
 class TermGroup(FrozenRecord):
@@ -251,7 +248,7 @@ def truncate(description: FanDescription, window: int) -> TruncatedFan:
                 labels[c.key()] = exponents[0] * len(reps) + r
     tops = list(seen.values())
     if not quadratic:
-        tops.sort(key=_key_order)
+        tops.sort(key=lambda c: sorted(c.key()))
     return TruncatedFan(description, tops, window, labels)
 
 

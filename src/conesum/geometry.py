@@ -21,7 +21,6 @@ from . import linalg
 from .errors import (
     NotFullDim,
     NotSalient,
-    NotSimplicial,
     RayNotRational,
     ZeroInput,
 )
@@ -232,12 +231,6 @@ class Cone:
                 pass
         return None
 
-    def _coordinates(self, x: FieldElement) -> Sequence[Fraction] | None:
-        """Positive multiples of the coordinates of x in independent
-        generators, None when x is outside their span."""
-        rows = self._rows
-        return solve_in_basis(self.generators, x) if rows is None else linalg.mat_vec(rows, x.num)
-
     def contains(self, x: FieldElement) -> bool:
         return self._contains(x, strict=False)
 
@@ -246,36 +239,20 @@ class Cone:
         return self._contains(x, strict=True)
 
     def _contains(self, x: FieldElement, strict: bool) -> bool:
-        """Decided by the coordinates in independent generators (all >= 0, or
-        all > 0), otherwise by the pairings with the facet normals."""
+        """Decided by the coordinates in independent generators, or positive
+        multiples of them (all >= 0, or all > 0), otherwise by the pairings
+        with the facet normals."""
         if x.is_zero():
             return not strict
-        if self._rows is not None or len(self.generators) == self.dim:
-            values = self._coordinates(x)
+        if self._rows is not None:
+            values = linalg.mat_vec(self._rows, x.num)
+        elif len(self.generators) == self.dim:
+            values = solve_in_basis(self.generators, x)
         elif self.span.contains(x):
             values = [trace_pairing(n, x) for n in self.facet_normals()]
         else:
             values = None
         return values is not None and all(v > 0 if strict else v >= 0 for v in values)
-
-    def carrier(self, x: FieldElement) -> "Cone | None":
-        """The smallest face whose span holds x: for a simplicial cone, the
-        face over the extreme rays at which x has a nonzero coordinate (the
-        cone itself when all are nonzero), None when x is outside the span.
-        NotSimplicial for other cones, ZeroInput for x = 0."""
-        if x.is_zero():
-            raise ZeroInput("the zero point lies on every face")
-        if self._rows is not None:  # full-dimensional simplicial
-            rays, coeffs = self.generators, self._coordinates(x)
-        else:
-            rays = self.extreme_rays
-            if len(rays) != self.dim:
-                raise NotSimplicial(f"{self} is not simplicial")
-            coeffs = solve_in_basis(rays, x)
-        if coeffs is None:
-            return None
-        support = tuple(g for g, c in zip(rays, coeffs) if c)
-        return self if len(support) == len(rays) else Cone._canonical(self.field, support)
 
     def interior_point(self) -> FieldElement:
         total = self.field.zero

@@ -26,7 +26,7 @@ from .errors import (
     SingularAtX0,
     UnitDoesNotPreserveM,
 )
-from .fan import FanDescription, TermGroup, TruncatedFan, window_exponents
+from .fan import FanDescription, TruncatedFan, window_exponents
 from .field import (
     ExponentTable,
     FieldElement,
@@ -211,8 +211,8 @@ class LatticeFrame:
     def oriented(self, t: Cone) -> tuple[list[tuple[int, ...]], TermForm]:
         """The primitive module vectors C of a simplicial top cone's rays,
         positively ordered (sign det C = sign det B), and its TermForm on
-        module coordinates.  Degree-many independent generators are its
-        rays, so no span is reduced then."""
+        module coordinates, row i paired with column i.  Degree-many
+        independent generators are its rays, so no span is reduced then."""
         n = self.field.degree
         rays = t.generators if len(t.generators) == n else t.extreme_rays
         cols = [_primitive(linalg.mat_vec(self._rows, g.num)) for g in rays]
@@ -220,16 +220,12 @@ class LatticeFrame:
             form = TermForm.in_basis(cols, self.det, self.field)
         except (DegreeMismatch, DependentTuple):
             raise NotSimplicial("cone term needs a simplicial top cone") from None
-        # adj(C) C = det(C) I, and swapping two columns negates the value
+        # adj(C) C = det(C) I, and swapping two columns with their rows negates the value
         if (sum(a * c for a, c in zip(form.rows[0], cols[0])) > 0) != (self.det > 0):
             cols[0], cols[1] = cols[1], cols[0]
+            form.rows = (form.rows[1], form.rows[0]) + form.rows[2:]
             form.scale = -form.scale
         return cols, form
-
-    def term(self, t: Cone, x0: FieldElement) -> ConeTerm:
-        cols, form = self.oriented(t)
-        value = form.value_at(*self.coordinates(x0))
-        return ConeTerm(cone=t, primitive_gens=tuple(map(self.point, cols)), value=value)
 
     def _step(self, y: Sequence[int], i: int, inverse: bool) -> tuple[int, ...]:
         """u_i y, or |N(u_i)| u_i^-1 y when inverse."""
@@ -259,7 +255,10 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
 def cone_term(t: Cone, module_basis: Sequence[FieldElement], x0: FieldElement) -> ConeTerm:
     """Term of a simplicial top cone from its positively ordered primitive
     generators."""
-    return LatticeFrame(module_basis).term(t, x0)
+    frame = LatticeFrame(module_basis)
+    cols, form = frame.oriented(t)
+    value = form.value_at(*frame.coordinates(x0))
+    return ConeTerm(cone=t, primitive_gens=tuple(map(frame.point, cols)), value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -292,36 +291,58 @@ class ConvergenceRow(FrozenRecord):
         }
 
 
-def _star_group_value(group: TermGroup, x0: FieldElement) -> ScaledRational:
-    """Combined finite value of a star of cones around a singular cone: the
-    internal singular walls cancel in the summed dual boundary cycle.  A
-    simplicial top's boundary cycle is the simplex cycle on its rays, signed
-    by their orientation, so its dual is their signed dual simplex."""
+def carrier(cols: Sequence[tuple[int, ...]], form: TermForm, Y: Sequence[int]) -> tuple:
+    """The columns of a top (oriented, so row i of its form is a positive
+    multiple of the i-th coordinate in its rays) at which x = B Y / d has a
+    nonzero coordinate: the rays of the smallest face whose span holds x."""
+    return tuple(c for row, c in zip(form.rows, cols) if sum(w * v for w, v in zip(row, Y)))
+
+
+def star_groups(singular, frame: LatticeFrame) -> list[tuple[tuple, list]]:
+    """The (carrier, columns) pairs of singular tops grouped into the stars
+    of their carriers, as (sorted ray keys of the carrier, member columns):
+    stars by carrier size, then by those keys, members by the sorted ray
+    keys of their rays.  Two singular faces of a top both contain its
+    carrier, so by minimality a top lies in one star only."""
+    def keys(cols):
+        return tuple(sorted(frame.point(c).ray_key() for c in cols))
+
+    stars: dict[frozenset, list] = {}
+    for sigma, cols in singular:
+        stars.setdefault(frozenset(sigma), []).append(cols)
+    return sorted(((keys(sigma), sorted(tops, key=keys)) for sigma, tops in stars.items()),
+                  key=lambda star: (len(star[0]), star[0]))
+
+
+def stars_value(singular, frame: LatticeFrame, x0: FieldElement) -> ScaledRational:
+    """The values of the stars of star_groups, summed in its order, so that
+    the first open star names the SingularAtX0.  A star's value is that of
+    its summed dual boundary cycle, where the internal singular walls cancel;
+    a simplicial top's is the dual simplex of its rays in their order."""
     dual = dual_point_function(x0.field)
-    total = dual.zero
-    for t in group.cones:
-        rays = t.extreme_rays  # simplicial, as grouping by carriers checks
-        z = dual.evaluate(rays)
-        total = total + (z if coord_det(rays) > 0 else -z)
-    return evaluate_cycle(total, x0)
+    total = ScaledRational.rational(0, x0.field.disc_abs)
+    for _, tops in star_groups(singular, frame):
+        z = sum((dual.evaluate(tuple(map(frame.point, cols))) for cols in tops), dual.zero)
+        total = total + evaluate_cycle(z, x0)
+    return total
 
 
 def partial_sum(tf: TruncatedFan, x0: FieldElement) -> ConvergenceRow:
-    """Exact sum of all term groups of the truncation at x0."""
+    """Exact sum of the regular terms and the stars of the truncation at x0."""
     if not is_totally_positive(x0):
         raise NotTotallyPositive("partial sums are evaluated at totally positive x0")
-    total = _groups_value(tf.group_singular_terms(x0), LatticeFrame(tf.module_basis), x0)
-    return _row(tf.window, total, 1 / x0.norm())
-
-
-def _groups_value(groups, frame: LatticeFrame, x0: FieldElement) -> ScaledRational:
-    total = ScaledRational.rational(0, x0.field.disc_abs)
-    for group in groups:
-        if group.is_singleton:
-            total = total + frame.term(group.cones[0], x0).value
+    frame = LatticeFrame(tf.module_basis)
+    Y, d = frame.coordinates(x0)
+    regular, singular = Fraction(0), []
+    for t in tf.top_cones:
+        cols, form = frame.oriented(t)
+        q = form.coefficient(Y, d)
+        if q is None:
+            singular.append((carrier(cols, form, Y), cols))
         else:
-            total = total + _star_group_value(group, x0)
-    return total
+            regular += q
+    total = ScaledRational(regular, -1, x0.field.disc_abs) + stars_value(singular, frame, x0)
+    return _row(tf.window, total, 1 / x0.norm())
 
 
 def _row(window: int, total: ScaledRational, target: Fraction) -> ConvergenceRow:
@@ -459,11 +480,11 @@ def converge(
     generator.  So one TermForm per representative, on integer coordinates
     of the module, serves every translate.  The coordinates of u^-e x0, and
     the translated rays that explicit fans dedupe and singular tops are
-    built from, are walked by one integer matrix-vector product per vector
-    and new exponent vector.  The top cones whose form vanishes at x0 are
-    the only ones in star groups (a star of a singular cone holds singular
-    tops only), so their grouped value is recomputed whenever that set
-    grows.
+    grouped by, are walked by one integer matrix-vector product per vector
+    and new exponent vector; totally positive units keep the columns
+    positively ordered.  The top cones whose form vanishes at x0 are the
+    only ones in star groups (a star of a singular cone holds singular tops
+    only), so the stars are valued again whenever that set grows.
     """
     if not is_totally_positive(x0):
         raise NotTotallyPositive("partial sums are evaluated at totally positive x0")
@@ -475,7 +496,7 @@ def converge(
     dedupe = description.kind == "explicit"  # quadratic cones never repeat
     seen: set[frozenset] = set()
     regular = Fraction(0)  # the non-singular terms, as c with value c/sqrt(D)
-    singular_tops: list[Cone] = []
+    singular: list[tuple[tuple, list]] = []
     star = ScaledRational.rational(0, x0.field.disc_abs)
     target = 1 / x0.norm()
     walked: set[tuple[int, ...]] = set()
@@ -495,14 +516,14 @@ def converge(
                         continue
                     seen.add(key)
                 q = form.coefficient(Y, d)
-                if q is None:
-                    singular_tops.append(Cone(x0.field, map(frame.point, moved(exponents))))
+                if q is None:  # u^e t at x0 is t at u^-e x0, so its carrier pairs with Y
+                    cols = [_primitive(c) for c in moved(exponents)]
+                    singular.append((carrier(cols, form, Y), cols))
                     grew = True
                 else:
                     regular += q if norm == 1 else q / norm
         if grew:
-            tf = TruncatedFan(description, singular_tops, window)
-            star = _groups_value(tf.group_singular_terms(x0), frame, x0)
+            star = stars_value(singular, frame, x0)
         total = ScaledRational(regular, -1, x0.field.disc_abs) + star
         rows.append(_row(window, total, target))
         if rows[-1].abs_error < tol:

@@ -37,6 +37,7 @@ from conesum.field import (
 )
 from conesum.fan import (
     FanDescription,
+    TruncatedFan,
     build_quadratic_fan,
     refine_insert_ray,
     truncate,
@@ -57,6 +58,8 @@ from conesum.summation import (
     partial_sum,
     sum_via_dual_cycle,
 )
+
+from test_fan import reference_groups
 
 QUADRATIC = [-3, 0, 1]
 CUBIC = [1, -2, -1, 1]
@@ -1045,16 +1048,16 @@ def star_window(name, window):
     return F, truncate(desc, window), vs
 
 
+def star_cycle(cones):
+    """The dual of the summed boundary cycles of the cones."""
+    boundaries = [boundary_cycle(ProjPolyhedron(t, check=False)) for t in cones]
+    return dual_cycle(sum(boundaries[1:], boundaries[0]))
+
+
 def star_cycles(tf, x0):
-    """The dual of the summed boundary cycles of the tops of each star group
-    at x0, as _star_group_value evaluates them."""
-    cycles = []
-    for group in tf.group_singular_terms(x0):
-        if not group.is_singleton:
-            z = sum((boundary_cycle(ProjPolyhedron(t, check=False)) for t in group.cones[1:]),
-                    boundary_cycle(ProjPolyhedron(group.cones[0], check=False)))
-            cycles.append(dual_cycle(z))
-    return cycles
+    """The star cycle of each star group at x0, the cycle whose value
+    stars_value reads off the tops' dual simplices."""
+    return [star_cycle(g.cones) for g in tf.group_singular_terms(x0) if not g.is_singleton]
 
 
 def outcome(evaluate, z, x0):
@@ -1201,5 +1204,100 @@ class TestStarFromDualSimplices:
         stars = [g for g in tf.group_singular_terms(x0) if not g.is_singleton]
         cycles = star_cycles(tf, x0)
         assert len(stars) == len(cycles) > 0
+        frame = summation.LatticeFrame(tf.module_basis)
+        Y, _ = frame.coordinates(x0)
+
+        def value(group, x):
+            tops = [frame.oriented(t) for t in group.cones]
+            singular = [(summation.carrier(cols, form, Y), cols) for cols, form in tops]
+            return summation.stars_value(singular, frame, x)
+
         for group, z in zip(stars, cycles):
-            assert outcome(summation._star_group_value, group, x0) == outcome(evaluate_cycle, z, x0)
+            assert outcome(value, group, x0) == outcome(evaluate_cycle, z, x0)
+
+
+def ray_points(tf):
+    """The rays of the tops of the window."""
+    return list({g.ray_key(): g for t in tf.top_cones for g in t.extreme_rays}.values())
+
+
+def reference_open_stars(tf, x0):
+    """The SingularAtX0 messages of the open stars at x0 in the order of the
+    claim loop, each the message of the first singular simplex of the
+    canonical decomposition of its star cycle."""
+    by_key = {t.key(): t for t in tf.top_cones}
+    messages = []
+    for sigma, members in reference_groups(tf, x0):
+        if sigma is not None:
+            kind, message = canonical_outcome(star_cycle([by_key[k] for k in members]), x0)
+            if kind == "SingularAtX0":
+                messages.append(message)
+    return messages
+
+
+def singular_message(fn, *args):
+    with pytest.raises(SingularAtX0) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+class TestOneSingularPath:
+    """partial_sum and converge read carriers off the rows of the tops'
+    TermForms and share one grouping and valuation of the stars."""
+
+    def test_rows_pair_with_their_columns(self):
+        # adj(C) C = det(C) I: row i of an oriented form meets column i alone
+        checked = 0
+        for name in sorted(STAR_FANS):
+            for window in (1, 2):
+                _, tf, _ = star_window(name, window)
+                frame = summation.LatticeFrame(tf.module_basis)
+                for t in tf.top_cones:
+                    cols, form = frame.oriented(t)
+                    for i, row in enumerate(form.rows):
+                        for j, c in enumerate(cols):
+                            assert (sum(a * b for a, b in zip(row, c)) != 0) == (i == j)
+                    checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize("name", ["sqrt3", "sqrt13", "cubic"])
+    def test_ray_point_builds_no_cone(self, name, monkeypatch):
+        F, desc, vs = STAR_FANS[name]()
+        # a ray point of window 1 whose star is finite, so every window runs
+        x0 = F.element([7, -1, 2]) if vs is None else vs.point(1) * 3
+        assert any(not g.is_singleton for g in truncate(desc, 2).group_singular_terms(x0))
+        built = []
+        for cls in (Cone, TruncatedFan):
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        canonical = Cone._canonical.__func__
+        monkeypatch.setattr(Cone, "_canonical", classmethod(
+            lambda cls, *args: built.append("Cone") or canonical(cls, *args)
+        ))
+        rows = converge(desc, x0, 3, 0.0)
+        assert len(rows) == 3
+        assert built == []
+
+    def test_first_open_star_names_the_error(self):
+        # where two stars are open, the first in the claim loop's order names
+        # the error, in partial_sum and at the first open window of converge
+        _, desc, _ = cubic_fan()
+        checked = 0
+        for window in (1, 2):
+            _, tf, _ = star_window("cubic", window)
+            for x0 in ray_points(tf):
+                if sum(not g.is_singleton for g in tf.group_singular_terms(x0)) < 2:
+                    continue
+                opened = reference_open_stars(tf, x0)
+                if len(opened) < 2:
+                    continue
+                assert singular_message(partial_sum, tf, x0) == opened[0]
+                earlier = [reference_open_stars(star_window("cubic", w)[1], x0)
+                           for w in range(1, window)]
+                expected = next(m for m in earlier + [opened] if m)[0]
+                assert singular_message(converge, desc, x0, window, 0.0) == expected
+                checked += 1
+        assert checked >= 3
