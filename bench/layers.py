@@ -1,4 +1,4 @@
-"""Layer microbenchmarks, the L-value enumerator, six in-process commands,
+"""Layer microbenchmarks, the L-value enumerator, seven in-process commands,
 a cold import and a cold ``converge``, merged into a BENCH file.
 
     python bench/layers.py --src src --label change --out BENCH_20.json
@@ -15,7 +15,9 @@ output file; the runs already there are kept, and when both ``parent`` and
 The commands are timed as a fresh process would run them after set-up: the
 field cache and the hull-chart cache are emptied and the configuration is
 loaded again before every call, and only the command itself is timed; two
-of the converge commands are ops of the benchmark's ``converge`` workload.  The
+of the converge commands are ops of the benchmark's ``converge`` workload, and
+one runs the shipped Q(sqrt 3) config at the edge-ray point 2 + sqrt 3, where
+``converge`` raises ``SingularAtX0`` after valuing the open star.  The
 cold import runs ``import conesum.cli`` in a new interpreter REPEATS times,
 after one run that writes the bytecode cache, and reports the wall time of
 the whole process; the cold converge does the same for ``python -m
@@ -354,6 +356,7 @@ def lvalue_cases() -> dict:
 
 def command_cases() -> dict:
     from conesum import cli, config, field, unitsearch
+    from conesum.errors import SingularAtX0
 
     def fresh(path):
         def setup():
@@ -384,6 +387,19 @@ def command_cases() -> dict:
     def converge_cmd(cfg):
         return cli.cmd_converge(cfg, out=io.StringIO())
 
+    def edge_cmd(cfg):
+        # 2 + sqrt 3 lies on the outer ray of window 1, whose star is open
+        try:
+            cli.cmd_converge(cfg, out=io.StringIO())
+        except SingularAtX0:
+            return
+        raise AssertionError("the edge-ray op no longer raises SingularAtX0")
+
+    def sqrt3_edge():
+        field._field_cache.cache_clear()
+        unitsearch._chart_cache.clear()
+        return config.load_config(str(ROOT / "configs/sqrt3.json"), {"x0": ["2", "1"]})
+
     return {
         "cli.cmd_converge.sqrt3": command_timed(fresh("configs/sqrt3.json"), converge_cmd),
         # a generic point, and 5 + sqrt 13 on the ray of a hull vertex
@@ -391,6 +407,7 @@ def command_cases() -> dict:
             sqrt13_op(["7/2", "1/2"]), converge_cmd
         ),
         "cli.cmd_converge.sqrt13.ray": command_timed(sqrt13_op(["5", "1"]), converge_cmd),
+        "cli.cmd_converge.sqrt3.edge": command_timed(sqrt3_edge, edge_cmd),
         "cli.cmd_unitsearch.cubic49": command_timed(
             fresh("configs/cubic49.json"),
             lambda cfg: cli.cmd_unitsearch(cfg, args, out=io.StringIO()),

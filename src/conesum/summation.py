@@ -315,10 +315,93 @@ def star_groups(singular, frame: LatticeFrame) -> list[tuple[tuple, list]]:
 
 
 def stars_value(singular, frame: LatticeFrame, x0: FieldElement) -> ScaledRational:
-    """The values of the stars of star_groups, summed in its order, so that
-    the first open star names the SingularAtX0.  A star's value is that of
-    its summed dual boundary cycle, where the internal singular walls cancel;
-    a simplicial top's is the dual simplex of its rays in their order."""
+    """The summed values of the stars of the singular tops, as (carrier,
+    columns) pairs: each star is the ε⁰ coefficient of the Laurent
+    expansion of Σ_t h*(t)(x0 + εv) over its tops t, computed on integers.
+
+    The identity.  Let z be a star's summed dual cycle, the sum of its tops'
+    dual simplices.  For x off every wall, Σ_t h*(t)(x) = evaluate_cycle(z,
+    x) (criterion 3).  Each simplex term of z's canonical decomposition is
+    a rational function of x; if every one is finite at x0, their sum is
+    regular at x0, and so is its restriction to the line x0 + εv, whose
+    value at ε = 0 is evaluate_cycle(z, x0).  For a direction v on which no
+    pairing that vanishes at x0 vanishes, Σ_t h*(t)(x0 + εv) is that same
+    rational function of ε near 0, a finite sum of Laurent series.  So its ε⁰
+    coefficient is the cycle value and no negative power survives.
+    Conversely, a surviving negative power means that some simplex term is
+    singular at x0: the star is open, and the cycle path raises.
+
+    On integers.  With x0 = B Y / d and v = B V / d, a top's term is
+    scale d^n / prod_i (a_i + b_i ε), a_i = adj(C)_i . Y and b_i = adj(C)_i
+    . V, for its TermForm on the module columns C.  The rows with a_i = 0
+    are those off the carrier, m = n - |carrier| of them, the same m for
+    every top of a star, and each contributes 1 / (b_i ε).  Each other
+    factor is a geometric series a^(m+1) / (a + b ε) = Σ_k (-b)^k a^(m-k)
+    ε^k + O(ε^(m+1)), truncated at order m: the terms of Σ_t from ε^-m to
+    ε^0.  v is the first (1, k, ..., k^(n-1)), k = 1, 2, ..., on which every
+    vanishing row is nonzero; a row is nonzero, so it vanishes at no more
+    than n - 1 of them, and the value does not depend on v.
+
+    An open star goes to the ordered cycle path (ordered_stars_value), so
+    that the first open star of star_groups names the SingularAtX0."""
+    Y, d = frame.coordinates(x0)
+    stars: dict[frozenset, list] = {}
+    for sigma, cols in singular:
+        stars.setdefault(frozenset(sigma), []).append(TermForm.in_basis(cols, frame.det, frame.field))
+    V = _direction([row for tops in stars.values() for form in tops for row in form.rows
+                    if not _dot(row, Y)], len(Y))
+    total = Fraction(0)
+    for tops in stars.values():
+        c = star_constant_term(tops, Y, d, V)
+        if c is None:
+            return ordered_stars_value(singular, frame, x0)
+        total += c
+    disc = x0.field.disc_abs  # c / sqrt(D), in the cycle value's form q sqrt(D)
+    return ScaledRational(total / disc, 1, disc)
+
+
+def _dot(row: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(row, v))
+
+
+def _direction(rows, n: int) -> tuple[int, ...]:
+    k = 1
+    while True:
+        V = tuple(k**i for i in range(n))
+        if all(_dot(row, V) for row in rows):
+            return V
+        k += 1
+
+
+def star_constant_term(forms, Y: Sequence[int], d: int, V: Sequence[int]) -> Fraction | None:
+    """The ε⁰ coefficient c (value c/sqrt(D)) of the summed terms of the
+    forms of one star's tops at x0 + εv, x0 = B Y / d and v = B V / d, or
+    None when a negative power of ε survives: see stars_value."""
+    m = sum(not _dot(row, Y) for row in forms[0].rows)
+    num, den = [0] * (m + 1), 1  # the coefficients of ε^-m .. ε^0 over den
+    for form in forms:
+        series, q = [form.scale.numerator] + [0] * m, form.scale.denominator
+        for row in form.rows:
+            a, b = _dot(row, Y), _dot(row, V)
+            if a == 0:
+                q *= b
+                continue
+            geo = [(-b) ** k * a ** (m - k) for k in range(m + 1)]
+            series = [sum(series[j] * geo[k - j] for j in range(k + 1)) for k in range(m + 1)]
+            q *= a ** (m + 1)
+        num = [x * q + y * den for x, y in zip(num, series)]
+        den *= q
+    if any(num[:m]):
+        return None
+    return Fraction(num[m] * d ** len(Y), den)
+
+
+def ordered_stars_value(singular, frame: LatticeFrame, x0: FieldElement) -> ScaledRational:
+    """The values of the stars of star_groups through their cycles, summed
+    in its order, so that the first open star names the SingularAtX0.  A
+    star's value is that of its summed dual boundary cycle, where the
+    internal singular walls cancel; a simplicial top's is the dual simplex
+    of its rays in their order."""
     dual = dual_point_function(x0.field)
     total = ScaledRational.rational(0, x0.field.disc_abs)
     for _, tops in star_groups(singular, frame):

@@ -22,7 +22,7 @@ from conesum.errors import (
     SingularAtX0,
     UnitDoesNotPreserveM,
 )
-from conesum import geometry, linalg, summation
+from conesum import cycles, geometry, linalg, summation
 from conesum.field import (
     RatInterval,
     ScaledRational,
@@ -1216,6 +1216,82 @@ class TestStarFromDualSimplices:
             assert outcome(value, group, x0) == outcome(evaluate_cycle, z, x0)
 
 
+def laurent_stars(tf, x0):
+    """x0's module coordinates (Y, d) and, for each star group at x0, its
+    tops' oriented TermForms, their rows that vanish at x0, and its star
+    cycle."""
+    frame = summation.LatticeFrame(tf.module_basis)
+    Y, d = frame.coordinates(x0)
+    stars = []
+    for g in tf.group_singular_terms(x0):
+        if not g.is_singleton:
+            forms = [frame.oriented(t)[1] for t in g.cones]
+            vanishing = [row for form in forms for row in form.rows
+                         if not sum(a * b for a, b in zip(row, Y))]
+            stars.append((forms, vanishing, star_cycle(g.cones)))
+    return Y, d, stars
+
+
+def laurent_outcome(forms, Y, d, V, disc):
+    c = summation.star_constant_term(forms, Y, d, V)
+    return "pole" if c is None else ScaledRational(c, -1, disc)
+
+
+def cycle_outcome(z, x0):
+    """The value of the star cycle at x0, or "pole" where it raises."""
+    kind, _ = outcome(evaluate_cycle, z, x0)
+    return "pole" if kind == "SingularAtX0" else kind
+
+
+class TestLaurentStarValue:
+    """A star's value is the constant term of its tops' summed terms at
+    x0 + eps v, with the cycle value as the reference: equal where the cycle
+    is finite, a surviving negative power exactly where it raises."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(star_cases())
+    def test_matches_the_cycle_value(self, case):
+        tf, x0 = case
+        Y, d, stars = laurent_stars(tf, x0)
+        assert stars
+        for forms, vanishing, z in stars:
+            V = summation._direction(vanishing, len(Y))
+            assert laurent_outcome(forms, Y, d, V, x0.field.disc_abs) == cycle_outcome(z, x0)
+
+    def test_cubic_rays(self):
+        # m = 2: the stars around the rays of the cubic fan's windows 1 and 2
+        seen = Counter()
+        for window in (1, 2):
+            F, tf, _ = star_window("cubic", window)
+            for x0 in ray_points(tf):
+                Y, d, stars = laurent_stars(tf, x0)
+                for forms, vanishing, z in stars:
+                    V = summation._direction(vanishing, len(Y))
+                    got = laurent_outcome(forms, Y, d, V, F.disc_abs)
+                    assert got == cycle_outcome(z, x0)
+                    seen[len(vanishing) // len(forms), got == "pole"] += 1
+        assert seen[2, True] > 0 and seen[2, False] > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(star_cases(), st.data())
+    def test_same_value_in_every_direction(self, case, data):
+        tf, x0 = case
+        Y, d, stars = laurent_stars(tf, x0)
+        entries = st.lists(st.integers(-10**6, 10**6), min_size=len(Y), max_size=len(Y))
+        directions = data.draw(st.lists(entries, min_size=3, max_size=3))
+        for forms, vanishing, _ in stars:
+            for V in directions:
+                assume(all(sum(a * b for a, b in zip(row, V)) for row in vanishing))
+            values = {laurent_outcome(forms, Y, d, V, x0.field.disc_abs)
+                      for V in directions + [summation._direction(vanishing, len(Y))]}
+            assert len(values) == 1
+
+    def test_direction_is_the_first_off_the_rows(self):
+        # (1, k) for k = 1, 2, ...: the rows (1, -1) and (2, -1) vanish at k = 1 and 2
+        assert summation._direction([(1, -1), (2, -1), (0, 5)], 2) == (1, 3)
+        assert summation._direction([], 3) == (1, 1, 1)
+
+
 def ray_points(tf):
     """The rays of the tops of the window."""
     return list({g.ray_key(): g for t in tf.top_cones for g in t.extreme_rays}.values())
@@ -1241,6 +1317,28 @@ def singular_message(fn, *args):
     return str(exc.value)
 
 
+def finite_ray_point(F, vs):
+    """A ray point of window 1 whose stars are finite, so every window runs."""
+    return F.element([7, -1, 2]) if vs is None else vs.point(1) * 3
+
+
+def count_builds(monkeypatch, classes):
+    """A list that records each construction of the classes, and each Cone
+    made by Cone._canonical."""
+    built = []
+    for cls in classes:
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    canonical = Cone._canonical.__func__
+    monkeypatch.setattr(Cone, "_canonical", classmethod(
+        lambda cls, *args: built.append("Cone") or canonical(cls, *args)
+    ))
+    return built
+
+
 class TestOneSingularPath:
     """partial_sum and converge read carriers off the rows of the tops'
     TermForms and share one grouping and valuation of the stars."""
@@ -1263,23 +1361,35 @@ class TestOneSingularPath:
     @pytest.mark.parametrize("name", ["sqrt3", "sqrt13", "cubic"])
     def test_ray_point_builds_no_cone(self, name, monkeypatch):
         F, desc, vs = STAR_FANS[name]()
-        # a ray point of window 1 whose star is finite, so every window runs
-        x0 = F.element([7, -1, 2]) if vs is None else vs.point(1) * 3
+        x0 = finite_ray_point(F, vs)
         assert any(not g.is_singleton for g in truncate(desc, 2).group_singular_terms(x0))
-        built = []
-        for cls in (Cone, TruncatedFan):
-            def counted(self, *args, _init=cls.__init__, **kwargs):
-                built.append(type(self).__name__)
-                _init(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counted)
-        canonical = Cone._canonical.__func__
-        monkeypatch.setattr(Cone, "_canonical", classmethod(
-            lambda cls, *args: built.append("Cone") or canonical(cls, *args)
-        ))
+        built = count_builds(monkeypatch, (Cone, TruncatedFan))
         rows = converge(desc, x0, 3, 0.0)
         assert len(rows) == 3
         assert built == []
+
+    @pytest.mark.parametrize("name", ["sqrt3", "sqrt13", "cubic"])
+    def test_finite_stars_run_no_cycle_code(self, name, monkeypatch):
+        # the stars' values are Laurent constant terms: no dual points, no
+        # cycle evaluation and no Cone, at a ray and (cubic) a wall point
+        F, desc, vs = STAR_FANS[name]()
+        points = [finite_ray_point(F, vs)] + ([F.element([0, 1, 2])] if vs is None else [])
+        truncations = [truncate(desc, window) for window in (1, 2, 3)]
+        for x0 in points:
+            assert any(not g.is_singleton for g in truncations[1].group_singular_terms(x0))
+        calls = count_builds(monkeypatch, (Cone,))
+        for module, name in ((cycles, "dual_point_function"), (cycles, "orthogonal_point"),
+                             (summation, "dual_point_function"), (summation, "evaluate_cycle")):
+            def counted(*args, _name=name, _fn=getattr(module, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        for x0 in points:
+            assert len(converge(desc, x0, 3, 0.0)) == 3
+            for tf in truncations:
+                partial_sum(tf, x0)
+        assert calls == []
 
     def test_first_open_star_names_the_error(self):
         # where two stars are open, the first in the claim loop's order names
