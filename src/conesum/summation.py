@@ -295,7 +295,11 @@ def carrier(cols: Sequence[tuple[int, ...]], form: TermForm, Y: Sequence[int]) -
     """The columns of a top (oriented, so row i of its form is a positive
     multiple of the i-th coordinate in its rays) at which x = B Y / d has a
     nonzero coordinate: the rays of the smallest face whose span holds x."""
-    return tuple(c for row, c in zip(form.rows, cols) if sum(w * v for w, v in zip(row, Y)))
+    return tuple(c for row, c in zip(form.rows, cols) if _dot(row, Y))
+
+
+def _dot(row: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(row, v))
 
 
 def star_groups(singular, frame: LatticeFrame) -> list[tuple[tuple, list]]:
@@ -307,11 +311,16 @@ def star_groups(singular, frame: LatticeFrame) -> list[tuple[tuple, list]]:
     def keys(cols):
         return tuple(sorted(frame.point(c).ray_key() for c in cols))
 
+    return sorted(((keys(sigma), sorted(tops, key=keys)) for sigma, tops in _by_carrier(singular)),
+                  key=lambda star: (len(star[0]), star[0]))
+
+
+def _by_carrier(singular):
+    """The (carrier, member columns) of each star, in first-seen order."""
     stars: dict[frozenset, list] = {}
     for sigma, cols in singular:
         stars.setdefault(frozenset(sigma), []).append(cols)
-    return sorted(((keys(sigma), sorted(tops, key=keys)) for sigma, tops in stars.items()),
-                  key=lambda star: (len(star[0]), star[0]))
+    return stars.items()
 
 
 def stars_value(singular, frame: LatticeFrame, x0: FieldElement) -> ScaledRational:
@@ -329,7 +338,10 @@ def stars_value(singular, frame: LatticeFrame, x0: FieldElement) -> ScaledRation
     rational function of ε near 0, a finite sum of Laurent series.  So its ε⁰
     coefficient is the cycle value and no negative power survives.
     Conversely, a surviving negative power means that some simplex term is
-    singular at x0: the star is open, and the cycle path raises.
+    singular at x0: the star is open, and the cycle path raises.  (That a
+    star with no surviving negative power has a finite cycle value is
+    checked, not proved: it holds on every ray and wall star of the test
+    fans.)
 
     On integers.  With x0 = B Y / d and v = B V / d, a top's term is
     scale d^n / prod_i (a_i + b_i ε), a_i = adj(C)_i . Y and b_i = adj(C)_i
@@ -345,23 +357,18 @@ def stars_value(singular, frame: LatticeFrame, x0: FieldElement) -> ScaledRation
     An open star goes to the ordered cycle path (ordered_stars_value), so
     that the first open star of star_groups names the SingularAtX0."""
     Y, d = frame.coordinates(x0)
-    stars: dict[frozenset, list] = {}
-    for sigma, cols in singular:
-        stars.setdefault(frozenset(sigma), []).append(TermForm.in_basis(cols, frame.det, frame.field))
-    V = _direction([row for tops in stars.values() for form in tops for row in form.rows
+    stars = [[TermForm.in_basis(cols, frame.det, frame.field) for cols in tops]
+             for _, tops in _by_carrier(singular)]
+    V = _direction([row for forms in stars for form in forms for row in form.rows
                     if not _dot(row, Y)], len(Y))
     total = Fraction(0)
-    for tops in stars.values():
-        c = star_constant_term(tops, Y, d, V)
+    for forms in stars:
+        c = star_constant_term(forms, Y, d, V)
         if c is None:
             return ordered_stars_value(singular, frame, x0)
         total += c
     disc = x0.field.disc_abs  # c / sqrt(D), in the cycle value's form q sqrt(D)
     return ScaledRational(total / disc, 1, disc)
-
-
-def _dot(row: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(row, v))
 
 
 def _direction(rows, n: int) -> tuple[int, ...]:
