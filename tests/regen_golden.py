@@ -1,15 +1,23 @@
-"""Regenerate the golden CLI outputs in tests/golden/converge.json.
+"""Regenerate the golden CLI outputs in tests/golden/<command>.json.
 
     PYTHONPATH=src python tests/regen_golden.py
 
-Each case is one ``conesum converge`` run, made in process through
-``conesum.cli.main`` with the field and hull-chart caches emptied; the file
-holds its stdout, stderr and exit code, and ``tests/test_golden.py`` runs
-the cases again and compares.  The cases are the shipped Q(sqrt 3) config
-in csv and json and at four x0, and the converge ops of the benchmark's
-first pass at seeds 1, 2, 29 and 83 (``perfbench/workloads.py``), run with the x0,
-N_max, tolerance and json format that its child sets.  A change meant to
-alter an output regenerates the file and names every changed case.
+Each case is one ``conesum <command>`` run, the command being the stem of
+its file, made in process through ``conesum.cli.main`` from the root of the
+checkout, with the config path relative to it and the field and hull-chart
+caches emptied; the file holds its stdout, stderr and exit code, and
+``tests/test_golden.py`` runs the cases again and compares.  The cases:
+
+- converge: the shipped Q(sqrt 3) config in csv and json and at four x0,
+  the cubic config (it has no fan), and the converge ops of the benchmark's
+  first pass at seeds 1, 2, 29 and 83 (``perfbench/workloads.py``), run with
+  the x0, N_max, tolerance and json format that its child sets;
+- verify: the seven suites on both shipped configs;
+- unitsearch: the cubic config.
+
+A change meant to alter an output regenerates the files and names every
+changed case; the script prints the names of the cases whose stdout, stderr
+or exit code changed.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "golden" / "converge.json"
+GOLDEN_DIR = ROOT / "tests" / "golden"
 SQRT3_CASES = (
     ("sqrt3-csv", []),
     ("sqrt3-json", ["--format", "json"]),
@@ -34,6 +42,7 @@ SQRT3_CASES = (
     ("sqrt3-x0-1,0", ["--x0", "1,0"]),
 )
 SEEDS = (1, 2, 29, 83)
+CONFIGS = ("sqrt3", "cubic49")
 
 
 def benchmark_ops(seed: int) -> list[dict]:
@@ -44,7 +53,7 @@ def benchmark_ops(seed: int) -> list[dict]:
     return workloads.converge_ops(random.Random(f"converge:{seed}:0"))
 
 
-def cases() -> list[dict]:
+def converge_cases() -> list[dict]:
     out = [{"name": name, "config": "configs/sqrt3.json", "options": options}
            for name, options in SQRT3_CASES]
     for seed in SEEDS:
@@ -55,33 +64,64 @@ def cases() -> list[dict]:
                 "options": [f"--x0={','.join(op['x0'])}", f"--N-max={op['n_max']}",
                             f"--tol={op['tol']!r}", "--format=json"],
             })
+    out.append({"name": "cubic49-no-fan", "config": "configs/cubic49.json", "options": []})
     return out
 
 
-def run_case(case: dict, tmp_dir) -> dict:
-    """stdout, stderr and exit code of the case's converge run; a config
-    given inline is written to tmp_dir first."""
+def cases() -> dict[str, list[dict]]:
+    """The cases of each golden file, by command."""
+    from conesum.cli import SUITES
+
+    return {
+        "converge": converge_cases(),
+        "verify": [{"name": f"verify-{suite}-{name}", "config": f"configs/{name}.json", "options": [suite]}
+                   for name in CONFIGS for suite in SUITES],
+        "unitsearch": [{"name": "unitsearch-cubic49", "config": "configs/cubic49.json", "options": []}],
+    }
+
+
+def run_case(command: str, case: dict, tmp_dir) -> dict:
+    """stdout, stderr and exit code of the command on the case, run from the
+    root of the checkout; a config given inline is written to tmp_dir
+    first."""
     from conesum import cli, field, unitsearch
 
     config = case["config"]
     if isinstance(config, dict):
-        path = Path(tmp_dir) / "config.json"
-        path.write_text(json.dumps(config))
-    else:
-        path = ROOT / config
+        config = str(Path(tmp_dir) / "config.json")
+        Path(config).write_text(json.dumps(case["config"]))
     field._field_cache.cache_clear()
     unitsearch._chart_cache.clear()
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(["converge", str(path), *case["options"]])
+    with contextlib.chdir(ROOT), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = cli.main([command, *case["options"], config])
     return {"stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "exit": code}
 
 
+def golden_path(command: str) -> Path:
+    return GOLDEN_DIR / f"{command}.json"
+
+
+def load(command: str) -> list[dict]:
+    path = golden_path(command)
+    return json.loads(path.read_text()) if path.exists() else []
+
+
 def main() -> int:
+    outputs = ("stdout", "stderr", "exit")
     with tempfile.TemporaryDirectory() as tmp:
-        golden = [dict(case, **run_case(case, tmp)) for case in cases()]
-    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
-    print(f"wrote {len(golden)} cases to {GOLDEN.relative_to(ROOT)}")
+        for command, runs in cases().items():
+            old = {case["name"]: case for case in load(command)}
+            golden = [dict(case, **run_case(command, case, tmp)) for case in runs]
+            golden_path(command).write_text(json.dumps(golden, indent=1) + "\n")
+            print(f"wrote {len(golden)} cases to {golden_path(command).relative_to(ROOT)}")
+            for case in golden:
+                before = old.get(case["name"])
+                if before is None:
+                    print(f"  new: {case['name']}")
+                elif any(before[k] != case[k] for k in outputs):
+                    print(f"  changed: {case['name']}")
     return 0
 
 

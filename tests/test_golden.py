@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from regen_golden import GOLDEN, run_case
+from regen_golden import GOLDEN_DIR, ROOT, run_case
 
-CASES = json.loads(GOLDEN.read_text())
+FILES = sorted(GOLDEN_DIR.glob("*.json"))
+CASES = [(path.stem, case) for path in FILES for case in json.loads(path.read_text())]
 
 
 def first_difference(got: str, want: str) -> str:
@@ -20,9 +21,19 @@ def first_difference(got: str, want: str) -> str:
     return "line endings differ"
 
 
-@pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
-def test_output_matches_golden(case, tmp_path):
-    got = run_case(case, tmp_path)
+@pytest.mark.parametrize("command,case", CASES,
+                         ids=[case["name"] for _, case in CASES])
+def test_output_matches_golden(command, case, tmp_path):
+    got = run_case(command, case, tmp_path)
     for stream in ("stdout", "stderr"):
         assert got[stream] == case[stream], f"{stream}, {first_difference(got[stream], case[stream])}"
     assert got["exit"] == case["exit"]
+
+
+def test_every_command_is_pinned():
+    assert [path.stem for path in FILES] == ["converge", "unitsearch", "verify"]
+
+
+@pytest.mark.parametrize("path", FILES, ids=[path.name for path in FILES])
+def test_no_entry_names_the_checkout(path):
+    assert str(ROOT) not in path.read_text()
