@@ -17,7 +17,8 @@ field cache and the hull-chart cache are emptied and the configuration is
 loaded again before every call, and only the command itself is timed; two
 of the converge commands are ops of the benchmark's ``converge`` workload, and
 one runs the shipped Q(sqrt 3) config at the edge-ray point 2 + sqrt 3, where
-``converge`` raises ``SingularAtX0`` after valuing the open star.  The
+``converge`` finds the open star's pole and raises ``SingularAtX0`` naming a
+trace-dual point of its first top.  The
 cold import runs ``import conesum.cli`` in a new interpreter REPEATS times,
 after one run that writes the bytecode cache, and reports the wall time of
 the whole process; the cold converge does the same for ``python -m
@@ -164,8 +165,8 @@ def fan_summation_cases() -> dict:
     primal value of a pair of points of the shipped module, the cocycle
     value at that ray point of the dual star cycle around it, the value of
     the star around it and of the star of six tops around a ray of window 1
-    of the explicit cubic fan (both stars' carriers and oriented columns
-    read once, and valued by ``summation.stars_value``), the hull
+    of the explicit cubic fan (both stars' carriers, oriented columns and
+    forms read once, and valued by ``summation.stars_value``), the hull
     construction and the window-4 truncation of the Q(sqrt 19) fan of
     Z[sqrt 19], and the insertion of a ray into the first top cone of that
     window-4 truncation and of the window-5 truncation of the Q(sqrt 3)
@@ -199,11 +200,12 @@ def fan_summation_cases() -> dict:
     (cubic_star,) = [g for g in cubic_w1.group_singular_terms(cubic_x0) if not g.is_singleton]
 
     def read_star(tf, group, x):
-        """The frame of the truncation and the star's (carrier, columns) pairs."""
+        """The frame of the truncation and the star's (carrier, columns,
+        form) triples."""
         frame = summation.LatticeFrame(tf.module_basis)
         Y, _ = frame.coordinates(x)
         tops = [frame.oriented(t) for t in group.cones]
-        return [(summation.carrier(cols, form, Y), cols) for cols, form in tops], frame
+        return [(summation.carrier(cols, form, Y), cols, form) for cols, form in tops], frame
 
     star_tops, frame = read_star(w6, star, x0)
     cubic_tops, cubic_frame = read_star(cubic_w1, cubic_star, cubic_x0)

@@ -193,13 +193,13 @@ class TruncatedFan:
             cols, form = frame.oriented(t)
             sigma = carrier(cols, form, Y)
             if len(sigma) < len(cols):
-                singular.append((sigma, cols))
+                singular.append((sigma, cols, form))
                 tops[tuple(cols)] = t
             else:
                 singletons.append(TermGroup(sigma=None, cones=(t,)))
         return [
             TermGroup(sigma=Cone._canonical(self.field, tuple(map(self.field.element, keys))),
-                      cones=tuple(tops[tuple(cols)] for cols in members))
+                      cones=tuple(tops[tuple(cols)] for cols, _ in members))
             for keys, members in star_groups(singular, frame)
         ] + singletons
 

@@ -14,9 +14,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from . import linalg
-from .cycles import (
-    CPDFunction, Cycle, boundary_cycle, cpd_extend, dual_cycle, dual_point_function,
-)
+from .cycles import CPDFunction, Cycle, boundary_cycle, cpd_extend, dual_cycle, orthogonal_point
 from .errors import (
     DegreeMismatch,
     DependentTuple,
@@ -53,9 +51,12 @@ def cocycle_value(points: Sequence[FieldElement], x0: FieldElement) -> ScaledRat
         return ScaledRational.rational(0, x0.field.disc_abs)
     c = form.coefficient(x0.num, x0.den)
     if c is None:
-        a = next(a for a in points if trace_pairing(x0, a) == 0)
-        raise SingularAtX0(f"pairing with {a} vanishes at the evaluation point")
+        raise _vanishing_pairing(next(a for a in points if trace_pairing(x0, a) == 0))
     return ScaledRational(c, form.e, form.disc)
+
+
+def _vanishing_pairing(a: FieldElement) -> SingularAtX0:
+    return SingularAtX0(f"pairing with {a} vanishes at the evaluation point")
 
 
 def dual_basis(points: Sequence[FieldElement]) -> list[FieldElement]:
@@ -303,29 +304,32 @@ def _dot(row: Sequence[int], v: Sequence[int]) -> int:
 
 
 def star_groups(singular, frame: LatticeFrame) -> list[tuple[tuple, list]]:
-    """The (carrier, columns) pairs of singular tops grouped into the stars
-    of their carriers, as (sorted ray keys of the carrier, member columns):
-    stars by carrier size, then by those keys, members by the sorted ray
-    keys of their rays.  Two singular faces of a top both contain its
-    carrier, so by minimality a top lies in one star only."""
+    """The (carrier, columns, form) triples of singular tops grouped into
+    the stars of their carriers, as (sorted ray keys of the carrier, member
+    (columns, form) pairs): stars by carrier size, then by those keys,
+    members by the sorted ray keys of their rays.  Two singular faces of a
+    top both contain its carrier, so by minimality a top lies in one star
+    only."""
     def keys(cols):
         return tuple(sorted(frame.point(c).ray_key() for c in cols))
 
-    return sorted(((keys(sigma), sorted(tops, key=keys)) for sigma, tops in _by_carrier(singular)),
+    return sorted(((keys(sigma), sorted(tops, key=lambda top: keys(top[0])))
+                   for sigma, tops in _by_carrier(singular)),
                   key=lambda star: (len(star[0]), star[0]))
 
 
 def _by_carrier(singular):
-    """The (carrier, member columns) of each star, in first-seen order."""
+    """The (carrier, member (columns, form) pairs) of each star, in
+    first-seen order."""
     stars: dict[frozenset, list] = {}
-    for sigma, cols in singular:
-        stars.setdefault(frozenset(sigma), []).append(cols)
+    for sigma, cols, form in singular:
+        stars.setdefault(frozenset(sigma), []).append((cols, form))
     return stars.items()
 
 
 def stars_value(singular, frame: LatticeFrame, x0: FieldElement) -> ScaledRational:
     """The summed values of the stars of the singular tops, as (carrier,
-    columns) pairs: each star is the ε⁰ coefficient of the Laurent
+    columns, form) triples: each star is the ε⁰ coefficient of the Laurent
     expansion of Σ_t h*(t)(x0 + εv) over its tops t, computed on integers.
 
     The identity.  Let z be a star's summed dual cycle, the sum of its tops'
@@ -338,7 +342,7 @@ def stars_value(singular, frame: LatticeFrame, x0: FieldElement) -> ScaledRation
     rational function of ε near 0, a finite sum of Laurent series.  So its ε⁰
     coefficient is the cycle value and no negative power survives.
     Conversely, a surviving negative power means that some simplex term is
-    singular at x0: the star is open, and the cycle path raises.  (That a
+    singular at x0: the star is open, and the cycle value raises.  (That a
     star with no surviving negative power has a finite cycle value is
     checked, not proved: it holds on every ray and wall star of the test
     fans.)
@@ -354,21 +358,29 @@ def stars_value(singular, frame: LatticeFrame, x0: FieldElement) -> ScaledRation
     vanishing row is nonzero; a row is nonzero, so it vanishes at no more
     than n - 1 of them, and the value does not depend on v.
 
-    An open star goes to the ordered cycle path (ordered_stars_value), so
-    that the first open star of star_groups names the SingularAtX0."""
+    An open star raises SingularAtX0, worded by _open_star."""
     Y, d = frame.coordinates(x0)
-    stars = [[TermForm.in_basis(cols, frame.det, frame.field) for cols in tops]
-             for _, tops in _by_carrier(singular)]
+    stars = [[form for _, form in tops] for _, tops in _by_carrier(singular)]
     V = _direction([row for forms in stars for form in forms for row in form.rows
                     if not _dot(row, Y)], len(Y))
-    total = Fraction(0)
-    for forms in stars:
-        c = star_constant_term(forms, Y, d, V)
-        if c is None:
-            return ordered_stars_value(singular, frame, x0)
-        total += c
+    values = [star_constant_term(forms, Y, d, V) for forms in stars]
+    if None in values:
+        raise _open_star(singular, frame, Y, d, V)
     disc = x0.field.disc_abs  # c / sqrt(D), in the cycle value's form q sqrt(D)
-    return ScaledRational(total / disc, 1, disc)
+    return ScaledRational(sum(values, Fraction(0)) / disc, 1, disc)
+
+
+def _open_star(singular, frame: LatticeFrame, Y, d: int, V) -> SingularAtX0:
+    """The SingularAtX0 of the first open star of star_groups: of its first
+    top's rays off the carrier, take the first c in ray-key order; x0 pairs
+    to zero with the trace-dual point opposite c, which it names."""
+    for _, tops in star_groups(singular, frame):
+        if star_constant_term([form for _, form in tops], Y, d, V) is None:
+            cols, form = tops[0]
+            off = [c for row, c in zip(form.rows, cols) if not _dot(row, Y)]
+            ray = min(off, key=lambda c: frame.point(c).ray_key())
+            a = orthogonal_point(frame.field, [frame.point(c) for c in cols if c != ray])
+            return _vanishing_pairing(frame.field.element(a.proj_key()))
 
 
 def _direction(rows, n: int) -> tuple[int, ...]:
@@ -403,20 +415,6 @@ def star_constant_term(forms, Y: Sequence[int], d: int, V: Sequence[int]) -> Fra
     return Fraction(num[m] * d ** len(Y), den)
 
 
-def ordered_stars_value(singular, frame: LatticeFrame, x0: FieldElement) -> ScaledRational:
-    """The values of the stars of star_groups through their cycles, summed
-    in its order, so that the first open star names the SingularAtX0.  A
-    star's value is that of its summed dual boundary cycle, where the
-    internal singular walls cancel; a simplicial top's is the dual simplex
-    of its rays in their order."""
-    dual = dual_point_function(x0.field)
-    total = ScaledRational.rational(0, x0.field.disc_abs)
-    for _, tops in star_groups(singular, frame):
-        z = sum((dual.evaluate(tuple(map(frame.point, cols))) for cols in tops), dual.zero)
-        total = total + evaluate_cycle(z, x0)
-    return total
-
-
 def partial_sum(tf: TruncatedFan, x0: FieldElement) -> ConvergenceRow:
     """Exact sum of the regular terms and the stars of the truncation at x0."""
     if not is_totally_positive(x0):
@@ -428,7 +426,7 @@ def partial_sum(tf: TruncatedFan, x0: FieldElement) -> ConvergenceRow:
         cols, form = frame.oriented(t)
         q = form.coefficient(Y, d)
         if q is None:
-            singular.append((carrier(cols, form, Y), cols))
+            singular.append((carrier(cols, form, Y), cols, form))
         else:
             regular += q
     total = ScaledRational(regular, -1, x0.field.disc_abs) + stars_value(singular, frame, x0)
@@ -586,7 +584,7 @@ def converge(
     dedupe = description.kind == "explicit"  # quadratic cones never repeat
     seen: set[frozenset] = set()
     regular = Fraction(0)  # the non-singular terms, as c with value c/sqrt(D)
-    singular: list[tuple[tuple, list]] = []
+    singular: list[tuple[tuple, list, TermForm]] = []
     star = ScaledRational.rational(0, x0.field.disc_abs)
     target = 1 / x0.norm()
     walked: set[tuple[int, ...]] = set()
@@ -608,7 +606,8 @@ def converge(
                 q = form.coefficient(Y, d)
                 if q is None:  # u^e t at x0 is t at u^-e x0, so its carrier pairs with Y
                     cols = [_primitive(c) for c in moved(exponents)]
-                    singular.append((carrier(cols, form, Y), cols))
+                    singular.append((carrier(cols, form, Y), cols,
+                                     TermForm.in_basis(cols, frame.det, frame.field)))
                     grew = True
                 else:
                     regular += q if norm == 1 else q / norm

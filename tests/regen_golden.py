@@ -74,9 +74,10 @@ def cases() -> dict[str, list[dict]]:
 
     return {
         "converge": converge_cases(),
-        "verify": [{"name": f"verify-{suite}-{name}", "config": f"configs/{name}.json", "options": [suite]}
-                   for name in CONFIGS for suite in SUITES],
-        "unitsearch": [{"name": "unitsearch-cubic49", "config": "configs/cubic49.json", "options": []}],
+        "verify": [{"name": f"verify-{suite}-{name}", "config": f"configs/{name}.json",
+                    "options": [suite]} for name in CONFIGS for suite in SUITES],
+        "unitsearch": [{"name": "unitsearch-cubic49", "config": "configs/cubic49.json",
+                        "options": []}],
     }
 
 
