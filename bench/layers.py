@@ -265,8 +265,10 @@ def converge_cases() -> dict:
 
 def unitsearch_cases() -> dict:
     """The admissible-unit search on the cubic field at the shipped a, b and
-    radius (each call builds its own ``UnitPowers``), the limit-pair check of
-    the units it finds, the hull chart and its vertex certificate at window 3
+    radius (each call builds its own ``UnitPowers``), the bound and the
+    limit-pair checks of the units it finds (each call with the candidate's
+    log matrices emptied, as a new command finds them), the hull chart and
+    its vertex certificate at window 3
     with the chart cache emptied, the relative-width embedding intervals of
     the generators and the found units at every place and precision of the
     schedule, the interval log of a point at the first and last precision
@@ -283,11 +285,21 @@ def unitsearch_cases() -> dict:
         unitsearch._chart_cache.clear()
         return unitsearch.verify_vertices(unitsearch.hull_chart(cand, (0, 1), 3))
 
+    def certified(check):
+        def run():
+            cand.lattice._matrices.clear()
+            return check(cand)
+
+        return run
+
     cases = {
         "unitsearch.search_admissible.cubic49": lambda: unitsearch.search_admissible(
             units, a, b, 4
         ),
-        "unitsearch.check_admissible.cubic49": lambda: unitsearch.check_admissible(cand.units),
+        "unitsearch.check_admissible.cubic49": certified(unitsearch.check_admissible),
+        "unitsearch.check_admissible_bounds.cubic49": certified(
+            unitsearch.check_admissible_bounds
+        ),
         "unitsearch.hull_chart_verify.cubic49.w3": chart_and_vertices,
         "unitsearch.embedding_iv_positive.cubic49": lambda: [
             unitsearch._embedding_iv_positive(x, p, prec)

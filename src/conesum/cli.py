@@ -7,6 +7,7 @@ no timestamps or environment data are emitted.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import sys
@@ -286,7 +287,7 @@ def _admissible_search(config: RunConfig, a=None, b=None, radius=None):
     cand = search_admissible(config.module.units, a, b, radius)
     if cand is None:
         return a, b, radius, None
-    return a, b, radius, (cand, check_admissible_bounds(cand), check_admissible(cand.units))
+    return a, b, radius, (cand, check_admissible_bounds(cand), check_admissible(cand))
 
 
 def suite_lemma3(config: RunConfig) -> list[dict]:
@@ -396,9 +397,7 @@ def cmd_unitsearch(config: RunConfig, args, out=None) -> int:
     charts = []
     vertices_ok = True
     n = config.field.degree
-    import itertools as _it
-
-    for I in _it.combinations(range(n), n - 1):
+    for I in itertools.combinations(range(n), n - 1):
         chart = hull_chart(cand, I, window)
         ok = verify_vertices(chart)
         vertices_ok = vertices_ok and ok

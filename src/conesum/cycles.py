@@ -236,12 +236,18 @@ def cpd_extend(f: CPDFunction, z: Cycle):
     """Value of the unique homomorphism extending f to cycles, summed over
     the canonical decomposition of z; a SingularAtX0 of f on one of its
     simplices propagates.  f vanishes on dependent tuples, so they need no
-    test."""
+    test.  Cycle values are summed leaf by leaf into one accumulator."""
     if not is_cycle(z):
         raise NotACycle("cpd extension is defined on cycles only")
     if f.arity != z.degree + 2:
         raise DegreeMismatch(f"{f.name} takes {f.arity} points, not {z.degree + 2}")
     total = f.zero
+    if isinstance(total, Cycle):
+        data: dict[Flag, Leaf] = {}
+        for coef, pts in decompose_cycle(z):
+            for flag, leaf in f.evaluate(pts).data.items():
+                _merge(data, flag, leaf, coef)
+        return Cycle(total.field, total.degree, data)
     for coef, pts in decompose_cycle(z):
         value = f.evaluate(pts)
         total = total + (value if coef == 1 else value * coef)

@@ -4,7 +4,9 @@ All log-space quantities are handled as certified intervals over a precision
 schedule: a comparison is reported only when the intervals separate, and
 anything that stays undecided raises PrecisionExhausted instead of guessing.
 The search decides its region conditions by integer sums over the generators'
-certified log matrix and sends only what that leaves open to the exact test.
+certified log matrix, and the certification of a found set by the same sums
+over its own units' log matrix; only what those leave open goes to the exact
+tests.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
 )
 from .fan import ConditionReport, ValidationReport
 from .field import (
+    ExponentTable,
     FieldElement,
     UnitGroupData,
     UnitPowers,
@@ -218,12 +221,22 @@ class LogLattice:
 
     Exponent vectors are exact.  The generators' log matrix is certified once
     per precision and kept as integer bounds over one common power of two, so
-    a log vector is an exact integer sum of certified bounds."""
+    a log vector is an exact integer sum of certified bounds.  Lattices of
+    equal unit groups are equal."""
 
     def __init__(self, units: UnitGroupData):
         self.units = units
         self.field = units.field
         self._matrices: dict[int, tuple[int, list]] = {}
+
+    def __eq__(self, other):
+        return isinstance(other, LogLattice) and self.units == other.units
+
+    def __hash__(self):
+        return hash(self.units)
+
+    def __repr__(self):
+        return f"LogLattice({self.units!r})"
 
     def log_matrix(self, prec: int) -> tuple[int, list[list[tuple[int, int]]]]:
         """(exp, M) with M[p][q] = (lo, hi) and lo 2^exp <= log u_q^(p) <= hi 2^exp."""
@@ -243,16 +256,21 @@ class LogLattice:
         return [(sum(e * b[e < 0] for e, b in zip(exponents, row)),
                  sum(e * b[e >= 0] for e, b in zip(exponents, row))) for row in M]
 
-    def regulator_nonzero(self) -> bool:
-        """Certify that the generator log vectors are linearly independent
-        (any maximal minor of the log matrix is nonzero)."""
-        gens = self.units.generators
-        r = len(gens)
+    def rational_log(self, x: Fraction, prec: int) -> tuple[int, int]:
+        """Bounds over the 2^exp of log_matrix(prec) on log x for a rational x > 0."""
+        scale, _ = self.log_matrix(prec)
+        return _on_scale(Interval.of(x, x, prec + GUARD_BITS).log(), scale)
+
+    def regulator_nonzero(self, indices: Iterable[int] | None = None) -> bool:
+        """Certify that the log vectors of the generators at indices (all of
+        them by default) are linearly independent: the minor of the log
+        matrix on those columns and the first places is nonzero at some
+        precision of the schedule."""
+        cols = list(range(self.units.rank) if indices is None else indices)
         for prec in PREC_SCHEDULE:
-            try:
-                rows = [[_embedding_iv(g, p, prec).log() for p in range(r)] for g in gens]
-            except PrecisionExhausted:
-                continue
+            exp, M = self.log_matrix(prec)
+            rows = [[Interval(*M[p][q], exp, prec + GUARD_BITS) for p in range(len(cols))]
+                    for q in cols]
             if _iv_sign(_iv_det(rows)) is not None:
                 return True
         raise PrecisionExhausted("cannot certify a nonzero regulator")
@@ -281,13 +299,17 @@ def _iv_det(rows) -> Interval:
 
 
 class AdmissibleCandidate(FrozenRecord):
-    """Units indexed by place with the ratio bounds they were searched for."""
+    """Units indexed by place, as the generators of the log lattice they are
+    certified on, with the ratio bounds they were searched for."""
 
-    __slots__ = ("units", "a", "b")
+    __slots__ = ("lattice", "a", "b")
 
-    def __init__(self, units: tuple[FieldElement, ...], a: Fraction, b: Fraction):
-        UnitGroupData(units)  # raises NotAUnit / NotTotallyPositive
-        self._fill(units, a, b)
+    def __init__(self, lattice: LogLattice, a: Fraction, b: Fraction):
+        self._fill(lattice, a, b)
+
+    @property
+    def units(self) -> tuple[FieldElement, ...]:
+        return self.lattice.units.generators
 
 
 def compare_places(x: FieldElement, p: int, q: int) -> int:
@@ -353,11 +375,62 @@ def unit_region_conditions(
     return c1, chain, c3, c4
 
 
+def _region_quantities(logs, i: int, log_a, log_b):
+    """The four conditions of unit_region_conditions(eps, i, a, b), in order,
+    each as the lazy bounds (lo, hi) of the quantities that must all be
+    positive, from integer bounds on log eps^(p), log a and log b."""
+    others = [(i + k) % len(logs) for k in range(1, len(logs))]
+
+    def diff(j, k):  # log eps^(j) - log eps^(k)
+        return logs[j][0] - logs[k][1], logs[j][1] - logs[k][0]
+
+    return (
+        itertools.chain([(-logs[i][1], -logs[i][0])],  # c1: eps^(i) < 1 < eps^(j)
+                        (logs[j] for j in others)),
+        (diff(j, k) for j, k in zip(others, others[1:])),  # the chain
+        ((log_a[0] - hi, log_a[1] - lo)  # c3: each ratio eps^(j) / eps^(k) < a
+         for lo, hi in itertools.starmap(diff, itertools.permutations(others, 2))),
+        ((lo - log_b[1], hi - log_b[0]) for lo, hi in (diff(j, i) for j in others)),  # c4: > b
+    )
+
+
+def _decide(quantities) -> bool | None:
+    """Whether every quantity is positive: None when an interval leaves one
+    open and none is certified nonpositive."""
+    decided = True
+    for lo, hi in quantities:
+        if hi <= 0:
+            return False
+        if lo <= 0:
+            decided = None
+    return decided
+
+
+def _region_conditions(logs, i: int, log_a, log_b) -> tuple[bool | None, ...]:
+    """unit_region_conditions(eps, i, a, b) condition by condition, each None
+    when an interval leaves it open."""
+    return tuple(map(_decide, _region_quantities(logs, i, log_a, log_b)))
+
+
+def _region_decision(logs, i: int, log_a, log_b) -> bool | None:
+    """all(unit_region_conditions(eps, i, a, b)), None when an interval leaves
+    a condition open."""
+    return _decide(itertools.chain.from_iterable(_region_quantities(logs, i, log_a, log_b)))
+
+
 def check_admissible_bounds(cand: AdmissibleCandidate) -> ValidationReport:
-    """Per-unit verification of the sufficient ratio-bound conditions."""
+    """Per-unit verification of the sufficient ratio-bound conditions, read
+    off the candidate's log matrix; a unit it leaves a condition open for is
+    checked by the exact unit_region_conditions."""
+    lattice, prec, rank = cand.lattice, PREC_SCHEDULE[0], len(cand.units)
+    log_a, log_b = (lattice.rational_log(x, prec) for x in (cand.a, cand.b))
     conditions = []
     for idx, eps in enumerate(cand.units):
-        c1, c2, c3, c4 = unit_region_conditions(eps, idx, cand.a, cand.b)
+        logs = lattice.log_bounds([int(q == idx) for q in range(rank)], prec)
+        decided = _region_conditions(logs, idx, log_a, log_b)
+        if None in decided:
+            decided = unit_region_conditions(eps, idx, cand.a, cand.b)
+        c1, c2, c3, c4 = decided
         conditions.append(
             ConditionReport(f"unit{idx+1}-below-above-one", c1)
         )
@@ -371,21 +444,45 @@ def check_admissible_bounds(cand: AdmissibleCandidate) -> ValidationReport:
     return ValidationReport(conditions)
 
 
-def check_admissible(units: Sequence[FieldElement]) -> ValidationReport:
-    """Direct verification of the limit-pair admissibility conditions."""
+def _limit_pair_of(lattice: LogLattice, exponents: Sequence[int]):
+    """limit_pair of the unit with these exponents, read off the order of its
+    log intervals at the first precision; None when two of them meet."""
+    logs = lattice.log_bounds(exponents, PREC_SCHEDULE[0])
+    places = sorted(range(len(logs)), key=logs.__getitem__)
+    if any(logs[p][1] >= logs[q][0] for p, q in zip(places, places[1:])):
+        return None
+    return frozenset({places[0] + 1}), frozenset({places[-1] + 1})
+
+
+def check_admissible(cand: AdmissibleCandidate) -> ValidationReport:
+    """Direct verification of the limit-pair admissibility conditions.
+
+    Distinct embeddings and the limit pairs of the units and their ratios
+    are read off the order of disjoint log intervals of the candidate's log
+    matrix, ratio eps_i / eps_j as the exponents e_i - e_j; where two
+    intervals meet, root_indices and limit_pair decide exactly.  The
+    independence minors come from the same matrix."""
+    units, lattice = cand.units, cand.lattice
     field = units[0].field
-    n = field.degree
+    n, rank = field.degree, len(units)
     if n < 3:
         raise DegreeTooSmall("admissibility requires degree at least 3")
-    conditions = []
-    assignments = [root_indices(eps, range(n)) for eps in units]
+    distinct, pairs = [], []
+    for idx, eps in enumerate(units):
+        pair = _limit_pair_of(lattice, [int(q == idx) for q in range(rank)])
+        if pair is None:
+            assignment = root_indices(eps, range(n))
+            distinct.append(len(set(assignment)) == n)
+            pair = limit_pair(eps, assignment)
+        else:
+            distinct.append(True)
+        pairs.append(pair)
 
-    for idx, assignment in enumerate(assignments):
-        distinct = len(set(assignment)) == n
-        conditions.append(ConditionReport(f"unit{idx+1}-distinct-coordinates", distinct))
-
-    for idx, (eps, assignment) in enumerate(zip(units, assignments)):
-        mins, maxs = limit_pair(eps, assignment)
+    conditions = [
+        ConditionReport(f"unit{idx+1}-distinct-coordinates", ok)
+        for idx, ok in enumerate(distinct)
+    ]
+    for idx, (mins, maxs) in enumerate(pairs):
         want = (frozenset({idx + 1}), frozenset({(idx + 1) % n + 1}))
         conditions.append(
             ConditionReport(
@@ -395,14 +492,17 @@ def check_admissible(units: Sequence[FieldElement]) -> ValidationReport:
             )
         )
 
-    for i, j in itertools.permutations(range(len(units)), 2):
-        ratio = units[i] * units[j].inverse()
-        if ratio == field.one:
-            conditions.append(
-                ConditionReport(f"ratio-{i+1}-{j+1}-limit-pair", False, "equal units")
-            )
-            continue
-        mins, maxs = limit_pair(ratio)
+    for i, j in itertools.permutations(range(rank), 2):
+        pair = _limit_pair_of(lattice, [int(q == i) - int(q == j) for q in range(rank)])
+        if pair is None:
+            ratio = units[i] * units[j].inverse()
+            if ratio == field.one:
+                conditions.append(
+                    ConditionReport(f"ratio-{i+1}-{j+1}-limit-pair", False, "equal units")
+                )
+                continue
+            pair = limit_pair(ratio)
+        mins, maxs = pair
         want = (frozenset({i + 1}), frozenset({j + 1}))
         conditions.append(
             ConditionReport(
@@ -412,11 +512,9 @@ def check_admissible(units: Sequence[FieldElement]) -> ValidationReport:
             )
         )
 
-    for subset in itertools.combinations(range(len(units)), n - 1):
+    for subset in itertools.combinations(range(rank), n - 1):
         try:
-            ok = LogLattice(
-                UnitGroupData(tuple(units[i] for i in subset))
-            ).regulator_nonzero()
+            ok = lattice.regulator_nonzero(subset)
         except PrecisionExhausted:
             ok = False
         conditions.append(
@@ -425,32 +523,6 @@ def check_admissible(units: Sequence[FieldElement]) -> ValidationReport:
             )
         )
     return ValidationReport(conditions)
-
-
-def _region_decision(logs, i: int, log_a, log_b) -> bool | None:
-    """all(unit_region_conditions(eps, i, a, b)) from integer bounds on log eps^(p),
-    log a and log b: None when an interval leaves a condition open."""
-    others = [(i + k) % len(logs) for k in range(1, len(logs))]
-
-    def diff(j, k):  # log eps^(j) - log eps^(k)
-        return logs[j][0] - logs[k][1], logs[j][1] - logs[k][0]
-
-    # the conditions in their order, each as a quantity that must be positive
-    quantities = itertools.chain(
-        [(-logs[i][1], -logs[i][0])],  # c1: eps^(i) < 1 < eps^(j)
-        (logs[j] for j in others),
-        (diff(j, k) for j, k in zip(others, others[1:])),  # the chain
-        ((log_a[0] - hi, log_a[1] - lo)  # c3: each ratio eps^(j) / eps^(k) < a
-         for lo, hi in itertools.starmap(diff, itertools.permutations(others, 2))),
-        ((lo - log_b[1], hi - log_b[0]) for lo, hi in (diff(j, i) for j in others)),  # c4: > b
-    )
-    decided = True
-    for lo, hi in quantities:
-        if hi <= 0:
-            return False
-        if lo <= 0:
-            decided = None
-    return decided
 
 
 def search_admissible(
@@ -473,8 +545,7 @@ def search_admissible(
     found: dict[int, FieldElement] = {}
     powers = UnitPowers(field, V.generators)
     lattice, prec = LogLattice(V), PREC_SCHEDULE[0]
-    scale, _ = lattice.log_matrix(prec)
-    log_a, log_b = (_on_scale(Interval.of(x, x, prec + GUARD_BITS).log(), scale) for x in (a, b))
+    log_a, log_b = (lattice.rational_log(x, prec) for x in (a, b))
     exponents = sorted(
         itertools.product(range(-radius, radius + 1), repeat=V.rank),
         key=lambda e: (max(abs(v) for v in e) if e else 0, e),
@@ -499,7 +570,8 @@ def search_admissible(
                 break
     if len(found) < n:
         return None
-    return AdmissibleCandidate(units=tuple(found[i] for i in range(n)), a=a, b=b)
+    units = UnitGroupData(tuple(found[i] for i in range(n)))
+    return AdmissibleCandidate(LogLattice(units), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +602,21 @@ def _chart_point(x: FieldElement, omitted: int, prec: int) -> tuple[Interval, ..
     denom = _embedding_iv_positive(x, omitted, prec)
     places = (p for p in range(x.field.degree) if p != omitted)
     return tuple(_embedding_iv_positive(x, p, prec) / denom for p in places)
+
+
+def _chart_monomials(units: Sequence[FieldElement], omitted: int, prec: int) -> ExponentTable:
+    """Chart points of the products prod_q u_q^(e_q) by exponent vector e, as
+    interval monomials prod_q (u_q^(p) / u_q^(omitted))^(e_q) over the places
+    p other than the omitted one: _chart_point without the exact product."""
+    steps = []
+    for u in units:
+        ivs = [_embedding_iv_positive(u, p, prec) for p in range(u.field.degree)]
+        others = ivs[:omitted] + ivs[omitted + 1 :]
+        steps.append((tuple(ivs[omitted] / z for z in others),
+                      tuple(z / ivs[omitted] for z in others)))
+    one = Interval.of(1, 1, prec + GUARD_BITS)
+    return ExponentTable(len(steps), (one,) * (units[0].field.degree - 1),
+                         lambda z, i, up: tuple(x * y for x, y in zip(z, steps[i][up])))
 
 
 def _iv_solve(rows, rhs):
@@ -573,9 +660,7 @@ def hull_chart(
     if len(I) != n - 1 or len(omitted) != 1:
         raise DegreeMismatch(f"{I} is not n-1 = {n - 1} distinct places of {n}")
     (j,) = omitted
-    # the products are exact, so only their embeddings wait for a precision
-    powers = UnitPowers(field, [units[q] for q in I])
-    exact = {exp: powers(exp) for exp in _zero_sum_exponents(len(I), window)}
+    exponent_vectors = _zero_sum_exponents(len(I), window)
 
     last_exc: Exception | None = None
     for prec in PREC_SCHEDULE:
@@ -590,7 +675,8 @@ def hull_chart(
             if not all(_iv_sign(ai) == 1 for ai in a_vec):
                 raise PrecisionExhausted("exponents not certified positive")
 
-            points = {exp: _chart_point(x, j, prec) for exp, x in exact.items()}
+            monomials = _chart_monomials([units[q] for q in I], j, prec)
+            points = {exp: monomials(exp) for exp in exponent_vectors}
 
             # every charted point lies on the boundary surface
             for exp, z in points.items():

@@ -266,7 +266,7 @@ def test_criterion_10_admissible_units():
     ok = found
     if found:
         ok = ok and check_admissible_bounds(cand).passed
-        ok = ok and check_admissible(cand.units).passed
+        ok = ok and check_admissible(cand).passed
         import itertools
 
         for I in itertools.combinations(range(3), 2):

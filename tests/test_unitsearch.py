@@ -21,9 +21,20 @@ from conesum.errors import (
     UnitRankMismatch,
     WindowTooSmall,
 )
-from conesum.field import UnitGroupData, UnitPowers, make_field
+from conesum.field import (
+    FieldElement,
+    UnitGroupData,
+    UnitPowers,
+    isolate_real_roots,
+    limit_pair,
+    make_field,
+    min_poly_of,
+    root_indices,
+)
+from conesum.fan import ConditionReport, ValidationReport
 from conesum.unitsearch import (
     GUARD_BITS,
+    PREC_SCHEDULE,
     AdmissibleCandidate,
     Interval,
     LogLattice,
@@ -47,6 +58,12 @@ def cubic_units():
     F = make_field(CUBIC)
     th = F.theta
     return F, UnitGroupData((th * th, (th - F.one) * (th - F.one)))
+
+
+def candidate(units, a=A_BOUND, b=B_BOUND):
+    """The candidate of these units; UnitGroupData checks that they are
+    totally positive units."""
+    return AdmissibleCandidate(LogLattice(UnitGroupData(units)), a, b)
 
 
 def benchmark_bound_pairs():
@@ -82,6 +99,87 @@ def reference_search(V, a, b, radius):
             except PrecisionExhausted:
                 continue
     return tuple(found[i] for i in range(n)) if len(found) == n else None
+
+
+def reference_check_admissible_bounds(cand):
+    """check_admissible_bounds with every unit sent through the exact
+    unit_region_conditions."""
+    conditions = []
+    for idx, eps in enumerate(cand.units):
+        c1, c2, c3, c4 = unit_region_conditions(eps, idx, cand.a, cand.b)
+        conditions += [
+            ConditionReport(f"unit{idx+1}-below-above-one", c1),
+            ConditionReport(f"unit{idx+1}-chain", c2),
+            ConditionReport(f"unit{idx+1}-ratios-within-a", c3, f"a={cand.a}"),
+            ConditionReport(f"unit{idx+1}-ratio-exceeds-b", c4, f"b={cand.b}"),
+        ]
+    return ValidationReport(conditions)
+
+
+def reference_check_admissible(units):
+    """check_admissible from exact root indices and exact ratios, with each
+    independence minor certified from the units' own embedding intervals."""
+    field_ = units[0].field
+    n = field_.degree
+    assignments = [root_indices(eps, range(n)) for eps in units]
+    conditions = [
+        ConditionReport(f"unit{idx+1}-distinct-coordinates", len(set(assignment)) == n)
+        for idx, assignment in enumerate(assignments)
+    ]
+    for idx, (eps, assignment) in enumerate(zip(units, assignments)):
+        mins, maxs = limit_pair(eps, assignment)
+        want = (frozenset({idx + 1}), frozenset({(idx + 1) % n + 1}))
+        conditions.append(ConditionReport(
+            f"unit{idx+1}-limit-pair", (mins, maxs) == want, f"got ({sorted(mins)},{sorted(maxs)})"
+        ))
+    for i, j in itertools.permutations(range(len(units)), 2):
+        ratio = units[i] * units[j].inverse()
+        if ratio == field_.one:
+            conditions.append(ConditionReport(f"ratio-{i+1}-{j+1}-limit-pair", False, "equal units"))
+            continue
+        mins, maxs = limit_pair(ratio)
+        want = (frozenset({i + 1}), frozenset({j + 1}))
+        conditions.append(ConditionReport(
+            f"ratio-{i+1}-{j+1}-limit-pair", (mins, maxs) == want,
+            f"got ({sorted(mins)},{sorted(maxs)})",
+        ))
+    for subset in itertools.combinations(range(len(units)), n - 1):
+        ok = reference_regulator_nonzero([units[i] for i in subset])
+        conditions.append(ConditionReport("independence-" + "".join(str(i + 1) for i in subset), ok))
+    return ValidationReport(conditions)
+
+
+def reference_regulator_nonzero(units):
+    """Whether the minor of the units' logs on the first places, from
+    embedding intervals of width 2^-prec, is certified nonzero at some
+    precision of the schedule."""
+    for prec in PREC_SCHEDULE:
+        try:
+            rows = [[unitsearch._embedding_iv(u, p, prec).log() for p in range(len(units))]
+                    for u in units]
+        except PrecisionExhausted:
+            continue
+        if unitsearch._iv_sign(unitsearch._iv_det(rows)) is not None:
+            return True
+    return False
+
+
+def calls_to(functions, fn, *args):
+    """(fn(*args), the names of the calls made to functions meanwhile);
+    calls are counted by code object, however a function was imported."""
+    codes = {f.__code__ for f in functions}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +280,7 @@ class TestSearch:
 
         u = fundamental_unit_quadratic(3)
         with pytest.raises(DegreeTooSmall):
-            check_admissible((u, u))
+            check_admissible(candidate((u, u)))
 
     @pytest.mark.parametrize("a, b", [(3, 2), (1, 2), (2, 2)])
     def test_bounds_must_satisfy_b_above_a_above_one(self, a, b):
@@ -246,30 +344,63 @@ class TestSearch:
         assert report.passed, report.as_dict()
 
     def test_found_units_are_admissible(self, found_candidate):
-        report = check_admissible(found_candidate.units)
+        report = check_admissible(found_candidate)
         assert report.passed, report.as_dict()
 
-    def test_one_root_isolation_per_unit(self, found_candidate):
-        # each of the three units and each of their six ratios has its
-        # minimal polynomial's roots isolated once; calls are counted by code
-        # object, however the function was imported
-        from conesum.field import isolate_real_roots
+    @pytest.mark.parametrize("radius", [4, 5])
+    def test_certificates_match_the_exact_references(self, radius):
+        # the found sets pass; the same units one place on, and with the
+        # first one squared, fail some conditions
+        _, V = cubic_units()
+        for a, b in benchmark_bound_pairs():
+            found = search_admissible(V, a, b, radius)
+            u = found.units
+            for units in (u, u[1:] + u[:1], (u[0] * u[0],) + u[1:]):
+                cand = candidate(units, a, b)
+                assert (check_admissible_bounds(cand).as_dict()
+                        == reference_check_admissible_bounds(cand).as_dict()), (a, b, units)
+                assert (check_admissible(cand).as_dict()
+                        == reference_check_admissible(units).as_dict()), (a, b, units)
 
-        code = isolate_real_roots.__code__
-        calls = []
+    def test_no_exact_test_on_the_certified_path(self, found_candidate):
+        # the found units' log intervals are disjoint at every place, so no
+        # minimal polynomial, root isolation or inverse is computed
+        cand = candidate(found_candidate.units)
+        exact = (min_poly_of, isolate_real_roots, FieldElement.inverse)
+        report, calls = calls_to(exact, check_admissible, cand)
+        assert report.passed and calls == []
+        report, calls = calls_to((*exact, unit_region_conditions), check_admissible_bounds, cand)
+        assert report.passed and calls == []
 
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code is code:
-                calls.append(frame.f_code.co_name)
+    def test_open_intervals_fall_back_to_the_exact_tests(self, found_candidate, monkeypatch):
+        # a log matrix known only to within 2^200 of its scale at the first
+        # precision leaves every comparison open there, so each unit and
+        # ratio goes to the exact tests; the independence minors are
+        # certified at the next precision of the schedule
+        real_matrix = LogLattice.log_matrix
+        counted = {"unit_region_conditions": [], "limit_pair": []}
 
-        units = found_candidate.units
-        sys.setprofile(profile)
-        try:
-            report = check_admissible(units)
-        finally:
-            sys.setprofile(None)
-        assert report.passed
-        assert len(calls) == len(units) + len(units) * (len(units) - 1)
+        def coarse_matrix(self, prec):
+            exp, M = real_matrix(self, prec)
+            if prec != PREC_SCHEDULE[0]:
+                return exp, M
+            slack = 1 << max(0, 200 - exp)
+            return exp, [[(lo - slack, hi + slack) for lo, hi in row] for row in M]
+
+        def counting(name):
+            real = getattr(unitsearch, name)
+            return lambda *args: counted[name].append(args) or real(*args)
+
+        monkeypatch.setattr(LogLattice, "log_matrix", coarse_matrix)
+        for name in counted:
+            monkeypatch.setattr(unitsearch, name, counting(name))
+        cand = candidate(found_candidate.units)
+        bounds, admissible = check_admissible_bounds(cand), check_admissible(cand)
+        assert bounds.as_dict() == reference_check_admissible_bounds(cand).as_dict()
+        assert admissible.as_dict() == reference_check_admissible(cand.units).as_dict()
+        assert admissible.passed
+        n = len(cand.units)
+        assert [len(counted[k]) for k in counted] == [n, n + n * (n - 1)]
 
     def test_limit_pairs_cycle_through_places(self, found_candidate):
         from conesum.field import limit_pair
@@ -282,28 +413,37 @@ class TestSearch:
 
     def test_rational_unit_has_no_distinct_coordinates(self):
         F, _ = cubic_units()
-        report = check_admissible((F.one, F.one, F.one))
+        report = check_admissible(candidate((F.one, F.one, F.one)))
         names = {c.name: c.passed for c in report.conditions}
         assert not report.passed
         assert not names["unit1-distinct-coordinates"]
         assert names["unit1-limit-pair"] is False  # ({1, 2, 3}, {1, 2, 3})
 
     def test_trivial_units_fail(self):
+        # 1 is a totally positive unit, so the candidate builds, but it is
+        # not below 1 at the first place
         F, _ = cubic_units()
         ones = (F.one, F.one, F.one)
-        with pytest.raises(AssertionError):
-            # 1 is a unit but fails the region conditions; candidate asserts TP
-            cand = AdmissibleCandidate(units=ones, a=A_BOUND, b=B_BOUND)
-            c1, _, _, _ = unit_region_conditions(ones[0], 0, A_BOUND, B_BOUND)
-            assert c1
+        cand = candidate(ones)
+        assert cand.units == ones
+        c1, _, _, _ = unit_region_conditions(ones[0], 0, A_BOUND, B_BOUND)
+        assert c1 is False
+        assert check_admissible_bounds(cand).as_dict() == reference_check_admissible_bounds(
+            cand
+        ).as_dict()
+
+    def test_lattices_of_equal_units_are_equal(self, found_candidate):
+        cand = found_candidate
+        again = candidate(cand.units, cand.a, cand.b)
+        assert again.lattice is not cand.lattice
+        assert again == cand and hash(again) == hash(cand)
+        assert candidate(cand.units[::-1], cand.a, cand.b) != cand
 
     @pytest.mark.parametrize("bad,error", [(2, NotAUnit), (-1, NotTotallyPositive)])
     def test_candidate_units_checked(self, bad, error):
         F, _ = cubic_units()
         with pytest.raises(error):
-            AdmissibleCandidate(
-                units=(F.one, F.from_rational(bad), F.one), a=A_BOUND, b=B_BOUND
-            )
+            candidate((F.one, F.from_rational(bad), F.one))
 
     def test_squared_unit_breaks_ratio_condition(self, found_candidate):
         # squaring one unit doubles its log vector: the ratio bound (a) for
@@ -327,6 +467,25 @@ class TestHullChart:
         # width for every charted point; reaching here means it held
         chart = hull_chart(found_candidate, (0, 1), 3)
         assert len(chart.points) == 7  # exponents (k, -k), |k| <= 3
+
+    @pytest.mark.parametrize("window", [0, 3, 5])
+    def test_monomial_points_meet_the_exact_products(self, found_candidate, window):
+        units = found_candidate.units
+        F = units[0].field
+        for I in itertools.combinations(range(3), 2):
+            chart = hull_chart(found_candidate, I, window)
+            powers = UnitPowers(F, [units[q] for q in I])
+            for exp, z in chart.points.items():
+                exact = unitsearch._chart_point(powers(exp), chart.omitted, chart.prec)
+                for zi, ei in zip(z, exact):
+                    (lo, hi), (elo, ehi) = zi.endpoints(), ei.endpoints()
+                    assert lo <= ehi and elo <= hi, (I, exp)
+
+    def test_no_exact_product(self, found_candidate, monkeypatch):
+        monkeypatch.setattr(unitsearch, "_chart_cache", {})  # chart afresh
+        exact = (FieldElement.__mul__, FieldElement.inverse, UnitPowers.__init__)
+        chart, calls = calls_to(exact, hull_chart, found_candidate, (1, 2), 3)
+        assert len(chart.points) == 7 and calls == []
 
     def test_omitted_index_is_complement(self, found_candidate):
         chart = hull_chart(found_candidate, (0, 2), 3)
