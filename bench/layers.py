@@ -159,9 +159,9 @@ def cubic_fan():
 
 
 def fan_summation_cases() -> dict:
-    """The star grouping of a point on a fan ray over a new window-6
-    truncation of the shipped Q(sqrt 3) fan (its top cones built once) and
-    the partial sum at that point over one such truncation built once, the
+    """The star grouping of a point on a fan ray over one window-6
+    truncation of the shipped Q(sqrt 3) fan, built once and grouped again on
+    every call, and the partial sum at that point over the same truncation, the
     primal value of a pair of points of the shipped module, the cocycle
     value at that ray point of the dual star cycle around it, the value of
     the star around it and of the star of six tops around a ray of window 1
@@ -172,7 +172,7 @@ def fan_summation_cases() -> dict:
     window-4 truncation and of the window-5 truncation of the Q(sqrt 3)
     fan (both truncations built once)."""
     from conesum import config, cycles, summation
-    from conesum.fan import TruncatedFan, build_quadratic_fan, refine_insert_ray, truncate
+    from conesum.fan import build_quadratic_fan, refine_insert_ray, truncate
     from conesum.geometry import ProjPolyhedron
 
     cfg = config.load_config(str(ROOT / "configs/sqrt3.json"))
@@ -183,9 +183,8 @@ def fan_summation_cases() -> dict:
                    "units": [["170", "39"]]},
         "fan": {"type": "quadratic-auto"},
     }).fan
-    tops = truncate(desc, 6).top_cones
-    x0 = tops[3].extreme_rays[0] * 3
-    w6 = TruncatedFan(desc, tops, 6)
+    w6 = truncate(desc, 6)
+    x0 = w6.top_cones[3].extreme_rays[0] * 3
     pair = [F.element([1, Fraction(-1, 3)]), F.element([1, Fraction(1, 3)])]
     point = F.element([4, Fraction(1, 3)])
     w4, w5 = truncate(sqrt19, 4), truncate(desc, 5)
@@ -202,7 +201,7 @@ def fan_summation_cases() -> dict:
     def read_star(tf, group, x):
         """The frame of the truncation and the star's (carrier, columns,
         form) triples."""
-        frame = summation.LatticeFrame(tf.module_basis)
+        frame = summation.LatticeFrame(tf.description.module_basis)
         Y, _ = frame.coordinates(x)
         tops = [frame.oriented(t) for t in group.cones]
         return [(summation.carrier(cols, form, Y), cols, form) for cols, form in tops], frame
@@ -210,9 +209,7 @@ def fan_summation_cases() -> dict:
     star_tops, frame = read_star(w6, star, x0)
     cubic_tops, cubic_frame = read_star(cubic_w1, cubic_star, cubic_x0)
     return {
-        "fan.group_singular_terms.sqrt3.w6": lambda: TruncatedFan(
-            desc, tops, 6
-        ).group_singular_terms(x0),
+        "fan.group_singular_terms.sqrt3.w6": lambda: w6.group_singular_terms(x0),
         "summation.partial_sum.sqrt3.w6.ray": lambda: summation.partial_sum(w6, x0),
         "summation.cocycle_value.sqrt3": lambda: summation.cocycle_value(pair, point),
         "summation.evaluate_cycle.sqrt3.star": lambda: summation.evaluate_cycle(star_cycle, x0),

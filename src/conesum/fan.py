@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
+from functools import cached_property
 
 from .errors import (
     NegativeIndex,
@@ -158,50 +159,49 @@ class FanDescription(FrozenRecord):
 
 
 class TruncatedFan:
-    """Finite face-closed window of a fan."""
+    """Finite face-closed window of a fan: the translates u^e t_r of its
+    orbit representatives t_r, as (exponent vector e, representative index
+    r) pairs in top order.  The top cones are built when first read."""
 
-    def __init__(
-        self,
-        description: FanDescription,
-        top_cones: Sequence[Cone],
-        window: int,
-        labels: dict | None = None,
-    ):
+    def __init__(self, description: FanDescription, pairs: Sequence[tuple], window: int):
         self.description = description
         self.field = description.field
-        self.top_cones = tuple(top_cones)
+        self.pairs = tuple(pairs)
         self.window = window
-        self.labels = labels or {}
 
-    @property
-    def module_basis(self):
-        return self.description.module_basis
+    @cached_property
+    def top_cones(self) -> tuple[Cone, ...]:
+        powers = UnitPowers(self.field, self.description.units)
+        reps = self.description.orbit_cones
+        return tuple(reps[r].mul_unit(powers(e)) for e, r in self.pairs)
+
+    @cached_property
+    def labels(self) -> dict:
+        """On a quadratic fan, e*len(reps) + r by the key of each top u^e t_r
+        (the vertex index k of A_k A_{k+1} only on an unrefined fan)."""
+        if self.description.kind != "quadratic-auto":
+            return {}
+        m = len(self.description.orbit_cones)
+        return {t.key(): e * m + r for t, ((e,), r) in zip(self.top_cones, self.pairs)}
 
     def group_singular_terms(self, x0: FieldElement) -> list["TermGroup"]:
         """The top cones in the stars of summation.star_groups, one per
         singular cone of x0 and in its order, then the regular tops as
         singletons in top order.  ZeroInput for x0 = 0, NotSimplicial for a
-        top that is not a full-dimensional simplicial cone."""
-        from .summation import LatticeFrame, carrier, star_groups  # summation imports fan
+        representative that is not a full-dimensional simplicial cone."""
+        from .summation import WindowSum, star_groups  # summation imports fan
 
         if x0.is_zero():
             raise ZeroInput("the zero point lies on every face")
-        frame = LatticeFrame(self.module_basis)
-        Y, _ = frame.coordinates(x0)
-        singular, tops, singletons = [], {}, []
-        for t in self.top_cones:
-            cols, form = frame.oriented(t)
-            sigma = carrier(cols, form, Y)
-            if len(sigma) < len(cols):
-                singular.append((sigma, cols, form))
-                tops[tuple(cols)] = t
-            else:
-                singletons.append(TermGroup(sigma=None, cones=(t,)))
+        terms = WindowSum(self.description, x0)
+        tops = dict(zip(self.pairs, self.top_cones))
+        found = zip(terms.add(self.pairs), terms.singular)
+        singular = {tuple(cols): tops.pop(pair) for pair, (_, cols, _) in found}
         return [
             TermGroup(sigma=Cone._canonical(self.field, tuple(map(self.field.element, keys))),
-                      cones=tuple(tops[tuple(cols)] for cols, _ in members))
-            for keys, members in star_groups(singular, frame)
-        ] + singletons
+                      cones=tuple(singular[tuple(cols)] for cols, _ in members))
+            for keys, members in star_groups(terms.singular, terms.frame)
+        ] + [TermGroup(sigma=None, cones=(t,)) for t in tops.values()]
 
 
 class TermGroup(FrozenRecord):
@@ -230,26 +230,19 @@ def window_exponents(description: FanDescription, window: int) -> list[tuple[int
 
 
 def truncate(description: FanDescription, window: int) -> TruncatedFan:
-    """The translates of the orbit representatives by the unit powers of
-    window_exponents, closed under faces.  A quadratic top u^e t_r is
-    labelled e*len(reps) + r (the vertex index k of A_k A_{k+1} only on an
-    unrefined fan) and the tops run in label order; explicit tops are
-    deduplicated and run in Fraction-key order."""
-    quadratic = description.kind == "quadratic-auto"
-    reps = description.orbit_cones
-    powers = UnitPowers(description.field, description.units)
-    seen: dict[frozenset, Cone] = {}
-    labels = {}
-    for exponents in window_exponents(description, window):
-        translator = powers(exponents)
-        for r, rep in enumerate(reps):
-            c = rep.mul_unit(translator)
-            if seen.setdefault(c.key(), c) is c and quadratic:
-                labels[c.key()] = exponents[0] * len(reps) + r
-    tops = list(seen.values())
-    if not quadratic:
-        tops.sort(key=lambda c: sorted(c.key()))
-    return TruncatedFan(description, tops, window, labels)
+    """The translates u^e t_r of the orbit representatives by the unit
+    powers of window_exponents, closed under faces, as (e, r) pairs: in (e,
+    r) order on a quadratic fan; on an explicit fan each translate once, by
+    its primitive module columns, in the order of its sorted ray keys."""
+    from .summation import LatticeFrame, new_pairs  # summation imports fan
+
+    exponents, reps = window_exponents(description, window), description.orbit_cones
+    if description.kind == "quadratic-auto":
+        return TruncatedFan(description, new_pairs(description, exponents, {}, None), window)
+    frame = LatticeFrame(description.module_basis, description.units)
+    seen: dict[frozenset, tuple] = {}
+    new_pairs(description, exponents, seen, [frame.moved(frame.columns(t)) for t in reps])
+    return TruncatedFan(description, [seen[k] for k in sorted(seen, key=frame.ray_keys)], window)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +394,6 @@ def refine_insert_ray(tf: TruncatedFan, ray: FieldElement) -> TruncatedFan:
     desc = tf.description
     if desc.kind != "quadratic-auto":
         raise UnsupportedFanKind("ray insertion is supported on quadratic fans")
-    host = tf.top_cones[_strict_host(tf.top_cones, ray)]
-    e = tf.labels[host.key()] // len(desc.orbit_cones)
+    (e,), _ = tf.pairs[_strict_host(tf.top_cones, ray)]
     moved = ray * UnitPowers(tf.field, desc.units)((-e,))
     return truncate(refine(desc, moved), tf.window)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .cycles import CPDFunction, Cycle, boundary_cycle, cpd_extend, dual_cycle, orthogonal_point
@@ -139,7 +140,7 @@ class TermForm:
         (primal)."""
         prod = 1
         for row in self.rows:
-            p = sum(w * v for w, v in zip(row, num))
+            p = _dot(row, num)
             if p == 0:
                 return None
             prod *= p
@@ -209,14 +210,20 @@ class LatticeFrame:
     def point(self, y: Sequence[int]) -> FieldElement:
         return sum((b * c for b, c in zip(self.basis, y)), self.field.zero)
 
+    def columns(self, t: Cone) -> list[tuple[int, ...]]:
+        """Primitive module vectors of a cone's rays, its generators if degree-many."""
+        rays = t.generators if len(t.generators) == self.field.degree else t.extreme_rays
+        return [_primitive(linalg.mat_vec(self._rows, g.num)) for g in rays]
+
+    def ray_keys(self, cols: Sequence[Sequence[int]]) -> tuple:
+        """The sorted ray keys of the points B c of the columns c."""
+        return tuple(sorted(self.point(c).ray_key() for c in cols))
+
     def oriented(self, t: Cone) -> tuple[list[tuple[int, ...]], TermForm]:
         """The primitive module vectors C of a simplicial top cone's rays,
         positively ordered (sign det C = sign det B), and its TermForm on
-        module coordinates, row i paired with column i.  Degree-many
-        independent generators are its rays, so no span is reduced then."""
-        n = self.field.degree
-        rays = t.generators if len(t.generators) == n else t.extreme_rays
-        cols = [_primitive(linalg.mat_vec(self._rows, g.num)) for g in rays]
+        module coordinates, row i paired with column i."""
+        cols = self.columns(t)
         try:
             form = TermForm.in_basis(cols, self.det, self.field)
         except (DegreeMismatch, DependentTuple):
@@ -300,7 +307,7 @@ def carrier(cols: Sequence[tuple[int, ...]], form: TermForm, Y: Sequence[int]) -
 
 
 def _dot(row: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(row, v))
+    return sum(map(mul, row, v))
 
 
 def star_groups(singular, frame: LatticeFrame) -> list[tuple[tuple, list]]:
@@ -310,9 +317,7 @@ def star_groups(singular, frame: LatticeFrame) -> list[tuple[tuple, list]]:
     members by the sorted ray keys of their rays.  Two singular faces of a
     top both contain its carrier, so by minimality a top lies in one star
     only."""
-    def keys(cols):
-        return tuple(sorted(frame.point(c).ray_key() for c in cols))
-
+    keys = frame.ray_keys
     return sorted(((keys(sigma), sorted(tops, key=lambda top: keys(top[0])))
                    for sigma, tops in _by_carrier(singular)),
                   key=lambda star: (len(star[0]), star[0]))
@@ -415,21 +420,67 @@ def star_constant_term(forms, Y: Sequence[int], d: int, V: Sequence[int]) -> Fra
     return Fraction(num[m] * d ** len(Y), den)
 
 
+class WindowSum:
+    """The terms at x0 of a fan's translates u^e t_r, as (exponent vector e,
+    representative index r) pairs: partial_sum adds its truncation's pairs,
+    and row N of converge the pairs that window N adds, so row N equals
+    partial_sum(truncate(description, N), x0).  The term of u t is h*(t)(u^-1
+    x0) / |N(u)| (degree zero in each generator), so one TermForm per
+    representative serves every translate, on u^-e x0 and the translated
+    columns walked in integer module coordinates; totally positive units keep
+    the columns positively ordered.  Only a singular top, whose form
+    vanishes at x0, gets a TermForm of its own, for its star."""
+
+    def __init__(self, description: FanDescription, x0: FieldElement):
+        self.frame = LatticeFrame(description.module_basis, description.units)
+        self.forms = [self.frame.oriented(rep) for rep in description.orbit_cones]
+        self.moves = [self.frame.moved(cols) for cols, _ in self.forms]
+        self.points = self.frame.walk(x0)
+        self.norms = [norm for _, _, norm in self.frame.units]
+        self.regular = Fraction(0)  # the non-singular terms, as c with value c/sqrt(D)
+        self.singular: list[tuple[tuple, list, TermForm]] = []
+
+    def add(self, pairs) -> list[tuple[tuple[int, ...], int]]:
+        """Adds the pairs' terms, walking u^-e x0 once per run of equal e, and
+        returns the singular pairs in the order of self.singular."""
+        found, last = [], None
+        for e, r in pairs:
+            if e != last:
+                (Y, d), last = self.points(e), e
+                norm = math.prod(Fraction(u) ** a for u, a in zip(self.norms, e) if u != 1)
+            form = self.forms[r][1]
+            q = form.coefficient(Y, d)
+            if q is None:  # u^e t at x0 is t at u^-e x0, so its carrier pairs with Y
+                cols = [_primitive(c) for c in self.moves[r](e)]
+                self.singular.append((carrier(cols, form, Y), cols,
+                                      TermForm.in_basis(cols, self.frame.det, self.frame.field)))
+                found.append((e, r))
+            else:
+                self.regular += q if norm == 1 else q / norm
+        return found
+
+
+def new_pairs(description: FanDescription, exponents, seen: dict, moves) -> list:
+    """The pairs (e, r) over the exponent vectors e and representatives r; on
+    an explicit fan the first of each translate, keyed by its primitive
+    moved columns, that seen lacks, and seen gains it."""
+    pairs = [(e, r) for e in exponents for r in range(len(description.orbit_cones))]
+    if description.kind == "quadratic-auto":
+        return pairs
+    known = len(seen)
+    for e, r in pairs:
+        seen.setdefault(frozenset(map(_primitive, moves[r](e))), (e, r))
+    return list(seen.values())[known:]
+
+
 def partial_sum(tf: TruncatedFan, x0: FieldElement) -> ConvergenceRow:
     """Exact sum of the regular terms and the stars of the truncation at x0."""
     if not is_totally_positive(x0):
         raise NotTotallyPositive("partial sums are evaluated at totally positive x0")
-    frame = LatticeFrame(tf.module_basis)
-    Y, d = frame.coordinates(x0)
-    regular, singular = Fraction(0), []
-    for t in tf.top_cones:
-        cols, form = frame.oriented(t)
-        q = form.coefficient(Y, d)
-        if q is None:
-            singular.append((carrier(cols, form, Y), cols, form))
-        else:
-            regular += q
-    total = ScaledRational(regular, -1, x0.field.disc_abs) + stars_value(singular, frame, x0)
+    terms = WindowSum(tf.description, x0)
+    terms.add(sorted(tf.pairs))
+    total = (ScaledRational(terms.regular, -1, x0.field.disc_abs)
+             + stars_value(terms.singular, terms.frame, x0))
     return _row(tf.window, total, 1 / x0.norm())
 
 
@@ -558,63 +609,23 @@ def converge(
     tol: float,
 ) -> list[ConvergenceRow]:
     """Exact partial sums over growing windows, stopping early once the
-    absolute error against 1/N(x0) drops below tol.
-
-    Row N equals partial_sum(truncate(description, N), x0), but each window
-    only adds the terms of the translates by the window_exponents that the
-    windows before it lack.  The fan is periodic: a translate u*t of an
-    orbit representative t has the term h*(u t)(x0) = h*(t)(u^-1 x0) /
-    |N(u)|, since the value is homogeneous of degree zero in each
-    generator.  So one TermForm per representative, on integer coordinates
-    of the module, serves every translate.  The coordinates of u^-e x0, and
-    the translated rays that explicit fans dedupe and singular tops are
-    grouped by, are walked by one integer matrix-vector product per vector
-    and new exponent vector; totally positive units keep the columns
-    positively ordered.  The top cones whose form vanishes at x0 are the
-    only ones in star groups (a star of a singular cone holds singular tops
-    only), so the stars are valued again whenever that set grows.
-    """
+    absolute error against 1/N(x0) drops below tol: one WindowSum, whose
+    stars are valued again when a singular top joins them."""
     if not is_totally_positive(x0):
         raise NotTotallyPositive("partial sums are evaluated at totally positive x0")
-    frame = LatticeFrame(description.module_basis, description.units)
-    forms = [frame.oriented(rep) for rep in description.orbit_cones]
-    moves = [frame.moved(cols) for cols, _ in forms]
-    points = frame.walk(x0)
-    norms = [norm for _, _, norm in frame.units]
-    dedupe = description.kind == "explicit"  # quadratic cones never repeat
-    seen: set[frozenset] = set()
-    regular = Fraction(0)  # the non-singular terms, as c with value c/sqrt(D)
-    singular: list[tuple[tuple, list, TermForm]] = []
-    star = ScaledRational.rational(0, x0.field.disc_abs)
+    terms = WindowSum(description, x0)
+    seen: dict[frozenset, tuple] = {}
+    disc = x0.field.disc_abs
+    star = ScaledRational.rational(0, disc)
     target = 1 / x0.norm()
     walked: set[tuple[int, ...]] = set()
     rows = []
     for window in range(1, n_max + 1):
-        grew = False
-        for exponents in window_exponents(description, window):
-            if exponents in walked:
-                continue
-            walked.add(exponents)
-            Y, d = points(exponents)
-            norm = math.prod(Fraction(u) ** a for u, a in zip(norms, exponents) if u != 1)
-            for (_, form), moved in zip(forms, moves):
-                if dedupe:  # the primitive module vectors of the translated rays
-                    key = frozenset(map(_primitive, moved(exponents)))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                q = form.coefficient(Y, d)
-                if q is None:  # u^e t at x0 is t at u^-e x0, so its carrier pairs with Y
-                    cols = [_primitive(c) for c in moved(exponents)]
-                    singular.append((carrier(cols, form, Y), cols,
-                                     TermForm.in_basis(cols, frame.det, frame.field)))
-                    grew = True
-                else:
-                    regular += q if norm == 1 else q / norm
-        if grew:
-            star = stars_value(singular, frame, x0)
-        total = ScaledRational(regular, -1, x0.field.disc_abs) + star
-        rows.append(_row(window, total, target))
+        exponents = [e for e in window_exponents(description, window) if e not in walked]
+        walked.update(exponents)
+        if terms.add(new_pairs(description, exponents, seen, terms.moves)):
+            star = stars_value(terms.singular, terms.frame, x0)
+        rows.append(_row(window, ScaledRational(terms.regular, -1, disc) + star, target))
         if rows[-1].abs_error < tol:
             break
     return rows

@@ -12,9 +12,10 @@ tests.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import (
     DegreeMismatch,
@@ -283,15 +284,11 @@ def _on_scale(iv: Interval, exp: int) -> tuple[int, int]:
 
 
 def _iv_det(rows) -> Interval:
-    n = len(rows)
-    if n == 1:
+    """Cofactor expansion; Interval sums start from their first term, not 0."""
+    if len(rows) == 1:
         return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _iv_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    terms = [rows[0][j] * _iv_det([r[:j] + r[j + 1 :] for r in rows[1:]]) for j in range(len(rows))]
+    return reduce(operator.add, (-t if j % 2 else t for j, t in enumerate(terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +704,7 @@ def hull_chart(
 
 def _log_form(a_vec, z) -> Interval:
     """sum a_i log z_i, the boundary surface's defining form."""
-    return sum(ai * zi.log() for ai, zi in zip(a_vec, z))
+    return reduce(operator.add, (ai * zi.log() for ai, zi in zip(a_vec, z)))
 
 
 def _exponent_ivs(chart: HullChart) -> list[Interval]:
@@ -737,7 +734,7 @@ def verify_vertices(chart: HullChart) -> bool:
             if other == key:
                 continue
             Q = pts[other]
-            s = _iv_sign(sum(g * (qi - pi) for g, qi, pi in zip(grad, Q, P)))
+            s = _iv_sign(reduce(operator.add, (g * (qi - pi) for g, qi, pi in zip(grad, Q, P))))
             if s is None:
                 raise PrecisionExhausted(
                     f"cannot certify separation of {key} from {other}"

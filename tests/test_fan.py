@@ -14,6 +14,7 @@ from conesum.errors import (
     ZeroInput,
 )
 from conesum.field import (
+    UnitPowers,
     det_scaled,
     fundamental_unit_quadratic,
     make_field,
@@ -26,6 +27,7 @@ from conesum.fan import (
     refine_insert_ray,
     truncate,
     validate_good_fan,
+    window_exponents,
 )
 from conesum.geometry import Cone, solve_in_basis
 from conesum.summation import converge, partial_sum
@@ -329,6 +331,68 @@ class TestTruncate:
         assert auto_keys <= expl_keys  # explicit window translates both reps
 
 
+def reference_truncate(description, window):
+    """The truncation as Cones: each translate u^e t_r built by mul_unit in
+    (e, r) order, the first of each Cone key kept, explicit tops sorted by
+    their Fraction ray keys, and quadratic tops labelled e*len(reps) + r;
+    as (tops, labels)."""
+    quadratic = description.kind == "quadratic-auto"
+    reps = description.orbit_cones
+    powers = UnitPowers(description.field, description.units)
+    seen, labels = {}, {}
+    for exponents in window_exponents(description, window):
+        for r, rep in enumerate(reps):
+            c = rep.mul_unit(powers(exponents))
+            if seen.setdefault(c.key(), c) is c and quadratic:
+                labels[c.key()] = exponents[0] * len(reps) + r
+    tops = list(seen.values())
+    if not quadratic:
+        tops.sort(key=lambda c: sorted(c.key()))
+    return tops, labels
+
+
+def _explicit_sqrt3(kind):
+    """The Q(sqrt 3) fan as explicit representatives over eps; redundant:
+    one representative repeated by a translate, over 2*eps (norm 4), which
+    moves cones as eps does; doubled-unit: the representatives over 2*eps."""
+    F, M, eps = sqrt3_setup()
+    _, vs = build_quadratic_fan(M, eps)
+    reps = tuple(Cone(F, [vs.point(k), vs.point(k + 1)]) for k in range(vs.period))
+    if kind == "explicit-redundant":
+        reps += (reps[0].mul_unit(vs.unit),)
+    unit = vs.unit if kind == "explicit" else vs.unit * 2
+    return FanDescription(kind="explicit", module_basis=M, units=(unit,), orbit_cones=reps)
+
+
+TRUNCATION_FANS = {
+    **{setup.__name__[:-6]: lambda setup=setup: build_quadratic_fan(*setup()[1:])[0]
+       for setup in FIVE_FIELDS},
+    **{kind: lambda kind=kind: _explicit_sqrt3(kind)
+       for kind in ("explicit", "explicit-redundant", "doubled-unit")},
+    "cubic": lambda: colmez_cubic_fan(),
+}
+
+
+class TestTruncationReference:
+    @pytest.mark.parametrize("fan", sorted(TRUNCATION_FANS))
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    def test_matches_the_cone_truncation(self, fan, window):
+        desc = TRUNCATION_FANS[fan]()
+        tf = truncate(desc, window)
+        tops, labels = reference_truncate(desc, window)
+        assert [t.generators for t in tf.top_cones] == [c.generators for c in tops]
+        assert tf.labels == labels
+        assert bool(labels) == (desc.kind == "quadratic-auto")
+
+    def test_non_simplicial_representative_truncates(self):
+        tf = _square_fan()
+        (top,) = tf.top_cones
+        assert len(top.extreme_rays) == 4
+        assert [t.generators for t in tf.top_cones] == [
+            c.generators for c in reference_truncate(tf.description, 0)[0]
+        ]
+
+
 class TestValidation:
     def test_auto_fan_passes(self):
         for setup in (sqrt3_setup, sqrt2_setup, sqrt5_setup):
@@ -427,7 +491,7 @@ class TestFaceLattice:
         else:
             desc = colmez_cubic_fan()
         # reversed top cones: no answer may follow the order they come in
-        tf = TruncatedFan(desc, truncate(desc, window).top_cones[::-1], window)
+        tf = TruncatedFan(desc, truncate(desc, window).pairs[::-1], window)
         F, n = tf.field, tf.field.degree
         t = tf.top_cones[0]
         rays = t.extreme_rays
@@ -523,13 +587,14 @@ class TestGroupingByCarrier:
     )
     def test_matches_claim_loop(self, fan, window):
         desc = colmez_cubic_fan() if fan == "cubic" else build_quadratic_fan(*fan()[1:])[0]
-        tops = truncate(desc, window).top_cones
+        tf = truncate(desc, window)
+        tops, pairs = tf.top_cones, tf.pairs
         F = desc.field
         points = [F.element([5, 1, 1][: F.degree])]
         for t in (tops[0], tops[len(tops) // 2], tops[-1]):
             rays = t.extreme_rays
             points += [g * 3 for g in rays] + [rays[0] + rays[1] * 2, t.interior_point()]
-        for order in (tops, tops[::-1]):
+        for order in (pairs, pairs[::-1]):
             for x0 in points:
                 tf = TruncatedFan(desc, order, window)
                 groups = tf.group_singular_terms(x0)

@@ -360,15 +360,15 @@ class TestConeTerm:
         tf = truncate(desc, 1)
         x0 = F.element([4, 1])
         t = tf.top_cones[0]
-        term = cone_term(t, tf.module_basis, x0)
+        term = cone_term(t, desc.module_basis, x0)
         reversed_cone = Cone(F, list(reversed(t.generators)))
-        term2 = cone_term(reversed_cone, tf.module_basis, x0)
+        term2 = cone_term(reversed_cone, desc.module_basis, x0)
         assert term.value == term2.value
 
     def test_value_exponent_is_inverse_sqrt(self):
         F, desc, vs = sqrt3_fan()
         tf = truncate(desc, 1)
-        term = cone_term(tf.top_cones[0], tf.module_basis, F.element([4, 1]))
+        term = cone_term(tf.top_cones[0], desc.module_basis, F.element([4, 1]))
         assert term.value.e == -1
 
     def test_facet_span_evaluation_is_singular(self):
@@ -377,7 +377,7 @@ class TestConeTerm:
         t = tf.top_cones[2]
         x0 = t.extreme_rays[0] * 5  # on a facet span of t
         with pytest.raises(SingularAtX0):
-            cone_term(t, tf.module_basis, x0)
+            cone_term(t, desc.module_basis, x0)
 
     def test_non_simplicial_cone_rejected(self):
         F, desc, vs = sqrt3_fan()
@@ -398,10 +398,10 @@ class TestConeTerm:
         while done < 20:
             x = rand_elem(F, rng, span=7)
             try:
-                whole = cone_term(t, tf.module_basis, x).value
+                whole = cone_term(t, desc.module_basis, x).value
                 parts = (
-                    cone_term(t1, tf.module_basis, x).value
-                    + cone_term(t2, tf.module_basis, x).value
+                    cone_term(t1, desc.module_basis, x).value
+                    + cone_term(t2, desc.module_basis, x).value
                 )
             except SingularAtX0:
                 continue
@@ -454,7 +454,7 @@ class TestDualCycleBridge:
         tf = truncate(desc, 1)
         x0 = F.element([4, 1])
         t = tf.top_cones[0]
-        assert sum_via_dual_cycle([t], x0) == cone_term(t, tf.module_basis, x0).value
+        assert sum_via_dual_cycle([t], x0) == cone_term(t, desc.module_basis, x0).value
 
     def test_twenty_convex_windows(self):
         checked = 0
@@ -469,7 +469,7 @@ class TestDualCycleBridge:
                 cones = [by_label[k] for k in range(lo * m, hi * m)]
                 direct = ScaledRational.rational(0, F.disc_abs)
                 for t in cones:
-                    direct = direct + cone_term(t, all_tf.module_basis, x0).value
+                    direct = direct + cone_term(t, desc.module_basis, x0).value
                 bridged = sum_via_dual_cycle(cones, x0)
                 assert bridged == direct
                 checked += 1
@@ -1204,7 +1204,7 @@ class TestStarFromDualSimplices:
         stars = [g for g in tf.group_singular_terms(x0) if not g.is_singleton]
         cycles = star_cycles(tf, x0)
         assert len(stars) == len(cycles) > 0
-        frame = summation.LatticeFrame(tf.module_basis)
+        frame = summation.LatticeFrame(tf.description.module_basis)
         Y, _ = frame.coordinates(x0)
 
         def value(group, x):
@@ -1222,7 +1222,7 @@ def laurent_stars(tf, x0):
     """x0's module coordinates (Y, d) and, for each star group at x0, its
     tops' oriented TermForms, their rows that vanish at x0, and its star
     cycle."""
-    frame = summation.LatticeFrame(tf.module_basis)
+    frame = summation.LatticeFrame(tf.description.module_basis)
     Y, d = frame.coordinates(x0)
     stars = []
     for g in tf.group_singular_terms(x0):
@@ -1383,7 +1383,7 @@ class TestOneSingularPath:
         for name in sorted(STAR_FANS):
             for window in (1, 2):
                 _, tf, _ = star_window(name, window)
-                frame = summation.LatticeFrame(tf.module_basis)
+                frame = summation.LatticeFrame(tf.description.module_basis)
                 for t in tf.top_cones:
                     cols, form = frame.oriented(t)
                     for i, row in enumerate(form.rows):
@@ -1432,9 +1432,9 @@ class TestOneSingularPath:
         assert calls == ["orthogonal_point"]
 
     def test_one_adjugate_per_singular_top(self, monkeypatch):
-        # partial_sum reuses each top's form; converge builds a singular
-        # translate's form once, besides one per representative and unit;
-        # and each reads the module frame's coordinate rows once
+        # partial_sum and converge build a singular translate's form once,
+        # besides one per representative and unit, and each reads the
+        # module frame's coordinate rows once
         F, desc, _ = sqrt3_fan()
         tf = truncate(desc, 6)
         x0 = tf.top_cones[3].extreme_rays[0] * 3
@@ -1443,14 +1443,33 @@ class TestOneSingularPath:
         wall = cubic.field.element([0, 1, 2])
         singular = sum(len(g.cones) for g in truncate(cubic, 5).group_singular_terms(wall)
                        if not g.is_singleton)
+        starred = sum(len(g.cones) for g in tf.group_singular_terms(x0) if not g.is_singleton)
         calls = []
         count_calls(monkeypatch, calls, [(linalg, "adjugate")])
         partial_sum(tf, x0)
-        assert len(calls) == 1 + len(tf.top_cones) == 25
+        assert len(calls) == 1 + len(desc.units) + len(desc.orbit_cones) + starred == 6
         calls.clear()
         assert len(converge(cubic, wall, 5, 0.0)) == 5
         assert singular == 6
         assert len(calls) == 1 + len(cubic.units) + len(cubic.orbit_cones) + singular
+
+    @pytest.mark.parametrize("name", ["sqrt3", "sqrt13", "cubic"])
+    def test_window_sum_builds_no_cone(self, name, monkeypatch):
+        # truncate lists pairs and partial_sum walks them: no Cone, and no
+        # adjugate per top; an explicit truncation reads the module frame
+        # and the units once to dedupe its translates
+        F, desc, vs = STAR_FANS[name]()
+        x0 = finite_ray_point(F, vs)
+        starred = sum(len(g.cones) for g in truncate(desc, 2).group_singular_terms(x0)
+                      if not g.is_singleton)
+        assert starred
+        calls = count_builds(monkeypatch, (Cone,))
+        count_calls(monkeypatch, calls, [(linalg, "adjugate")])
+        tf = truncate(desc, 2)
+        assert calls == ["adjugate"] * (0 if vs else 1 + len(desc.units))
+        calls.clear()
+        partial_sum(tf, x0)
+        assert calls == ["adjugate"] * (1 + len(desc.units) + len(desc.orbit_cones) + starred)
 
     def test_first_open_star_names_the_error(self):
         # where two stars are open, the first in the claim loop's order names

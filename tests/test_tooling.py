@@ -1,8 +1,9 @@
 """Checks on the program as a tool: the names the traced benchmark run
-wraps must still resolve (a deletion would break it silently), output may
-not depend on ``python -O``, importing it stays free of sympy, field
-construction and ``converge`` stay free of numpy, the library never
-loads mpmath, and importing the CLI loads none of
+wraps must still resolve (a deletion would break it silently), its count
+of truncated cones reads the top cones that a truncation builds when
+first read, output may not depend on ``python -O``, importing it stays
+free of sympy, field construction and ``converge`` stay free of numpy,
+the library never loads mpmath, and importing the CLI loads none of
 ``dataclasses`` (with ``inspect``), ``argparse`` and ``typing``."""
 
 import importlib
@@ -128,3 +129,33 @@ def test_traced_lvalue_run_counts_certified_points():
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "True"
+
+
+def test_traced_lemma1_counts_the_truncated_cones():
+    # the traced benchmark run reads len(result.top_cones) on return of
+    # fan.truncate, and a truncation builds its top cones when first read:
+    # the count is the top cones of the truncations the suite made, two
+    # windows and their refinements
+    probe = _python(
+        "-c",
+        "import sys\n"
+        "sys.path.insert(0, 'perfbench')\n"
+        "import layertrace\n"
+        "from conesum import arith, cli, config, cycles, fan, field, geometry\n"
+        "from conesum import linalg, summation, unitsearch\n"
+        "made = []\n"
+        "def recorded(*args, _truncate=fan.truncate):\n"
+        "    made.append(_truncate(*args))\n"
+        "    return made[-1]\n"
+        "fan.truncate = cli.truncate = recorded\n"
+        "cfg = config.load_config('configs/sqrt3.json')\n"
+        "tracer = layertrace.Tracer()\n"
+        "tracer.install()\n"
+        "results = cli.suite_lemma1(cfg)\n"
+        "tracer.uninstall()\n"
+        "c = tracer.summary()['counters']\n"
+        "cones = sum(len(tf.top_cones) for tf in made)\n"
+        "print(len(made), all(r['pass'] for r in results), c['fan.cones_truncated'] == cones > 0)\n",
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "4 True True"
