@@ -13,8 +13,8 @@ output file; the runs already there are kept, and when both ``parent`` and
 ``change`` are present, ``ratio`` holds change / parent per case.
 
 The commands are timed as a fresh process would run them after set-up: the
-field cache and the hull-chart cache are emptied and the configuration is
-loaded again before every call, and only the command itself is timed; two
+field cache is emptied and the configuration is loaded again before every
+call, and only the command itself is timed; two
 of the converge commands are ops of the benchmark's ``converge`` workload, and
 one runs the shipped Q(sqrt 3) config at the edge-ray point 2 + sqrt 3, where
 ``converge`` finds the open star's pole and raises ``SingularAtX0`` naming a
@@ -263,10 +263,9 @@ def converge_cases() -> dict:
 def unitsearch_cases() -> dict:
     """The admissible-unit search on the cubic field at the shipped a, b and
     radius (each call builds its own ``UnitPowers``), the bound and the
-    limit-pair checks of the units it finds (each call with the candidate's
-    log matrices emptied, as a new command finds them), the hull chart and
-    its vertex certificate at window 3
-    with the chart cache emptied, the relative-width embedding intervals of
+    limit-pair checks of the units it finds and the hull chart and its vertex
+    certificate at window 3 (each call on a new candidate of those units, as
+    a new command finds them), the relative-width embedding intervals of
     the generators and the found units at every place and precision of the
     schedule, the interval log of a point at the first and last precision
     of the schedule, and the error of one converge row whose error cancels
@@ -278,16 +277,14 @@ def unitsearch_cases() -> dict:
     a, b = Fraction(13, 10), Fraction(5, 2)
     cand = unitsearch.search_admissible(units, a, b, 4)
 
+    def fresh():
+        return unitsearch.AdmissibleCandidate(unitsearch.LogLattice(cand.lattice.units), a, b)
+
     def chart_and_vertices():
-        unitsearch._chart_cache.clear()
-        return unitsearch.verify_vertices(unitsearch.hull_chart(cand, (0, 1), 3))
+        return unitsearch.verify_vertices(unitsearch.hull_chart(fresh(), (0, 1), 3))
 
     def certified(check):
-        def run():
-            cand.lattice._matrices.clear()
-            return check(cand)
-
-        return run
+        return lambda: check(fresh())
 
     cases = {
         "unitsearch.search_admissible.cubic49": lambda: unitsearch.search_admissible(
@@ -366,13 +363,12 @@ def lvalue_cases() -> dict:
 
 
 def command_cases() -> dict:
-    from conesum import cli, config, field, unitsearch
+    from conesum import cli, config, field
     from conesum.errors import SingularAtX0
 
     def fresh(path):
         def setup():
             field._field_cache.cache_clear()
-            unitsearch._chart_cache.clear()
             return config.load_config(str(ROOT / path))
 
         return setup
@@ -408,7 +404,6 @@ def command_cases() -> dict:
 
     def sqrt3_edge():
         field._field_cache.cache_clear()
-        unitsearch._chart_cache.clear()
         return config.load_config(str(ROOT / "configs/sqrt3.json"), {"x0": ["2", "1"]})
 
     return {

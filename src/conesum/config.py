@@ -112,11 +112,12 @@ def build_config(raw: dict, overrides: dict[str, object] | None = None) -> RunCo
     if "fan" in raw:
         fan = _build_fan(raw["fan"], field, module)
 
+    # an override of None keeps the config's value
+    merged = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
     x0 = None
-    if "x0" in _merged(raw, overrides):
-        x0 = parse_element(field, _merged(raw, overrides)["x0"])
+    if "x0" in merged:
+        x0 = parse_element(field, merged["x0"])
 
-    merged = _merged(raw, overrides)
     out_fmt = merged.get("format", "csv")
     if out_fmt not in ("csv", "json"):
         raise ConfigError('format must be "csv" or "json"')
@@ -154,14 +155,6 @@ def build_config(raw: dict, overrides: dict[str, object] | None = None) -> RunCo
         unitsearch=unitsearch,
         raw=raw,
     )
-
-
-def _merged(raw: dict, overrides: dict) -> dict:
-    merged = dict(raw)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    return merged
 
 
 def _build_fan(fdesc, field, module) -> FanDescription:

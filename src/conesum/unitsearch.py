@@ -182,12 +182,6 @@ def _log_fixed(m: int, e: int, w: int) -> tuple[int, int]:
     return k_lo + 2 * s, k_hi + 2 * (s + err)
 
 
-def _embedding_iv(x: FieldElement, place: int, prec: int) -> Interval:
-    """Certified interval for one real embedding."""
-    riv = x.field.embed_at(x, place, prec)
-    return Interval.of(riv.lo, riv.hi, prec + GUARD_BITS)
-
-
 def _embedding_iv_positive(x: FieldElement, place: int, prec: int) -> Interval:
     """Interval for a positive embedding at the least depth of relative
     width <= 2^-prec.
@@ -220,15 +214,17 @@ def _iv_sign(iv: Interval) -> int | None:
 class LogLattice:
     """Log-embedding image of a finite-index totally positive unit group.
 
-    Exponent vectors are exact.  The generators' log matrix is certified once
-    per precision and kept as integer bounds over one common power of two, so
-    a log vector is an exact integer sum of certified bounds.  Lattices of
-    equal unit groups are equal."""
+    Exponent vectors are exact.  The generators' embedding intervals and log
+    matrix are certified once per precision, the logs kept as integer bounds
+    over one common power of two, so a log vector is an exact integer sum of
+    certified bounds.  The hull charts of the generators are kept by (index
+    set, window).  Lattices of equal unit groups are equal."""
 
     def __init__(self, units: UnitGroupData):
         self.units = units
         self.field = units.field
-        self._matrices: dict[int, tuple[int, list]] = {}
+        self._certified: dict[int, tuple[list, int, list]] = {}
+        self._charts: dict[tuple, HullChart] = {}
 
     def __eq__(self, other):
         return isinstance(other, LogLattice) and self.units == other.units
@@ -239,14 +235,27 @@ class LogLattice:
     def __repr__(self):
         return f"LogLattice({self.units!r})"
 
+    def _certify(self, prec: int) -> tuple[list[list[Interval]], int, list]:
+        if prec not in self._certified:
+            gens, n = self.units.generators, self.field.degree
+            ivs = [[_embedding_iv_positive(g, p, prec) for g in gens] for p in range(n)]
+            logs = [[iv.log() for iv in row] for row in ivs]
+            exp = min(iv.exp for row in logs for iv in row)
+            self._certified[prec] = ivs, exp, [[_on_scale(iv, exp) for iv in row] for row in logs]
+        return self._certified[prec]
+
+    def embeddings(self, prec: int) -> list[list[Interval]]:
+        """E[p][q], the interval of u_q^(p) of relative width <= 2^-prec."""
+        return self._certify(prec)[0]
+
     def log_matrix(self, prec: int) -> tuple[int, list[list[tuple[int, int]]]]:
         """(exp, M) with M[p][q] = (lo, hi) and lo 2^exp <= log u_q^(p) <= hi 2^exp."""
-        if prec not in self._matrices:
-            gens, n = self.units.generators, self.field.degree
-            ivs = [[_embedding_iv_positive(g, p, prec).log() for g in gens] for p in range(n)]
-            exp = min(iv.exp for row in ivs for iv in row)
-            self._matrices[prec] = exp, [[_on_scale(iv, exp) for iv in row] for row in ivs]
-        return self._matrices[prec]
+        return self._certify(prec)[1:]
+
+    def log_intervals(self, prec: int) -> list[list[Interval]]:
+        """log_matrix(prec) as Intervals L[p][q] of log u_q^(p)."""
+        exp, M = self.log_matrix(prec)
+        return [[Interval(lo, hi, exp, prec + GUARD_BITS) for lo, hi in row] for row in M]
 
     def log_bounds(self, exponents: Sequence[int], prec: int) -> list[tuple[int, int]]:
         """Bounds over 2^exp on log eps^(p) = sum_q e_q log u_q^(p) at each place:
@@ -269,9 +278,8 @@ class LogLattice:
         precision of the schedule."""
         cols = list(range(self.units.rank) if indices is None else indices)
         for prec in PREC_SCHEDULE:
-            exp, M = self.log_matrix(prec)
-            rows = [[Interval(*M[p][q], exp, prec + GUARD_BITS) for p in range(len(cols))]
-                    for q in cols]
+            L = self.log_intervals(prec)
+            rows = [[L[p][q] for p in range(len(cols))] for q in cols]
             if _iv_sign(_iv_det(rows)) is not None:
                 return True
         raise PrecisionExhausted("cannot certify a nonzero regulator")
@@ -584,15 +592,14 @@ class HullChart(Record):
     its (lo, hi) in exponents.  points maps exponent vectors to coordinates.
     """
 
-    __slots__ = ("index_set", "omitted", "exponents", "window", "points", "units", "prec")
+    __slots__ = ("index_set", "omitted", "exponents", "window", "points", "prec")
 
     def __init__(
         self, index_set: tuple[int, ...], omitted: int,
         exponents: tuple[tuple[Fraction, Fraction], ...], window: int,
-        points: dict[tuple[int, ...], tuple[Interval, ...]], units: tuple[FieldElement, ...],
-        prec: int,
+        points: dict[tuple[int, ...], tuple[Interval, ...]], prec: int,
     ):
-        self._fill(index_set, omitted, exponents, window, points, units, prec)
+        self._fill(index_set, omitted, exponents, window, points, prec)
 
 
 def _chart_point(x: FieldElement, omitted: int, prec: int) -> tuple[Interval, ...]:
@@ -601,18 +608,21 @@ def _chart_point(x: FieldElement, omitted: int, prec: int) -> tuple[Interval, ..
     return tuple(_embedding_iv_positive(x, p, prec) / denom for p in places)
 
 
-def _chart_monomials(units: Sequence[FieldElement], omitted: int, prec: int) -> ExponentTable:
-    """Chart points of the products prod_q u_q^(e_q) by exponent vector e, as
-    interval monomials prod_q (u_q^(p) / u_q^(omitted))^(e_q) over the places
-    p other than the omitted one: _chart_point without the exact product."""
+def _chart_monomials(lattice: LogLattice, I: Sequence[int], omitted: int,
+                     prec: int) -> ExponentTable:
+    """Chart points of the products prod_{q in I} u_q^(e_q) of the lattice's
+    generators by exponent vector e, as interval monomials
+    prod_q (u_q^(p) / u_q^(omitted))^(e_q) over the places p other than the
+    omitted one: _chart_point without the exact product."""
+    E = lattice.embeddings(prec)
     steps = []
-    for u in units:
-        ivs = [_embedding_iv_positive(u, p, prec) for p in range(u.field.degree)]
+    for q in I:
+        ivs = [row[q] for row in E]
         others = ivs[:omitted] + ivs[omitted + 1 :]
         steps.append((tuple(ivs[omitted] / z for z in others),
                       tuple(z / ivs[omitted] for z in others)))
     one = Interval.of(1, 1, prec + GUARD_BITS)
-    return ExponentTable(len(steps), (one,) * (units[0].field.degree - 1),
+    return ExponentTable(len(steps), (one,) * (len(E) - 1),
                          lambda z, i, up: tuple(x * y for x, y in zip(z, steps[i][up])))
 
 
@@ -632,30 +642,22 @@ def _iv_solve(rows, rhs):
     return [m[i][size] / m[i][i] for i in range(size)]
 
 
-# charts by (defining polynomial, exact units, index set, window); the
-# oldest entry is evicted once _CHART_CACHE_SIZE are held
-_CHART_CACHE_SIZE = 32
-_chart_cache: dict[tuple, HullChart] = {}
-
-
 def hull_chart(
     cand: AdmissibleCandidate, index_set: Iterable[int], window: int
 ) -> HullChart:
     """Chart the exponent-sum-zero sublattice for the given (n-1)-subset of
-    unit indices (0-indexed), omitting the complementary place."""
-    units = cand.units
-    field = units[0].field
-    n = field.degree
+    unit indices (0-indexed), omitting the complementary place.  The chart
+    is read off the candidate's lattice and kept there."""
+    lattice = cand.lattice
+    n = lattice.field.degree
     if window < 0:
         raise NegativeIndex(f"window {window} is negative")
     I = tuple(sorted(index_set))
-    cache_key = (field.min_poly, tuple((u.num, u.den) for u in units), I, window)
-    cached = _chart_cache.get(cache_key)
-    if cached is not None:
-        return cached
     omitted = set(range(n)) - set(I)
     if len(I) != n - 1 or len(omitted) != 1:
         raise DegreeMismatch(f"{I} is not n-1 = {n - 1} distinct places of {n}")
+    if (I, window) in lattice._charts:
+        return lattice._charts[I, window]
     (j,) = omitted
     exponent_vectors = _zero_sum_exponents(len(I), window)
 
@@ -665,14 +667,14 @@ def hull_chart(
             # row q, column p: log of the chart coordinate p of eps_q; the
             # positive normalization of the boundary exponents needs the
             # omitted-place log first in the difference
-            logs = [[_embedding_iv(units[q], p, prec).log() for p in range(n)] for q in I]
-            rows = [[row[j] - row[p] for p in range(n) if p != j] for row in logs]
+            L = lattice.log_intervals(prec)
+            rows = [[L[j][q] - L[p][q] for p in range(n) if p != j] for q in I]
             # the exponents solve sum_p a_p rows[q][p] = 1 for every q
             a_vec = _iv_solve(rows, [1] * (n - 1))
             if not all(_iv_sign(ai) == 1 for ai in a_vec):
                 raise PrecisionExhausted("exponents not certified positive")
 
-            monomials = _chart_monomials([units[q] for q in I], j, prec)
+            monomials = _chart_monomials(lattice, I, j, prec)
             points = {exp: monomials(exp) for exp in exponent_vectors}
 
             # every charted point lies on the boundary surface
@@ -687,12 +689,9 @@ def hull_chart(
                 exponents=tuple(ai.endpoints() for ai in a_vec),
                 window=window,
                 points=points,
-                units=tuple(units),
                 prec=prec,
             )
-            if len(_chart_cache) >= _CHART_CACHE_SIZE:
-                del _chart_cache[next(iter(_chart_cache))]
-            _chart_cache[cache_key] = chart
+            lattice._charts[I, window] = chart
             return chart
         except (PrecisionExhausted, SingularMatrix) as exc:
             last_exc = exc

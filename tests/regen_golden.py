@@ -4,8 +4,8 @@
 
 Each case is one ``conesum <command>`` run, the command being the stem of
 its file, made in process through ``conesum.cli.main`` from the root of the
-checkout, with the config path relative to it and the field and hull-chart
-caches emptied; the file holds its stdout, stderr and exit code, and
+checkout, with the config path relative to it and the field cache
+emptied; the file holds its stdout, stderr and exit code, and
 ``tests/test_golden.py`` runs the cases again and compares.  The cases:
 
 - converge: the shipped Q(sqrt 3) config in csv and json and at four x0,
@@ -85,14 +85,13 @@ def run_case(command: str, case: dict, tmp_dir) -> dict:
     """stdout, stderr and exit code of the command on the case, run from the
     root of the checkout; a config given inline is written to tmp_dir
     first."""
-    from conesum import cli, field, unitsearch
+    from conesum import cli, field
 
     config = case["config"]
     if isinstance(config, dict):
         config = str(Path(tmp_dir) / "config.json")
         Path(config).write_text(json.dumps(case["config"]))
     field._field_cache.cache_clear()
-    unitsearch._chart_cache.clear()
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.chdir(ROOT), contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):

@@ -1,6 +1,8 @@
 import importlib.util
+import io
 import itertools
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conesum import unitsearch
+from conesum import cli, config, unitsearch
 from conesum.errors import (
     DegreeMismatch,
     DegreeTooSmall,
@@ -23,6 +25,7 @@ from conesum.errors import (
 )
 from conesum.field import (
     FieldElement,
+    TotallyRealField,
     UnitGroupData,
     UnitPowers,
     isolate_real_roots,
@@ -48,6 +51,7 @@ from conesum.unitsearch import (
     verify_vertices,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 CUBIC = [1, -2, -1, 1]
 A_BOUND = Fraction(13, 10)
 B_BOUND = Fraction(5, 2)  # b > a^3 = 2.197
@@ -68,7 +72,7 @@ def candidate(units, a=A_BOUND, b=B_BOUND):
 
 def benchmark_bound_pairs():
     """The (a, b) pairs of the unitsearch benchmark, b > a^3 > 1."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -149,13 +153,19 @@ def reference_check_admissible(units):
     return ValidationReport(conditions)
 
 
+def embedding_iv(x, place, prec):
+    """The interval of x^(place) of absolute width about 2^-prec."""
+    riv = x.field.embed_at(x, place, prec)
+    return Interval.of(riv.lo, riv.hi, prec + GUARD_BITS)
+
+
 def reference_regulator_nonzero(units):
     """Whether the minor of the units' logs on the first places, from
     embedding intervals of width 2^-prec, is certified nonzero at some
     precision of the schedule."""
     for prec in PREC_SCHEDULE:
         try:
-            rows = [[unitsearch._embedding_iv(u, p, prec).log() for p in range(len(units))]
+            rows = [[embedding_iv(u, p, prec).log() for p in range(len(units))]
                     for u in units]
         except PrecisionExhausted:
             continue
@@ -233,7 +243,7 @@ class TestLogLattice:
         scale = Fraction(2) ** lat.log_matrix(64)[0]
         for p, (lo, hi) in enumerate(lat.log_bounds(exp, 64)):
             lo, hi = lo * scale, hi * scale
-            ref_lo, ref_hi = unitsearch._embedding_iv(eps, p, 256).log().endpoints()
+            ref_lo, ref_hi = embedding_iv(eps, p, 256).log().endpoints()
             assert lo <= hi and lo <= ref_hi and ref_lo <= hi, (exp, p)
 
 
@@ -481,10 +491,10 @@ class TestHullChart:
                     (lo, hi), (elo, ehi) = zi.endpoints(), ei.endpoints()
                     assert lo <= ehi and elo <= hi, (I, exp)
 
-    def test_no_exact_product(self, found_candidate, monkeypatch):
-        monkeypatch.setattr(unitsearch, "_chart_cache", {})  # chart afresh
+    def test_no_exact_product(self, found_candidate):
+        cand = candidate(found_candidate.units)  # chart afresh
         exact = (FieldElement.__mul__, FieldElement.inverse, UnitPowers.__init__)
-        chart, calls = calls_to(exact, hull_chart, found_candidate, (1, 2), 3)
+        chart, calls = calls_to(exact, hull_chart, cand, (1, 2), 3)
         assert len(chart.points) == 7 and calls == []
 
     def test_omitted_index_is_complement(self, found_candidate):
@@ -503,17 +513,26 @@ class TestHullChart:
         with pytest.raises(DegreeMismatch):
             hull_chart(found_candidate, I, 3)
 
-    def test_cache_holds_at_most_its_bound(self, found_candidate, monkeypatch):
-        # the bound is lowered so that a few small charts overflow it
-        bound = 3
-        monkeypatch.setattr(unitsearch, "_chart_cache", {})
-        monkeypatch.setattr(unitsearch, "_CHART_CACHE_SIZE", bound)
-        windows = range(1, bound + 3)
-        for window in windows:
-            hull_chart(found_candidate, (0, 1), window)
-        assert len(unitsearch._chart_cache) == bound
-        # the oldest charts were evicted first
-        assert [key[-1] for key in unitsearch._chart_cache] == list(windows)[-bound:]
+    def test_second_chart_refines_nothing(self, found_candidate):
+        # a chart is kept on its lattice by (index set, window)
+        cand = candidate(found_candidate.units)
+        chart = hull_chart(cand, (0, 2), 3)
+        again, calls = calls_to((TotallyRealField._refine,), hull_chart, cand, (0, 2), 3)
+        assert again is chart and calls == []
+        assert hull_chart(cand, (0, 2), 2) is not chart
+        # no chart is shared through module state
+        assert hull_chart(candidate(cand.units), (0, 2), 3) is not chart
+
+
+class TestCertifiedOnce:
+    def test_unitsearch_refines_each_generator_once_per_place(self):
+        # the search lattice's 2 generators and the found set's 3 units, at
+        # the 3 places and the first precision; the charts reuse the latter
+        cfg = config.load_config(str(ROOT / "configs" / "cubic49.json"))
+        args = types.SimpleNamespace(a=None, b=None, radius=None)
+        code, calls = calls_to((unitsearch._embedding_iv_positive,),
+                               cli.cmd_unitsearch, cfg, args, io.StringIO())
+        assert code == 0 and len(calls) == 2 * 3 + 3 * 3
 
 
 def _mpf(q: Fraction):
@@ -695,9 +714,9 @@ class TestIntervalPrecision:
     global precision of mpmath."""
 
     @staticmethod
-    def results(cand, monkeypatch):
+    def results(cand):
         F, V = cubic_units()
-        monkeypatch.setattr(unitsearch, "_chart_cache", {})  # chart afresh
+        cand = candidate(cand.units, cand.a, cand.b)  # chart afresh
         chart = hull_chart(cand, (0, 1), 3)
         points = {k: [z.endpoints() for z in v] for k, v in chart.points.items()}
         return (
@@ -710,10 +729,10 @@ class TestIntervalPrecision:
         )
 
     def test_prec_restored(self, found_candidate, monkeypatch):
-        default = self.results(found_candidate, monkeypatch)
+        default = self.results(found_candidate)
         monkeypatch.setattr(mpmath.mp, "prec", 20)
         monkeypatch.setattr(mpmath.iv, "prec", 20)
-        assert self.results(found_candidate, monkeypatch) == default
+        assert self.results(found_candidate) == default
         assert default[3:] == (True, True, True)
 
     def test_vertices_certified_at_chart_precision(self, found_candidate, monkeypatch):
