@@ -47,17 +47,17 @@ def parse_element(field: TotallyRealField, coords) -> FieldElement:
 class RunConfig(Record):
     __slots__ = (
         "field", "module", "fan", "x0", "n_max", "tolerance", "seed", "output_format",
-        "unitsearch", "raw",
+        "unitsearch",
     )
 
     def __init__(
         self, field: TotallyRealField, module: LatticeModule | None, fan: FanDescription | None,
         x0: FieldElement | None, n_max: int, tolerance: float, seed: int, output_format: str,
-        unitsearch: dict | None = None, raw: dict | None = None,
+        unitsearch: dict | None = None,
     ):
         self._fill(
             field, module, fan, x0, n_max, tolerance, seed, output_format,
-            {} if unitsearch is None else unitsearch, {} if raw is None else raw,
+            {} if unitsearch is None else unitsearch,
         )
 
 
@@ -153,7 +153,6 @@ def build_config(raw: dict, overrides: dict[str, object] | None = None) -> RunCo
         seed=_int("seed", 0, 0),
         output_format=out_fmt,
         unitsearch=unitsearch,
-        raw=raw,
     )
 
 

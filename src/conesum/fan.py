@@ -300,11 +300,7 @@ def validate_good_fan(tf: TruncatedFan) -> ValidationReport:
     rational = all(not g.is_zero() for t in tops for g in t.generators)
     report.add("F-rational", rational, "generators are field points")
 
-    positive = True
-    for t in tops:
-        for g in t.extreme_rays:
-            if not all(field.sign_at(g, i) > 0 for i in range(n)):
-                positive = False
+    positive = all(is_totally_positive(g) for t in tops for g in t.extreme_rays)
     report.add(
         "positive-chamber",
         positive,

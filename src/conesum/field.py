@@ -389,15 +389,6 @@ class ScaledRational(FrozenRecord):
             return self * other.inverse()
         return ScaledRational(self.q / Fraction(other), self.e, self.disc)
 
-    def with_exponent(self, e: int) -> "ScaledRational":
-        """Equal value rewritten with the requested exponent when possible."""
-        if self.e == e or self.is_zero() or _exact_isqrt(self.disc) is not None:
-            return self
-        if {self.e, e} == {-1, 1}:
-            q = self.q * self.disc if e == -1 else self.q / self.disc
-            return ScaledRational(q, e, self.disc)
-        raise MixedExponents(f"cannot rewrite exponent {self.e} as {e}")
-
     def __float__(self) -> float:
         return surd_float(*self.parts(), self.disc)
 

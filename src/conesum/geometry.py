@@ -390,10 +390,7 @@ class ProjPolyhedron:
         return out
 
     def dual(self) -> "ProjPolyhedron":
-        if not self.cone.span.is_full():
-            raise NotFullDim("dual polyhedron needs a full-dimensional cone")
-        normals = self.cone.facet_normals()
-        return ProjPolyhedron(Cone(self.field, normals))
+        return ProjPolyhedron(dual_cone(self.cone))
 
     def __eq__(self, other):
         return isinstance(other, ProjPolyhedron) and self.cone == other.cone

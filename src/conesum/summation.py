@@ -332,10 +332,10 @@ def _by_carrier(singular):
     return stars.items()
 
 
-def stars_value(singular, frame: LatticeFrame, x0: FieldElement) -> ScaledRational:
-    """The summed values of the stars of the singular tops, as (carrier,
-    columns, form) triples: each star is the ε⁰ coefficient of the Laurent
-    expansion of Σ_t h*(t)(x0 + εv) over its tops t, computed on integers.
+def stars_value(singular, frame: LatticeFrame, x0: FieldElement) -> Fraction:
+    """The summed value c/sqrt(D), as c, of the stars of the singular tops,
+    as (carrier, columns, form) triples: each star is the ε⁰ coefficient of
+    the Laurent expansion of Σ_t h*(t)(x0 + εv) over its tops t, on integers.
 
     The identity.  Let z be a star's summed dual cycle, the sum of its tops'
     dual simplices.  For x off every wall, Σ_t h*(t)(x) = evaluate_cycle(z,
@@ -371,8 +371,7 @@ def stars_value(singular, frame: LatticeFrame, x0: FieldElement) -> ScaledRation
     values = [star_constant_term(forms, Y, d, V) for forms in stars]
     if None in values:
         raise _open_star(singular, frame, Y, d, V)
-    disc = x0.field.disc_abs  # c / sqrt(D), in the cycle value's form q sqrt(D)
-    return ScaledRational(sum(values, Fraction(0)) / disc, 1, disc)
+    return sum(values, Fraction(0))
 
 
 def _open_star(singular, frame: LatticeFrame, Y, d: int, V) -> SingularAtX0:
@@ -479,19 +478,17 @@ def partial_sum(tf: TruncatedFan, x0: FieldElement) -> ConvergenceRow:
         raise NotTotallyPositive("partial sums are evaluated at totally positive x0")
     terms = WindowSum(tf.description, x0)
     terms.add(sorted(tf.pairs))
-    total = (ScaledRational(terms.regular, -1, x0.field.disc_abs)
-             + stars_value(terms.singular, terms.frame, x0))
-    return _row(tf.window, total, 1 / x0.norm())
+    total = terms.regular + stars_value(terms.singular, terms.frame, x0)
+    return _row(tf.window, total, 1 / x0.norm(), x0.field.disc_abs)
 
 
-def _row(window: int, total: ScaledRational, target: Fraction) -> ConvergenceRow:
-    if total.e == 1:  # present window sums uniformly as q/sqrt(D)
-        total = total.with_exponent(-1)
+def _row(window: int, c: Fraction, target: Fraction, disc: int) -> ConvergenceRow:
+    value = ScaledRational(c, -1, disc)  # the window sum c/sqrt(D)
     return ConvergenceRow(
         window=window,
-        value=total,
+        value=value,
         target=target,
-        abs_error=_abs_error(total, target),
+        abs_error=_abs_error(value, target),
     )
 
 
@@ -616,7 +613,7 @@ def converge(
     terms = WindowSum(description, x0)
     seen: dict[frozenset, tuple] = {}
     disc = x0.field.disc_abs
-    star = ScaledRational.rational(0, disc)
+    star = Fraction(0)
     target = 1 / x0.norm()
     walked: set[tuple[int, ...]] = set()
     rows = []
@@ -625,7 +622,7 @@ def converge(
         walked.update(exponents)
         if terms.add(new_pairs(description, exponents, seen, terms.moves)):
             star = stars_value(terms.singular, terms.frame, x0)
-        rows.append(_row(window, ScaledRational(terms.regular, -1, disc) + star, target))
+        rows.append(_row(window, terms.regular + star, target, disc))
         if rows[-1].abs_error < tol:
             break
     return rows

@@ -34,6 +34,7 @@ from .field import (
     UnitGroupData,
     UnitPowers,
     _excess_bits,
+    is_totally_positive,
     limit_pair,
     root_indices,
 )
@@ -753,9 +754,8 @@ def exhaustion_contains(
     """Certified membership of x in the N-th convex exhaustion set: for each
     omitted place j, the chart of eps_j^N * x must lie in the hull region of
     the corresponding unit sublattice."""
-    field = x.field
-    n = field.degree
-    if x.is_zero() or not all(field.sign_at(x, i) > 0 for i in range(n)):
+    n = x.field.degree
+    if x.is_zero() or not is_totally_positive(x):
         return False
     for j in range(n):
         I = tuple(p for p in range(n) if p != j)

@@ -138,7 +138,7 @@ def test_defaults_are_fresh_per_instance():
     first.add("c", True)
     assert second.conditions == [] and first.passed
     cfgs = [config.RunConfig(None, None, None, None, 1, 0.0, 0, "csv") for _ in range(2)]
-    assert cfgs[0].unitsearch == {} and cfgs[0].raw == {}
+    assert cfgs[0].unitsearch == {}
     assert cfgs[0].unitsearch is not cfgs[1].unitsearch
 
 

@@ -1208,9 +1208,11 @@ class TestStarFromDualSimplices:
         Y, _ = frame.coordinates(x0)
 
         def value(group, x):
+            # stars_value's c of c/sqrt(D), in the cycle value's form q sqrt(D)
             tops = [frame.oriented(t) for t in group.cones]
             singular = [(summation.carrier(cols, form, Y), cols, form) for cols, form in tops]
-            return summation.stars_value(singular, frame, x)
+            disc = x.field.disc_abs
+            return ScaledRational(summation.stars_value(singular, frame, x) / disc, 1, disc)
 
         for group, z in zip(stars, cycles):
             got, want = outcome(value, group, x0), outcome(evaluate_cycle, z, x0)
@@ -1493,6 +1495,44 @@ class TestOneSingularPath:
                     first, x0)
                 checked += 1
         assert checked >= 3
+
+
+class TestOneValueForm:
+    """A window's value is the rational c of c/sqrt(D) from its terms to its
+    row: stars join the regular sum as c, and each row is one ScaledRational."""
+
+    CASES = {
+        "sqrt3.generic": (sqrt3_fan, lambda F, vs: F.element([7, 1])),
+        "sqrt3.ray": (sqrt3_fan, lambda F, vs: F.element([3, 1])),
+        "cubic.ray": (cubic_fan, finite_ray_point),
+        "cubic.wall": (cubic_fan, lambda F, vs: F.element([0, 1, 2])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_scaled_rational_per_row(self, case, monkeypatch):
+        make_fan, point = self.CASES[case]
+        F, desc, vs = make_fan()
+        x0 = point(F, vs)
+        tf = truncate(desc, 3)
+        assert any(not g.is_singleton for g in tf.group_singular_terms(x0)) == (
+            case != "sqrt3.generic")
+        built = count_builds(monkeypatch, (ScaledRational,))
+        rows = converge(desc, x0, 3, 0.0)
+        assert len(rows) == 3
+        assert built == ["ScaledRational"] * 3
+        built.clear()
+        assert partial_sum(tf, x0) == rows[-1]
+        assert built == ["ScaledRational"]
+
+    def test_stars_value_is_the_rational_c(self):
+        F, tf, _ = star_window("sqrt3", 2)
+        x0 = F.element([3, 1])
+        terms = summation.WindowSum(tf.description, x0)
+        terms.add(sorted(tf.pairs))
+        c = summation.stars_value(terms.singular, terms.frame, x0)
+        assert type(c) is Fraction
+        row = partial_sum(tf, x0)
+        assert row.value == ScaledRational(terms.regular + c, -1, F.disc_abs)
 
 
 class TestOpenStarMessage:

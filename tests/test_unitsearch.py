@@ -709,6 +709,31 @@ class TestExhaustion:
         assert exhaustion_contains(found_candidate, 1, F.one, window=5)
 
 
+class TestCertifyInSimplex:
+    """The simplex certificate of charts of dimension d != 2 (degree >= 4),
+    on exact dyadic points of a 3-dimensional chart."""
+
+    @staticmethod
+    def points(*coords):
+        return [[Interval.of(c, c, 64) for c in p] for p in coords]
+
+    SIMPLEX = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    @pytest.mark.parametrize("z, inside", [
+        ((Fraction(1, 4), Fraction(1, 4), Fraction(1, 8)), True),
+        ((1, Fraction(1, 2), Fraction(1, 2)), False),
+        ((1, 0, 0), False),  # a vertex: its signed volumes vanish
+    ])
+    def test_strict_interior_only(self, z, inside):
+        (z,) = self.points(z)
+        assert unitsearch._certify_in_simplex(self.points(*self.SIMPLEX), z) is inside
+
+    def test_degenerate_simplex_certifies_nothing(self):
+        flat = self.points((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
+        (z,) = self.points((Fraction(1, 4), Fraction(1, 4), 0))
+        assert unitsearch._certify_in_simplex(flat, z) is False
+
+
 class TestIntervalPrecision:
     """The intervals carry their own precision: no result depends on the
     global precision of mpmath."""
