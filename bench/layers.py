@@ -2,9 +2,17 @@
 a cold import and a cold ``converge``, merged into a BENCH file.
 
     python bench/layers.py --src src --label change --out BENCH_20.json
+    python bench/layers.py --parent ../parent/src --out BENCH_29.json
 
 ``--src`` names the ``src`` directory that ``conesum`` is imported from, so
-the same script can measure a checkout of another commit.  Each case is
+the same script can measure a checkout of another commit.  With
+``--parent``, the script runs itself PAIRS times on each side, parent and
+change (``--src``) alternating in fresh processes, the change first in
+every second pair, and writes the first pair under ``runs`` and
+``ratio``, and each case's change / parent ratio of every pair
+(``pair_ratios``), their median (``pair_ratio_median``) and their lowest
+and highest (``pair_ratio_range``).  Every case runs through calls that
+both sides have.  Each case is
 timed with ``time.perf_counter``: a repeat runs the case ``loops`` times,
 with ``loops`` chosen so that a repeat lasts at least ``MIN_REPEAT_S``, and
 the reported time per call is the median over ``REPEATS`` repeats, next to
@@ -35,6 +43,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +53,7 @@ CUBIC = [1, -2, -1, 1]  # x^3 - x^2 - 2x + 1, discriminant 49
 QUARTIC = [1, 1, -4, 0, 1]  # totally real quartic used by the field tests
 REPEATS = 7
 MIN_REPEAT_S = 0.05
+PAIRS = 5
 
 
 def timed(fn) -> dict:
@@ -165,8 +175,9 @@ def fan_summation_cases() -> dict:
     primal value of a pair of points of the shipped module, the cocycle
     value at that ray point of the dual star cycle around it, the value of
     the star around it and of the star of six tops around a ray of window 1
-    of the explicit cubic fan (both stars' carriers, oriented columns and
-    forms read once, and valued by ``summation.stars_value``), the hull
+    of the explicit cubic fan (each star's (carrier, columns, form) triples
+    read once by a ``summation.WindowSum`` over its truncation's pairs, and
+    valued by ``summation.stars_value``), the hull
     construction and the window-4 truncation of the Q(sqrt 19) fan of
     Z[sqrt 19], and the insertion of a ray into the first top cone of that
     window-4 truncation and of the window-5 truncation of the Q(sqrt 3)
@@ -198,16 +209,16 @@ def fan_summation_cases() -> dict:
     cubic_x0 = cubic_w1.top_cones[1].extreme_rays[1]
     (cubic_star,) = [g for g in cubic_w1.group_singular_terms(cubic_x0) if not g.is_singleton]
 
-    def read_star(tf, group, x):
-        """The frame of the truncation and the star's (carrier, columns,
-        form) triples."""
-        frame = summation.LatticeFrame(tf.description.module_basis)
-        Y, _ = frame.coordinates(x)
-        tops = [frame.oriented(t) for t in group.cones]
-        return [(summation.carrier(cols, form, Y), cols, form) for cols, form in tops], frame
+    def read_star(tf, x):
+        """The (carrier, columns, form) triples of the truncation's singular
+        tops, which make up one star, and the frame of their columns."""
+        terms = summation.WindowSum(tf.description, x)
+        terms.add(tf.pairs)
+        return terms.singular, terms.frame
 
-    star_tops, frame = read_star(w6, star, x0)
-    cubic_tops, cubic_frame = read_star(cubic_w1, cubic_star, cubic_x0)
+    star_tops, frame = read_star(w6, x0)
+    cubic_tops, cubic_frame = read_star(cubic_w1, cubic_x0)
+    assert len(star_tops) == len(star.cones) and len(cubic_tops) == len(cubic_star.cones)
     return {
         "fan.group_singular_terms.sqrt3.w6": lambda: w6.group_singular_terms(x0),
         "summation.partial_sum.sqrt3.w6.ray": lambda: summation.partial_sum(w6, x0),
@@ -434,14 +445,59 @@ def line_counts(src: Path) -> dict:
     return counts
 
 
+def ratios(parent: dict, change: dict) -> dict:
+    """change / parent of the median time of every case both runs hold."""
+    return {
+        name: change[group][name]["median_s"] / parent[group][name]["median_s"]
+        for group in ("layers", "commands")
+        for name in change[group]
+        if name in parent[group]
+    }
+
+
+def paired(src: Path, parent: Path) -> dict:
+    """PAIRS parent/change pairs of runs, each in a fresh process."""
+    pairs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(PAIRS):
+            sides = [("parent", parent), ("change", src)]
+            pair = {}
+            for label, side in sides[::-1] if i % 2 else sides:
+                out = Path(tmp) / f"{i}-{label}.json"
+                subprocess.run([sys.executable, __file__, "--src", str(side), "--label", label,
+                                "--out", str(out)], check=True)
+                pair[label] = json.loads(out.read_text())["runs"][label]
+            pairs.append(pair)
+    each = [ratios(pair["parent"], pair["change"]) for pair in pairs]
+    return {
+        "runs": pairs[0],
+        "ratio": each[0],
+        "pair_ratios": {name: [r[name] for r in each] for name in each[0]},
+        "pair_ratio_median": {name: statistics.median(r[name] for r in each) for name in each[0]},
+        "pair_ratio_range": {name: [min(r[name] for r in each), max(r[name] for r in each)]
+                             for name in each[0]},
+        "pairs_note": f"{PAIRS} pairs of fresh processes, the change first in the second, "
+                      "fourth, ... pair; runs and ratio hold the first pair",
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"))
-    parser.add_argument("--label", required=True)
+    parser.add_argument("--label")
+    parser.add_argument("--parent", help="src of the parent: run paired parent/change runs")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
-    src = Path(args.src).resolve()
+    src, out = Path(args.src).resolve(), Path(args.out)
+    bench = {"python": platform.python_version(), "nproc": os.cpu_count(),
+             "machine": platform.machine()}
+    if args.parent:
+        bench.update(paired(src, Path(args.parent).resolve()))
+        out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+        return 0
+    if not args.label:
+        parser.error("--label is needed without --parent")
     sys.path.insert(0, str(src))
     run = {
         "layers": {
@@ -465,20 +521,11 @@ def main(argv=None) -> int:
         "src_lines": line_counts(src),
     }
 
-    out = Path(args.out)
-    bench = json.loads(out.read_text()) if out.exists() else {}
-    bench["python"] = platform.python_version()
-    bench["nproc"] = os.cpu_count()
-    bench["machine"] = platform.machine()
+    bench = {**(json.loads(out.read_text()) if out.exists() else {}), **bench}
     bench.setdefault("runs", {})[args.label] = run
     runs = bench["runs"]
     if "parent" in runs and "change" in runs:
-        bench["ratio"] = {
-            name: runs["change"][group][name]["median_s"] / runs["parent"][group][name]["median_s"]
-            for group in ("layers", "commands")
-            for name in runs["change"][group]
-            if name in runs["parent"][group]
-        }
+        bench["ratio"] = ratios(runs["parent"], runs["change"])
     out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     return 0
 

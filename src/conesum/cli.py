@@ -40,8 +40,6 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NOT_FOUND = 3
 
-SUITES = ("cocycle", "theorem2", "hurwitz", "satake", "lemma1", "goodfan", "lemma3")
-
 _TEST_FIELDS = ([-3, 0, 1], [1, -2, -1, 1], [1, 1, -4, 0, 1])
 
 
@@ -329,6 +327,7 @@ SUITE_RUNNERS = {
     "goodfan": suite_goodfan,
     "lemma3": suite_lemma3,
 }
+SUITES = tuple(SUITE_RUNNERS)
 
 
 # ---------------------------------------------------------------------------

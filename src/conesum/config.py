@@ -175,8 +175,8 @@ def _build_fan(fdesc, field, module) -> FanDescription:
     if kind == "explicit":
         if "cones" not in fdesc or "unit_action" not in fdesc:
             raise ConfigError('explicit fan needs "cones" and "unit_action"')
-        if not isinstance(fdesc["cones"], list) or not fdesc["cones"]:
-            raise ConfigError("explicit fan cones must be a nonempty list")
+        if not isinstance(fdesc["cones"], list) or not fdesc["cones"] or not all(fdesc["cones"]):
+            raise ConfigError("explicit fan cones must be a nonempty list of nonempty lists")
         cones = [
             Cone(field, list(parse_elements(field, gens, "cone generators")))
             for gens in fdesc["cones"]

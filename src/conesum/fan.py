@@ -9,11 +9,15 @@ finite face-closed truncations are enumerated on demand.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from functools import cached_property
 
+from . import linalg
 from .errors import (
     NegativeIndex,
+    NotAUnit,
+    NotSimplicial,
     NotTotallyPositive,
     RayOnExistingFace,
     UnitDoesNotPreserveM,
@@ -21,6 +25,7 @@ from .errors import (
     ZeroInput,
 )
 from .field import (
+    ExponentTable,
     FieldElement,
     TotallyRealField,
     UnitPowers,
@@ -29,7 +34,7 @@ from .field import (
     is_unit,
     minus_continued_fraction,
 )
-from .geometry import Cone, in_lattice
+from .geometry import Cone, coordinate_rows, in_lattice
 from .record import FrozenRecord, Record
 
 
@@ -215,6 +220,76 @@ class TermGroup(FrozenRecord):
         return self.sigma is None
 
 
+class LatticeFrame:
+    """Integer coordinates x = B Y / d in the module with basis B, and each
+    unit u as the pair (U, U^-1) of integer matrices of x -> u x.  det U =
+    N(u) is 1 for a totally positive unit: U^-1 = adj U, u^-e x keeps the d
+    of x, and moved columns stay primitive and keep the sign of det C."""
+
+    def __init__(self, module_basis: Sequence[FieldElement], units: Sequence[FieldElement] = ()):
+        self.basis, self.field = tuple(module_basis), module_basis[0].field
+        self.det = coord_det(self.basis)
+        self._rows, self._den = coordinate_rows(self.basis)
+        self.units = []
+        for u in units:
+            images = [self.coordinates(u * b) for b in self.basis]
+            if any(d != 1 for _, d in images):
+                raise UnitDoesNotPreserveM(f"{u} does not preserve the lattice")
+            U = list(zip(*(y for y, _ in images)))
+            inv, det = linalg.adjugate(U)
+            if abs(det) != 1:
+                raise NotAUnit(f"{u} is not a unit")
+            if det < 0:
+                raise NotTotallyPositive(f"{u} is not totally positive")
+            self.units.append((U, inv))
+
+    def coordinates(self, x: FieldElement) -> tuple[tuple[int, ...], int]:
+        """(Y, d) in lowest terms."""
+        Y, d = linalg.mat_vec(self._rows, x.num), self._den * x.den
+        g = math.gcd(d, *Y)
+        return tuple(v // g for v in Y), d // g
+
+    def point(self, y: Sequence[int]) -> FieldElement:
+        return sum((b * c for b, c in zip(self.basis, y)), self.field.zero)
+
+    def columns(self, t: Cone) -> list[tuple[int, ...]]:
+        """Primitive module vectors of a cone's rays, its generators if degree-many."""
+        rays = t.generators if len(t.generators) == self.field.degree else t.extreme_rays
+        return [_primitive(linalg.mat_vec(self._rows, g.num)) for g in rays]
+
+    def ray_keys(self, cols: Sequence[Sequence[int]]) -> tuple:
+        """The sorted ray keys of the points B c of the columns c."""
+        return tuple(sorted(self.point(c).ray_key() for c in cols))
+
+    def oriented(self, t: Cone) -> list[tuple[int, ...]]:
+        """The primitive module vectors C of a simplicial top cone's rays,
+        ordered so that det C has the sign of det B; NotSimplicial unless
+        they are degree-many and independent."""
+        cols = self.columns(t)
+        det = linalg.det(cols) if len(cols) == self.field.degree else 0
+        if not det:
+            raise NotSimplicial("cone term needs a simplicial top cone")
+        if (det > 0) != (self.det > 0):
+            cols[0], cols[1] = cols[1], cols[0]
+        return cols
+
+    def walk(self, Y: Sequence[int]) -> ExponentTable:
+        """The module coordinates of u^-e x over exponent vectors e, for x =
+        B Y / d; each keeps the d of x."""
+        return ExponentTable(len(self.units), tuple(Y),
+                             lambda y, i, up: linalg.mat_vec(self.units[i][up], y))
+
+    def moved(self, cols: Sequence[Sequence[int]]) -> ExponentTable:
+        """The module columns of u^e c for the columns c, over exponent vectors e."""
+        return ExponentTable(len(self.units), tuple(cols), lambda cs, i, up: tuple(
+            linalg.mat_vec(self.units[i][not up], c) for c in cs))
+
+
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    g = math.gcd(*v)
+    return tuple(c // g for c in v)
+
+
 def window_exponents(description: FanDescription, window: int) -> list[tuple[int, ...]]:
     """The unit exponents e whose translates u^e t of the orbit
     representatives t make up window N, in increasing order: e in [-N, N)
@@ -234,8 +309,6 @@ def truncate(description: FanDescription, window: int) -> TruncatedFan:
     powers of window_exponents, closed under faces, as (e, r) pairs: in (e,
     r) order on a quadratic fan; on an explicit fan each translate once, by
     its primitive module columns, in the order of its sorted ray keys."""
-    from .summation import LatticeFrame, new_pairs  # summation imports fan
-
     exponents, reps = window_exponents(description, window), description.orbit_cones
     if description.kind == "quadratic-auto":
         return TruncatedFan(description, new_pairs(description, exponents, {}, None), window)
@@ -243,6 +316,19 @@ def truncate(description: FanDescription, window: int) -> TruncatedFan:
     seen: dict[frozenset, tuple] = {}
     new_pairs(description, exponents, seen, [frame.moved(frame.columns(t)) for t in reps])
     return TruncatedFan(description, [seen[k] for k in sorted(seen, key=frame.ray_keys)], window)
+
+
+def new_pairs(description: FanDescription, exponents, seen: dict, moves) -> list:
+    """The pairs (e, r) over the exponent vectors e and representatives r; on
+    an explicit fan the first of each translate, keyed by its moved columns,
+    that seen lacks, and seen gains it."""
+    pairs = [(e, r) for e in exponents for r in range(len(description.orbit_cones))]
+    if description.kind == "quadratic-auto":
+        return pairs
+    known = len(seen)
+    for e, r in pairs:
+        seen.setdefault(frozenset(moves[r](e)), (e, r))
+    return list(seen.values())[known:]
 
 
 # ---------------------------------------------------------------------------

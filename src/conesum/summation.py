@@ -17,26 +17,21 @@ from operator import mul
 from . import linalg
 from .cycles import CPDFunction, Cycle, boundary_cycle, cpd_extend, dual_cycle, orthogonal_point
 from .errors import (
-    DegreeMismatch,
     DependentTuple,
     NotConvexUnion,
-    NotSimplicial,
     NotTotallyPositive,
     SingularAtX0,
-    UnitDoesNotPreserveM,
 )
-from .fan import FanDescription, TruncatedFan, window_exponents
+from .fan import FanDescription, LatticeFrame, TruncatedFan, new_pairs, window_exponents
 from .field import (
-    ExponentTable,
     FieldElement,
     ScaledRational,
-    coord_det,
     det_scaled,
     is_totally_positive,
     surd_float,
     trace_pairing,
 )
-from .geometry import Cone, ProjPolyhedron, coordinate_rows
+from .geometry import Cone, ProjPolyhedron
 from .record import FrozenRecord
 
 
@@ -182,90 +177,12 @@ class ConeTerm(FrozenRecord):
         self._fill(cone, primitive_gens, value)
 
 
-class LatticeFrame:
-    """Integer coordinates x = B Y / d in the module with basis B, and each
-    unit u as the integer matrix U of x -> u x with inv = |det U| U^-1.
-    |det U| = |N(u)| is 1 for a unit, but a multiple of one, such as 2 eps,
-    moves the cones as the unit does."""
-
-    def __init__(self, module_basis: Sequence[FieldElement], units: Sequence[FieldElement] = ()):
-        self.basis, self.field = tuple(module_basis), module_basis[0].field
-        self.det = coord_det(self.basis)
-        self._rows, self._den = coordinate_rows(self.basis)
-        self.units = []
-        for u in units:
-            images = [self.coordinates(u * b) for b in self.basis]
-            if any(d != 1 for _, d in images):
-                raise UnitDoesNotPreserveM(f"{u} does not preserve the lattice")
-            U = list(zip(*(y for y, _ in images)))
-            adj, det = linalg.adjugate(U)
-            self.units.append((U, [[v if det > 0 else -v for v in row] for row in adj], abs(det)))
-
-    def coordinates(self, x: FieldElement) -> tuple[tuple[int, ...], int]:
-        """(Y, d) in lowest terms."""
-        Y, d = linalg.mat_vec(self._rows, x.num), self._den * x.den
-        g = math.gcd(d, *Y)
-        return tuple(v // g for v in Y), d // g
-
-    def point(self, y: Sequence[int]) -> FieldElement:
-        return sum((b * c for b, c in zip(self.basis, y)), self.field.zero)
-
-    def columns(self, t: Cone) -> list[tuple[int, ...]]:
-        """Primitive module vectors of a cone's rays, its generators if degree-many."""
-        rays = t.generators if len(t.generators) == self.field.degree else t.extreme_rays
-        return [_primitive(linalg.mat_vec(self._rows, g.num)) for g in rays]
-
-    def ray_keys(self, cols: Sequence[Sequence[int]]) -> tuple:
-        """The sorted ray keys of the points B c of the columns c."""
-        return tuple(sorted(self.point(c).ray_key() for c in cols))
-
-    def oriented(self, t: Cone) -> tuple[list[tuple[int, ...]], TermForm]:
-        """The primitive module vectors C of a simplicial top cone's rays,
-        positively ordered (sign det C = sign det B), and its TermForm on
-        module coordinates, row i paired with column i."""
-        cols = self.columns(t)
-        try:
-            form = TermForm.in_basis(cols, self.det, self.field)
-        except (DegreeMismatch, DependentTuple):
-            raise NotSimplicial("cone term needs a simplicial top cone") from None
-        # adj(C) C = det(C) I, and swapping two columns with their rows negates the value
-        if (sum(a * c for a, c in zip(form.rows[0], cols[0])) > 0) != (self.det > 0):
-            cols[0], cols[1] = cols[1], cols[0]
-            form.rows = (form.rows[1], form.rows[0]) + form.rows[2:]
-            form.scale = -form.scale
-        return cols, form
-
-    def _step(self, y: Sequence[int], i: int, inverse: bool) -> tuple[int, ...]:
-        """u_i y, or |N(u_i)| u_i^-1 y when inverse."""
-        U, inv, _ = self.units[i]
-        return linalg.mat_vec(inv if inverse else U, y)
-
-    def walk(self, x0: FieldElement) -> ExponentTable:
-        """(Y, d) of u^-e x0 over exponent vectors e."""
-        def step(x, i, up):
-            Y, d = x
-            return self._step(Y, i, up), (d * self.units[i][2] if up else d)
-
-        return ExponentTable(len(self.units), self.coordinates(x0), step)
-
-    def moved(self, cols: Sequence[Sequence[int]]) -> ExponentTable:
-        """Positive multiples of the module vectors of u^e c for the columns
-        c, over exponent vectors e."""
-        return ExponentTable(len(self.units), tuple(cols),
-                             lambda cs, i, up: tuple(self._step(c, i, not up) for c in cs))
-
-
-def _primitive(v: Sequence[int]) -> tuple[int, ...]:
-    g = math.gcd(*v)
-    return tuple(c // g for c in v)
-
-
 def cone_term(t: Cone, module_basis: Sequence[FieldElement], x0: FieldElement) -> ConeTerm:
     """Term of a simplicial top cone from its positively ordered primitive
     generators."""
     frame = LatticeFrame(module_basis)
-    cols, form = frame.oriented(t)
-    value = form.value_at(*frame.coordinates(x0))
+    cols = frame.oriented(t)
+    value = TermForm.in_basis(cols, frame.det, frame.field).value_at(*frame.coordinates(x0))
     return ConeTerm(cone=t, primitive_gens=tuple(map(frame.point, cols)), value=value)
 
 
@@ -300,9 +217,9 @@ class ConvergenceRow(FrozenRecord):
 
 
 def carrier(cols: Sequence[tuple[int, ...]], form: TermForm, Y: Sequence[int]) -> tuple:
-    """The columns of a top (oriented, so row i of its form is a positive
-    multiple of the i-th coordinate in its rays) at which x = B Y / d has a
-    nonzero coordinate: the rays of the smallest face whose span holds x."""
+    """The columns of a top (row i of its form is a nonzero multiple of the
+    i-th coordinate in its rays) at which x = B Y / d has a nonzero
+    coordinate: the rays of the smallest face whose span holds x."""
     return tuple(c for row, c in zip(form.rows, cols) if _dot(row, Y))
 
 
@@ -424,52 +341,39 @@ class WindowSum:
     representative index r) pairs: partial_sum adds its truncation's pairs,
     and row N of converge the pairs that window N adds, so row N equals
     partial_sum(truncate(description, N), x0).  The term of u t is h*(t)(u^-1
-    x0) / |N(u)| (degree zero in each generator), so one TermForm per
-    representative serves every translate, on u^-e x0 and the translated
-    columns walked in integer module coordinates; totally positive units keep
-    the columns positively ordered.  Only a singular top, whose form
-    vanishes at x0, gets a TermForm of its own, for its star."""
+    x0) (degree zero in each generator), so one TermForm per representative
+    serves every translate, on u^-e x0 and the translated columns walked in
+    integer module coordinates; units of determinant 1 keep the columns
+    positively ordered.  Only a singular top, whose form vanishes at x0,
+    gets a TermForm of its own, for its star."""
 
     def __init__(self, description: FanDescription, x0: FieldElement):
-        self.frame = LatticeFrame(description.module_basis, description.units)
-        self.forms = [self.frame.oriented(rep) for rep in description.orbit_cones]
-        self.moves = [self.frame.moved(cols) for cols, _ in self.forms]
-        self.points = self.frame.walk(x0)
-        self.norms = [norm for _, _, norm in self.frame.units]
+        self.frame = frame = LatticeFrame(description.module_basis, description.units)
+        columns = [frame.oriented(rep) for rep in description.orbit_cones]
+        self.forms = [TermForm.in_basis(cols, frame.det, frame.field) for cols in columns]
+        self.moves = [frame.moved(cols) for cols in columns]
+        Y, self.d = frame.coordinates(x0)
+        self.points = frame.walk(Y)
         self.regular = Fraction(0)  # the non-singular terms, as c with value c/sqrt(D)
-        self.singular: list[tuple[tuple, list, TermForm]] = []
+        self.singular: list[tuple[tuple, tuple, TermForm]] = []
 
     def add(self, pairs) -> list[tuple[tuple[int, ...], int]]:
         """Adds the pairs' terms, walking u^-e x0 once per run of equal e, and
         returns the singular pairs in the order of self.singular."""
-        found, last = [], None
+        found, last, d = [], None, self.d
         for e, r in pairs:
             if e != last:
-                (Y, d), last = self.points(e), e
-                norm = math.prod(Fraction(u) ** a for u, a in zip(self.norms, e) if u != 1)
-            form = self.forms[r][1]
+                Y, last = self.points(e), e
+            form = self.forms[r]
             q = form.coefficient(Y, d)
             if q is None:  # u^e t at x0 is t at u^-e x0, so its carrier pairs with Y
-                cols = [_primitive(c) for c in self.moves[r](e)]
+                cols = self.moves[r](e)
                 self.singular.append((carrier(cols, form, Y), cols,
                                       TermForm.in_basis(cols, self.frame.det, self.frame.field)))
                 found.append((e, r))
             else:
-                self.regular += q if norm == 1 else q / norm
+                self.regular += q
         return found
-
-
-def new_pairs(description: FanDescription, exponents, seen: dict, moves) -> list:
-    """The pairs (e, r) over the exponent vectors e and representatives r; on
-    an explicit fan the first of each translate, keyed by its primitive
-    moved columns, that seen lacks, and seen gains it."""
-    pairs = [(e, r) for e in exponents for r in range(len(description.orbit_cones))]
-    if description.kind == "quadratic-auto":
-        return pairs
-    known = len(seen)
-    for e, r in pairs:
-        seen.setdefault(frozenset(map(_primitive, moves[r](e))), (e, r))
-    return list(seen.values())[known:]
 
 
 def partial_sum(tf: TruncatedFan, x0: FieldElement) -> ConvergenceRow:

@@ -259,6 +259,20 @@ class TestExplicitFanUnits:
         assert main(["verify", "goodfan", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
+    def test_empty_cone_rejected(self, tmp_path, capsys):
+        # an explicit cone with no generators: a config error, not a traceback
+        cfg = {
+            "field": {"min_poly": [-3, 0, 1]},
+            "fan": {"type": "explicit", "cones": [[]], "unit_action": [["2", "1"]]},
+            "x0": ["7", "1"],
+        }
+        with pytest.raises(ConfigError, match="nonempty"):
+            build_config(cfg)
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["converge", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
     def test_units_preserving_m_accepted(self):
         basis = SQRT3_CONFIG["module"]["basis"]
         for unit_action in ([], [["2", "1"]], [["7", "4"]]):

@@ -353,22 +353,20 @@ def reference_truncate(description, window):
 
 def _explicit_sqrt3(kind):
     """The Q(sqrt 3) fan as explicit representatives over eps; redundant:
-    one representative repeated by a translate, over 2*eps (norm 4), which
-    moves cones as eps does; doubled-unit: the representatives over 2*eps."""
+    one representative repeated by a translate."""
     F, M, eps = sqrt3_setup()
     _, vs = build_quadratic_fan(M, eps)
     reps = tuple(Cone(F, [vs.point(k), vs.point(k + 1)]) for k in range(vs.period))
     if kind == "explicit-redundant":
         reps += (reps[0].mul_unit(vs.unit),)
-    unit = vs.unit if kind == "explicit" else vs.unit * 2
-    return FanDescription(kind="explicit", module_basis=M, units=(unit,), orbit_cones=reps)
+    return FanDescription(kind="explicit", module_basis=M, units=(vs.unit,), orbit_cones=reps)
 
 
 TRUNCATION_FANS = {
     **{setup.__name__[:-6]: lambda setup=setup: build_quadratic_fan(*setup()[1:])[0]
        for setup in FIVE_FIELDS},
     **{kind: lambda kind=kind: _explicit_sqrt3(kind)
-       for kind in ("explicit", "explicit-redundant", "doubled-unit")},
+       for kind in ("explicit", "explicit-redundant")},
     "cubic": lambda: colmez_cubic_fan(),
 }
 

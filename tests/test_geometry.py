@@ -15,7 +15,7 @@ from conesum.errors import (
     RayNotRational,
     ZeroInput,
 )
-from conesum.fan import FanDescription, truncate
+from conesum.fan import FanDescription, LatticeFrame, truncate
 from conesum.field import make_field, trace_pairing
 from conesum.geometry import (
     Cone,
@@ -491,8 +491,9 @@ def triangle_generators(F):
 def carrier_key(cone, x):
     """The key of the carrier of x in a top cone by the rule partial_sum and
     converge read off its TermForm: the rays whose row does not vanish."""
-    frame = summation.LatticeFrame(std_basis(cone.field))
-    cols, form = frame.oriented(cone)
+    frame = LatticeFrame(std_basis(cone.field))
+    cols = frame.oriented(cone)
+    form = summation.TermForm.in_basis(cols, frame.det, frame.field)
     Y, _ = frame.coordinates(x)
     return frozenset(frame.point(c).ray_key() for c in summation.carrier(cols, form, Y))
 

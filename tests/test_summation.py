@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 import sys
@@ -17,8 +18,10 @@ from conesum.errors import (
     ConesumError,
     DependentTuple,
     NotACycle,
+    NotAUnit,
     NotConvexUnion,
     NotSimplicial,
+    NotTotallyPositive,
     SingularAtX0,
     UnitDoesNotPreserveM,
 )
@@ -37,6 +40,7 @@ from conesum.field import (
 )
 from conesum.fan import (
     FanDescription,
+    LatticeFrame,
     TruncatedFan,
     build_quadratic_fan,
     refine_insert_ray,
@@ -682,13 +686,12 @@ class TestIncrementalConverge:
         if kind == "explicit":
             desc = explicit_from_auto(desc, vs)
         elif kind == "explicit-redundant":
-            # a representative repeated by a translate, and a unit action
-            # 2*eps, which moves cones as eps does but has norm 4
+            # a representative repeated by a translate
             reps = explicit_from_auto(desc, vs).orbit_cones
             desc = FanDescription(
                 kind="explicit",
                 module_basis=desc.module_basis,
-                units=(vs.unit * 2,),
+                units=(vs.unit,),
                 orbit_cones=reps + (reps[0].mul_unit(vs.unit),),
             )
         n_max = 4 if kind == "quadratic-auto" else 3
@@ -766,11 +769,28 @@ def cubic_fan():
     return F, desc, None
 
 
-def doubled_unit_fan():
-    """The explicit Q(sqrt 3) fan acted on by 2*eps, of norm 4."""
-    F, desc, vs = sqrt3_fan()
-    reps = explicit_from_auto(desc, vs).orbit_cones
-    return F, FanDescription("explicit", desc.module_basis, (vs.unit * 2,), orbit_cones=reps), vs
+def quartic_fan():
+    """Colmez's cones C(1, e_s1, e_s1 e_s2, e_s1 e_s2 e_s3), s in S_3, over
+    the squares e_i = u_i^2 of three independent units of Z[theta] in the
+    totally real quartic field of discriminant 725."""
+    F = make_field([1, 1, -3, -1, 1])
+    units = [F.element([-1, 2, 1, -1]), -F.theta, -F.one - F.theta]
+    eps = tuple(u * u for u in units)
+    reps = []
+    for order in itertools.permutations(range(3)):
+        gens = [F.one]
+        for i in order:
+            gens.append(gens[-1] * eps[i])
+        reps.append(Cone(F, gens))
+    basis = tuple(F.theta**i for i in range(4))
+    desc = FanDescription(kind="explicit", module_basis=basis, units=eps, orbit_cones=tuple(reps))
+    return F, desc, None
+
+
+def oriented_form(frame, t):
+    """A top's oriented columns and the TermForm the window sums build on them."""
+    cols = frame.oriented(t)
+    return cols, TermForm.in_basis(cols, frame.det, frame.field)
 
 
 def oriented_generators(t, module_basis):
@@ -797,8 +817,9 @@ def reference_term(t, module_basis, x0):
 
 MODULE_FANS = {
     "sqrt2": sqrt2_fan, "sqrt3": sqrt3_fan, "sqrt5": sqrt5_fan, "sqrt13": sqrt13_fan,
-    "sqrt19": sqrt19_fan, "cubic": cubic_fan, "doubled-unit": doubled_unit_fan,
+    "sqrt19": sqrt19_fan, "cubic": cubic_fan,
 }
+UNIT_ACTION_FANS = {**MODULE_FANS, "quartic": quartic_fan}
 
 
 @st.composite
@@ -833,31 +854,31 @@ class TestModuleCoordinates:
     @given(fan_and_point())
     def test_forms_match_reference(self, case):
         desc, x0 = case
-        frame = summation.LatticeFrame(desc.module_basis, desc.units)
+        frame = LatticeFrame(desc.module_basis, desc.units)
         Y, d = frame.coordinates(x0)
         assert frame.point(Y) == x0 * d
         for rep in desc.orbit_cones:
             prims, expected = reference_term(rep, desc.module_basis, x0)
-            cols, form = frame.oriented(rep)
+            cols, form = oriented_form(frame, rep)
             assert form.coefficient(Y, d) == expected
             assert [frame.point(c) for c in cols] == prims
 
-    @pytest.mark.parametrize("name", ["sqrt13", "cubic", "doubled-unit"])
+    @pytest.mark.parametrize("name", ["sqrt13", "cubic", "quartic"])
     def test_walk_translates_by_unit_powers(self, name):
         # the walked point u^-e x0 and the translator u^e, against field
         # products, at every exponent vector of window 2
-        F, desc, _ = MODULE_FANS[name]()
-        x0 = F.element([7, 1, 2][: F.degree])
-        frame = summation.LatticeFrame(desc.module_basis, desc.units)
-        points = frame.walk(x0)
+        F, desc, _ = UNIT_ACTION_FANS[name]()
+        x0 = F.element([7, 1, 2, 1][: F.degree])
+        frame = LatticeFrame(desc.module_basis, desc.units)
+        Y0, d = frame.coordinates(x0)
+        points = frame.walk(Y0)
         powers = UnitPowers(F, desc.units)
+        basis = [[int(i == j) for j in range(F.degree)] for i in range(F.degree)]
         for e in window_exponents(desc, 2):
-            Y, d = points(e)
-            assert frame.point(Y) / d == x0 * powers([-a for a in e])
-            basis = [[int(i == j) for j in range(F.degree)] for i in range(F.degree)]
+            assert frame.point(points(e)) / d == x0 * powers([-a for a in e])
             images = frame.moved(basis)(e)
             for b, image in zip(desc.module_basis, images):
-                assert (frame.point(image) / (b * powers(e))).ray_key() == (1, 0, 0)[: F.degree]
+                assert frame.point(image) == b * powers(e)
 
     def test_redundant_generator_reads_the_extreme_rays(self):
         F, desc, vs = sqrt3_fan()
@@ -871,13 +892,126 @@ class TestModuleCoordinates:
     def test_unit_must_preserve_the_module(self):
         F, desc, vs = sqrt3_fan()
         with pytest.raises(UnitDoesNotPreserveM):
-            summation.LatticeFrame(desc.module_basis, (vs.unit / 2,))
+            LatticeFrame(desc.module_basis, (vs.unit / 2,))
 
     def test_dependent_columns_are_not_simplicial(self):
         F, desc, vs = sqrt3_fan()
-        frame = summation.LatticeFrame(desc.module_basis)
+        frame = LatticeFrame(desc.module_basis)
         with pytest.raises(NotSimplicial):
             frame.oriented(Cone(F, [vs.point(0), vs.point(0) * -1]))
+
+    def test_empty_cone_is_not_simplicial(self):
+        F, desc, _ = sqrt3_fan()
+        with pytest.raises(NotSimplicial):
+            cone_term(Cone(F, []), desc.module_basis, F.element([7, 1]))
+
+    def test_columns_are_ordered_by_the_sign_of_their_determinant(self):
+        # det C has the sign of det B, with B = (1, theta) and (theta, 1)
+        F, desc, vs = sqrt3_fan()
+        for basis in (desc.module_basis, desc.module_basis[::-1]):
+            frame = LatticeFrame(basis)
+            for rep in (Cone(F, [vs.point(0), vs.point(1)]), Cone(F, [vs.point(1), vs.point(0)])):
+                cols = frame.oriented(rep)
+                assert (linalg.det(cols) > 0) == (frame.det > 0)
+                assert sorted(cols) == sorted(frame.columns(rep))
+
+
+class TestUnitAction:
+    """A fan's units act on M by integer matrices of determinant N(u) = 1;
+    any other action is rejected, with the causes UnitGroupData gives."""
+
+    @pytest.mark.parametrize("name", sorted(UNIT_ACTION_FANS))
+    def test_determinant_one_and_primitive_moves(self, name):
+        # the quartic fan's three units are SL_4(Z) matrices
+        F, desc, _ = UNIT_ACTION_FANS[name]()
+        frame = LatticeFrame(desc.module_basis, desc.units)
+        n = F.degree
+        assert len(frame.units) == len(desc.units)
+        for U, inv in frame.units:
+            assert len(U) == n and linalg.det(U) == 1
+            assert linalg.mat_mul(U, inv) == linalg.identity(n)
+        for rep in desc.orbit_cones:
+            cols = frame.oriented(rep)
+            moves = frame.moved(cols)
+            for e in window_exponents(desc, 2):
+                moved = moves(e)
+                assert all(math.gcd(*c) == 1 for c in moved)
+                assert linalg.det(moved) == linalg.det(cols)
+
+    @pytest.mark.parametrize("cause", ["two-eps", "norm-minus-one"])
+    def test_other_actions_are_rejected(self, cause):
+        if cause == "two-eps":
+            F, desc, vs = sqrt3_fan()
+            unit, error = vs.unit * 2, NotAUnit
+        else:  # 1 + sqrt 2 preserves Z[sqrt 2]
+            F, desc, vs = sqrt2_fan()
+            unit, error = F.one + F.theta, NotTotallyPositive
+        x0 = F.element([7, 1])
+        reps = explicit_from_auto(desc, vs).orbit_cones
+        fan = FanDescription("explicit", desc.module_basis, (unit,), orbit_cones=reps)
+        with pytest.raises(error):
+            converge(fan, x0, 2, 0.0)
+        with pytest.raises(error):
+            truncate(fan, 1)
+        with pytest.raises(error):
+            partial_sum(TruncatedFan(fan, [((0,), 0), ((1,), 0)], 1), x0)
+
+
+QUARTIC_ERRORS = {  # abs_error of converge's rows, windows 1 to 3
+    (7, 1, 1, 1): ["3.41e-05", "1.47e-06", "1.90e-08"],
+    (3, 0, 1, 0): ["1.13e-03", "9.90e-06", "4.67e-08"],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def quartic_window(window):
+    F, desc, _ = quartic_fan()
+    return F, desc, truncate(desc, window)
+
+
+class TestQuarticFan:
+    """Colmez's fan of a degree-4 field: stars of up to three vanishing
+    rows, and the direction rule in n = 4."""
+
+    @pytest.mark.parametrize("coords", sorted(QUARTIC_ERRORS))
+    def test_converge_matches_partial_sums(self, coords):
+        F, desc, _ = quartic_window(1)
+        x0 = F.element(coords)
+        rows = converge(desc, x0, 3, 0.0)
+        assert [f"{r.abs_error:.2e}" for r in rows] == QUARTIC_ERRORS[coords]
+        for window in (1, 2):
+            row = partial_sum(quartic_window(window)[2], x0)
+            assert row.value == rows[window - 1].value
+            assert row.value.exact_str() == rows[window - 1].value.exact_str()
+            assert row.abs_error == rows[window - 1].abs_error
+
+    def test_stars_at_the_second_point(self):
+        # 3 + theta^2 lies on faces of window 1: three stars of 2 tops and one of 6
+        F, _, tf = quartic_window(1)
+        groups = tf.group_singular_terms(F.element([3, 0, 1, 0]))
+        assert sorted(len(g.cones) for g in groups if not g.is_singleton) == [2, 2, 2, 6]
+
+    def test_open_stars_still_raise(self):
+        # stars at window boundaries that are open until star closure
+        F, desc, _ = quartic_window(1)
+        e1 = desc.units[0]
+        open_windows = {
+            F.element([5, 1, 0, 0]): {1},
+            F.element([11, -1, 2, 1]): {1, 2},
+            F.one: {1},
+            e1: {1, 2, 3},
+            F.one + e1: {1, 2},
+        }
+        for x0, windows in open_windows.items():
+            with pytest.raises(SingularAtX0):
+                converge(desc, x0, 1, 0.0)
+            for window in (1, 2, 3):
+                tf = quartic_window(window)[2]
+                if window in windows:
+                    with pytest.raises(SingularAtX0):
+                        partial_sum(tf, x0)
+                else:
+                    partial_sum(tf, x0)
 
 
 def reference_surd_float(a, c, disc):
@@ -1204,12 +1338,12 @@ class TestStarFromDualSimplices:
         stars = [g for g in tf.group_singular_terms(x0) if not g.is_singleton]
         cycles = star_cycles(tf, x0)
         assert len(stars) == len(cycles) > 0
-        frame = summation.LatticeFrame(tf.description.module_basis)
+        frame = LatticeFrame(tf.description.module_basis)
         Y, _ = frame.coordinates(x0)
 
         def value(group, x):
             # stars_value's c of c/sqrt(D), in the cycle value's form q sqrt(D)
-            tops = [frame.oriented(t) for t in group.cones]
+            tops = [oriented_form(frame, t) for t in group.cones]
             singular = [(summation.carrier(cols, form, Y), cols, form) for cols, form in tops]
             disc = x.field.disc_abs
             return ScaledRational(summation.stars_value(singular, frame, x) / disc, 1, disc)
@@ -1224,12 +1358,12 @@ def laurent_stars(tf, x0):
     """x0's module coordinates (Y, d) and, for each star group at x0, its
     tops' oriented TermForms, their rows that vanish at x0, and its star
     cycle."""
-    frame = summation.LatticeFrame(tf.description.module_basis)
+    frame = LatticeFrame(tf.description.module_basis)
     Y, d = frame.coordinates(x0)
     stars = []
     for g in tf.group_singular_terms(x0):
         if not g.is_singleton:
-            forms = [frame.oriented(t)[1] for t in g.cones]
+            forms = [oriented_form(frame, t)[1] for t in g.cones]
             vanishing = [row for form in forms for row in form.rows
                          if not sum(a * b for a, b in zip(row, Y))]
             stars.append((forms, vanishing, star_cycle(g.cones)))
@@ -1385,9 +1519,9 @@ class TestOneSingularPath:
         for name in sorted(STAR_FANS):
             for window in (1, 2):
                 _, tf, _ = star_window(name, window)
-                frame = summation.LatticeFrame(tf.description.module_basis)
+                frame = LatticeFrame(tf.description.module_basis)
                 for t in tf.top_cones:
-                    cols, form = frame.oriented(t)
+                    cols, form = oriented_form(frame, t)
                     for i, row in enumerate(form.rows):
                         for j, c in enumerate(cols):
                             assert (sum(a * b for a, b in zip(row, c)) != 0) == (i == j)
