@@ -2,7 +2,7 @@
 a cold import and a cold ``converge``, merged into a BENCH file.
 
     python bench/layers.py --src src --label change --out BENCH_20.json
-    python bench/layers.py --parent ../parent/src --out BENCH_29.json
+    python bench/layers.py --parent ../parent/src --out BENCH_30.json
 
 ``--src`` names the ``src`` directory that ``conesum`` is imported from, so
 the same script can measure a checkout of another commit.  With
@@ -276,7 +276,8 @@ def unitsearch_cases() -> dict:
     radius (each call builds its own ``UnitPowers``), the bound and the
     limit-pair checks of the units it finds and the hull chart and its vertex
     certificate at window 3 (each call on a new candidate of those units, as
-    a new command finds them), the relative-width embedding intervals of
+    a new command finds them), the vertex certificate alone on one chart
+    built once, the relative-width embedding intervals of
     the generators and the found units at every place and precision of the
     schedule, the interval log of a point at the first and last precision
     of the schedule, and the error of one converge row whose error cancels
@@ -297,6 +298,8 @@ def unitsearch_cases() -> dict:
     def certified(check):
         return lambda: check(fresh())
 
+    chart = unitsearch.hull_chart(fresh(), (0, 1), 3)
+
     cases = {
         "unitsearch.search_admissible.cubic49": lambda: unitsearch.search_admissible(
             units, a, b, 4
@@ -306,6 +309,7 @@ def unitsearch_cases() -> dict:
             unitsearch.check_admissible_bounds
         ),
         "unitsearch.hull_chart_verify.cubic49.w3": chart_and_vertices,
+        "unitsearch.verify_vertices.cubic49.w3": lambda: unitsearch.verify_vertices(chart),
         "unitsearch.embedding_iv_positive.cubic49": lambda: [
             unitsearch._embedding_iv_positive(x, p, prec)
             for x in (*units.generators, *cand.units)

@@ -222,9 +222,10 @@ class TermGroup(FrozenRecord):
 
 class LatticeFrame:
     """Integer coordinates x = B Y / d in the module with basis B, and each
-    unit u as the pair (U, U^-1) of integer matrices of x -> u x.  det U =
-    N(u) is 1 for a totally positive unit: U^-1 = adj U, u^-e x keeps the d
-    of x, and moved columns stay primitive and keep the sign of det C."""
+    unit u as the pair (U, U^-1) of integer matrices of x -> u x.  Only
+    totally positive units are taken, so det U = N(u) is 1: U^-1 = adj U,
+    u^-e x keeps the d of x, and moved columns stay primitive and keep the
+    sign of det C."""
 
     def __init__(self, module_basis: Sequence[FieldElement], units: Sequence[FieldElement] = ()):
         self.basis, self.field = tuple(module_basis), module_basis[0].field
@@ -239,7 +240,7 @@ class LatticeFrame:
             inv, det = linalg.adjugate(U)
             if abs(det) != 1:
                 raise NotAUnit(f"{u} is not a unit")
-            if det < 0:
+            if not is_totally_positive(u):  # det 1 is not enough: -eps on Q(sqrt 3)
                 raise NotTotallyPositive(f"{u} is not totally positive")
             self.units.append((U, inv))
 
@@ -266,7 +267,7 @@ class LatticeFrame:
         ordered so that det C has the sign of det B; NotSimplicial unless
         they are degree-many and independent."""
         cols = self.columns(t)
-        det = linalg.det(cols) if len(cols) == self.field.degree else 0
+        det = linalg.int_det(cols) if len(cols) == self.field.degree else 0
         if not det:
             raise NotSimplicial("cone term needs a simplicial top cone")
         if (det > 0) != (self.det > 0):

@@ -3,7 +3,8 @@
 Matrices are lists (or tuples) of rows of rationals (Fractions or ints).
 Every routine first clears each row to integers and eliminates on integers,
 building Fractions only for its result: ``det`` by Bareiss's fraction-free
-elimination, ``adjugate`` (and ``inverse`` through it) by its Gauss-Jordan
+elimination (``int_det``, which takes integer rows as they are and builds no
+Fraction), ``adjugate`` (and ``inverse`` through it) by its Gauss-Jordan
 form, ``rref`` and the solvers by Gauss-Jordan elimination on integer
 rows, each updated row divided by the gcd of its entries.  The reduced row
 echelon form is unique, so these give exactly the Fractions that elimination
@@ -88,23 +89,29 @@ def rank(rows: Iterable[Sequence]) -> int:
 
 
 def det(rows: Iterable[Sequence]) -> Fraction:
-    """Determinant by Bareiss elimination: after step k every entry below
-    and right of the pivots is a minor of order k + 1 of the integer matrix,
-    so each division by the previous pivot is exact."""
+    """Determinant: int_det of the cleared rows over their denominators."""
     m, scale = [], 1
     for row in rows:
         ints, d = cleared(row)
         m.append(ints)
         scale *= d
+    return Fraction(int_det(m), scale)
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of integer rows by Bareiss elimination: after step k every
+    entry below and right of the pivots is a minor of order k + 1, so each
+    division by the previous pivot is exact."""
+    m = list(rows)  # rows are replaced, never changed in place
     n = len(m)
     if any(len(row) != n for row in m):
         raise DegreeMismatch("determinant needs a square matrix")
     sign, prev = 1, 1
     for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
-            return _ZERO
-        if pivot != k:
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return 0
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         prow = m[k]
@@ -113,7 +120,7 @@ def det(rows: Iterable[Sequence]) -> Fraction:
             f = m[i][k]
             m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
         prev = p
-    return Fraction(sign * prev, scale)
+    return sign * prev
 
 
 def solve(a: Iterable[Sequence], b: Sequence) -> Row | None:

@@ -6,12 +6,14 @@ anything that stays undecided raises PrecisionExhausted instead of guessing.
 The search decides its region conditions by integer sums over the generators'
 certified log matrix, and the certification of a found set by the same sums
 over its own units' log matrix; only what those leave open goes to the exact
-tests.
+tests.  The vertex separations of a hull chart are decided by integer sums
+over its points' bounds, and only what those leave open by intervals.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -241,8 +243,7 @@ class LogLattice:
             gens, n = self.units.generators, self.field.degree
             ivs = [[_embedding_iv_positive(g, p, prec) for g in gens] for p in range(n)]
             logs = [[iv.log() for iv in row] for row in ivs]
-            exp = min(iv.exp for row in logs for iv in row)
-            self._certified[prec] = ivs, exp, [[_on_scale(iv, exp) for iv in row] for row in logs]
+            self._certified[prec] = ivs, *_on_common_scale(logs)
         return self._certified[prec]
 
     def embeddings(self, prec: int) -> list[list[Interval]]:
@@ -290,6 +291,13 @@ def _on_scale(iv: Interval, exp: int) -> tuple[int, int]:
     """Integer bounds on iv over 2^exp, rounded outward."""
     s = iv.exp - exp
     return (iv.lo << s, iv.hi << s) if s >= 0 else (iv.lo >> -s, -(-iv.hi >> -s))
+
+
+def _on_common_scale(rows) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(exp, the exact integer bounds over 2^exp of the intervals of rows),
+    for the least exp of theirs."""
+    exp = min(iv.exp for row in rows for iv in row)
+    return exp, [[_on_scale(iv, exp) for iv in row] for row in rows]
 
 
 def _iv_det(rows) -> Interval:
@@ -563,7 +571,8 @@ def search_admissible(
             break
         logs = lattice.log_bounds(exp, prec)
         for i in range(n):
-            if i in found:
+            # log eps^(i) >= 0 settles c1's first quantity: _region_decision is False
+            if i in found or logs[i][0] >= 0:
                 continue
             ok = _region_decision(logs, i, log_a, log_b)
             if ok is None:
@@ -590,17 +599,21 @@ class HullChart(Record):
     The chart drops the omitted place j and keeps the places of index_set
     (0-indexed); the boundary surface through the charted points is
     prod z_i^(a_i) = 1 with certified-positive exponents, each a_i enclosed by
-    its (lo, hi) in exponents.  points maps exponent vectors to coordinates.
+    the Interval a_vec[i], whose exact endpoints are exponents[i].  points
+    maps exponent vectors to coordinates.
     """
 
-    __slots__ = ("index_set", "omitted", "exponents", "window", "points", "prec")
+    __slots__ = ("index_set", "omitted", "a_vec", "window", "points", "prec")
 
     def __init__(
-        self, index_set: tuple[int, ...], omitted: int,
-        exponents: tuple[tuple[Fraction, Fraction], ...], window: int,
-        points: dict[tuple[int, ...], tuple[Interval, ...]], prec: int,
+        self, index_set: tuple[int, ...], omitted: int, a_vec: tuple[Interval, ...],
+        window: int, points: dict[tuple[int, ...], tuple[Interval, ...]], prec: int,
     ):
-        self._fill(index_set, omitted, exponents, window, points, prec)
+        self._fill(index_set, omitted, a_vec, window, points, prec)
+
+    @property
+    def exponents(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(ai.endpoints() for ai in self.a_vec)
 
 
 def _chart_point(x: FieldElement, omitted: int, prec: int) -> tuple[Interval, ...]:
@@ -680,14 +693,14 @@ def hull_chart(
 
             # every charted point lies on the boundary surface
             for exp, z in points.items():
-                if 0 not in _log_form(a_vec, z):
+                if _iv_sign(_log_form(a_vec, z)) is not None:  # 0 is not in it
                     raise PrecisionExhausted(
                         f"charted point {exp} is off the boundary surface"
                     )
             chart = HullChart(
                 index_set=I,
                 omitted=j,
-                exponents=tuple(ai.endpoints() for ai in a_vec),
+                a_vec=tuple(a_vec),
                 window=window,
                 points=points,
                 prec=prec,
@@ -707,10 +720,6 @@ def _log_form(a_vec, z) -> Interval:
     return reduce(operator.add, (ai * zi.log() for ai, zi in zip(a_vec, z)))
 
 
-def _exponent_ivs(chart: HullChart) -> list[Interval]:
-    return [Interval.of(lo, hi, chart.prec + GUARD_BITS) for lo, hi in chart.exponents]
-
-
 def _zero_sum_exponents(r: int, window: int):
     """Exponent vectors with entries in [-window, window] summing to zero."""
     box = itertools.product(range(-window, window + 1), repeat=r)
@@ -721,27 +730,55 @@ def verify_vertices(chart: HullChart) -> bool:
     """Certify that every charted point is a vertex of the convex hull of
     the charted points, via an explicit separating functional.
 
-    The candidate functional at P is the gradient of sum a_i log z_i; the
-    certificate itself is a plain linear separation, checked in intervals.
+    The functional at P is the gradient a_i / P_i of sum a_i log z_i, and Q
+    lies on its far side when sum_i (a_i / P_i)(Q_i - P_i) > 0.  Times the
+    positive prod_r P_r, that is sum_i a_i (Q_i - P_i) prod_{r != i} P_r,
+    which _integer_separations bounds with no division; a pair its bounds
+    leave open is tested in intervals, and PrecisionExhausted is raised when
+    those leave it open too.
     """
-    pts = chart.points
-    keys = sorted(pts)
-    a_vec = _exponent_ivs(chart)
-    for key in keys:
-        P = pts[key]
-        grad = [ai / zi for ai, zi in zip(a_vec, P)]
-        for other in keys:
-            if other == key:
-                continue
-            Q = pts[other]
-            s = _iv_sign(reduce(operator.add, (g * (qi - pi) for g, qi, pi in zip(grad, Q, P))))
+    for key, other, s in _integer_separations(chart):
+        if s is None:
+            P, Q = chart.points[key], chart.points[other]
+            s = _iv_sign(reduce(operator.add, (
+                ai / pi * (qi - pi) for ai, qi, pi in zip(chart.a_vec, Q, P))))
             if s is None:
                 raise PrecisionExhausted(
                     f"cannot certify separation of {key} from {other}"
                 )
-            if s <= 0:
-                return False
+        if s < 0:
+            return False
     return True
+
+
+def _integer_separations(chart: HullChart):
+    """(key of P, key of Q, sign) for every ordered pair of distinct charted
+    points, in sorted key order: the sign of sum_i a_i (Q_i - P_i) prod_{r != i} P_r,
+    summed exactly on integer bounds of the points over one power of two and
+    of a over another, or None when the bounds leave it open or do not
+    certify a and P positive."""
+    keys = sorted(chart.points)
+    _, pts = _on_common_scale([chart.points[k] for k in keys])
+    _, (a,) = _on_common_scale([chart.a_vec])
+    for key, P in zip(keys, pts):
+        # bounds on the weights a_i prod_{r != i} P_r, all positive
+        weights = None
+        if all(lo > 0 for lo, _ in a + P):
+            weights = [(alo * math.prod(lo for lo, _ in P[:i] + P[i + 1:]),
+                        ahi * math.prod(hi for _, hi in P[:i] + P[i + 1:]))
+                       for i, (alo, ahi) in enumerate(a)]
+        for other, Q in zip(keys, pts):
+            if other == key:
+                continue
+            if weights is None:
+                yield key, other, None
+                continue
+            lo = hi = 0
+            for (wlo, whi), (plo, phi), (qlo, qhi) in zip(weights, P, Q):
+                dlo, dhi = qlo - phi, qhi - plo
+                lo += (wlo if dlo >= 0 else whi) * dlo
+                hi += (whi if dhi >= 0 else wlo) * dhi
+            yield key, other, 1 if lo > 0 else -1 if hi < 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +823,7 @@ def _chart_region_contains(chart: HullChart, y: FieldElement) -> bool | None:
     d = len(z)
 
     # outside the smooth region that contains the hull: certified False
-    if _iv_sign(_log_form(_exponent_ivs(chart), z)) == -1:
+    if _iv_sign(_log_form(chart.a_vec, z)) == -1:
         return False
 
     # domination of a charted point

@@ -162,6 +162,17 @@ def test_adjugate_is_det_times_inverse(m):
     assert adj == [[v * d for v in row[n:]] for row in red]
 
 
+@given(m=matrices(square=True))
+@settings(max_examples=200, deadline=None)
+def test_integer_det_matches_leibniz(m):
+    # the integer rows of the adjugate test, taken as they are
+    den = math.lcm(*(v.denominator for row in m for v in row))
+    ints = [[int(v * den) for v in row] for row in m]
+    d = linalg.int_det(ints)
+    assert type(d) is int and d == reference_det(ints)
+    assert ints == [[int(v * den) for v in row] for row in m]  # left as it was
+
+
 def test_adjugate_of_a_non_square_matrix_is_a_typed_error():
     with pytest.raises(DegreeMismatch):
         linalg.adjugate([[1, 2]])
@@ -181,6 +192,8 @@ def test_det_of_a_non_square_matrix_is_a_typed_error():
         linalg.det([[1, 2]])
     with pytest.raises(DegreeMismatch):
         linalg.det([[1, 2], [3]])
+    with pytest.raises(DegreeMismatch):
+        linalg.int_det([[1, 2]])
 
 
 def test_kernel_of_a_zero_matrix_is_everything():

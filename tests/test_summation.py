@@ -938,11 +938,14 @@ class TestUnitAction:
                 assert all(math.gcd(*c) == 1 for c in moved)
                 assert linalg.det(moved) == linalg.det(cols)
 
-    @pytest.mark.parametrize("cause", ["two-eps", "norm-minus-one"])
+    @pytest.mark.parametrize("cause", ["two-eps", "norm-minus-one", "minus-eps"])
     def test_other_actions_are_rejected(self, cause):
         if cause == "two-eps":
             F, desc, vs = sqrt3_fan()
             unit, error = vs.unit * 2, NotAUnit
+        elif cause == "minus-eps":  # N(-eps) = 1, but -eps is totally negative
+            F, desc, vs = sqrt3_fan()
+            unit, error = -vs.unit, NotTotallyPositive
         else:  # 1 + sqrt 2 preserves Z[sqrt 2]
             F, desc, vs = sqrt2_fan()
             unit, error = F.one + F.theta, NotTotallyPositive

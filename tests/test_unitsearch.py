@@ -39,6 +39,7 @@ from conesum.unitsearch import (
     GUARD_BITS,
     PREC_SCHEDULE,
     AdmissibleCandidate,
+    HullChart,
     Interval,
     LogLattice,
     check_admissible,
@@ -306,6 +307,29 @@ class TestSearch:
         _, V = cubic_units()
         with pytest.raises(NegativeIndex):
             search_admissible(V, A_BOUND, B_BOUND, -1)
+
+    def test_regions_decided_only_below_one(self, monkeypatch):
+        # c1's first quantity is -log eps^(i): a region whose lower bound on
+        # log eps^(i) is >= 0 is False there, so the search skips it
+        _, V = cubic_units()
+        lattice, prec = LogLattice(V), PREC_SCHEDULE[0]
+        real_decision = unitsearch._region_decision
+        for a, b in benchmark_bound_pairs():
+            log_a, log_b = (lattice.rational_log(x, prec) for x in (a, b))
+            for exp in itertools.product(range(-RADIUS, RADIUS + 1), repeat=V.rank):
+                logs = lattice.log_bounds(exp, prec)
+                for i in range(3):
+                    if logs[i][0] >= 0:
+                        assert real_decision(logs, i, log_a, log_b) is False
+        decided = []
+
+        def decision(logs, i, log_a, log_b):
+            decided.append(logs[i][0])
+            return real_decision(logs, i, log_a, log_b)
+
+        monkeypatch.setattr(unitsearch, "_region_decision", decision)
+        assert search_admissible(V, A_BOUND, B_BOUND, RADIUS)
+        assert len(decided) == 89 and all(lo < 0 for lo in decided)
 
     @pytest.mark.parametrize("radius", [2, 3, 4, 5])
     def test_same_units_as_the_exact_reference(self, radius):
@@ -660,6 +684,51 @@ class TestIntervalArithmetic:
         assert Interval.of(5, 5, 80).endpoints() == (5, 5)
 
 
+def interval_separations(chart):
+    """(key of P, key of Q, sign) for every ordered pair of distinct charted
+    points: the separation sum_i (a_i / P_i)(Q_i - P_i) summed in Intervals,
+    None where they leave its sign open (the interval loop that
+    verify_vertices ran on every pair before the integer bounds)."""
+    a_vec = [Interval.of(lo, hi, chart.prec + GUARD_BITS) for lo, hi in chart.exponents]
+    keys = sorted(chart.points)
+    for key in keys:
+        P = chart.points[key]
+        grad = [ai / zi for ai, zi in zip(a_vec, P)]
+        for other in keys:
+            if other != key:
+                Q = chart.points[other]
+                terms = [g * (qi - pi) for g, qi, pi in zip(grad, Q, P)]
+                yield key, other, unitsearch._iv_sign(sum(terms[1:], terms[0]))
+
+
+def interval_verdict(chart):
+    """The interval loop's verdict: False at the first pair certified
+    inside, PrecisionExhausted at the first pair left open."""
+    for key, other, s in interval_separations(chart):
+        if s is None:
+            raise PrecisionExhausted(f"cannot certify separation of {key} from {other}")
+        if s < 0:
+            return False
+    return True
+
+
+def adulterated(chart, kind):
+    """A copy of the chart with one point added or moved."""
+    import copy
+
+    fake = copy.deepcopy(chart)
+    keys = sorted(fake.points)
+    p, q = fake.points[keys[0]], fake.points[keys[1]]
+    if kind == "midpoint":
+        fake.points[(99, -99)] = tuple((a + b) / 2 for a, b in zip(p, q))
+    elif kind == "duplicate":
+        fake.points[(99, -99)] = p
+    else:  # a middle point moved into the hull region by 2^-40
+        mid = keys[len(keys) // 2]
+        fake.points[mid] = tuple(z + Fraction(1, 2**40) for z in fake.points[mid])
+    return fake
+
+
 class TestVerifyVertices:
     def test_window_three(self, found_candidate):
         for I in itertools.combinations(range(3), 2):
@@ -671,17 +740,62 @@ class TestVerifyVertices:
         assert verify_vertices(chart)
 
     def test_non_vertex_point_detected(self, found_candidate):
-        # adulterate a chart with the midpoint of two charted points: the
-        # separation certificate must fail for it
-        import copy
-
-        chart = hull_chart(found_candidate, (0, 1), 2)
-        fake = copy.deepcopy(chart)
-        keys = sorted(fake.points)
-        p, q = fake.points[keys[0]], fake.points[keys[1]]
-        mid = tuple((a + b) / 2 for a, b in zip(p, q))
-        fake.points[(99, -99)] = mid
+        # the midpoint of two charted points: the separation certificate
+        # must fail for it
+        fake = adulterated(hull_chart(found_candidate, (0, 1), 2), "midpoint")
         assert verify_vertices(fake) is False
+
+    @pytest.mark.parametrize("window", range(6))
+    def test_integer_bounds_decide_every_pair_of_a_chart(self, found_candidate, window):
+        # and agree with the interval loop, which decides every pair too
+        for I in itertools.combinations(range(3), 2):
+            chart = hull_chart(found_candidate, I, window)
+            ints = list(unitsearch._integer_separations(chart))
+            assert ints == list(interval_separations(chart)), (I, window)
+            assert all(s == 1 for _, _, s in ints)
+            assert len(ints) == len(chart.points) * (len(chart.points) - 1)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_signs_hold_at_every_corner(self, data):
+        # sum_i a_i (Q_i - P_i) prod_{r != i} P_r is multilinear in a, P and
+        # Q, so over their boxes it takes its extremes at the corners
+        def box():
+            lo = data.draw(st.integers(min_value=1, max_value=2**12))
+            width = data.draw(st.integers(min_value=0, max_value=2**8))
+            return Interval(lo, lo + width, data.draw(st.integers(min_value=-3, max_value=3)), 64)
+
+        a, P, Q = (tuple(box() for _ in range(2)) for _ in range(3))
+        chart = HullChart((0, 1), 2, a, 0, {(0, 0): P, (1, -1): Q}, 48)
+        for key, other, s in unitsearch._integer_separations(chart):
+            corners = itertools.product(
+                *(iv.endpoints() for iv in a + chart.points[key] + chart.points[other]))
+            values = [a0 * (y0 - x0) * x1 + a1 * (y1 - x1) * x0
+                      for a0, a1, x0, x1, y0, y1 in corners]
+            if s is not None:
+                assert all(v * s > 0 for v in values), (key, other)
+
+    @pytest.mark.parametrize("kind", ["midpoint", "duplicate", "inward"])
+    @pytest.mark.parametrize("I", list(itertools.combinations(range(3), 2)))
+    def test_agrees_with_the_interval_loop_on_adulterated_charts(self, found_candidate, kind, I):
+        # wherever the interval loop decides a pair, the integer bounds leave
+        # it open or give the same sign; the verdicts agree wherever the loop
+        # gives one
+        fake = adulterated(hull_chart(found_candidate, I, 3), kind)
+        pairs = zip(interval_separations(fake), unitsearch._integer_separations(fake))
+        for (key, other, s), (ikey, iother, t) in pairs:
+            assert (key, other) == (ikey, iother)
+            assert s is None or t in (None, s), (kind, I, key, other)
+        try:
+            verdict = interval_verdict(fake)
+        except PrecisionExhausted:
+            verdict = None
+        if verdict is None:  # the duplicate: its separation from itself is 0
+            with pytest.raises(PrecisionExhausted):
+                verify_vertices(fake)
+        else:
+            assert verify_vertices(fake) is verdict
+        assert verdict is {"midpoint": False, "duplicate": None, "inward": True}[kind]
 
 
 class TestExhaustion:
@@ -761,12 +875,19 @@ class TestIntervalPrecision:
         assert default[3:] == (True, True, True)
 
     def test_vertices_certified_at_chart_precision(self, found_candidate, monkeypatch):
+        # the integer bounds decide every pair of a found chart, with no
+        # Interval arithmetic; a pair they leave open is tested in intervals
+        # at the chart's precision
         chart = hull_chart(found_candidate, (0, 2), 3)
+        ok, calls = calls_to((Interval.__init__, unitsearch._iv_sign), verify_vertices, chart)
+        assert ok and calls == []
         seen = []
-        real_sign = unitsearch._iv_sign
+        real_sign, real_separations = unitsearch._iv_sign, unitsearch._integer_separations
         monkeypatch.setattr(
             unitsearch, "_iv_sign", lambda iv: seen.append(iv.prec) or real_sign(iv)
         )
+        monkeypatch.setattr(unitsearch, "_integer_separations",
+                            lambda c: ((k, o, None) for k, o, _ in real_separations(c)))
         assert verify_vertices(chart)
-        assert seen and set(seen) == {chart.prec + GUARD_BITS}
+        assert len(seen) == 7 * 6 and set(seen) == {chart.prec + GUARD_BITS}
 
