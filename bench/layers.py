@@ -122,6 +122,12 @@ def layer_cases():
         cases[f"field.sign_at.{name}"] = lambda F=F, z=z: [
             F.sign_at(z, place) for place in range(F.degree)
         ]
+        # a den-1 unit power (dyadic bounds) and x (a non-dyadic denominator)
+        cases[f"field.embed_at.{name}"] = lambda F=F, u=u, x=x: [
+            F.embed_at(v, place, 64) for v in (u, x) for place in range(F.degree)
+        ]
+    # a field built anew on every call, so its irreducibility check runs
+    cases["field.make_field.quartic"] = lambda: field.TotallyRealField(tuple(QUARTIC))
     q = Fraction(3, 7)
     cases["field.scaled_rational.new"] = lambda: field.ScaledRational(q, 1, 12)
     m = [[Fraction(i * j + 1, i + j + 2) - (i == j) * 3 for j in range(4)] for i in range(4)]
@@ -244,7 +250,8 @@ def converge_cases() -> dict:
     14 windows of one orbit representative, and Q(sqrt 19) at 7 +
     sqrt(19)/3, 3 windows of seven representatives, both to 1e-12; the
     explicit rank-two fan of the cubic field at 5 + theta + theta^2, all 5
-    windows; and ``surd_float`` on the error of the last Q(sqrt 5) row."""
+    windows; ``surd_float`` on the error of the last Q(sqrt 5) row; and the
+    quadrature area of the shipped Q(sqrt 3) module basis at its x0."""
     from conesum import config, field, summation
 
     def built(d, basis, unit, x0):
@@ -256,6 +263,7 @@ def converge_cases() -> dict:
         cfg = config.build_config(raw, {"x0": x0})
         return cfg.fan, cfg.x0
 
+    sqrt3 = config.load_config(str(ROOT / "configs/sqrt3.json"))
     sqrt5 = built(5, [["1", "0"], ["1/2", "1/2"]], ["3/2", "1/2"], ["7/2", "1/2"])
     sqrt19 = built(19, [["1", "0"], ["0", "1"]], ["170", "39"], ["7", "1/3"])
     cubic = cubic_fan()
@@ -268,6 +276,9 @@ def converge_cases() -> dict:
         "summation.converge.sqrt19.generic": lambda: summation.converge(*sqrt19, 20, 1e-12),
         "summation.converge.cubic.explicit": lambda: summation.converge(cubic, cubic_x0, 5, 0.0),
         "field.surd_float": lambda: field.surd_float(*error),
+        "summation.hurwitz_area.sqrt3": lambda: summation.hurwitz_area(
+            sqrt3.module.basis, sqrt3.x0
+        ),
     }
 
 

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .field import (
     FieldElement,
-    RatInterval,
     ScaledRational,
     TotallyRealField,
     UnitGroupData,
@@ -24,6 +23,7 @@ from .field import (
     norm,
     trace_pairing,
 )
+from .interval import Interval
 from .geometry import Cone, LinearSubspace, ProjPolyhedron, dual_cone, primitive_generator
 from .cycles import (
     Cycle,

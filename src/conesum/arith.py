@@ -263,10 +263,9 @@ class _QuadraticEnumerator:
         self.eP, self.eQ = eps.num
 
         # float embedding data for the box
-        e1 = [float(iv) for iv in field.embed(m1, 40)]
-        e2 = [float(iv) for iv in field.embed(m2, 40)]
-        er = [float(iv) for iv in field.embed(rho, 40)]
-        self._emb = (e1, e2, er)
+        self._emb = tuple(
+            [float(iv.midpoint()) for iv in field.embed(x, 40)] for x in (m1, m2, rho)
+        )
         self.lam = float(field.embed_at(self.eps, 1, 40).midpoint()) / float(
             field.embed_at(self.eps, 0, 40).midpoint()
         )

@@ -54,7 +54,7 @@ class DegreeMismatch(ConesumError):
 
 
 class EmptyInterval(ConesumError):
-    """A rational interval whose lower end exceeds its upper end."""
+    """An interval whose lower end exceeds its upper end."""
 
 
 # -- geometry -----------------------------------------------------------------

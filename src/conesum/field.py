@@ -6,8 +6,8 @@ roots real.  Elements are rational coordinate vectors in the power basis
 positive common denominator; products, inverses, norms, minimal
 polynomials, Sturm sequences and embedding refinement run on integers.
 Real embeddings are ordered by increasing root and are only ever produced
-as rational-endpoint enclosing intervals, refinable to any width; signs of
-nonzero elements are decided exactly.
+as enclosing dyadic Intervals (``interval.Interval``), refinable to any
+width; signs of nonzero elements are decided exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from . import linalg
 from .errors import (
     DegenerateRoots,
     DegreeMismatch,
-    EmptyInterval,
     MixedExponents,
     NotAUnit,
     NotIrreducible,
@@ -32,6 +31,7 @@ from .errors import (
     UnitRankMismatch,
     ZeroInput,
 )
+from .interval import GUARD_BITS, Interval
 from .record import FrozenRecord
 
 _ZERO = Fraction(0)
@@ -39,64 +39,19 @@ _ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# rational intervals
+# interval bounds
 
 
-class RatInterval(FrozenRecord):
-    """Closed interval with exact rational endpoints."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: Fraction, hi: Fraction):
-        if lo > hi:
-            raise EmptyInterval(f"[{lo}, {hi}] has lo > hi")
-        self._fill(lo, hi)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, value) -> bool:
-        return self.lo <= value <= self.hi
-
-    def sign(self) -> int | None:
-        """Certified sign, or None if the interval straddles zero."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        if self.lo == self.hi == 0:
-            return 0
-        return None
-
-    def __add__(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __neg__(self) -> "RatInterval":
-        return RatInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other: "RatInterval") -> "RatInterval":
-        return self + (-other)
-
-    def __mul__(self, other: "RatInterval") -> "RatInterval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return RatInterval(min(products), max(products))
-
-    @classmethod
-    def scaled(cls, lo: int, hi: int, s: int) -> "RatInterval":
-        """[lo/s, hi/s] for integers lo <= hi and s > 0."""
-        return cls(Fraction(lo, s), Fraction(hi, s))
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def __float__(self) -> float:
-        return float(self.midpoint())
+def _interval(bounds: tuple[int, int, int], prec_bits: int) -> Interval:
+    """The Interval of [lo/s, hi/s] for bounds (lo, hi, s).  Over the least
+    common denominator s' = s / gcd(lo, hi, s), its mantissas carry the bits
+    of both numerators, at least prec_bits, and 2 GUARD_BITS more: a dyadic
+    [lo/s, hi/s] passes exactly, and any other is rounded outward by less
+    than 2^-31 / s' at each end."""
+    lo, hi, s = bounds
+    g = math.gcd(lo, hi, s)
+    bits = max((lo // g).bit_length(), (hi // g).bit_length(), prec_bits) + 2 * GUARD_BITS
+    return Interval.scaled(lo, hi, s, bits)
 
 
 def interval_poly_eval(
@@ -235,13 +190,11 @@ def _has_integer_root(p: Sequence[int]) -> bool:
     return False
 
 
-def _monic_product(roots: Sequence[RatInterval]) -> list[RatInterval]:
+def _monic_product(roots: Sequence[Interval]) -> list[Interval]:
     """Interval coefficients (ascending) of prod (x - r) over the roots."""
-    zero = RatInterval(_ZERO, _ZERO)
-    coeffs = [RatInterval(_ONE, _ONE)]
+    coeffs = [1]
     for r in roots:
-        shifted = [zero] + coeffs
-        coeffs = [s - r * c for s, c in zip(shifted, coeffs + [zero])]
+        coeffs = [s - r * c for s, c in zip([0] + coeffs, coeffs + [0])]
     return coeffs
 
 
@@ -601,14 +554,13 @@ class TotallyRealField:
         ]
         depth = 0
         while subsets:
-            roots = [
-                RatInterval.scaled(*self._root_interval(place, depth)) for place in range(n)
-            ]
+            roots = [_interval(self._root_interval(place, depth), 0) for place in range(n)]
             undecided = []
             for subset in subsets:
                 pinned = []
                 for c in _monic_product([roots[i] for i in subset])[:-1]:
-                    lo, hi = math.ceil(c.lo), math.floor(c.hi)
+                    lo, hi = c.endpoints()
+                    lo, hi = math.ceil(lo), math.floor(hi)
                     if lo > hi:
                         break
                     pinned.append(lo if lo == hi else None)
@@ -745,8 +697,10 @@ class TotallyRealField:
             if hi is not None:
                 depth = min(depth, hi - 1)
 
-    def embed_at(self, x: FieldElement, place: int, prec_bits: int) -> RatInterval:
-        """Interval of x at place at the least depth of width <= 2^-prec_bits."""
+    def embed_at(self, x: FieldElement, place: int, prec_bits: int) -> Interval:
+        """Interval of x at place at the least depth of width <= 2^-prec_bits,
+        decided on the exact bounds; exact when they are dyadic, rounded
+        outward by _interval otherwise."""
 
         def narrow(lo, hi, s):
             return (hi - lo) << prec_bits <= s
@@ -754,9 +708,9 @@ class TotallyRealField:
         def excess(lo, hi, s):
             return _excess_bits((hi - lo) << prec_bits, s)
 
-        return RatInterval.scaled(*self._refine(x, place, narrow, excess, least=True))
+        return _interval(self._refine(x, place, narrow, excess, least=True), prec_bits)
 
-    def embed(self, x: FieldElement, prec_bits: int = 30) -> list[RatInterval]:
+    def embed(self, x: FieldElement, prec_bits: int = 30) -> list[Interval]:
         return [self.embed_at(x, i, prec_bits) for i in range(self.degree)]
 
     def sign_at(self, x: FieldElement, place: int) -> int:
@@ -821,7 +775,7 @@ def is_totally_positive(x: FieldElement) -> bool:
     return all(x.field.sign_at(x, i) > 0 for i in range(x.field.degree))
 
 
-def embed(x: FieldElement, prec_bits: int = 30) -> list[RatInterval]:
+def embed(x: FieldElement, prec_bits: int = 30) -> list[Interval]:
     return x.field.embed(x, prec_bits)
 
 

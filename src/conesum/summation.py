@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from . import linalg
@@ -449,6 +450,18 @@ def _check_tiling(cones: Sequence[Cone], union: Cone) -> None:
 MAX_NODES_PER_AXIS = 64  # node generation costs grow as k^3
 
 
+@lru_cache(maxsize=None)
+def _unit_gauss_rule(k: int):
+    """The k-node Gauss-Legendre nodes and weights moved to [0, 1], as
+    read-only arrays: a memo of a pure function of k."""
+    import numpy as np
+
+    u, w = np.polynomial.legendre.leggauss(k)
+    u, w = (u + 1) / 2, w / 2
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
 def hurwitz_area(
     points: Sequence[FieldElement],
     x0: FieldElement,
@@ -485,9 +498,7 @@ def hurwitz_area(
 
     import numpy as np
 
-    k = min(max(round(samples ** (1 / (n - 1))), 2), MAX_NODES_PER_AXIS)
-    u, w = np.polynomial.legendre.leggauss(k)
-    u, w = (u + 1) / 2, w / 2
+    u, w = _unit_gauss_rule(min(max(round(samples ** (1 / (n - 1))), 2), MAX_NODES_PER_AXIS))
     # flattened tensor grid, one axis u_j at a time: the partial sum of
     # lam_i c_i, the weight with its Jacobian factor, and prod (1 - u_j)
     denom, weight, rest = np.zeros(1), np.ones(1), np.ones(1)

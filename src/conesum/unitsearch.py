@@ -17,7 +17,7 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .errors import (
     DegreeMismatch,
@@ -40,149 +40,10 @@ from .field import (
     limit_pair,
     root_indices,
 )
+from .interval import GUARD_BITS, Interval, _iv_sign
 from .record import FrozenRecord, Record
 
 PREC_SCHEDULE = (64, 128, 256, 512, 1024)
-# mantissa bits of the intervals beyond the embedding precision
-GUARD_BITS = 16
-
-
-# ---------------------------------------------------------------------------
-# dyadic intervals
-
-
-class Interval:
-    """Closed interval [lo 2^exp, hi 2^exp] with integer mantissas of about
-    prec bits.  Every operation rounds its result outward to the larger
-    operand precision, so it encloses the exact result on any points of the
-    operands; ints and Fractions mix in rounded outward.  The precision
-    travels with the value: no global state is read."""
-
-    __slots__ = ("lo", "hi", "exp", "prec")
-
-    def __init__(self, lo: int, hi: int, exp: int, prec: int):
-        shift = max(lo.bit_length(), hi.bit_length()) - prec
-        if shift > 0:
-            lo, hi, exp = lo >> shift, -(-hi >> shift), exp + shift
-        self.lo, self.hi, self.exp, self.prec = lo, hi, exp, prec
-
-    @classmethod
-    def of(cls, lo, hi, prec: int) -> "Interval":
-        """The rational interval [lo, hi], rounded outward to prec bits."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        big = max(abs(lo), abs(hi))
-        s = prec + big.denominator.bit_length() - big.numerator.bit_length()
-        up, down = max(s, 0), max(-s, 0)  # scale by 2^s
-        return cls((lo.numerator << up) // (lo.denominator << down),
-                   -((-hi.numerator << up) // (hi.denominator << down)), -s, prec)
-
-    def _coerce(self, other) -> "Interval":
-        return other if isinstance(other, Interval) else Interval.of(other, other, self.prec)
-
-    def endpoints(self) -> tuple[Fraction, Fraction]:
-        scale = Fraction(2) ** self.exp
-        return self.lo * scale, self.hi * scale
-
-    def __contains__(self, value) -> bool:
-        lo, hi = self.endpoints()
-        return lo <= value <= hi
-
-    def __add__(self, other) -> "Interval":
-        other = self._coerce(other)
-        exp = min(self.exp, other.exp)
-        a, b = self.exp - exp, other.exp - exp
-        return Interval((self.lo << a) + (other.lo << b), (self.hi << a) + (other.hi << b),
-                        exp, max(self.prec, other.prec))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo, self.exp, self.prec)
-
-    def __sub__(self, other) -> "Interval":
-        return self + -self._coerce(other)
-
-    def __rsub__(self, other) -> "Interval":
-        return -self + other
-
-    def __mul__(self, other) -> "Interval":
-        other = self._coerce(other)
-        products = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
-        return Interval(min(products), max(products), self.exp + other.exp,
-                        max(self.prec, other.prec))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Interval":
-        if isinstance(other, Interval):
-            a, b, c, d = self.lo, self.hi, other.lo, other.hi
-            exp, prec = self.exp - other.exp, max(self.prec, other.prec)
-        else:  # a rational n/m: multiply by m, divide by n
-            q = Fraction(other)
-            a, b = self.lo * q.denominator, self.hi * q.denominator
-            c = d = q.numerator
-            exp, prec = self.exp, self.prec
-        if c <= 0 <= d:
-            raise PrecisionExhausted("divisor interval contains zero")
-        # shift the dividend so that every quotient has more than prec bits
-        s = max(0, prec + 2 + max(c.bit_length(), d.bit_length())
-                - max(a.bit_length(), b.bit_length()))
-        pairs = [(x << s, y) for x in (a, b) for y in (c, d)]
-        return Interval(min(x // y for x, y in pairs), max(-(-x // y) for x, y in pairs),
-                        exp - s, prec)
-
-    def log(self) -> "Interval":
-        """Natural log, from the bounds of log lo: concavity gives
-        log hi <= log lo + (hi - lo)/lo."""
-        if self.lo <= 0:
-            raise PrecisionExhausted("log of an interval not certified positive")
-        k = abs(self.exp + self.lo.bit_length())
-        w = self.prec + GUARD_BITS + k.bit_length()
-        lo, hi = _log_fixed(self.lo, self.exp, w)
-        return Interval(lo, hi - (-(self.hi - self.lo << w) // self.lo), -w, self.prec)
-
-
-def _atanh_fixed(p: int, q: int, w: int) -> tuple[int, int]:
-    """(s, err) with s <= 2^w atanh(p/q) <= s + err, for 0 <= 3p <= q.
-
-    Every step floors, so each power of x and each term falls short of its
-    exact value: a power by less than 7/4 units (p/q <= 1/3 shrinks the
-    carried error by 9 per step), a term by less than 11/4.  The series
-    stops at the first power that reaches 0, and the terms from there on sum
-    to less than 2, so J terms are short by less than 3J + 2."""
-    x = (p << w) // q
-    x2 = x * x >> w
-    s, j, power = 0, 0, x
-    while power:
-        s += power // (2 * j + 1)
-        power = power * x2 >> w
-        j += 1
-    return s, 3 * j + 2
-
-
-@lru_cache(maxsize=64)
-def _ln2_fixed(w: int) -> tuple[int, int]:
-    """(s, err) with s <= 2^w ln 2 <= s + err; ln 2 = 2 atanh(1/3)."""
-    s, err = _atanh_fixed(1, 3, w)
-    return 2 * s, 2 * err
-
-
-def _log_fixed(m: int, e: int, w: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^w log(m 2^e) <= hi for m > 0.
-
-    With m 2^e = 2^k m/b for the power of two b that puts m/b in
-    [1/sqrt 2, sqrt 2), log = k ln 2 + 2 atanh((m - b)/(m + b)), and the
-    atanh argument is at most 3 - 2 sqrt 2 < 0.172 in absolute value."""
-    n = m.bit_length()
-    if m * m < 1 << 2 * n - 1:  # m/2^n < 1/sqrt 2
-        n -= 1
-    k, b = e + n, 1 << n
-    s, err = _atanh_fixed(abs(m - b), m + b, w)
-    ln2, ln2_err = _ln2_fixed(w)
-    k_lo, k_hi = sorted((k * ln2, k * (ln2 + ln2_err)))
-    if m < b:
-        return k_lo - 2 * (s + err), k_hi - 2 * s
-    return k_lo + 2 * s, k_hi + 2 * (s + err)
 
 
 def _embedding_iv_positive(x: FieldElement, place: int, prec: int) -> Interval:
@@ -203,15 +64,7 @@ def _embedding_iv_positive(x: FieldElement, place: int, prec: int) -> Interval:
     lo, hi, s = x.field._refine(x, place, decided, excess, least=True)
     if hi < 0:
         raise PrecisionExhausted("expected a positive embedding")
-    return Interval.of(Fraction(lo, s), Fraction(hi, s), prec + GUARD_BITS)
-
-
-def _iv_sign(iv: Interval) -> int | None:
-    if iv.lo > 0:
-        return 1
-    if iv.hi < 0:
-        return -1
-    return None
+    return Interval.scaled(lo, hi, s, prec + GUARD_BITS)
 
 
 class LogLattice:
@@ -341,15 +194,9 @@ def compare_places(x: FieldElement, p: int, q: int) -> int:
 def _ratio_vs_rational(x: FieldElement, p: int, q: int, bound: Fraction) -> int:
     """Certified sign of x^(p) / x^(q) - bound for a totally positive x."""
     for prec in PREC_SCHEDULE:
-        a = x.field.embed_at(x, p, prec)
-        b = x.field.embed_at(x, q, prec)
-        # compare a against bound * b with exact rational endpoints
-        lo = a.lo - bound * b.hi
-        hi = a.hi - bound * b.lo
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
+        sign = _iv_sign(x.field.embed_at(x, p, prec) - x.field.embed_at(x, q, prec) * bound)
+        if sign is not None:
+            return sign
     raise PrecisionExhausted(
         f"ratio of places {p+1}/{q+1} is numerically indistinguishable from {bound}"
     )

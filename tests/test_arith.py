@@ -2,6 +2,7 @@ import math
 import time
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +23,11 @@ from conesum.field import (
     ScaledRational,
     UnitGroupData,
     fundamental_unit_quadratic,
+    interval_poly_eval,
     is_totally_positive,
     make_field,
 )
-from conesum import arith
+from conesum import arith, config
 from conesum.fan import build_quadratic_fan
 from conesum.arith import (
     SQRT3_EXPECTED,
@@ -299,6 +301,58 @@ def big_denominator_module():
         rho=F.zero,
         units=UnitGroupData((fundamental_unit_quadratic(3),)),
     )
+
+
+# the converge fields of the benchmark: basis and totally positive unit
+PERFBENCH_FIELDS = {
+    2: ([["1", "0"], ["0", "1"]], ["3", "2"]),
+    3: ([["1", "0"], ["0", "1/3"]], ["2", "1"]),
+    5: ([["1", "0"], ["1/2", "1/2"]], ["3/2", "1/2"]),
+    6: ([["1", "0"], ["0", "1"]], ["5", "2"]),
+    7: ([["1", "0"], ["0", "1"]], ["8", "3"]),
+    13: ([["1", "0"], ["1/2", "1/2"]], ["11/2", "3/2"]),
+    19: ([["1", "0"], ["0", "1"]], ["170", "39"]),
+}
+
+
+def fraction_midpoint_float(x, place, prec=40):
+    """float of the exact midpoint of the least-depth interval of x^(place)
+    of width <= 2^-prec, scanned depth by depth on the integer kernel: the
+    float the enumerator read off Fraction-endpoint embeddings."""
+    depth = 0
+    while True:
+        lo, hi, s = interval_poly_eval(x.num, x.den, x.field._root_interval(place, depth))
+        if (hi - lo) << prec <= s:
+            return float(Fraction(lo + hi, 2 * s))
+        depth += 1
+
+
+class TestEmbeddingFloats:
+    """The enumerator's float embeddings and unit ratio are the floats of the
+    exact least-depth midpoints, which the dyadic Interval keeps: exactly for
+    dyadic bounds, and through its guard bits for theta/3 and the other
+    non-dyadic coordinates."""
+
+    @staticmethod
+    def modules():
+        root = Path(__file__).resolve().parents[1]
+        yield "sqrt3.json", config.load_config(str(root / "configs" / "sqrt3.json")).module
+        for d, (basis, unit) in PERFBENCH_FIELDS.items():
+            raw = {"field": {"min_poly": [-d, 0, 1]},
+                   "module": {"basis": basis, "rho": ["0", "0"], "units": [unit]},
+                   "fan": {"type": "quadratic-auto"}}
+            yield f"sqrt{d}", config.build_config(raw).module
+        yield from sample_modules().items()
+        yield "big denominator", big_denominator_module()
+
+    def test_floats_are_the_fraction_midpoints(self):
+        for name, module in self.modules():
+            enum = _QuadraticEnumerator(module)
+            want = tuple([fraction_midpoint_float(x, p) for p in range(2)]
+                         for x in (*module.basis, module.rho))
+            assert enum._emb == want, name
+            eps = enum.eps
+            assert enum.lam == fraction_midpoint_float(eps, 1) / fraction_midpoint_float(eps, 0)
 
 
 class TestLvalueNumeric:

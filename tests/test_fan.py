@@ -45,8 +45,8 @@ def _embedding_box_candidates(module_basis, bounds):
     """
     m1, m2 = module_basis
     F = m1.field
-    e1 = [float(iv) for iv in F.embed(m1, 40)]
-    e2 = [float(iv) for iv in F.embed(m2, 40)]
+    e1 = [float(iv.midpoint()) for iv in F.embed(m1, 40)]
+    e2 = [float(iv.midpoint()) for iv in F.embed(m2, 40)]
     det = e1[0] * e2[1] - e1[1] * e2[0]
     corners = list(itertools.product(*[(lo, hi) for lo, hi in bounds]))
     amin = amax = bmin = bmax = None
@@ -72,8 +72,8 @@ def _tp_points_in_box(module_basis, upper1, upper2):
     """Totally positive lattice points with embeddings below the given
     elements at places 1 and 2 respectively (exact filtering)."""
     F = module_basis[0].field
-    hi1 = float(F.embed_at(upper1, 0, 20).hi) + 0.01
-    hi2 = float(F.embed_at(upper2, 1, 20).hi) + 0.01
+    hi1 = float(F.embed_at(upper1, 0, 20).endpoints()[1]) + 0.01
+    hi2 = float(F.embed_at(upper2, 1, 20).endpoints()[1]) + 0.01
     out = []
     for a, b in _embedding_box_candidates(module_basis, [(0.0, hi1), (0.0, hi2)]):
         mu = _module_point(module_basis, a, b)

@@ -25,7 +25,6 @@ from conesum.errors import (
 from conesum.field import (
     FieldElement,
     _ceil_at,
-    RatInterval,
     ScaledRational,
     TotallyRealField,
     UnitPowers,
@@ -44,6 +43,7 @@ from conesum.field import (
     surd_float,
     trace_pairing,
 )
+from conesum.interval import GUARD_BITS, Interval
 
 QUADRATIC = [-3, 0, 1]  # x^2 - 3
 CUBIC = [1, -2, -1, 1]  # x^3 - x^2 - 2x + 1
@@ -88,9 +88,9 @@ class TestMakeField:
         assert F.degree == 2
         assert F.disc_abs == poly_disc_oracle(QUADRATIC) == 12
         lo, hi = F.embed(F.theta, 20)
-        assert lo.contains(Fraction(-17320508, 10**7)) or abs(float(lo) + math.sqrt(3)) < 1e-4
-        assert abs(float(hi) - math.sqrt(3)) < 1e-4
-        assert float(lo) < float(hi)
+        assert abs(float(lo.midpoint()) + math.sqrt(3)) < 1e-4
+        assert abs(float(hi.midpoint()) - math.sqrt(3)) < 1e-4
+        assert lo.endpoints()[1] < hi.endpoints()[0]
 
     def test_cubic_disc(self):
         F = make_field(CUBIC)
@@ -224,7 +224,7 @@ class TestArithmetic:
                 total = ivs[0]
                 for iv in ivs[1:]:
                     total = total + iv
-                assert total.contains(exact)
+                assert exact in total
 
 
 class TestTotalPositivity:
@@ -240,13 +240,13 @@ class TestEmbed:
     def test_embedding_of_one(self):
         F = make_field(QUADRATIC)
         for iv in embed(F.one, 50):
-            assert iv.lo == iv.hi == 1
+            assert iv.endpoints() == (1, 1)
 
     def test_embedding_value(self):
         F = make_field(QUADRATIC)
         lo, hi = embed(F.element([2, 1]), 40)
-        assert abs(float(lo) - (2 - math.sqrt(3))) < 1e-10
-        assert abs(float(hi) - (2 + math.sqrt(3))) < 1e-10
+        assert abs(float(lo.midpoint()) - (2 - math.sqrt(3))) < 1e-10
+        assert abs(float(hi.midpoint()) - (2 + math.sqrt(3))) < 1e-10
 
     def test_monotone_in_precision(self):
         F = make_field(CUBIC)
@@ -254,11 +254,11 @@ class TestEmbed:
         for place in range(3):
             prev = None
             for prec in (5, 10, 20, 40, 80):
-                iv = F.embed_at(x, place, prec)
-                assert iv.width <= Fraction(1, 2**prec)
+                lo, hi = F.embed_at(x, place, prec).endpoints()
+                assert hi - lo <= Fraction(1, 2**prec)
                 if prev is not None:
-                    assert prev.lo <= iv.lo and iv.hi <= prev.hi
-                prev = iv
+                    assert prev[0] <= lo and hi <= prev[1]
+                prev = lo, hi
 
 
 def poly_eval(p, x):
@@ -269,8 +269,60 @@ def poly_eval(p, x):
     return acc
 
 
+class RatInterval:
+    """The reference interval of these tests: exact Fraction endpoints and
+    exact arithmetic, for the oracles that embeddings and root chains are
+    checked against (the library's own Interval is dyadic)."""
+
+    def __init__(self, lo, hi):
+        assert lo <= hi
+        self.lo, self.hi = Fraction(lo), Fraction(hi)
+
+    @classmethod
+    def scaled(cls, lo, hi, s):
+        return cls(Fraction(lo, s), Fraction(hi, s))
+
+    def __eq__(self, other):
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __repr__(self):
+        return f"RatInterval({self.lo}, {self.hi})"
+
+    @property
+    def width(self):
+        return self.hi - self.lo
+
+    def midpoint(self):
+        return (self.lo + self.hi) / 2
+
+    def contains(self, value):
+        return self.lo <= value <= self.hi
+
+    def sign(self):
+        """Certified sign, or None if the interval straddles zero."""
+        if self.lo > 0:
+            return 1
+        if self.hi < 0:
+            return -1
+        return 0 if self.lo == self.hi == 0 else None
+
+    def __add__(self, other):
+        return RatInterval(self.lo + other.lo, self.hi + other.hi)
+
+    def __neg__(self):
+        return RatInterval(-self.hi, -self.lo)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        products = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
+        return RatInterval(min(products), max(products))
+
+
 def bounds_of(iv):
-    """(lo, hi, s) with integers and [lo/s, hi/s] the interval iv."""
+    """(lo, hi, s) with integers and [lo/s, hi/s] the interval iv, over the
+    least common denominator s."""
     s = math.lcm(iv.lo.denominator, iv.hi.denominator)
     return tuple(e.numerator * (s // e.denominator) for e in (iv.lo, iv.hi)) + (s,)
 
@@ -334,10 +386,9 @@ def reference_ceil_at(x, place):
     32, ... bits until the interval lies below the next integer."""
     prec = 8
     while True:
-        iv = x.field.embed_at(x, place, prec)
-        lo = math.floor(iv.lo)
-        if iv.hi < lo + 1:
-            return lo + 1
+        lo, hi = x.field.embed_at(x, place, prec).endpoints()
+        if hi < math.floor(lo) + 1:
+            return math.floor(lo) + 1
         prec *= 2
 
 
@@ -359,7 +410,7 @@ def refinement_cases():
         units = [F.element(c) for c in unit_coords]
         xs = [units[0] ** k for k in (-8, -1, 2, 8)] + [u**k for u in units[1:] for k in (-8, 8)]
         big = units[0] ** 8
-        xs += [big - math.floor(F.embed_at(big, F.degree - 1, 8).lo)]
+        xs += [big - math.floor(F.embed_at(big, F.degree - 1, 8).endpoints()[0])]
         xs += [units[0] - F.from_rational(Fraction(7, 3)), random_element(F, rng)]
         cases.append((F, xs))
     return cases
@@ -374,13 +425,24 @@ class TestRefinement:
 
     @pytest.mark.parametrize("case", range(3), ids=FIELD_IDS)
     def test_embed_at_is_least_depth_interval(self, case):
+        # the least-depth interval, rounded outward to the mantissa bits of
+        # its bounds in lowest terms (at least prec) and 2 GUARD_BITS more,
+        # and exactly the reference where its denominator is a power of two
         F, xs = refinement_cases()[case]
+        dyadic = set()
         for place in range(F.degree):
             chain = reference_chain(F.min_poly, place)
             for x in xs:
                 ref = scan_embeddings(x, chain, REFINE_PRECS)
                 for prec in REFINE_PRECS:
-                    assert F.embed_at(x, place, prec) == ref[prec]
+                    lo, hi, s = bounds_of(ref[prec])
+                    bits = max(lo.bit_length(), hi.bit_length(), prec) + 2 * GUARD_BITS
+                    got = F.embed_at(x, place, prec).endpoints()
+                    assert got == Interval.scaled(lo, hi, s, bits).endpoints()
+                    dyadic.add(s & (s - 1) == 0)
+                    if s & (s - 1) == 0:
+                        assert got == (ref[prec].lo, ref[prec].hi)
+        assert dyadic == {True, False}
 
     @pytest.mark.parametrize("case", range(3), ids=FIELD_IDS)
     def test_sign_and_root_index_match_scan(self, case):
@@ -533,17 +595,15 @@ class TestScaledRationalProperties:
         from hypothesis import given, settings
         from hypothesis import strategies as st
         # spot-checked directly: midpoint products lie in interval products
-        from conesum.field import RatInterval
-
         rng = random.Random(9)
         for _ in range(50):
             vals = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(4)]
-            a = RatInterval(min(vals[0], vals[1]), max(vals[0], vals[1]))
-            b = RatInterval(min(vals[2], vals[3]), max(vals[2], vals[3]))
+            a = Interval.of(min(vals[0], vals[1]), max(vals[0], vals[1]), 64)
+            b = Interval.of(min(vals[2], vals[3]), max(vals[2], vals[3]), 64)
             prod = a * b
-            for x in (a.lo, a.hi, a.midpoint()):
-                for y in (b.lo, b.hi, b.midpoint()):
-                    assert prod.contains(x * y)
+            for x in (*a.endpoints(), a.midpoint()):
+                for y in (*b.endpoints(), b.midpoint()):
+                    assert x * y in prod
 
 
 @st.composite
@@ -708,7 +768,7 @@ class TestUnits:
             u = fundamental_unit_quadratic(d)
             F = u.field
             assert is_unit(u) and is_totally_positive(u)
-            upper = float(embed(u, 30)[1].hi) + 0.01
+            upper = float(embed(u, 30)[1].endpoints()[1]) + 0.01
             denom = 2 if d % 4 == 1 else 1
             for a2 in range(-int(denom * upper) - 1, int(denom * upper) + 2):
                 for b2 in range(1, int(denom * upper / math.sqrt(d)) + 2):
@@ -722,10 +782,10 @@ class TestUnits:
                     if not all(s > 0 for s in F.signs(cand)):
                         continue
                     # candidate is a TP unit: it must not be in (1, u)
-                    big = embed(cand, 30)[1]
-                    assert big.lo > 1 or big.hi < 1 or big.contains(1)
-                    if big.lo > 1:
-                        assert big.hi > float(embed(u, 30)[1].lo)
+                    lo, hi = embed(cand, 30)[1].endpoints()
+                    assert lo > 1 or hi < 1 or lo <= 1 <= hi
+                    if lo > 1:
+                        assert hi > embed(u, 30)[1].endpoints()[0]
 
     def test_unit_beyond_brute_force_reach(self):
         u = fundamental_unit_quadratic(151)
@@ -1025,13 +1085,19 @@ class TestIsolateRealRoots:
 
 
 class TestRatIntervalEnclosure:
+    """The Fraction reference interval of these tests encloses point results,
+    so the oracles built on it are sound; the library's Interval refuses
+    reversed ends."""
+
     fracs = st.fractions(min_value=-60, max_value=60, max_denominator=50)
     unit = st.fractions(min_value=0, max_value=1, max_denominator=30)
 
     def test_reversed_ends_are_a_typed_error(self):
         # a plain check, so it also holds under python -O
         with pytest.raises(EmptyInterval):
-            RatInterval(Fraction(1), Fraction(0))
+            Interval.of(Fraction(1), Fraction(0), 64)
+        with pytest.raises(EmptyInterval):
+            Interval.scaled(1, 0, 3, 64)
 
     @staticmethod
     def point(iv, t):

@@ -27,7 +27,6 @@ from conesum.errors import (
 )
 from conesum import cycles, geometry, linalg, summation
 from conesum.field import (
-    RatInterval,
     ScaledRational,
     TotallyRealField,
     UnitPowers,
@@ -142,11 +141,12 @@ class TestCocycleValue:
         for poly in (QUADRATIC, CUBIC):
             F = make_field(poly)
             x0 = F.element([3, 1] + [0] * (F.degree - 2))
-            prod = RatInterval(Fraction(1), Fraction(1))
+            prod = 1
             for iv in F.embed(x0, 60):
-                prod = prod * iv
-            assert prod.contains(x0.norm())
-            assert prod.width < Fraction(1, 2**40)
+                prod = iv * prod
+            lo, hi = prod.endpoints()
+            assert lo <= x0.norm() <= hi
+            assert hi - lo < Fraction(1, 2**40)
 
     def test_alternating_sum_vanishes(self):
         # 100 tuples x 20 evaluation points per degree, all exact zeros
@@ -571,6 +571,26 @@ class TestHurwitzArea:
         A = [a if p > 0 else -a for a, p in zip(A, pairings)]
         exact = float(cocycle_value(A, x0))
         assert abs(hurwitz_area(A, x0) - exact) < 1e-9
+
+    def test_nodes_are_computed_once_per_count(self, monkeypatch):
+        # a memo of the pure node function: one leggauss call per node
+        # count, the same area on every call, and arrays no caller can change
+        import numpy as np
+
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda k: calls.append(k) or leggauss(k))
+        summation._unit_gauss_rule.cache_clear()
+        F = make_field(CUBIC)
+        A = [F.element([3, 0, 0]), F.element([0, 3, 0]), F.element([Fraction(1, 7), 0, 3])]
+        x0 = F.element([2, 1, 0])
+        areas = [hurwitz_area(A, x0, samples=n) for n in (4096, 4096, 9, 4096)]
+        summation._unit_gauss_rule.cache_clear()
+        assert calls == [64, 3] and areas[0] == areas[1] == areas[3]
+        u, w = summation._unit_gauss_rule(64)
+        with pytest.raises(ValueError):
+            u[0] = 0.5
 
     def test_singular_region_rejected(self):
         F = make_field(QUADRATIC)

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conesum import cli, config, unitsearch
+from conesum import cli, config, interval, unitsearch
 from conesum.errors import (
     DegreeMismatch,
     DegreeTooSmall,
+    EmptyInterval,
     InvalidBounds,
     NegativeIndex,
     NotAUnit,
@@ -35,12 +36,11 @@ from conesum.field import (
     root_indices,
 )
 from conesum.fan import ConditionReport, ValidationReport
+from conesum.interval import GUARD_BITS, Interval
 from conesum.unitsearch import (
-    GUARD_BITS,
     PREC_SCHEDULE,
     AdmissibleCandidate,
     HullChart,
-    Interval,
     LogLattice,
     check_admissible,
     check_admissible_bounds,
@@ -156,8 +156,7 @@ def reference_check_admissible(units):
 
 def embedding_iv(x, place, prec):
     """The interval of x^(place) of absolute width about 2^-prec."""
-    riv = x.field.embed_at(x, place, prec)
-    return Interval.of(riv.lo, riv.hi, prec + GUARD_BITS)
+    return Interval.of(*x.field.embed_at(x, place, prec).endpoints(), prec + GUARD_BITS)
 
 
 def reference_regulator_nonzero(units):
@@ -588,6 +587,21 @@ class TestExponentIntervals:
                         assert _mpf(Fraction(lo)) <= ai <= _mpf(Fraction(hi)), (window, I)
 
 
+def fraction_rounding(lo: Fraction, hi: Fraction, prec: int) -> Interval:
+    """[lo, hi] rounded outward to prec bits on Fractions, the scale taken
+    from the larger end in lowest terms: Interval.of as it was before
+    Interval.scaled."""
+    big = max(abs(lo), abs(hi))
+    s = prec + big.denominator.bit_length() - big.numerator.bit_length()
+    up, down = max(s, 0), max(-s, 0)
+    return Interval((lo.numerator << up) // (lo.denominator << down),
+                    -((-hi.numerator << up) // (hi.denominator << down)), -s, prec)
+
+
+def fields(iv: Interval) -> tuple[int, int, int, int]:
+    return iv.lo, iv.hi, iv.exp, iv.prec
+
+
 class TestIntervalArithmetic:
     """Every operation encloses the exact result on any points of its
     operands; log is checked against mpmath at 3000 bits."""
@@ -647,8 +661,8 @@ class TestIntervalArithmetic:
         # the kernels' own bounds in units of 2^-w, before an interval
         # rounds them outward to its precision
         q = 3 * p + m
-        s, err = unitsearch._atanh_fixed(p, q, w)
-        lo, hi = unitsearch._log_fixed(m, e, w)
+        s, err = interval._atanh_fixed(p, q, w)
+        lo, hi = interval._log_fixed(m, e, w)
         with mpmath.workprec(3000):
             assert s <= mpmath.atanh(mpmath.mpf(p) / q) * 2**w <= s + err
             assert lo <= mpmath.log(mpmath.mpf(m) * mpmath.mpf(2) ** e) * 2**w <= hi
@@ -676,6 +690,30 @@ class TestIntervalArithmetic:
     def test_log_needs_a_positive_interval(self):
         with pytest.raises(PrecisionExhausted):
             Interval(0, 1, 0, 80).log()
+
+    bounds = st.integers(min_value=-(2**300), max_value=2**300)
+
+    @given(lo=bounds, hi=bounds, s=st.integers(min_value=1, max_value=2**300),
+           prec=st.integers(min_value=2, max_value=1100))
+    @settings(max_examples=300, deadline=None)
+    def test_scaled_is_of_on_the_fractions(self, lo, hi, s, prec):
+        # field by field, whatever common factor lo, hi and s share
+        if lo > hi:
+            with pytest.raises(EmptyInterval):
+                Interval.scaled(lo, hi, s, prec)
+            with pytest.raises(EmptyInterval):
+                Interval.of(Fraction(lo, s), Fraction(hi, s), prec)
+            return
+        a, b = Fraction(lo, s), Fraction(hi, s)
+        want = fields(fraction_rounding(a, b, prec))
+        assert fields(Interval.of(a, b, prec)) == want
+        for k in (1, 3 * 2**5):
+            assert fields(Interval.scaled(lo * k, hi * k, s * k, prec)) == want
+
+    def test_repr_is_the_constructor_call(self):
+        iv = Interval.of(Fraction(1, 3), Fraction(1, 2), 8)
+        assert repr(iv) == "Interval(85, 128, -8, 8)"
+        assert fields(eval(repr(iv))) == fields(iv)
 
     def test_rationals_round_outward(self):
         third = Interval.of(Fraction(1, 3), Fraction(1, 3), 80)
