@@ -177,7 +177,8 @@ def cubic_fan():
 def fan_summation_cases() -> dict:
     """The star grouping of a point on a fan ray over one window-6
     truncation of the shipped Q(sqrt 3) fan, built once and grouped again on
-    every call, and the partial sum at that point over the same truncation, the
+    every call, and the partial sum at that point over the same truncation,
+    alone and followed by the one at a generic point, the
     primal value of a pair of points of the shipped module, the cocycle
     value at that ray point of the dual star cycle around it, the value of
     the star around it and of the star of six tops around a ray of window 1
@@ -228,6 +229,9 @@ def fan_summation_cases() -> dict:
     return {
         "fan.group_singular_terms.sqrt3.w6": lambda: w6.group_singular_terms(x0),
         "summation.partial_sum.sqrt3.w6.ray": lambda: summation.partial_sum(w6, x0),
+        "summation.partial_sum.sqrt3.w6.two_points": lambda: [
+            summation.partial_sum(w6, x) for x in (x0, F.element([7, 1]))
+        ],
         "summation.cocycle_value.sqrt3": lambda: summation.cocycle_value(pair, point),
         "summation.evaluate_cycle.sqrt3.star": lambda: summation.evaluate_cycle(star_cycle, x0),
         "summation.star_group_value.sqrt3.w6.ray": lambda: summation.stars_value(
@@ -248,7 +252,9 @@ def fan_summation_cases() -> dict:
 def converge_cases() -> dict:
     """``converge`` with its fan built once: Q(sqrt 5) at 7/2 + sqrt(5)/2,
     14 windows of one orbit representative, and Q(sqrt 19) at 7 +
-    sqrt(19)/3, 3 windows of seven representatives, both to 1e-12; the
+    sqrt(19)/3, 3 windows of seven representatives, both to 1e-12, the
+    latter also on a description rebuilt from its fields on every call, as
+    a new command builds it (so its frame is built on every call); the
     explicit rank-two fan of the cubic field at 5 + theta + theta^2, all 5
     windows; ``surd_float`` on the error of the last Q(sqrt 5) row; and the
     quadrature area of the shipped Q(sqrt 3) module basis at its x0."""
@@ -263,6 +269,10 @@ def converge_cases() -> dict:
         cfg = config.build_config(raw, {"x0": x0})
         return cfg.fan, cfg.x0
 
+    def rebuilt(desc):
+        return type(desc)(desc.kind, desc.module_basis, desc.units, desc.vertex_sequence,
+                          desc.orbit_cones)
+
     sqrt3 = config.load_config(str(ROOT / "configs/sqrt3.json"))
     sqrt5 = built(5, [["1", "0"], ["1/2", "1/2"]], ["3/2", "1/2"], ["7/2", "1/2"])
     sqrt19 = built(19, [["1", "0"], ["0", "1"]], ["170", "39"], ["7", "1/3"])
@@ -274,6 +284,9 @@ def converge_cases() -> dict:
     return {
         "summation.converge.sqrt5.generic": lambda: summation.converge(*sqrt5, 20, 1e-12),
         "summation.converge.sqrt19.generic": lambda: summation.converge(*sqrt19, 20, 1e-12),
+        "summation.converge.sqrt19.fresh": lambda: summation.converge(
+            rebuilt(sqrt19[0]), sqrt19[1], 20, 1e-12
+        ),
         "summation.converge.cubic.explicit": lambda: summation.converge(cubic, cubic_x0, 5, 0.0),
         "field.surd_float": lambda: field.surd_float(*error),
         "summation.hurwitz_area.sqrt3": lambda: summation.hurwitz_area(

@@ -186,14 +186,10 @@ def _build_fan(fdesc, field, module) -> FanDescription:
             field.element([1 if i == j else 0 for j in range(field.degree)])
             for i in range(field.degree)
         )
-        try:  # totally positive units preserving M, checked as module units are
-            LatticeModule(basis=basis, rho=field.zero, units=UnitGroupData(units))
+        desc = FanDescription("explicit", basis, units, orbit_cones=tuple(cones))
+        try:  # its frame takes only totally positive units acting on M
+            desc.frame
         except ConesumError as exc:
             raise ConfigError(f"bad fan unit action: {exc}") from exc
-        return FanDescription(
-            kind="explicit",
-            module_basis=basis,
-            units=units,
-            orbit_cones=tuple(cones),
-        )
+        return desc
     raise ConfigError(f"unknown fan type {kind!r}")

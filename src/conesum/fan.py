@@ -17,6 +17,7 @@ from . import linalg
 from .errors import (
     NegativeIndex,
     NotAUnit,
+    NotFullRank,
     NotSimplicial,
     NotTotallyPositive,
     RayOnExistingFace,
@@ -31,10 +32,9 @@ from .field import (
     UnitPowers,
     coord_det,
     is_totally_positive,
-    is_unit,
     minus_continued_fraction,
 )
-from .geometry import Cone, coordinate_rows, in_lattice
+from .geometry import Cone, coordinate_rows
 from .record import FrozenRecord, Record
 
 
@@ -71,10 +71,7 @@ def build_quadratic_fan(
     F = module_basis[0].field
     if F.degree != 2:
         raise UnitDoesNotPreserveM("hull construction applies to quadratic fields only")
-    if not is_unit(unit) or not is_totally_positive(unit):
-        raise NotTotallyPositive(f"{unit} is not a totally positive unit")
-    if not all(in_lattice(module_basis, unit * m) for m in module_basis):
-        raise UnitDoesNotPreserveM(f"{unit} does not preserve the lattice")
+    frame = LatticeFrame(module_basis, (unit,))  # a TP unit of M, or the loop never ends
 
     # walk in the direction of increasing place-2 embedding
     eps_up = unit if F.sign_at(unit - F.one, 1) > 0 else unit.inverse()
@@ -126,12 +123,9 @@ def build_quadratic_fan(
         base_points=tuple(seq),
         b_cycle=tuple(bs),
     )
-    desc = FanDescription(
-        kind="quadratic-auto",
-        module_basis=tuple(module_basis),
-        units=(eps_up,),
-        vertex_sequence=vs,
-    )
+    desc = FanDescription("quadratic-auto", tuple(module_basis), (eps_up,), vs)
+    if eps_up is unit:  # the frame has checked the description's unit
+        object.__setattr__(desc, "_frame", frame._hold(desc.orbit_cones))
     return desc, vs
 
 
@@ -139,11 +133,15 @@ def build_quadratic_fan(
 # fan descriptions and truncations
 
 
-class FanDescription(FrozenRecord):
+class _FrameSlot(FrozenRecord):
+    __slots__ = ("_frame",)  # not a field: a record's fields are its own class's __slots__
+
+
+class FanDescription(_FrameSlot):
     """V-periodic fan, given either by the quadratic hull data (kind
     "quadratic-auto") or by explicit cone orbit representatives (kind
     "explicit"); a quadratic description derives its representatives from
-    the hull data."""
+    the hull data.  Its frame, built once, is kept outside the fields."""
 
     __slots__ = ("kind", "module_basis", "units", "vertex_sequence", "orbit_cones")
 
@@ -161,6 +159,13 @@ class FanDescription(FrozenRecord):
     @property
     def field(self) -> TotallyRealField:
         return self.module_basis[0].field
+
+    @property
+    def frame(self) -> "LatticeFrame":
+        if not hasattr(self, "_frame"):
+            frame = LatticeFrame(self.module_basis, self.units)._hold(self.orbit_cones)
+            object.__setattr__(self, "_frame", frame)
+        return self._frame
 
 
 class TruncatedFan:
@@ -230,9 +235,13 @@ class LatticeFrame:
     def __init__(self, module_basis: Sequence[FieldElement], units: Sequence[FieldElement] = ()):
         self.basis, self.field = tuple(module_basis), module_basis[0].field
         self.det = coord_det(self.basis)
+        if not self.det:
+            raise NotFullRank("module basis elements are linearly dependent")
         self._rows, self._den = coordinate_rows(self.basis)
         self.units = []
         for u in units:
+            if not is_totally_positive(u):  # first, and det 1 is not enough: -eps on Q(sqrt 3)
+                raise NotTotallyPositive(f"{u} is not totally positive")
             images = [self.coordinates(u * b) for b in self.basis]
             if any(d != 1 for _, d in images):
                 raise UnitDoesNotPreserveM(f"{u} does not preserve the lattice")
@@ -240,9 +249,22 @@ class LatticeFrame:
             inv, det = linalg.adjugate(U)
             if abs(det) != 1:
                 raise NotAUnit(f"{u} is not a unit")
-            if not is_totally_positive(u):  # det 1 is not enough: -eps on Q(sqrt 3)
-                raise NotTotallyPositive(f"{u} is not totally positive")
             self.units.append((U, inv))
+
+    def _hold(self, cones: Sequence[Cone]) -> "LatticeFrame":
+        """Keeps a fan's representatives' columns, oriented if all are simplicial, and moves."""
+        self.reps = [self.columns(t) for t in cones]
+        self._simplicial = all(map(self._orient, self.reps))
+        self.moves = [self.moved(cols) for cols in self.reps]
+        return self
+
+    @cached_property
+    def forms(self) -> list:
+        """The representatives' TermForms; NotSimplicial unless all are simplicial."""
+        from .summation import TermForm  # summation imports fan
+        if not self._simplicial:
+            raise NotSimplicial("cone term needs a simplicial top cone")
+        return [TermForm.in_basis(cols, self.det, self.field) for cols in self.reps]
 
     def coordinates(self, x: FieldElement) -> tuple[tuple[int, ...], int]:
         """(Y, d) in lowest terms."""
@@ -267,12 +289,15 @@ class LatticeFrame:
         ordered so that det C has the sign of det B; NotSimplicial unless
         they are degree-many and independent."""
         cols = self.columns(t)
-        det = linalg.int_det(cols) if len(cols) == self.field.degree else 0
-        if not det:
+        if not self._orient(cols):
             raise NotSimplicial("cone term needs a simplicial top cone")
-        if (det > 0) != (self.det > 0):
-            cols[0], cols[1] = cols[1], cols[0]
         return cols
+
+    def _orient(self, cols: list[tuple[int, ...]]) -> bool:  # simplicial: then as in oriented
+        det = linalg.int_det(cols) if len(cols) == self.field.degree else 0
+        if det and (det > 0) != (self.det > 0):
+            cols[0], cols[1] = cols[1], cols[0]
+        return bool(det)
 
     def walk(self, Y: Sequence[int]) -> ExponentTable:
         """The module coordinates of u^-e x over exponent vectors e, for x =
@@ -310,23 +335,21 @@ def truncate(description: FanDescription, window: int) -> TruncatedFan:
     powers of window_exponents, closed under faces, as (e, r) pairs: in (e,
     r) order on a quadratic fan; on an explicit fan each translate once, by
     its primitive module columns, in the order of its sorted ray keys."""
-    exponents, reps = window_exponents(description, window), description.orbit_cones
-    if description.kind == "quadratic-auto":
-        return TruncatedFan(description, new_pairs(description, exponents, {}, None), window)
-    frame = LatticeFrame(description.module_basis, description.units)
     seen: dict[frozenset, tuple] = {}
-    new_pairs(description, exponents, seen, [frame.moved(frame.columns(t)) for t in reps])
-    return TruncatedFan(description, [seen[k] for k in sorted(seen, key=frame.ray_keys)], window)
+    pairs = new_pairs(description, window_exponents(description, window), seen)
+    if description.kind != "quadratic-auto":
+        pairs = [seen[k] for k in sorted(seen, key=description.frame.ray_keys)]
+    return TruncatedFan(description, pairs, window)
 
 
-def new_pairs(description: FanDescription, exponents, seen: dict, moves) -> list:
+def new_pairs(description: FanDescription, exponents, seen: dict) -> list:
     """The pairs (e, r) over the exponent vectors e and representatives r; on
-    an explicit fan the first of each translate, keyed by its moved columns,
-    that seen lacks, and seen gains it."""
+    an explicit fan the first of each translate, keyed by its moved columns
+    in the description's frame, that seen lacks, and seen gains it."""
     pairs = [(e, r) for e in exponents for r in range(len(description.orbit_cones))]
     if description.kind == "quadratic-auto":
         return pairs
-    known = len(seen)
+    moves, known = description.frame.moves, len(seen)
     for e, r in pairs:
         seen.setdefault(frozenset(moves[r](e)), (e, r))
     return list(seen.values())[known:]

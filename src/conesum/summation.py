@@ -342,35 +342,32 @@ class WindowSum:
     representative index r) pairs: partial_sum adds its truncation's pairs,
     and row N of converge the pairs that window N adds, so row N equals
     partial_sum(truncate(description, N), x0).  The term of u t is h*(t)(u^-1
-    x0) (degree zero in each generator), so one TermForm per representative
-    serves every translate, on u^-e x0 and the translated columns walked in
-    integer module coordinates; units of determinant 1 keep the columns
-    positively ordered.  Only a singular top, whose form vanishes at x0,
-    gets a TermForm of its own, for its star."""
+    x0) (degree zero in each generator), so one TermForm per representative,
+    kept on the description's frame with its moved columns, serves every
+    translate, on u^-e x0 walked in integer module coordinates; units of
+    determinant 1 keep the columns positively ordered.  Only a singular top,
+    whose form vanishes at x0, gets a TermForm of its own, for its star."""
 
     def __init__(self, description: FanDescription, x0: FieldElement):
-        self.frame = frame = LatticeFrame(description.module_basis, description.units)
-        columns = [frame.oriented(rep) for rep in description.orbit_cones]
-        self.forms = [TermForm.in_basis(cols, frame.det, frame.field) for cols in columns]
-        self.moves = [frame.moved(cols) for cols in columns]
-        Y, self.d = frame.coordinates(x0)
-        self.points = frame.walk(Y)
+        self.frame = description.frame
+        Y, self.d = self.frame.coordinates(x0)
+        self.points = self.frame.walk(Y)
         self.regular = Fraction(0)  # the non-singular terms, as c with value c/sqrt(D)
         self.singular: list[tuple[tuple, tuple, TermForm]] = []
 
     def add(self, pairs) -> list[tuple[tuple[int, ...], int]]:
         """Adds the pairs' terms, walking u^-e x0 once per run of equal e, and
         returns the singular pairs in the order of self.singular."""
-        found, last, d = [], None, self.d
+        found, last, d, frame, forms = [], None, self.d, self.frame, self.frame.forms
         for e, r in pairs:
             if e != last:
                 Y, last = self.points(e), e
-            form = self.forms[r]
+            form = forms[r]
             q = form.coefficient(Y, d)
             if q is None:  # u^e t at x0 is t at u^-e x0, so its carrier pairs with Y
-                cols = self.moves[r](e)
+                cols = frame.moves[r](e)
                 self.singular.append((carrier(cols, form, Y), cols,
-                                      TermForm.in_basis(cols, self.frame.det, self.frame.field)))
+                                      TermForm.in_basis(cols, frame.det, frame.field)))
                 found.append((e, r))
             else:
                 self.regular += q
@@ -535,7 +532,7 @@ def converge(
     for window in range(1, n_max + 1):
         exponents = [e for e in window_exponents(description, window) if e not in walked]
         walked.update(exponents)
-        if terms.add(new_pairs(description, exponents, seen, terms.moves)):
+        if terms.add(new_pairs(description, exponents, seen)):
             star = stars_value(terms.singular, terms.frame, x0)
         rows.append(_row(window, terms.regular + star, target, disc))
         if rows[-1].abs_error < tol:

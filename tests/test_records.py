@@ -4,6 +4,7 @@ records that refuse assignment, mutable records that are unhashable, and
 copies."""
 
 import copy
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -139,6 +140,23 @@ def test_defaults_are_fresh_per_instance():
     cfgs = [config.RunConfig(None, None, None, None, 1, 0.0, 0, "csv") for _ in range(2)]
     assert cfgs[0].unitsearch == {}
     assert cfgs[0].unitsearch is not cfgs[1].unitsearch
+
+
+def test_a_kept_frame_is_not_a_field(records):
+    # a description keeps the frame it builds when first read outside its
+    # fields: ==, hash, repr, copies and pickles match a fresh description's,
+    # and a copy builds a frame of its own
+    desc = records["FanDescription"]
+    frame = desc.frame
+    assert desc.frame is frame
+    fresh = fan.FanDescription(*_fields(desc).values())
+    for twin in (desc, copy.copy(desc), copy.deepcopy(desc), pickle.loads(pickle.dumps(desc))):
+        assert twin == fresh and hash(twin) == hash(fresh) and repr(twin) == repr(fresh)
+        assert twin.__reduce__() == fresh.__reduce__()
+        assert pickle.dumps(twin) == pickle.dumps(fresh)
+        if twin is not desc:
+            assert twin.frame is not frame
+            assert (twin.frame.units, twin.frame.reps) == (frame.units, frame.reps)
 
 
 def test_validation_still_runs_in_init(records):

@@ -20,12 +20,13 @@ from conesum.errors import (
     NotACycle,
     NotAUnit,
     NotConvexUnion,
+    NotFullRank,
     NotSimplicial,
     NotTotallyPositive,
     SingularAtX0,
     UnitDoesNotPreserveM,
 )
-from conesum import cycles, geometry, linalg, summation
+from conesum import cycles, fan, geometry, linalg, summation
 from conesum.field import (
     ScaledRational,
     TotallyRealField,
@@ -104,6 +105,14 @@ def sqrt13_fan():
     omega = F.element([Fraction(1, 2), Fraction(1, 2)])
     desc, vs = build_quadratic_fan((F.one, omega), fundamental_unit_quadratic(13))
     return F, desc, vs
+
+
+def fresh(desc):
+    """The description rebuilt from its fields: equal to desc, with no frame
+    built yet."""
+    return FanDescription(
+        desc.kind, desc.module_basis, desc.units, desc.vertex_sequence, desc.orbit_cones
+    )
 
 
 def explicit_from_auto(desc, vs):
@@ -980,6 +989,56 @@ class TestUnitAction:
             partial_sum(TruncatedFan(fan, [((0,), 0), ((1,), 0)], 1), x0)
 
 
+class TestOneFramePerFan:
+    """A description builds its LatticeFrame, the checked unit action and
+    the representatives' columns and forms, when first read, and keeps it."""
+
+    @pytest.mark.parametrize("name", ["sqrt3", "cubic"])
+    def test_one_frame_per_description(self, name, monkeypatch):
+        # one truncation summed at two points, and converge run twice
+        F, desc, vs = STAR_FANS[name]()
+        points = (F.element([7, 1, 2][: F.degree]), finite_ray_point(F, vs))
+        built = count_builds(monkeypatch, (LatticeFrame,))
+        tf = truncate(fresh(desc), 3)
+        rows = [partial_sum(tf, x0) for x0 in points]
+        assert built.count("LatticeFrame") == 1
+        built.clear()
+        desc = fresh(desc)
+        assert [converge(desc, x0, 3, 0.0)[-1] for x0 in points] == rows
+        assert built.count("LatticeFrame") == 1
+        assert desc.frame is desc.frame
+
+    def test_the_hull_builder_keeps_its_frame(self, monkeypatch):
+        # build_quadratic_fan checks its unit on the frame that its
+        # description then holds: one frame and one positivity test of the
+        # unit, for the fan and a converge on it
+        F = make_field(QUADRATIC)
+        unit, x0 = fundamental_unit_quadratic(3), F.element([7, 1])
+        built = count_builds(monkeypatch, (LatticeFrame,))
+        tested, positive = [], fan.is_totally_positive
+        monkeypatch.setattr(fan, "is_totally_positive", lambda x: tested.append(x) or positive(x))
+        desc, _ = build_quadratic_fan((F.one, F.theta / 3), unit)
+        assert len(converge(desc, x0, 3, 0.0)) == 3
+        assert built == ["LatticeFrame"] and tested == [unit]
+
+    def test_dependent_module_basis_is_not_full_rank(self):
+        # (1, 2) spans a line of Q(sqrt 3): a typed error, not a bare
+        # ZeroDivisionError from the coordinate rows
+        F, desc, vs = sqrt3_fan()
+        basis = (F.one, F.one * 2)
+        reps = explicit_from_auto(desc, vs).orbit_cones
+        line = FanDescription("explicit", basis, (vs.unit,), orbit_cones=reps)
+        x0 = F.element([7, 1])
+        with pytest.raises(NotFullRank):
+            truncate(line, 1)
+        with pytest.raises(NotFullRank):
+            converge(line, x0, 2, 0.0)
+        with pytest.raises(NotFullRank):
+            partial_sum(TruncatedFan(line, [((0,), 0)], 1), x0)
+        with pytest.raises(NotFullRank):
+            cone_term(reps[0], basis, x0)
+
+
 QUARTIC_ERRORS = {  # abs_error of converge's rows, windows 1 to 3
     (7, 1, 1, 1): ["3.41e-05", "1.47e-06", "1.90e-08"],
     (3, 0, 1, 0): ["1.13e-03", "9.90e-06", "4.67e-08"],
@@ -1110,11 +1169,24 @@ class TestConvergeCounts:
         products = []
         for n_max in (2, 8):
             counts.clear()
-            rows = converge(desc, x0, n_max, 0.0)
+            rows = converge(fresh(desc), x0, n_max, 0.0)
             assert len(rows) == n_max
             assert counts["primitive_generator"] == counts["solve_in_basis"] == 0
             products.append((counts["_multiply"], counts["_invert"]))
         assert products[0] == products[1]
+        # a second call on the same description builds no frame: no unit
+        # matrix, whose products u b are one per basis vector, and no
+        # representative's form; only the singular tops' forms again
+        kept, built = fresh(desc), frame_builds(monkeypatch)
+        converge(kept, x0, 8, 0.0)
+        first = built.count("adjugate")
+        built.clear()
+        counts.clear()
+        assert len(converge(kept, x0, 8, 0.0)) == 8
+        assert "LatticeFrame" not in built
+        assert built.count("adjugate") == first - 1 - len(desc.units) - len(desc.orbit_cones)
+        multiplies, inverses = products[1]
+        assert (counts["_multiply"], counts["_invert"]) == (multiplies - F.degree, inverses)
 
     def test_module_walk_is_linear_in_the_window(self, monkeypatch):
         # converge walks u^-e x0 and the translated columns of each
@@ -1131,15 +1203,28 @@ class TestConvergeCounts:
             return original(a, v)
 
         monkeypatch.setattr(linalg, "mat_vec", counted)
-        converge(desc, x0, 0, 0.0)
+        converge(fresh(desc), x0, 0, 0.0)
         setup = len(calls)
         per_vector = []
         for n_max in (2, 5):
             calls.clear()
-            assert len(converge(desc, x0, n_max, 0.0)) == n_max
+            assert len(converge(fresh(desc), x0, n_max, 0.0)) == n_max
             walked = {e for w in range(1, n_max + 1) for e in window_exponents(desc, w)}
             per_vector.append(Fraction(len(calls) - setup, len(walked) - 1))
         assert per_vector[0] == per_vector[1]
+        # a second call on the same description builds no frame, no unit
+        # matrix and no representative's columns or form, and its moved
+        # columns are kept: it reads x0's coordinates and walks them, one
+        # mat_vec per new exponent vector
+        built = frame_builds(monkeypatch)
+        converge(desc, x0, 5, 0.0)
+        assert built == ["LatticeFrame"] + ["adjugate"] * (
+            1 + len(desc.units) + len(desc.orbit_cones))
+        built.clear()
+        calls.clear()
+        converge(desc, x0, 5, 0.0)
+        assert built == []
+        assert len(calls) == len(walked) and per_vector[1] > 1
 
 
 # ---------------------------------------------------------------------------
@@ -1515,6 +1600,14 @@ def count_calls(monkeypatch, calls, targets):
         monkeypatch.setattr(module, name, counted)
 
 
+def frame_builds(monkeypatch):
+    """A list that records each LatticeFrame built and each integer adjugate:
+    the module's coordinate rows, a unit's inverse and a TermForm."""
+    calls = count_builds(monkeypatch, (LatticeFrame,))
+    count_calls(monkeypatch, calls, [(linalg, "adjugate")])
+    return calls
+
+
 def count_builds(monkeypatch, classes):
     """A list that records each construction of the classes, and each Cone
     made by Cone._canonical."""
@@ -1593,7 +1686,8 @@ class TestOneSingularPath:
     def test_one_adjugate_per_singular_top(self, monkeypatch):
         # partial_sum and converge build a singular translate's form once,
         # besides one per representative and unit, and each reads the
-        # module frame's coordinate rows once
+        # module frame's coordinate rows once, on a fresh description; a
+        # second call builds only the singular translates' forms
         F, desc, _ = sqrt3_fan()
         tf = truncate(desc, 6)
         x0 = tf.top_cones[3].extreme_rays[0] * 3
@@ -1603,32 +1697,47 @@ class TestOneSingularPath:
         singular = sum(len(g.cones) for g in truncate(cubic, 5).group_singular_terms(wall)
                        if not g.is_singleton)
         starred = sum(len(g.cones) for g in tf.group_singular_terms(x0) if not g.is_singleton)
-        calls = []
-        count_calls(monkeypatch, calls, [(linalg, "adjugate")])
+        tf, cubic = TruncatedFan(fresh(desc), tf.pairs, tf.window), fresh(cubic)
+        calls = frame_builds(monkeypatch)
         partial_sum(tf, x0)
-        assert len(calls) == 1 + len(desc.units) + len(desc.orbit_cones) + starred == 6
+        assert calls.count("LatticeFrame") == 1
+        frame = 1 + len(desc.units) + len(desc.orbit_cones)
+        assert calls.count("adjugate") == frame + starred == 6
+        calls.clear()
+        partial_sum(tf, x0)  # the frame and its forms are kept
+        assert calls == ["adjugate"] * starred
         calls.clear()
         assert len(converge(cubic, wall, 5, 0.0)) == 5
         assert singular == 6
-        assert len(calls) == 1 + len(cubic.units) + len(cubic.orbit_cones) + singular
+        assert calls.count("LatticeFrame") == 1
+        assert calls.count("adjugate") == 1 + len(cubic.units) + len(cubic.orbit_cones) + singular
+        calls.clear()
+        assert len(converge(cubic, wall, 5, 0.0)) == 5
+        assert calls == ["adjugate"] * singular
 
     @pytest.mark.parametrize("name", ["sqrt3", "sqrt13", "cubic"])
     def test_window_sum_builds_no_cone(self, name, monkeypatch):
         # truncate lists pairs and partial_sum walks them: no Cone, and no
-        # adjugate per top; an explicit truncation reads the module frame
-        # and the units once to dedupe its translates
+        # adjugate per top; an explicit truncation builds the description's
+        # frame, the module's rows and the units, to dedupe its translates,
+        # and partial_sum adds the representatives' forms
         F, desc, vs = STAR_FANS[name]()
         x0 = finite_ray_point(F, vs)
         starred = sum(len(g.cones) for g in truncate(desc, 2).group_singular_terms(x0)
                       if not g.is_singleton)
         assert starred
-        calls = count_builds(monkeypatch, (Cone,))
+        desc = fresh(desc)
+        calls = count_builds(monkeypatch, (Cone, LatticeFrame))
         count_calls(monkeypatch, calls, [(linalg, "adjugate")])
+        frame = ["LatticeFrame"] + ["adjugate"] * (1 + len(desc.units))
         tf = truncate(desc, 2)
-        assert calls == ["adjugate"] * (0 if vs else 1 + len(desc.units))
+        assert calls == ([] if vs else frame)
         calls.clear()
         partial_sum(tf, x0)
-        assert calls == ["adjugate"] * (1 + len(desc.units) + len(desc.orbit_cones) + starred)
+        assert calls == (frame if vs else []) + ["adjugate"] * (len(desc.orbit_cones) + starred)
+        calls.clear()
+        partial_sum(tf, x0)  # the frame and its forms are kept
+        assert calls == ["adjugate"] * starred
 
     def test_first_open_star_names_the_error(self):
         # where two stars are open, the first in the claim loop's order names
