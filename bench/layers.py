@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import platform
@@ -298,14 +299,16 @@ def converge_cases() -> dict:
 def unitsearch_cases() -> dict:
     """The admissible-unit search on the cubic field at the shipped a, b and
     radius (each call builds its own ``UnitPowers``), the bound and the
-    limit-pair checks of the units it finds and the hull chart and its vertex
-    certificate at window 3 (each call on a new candidate of those units, as
-    a new command finds them), the vertex certificate alone on one chart
-    built once, the relative-width embedding intervals of
-    the generators and the found units at every place and precision of the
-    schedule, the interval log of a point at the first and last precision
-    of the schedule, and the error of one converge row whose error cancels
-    below 1e-30."""
+    limit-pair checks of the units it finds, the hull chart and its vertex
+    certificate at window 3 and the three window-3 charts alone (each call on
+    a new candidate of those units, as a new command finds them), the vertex
+    certificate alone on one chart built once, the log bounds of every
+    exponent vector of the radius-5 box on a new lattice of the generators
+    (its certified log matrix copied in), the relative-width embedding
+    intervals of the generators and the found units at every place and
+    precision of the schedule, the interval log of a point at the first and
+    last precision of the schedule, and the error of one converge row whose
+    error cancels below 1e-30."""
     from conesum import config, summation, unitsearch
     from conesum.field import ScaledRational
 
@@ -322,7 +325,15 @@ def unitsearch_cases() -> dict:
     def certified(check):
         return lambda: check(fresh())
 
+    def log_walk():  # a new lattice on the kept one's certified matrix
+        lattice = unitsearch.LogLattice(units)
+        lattice._certified = dict(certified_lattice._certified)
+        return [lattice.log_bounds(e, first) for e in box]
+
     chart = unitsearch.hull_chart(fresh(), (0, 1), 3)
+    certified_lattice, first = unitsearch.LogLattice(units), unitsearch.PREC_SCHEDULE[0]
+    certified_lattice.log_matrix(first)
+    box = list(itertools.product(range(-5, 6), repeat=units.rank))
 
     cases = {
         "unitsearch.search_admissible.cubic49": lambda: unitsearch.search_admissible(
@@ -333,6 +344,11 @@ def unitsearch_cases() -> dict:
             unitsearch.check_admissible_bounds
         ),
         "unitsearch.hull_chart_verify.cubic49.w3": chart_and_vertices,
+        "unitsearch.hull_chart.cubic49.w3": lambda: [
+            unitsearch.hull_chart(cand, I, 3)
+            for cand in (fresh(),) for I in itertools.combinations(range(3), 2)
+        ],
+        "unitsearch.log_bounds.cubic49.r5": log_walk,
         "unitsearch.verify_vertices.cubic49.w3": lambda: unitsearch.verify_vertices(chart),
         "unitsearch.embedding_iv_positive.cubic49": lambda: [
             unitsearch._embedding_iv_positive(x, p, prec)

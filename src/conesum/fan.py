@@ -124,8 +124,9 @@ def build_quadratic_fan(
         b_cycle=tuple(bs),
     )
     desc = FanDescription("quadratic-auto", tuple(module_basis), (eps_up,), vs)
-    if eps_up is unit:  # the frame has checked the description's unit
-        object.__setattr__(desc, "_frame", frame._hold(desc.orbit_cones))
+    if eps_up is not unit:  # the checked pair (U, adj U) of unit, as eps_up's
+        frame.units = [(inv, U) for U, inv in frame.units]
+    object.__setattr__(desc, "_frame", frame._hold(desc.orbit_cones))
     return desc, vs
 
 

@@ -4,10 +4,12 @@ All log-space quantities are handled as certified intervals over a precision
 schedule: a comparison is reported only when the intervals separate, and
 anything that stays undecided raises PrecisionExhausted instead of guessing.
 The search decides its region conditions by integer sums over the generators'
-certified log matrix, and the certification of a found set by the same sums
-over its own units' log matrix; only what those leave open goes to the exact
-tests.  The vertex separations of a hull chart are decided by integer sums
-over its points' bounds, and only what those leave open by intervals.
+certified log matrix, walked in one kept table per precision, and only where
+those let c1 hold; the certification of a found set reads the same sums over
+its own units' log matrix.  Only what those leave open goes to the exact
+tests.  A hull chart checks its points against the boundary surface by sums
+over the log matrix, with no log, and its vertex separations by integer sums
+over its points' bounds, only what those leave open by intervals.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
     NegativeIndex,
     PrecisionExhausted,
     SingularMatrix,
-    UnitRankMismatch,
     WindowTooSmall,
 )
 from .fan import ConditionReport, ValidationReport
@@ -73,13 +74,14 @@ class LogLattice:
     Exponent vectors are exact.  The generators' embedding intervals and log
     matrix are certified once per precision, the logs kept as integer bounds
     over one common power of two, so a log vector is an exact integer sum of
-    certified bounds.  The hull charts of the generators are kept by (index
-    set, window).  Lattices of equal unit groups are equal."""
+    certified bounds, walked in one table per precision.  Hull charts are
+    kept by (index set, window).  Lattices of equal unit groups are equal."""
 
     def __init__(self, units: UnitGroupData):
         self.units = units
         self.field = units.field
         self._certified: dict[int, tuple[list, int, list]] = {}
+        self._log_tables: dict[int, ExponentTable] = {}
         self._charts: dict[tuple, HullChart] = {}
 
     def __eq__(self, other):
@@ -112,14 +114,18 @@ class LogLattice:
         exp, M = self.log_matrix(prec)
         return [[Interval(lo, hi, exp, prec + GUARD_BITS) for lo, hi in row] for row in M]
 
-    def log_bounds(self, exponents: Sequence[int], prec: int) -> list[tuple[int, int]]:
-        """Bounds over 2^exp on log eps^(p) = sum_q e_q log u_q^(p) at each place:
-        the sign of e_q picks the bound of log u_q^(p) in each end of the sum."""
-        _, M = self.log_matrix(prec)
-        if len(exponents) != len(M[0]):
-            raise UnitRankMismatch(f"{len(exponents)} exponents for {len(M[0])} units")
-        return [(sum(e * b[e < 0] for e, b in zip(exponents, row)),
-                 sum(e * b[e >= 0] for e, b in zip(exponents, row))) for row in M]
+    def log_bounds(self, exponents: Sequence[int], prec: int) -> tuple[tuple[int, int], ...]:
+        """Bounds over 2^exp on log eps^(p) = sum_q e_q log u_q^(p) at each place.
+        A step up in e_q adds the bounds (lo, hi) of log u_q^(p), a step down
+        (-hi, -lo); a walk never crosses 0 in a coordinate, so every path
+        gives the same integers."""
+        if prec not in self._log_tables:
+            _, M = self.log_matrix(prec)
+            steps = [(tuple((-hi, -lo) for lo, hi in col), col) for col in zip(*M)]
+            self._log_tables[prec] = ExponentTable(
+                len(steps), ((0, 0),) * len(M), lambda x, q, up: tuple(
+                    (lo + a, hi + b) for (lo, hi), (a, b) in zip(x, steps[q][up])))
+        return self._log_tables[prec](exponents)
 
     def rational_log(self, x: Fraction, prec: int) -> tuple[int, int]:
         """Bounds over the 2^exp of log_matrix(prec) on log x for a rational x > 0."""
@@ -417,9 +423,11 @@ def search_admissible(
         if len(found) == n:
             break
         logs = lattice.log_bounds(exp, prec)
+        nonpositive = {p for p, (_, hi) in enumerate(logs) if hi <= 0}
         for i in range(n):
-            # log eps^(i) >= 0 settles c1's first quantity: _region_decision is False
-            if i in found or logs[i][0] >= 0:
+            # c1 needs log eps^(i) < 0 < log eps^(j) for j != i: where the
+            # bounds already fail that, _region_decision is False
+            if i in found or logs[i][0] >= 0 or nonpositive - {i}:
                 continue
             ok = _region_decision(logs, i, log_a, log_b)
             if ok is None:
@@ -535,15 +543,9 @@ def hull_chart(
             if not all(_iv_sign(ai) == 1 for ai in a_vec):
                 raise PrecisionExhausted("exponents not certified positive")
 
+            _check_on_boundary(lattice, I, j, a_vec, prec, exponent_vectors)
             monomials = _chart_monomials(lattice, I, j, prec)
             points = {exp: monomials(exp) for exp in exponent_vectors}
-
-            # every charted point lies on the boundary surface
-            for exp, z in points.items():
-                if _iv_sign(_log_form(a_vec, z)) is not None:  # 0 is not in it
-                    raise PrecisionExhausted(
-                        f"charted point {exp} is off the boundary surface"
-                    )
             chart = HullChart(
                 index_set=I,
                 omitted=j,
@@ -562,8 +564,30 @@ def hull_chart(
     raise PrecisionExhausted(f"hull chart failed at all precisions: {last_exc}")
 
 
+def _check_on_boundary(lattice: LogLattice, I: Sequence[int], j: int, a_vec,
+                       prec: int, exponent_vectors) -> None:
+    """PrecisionExhausted unless every chart point with exponents e may lie
+    on sum_p a_p log z_p = 0, with no log taken: z_p = prod_q (u_q^(p) /
+    u_q^(j))^(e_q), so the form is -sum_q e_q (row_q . a) for row_q[p] =
+    log u_q^(j) - log u_q^(p), one signed integer sum over e of bounds on
+    each row_q . a.  The exact a solves row_q . a = 1, so the exact form is
+    -sum_q e_q = 0."""
+    _, L = lattice.log_matrix(prec)
+    _, (a,) = _on_common_scale([a_vec])
+    dots = []
+    for q in I:  # row_q's bounds times a's: the four-product min and max
+        row = [(L[j][q][0] - L[p][q][1], L[j][q][1] - L[p][q][0]) for p in range(len(L)) if p != j]
+        products = [[r * x for r in r_p for x in a_p] for r_p, a_p in zip(row, a)]
+        dots.append((sum(map(min, products)), sum(map(max, products))))
+    for exp in exponent_vectors:
+        if (sum(e * d[e > 0] for e, d in zip(exp, dots)) < 0
+                or sum(e * d[e < 0] for e, d in zip(exp, dots)) > 0):  # 0 is outside -sum
+            raise PrecisionExhausted(f"charted point {exp} is off the boundary surface")
+
+
 def _log_form(a_vec, z) -> Interval:
-    """sum a_i log z_i, the boundary surface's defining form."""
+    """sum a_i log z_i, the boundary surface's defining form, at a point z
+    that is not a chart point."""
     return reduce(operator.add, (ai * zi.log() for ai, zi in zip(a_vec, z)))
 
 

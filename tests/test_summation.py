@@ -1021,6 +1021,25 @@ class TestOneFramePerFan:
         assert len(converge(desc, x0, 3, 0.0)) == 3
         assert built == ["LatticeFrame"] and tested == [unit]
 
+    def test_a_unit_below_one_at_place_two_keeps_its_frame(self, monkeypatch):
+        # from 2 - sqrt 3 the builder walks with 2 + sqrt 3: it hands over
+        # the frame that checked 2 - sqrt 3, each pair swapped, and that
+        # frame holds the matrices of 2 + sqrt 3 and sums as its own frame
+        F = make_field(QUADRATIC)
+        basis, up, x0 = (F.one, F.theta / 3), fundamental_unit_quadratic(3), F.element([7, 1])
+        down = up.inverse()
+        want = converge(build_quadratic_fan(basis, up)[0], x0, 3, 0.0)
+        own = LatticeFrame(basis, (up,)).units
+        built = count_builds(monkeypatch, (LatticeFrame,))
+        tested, positive = [], fan.is_totally_positive
+        monkeypatch.setattr(fan, "is_totally_positive", lambda x: tested.append(x) or positive(x))
+        desc, _ = build_quadratic_fan(basis, down)
+        assert desc.units == (up,)
+        assert converge(desc, x0, 3, 0.0) == want
+        assert built == ["LatticeFrame"] and tested == [down]
+        assert [[list(map(tuple, m)) for m in pair] for pair in desc.frame.units] == [
+            [list(map(tuple, m)) for m in pair] for pair in own]
+
     def test_dependent_module_basis_is_not_full_rank(self):
         # (1, 2) spans a line of Q(sqrt 3): a typed error, not a bare
         # ZeroDivisionError from the coordinate rows

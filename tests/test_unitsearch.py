@@ -1,9 +1,11 @@
 import importlib.util
 import io
 import itertools
+import operator
 import sys
 import types
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import mpmath
@@ -233,6 +235,21 @@ class TestLogLattice:
         with pytest.raises(UnitRankMismatch):
             LogLattice(V).log_bounds((1, 2, 3), 64)
 
+    @given(vectors=st.lists(st.tuples(*[st.integers(min_value=-40, max_value=40)] * 2),
+                            min_size=1, max_size=30),
+           prec=st.sampled_from(PREC_SCHEDULE[:2]))
+    @settings(max_examples=50, deadline=None)
+    def test_log_bounds_do_not_depend_on_the_walk(self, vectors, prec):
+        # vectors in the drawn order on one lattice: each is the direct sum
+        # of its generators' bounds, whichever vectors the walk has kept
+        _, V = cubic_units()
+        lat = LogLattice(V)
+        _, M = lat.log_matrix(prec)
+        for exp in vectors:
+            direct = [(sum(e * b[e < 0] for e, b in zip(exp, row)),
+                       sum(e * b[e >= 0] for e, b in zip(exp, row))) for row in M]
+            assert list(lat.log_bounds(exp, prec)) == direct, exp
+
     @pytest.mark.parametrize("exp", [(1, 0), (0, -3), (-5, 0), (1, -2), (4, -3), (-5, 5)])
     def test_log_bounds_enclose_the_log_of_the_product(self, exp):
         # the integer sum of the generators' bounds against the log of the
@@ -308,27 +325,35 @@ class TestSearch:
             search_admissible(V, A_BOUND, B_BOUND, -1)
 
     def test_regions_decided_only_below_one(self, monkeypatch):
-        # c1's first quantity is -log eps^(i): a region whose lower bound on
-        # log eps^(i) is >= 0 is False there, so the search skips it
+        # c1's first quantities are -log eps^(i) and log eps^(j) for j != i:
+        # a region where the bounds make one of them nonpositive is False
+        # there, so the search skips it
         _, V = cubic_units()
         lattice, prec = LogLattice(V), PREC_SCHEDULE[0]
         real_decision = unitsearch._region_decision
+
+        def c1_can_hold(logs, i):
+            return logs[i][0] < 0 and all(logs[j][1] > 0 for j in range(3) if j != i)
+
+        skipped = 0
         for a, b in benchmark_bound_pairs():
             log_a, log_b = (lattice.rational_log(x, prec) for x in (a, b))
             for exp in itertools.product(range(-RADIUS, RADIUS + 1), repeat=V.rank):
                 logs = lattice.log_bounds(exp, prec)
                 for i in range(3):
-                    if logs[i][0] >= 0:
-                        assert real_decision(logs, i, log_a, log_b) is False
+                    if not c1_can_hold(logs, i):
+                        skipped += 1
+                        assert real_decision(logs, i, log_a, log_b) is False, (a, b, exp, i)
+        assert skipped
         decided = []
 
         def decision(logs, i, log_a, log_b):
-            decided.append(logs[i][0])
+            decided.append(c1_can_hold(logs, i))
             return real_decision(logs, i, log_a, log_b)
 
         monkeypatch.setattr(unitsearch, "_region_decision", decision)
         assert search_admissible(V, A_BOUND, B_BOUND, RADIUS)
-        assert len(decided) == 89 and all(lo < 0 for lo in decided)
+        assert len(decided) == 27 and all(decided)
 
     @pytest.mark.parametrize("radius", [2, 3, 4, 5])
     def test_same_units_as_the_exact_reference(self, radius):
@@ -496,10 +521,58 @@ class TestHullChart:
             assert all(lo > 0 for lo, _ in chart.exponents)
 
     def test_charted_points_on_boundary_surface(self, found_candidate):
-        # the chart constructor certifies prod z_i^(a_i) = 1 within interval
-        # width for every charted point; reaching here means it held
+        # the chart constructor checks that sum_p a_p log z_p = 0 can hold
+        # at every charted point, on the log matrix's integer bounds;
+        # reaching here means it did
         chart = hull_chart(found_candidate, (0, 1), 3)
         assert len(chart.points) == 7  # exponents (k, -k), |k| <= 3
+
+    def test_no_log_of_a_chart_point(self, found_candidate):
+        # the boundary check reads the log matrix: the only logs are the
+        # lattice's own, one per generator and place at the chart precision
+        cand = candidate(found_candidate.units)
+        charts, calls = calls_to((Interval.log,), lambda: [
+            hull_chart(cand, I, 3) for I in itertools.combinations(range(3), 2)])
+        assert {c.prec for c in charts} == {PREC_SCHEDULE[0]}
+        assert len(calls) == 3 * 3
+
+    @staticmethod
+    def boundary_loop_raises(a_vec, z):
+        """Whether the interval loop the chart ran before the integer check
+        certifies the point z off sum_p a_p log z_p = 0."""
+        form = reduce(operator.add, (ai * zi.log() for ai, zi in zip(a_vec, z)))
+        return unitsearch._iv_sign(form) is not None
+
+    @staticmethod
+    def boundary_check_raises(cand, chart, a_vec, exp):
+        try:
+            unitsearch._check_on_boundary(
+                cand.lattice, chart.index_set, chart.omitted, a_vec, chart.prec, [exp])
+        except PrecisionExhausted:
+            return True
+        return False
+
+    @pytest.mark.parametrize("window", range(6))
+    def test_integer_boundary_check_agrees_with_the_interval_loop(self, found_candidate, window):
+        for I in itertools.combinations(range(3), 2):
+            chart = hull_chart(found_candidate, I, window)
+            for exp, z in chart.points.items():
+                assert not self.boundary_loop_raises(chart.a_vec, z), (I, exp)
+                assert not self.boundary_check_raises(found_candidate, chart, chart.a_vec, exp)
+
+    @pytest.mark.parametrize("push", [(1, 0), (0, -1), (1, -1)])
+    def test_integer_boundary_check_raises_where_the_interval_loop_does(self, found_candidate,
+                                                                         push):
+        # a pushed off by a relative 2^-20 at some places: wherever the
+        # interval loop certifies a point off the surface, the integer sum
+        # does too; only the zero vector's point stays on it
+        for I in itertools.combinations(range(3), 2):
+            chart = hull_chart(found_candidate, I, 3)
+            a_vec = [ai * (1 + Fraction(s, 2**20)) for ai, s in zip(chart.a_vec, push)]
+            for exp, z in chart.points.items():
+                loop = self.boundary_loop_raises(a_vec, z)
+                assert loop == any(exp), (I, exp)
+                assert self.boundary_check_raises(found_candidate, chart, a_vec, exp) == loop
 
     @pytest.mark.parametrize("window", [0, 3, 5])
     def test_monomial_points_meet_the_exact_products(self, found_candidate, window):
