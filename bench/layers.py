@@ -1,5 +1,6 @@
-"""Layer microbenchmarks, the L-value enumerator, seven in-process commands,
-a cold import and a cold ``converge``, merged into a BENCH file.
+"""Layer microbenchmarks, the L-value enumerator, the set-up of the shipped
+configs, seven in-process commands, a cold import and a cold ``converge``,
+merged into a BENCH file.
 
     python bench/layers.py --src src --label change --out BENCH_20.json
     python bench/layers.py --parent ../parent/src --out BENCH_30.json
@@ -417,6 +418,33 @@ def lvalue_cases() -> dict:
     return cases
 
 
+def setup_cases() -> dict:
+    """A shipped config's module and whole set-up, each on a new field: the
+    field cache is emptied on every call."""
+    from conesum import arith, config, field
+
+    cases = {}
+    for name in ("sqrt3", "cubic49"):
+        raw = json.loads((ROOT / f"configs/{name}.json").read_text())
+
+        def module(poly=raw["field"]["min_poly"], m=raw["module"]):
+            field._field_cache.cache_clear()
+            F = field.make_field(poly)
+            return arith.LatticeModule(
+                config.parse_elements(F, m["basis"], "module basis"),
+                config.parse_element(F, m["rho"]),
+                field.UnitGroupData(config.parse_elements(F, m["units"], "module units")),
+            )
+
+        def build(raw=raw):
+            field._field_cache.cache_clear()
+            return config.build_config(raw)
+
+        cases[f"arith.lattice_module.{name}"] = module
+        cases[f"config.build_config.{name}"] = build
+    return cases
+
+
 def command_cases() -> dict:
     from conesum import cli, config, field
     from conesum.errors import SingularAtX0
@@ -553,6 +581,7 @@ def main(argv=None) -> int:
                 **converge_cases(),
                 **unitsearch_cases(),
                 **lvalue_cases(),
+                **setup_cases(),
             }.items()
         },
         "commands": {

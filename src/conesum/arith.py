@@ -26,14 +26,13 @@ from .errors import (
     UnitRankMismatch,
     UnsupportedDegree,
 )
-from .fan import VertexSequence
+from .fan import LatticeFrame, VertexSequence
 from .field import (
     FieldElement,
     ScaledRational,
     UnitGroupData,
     det_scaled,
 )
-from .geometry import in_lattice
 from .record import FrozenRecord
 
 
@@ -64,12 +63,10 @@ class LatticeModule(FrozenRecord):
     def __init__(self, basis: tuple[FieldElement, ...], rho: FieldElement, units: UnitGroupData):
         if not basis or len(basis) != basis[0].field.degree:
             raise NotFullRank(f"a lattice basis needs one element per degree, got {len(basis)}")
-        if det_scaled(list(basis)).is_zero():
-            raise NotFullRank("lattice basis elements are linearly dependent")
-        for eps in units.generators:
-            if not all(in_lattice(basis, eps * m) for m in basis):
-                raise UnitDoesNotPreserveM(f"{eps} does not preserve the lattice")
-            if not in_lattice(basis, eps * rho - rho):
+        # NotFullRank for a dependent basis, UnitDoesNotPreserveM for u M not in M
+        frame = LatticeFrame(basis, units.generators)
+        for eps in units.generators:  # d = 1 in lowest terms: eps rho - rho lies in M
+            if frame.coordinates(eps * rho - rho)[1] != 1:
                 raise UnitDoesNotPreserveM(f"{eps} does not preserve the coset")
         self._fill(basis, rho, units)
 

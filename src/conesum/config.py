@@ -102,9 +102,9 @@ def build_config(raw: dict, overrides: dict[str, object] | None = None) -> RunCo
         rho = (
             parse_element(field, mdesc["rho"]) if "rho" in mdesc else field.zero
         )
-        units = UnitGroupData(parse_elements(field, mdesc["units"], "module units"))
+        units = parse_elements(field, mdesc["units"], "module units")
         try:
-            module = LatticeModule(basis=basis, rho=rho, units=units)
+            module = LatticeModule(basis=basis, rho=rho, units=UnitGroupData(units))
         except ConesumError as exc:
             raise ConfigError(f"bad module: {exc}") from exc
 

@@ -135,12 +135,6 @@ def coordinate_rows(points: Sequence[FieldElement]) -> tuple[list[list[int]], in
     return [[s * p.den * v for v in row] for row, p in zip(adj, points)], abs(det)
 
 
-def in_lattice(basis: Sequence[FieldElement], x: FieldElement) -> bool:
-    """Whether x is an integer combination of a basis of independent F-points."""
-    coeffs = solve_in_basis(basis, x)
-    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
-
-
 class Cone:
     """Salient rational polyhedral cone with F-point generators."""
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conesum.errors import (
     CutoffTooSmall,
@@ -22,13 +24,14 @@ from conesum.errors import (
 from conesum.field import (
     ScaledRational,
     UnitGroupData,
+    det_scaled,
     fundamental_unit_quadratic,
     interval_poly_eval,
     is_totally_positive,
     make_field,
 )
-from conesum import arith, config
-from conesum.fan import build_quadratic_fan
+from conesum import arith, config, geometry
+from conesum.fan import LatticeFrame, build_quadratic_fan
 from conesum.arith import (
     SQRT3_EXPECTED,
     SQRT3_REFERENCE,
@@ -121,6 +124,89 @@ class TestLatticeModule:
                 rho=F.element([Fraction(1, 2), 0]),
                 units=UnitGroupData((fundamental_unit_quadratic(3),)),
             )
+
+
+def reference_module_check(basis, rho, units):
+    """LatticeModule's rank and unit checks by Fraction solves: each eps m,
+    and eps rho - rho, must have integer coefficients in the basis."""
+    if det_scaled(list(basis)).is_zero():
+        raise NotFullRank("dependent basis")
+
+    def in_lattice(x):
+        coeffs = geometry.solve_in_basis(basis, x)
+        return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+
+    for eps in units.generators:
+        if not all(in_lattice(eps * m) for m in basis) or not in_lattice(eps * rho - rho):
+            raise UnitDoesNotPreserveM(f"{eps} does not preserve the coset")
+
+
+def _ring(name):
+    """A Z-basis of the ring of integers and generators of totally positive units."""
+    if name == "cubic49":
+        F = make_field([1, -2, -1, 1])
+        th = F.theta
+        return (F.one, th, th * th), (th * th, (th - F.one) * (th - F.one))
+    d = int(name[4:])
+    F = make_field([-d, 0, 1])
+    omega = (F.one + F.theta) / 2 if d % 4 == 1 else F.theta
+    return (F.one, omega), (fundamental_unit_quadratic(d),)
+
+
+@st.composite
+def module_data(draw):
+    """A rational multiple of an integer sublattice of a ring of integers:
+    a random one, or a principal ideal, which every unit maps to itself; a
+    rho of small denominator; and unit powers eps^k."""
+    ring, gens = _ring(draw(st.sampled_from(["sqrt2", "sqrt3", "sqrt5", "cubic49"])))
+    n = len(ring)
+    small = st.integers(-3, 3)
+
+    def element(coords):
+        return sum((w * c for w, c in zip(ring, coords)), ring[0].field.zero)
+
+    if draw(st.booleans()):
+        alpha = element(draw(st.lists(small, min_size=n, max_size=n)))
+        points = [alpha * w for w in ring]
+    else:
+        points = [element(draw(st.lists(small, min_size=n, max_size=n))) for _ in range(n)]
+    q = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    basis = tuple(p * q for p in points)
+    den = draw(st.integers(1, 3))
+    rho = element([Fraction(c, den) for c in draw(st.lists(small, min_size=n, max_size=n))])
+    units = UnitGroupData(tuple(g ** draw(st.integers(-2, 2)) for g in gens))
+    return basis, rho, units
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except (NotFullRank, UnitDoesNotPreserveM) as exc:
+        return type(exc)
+    return None
+
+
+class TestLatticeModuleAgainstReference:
+    @settings(max_examples=40, deadline=None)
+    @given(module_data())
+    def test_accepts_and_rejects_as_the_fraction_check(self, data):
+        assert _outcome(LatticeModule, *data) == _outcome(reference_module_check, *data)
+
+    def test_one_frame_and_no_fraction_solve(self, monkeypatch):
+        F = make_field([-3, 0, 1])
+        rho = F.element([Fraction(1, 2), Fraction(-1, 2)])
+        sqrt3 = ((F.one, F.theta / 3), rho, UnitGroupData((fundamental_unit_quadratic(3),)))
+        ring, gens = _ring("cubic49")
+        cubic = (ring, ring[0].field.zero, UnitGroupData(gens))
+        frames, solves = [], []
+        init, solve = LatticeFrame.__init__, geometry.solve_in_basis
+        monkeypatch.setattr(
+            LatticeFrame, "__init__", lambda self, *a: frames.append(1) or init(self, *a)
+        )
+        monkeypatch.setattr(geometry, "solve_in_basis", lambda *a: solves.append(1) or solve(*a))
+        for built, data in enumerate((sqrt3, cubic), 1):
+            LatticeModule(*data)
+            assert (len(frames), len(solves)) == (built, 0)
 
 
 class TestIntersections:

@@ -153,6 +153,23 @@ class TestConverge:
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stderr)["kind"] == "config"
 
+    @pytest.mark.parametrize(
+        "unit, cause",
+        [([["4", "2"]], NotAUnit), ([["-2", "-1"]], NotTotallyPositive)],
+        ids=["two-eps", "negative"],
+    )
+    def test_bad_module_unit_exits_2(self, tmp_path, capsys, unit, cause):
+        # as the same unit in an explicit fan's unit action (TestExplicitFanUnits)
+        cfg = json.loads(json.dumps(SQRT3_CONFIG))
+        cfg["module"]["units"] = unit
+        with pytest.raises(ConfigError) as info:
+            build_config(cfg)
+        assert isinstance(info.value.__cause__, cause)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["converge", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
     def test_bad_min_poly_exits_2(self, tmp_path, capsys):
         cfg = dict(SQRT3_CONFIG)
         cfg["field"] = {"min_poly": [1, 0, 1]}  # complex roots
