@@ -289,7 +289,7 @@ def _admissible_search(config: RunConfig, a=None, b=None, radius=None):
 
 
 def suite_lemma3(config: RunConfig) -> list[dict]:
-    if config.module is None:
+    if config.module is None or not config.module.units.generators:
         raise ConfigError("the admissibility suite needs a module with units")
     a, b, radius, found = _admissible_search(config)
     if found is None:
@@ -376,7 +376,7 @@ def cmd_verify(config: RunConfig, suite: str, out=None) -> int:
 
 def cmd_unitsearch(config: RunConfig, args, out=None) -> int:
     out = out or sys.stdout
-    if config.module is None:
+    if config.module is None or not config.module.units.generators:
         raise ConfigError("unitsearch needs a module with unit generators")
     if config.field.degree < 3:
         raise DegreeTooSmall("unitsearch requires a field of degree at least 3")

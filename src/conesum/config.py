@@ -124,7 +124,7 @@ def build_config(raw: dict, overrides: dict[str, object] | None = None) -> RunCo
 
     def _int(name, default, minimum):
         v = merged.get(name, default)
-        if not isinstance(v, int) or v < minimum:
+        if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
             raise ConfigError(f"{name} must be an integer >= {minimum}")
         return v
 
@@ -140,7 +140,7 @@ def build_config(raw: dict, overrides: dict[str, object] | None = None) -> RunCo
             raise ConfigError(f"unitsearch {name} must be an integer >= {minimum}")
 
     tol = merged.get("tolerance", 1e-6)
-    if not isinstance(tol, (int, float)) or not tol >= 0:  # NaN compares false
+    if type(tol) not in (int, float) or not tol >= 0:  # not a bool; NaN compares false
         raise ConfigError("tolerance must be a nonnegative number")
 
     return RunConfig(

@@ -34,7 +34,7 @@ from .field import (
     is_totally_positive,
     minus_continued_fraction,
 )
-from .geometry import Cone, coordinate_rows
+from .geometry import Cone, coordinate_rows, integer_rays
 from .record import FrozenRecord, Record
 
 
@@ -392,70 +392,57 @@ class ValidationReport(Record):
 
 def validate_good_fan(tf: TruncatedFan) -> ValidationReport:
     """Window-local checks of the good-fan conditions; global statements are
-    only certified on the truncation."""
+    only certified on the truncation.  A top is the primitive module columns
+    of its extreme rays in the description's frame, and two cones meet in
+    the cone of the extreme rays of their stacked rows (_cut)."""
     report = ValidationReport()
-    field = tf.field
-    n = field.degree
-    tops = tf.top_cones
+    frame, n = tf.description.frame, tf.field.degree
+    tops, cuts = [], {}  # each top's columns, and its (normals, rows) by them
+    for e, r in tf.pairs:
+        normals, rows = _cut(frame.moves[r](e), n)
+        tops.append(frozenset(integer_rays(rows, n)))
+        cuts[tops[-1]] = normals, rows
 
-    distinct = len({t.key() for t in tops})
     report.add(
         "locally-finite",
-        distinct == len(tops),
-        f"{len(tops)} top cones in window, {distinct} distinct",
+        len(cuts) == len(tops),
+        f"{len(tops)} top cones in window, {len(cuts)} distinct",
     )
-
-    simplicial = all(t.is_simplicial() and t.dim == n for t in tops)
+    simplicial = all(len(t) == n and linalg.int_det(list(t)) for t in tops)
     report.add("simplicial", simplicial, "all top cones simplicial and full-dimensional")
+    # every column is a lattice point, so every ray is spanned by a field point
+    report.add("F-rational", True, "generators are field points")
+    positive = all(is_totally_positive(frame.point(c)) for c in set().union(*tops))
+    report.add("positive-chamber", positive, "all generating rays totally positive")
 
-    rational = all(not g.is_zero() for t in tops for g in t.generators)
-    report.add("F-rational", rational, "generators are field points")
-
-    positive = all(is_totally_positive(g) for t in tops for g in t.extreme_rays)
-    report.add(
-        "positive-chamber",
-        positive,
-        "all generating rays totally positive",
-    )
-
-    proper = True
-    bad = ""
+    proper, bad = True, ""
     for i, a in enumerate(tops):
         for b in tops[i + 1 :]:
-            meet = a.intersection(b)
-            common = a.key() & b.key()
-            if meet is None:
-                if common:
-                    proper = False
-                    bad = "disjoint cones share rays"
-                continue
-            expected = Cone(field, [field.element(k) for k in common]) if common else None
-            if expected is None or meet.key() != expected.key():
+            meet = frozenset(integer_rays(cuts[a][1] + cuts[b][1], n))
+            if meet != a & b:
                 proper = False
-                bad = "intersection is not a common face"
+                bad = "intersection is not a common face" if meet else "disjoint cones share rays"
     report.add("common-faces", proper, bad or "pairwise intersections are common faces")
 
-    invariant = True
-    keys = {t.key() for t in tops}
-    detail = "unit translates stay consistent"
-    for u in tf.description.units:
+    invariant, detail = True, "unit translates stay consistent"
+    for U, _ in frame.units:
         for t in tops:
-            tu = t.mul_unit(u)
-            if tu.key() in keys:
+            moved = [linalg.mat_vec(U, c) for c in t]
+            if frozenset(moved) in cuts:
                 continue
             # translate leaves the window: it must not overlap any retained cone
-            for other in tops:
-                meet = tu.intersection(other)
-                if meet is not None and meet.dim == n:
-                    invariant = False
-                    detail = "unit translate overlaps the window improperly"
+            rows = _cut(moved, n)[1]
+            if any(linalg.rank(integer_rays(rows + other, n)) == n for _, other in cuts.values()):
+                invariant, detail = False, "unit translate overlaps the window improperly"
     report.add("unit-action", invariant, detail)
 
-    # local coverage: internal walls shared exactly twice
+    # local coverage: internal walls shared exactly twice; a ray has none
     wall_count: dict[frozenset, int] = {}
     for t in tops:
-        for f in t.facets():
-            wall_count[f.key()] = wall_count.get(f.key(), 0) + 1
+        for y in cuts[t][0]:
+            wall = frozenset(c for c in t if not sum(u * v for u, v in zip(y, c)))
+            if wall:
+                wall_count[wall] = wall_count.get(wall, 0) + 1
     over = [k for k, v in wall_count.items() if v > 2]
     report.add(
         "window-coverage",
@@ -465,6 +452,16 @@ def validate_good_fan(tf: TruncatedFan) -> ValidationReport:
         else f"{len(over)} walls shared more than twice",
     )
     return report
+
+
+def _cut(cols: Sequence[Sequence[int]], n: int) -> tuple[list, list]:
+    """(normals, rows) of the salient cone over integer columns C: its facet
+    normals, the extreme rays of {y : y.c >= 0 on C, y.a = 0 on ann(C)},
+    and rows that cut it out, the normals and +-a for a basis of ann(C)."""
+    ann = [linalg.cleared(a)[0] for a in linalg.kernel(cols)]
+    eqs = ann + [[-v for v in a] for a in ann]
+    normals = list(integer_rays(list(cols) + eqs, n))
+    return normals, normals + eqs
 
 
 # ---------------------------------------------------------------------------

@@ -326,34 +326,36 @@ def _enumerate_rays(
 ) -> list[tuple[tuple[Fraction, ...], tuple[int, ...]]]:
     """Extreme rays of the salient cone {u in Q^m : C u >= 0}, each scaled so
     its first nonzero entry is +-1 and paired with the indices of the
-    constraints tight on it, in ray order.
-
-    Every extreme ray spans the kernel of some m-1 constraints, so brute
-    force over (m-1)-subsets finds them all; fine at desk scale.
-    """
+    constraints tight on it, in ray order; found on the constraints cleared
+    to integers, positive multiples that keep every sign."""
     if m == 0 or not constraints:
         return []
-    # positive multiples in integers keep every sign, so signs and tight
-    # sets are decided on integer dot products
-    rows = [linalg.cleared(con)[0] for con in constraints]
-    found: dict[tuple, tuple[int, ...]] = {}
-    for subset in itertools.combinations(range(len(rows)), m - 1):
-        ker = linalg.kernel([rows[i] for i in subset] or [(0,) * m])
-        if len(ker) != 1:
+    found = integer_rays([linalg.cleared(con)[0] for con in constraints], m)
+    return sorted((tuple(Fraction(r, abs(next(filter(None, ray)))) for r in ray), tight)
+                  for ray, tight in found.items())
+
+
+def integer_rays(rows: Sequence[Sequence[int]], m: int) -> dict[tuple[int, ...], tuple]:
+    """Extreme rays of the salient cone {u in Q^m : R u >= 0} of integer rows
+    R, primitive, with the indices of the rows tight on each.  Each spans the
+    kernel of some m-1 rows, spanned by their signed maximal minors (all zero
+    when the rank is below m-1).  A lineality direction of a non-salient
+    input keeps its last nonzero entry positive, as a reduced kernel basis does."""
+    found: dict[tuple[int, ...], tuple] = {}
+    for subset in itertools.combinations([list(row) for row in rows], m - 1):
+        minors = [(-1) ** j * linalg.int_det([row[:j] + row[j + 1:] for row in subset])
+                  for j in range(m)]
+        g = math.gcd(*minors)
+        if not g:
             continue
-        ray = linalg.cleared(ker[0])[0]
+        ray = tuple(v // g for v in minors)
         values = [sum(c * r for c, r in zip(row, ray)) for row in rows]
-        if all(v >= 0 for v in values):
-            pass
-        elif all(v <= 0 for v in values):
-            ray = tuple(-r for r in ray)
-        else:
+        if min(values) < 0 < max(values):
             continue
-        lead = abs(next(r for r in ray if r))
-        found.setdefault(
-            tuple(Fraction(r, lead) for r in ray), tuple(i for i, v in enumerate(values) if v == 0)
-        )
-    return sorted(found.items())
+        if min(values) < 0 or not any(values) and next(filter(None, reversed(ray))) < 0:
+            ray = tuple(-r for r in ray)
+        found.setdefault(ray, tuple(i for i, v in enumerate(values) if v == 0))
+    return found
 
 
 class ProjPolyhedron:

@@ -170,6 +170,20 @@ class TestConverge:
         assert main(["converge", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
+    @pytest.mark.parametrize("key, message", [
+        ("N_max", "N_max must be an integer >= 1"),
+        ("seed", "seed must be an integer >= 0"),
+        ("tolerance", "tolerance must be a nonnegative number"),
+    ], ids=["N_max", "seed", "tolerance"])
+    def test_boolean_number_exits_2(self, tmp_path, capsys, key, message):
+        # true was read as 1: one window, seed 1, or tolerance 1.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(SQRT3_CONFIG, **{key: True})))
+        code = main(["converge", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {"error": message, "kind": "config"}
+
     def test_bad_min_poly_exits_2(self, tmp_path, capsys):
         cfg = dict(SQRT3_CONFIG)
         cfg["field"] = {"min_poly": [1, 0, 1]}  # complex roots
@@ -345,6 +359,21 @@ class TestUnitsearch:
         assert code == 2
         assert err["kind"] == "config"
         assert "b > a > 1" in err["error"]
+
+    @pytest.mark.parametrize("command, message", [
+        (["unitsearch"], "unitsearch needs a module with unit generators"),
+        (["verify", "lemma3"], "the admissibility suite needs a module with units"),
+    ], ids=["unitsearch", "lemma3"])
+    def test_no_unit_generators_exits_2(self, tmp_path, capsys, command, message):
+        # the search ran and ended in UnitRankMismatch, exit 1
+        cfg = json.loads(json.dumps(CUBIC_CONFIG))
+        cfg["module"]["units"] = []
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([*command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {"error": message, "kind": "config"}
 
     def test_quadratic_field_exits_1_with_record(self, sqrt3_cfg, capsys):
         code = main(["unitsearch", sqrt3_cfg])

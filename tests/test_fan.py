@@ -1,9 +1,13 @@
+import functools
 import itertools
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conesum import field, geometry, linalg
 from conesum.errors import (
     NegativeIndex,
     NotSimplicial,
@@ -22,6 +26,7 @@ from conesum.field import (
 from conesum.fan import (
     FanDescription,
     TruncatedFan,
+    _cut,
     build_quadratic_fan,
     refine,
     refine_insert_ray,
@@ -29,7 +34,7 @@ from conesum.fan import (
     validate_good_fan,
     window_exponents,
 )
-from conesum.geometry import Cone, solve_in_basis
+from conesum.geometry import Cone, LinearSubspace, integer_rays, solve_in_basis
 from conesum.summation import converge, partial_sum
 
 
@@ -407,8 +412,19 @@ class TestValidation:
             kind="explicit", module_basis=M, units=(), orbit_cones=(a, b)
         )
         report = validate_good_fan(truncate(desc, 0))
-        names = {c.name: c.passed for c in report.conditions}
-        assert not names["common-faces"]
+        details = {c.name: (c.passed, c.detail) for c in report.conditions}
+        assert details["common-faces"] == (False, "intersection is not a common face")
+
+    def test_overlapping_unit_translate_fails(self):
+        # C(1, eps^2) and its translate C(eps, eps^3) overlap in C(eps, eps^2)
+        F, M, eps = sqrt3_setup()
+        desc = FanDescription(
+            kind="explicit", module_basis=M, units=(eps,), orbit_cones=(Cone(F, [F.one, eps**2]),)
+        )
+        report = validate_good_fan(truncate(desc, 0))
+        details = {c.name: (c.passed, c.detail) for c in report.conditions}
+        assert details["common-faces"] == (True, "pairwise intersections are common faces")
+        assert details["unit-action"] == (False, "unit translate overlaps the window improperly")
 
     def test_negative_generator_fails_chamber_check(self):
         F, M, eps = sqrt3_setup()
@@ -575,6 +591,108 @@ def _square_fan():
     square = Cone(F, [F.element(v) for v in ([1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1])])
     basis = (F.one, F.theta, F.theta**2)
     return truncate(FanDescription("explicit", basis, (), orbit_cones=(square,)), 0)
+
+
+def _cubic_explicit(name, units):
+    """Cubic explicit fans with degenerate or badly placed representatives,
+    over the first `units` of the cubic fan's units."""
+    desc = colmez_cubic_fan()
+    F, (e1, e2) = desc.field, desc.units
+    simplex = desc.orbit_cones[0]
+    square = Cone(F, [F.element(v) for v in ([1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1])])
+    reps = {
+        "coplanar": [Cone(F, [F.one, e1, F.one * 2 + e1 * 3])],
+        "two-generator": [Cone(F, [F.one, e1])],
+        "square-plus-simplex": [square, simplex],
+        "coplanar-twice": [Cone(F, [F.one, e1, F.one + e1]), Cone(F, [F.one, e1])],
+        "three-on-a-wall": [simplex, Cone(F, [F.one, e1, e2]), Cone(F, [F.one, e1, e1 * e1 * e2])],
+        "interior-generator": [Cone(F, [F.one, e1, e1 * e2, F.one + e1 + e1 * e2])],
+    }[name]
+    units = desc.units[:units]
+    return FanDescription("explicit", desc.module_basis, units, orbit_cones=tuple(reps))
+
+
+NOT_SIMPLICIAL = "all top cones simplicial and full-dimensional"
+NOT_POSITIVE = "all generating rays totally positive"
+NOT_A_FACE = "intersection is not a common face"
+OVERLAP = "unit translate overlaps the window improperly"
+
+
+MEET_FIELDS = ("sqrt2", "sqrt3", "sqrt5", "sqrt13")
+
+
+@functools.cache
+def _meet_fan(name):
+    if name == "cubic":
+        return colmez_cubic_fan()
+    setup = {s.__name__[:-6]: s for s in FIVE_FIELDS}[name]
+    return build_quadratic_fan(*setup()[1:])[0]
+
+
+@st.composite
+def nearby_tops(draw):
+    """A fan and the columns of two of its tops u^e t_r, the second's e
+    within one step of the first's."""
+    desc = _meet_fan(draw(st.sampled_from(MEET_FIELDS + ("cubic",))))
+    reps, k = st.integers(0, len(desc.orbit_cones) - 1), len(desc.units)
+    e = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+    step = draw(st.lists(st.integers(-1, 1), min_size=k, max_size=k))
+    moves = desc.frame.moves
+    a = moves[draw(reps)](tuple(e))
+    b = moves[draw(reps)](tuple(x + y for x, y in zip(e, step)))
+    return desc, a, b
+
+
+class TestIntegerValidation:
+    @pytest.mark.parametrize("fan, units, window, failures", [
+        ("coplanar", 2, 1, {"simplicial": NOT_SIMPLICIAL}),
+        ("two-generator", 1, 1, {"simplicial": NOT_SIMPLICIAL}),
+        ("square-plus-simplex", 0, 0, {"simplicial": NOT_SIMPLICIAL,
+                                       "positive-chamber": NOT_POSITIVE,
+                                       "common-faces": NOT_A_FACE}),
+        ("square-plus-simplex", 1, 1, {"simplicial": NOT_SIMPLICIAL,
+                                       "positive-chamber": NOT_POSITIVE,
+                                       "common-faces": NOT_A_FACE, "unit-action": OVERLAP}),
+        ("coplanar-twice", 2, 1, {"locally-finite": "18 top cones in window, 9 distinct",
+                                  "simplicial": NOT_SIMPLICIAL,
+                                  "window-coverage": "6 walls shared more than twice"}),
+        ("three-on-a-wall", 0, 0, {"common-faces": NOT_A_FACE,
+                                   "window-coverage": "1 walls shared more than twice"}),
+        ("three-on-a-wall", 2, 1, {"common-faces": NOT_A_FACE, "unit-action": OVERLAP,
+                                   "window-coverage": "9 walls shared more than twice"}),
+        ("interior-generator", 2, 1, {}),
+    ])
+    def test_degenerate_cubic_reports(self, fan, units, window, failures):
+        report = validate_good_fan(truncate(_cubic_explicit(fan, units), window))
+        assert {c.name: c.detail for c in report.conditions if not c.passed} == failures
+
+    @settings(max_examples=40, deadline=None)
+    @given(nearby_tops())
+    def test_meet_matches_cone_intersection(self, case):
+        desc, a, b = case
+        frame, n = desc.frame, desc.field.degree
+        meet = frozenset(integer_rays(_cut(a, n)[1] + _cut(b, n)[1], n))
+        cones = [Cone(desc.field, [frame.point(c) for c in cols]) for cols in (a, b)]
+        expected = cones[0].intersection(cones[1])
+        keys = set() if expected is None else expected.key()
+        assert {frame.point(c).ray_key() for c in meet} == keys
+        assert (linalg.rank(meet) == n) == (expected is not None and expected.dim == n)
+
+    def test_builds_no_cone_on_the_cubic_fan(self, monkeypatch):
+        tf = truncate(colmez_cubic_fan(), 1)
+        calls = []
+
+        def counted(owner, name):
+            f = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or f(*a, **k))
+
+        counted(Cone, "__init__")
+        counted(Cone, "intersection")
+        counted(LinearSubspace, "__init__")
+        counted(geometry, "trace_pairing")
+        counted(field, "trace_pairing")
+        assert validate_good_fan(tf).passed
+        assert calls == []
 
 
 class TestGroupingByCarrier:

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conesum import geometry, linalg, summation
@@ -365,6 +365,62 @@ class TestAgainstReferenceLoops:
         assert (meet is None) == (expected is None)
         if meet is not None:
             assert meet.key() == expected.key()
+
+
+def kernel_rays(constraints, m):
+    """The extreme-ray search as it was before integer minors: each candidate
+    is the Fraction kernel basis vector of m-1 cleared constraints."""
+    if m == 0 or not constraints:
+        return []
+    rows = [linalg.cleared(con)[0] for con in constraints]
+    found = {}
+    for subset in itertools.combinations(range(len(rows)), m - 1):
+        ker = linalg.kernel([rows[i] for i in subset] or [(0,) * m])
+        if len(ker) != 1:
+            continue
+        ray = linalg.cleared(ker[0])[0]
+        values = [sum(c * r for c, r in zip(row, ray)) for row in rows]
+        if all(v >= 0 for v in values):
+            pass
+        elif all(v <= 0 for v in values):
+            ray = tuple(-r for r in ray)
+        else:
+            continue
+        lead = abs(next(r for r in ray if r))
+        found.setdefault(
+            tuple(Fraction(r, lead) for r in ray), tuple(i for i, v in enumerate(values) if v == 0)
+        )
+    return sorted(found.items())
+
+
+@st.composite
+def constraint_lists(draw):
+    """Up to six small rational constraints in m <= 4 unknowns, sometimes
+    with a constraint and its negative, so that the cone is not salient."""
+    m = draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[entry] * m), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        rows.append(tuple(-v for v in rows[0]))
+    return rows, m
+
+
+class TestIntegerMinors:
+    @settings(max_examples=150, deadline=None)
+    @given(constraint_lists())
+    # (theta, -theta, 1) over Q(sqrt 3) met with itself: theta spans a lineality
+    # direction that every constraint vanishes on
+    @example(([(Fraction(2), Fraction(0)), (Fraction(2), Fraction(0))], 2))
+    @example(([(Fraction(0), Fraction(-1))], 2))
+    def test_matches_kernel_rays(self, case):
+        constraints, m = case
+        assert geometry._enumerate_rays(constraints, m) == kernel_rays(constraints, m)
+
+    def test_no_kernel(self, monkeypatch):
+        monkeypatch.setattr(linalg, "kernel", None)
+        F = make_field(CUBIC)
+        square = Cone(F, [elem(F, 1, *v) for v in itertools.product((0, 1), repeat=2)])
+        assert len(square.facet_normals()) == 4
 
 
 def reference_extreme_rays(cone):
