@@ -191,8 +191,8 @@ def fan_summation_cases() -> dict:
     Z[sqrt 19], and the insertion of a ray into the first top cone of that
     window-4 truncation and of the window-5 truncation of the Q(sqrt 3)
     fan (both truncations built once), and the good-fan validation of
-    window 1 of the explicit cubic fan and window 3 of the shipped Q(sqrt 3)
-    fan (both truncations built once)."""
+    windows 1 and 2 of the explicit cubic fan and window 3 of the shipped
+    Q(sqrt 3) fan (each truncation built once)."""
     from conesum import config, cycles, summation
     from conesum.fan import build_quadratic_fan, refine_insert_ray, truncate, validate_good_fan
     from conesum.geometry import ProjPolyhedron
@@ -216,7 +216,8 @@ def fan_summation_cases() -> dict:
         (cycles.boundary_cycle(ProjPolyhedron(t, check=False)) for t in star.cones[1:]),
         cycles.boundary_cycle(ProjPolyhedron(star.cones[0], check=False)),
     ))
-    cubic_w1, w3 = truncate(cubic_fan(), 1), truncate(desc, 3)
+    cubic_w1, cubic_w2 = truncate(cubic_fan(), 1), truncate(cubic_fan(), 2)
+    w3 = truncate(desc, 3)
     cubic_x0 = cubic_w1.top_cones[1].extreme_rays[1]
     (cubic_star,) = [g for g in cubic_w1.group_singular_terms(cubic_x0) if not g.is_singleton]
 
@@ -251,6 +252,7 @@ def fan_summation_cases() -> dict:
         "fan.refine_insert_ray.sqrt19.w4": lambda: refine_insert_ray(w4, ray4),
         "fan.refine_insert_ray.sqrt3.w5": lambda: refine_insert_ray(w5, ray5),
         "fan.validate_good_fan.cubic.w1": lambda: validate_good_fan(cubic_w1),
+        "fan.validate_good_fan.cubic.w2": lambda: validate_good_fan(cubic_w2),
         "fan.validate_good_fan.sqrt3.w3": lambda: validate_good_fan(w3),
     }
 

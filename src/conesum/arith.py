@@ -63,7 +63,7 @@ class LatticeModule(FrozenRecord):
     def __init__(self, basis: tuple[FieldElement, ...], rho: FieldElement, units: UnitGroupData):
         if not basis or len(basis) != basis[0].field.degree:
             raise NotFullRank(f"a lattice basis needs one element per degree, got {len(basis)}")
-        # NotFullRank for a dependent basis, UnitDoesNotPreserveM for u M not in M
+        # NotFullRank for a dependent basis; the one check of a config's units
         frame = LatticeFrame(basis, units.generators)
         for eps in units.generators:  # d = 1 in lowest terms: eps rho - rho lies in M
             if frame.coordinates(eps * rho - rho)[1] != 1:

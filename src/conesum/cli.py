@@ -219,7 +219,7 @@ def _sqrt3_module() -> LatticeModule:
     return LatticeModule(
         basis=(field.one, field.theta / 3),
         rho=field.zero,
-        units=UnitGroupData((fundamental_unit_quadratic(3),)),
+        units=UnitGroupData._checked((fundamental_unit_quadratic(3),)),  # by the module's frame
     )
 
 

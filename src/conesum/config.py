@@ -103,8 +103,8 @@ def build_config(raw: dict, overrides: dict[str, object] | None = None) -> RunCo
             parse_element(field, mdesc["rho"]) if "rho" in mdesc else field.zero
         )
         units = parse_elements(field, mdesc["units"], "module units")
-        try:
-            module = LatticeModule(basis=basis, rho=rho, units=UnitGroupData(units))
+        try:  # the module's frame checks its units
+            module = LatticeModule(basis=basis, rho=rho, units=UnitGroupData._checked(units))
         except ConesumError as exc:
             raise ConfigError(f"bad module: {exc}") from exc
 

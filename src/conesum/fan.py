@@ -231,7 +231,7 @@ class LatticeFrame:
     unit u as the pair (U, U^-1) of integer matrices of x -> u x.  Only
     totally positive units are taken, so det U = N(u) is 1: U^-1 = adj U,
     u^-e x keeps the d of x, and moved columns stay primitive and keep the
-    sign of det C."""
+    sign of det C.  u M in M makes u integral, so this checks a whole unit."""
 
     def __init__(self, module_basis: Sequence[FieldElement], units: Sequence[FieldElement] = ()):
         self.basis, self.field = tuple(module_basis), module_basis[0].field
@@ -241,6 +241,8 @@ class LatticeFrame:
         self._rows, self._den = coordinate_rows(self.basis)
         self.units = []
         for u in units:
+            if u.is_zero():
+                raise NotAUnit(f"{u} is not a unit")
             if not is_totally_positive(u):  # first, and det 1 is not enough: -eps on Q(sqrt 3)
                 raise NotTotallyPositive(f"{u} is not totally positive")
             images = [self.coordinates(u * b) for b in self.basis]

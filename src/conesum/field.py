@@ -862,10 +862,7 @@ def limit_pair(
     Places are numbered from 1.  assignment, when given, is
     root_indices(eps, range(degree)), already computed by the caller.
     """
-    if not is_unit(eps):
-        raise NotAUnit(f"{eps} is not a unit")
-    if not is_totally_positive(eps):
-        raise NotTotallyPositive(f"{eps} is not totally positive")
+    UnitGroupData((eps,))  # the unit check: NotAUnit or NotTotallyPositive
     if assignment is None:
         assignment = root_indices(eps, range(eps.field.degree))
     lo_root = min(assignment)
@@ -977,6 +974,13 @@ class UnitGroupData(FrozenRecord):
             if not is_totally_positive(g):
                 raise NotTotallyPositive(f"{g} is not totally positive")
         self._fill(gens)
+
+    @classmethod
+    def _checked(cls, generators: Sequence[FieldElement]) -> "UnitGroupData":
+        """Generators checked elsewhere: by a LatticeFrame, or products of checked ones."""
+        units = object.__new__(cls)
+        units._fill(tuple(generators))
+        return units
 
     @property
     def rank(self) -> int:

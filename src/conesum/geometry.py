@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -348,13 +349,16 @@ def integer_rays(rows: Sequence[Sequence[int]], m: int) -> dict[tuple[int, ...],
         g = math.gcd(*minors)
         if not g:
             continue
-        ray = tuple(v // g for v in minors)
-        values = [sum(c * r for c, r in zip(row, ray)) for row in rows]
-        if min(values) < 0 < max(values):
-            continue
-        if min(values) < 0 or not any(values) and next(filter(None, reversed(ray))) < 0:
-            ray = tuple(-r for r in ray)
-        found.setdefault(ray, tuple(i for i, v in enumerate(values) if v == 0))
+        ray, values, neg, pos = tuple(v // g for v in minors), [], False, False
+        for row in rows:  # until a row of each sign rules the ray out
+            values.append(v := sum(map(operator.mul, row, ray)))
+            neg, pos = neg or v < 0, pos or v > 0
+            if neg and pos:
+                break
+        else:
+            if neg or not pos and next(filter(None, reversed(ray))) < 0:
+                ray = tuple(-r for r in ray)
+            found.setdefault(ray, tuple(i for i, v in enumerate(values) if v == 0))
     return found
 
 

@@ -19,7 +19,7 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import (
     DegreeMismatch,
@@ -130,7 +130,7 @@ class LogLattice:
     def rational_log(self, x: Fraction, prec: int) -> tuple[int, int]:
         """Bounds over the 2^exp of log_matrix(prec) on log x for a rational x > 0."""
         scale, _ = self.log_matrix(prec)
-        return _on_scale(Interval.of(x, x, prec + GUARD_BITS).log(), scale)
+        return _on_scale(_rational_log(x, prec), scale)
 
     def regulator_nonzero(self, indices: Iterable[int] | None = None) -> bool:
         """Certify that the log vectors of the generators at indices (all of
@@ -144,6 +144,12 @@ class LogLattice:
             if _iv_sign(_iv_det(rows)) is not None:
                 return True
         raise PrecisionExhausted("cannot certify a nonzero regulator")
+
+
+@lru_cache
+def _rational_log(x: Fraction, prec: int) -> Interval:
+    """log x for a rational x > 0, taken once per (x, prec) for every lattice."""
+    return Interval.of(x, x, prec + GUARD_BITS).log()
 
 
 def _on_scale(iv: Interval, exp: int) -> tuple[int, int]:
@@ -440,7 +446,7 @@ def search_admissible(
                 break
     if len(found) < n:
         return None
-    units = UnitGroupData(tuple(found[i] for i in range(n)))
+    units = UnitGroupData._checked(tuple(found[i] for i in range(n)))  # products of checked units
     return AdmissibleCandidate(LogLattice(units), a, b)
 
 

@@ -290,6 +290,22 @@ class TestExplicitFanUnits:
         assert main(["verify", "goodfan", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
+    @pytest.mark.parametrize(
+        "module_units, unit_action",
+        [([["0", "0"]], [["2", "1"]]), ([["2", "1"]], [["0", "0"]])],
+        ids=["module-unit", "unit-action"],
+    )
+    def test_zero_unit_is_not_a_unit(self, tmp_path, capsys, module_units, unit_action):
+        # the frame's own cause, not the ZeroInput of a total-positivity test
+        cfg = self.config(SQRT3_CONFIG["module"]["basis"], module_units, unit_action)
+        with pytest.raises(ConfigError) as info:
+            build_config(cfg)
+        assert isinstance(info.value.__cause__, NotAUnit)
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", "goodfan", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
     def test_empty_cone_rejected(self, tmp_path, capsys):
         # an explicit cone with no generators: a config error, not a traceback
         cfg = {

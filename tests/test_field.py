@@ -16,8 +16,10 @@ from conesum.errors import (
     DegreeMismatch,
     EmptyInterval,
     MixedExponents,
+    NotAUnit,
     NotIrreducible,
     NotSquarefree,
+    NotTotallyPositive,
     NotTotallyReal,
     UnitRankMismatch,
     ZeroInput,
@@ -921,6 +923,14 @@ class TestLimitPair:
         assert is_unit(sq) and is_totally_positive(sq)
         mins, maxs = limit_pair(sq)
         assert len(mins) == 1 and len(maxs) == 1
+
+    def test_rejects_non_unit(self):
+        with pytest.raises(NotAUnit):
+            limit_pair(make_field(QUADRATIC).element([3, 1]))  # norm 6
+
+    def test_rejects_non_totally_positive(self):
+        with pytest.raises(NotTotallyPositive):
+            limit_pair(make_field([-2, 0, 1]).element([1, 1]))  # norm -1
 
 
 @st.composite

@@ -1,7 +1,9 @@
 import importlib.util
 import io
 import itertools
+import json
 import operator
+import pickle
 import sys
 import types
 from fractions import Fraction
@@ -31,13 +33,15 @@ from conesum.field import (
     TotallyRealField,
     UnitGroupData,
     UnitPowers,
+    is_totally_positive,
+    is_unit,
     isolate_real_roots,
     limit_pair,
     make_field,
     min_poly_of,
     root_indices,
 )
-from conesum.fan import ConditionReport, ValidationReport
+from conesum.fan import ConditionReport, LatticeFrame, ValidationReport
 from conesum.interval import GUARD_BITS, Interval
 from conesum.unitsearch import (
     PREC_SCHEDULE,
@@ -629,6 +633,43 @@ class TestCertifiedOnce:
         code, calls = calls_to((unitsearch._embedding_iv_positive,),
                                cli.cmd_unitsearch, cfg, args, io.StringIO())
         assert code == 0 and len(calls) == 2 * 3 + 3 * 3
+
+    def test_unitsearch_takes_each_log_once(self):
+        # the two lattices' generator logs, 2 * 3 + 3 * 3, and log a and log b
+        # once, shared by the search's lattice and the found set's
+        cfg = config.load_config(str(ROOT / "configs" / "cubic49.json"))
+        args = types.SimpleNamespace(a=None, b=None, radius=None)
+        unitsearch._rational_log.cache_clear()
+        code, calls = calls_to((Interval.log,), cli.cmd_unitsearch, cfg, args, io.StringIO())
+        assert code == 0 and len(calls) == 2 * 3 + 3 * 3 + 2
+
+
+class TestEachUnitCheckedOnce:
+    """A config's module units are checked only by the module's frame, and
+    the units the search finds, products of checked generators, not at all."""
+
+    CHECKS = (is_unit, is_totally_positive, LatticeFrame.__init__)
+
+    def counts(self, fn, *args):
+        _, calls = calls_to(self.CHECKS, fn, *args)
+        return [calls.count(f.__name__) for f in self.CHECKS]
+
+    @pytest.mark.parametrize("name, frames", [("sqrt3", 2), ("cubic49", 1)])
+    def test_config_load(self, name, frames):
+        # sqrt3: its one unit in the module's frame and in the quadratic fan's
+        raw = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+        assert self.counts(config.build_config, raw) == [0, 2, frames]
+
+    def test_found_units_not_checked_again(self):
+        _, V = cubic_units()
+        assert self.counts(search_admissible, V, A_BOUND, B_BOUND, RADIUS) == [0, 0, 0]
+
+    def test_found_units_record_is_the_checked_one(self, found_candidate):
+        units = found_candidate.lattice.units
+        checked = UnitGroupData(found_candidate.units)
+        assert units == checked and hash(units) == hash(checked)
+        again = pickle.loads(pickle.dumps(units))
+        assert again == checked and hash(again) == hash(checked)
 
 
 def _mpf(q: Fraction):
