@@ -128,8 +128,11 @@ def layer_cases():
         cases[f"field.embed_at.{name}"] = lambda F=F, u=u, x=x: [
             F.embed_at(v, place, 64) for v in (u, x) for place in range(F.degree)
         ]
-    # a field built anew on every call, so its irreducibility check runs
-    cases["field.make_field.quartic"] = lambda: field.TotallyRealField(tuple(QUARTIC))
+    # a field built anew on every call (not through make_field's cache), so
+    # its irreducibility check runs
+    for name, poly in (("sqrt3", [-3, 0, 1]), ("sqrt19", [-19, 0, 1]), ("cubic49", CUBIC),
+                       ("quartic", QUARTIC)):
+        cases[f"field.make_field.{name}"] = lambda poly=tuple(poly): field.TotallyRealField(poly)
     q = Fraction(3, 7)
     cases["field.scaled_rational.new"] = lambda: field.ScaledRational(q, 1, 12)
     m = [[Fraction(i * j + 1, i + j + 2) - (i == j) * 3 for j in range(4)] for i in range(4)]

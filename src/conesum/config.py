@@ -10,7 +10,7 @@ import json
 from fractions import Fraction
 
 from .arith import LatticeModule
-from .errors import ConfigError, ConesumError
+from .errors import ConfigError, ConesumError, ZeroInput
 from .fan import FanDescription, build_quadratic_fan
 from .field import FieldElement, TotallyRealField, UnitGroupData, make_field
 from .geometry import Cone
@@ -84,7 +84,7 @@ def build_config(raw: dict, overrides: dict[str, object] | None = None) -> RunCo
     if (
         not isinstance(coeffs, list)
         or len(coeffs) < 3
-        or any(not isinstance(c, int) for c in coeffs)
+        or any(type(c) is not int for c in coeffs)  # not a bool
         or coeffs[-1] != 1
     ):
         raise ConfigError("min_poly must be an ascending monic integer list")
@@ -177,10 +177,13 @@ def _build_fan(fdesc, field, module) -> FanDescription:
             raise ConfigError('explicit fan needs "cones" and "unit_action"')
         if not isinstance(fdesc["cones"], list) or not fdesc["cones"] or not all(fdesc["cones"]):
             raise ConfigError("explicit fan cones must be a nonempty list of nonempty lists")
-        cones = [
-            Cone(field, list(parse_elements(field, gens, "cone generators")))
-            for gens in fdesc["cones"]
-        ]
+        try:
+            cones = [
+                Cone(field, list(parse_elements(field, gens, "cone generators")))
+                for gens in fdesc["cones"]
+            ]
+        except ZeroInput as exc:
+            raise ConfigError(f"bad fan cones: {exc}") from exc
         units = parse_elements(field, fdesc["unit_action"], "fan unit action")
         basis = module.basis if module else tuple(
             field.element([1 if i == j else 0 for j in range(field.degree)])

@@ -138,16 +138,21 @@ def _sign_variations(chain: Sequence[Sequence[int]], a: int, b: int) -> int:
 
 
 def isolate_real_roots(p: Sequence) -> list[tuple[int, int, int]]:
-    """Isolating intervals for the real roots, sorted increasing and meeting
-    at most at an end, each as bounds (lo, hi, s) of [lo/s, hi/s] in lowest
-    terms.
-
-    Assumes p squarefree with no rational roots, so interval endpoints are
-    never roots themselves.
-    """
+    """Isolating intervals for the real roots of a squarefree p, sorted
+    increasing and meeting at most at an end, each as bounds (lo, hi, s) of
+    [lo/s, hi/s] in lowest terms."""
     q = linalg.cleared(p)[0]
-    chain = sturm_chain(q)
-    # every root lies in [-b/s, b/s] with b/s = 1 + max |q_i| / |q_lead|
+    return _isolate(q, sturm_chain(q))
+
+
+def _isolate(q: Sequence[int], chain: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
+    """isolate_real_roots of the squarefree integer q on its Sturm chain.
+
+    The sign variations at a less those at b count the roots in (a, b], also
+    when a or b is a root, so a rational root may be the upper end of its
+    interval and then also the lower end of the next one.
+    """
+    # every root lies in (-b/s, b/s) with b/s = 1 + max |q_i| / |q_lead|
     s = abs(q[-1])
     b = s + max((abs(c) for c in q[:-1]), default=0)
     result = []
@@ -162,39 +167,15 @@ def isolate_real_roots(p: Sequence) -> list[tuple[int, int, int]]:
             vmid = _sign_variations(chain, lo + hi, 2 * s)
             stack.append((2 * lo, lo + hi, 2 * s, vlo, vmid))
             stack.append((lo + hi, 2 * hi, 2 * s, vmid, vhi))
-    result.sort(key=lambda bounds: Fraction(bounds[0], bounds[2]))
-    return result
-
-
-def _has_integer_root(p: Sequence[int]) -> bool:
-    """Whether a squarefree monic integer polynomial has a rational root.
-
-    Such a root is an integer, so no half-integer is a root: Sturm counts
-    between half-integers narrow every real root down to a unit interval,
-    whose one integer is then tested exactly.
-    """
-    chain = sturm_chain(p)
-    bound = 1 + max(abs(c) for c in p[:-1])  # every root lies below it
-    # intervals [lo/2, hi/2] between half-integers, lo and hi odd
-    stack = [(-2 * bound - 1, 2 * bound + 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if _sign_variations(chain, lo, 2) == _sign_variations(chain, hi, 2):
-            continue
-        if hi - lo == 2:
-            if _sign_at(p, (lo + 1) // 2, 1) == 0:
-                return True
-            continue
-        mid = 2 * ((lo + hi) // 4) + 1
-        stack += [(lo, mid), (mid, hi)]
-    return False
+    return result[::-1]  # the upper half is searched first
 
 
 def _monic_product(roots: Sequence[Interval]) -> list[Interval]:
-    """Interval coefficients (ascending) of prod (x - r) over the roots."""
-    coeffs = [1]
-    for r in roots:
-        coeffs = [s - r * c for s, c in zip([0] + coeffs, coeffs + [0])]
+    """Interval coefficients c_0 .. c_{k-1} (ascending) of the monic
+    prod (x - r) = x^k + ... over k >= 1 roots, the leading 1 left out."""
+    coeffs = [-roots[0]]
+    for r in roots[1:]:
+        coeffs = [-r * coeffs[0], *(a - r * c for a, c in zip(coeffs, coeffs[1:])), coeffs[-1] - r]
     return coeffs
 
 
@@ -520,47 +501,49 @@ class TotallyRealField:
     def __init__(self, min_poly: Sequence[int]):
         poly = [int(c) for c in min_poly]
         n = len(poly) - 1
-        if n < 2 or poly[-1] != 1:
-            raise NotIrreducible("defining polynomial must be monic of degree >= 2")
+        if n < 2 or poly[-1] != 1 or poly != list(min_poly):
+            raise NotIrreducible("defining polynomial must be monic over Z of degree >= 2")
         self.min_poly = tuple(poly)
         self.degree = n
         # the last member of the Sturm chain is gcd(p, p')
-        if len(sturm_chain(poly)[-1]) > 1 or _has_integer_root(poly):
+        chain = sturm_chain(poly)
+        if len(chain[-1]) > 1:
             raise NotIrreducible(f"{poly} is reducible over the rationals")
-
-        roots = isolate_real_roots(poly)
-        if len(roots) < n:
-            raise NotTotallyReal(f"only {len(roots)} of {n} roots are real")
-        # refinement chains of bounds, one per root, extended lazily
-        self._root_chains = [[bounds] for bounds in roots]
-        if self._has_factor_of_degree_two_or_more():
+        # refinement chains of bounds, one per real root, extended lazily
+        self._root_chains = [[bounds] for bounds in _isolate(poly, chain)]
+        real = len(self._root_chains)
+        # a rational root is real, so a linear factor is found before the count
+        if self._has_factor([1]) or real == n and self._has_factor(range(2, n // 2 + 1)):
             raise NotIrreducible(f"{poly} is reducible over the rationals")
-
+        if real < n:
+            raise NotTotallyReal(f"only {real} of {n} roots are real")
         self._build_tables()
 
-    def _has_factor_of_degree_two_or_more(self) -> bool:
-        """Whether some product of 2 <= k <= n/2 of the roots, prod (x - r_i),
-        is an integer polynomial dividing the defining one.
+    def _has_factor(self, degrees: Iterable[int]) -> bool:
+        """Whether some product of k real roots, prod (x - r_i) for k in
+        degrees, is an integer polynomial dividing the defining one.
 
-        A monic integer polynomial with all roots real factors over Q exactly
-        when it has such a factor (Gauss's lemma).  The root intervals are
-        refined until each coefficient of a candidate product either holds no
-        integer, which rules the subset out, or pins exactly one; a fully
-        pinned candidate is then divided out exactly.
+        A monic integer polynomial factors over Q exactly when it has a monic
+        integer factor of degree k <= n/2 (Gauss's lemma).  A linear factor's
+        root is real; a greater degree is searched only when every root is.
+        The root intervals are refined until each coefficient of a candidate
+        product either holds no integer, which rules the subset out, or pins
+        exactly one; a fully pinned candidate is then divided out exactly.
         """
-        n = self.degree
-        subsets = [
-            s for k in range(2, n // 2 + 1) for s in itertools.combinations(range(n), k)
-        ]
+        places = range(len(self._root_chains))
+        subsets = [s for k in degrees for s in itertools.combinations(places, k)]
         depth = 0
         while subsets:
-            roots = [_interval(self._root_interval(place, depth), 0) for place in range(n)]
+            roots = [_interval(self._root_interval(place, depth), 0) for place in places]
             undecided = []
             for subset in subsets:
                 pinned = []
-                for c in _monic_product([roots[i] for i in subset])[:-1]:
-                    lo, hi = c.endpoints()
-                    lo, hi = math.ceil(lo), math.floor(hi)
+                for c in _monic_product([roots[i] for i in subset]):
+                    # the integers in [lo 2^exp, hi 2^exp], off the mantissas
+                    if c.exp < 0:
+                        lo, hi = -(-c.lo >> -c.exp), c.hi >> -c.exp
+                    else:
+                        lo, hi = c.lo << c.exp, c.hi << c.exp
                     if lo > hi:
                         break
                     pinned.append(lo if lo == hi else None)
@@ -662,10 +645,12 @@ class TotallyRealField:
         """Bounds (lo, hi, s) of the isolating interval [lo/s, hi/s] of the
         root at place after depth bisections."""
         chain = self._root_chains[place]
-        # p is monic with n simple real roots, so at every lower end of the
-        # chain of the root at place it has the sign (-1)^(n - place); a
-        # rational midpoint is never a root of an irreducible p of degree >= 2
-        lo_sign = (-1) ** (self.degree - place)
+        # p is monic with m simple real roots, so between the root at place and
+        # the one below it has the sign (-1)^(m - place).  Each interval
+        # (lo/s, hi/s] holds its root: a midpoint of that sign lies below it,
+        # and one of sign 0 is the root itself (a rational root, met only by
+        # the factor search), kept as the upper end of the lower half.
+        lo_sign = (-1) ** (len(self._root_chains) - place)
         while len(chain) <= depth:
             lo, hi, s = chain[-1]
             if _sign_at(self.min_poly, lo + hi, 2 * s) == lo_sign:
@@ -751,9 +736,9 @@ def _field_cache(min_poly: tuple[int, ...]) -> TotallyRealField:
 def make_field(min_poly: Sequence[int]) -> TotallyRealField:
     """Construct (or fetch the cached copy of) a totally real field.
 
-    Coefficients are ascending: [c0, c1, ..., 1].
+    Coefficients are ascending integers: [c0, c1, ..., 1].
     """
-    return _field_cache(tuple(int(c) for c in min_poly))
+    return _field_cache(tuple(min_poly))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from conesum.errors import (
     NotAUnit,
     NotTotallyPositive,
     UnitDoesNotPreserveM,
+    ZeroInput,
 )
 
 SQRT3_CONFIG = {
@@ -184,6 +185,18 @@ class TestConverge:
         assert code == 2 and captured.out == ""
         assert json.loads(captured.err) == {"error": message, "kind": "config"}
 
+    def test_boolean_min_poly_exits_2(self, tmp_path, capsys):
+        # [-3, false, true] was read as x^2 - 3
+        cfg = dict(SQRT3_CONFIG, field={"min_poly": [-3, False, True]})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["converge", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "min_poly must be an ascending monic integer list", "kind": "config"
+        }
+
     def test_bad_min_poly_exits_2(self, tmp_path, capsys):
         cfg = dict(SQRT3_CONFIG)
         cfg["field"] = {"min_poly": [1, 0, 1]}  # complex roots
@@ -315,6 +328,19 @@ class TestExplicitFanUnits:
         }
         with pytest.raises(ConfigError, match="nonempty"):
             build_config(cfg)
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["converge", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+    def test_zero_cone_generator_rejected(self, tmp_path, capsys):
+        # Cone's ZeroInput is a config error, as a bad unit action is
+        cfg = dict(self.config(SQRT3_CONFIG["module"]["basis"], [["2", "1"]], [["2", "1"]]),
+                   x0=["7", "1"])
+        cfg["fan"]["cones"] = [[["0", "0"], ["1", "0"]]]
+        with pytest.raises(ConfigError, match="^bad fan cones: ") as info:
+            build_config(cfg)
+        assert isinstance(info.value.__cause__, ZeroInput)
         path = tmp_path / "fan.json"
         path.write_text(json.dumps(cfg))
         assert main(["converge", str(path)]) == 2

@@ -42,6 +42,7 @@ from conesum.field import (
     min_poly_of,
     norm,
     root_index_at,
+    sturm_chain,
     surd_float,
     trace_pairing,
 )
@@ -123,6 +124,8 @@ class TestMakeField:
             [0, -3, 0, 1],  # x (x^2 - 3)
             [-1, 0, 9, 0, -6, 0, 1],  # (x^3 - 3x - 1)(x^3 - 3x + 1)
             [-(10**9 + 7) * (10**9 + 9), 2, 1],  # integer roots of ten digits
+            [0, -19, 0, 1],  # x (x^2 - 19): 0 is the first bisection point
+            [-1, 3, -1, -2, 1],  # (x - 1)(x^3 - x^2 - 2x + 1), 1 between its roots
         ],
     )
     def test_reducible_totally_real_rejected(self, poly):
@@ -135,10 +138,58 @@ class TestMakeField:
         assert F.disc_abs == poly_disc_oracle([1, 0, -10, 0, 1])
 
     def test_reducible_with_complex_roots_is_not_totally_real(self):
-        # (x^2 + 1)(x^2 - 2): the real-root count is checked before the
-        # factor search, which needs every root real
+        # (x^2 + 1)(x^2 - 2): no rational root, and the real-root count is
+        # checked before the search for factors of degree >= 2, which needs
+        # every root real
         with pytest.raises(NotTotallyReal):
             make_field([-2, 0, -1, 0, 1])
+
+    def test_rational_root_is_found_before_the_count(self):
+        # (x - 1)(x^2 + 1): a rational root is real, so the linear factor
+        # search on the real roots runs before the real-root count
+        with pytest.raises(NotIrreducible):
+            TotallyRealField([-1, 1, -1, 1])
+
+    @given(
+        r=st.integers(-(10**6), 10**6),
+        q=st.lists(st.integers(-20, 20), min_size=1, max_size=4).map(lambda c: c + [1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_linear_factor_is_found(self, r, q):
+        # (x - r) q(x), whatever q's roots are
+        poly = [a - r * b for a, b in zip([0] + q, q + [0])]
+        with pytest.raises(NotIrreducible):
+            TotallyRealField(poly)
+
+    @pytest.mark.parametrize(
+        "poly", [[-3.5, 0, 1], [Fraction(-7, 2), 0, 1], [-3, 0, 1.9]], ids=str
+    )
+    def test_non_integer_coefficient_rejected(self, poly):
+        # each was truncated to x^2 - 3
+        with pytest.raises(NotIrreducible):
+            make_field(poly)
+        with pytest.raises(NotIrreducible):
+            TotallyRealField(poly)
+
+    @pytest.mark.parametrize(
+        "poly", [QUADRATIC, CUBIC, QUARTIC], ids=["sqrt3", "cubic49", "quartic"]
+    )
+    def test_one_sturm_chain_and_no_fractions(self, poly):
+        # one chain for squarefreeness, isolation and refinement; the factor
+        # search multiplies Intervals and reads integers off their mantissas
+        codes = {f.__code__ for f in (sturm_chain, Interval.of.__func__, Interval.endpoints)}
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            TotallyRealField(poly)
+        finally:
+            sys.setprofile(None)
+        assert calls == ["sturm_chain"]
 
     def test_irreducibility_agrees_with_sympy(self):
         sympy = pytest.importorskip("sympy")
