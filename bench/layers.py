@@ -143,8 +143,10 @@ def layer_cases():
 
 def polyhedral_cases() -> dict:
     """Facets of a fresh cube cone, the intersection of two fresh cubic cones,
-    the extreme rays of a fresh simplicial cubic cone, and the boundary and
-    dual cycles of the cube in P^3."""
+    the extreme rays of a fresh simplicial cubic cone, membership in the
+    relative interior of a fresh simplicial cubic cone and in a fresh
+    2-dimensional face of it, and the boundary and dual cycles of the cube
+    in P^3."""
     from conesum import cycles, field
     from conesum.geometry import Cone, ProjPolyhedron
 
@@ -153,11 +155,14 @@ def polyhedral_cases() -> dict:
     C = field.make_field(CUBIC)
     a = [C.element(v) for v in ([2, 1, 0], [0, 2, 1], [1, 0, 2])]
     b = [C.element(v) for v in ([3, 1, 1], [1, 3, 1], [1, 1, 3], [2, 2, -1])]
+    inside, on_face = a[0] + a[1] * 2 + a[2], a[0] + a[1] * 2
     z = cycles.boundary_cycle(ProjPolyhedron.from_points(Q, cube))
     return {
         "geometry.facet_data.cube": lambda: Cone(Q, cube)._facet_data,
         "geometry.intersection.cubic": lambda: Cone(C, a).intersection(Cone(C, b)),
         "geometry.extreme_rays.cubic": lambda: Cone(C, a).extreme_rays,
+        "geometry.contains.cubic": lambda: Cone(C, a).contains_strictly(inside),
+        "geometry.contains.face.cubic": lambda: Cone(C, a[:2]).contains(on_face),
         "cycles.boundary_cycle.cube": lambda: cycles.boundary_cycle(
             ProjPolyhedron.from_points(Q, cube)
         ),

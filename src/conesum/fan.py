@@ -34,7 +34,7 @@ from .field import (
     is_totally_positive,
     minus_continued_fraction,
 )
-from .geometry import Cone, coordinate_rows, integer_rays
+from .geometry import Cone, coordinate_rows, cut, integer_rays
 from .record import FrozenRecord, Record
 
 
@@ -396,12 +396,12 @@ def validate_good_fan(tf: TruncatedFan) -> ValidationReport:
     """Window-local checks of the good-fan conditions; global statements are
     only certified on the truncation.  A top is the primitive module columns
     of its extreme rays in the description's frame, and two cones meet in
-    the cone of the extreme rays of their stacked rows (_cut)."""
+    the cone of the extreme rays of their stacked rows (geometry.cut)."""
     report = ValidationReport()
     frame, n = tf.description.frame, tf.field.degree
     tops, cuts = [], {}  # each top's columns, and its (normals, rows) by them
     for e, r in tf.pairs:
-        normals, rows = _cut(frame.moves[r](e), n)
+        normals, rows = cut(frame.moves[r](e), n)
         tops.append(frozenset(integer_rays(rows, n)))
         cuts[tops[-1]] = normals, rows
 
@@ -433,7 +433,7 @@ def validate_good_fan(tf: TruncatedFan) -> ValidationReport:
             if frozenset(moved) in cuts:
                 continue
             # translate leaves the window: it must not overlap any retained cone
-            rows = _cut(moved, n)[1]
+            rows = cut(moved, n)[1]
             if any(linalg.rank(integer_rays(rows + other, n)) == n for _, other in cuts.values()):
                 invariant, detail = False, "unit translate overlaps the window improperly"
     report.add("unit-action", invariant, detail)
@@ -454,16 +454,6 @@ def validate_good_fan(tf: TruncatedFan) -> ValidationReport:
         else f"{len(over)} walls shared more than twice",
     )
     return report
-
-
-def _cut(cols: Sequence[Sequence[int]], n: int) -> tuple[list, list]:
-    """(normals, rows) of the salient cone over integer columns C: its facet
-    normals, the extreme rays of {y : y.c >= 0 on C, y.a = 0 on ann(C)},
-    and rows that cut it out, the normals and +-a for a basis of ann(C)."""
-    ann = [linalg.cleared(a)[0] for a in linalg.kernel(cols)]
-    eqs = ann + [[-v for v in a] for a in ann]
-    normals = list(integer_rays(list(cols) + eqs, n))
-    return normals, normals + eqs
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 All geometry lives in R^n via the real embeddings of a totally real field F,
 but every predicate is decided by exact rational linear algebra on power-basis
-coordinates: the pairing of two F-points is the rational number Tr(xy), so
-spans, duals, faces and membership never touch a floating-point number.
+coordinates: the pairing of two F-points is the rational number Tr(xy), a
+positive multiple of num(x) . T num(y) for the integer trace matrix T, so a
+cone's facets, membership and intersections are read off one integer cut of
+its generators' numerators and never touch a floating-point number.
 
 A projective polyhedron of dimension k is represented by the salient
 (k+1)-dimensional cone over it.
@@ -25,7 +27,7 @@ from .errors import (
     RayNotRational,
     ZeroInput,
 )
-from .field import FieldElement, TotallyRealField, trace_pairing
+from .field import FieldElement, TotallyRealField
 
 
 class LinearSubspace:
@@ -170,22 +172,21 @@ class Cone:
         return self.span.dim
 
     @cached_property
-    def _facet_data(self) -> list[tuple[FieldElement, tuple[int, ...]]]:
-        """Inner normals of the facets, with indices of tight generators.
+    def _cut(self) -> tuple[dict, list]:
+        """cut of the generators' numerators under the trace form."""
+        gens = [g.num for g in self.generators]
+        return cut(gens, self.field.degree, self.field.trace_matrix)
 
-        In span-basis coordinates the normals are the extreme rays of the
-        dual cone {c : sum_j c_j Tr(b_j g) >= 0 for every generator g}.
-        """
+    @cached_property
+    def _facet_data(self) -> list[tuple[FieldElement, tuple[int, ...]]]:
+        """Inner normals of the facets, the normals of the cut as F-points on
+        their ray keys in key order, with indices of tight generators."""
         if self.dim < 2:
             return []
-        span = self.span
-        basis = span.basis_elements()
-        pairing = [tuple(trace_pairing(b, g) for b in basis) for g in self.generators]
-        normals = sorted(
-            (span.point(ray).ray_key(), tight)
-            for ray, tight in _enumerate_rays(pairing, self.dim)
-        )
-        return [(self.field.element(k), tight) for k, tight in normals]
+        F = self.field
+        normals = [(FieldElement._make(F, u, abs(next(filter(None, u)))), tight)
+                   for u, tight in self._cut[0].items()]
+        return sorted(normals, key=lambda normal: normal[0].coords)
 
     def facet_normals(self) -> list[FieldElement]:
         return [normal for normal, _ in self._facet_data]
@@ -216,16 +217,6 @@ class Cone:
     def is_simplicial(self) -> bool:
         return len(self.extreme_rays) == self.dim
 
-    @cached_property
-    def _rows(self) -> list[list[int]] | None:
-        """coordinate_rows of a full-dimensional simplicial cone's generators."""
-        if len(self.generators) == self.field.degree:
-            try:
-                return coordinate_rows(self.generators)[0]
-            except ZeroDivisionError:
-                pass
-        return None
-
     def contains(self, x: FieldElement) -> bool:
         return self._contains(x, strict=False)
 
@@ -234,20 +225,14 @@ class Cone:
         return self._contains(x, strict=True)
 
     def _contains(self, x: FieldElement, strict: bool) -> bool:
-        """Decided by the coordinates in independent generators, or positive
-        multiples of them (all >= 0, or all > 0), otherwise by the pairings
-        with the facet normals."""
+        """x is cut out: the rows of ann(generators) vanish on it, and those
+        of the normals are all >= 0 (or all > 0)."""
         if x.is_zero():
             return not strict
-        if self._rows is not None:
-            values = linalg.mat_vec(self._rows, x.num)
-        elif len(self.generators) == self.dim:
-            values = solve_in_basis(self.generators, x)
-        elif self.span.contains(x):
-            values = [trace_pairing(n, x) for n in self.facet_normals()]
-        else:
-            values = None
-        return values is not None and all(v > 0 if strict else v >= 0 for v in values)
+        normals, rows = self._cut
+        values = linalg.mat_vec(rows, x.num)
+        k = len(normals)
+        return not any(values[k:]) and all(v > 0 if strict else v >= 0 for v in values[:k])
 
     def interior_point(self) -> FieldElement:
         total = self.field.zero
@@ -298,22 +283,10 @@ class Cone:
         return sorted(faces, key=lambda c: (c.dim, sorted(c.key())))
 
     def intersection(self, other: "Cone") -> "Cone | None":
-        """Exact intersection; None when it is the zero cone."""
-        span = self.span.intersection(other.span)
-        if span.dim == 0:
-            return None
-        if self.dim == 1:
-            g = self.generators[0]
-            return Cone(self.field, [g]) if other.contains(g) else None
-        if other.dim == 1:
-            return other.intersection(self)
-        basis = span.basis_elements()
-        constraints = [
-            tuple(trace_pairing(n, b) for b in basis)
-            for n in self.facet_normals() + other.facet_normals()
-        ]
-        points = [span.point(ray) for ray, _ in _enumerate_rays(constraints, span.dim)]
-        return Cone(self.field, points) if points else None
+        """Exact intersection, the cone over the extreme rays of both cuts'
+        stacked rows; None when it is the zero cone."""
+        rays = integer_rays(self._cut[1] + other._cut[1], self.field.degree)
+        return Cone(self.field, map(self.field.element, rays)) if rays else None
 
     def mul_unit(self, eps: FieldElement) -> "Cone":
         return Cone(self.field, [g * eps for g in self.generators])
@@ -322,28 +295,20 @@ class Cone:
         return f"Cone(dim={self.dim}, rays={len(self.extreme_rays)})"
 
 
-def _enumerate_rays(
-    constraints: list[tuple[Fraction, ...]], m: int
-) -> list[tuple[tuple[Fraction, ...], tuple[int, ...]]]:
-    """Extreme rays of the salient cone {u in Q^m : C u >= 0}, each scaled so
-    its first nonzero entry is +-1 and paired with the indices of the
-    constraints tight on it, in ray order; found on the constraints cleared
-    to integers, positive multiples that keep every sign."""
-    if m == 0 or not constraints:
-        return []
-    found = integer_rays([linalg.cleared(con)[0] for con in constraints], m)
-    return sorted((tuple(Fraction(r, abs(next(filter(None, ray)))) for r in ray), tight)
-                  for ray, tight in found.items())
-
-
-def integer_rays(rows: Sequence[Sequence[int]], m: int) -> dict[tuple[int, ...], tuple]:
-    """Extreme rays of the salient cone {u in Q^m : R u >= 0} of integer rows
-    R, primitive, with the indices of the rows tight on each.  Each spans the
-    kernel of some m-1 rows, spanned by their signed maximal minors (all zero
-    when the rank is below m-1).  A lineality direction of a non-salient
-    input keeps its last nonzero entry positive, as a reduced kernel basis does."""
+def integer_rays(
+    rows: Sequence[Sequence[int]], m: int, eqs: Sequence[Sequence[int]] = ()
+) -> dict[tuple[int, ...], tuple]:
+    """Extreme rays of the salient cone {u in Q^m : R u >= 0, E u = 0} of
+    integer rows R and independent integer rows E, primitive, with the
+    indices of the rows of R tight on each.  Each spans the kernel of E and
+    some m-1-len(E) rows of R, spanned by their signed maximal minors (all
+    zero when the rank is below m-1).  A lineality direction of a
+    non-salient input keeps its last nonzero entry positive, as a reduced
+    kernel basis does."""
     found: dict[tuple[int, ...], tuple] = {}
-    for subset in itertools.combinations([list(row) for row in rows], m - 1):
+    eqs, k = tuple(list(a) for a in eqs), m - 1 - len(eqs)
+    for free in itertools.combinations([list(row) for row in rows], k) if k >= 0 else ():
+        subset = eqs + free
         minors = [(-1) ** j * linalg.int_det([row[:j] + row[j + 1:] for row in subset])
                   for j in range(m)]
         g = math.gcd(*minors)
@@ -360,6 +325,23 @@ def integer_rays(rows: Sequence[Sequence[int]], m: int) -> dict[tuple[int, ...],
                 ray = tuple(-r for r in ray)
             found.setdefault(ray, tuple(i for i, v in enumerate(values) if v == 0))
     return found
+
+
+def cut(
+    vectors: Sequence[Sequence[int]], n: int, pairing: Sequence[Sequence[int]] | None = None
+) -> tuple[dict[tuple[int, ...], tuple], list]:
+    """(normals, rows) of the salient cone over integer vectors V in Q^n,
+    under the symmetric positive definite integer pairing P (the identity
+    when None): its facet normals, the extreme rays u of {u : u.(P v) >= 0
+    on V, u.a = 0 on ann(V)}, each with the indices of the vectors tight on
+    it, and rows that cut it out, P u per normal and then +-a for a basis of
+    ann(V).  The zero cone's ann is all of Q^n."""
+    full = len(vectors) >= n and linalg.rank(vectors) == n
+    ann = [] if full else [linalg.cleared(a)[0] for a in linalg.kernel(vectors or [[0] * n])]
+    paired = vectors if pairing is None else [linalg.mat_vec(pairing, v) for v in vectors]
+    normals = integer_rays(paired, n, ann)
+    rows = [u if pairing is None else linalg.mat_vec(pairing, u) for u in normals]
+    return normals, rows + ann + [[-v for v in a] for a in ann]
 
 
 class ProjPolyhedron:

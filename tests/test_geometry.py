@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conesum import geometry, linalg, summation
+from conesum import field, geometry, linalg, summation
 
 from conesum.errors import (
     NotFullDim,
@@ -22,6 +22,7 @@ from conesum.geometry import (
     LinearSubspace,
     ProjPolyhedron,
     dual_cone,
+    integer_rays,
     primitive_generator,
     solve_in_basis,
 )
@@ -103,6 +104,25 @@ class TestConeIntersection:
         F = make_field(CUBIC)
         t = F.theta
         assert Cone(F, [F.one, t]).intersection(Cone(F, [t * t, t * t * t + t])) is None
+
+    def test_line_meets_a_cone_in_the_true_ray(self):
+        # the line through 1 + sqrt 3 lists -(1 + sqrt 3) first; the cone over
+        # 1 and sqrt 3 holds only the other side
+        F = make_field(QUADRATIC)
+        g = elem(F, 1, 1)
+        line, quadrant = Cone(F, [g, -g]), Cone(F, [F.one, F.theta])
+        assert line.generators[0] == -g
+        assert line.intersection(quadrant) == quadrant.intersection(line) == Cone(F, [g])
+
+    @pytest.mark.parametrize("poly", [QUADRATIC, CUBIC, QUARTIC])
+    def test_zero_cone_cuts_out_only_zero(self, poly):
+        F = make_field(poly)
+        zero, cone = Cone(F, []), Cone(F, triangle_generators(F))
+        assert zero.contains(F.zero) and not zero.contains_strictly(F.zero)
+        for x in std_basis(F) + [cone.interior_point()]:
+            assert not zero.contains(x) and not zero.contains(-x)
+        for other in (zero, cone, Cone(F, [F.one]), Cone(F, [F.one, -F.one])):
+            assert zero.intersection(other) is None and other.intersection(zero) is None
 
 
 class TestDualCone:
@@ -414,13 +434,60 @@ class TestIntegerMinors:
     @example(([(Fraction(0), Fraction(-1))], 2))
     def test_matches_kernel_rays(self, case):
         constraints, m = case
-        assert geometry._enumerate_rays(constraints, m) == kernel_rays(constraints, m)
+        found = integer_rays([linalg.cleared(con)[0] for con in constraints], m)
+        rays = sorted((tuple(Fraction(r, abs(next(filter(None, ray)))) for r in ray), tight)
+                      for ray, tight in found.items())
+        assert rays == kernel_rays(constraints, m)
 
     def test_no_kernel(self, monkeypatch):
         monkeypatch.setattr(linalg, "kernel", None)
         F = make_field(CUBIC)
         square = Cone(F, [elem(F, 1, *v) for v in itertools.product((0, 1), repeat=2)])
         assert len(square.facet_normals()) == 4
+
+
+@st.composite
+def rows_and_equations(draw):
+    """Up to five small integer rows in m <= 4 unknowns and up to m
+    independent equation rows."""
+    m = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+    rows = draw(st.lists(vec, max_size=5))
+    eqs = draw(st.lists(vec, max_size=m))
+    assume(linalg.rank(eqs) == len(eqs))
+    return rows, m, eqs
+
+
+class TestIntegerCut:
+    @settings(max_examples=150, deadline=None)
+    @given(rows_and_equations())
+    def test_equations_match_both_signs_as_rows(self, case):
+        rows, m, eqs = case
+        signed = integer_rays(rows + eqs + [[-v for v in a] for a in eqs], m)
+        restricted = {ray: tuple(i for i in tight if i < len(rows))
+                      for ray, tight in signed.items()}
+        assert integer_rays(rows, m, eqs) == restricted
+
+    @pytest.mark.parametrize("poly", [CUBIC, QUARTIC])
+    def test_no_pairing_solve_or_span_meet(self, poly, monkeypatch):
+        F = make_field(poly)
+        calls = []
+
+        def counted(owner, name):
+            f = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or f(*a, **k))
+
+        counted(field, "trace_pairing")
+        counted(geometry, "solve_in_basis")
+        counted(linalg, "solve")
+        counted(LinearSubspace, "intersection")
+        g = triangle_generators(F)
+        x = g[0] + g[1] * 2
+        for gens in (g, g[:2], g[:1], g + [g[0] + g[1] - g[2]]):
+            cone = Cone(F, gens)
+            cone._facet_data, cone.contains(x), cone.contains_strictly(x)
+            Cone(F, gens).intersection(Cone(F, g))
+        assert calls == []
 
 
 def reference_extreme_rays(cone):
@@ -658,9 +725,9 @@ class TestCoordinateRows:
         for x in (g[0] * 3, g[0] + g[1] * Fraction(1, 2), cone.interior_point(), g[1] - g[0]):
             cone.contains(x), cone.contains_strictly(x)
         assert calls == []
-        # a lower-dimensional face keeps its solve
+        # nor does a lower-dimensional face
         assert Cone(F, g[:-1]).contains(g[0])
-        assert len(calls) == 1
+        assert calls == []
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(FIELDS), st.data())
