@@ -332,13 +332,28 @@ def reference_rays(constraints, m):
     return sorted(found)
 
 
+def reference_holds(cone, x):
+    """Nonzero x lies on a generator's ray of a cone of dimension 1, or in
+    the span of a larger cone and pairs >= 0 with every reference normal."""
+    if cone.dim == 1:
+        return x.ray_key() in {g.ray_key() for g in cone.generators}
+    return cone.span.contains(x) and all(
+        trace_pairing(n, x) >= 0 for n, _ in reference_facet_data(cone)
+    )
+
+
 def reference_intersection(a, b):
+    """A ray or line meets b in the generators b holds; a line held whole
+    meets it in its ray whose last nonzero coordinate is positive."""
     F = a.field
     span = a.span.intersection(b.span)
     if span.dim == 0:
         return None
     if a.dim == 1:
-        return Cone(F, [a.generators[0]]) if b.contains(a.generators[0]) else None
+        held = [g for g in a.generators if reference_holds(b, g)]
+        if len(held) == 2:
+            held = [g for g in held if next(filter(None, reversed(g.coords))) > 0]
+        return Cone(F, held) if held else None
     if b.dim == 1:
         return reference_intersection(b, a)
     basis = span.basis_elements()
