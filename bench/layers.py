@@ -416,7 +416,11 @@ def cold_run(src: Path, *args: str) -> dict:
 
 def lvalue_cases() -> dict:
     """The L-value enumerator on the Q(sqrt 3) module at the three shipped
-    (s, cutoff) points, and its row stage alone at the largest cutoff."""
+    (s, cutoff) points, and at the largest cutoff its row stage alone and
+    its point stage alone: ``lvalue_numeric`` at s = 2 with
+    ``kept_intervals`` answered by its result, built outside the timing."""
+    from unittest import mock
+
     from conesum import arith, config
 
     module = config.load_config(str(ROOT / "configs/sqrt3.json")).module
@@ -429,6 +433,14 @@ def lvalue_cases() -> dict:
     enum = arith._QuadraticEnumerator(module)
     Xi = 8 * 10**6 * enum.den**2
     cases["arith.kept_intervals.8e6"] = lambda: enum.kept_intervals(8e6, Xi)
+    kept = enum.kept_intervals(8e6, Xi)
+
+    def point_stage():
+        with mock.patch.object(arith._QuadraticEnumerator, "kept_intervals",
+                               lambda self, cutoff, Xi: kept):
+            return arith.lvalue_numeric(module, 2, 8e6)
+
+    cases["arith.interval_norms.8e6"] = point_stage
     return cases
 
 

@@ -439,25 +439,26 @@ class _QuadraticEnumerator:
 
     def kept_intervals(self, cutoff: float, Xi: int):
         """Arrays (a, lo, hi) of every row's kept intervals in row order,
-        certified against ``slice_masks``.  They are int64 when the overflow
-        bound allows it, else object arrays of Python ints."""
+        certified against ``slice_masks``, and their norms' dtype: both as
+        ``int_dtype`` chooses."""
         import numpy as np
         alo, ahi, bmax = self.box(cutoff)
-        dtype = self.int_dtype(max(-alo, ahi, 1), bmax + 1, Xi)
+        dtype, norms = self.int_dtype(max(-alo, ahi, 1), bmax + 1, Xi)
         a, lo, hi, kind = self.row_intervals(
             np.arange(alo, ahi + 1).astype(dtype), Xi, bmax
         )
         self.certify(a, lo, hi, kind, Xi)
-        return a, lo, hi
+        return a, lo, hi, norms
 
     def int_dtype(self, amax: int, bmax: int, Xi: int):
-        """np.int64 when no intermediate reaches 2^62 for |a| <= amax,
-        |b| <= bmax and the scaled cut Xi, else object, so that numpy computes
-        with Python ints and never wraps.  The intermediates are those of
-        ``_pq``, ``slice_masks`` and ``norm_scaled``, of ``row_intervals``
-        (the crossing points r + w sqrt(d0) with w^2 d0, and the quadratic
-        cut's discriminant) and of ``_interval_norms``, whose quadratics are
-        re-centred at |b| <= bmax + _CHUNK_POINTS."""
+        """(rows, norms): np.int64 rows when no intermediate reaches 2^62 for
+        |a| <= amax, |b| <= bmax and the scaled cut Xi, else object, so that
+        numpy never wraps; float64 norms when Xi and the re-centred quadratics
+        stay below 2^53, so exact, else the rows' dtype.  The intermediates
+        are those of ``_pq``, ``slice_masks`` and ``norm_scaled``, of
+        ``row_intervals`` (the crossing points r + w sqrt(d0) with w^2 d0, and
+        the quadratic cut's discriminant) and of ``_interval_norms``, whose
+        quadratics are re-centred at |b| <= bmax + _CHUNK_POINTS."""
         import numpy as np
         c0, c1, eP, eQ, d = abs(self.c0), abs(self.c1), abs(self.eP), abs(self.eQ), self.d0
         pb, qb, N2 = abs(self.pb), abs(self.qb), abs(self.N2)
@@ -477,8 +478,9 @@ class _QuadraticEnumerator:
         w = qb * u + U1 * Q
         N1 = U1 * P + (2 * c0 * qb + c1 * pb) * Q
         far = 2 * bmax + 3 * _CHUNK_POINTS  # bounds |k + 2 off| in _interval_norms
+        recentred = max(Xi, (N2 * far + N1) * far + norm(*pq(far)))
         worst = max(
-            Xi,
+            recentred,
             norm(P, Q),  # norm_scaled
             u * u + d * Q * Q,  # _sgn_quad
             eQ * P + eP * Q,  # lam_cut
@@ -486,27 +488,25 @@ class _QuadraticEnumerator:
             w * w * d,  # the crossing points' isqrt
             d * qb * Q + U1 * u + w * (math.isqrt(d) + 1),  # r + floor(w sqrt d)
             N1 * N1 + 4 * N2 * (norm(P, Q) + 2 * Xi + 1),  # discriminant
-            (N2 * far + N1) * far + norm(*pq(far)),  # re-centred quadratics
         )
-        return np.int64 if worst < 1 << 62 else object
+        rows = np.int64 if worst < 1 << 62 else object
+        return rows, np.float64 if recentred < 1 << 53 else rows
 
     def certify(self, a, lo, hi, kind, Xi: int) -> None:
-        """Check intervals against ``slice_masks`` and ``norm_scaled`` in one
-        vectorized call: both ends of every interval must be kept by its
-        slice under the norm cut, and both outer neighbours rejected."""
+        """Check intervals against ``slice_masks`` and ``norm_scaled``, one
+        vectorized call per end: both ends of every interval must be kept by
+        its slice under the norm cut, and both outer neighbours rejected."""
         import numpy as np
-        pp, pm, P, Q = self.slice_masks(
-            np.concatenate((a, a, a, a)), np.concatenate((lo, hi, lo - 1, hi + 1))
-        )
-        Ni = self.norm_scaled(P, Q)
-        kept = np.where(np.tile(kind, 4) == 0, pp, pm) & (Ni != 0) & (np.abs(Ni) <= Xi)
-        n = 2 * len(a)
-        if not (kept[:n].all() and not kept[n:].any()):
-            bad = int(np.flatnonzero(kept != (np.arange(2 * n) < n))[0]) % len(a)
-            raise EnumerationMismatch(
-                f"row a = {a[bad]}: interval [{lo[bad]}, {hi[bad]}] of slice "
-                f"{kind[bad]} disagrees with slice_masks"
-            )
+        for b, inside in ((lo, True), (hi, True), (lo - 1, False), (hi + 1, False)):
+            pp, pm, P, Q = self.slice_masks(a, b)
+            Ni = self.norm_scaled(P, Q)
+            wrong = (np.where(kind == 0, pp, pm) & (Ni != 0) & (np.abs(Ni) <= Xi)) != inside
+            if wrong.any():
+                bad = int(np.flatnonzero(wrong)[0])
+                raise EnumerationMismatch(
+                    f"row a = {a[bad]}: interval [{lo[bad]}, {hi[bad]}] of slice "
+                    f"{kind[bad]} disagrees with slice_masks"
+                )
 
 
 def _sgn_quad(u, v, d: int):
@@ -548,39 +548,40 @@ def _quad_interval(A: int, B, C):
     return np.where(disc < 0, hi + 1, lo), hi
 
 
-_CHUNK_POINTS = 1 << 16  # 512 kB per int64 array, so a chunk stays in cache
+_CHUNK_POINTS = 1 << 16  # 512 kB per array, so a chunk stays in cache
 
 
-def _interval_norms(N2: int, N1, N0, lo, hi):
+def _interval_norms(N2: int, N1, N0, lo, hi, dtype=None):
     """Yield den^2 N(mu) = N2 b^2 + N1_i b + N0_i for every b in
     [lo_i, hi_i], interval by interval and in order, at most _CHUNK_POINTS
-    values at a time.
+    values at a time, as ``dtype`` (lo's by default).
 
-    A chunk's k-th value lies on an interval with b = off_i + k, where it
-    is (N2 k + L_i) k + M_i for the quadratic re-centred at off_i; so every
-    chunk shares the arrays k and N2 k, and builds its norms in one reused
-    buffer, which the next chunk overwrites."""
+    One vectorized plan cuts the intervals at the chunk boundaries into
+    pieces.  A chunk's k-th value, on a piece of interval i, has b = off + k
+    and is (N2 k + L) k + M for the quadratic re-centred at the piece's off;
+    every chunk builds its norms in one reused buffer, which the next chunk
+    overwrites."""
     import numpy as np
+    C, dtype = _CHUNK_POINTS, lo.dtype if dtype is None else dtype
     n = (hi - lo + 1).astype(np.int64)
     ends = np.cumsum(n)
     total = int(ends[-1]) if len(ends) else 0
-    k = np.arange(min(total, _CHUNK_POINTS)).astype(lo.dtype)
-    n2k = N2 * k
+    # the piece starts, deduplicated by hand: np.union1d would load numpy.ma
+    p = np.sort(np.concatenate((ends - n, np.arange(C, total, C))))
+    p = p[np.diff(p, append=total) > 0]
+    i = np.searchsorted(ends, p, side="right")
+    off = lo[i] - (ends - n)[i] + p // C * C
+    L = (2 * N2 * off + N1[i]).astype(dtype)
+    M = ((N2 * off + N1[i]) * off + N0[i]).astype(dtype)
+    sizes, first = np.diff(p, append=total), np.searchsorted(p, np.arange(0, total + C, C))
+    k = np.arange(min(total, C), dtype=dtype)
     buf = np.empty_like(k)
-    for p0 in range(0, total, _CHUNK_POINTS):
-        p1 = min(p0 + _CHUNK_POINTS, total)
-        i0 = int(np.searchsorted(ends, p0, side="right"))
-        i1 = int(np.searchsorted(ends, p1 - 1, side="right")) + 1
-        clo, chi = lo[i0:i1].copy(), hi[i0:i1].copy()
-        clo[0] += p0 - int(ends[i0] - n[i0])
-        chi[-1] -= int(ends[i1 - 1]) - p1
-        cn = (chi - clo + 1).astype(np.int64)
-        off = clo - (np.cumsum(cn) - cn)
-        L = 2 * N2 * off + N1[i0:i1]
-        M = (N2 * off + N1[i0:i1]) * off + N0[i0:i1]
-        Ni = np.add(n2k[: p1 - p0], np.repeat(L, cn), out=buf[: p1 - p0])
-        Ni *= k[: p1 - p0]
-        Ni += np.repeat(M, cn)
+    for c, (q0, q1) in enumerate(zip(first.tolist(), first[1:].tolist())):
+        m = min(C, total - c * C)
+        Ni = np.multiply(k[:m], N2, out=buf[:m])
+        Ni += np.repeat(L[q0:q1], sizes[q0:q1])
+        Ni *= k[:m]
+        Ni += np.repeat(M[q0:q1], sizes[q0:q1])
         yield Ni
 
 
@@ -619,22 +620,33 @@ def lvalue_numeric(
 
     den2 = float(den * den)
     top = math.floor(Xi * 0.9)  # |N| > top: the top decade
-    a, lo, hi = enum.kept_intervals(cutoff, Xi)
+    a, lo, hi, dtype = enum.kept_intervals(cutoff, Xi)
     buf = np.empty(_CHUNK_POINTS)
-    for Ni in _interval_norms(enum.N2, *enum.row_norm(a), lo, hi):
-        # "unsafe" lets object arrays of Python ints convert too
-        terms = np.divide(den2, Ni, out=buf[: len(Ni)], casting="unsafe")
+    idx = np.empty(_CHUNK_POINTS, dtype=np.intp)
+    for Ni in _interval_norms(enum.N2, *enum.row_norm(a), lo, hi, dtype):
+        if ordered:  # each point's shell of |N|, before Ni is divided in place
+            shell = idx[: len(Ni)]
+            if Ni.dtype == object:  # Python ints may not fit intp
+                np.floor_divide(np.abs(Ni), width, out=shell, casting="unsafe")
+            else:
+                np.abs(Ni, out=shell, casting="unsafe")
+                shell //= width
+        elif tol is not None:
+            far = np.abs(Ni) > top
+        # float64 norms turn into their terms in place; "unsafe" lets object
+        # arrays of Python ints convert too
+        out = Ni if Ni.dtype == np.float64 else buf[: len(Ni)]
+        terms = np.divide(den2, Ni, out=out, casting="unsafe")
         if s % 2 and s > 1:  # pow of a negative base is some 20x slower
             np.copysign(np.abs(terms) ** s, terms, out=terms)
-        else:
+        elif s > 1:
             terms **= s
         if ordered:
-            idx = (np.abs(Ni) // width).astype(np.intp)
-            shells += np.bincount(idx, weights=terms, minlength=len(shells))
+            shells += np.bincount(shell, weights=terms, minlength=len(shells))
         else:
             total += float(np.sum(terms))
             if tol is not None:
-                tail += float(np.sum(np.abs(terms[np.abs(Ni) > top])))
+                tail += float(np.sum(np.abs(terms[far])))
 
     if ordered:
         csum = 2.0 * np.cumsum(shells)  # the -1 symmetry doubles every orbit
@@ -645,18 +657,14 @@ def lvalue_numeric(
             err_est = max(abs(v - value) for v in vals[-4:])
         else:
             value = float(csum[-1])
-            err_est = float(
-                abs(2.0 * np.sum(shells[int(len(shells) * 0.9) :]))
-            ) * 10
+            err_est = float(abs(2.0 * np.sum(shells[int(len(shells) * 0.9) :]))) * 10
     else:
         value = 2.0 * total
         # |terms| ~ |N|^(-s): the top-decade sum dominates the tail by the
         # integral comparison; a modest safety factor keeps it honest
         err_est = 2.0 * tail / max(s - 1, 1) * 1.2
     if tol is not None and err_est > tol:
-        raise CutoffTooSmall(
-            f"error estimate {err_est:.2e} above tolerance {tol:.2e}"
-        )
+        raise CutoffTooSmall(f"error estimate {err_est:.2e} above tolerance {tol:.2e}")
     return float(value)
 
 

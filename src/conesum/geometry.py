@@ -77,12 +77,6 @@ class LinearSubspace:
                 return None
         return c
 
-    def point(self, c: Sequence[Fraction]) -> FieldElement:
-        """The F-point sum c_j b_j."""
-        return self.field.element(
-            [sum(cj * b[i] for cj, b in zip(c, self.basis)) for i in range(self.field.degree)]
-        )
-
     def contains(self, x: FieldElement) -> bool:
         return self.coordinates(x.num) is not None
 
@@ -91,15 +85,6 @@ class LinearSubspace:
 
     def basis_elements(self) -> list[FieldElement]:
         return [self.field.element(row) for row in self.basis]
-
-    def intersection(self, other: "LinearSubspace") -> "LinearSubspace":
-        # x in both spans: solve [B1^T | -B2^T] kernel
-        rows = [
-            tuple(b[i] for b in self.basis) + tuple(-b[i] for b in other.basis)
-            for i in range(self.field.degree)
-        ]
-        points = [self.point(vec[: self.dim]).num for vec in linalg.kernel(rows)]
-        return LinearSubspace(self.field, points)
 
     def orthogonal_complement(self) -> "LinearSubspace":
         """Trace-orthogonal complement inside R^n (exact)."""
@@ -213,9 +198,6 @@ class Cone:
             if linalg.rank(tight_normals) == m - 1:
                 result.append(g)
         return tuple(result)
-
-    def is_simplicial(self) -> bool:
-        return len(self.extreme_rays) == self.dim
 
     def contains(self, x: FieldElement) -> bool:
         return self._contains(x, strict=False)
@@ -336,10 +318,19 @@ def cut(
     on V, u.a = 0 on ann(V)}, each with the indices of the vectors tight on
     it, and rows that cut it out, P u per normal and then +-a for a basis of
     ann(V).  The zero cone's ann is all of Q^n."""
-    full = len(vectors) >= n and linalg.rank(vectors) == n
-    ann = [] if full else [linalg.cleared(a)[0] for a in linalg.kernel(vectors or [[0] * n])]
     paired = vectors if pairing is None else [linalg.mat_vec(pairing, v) for v in vectors]
-    normals = integer_rays(paired, n, ann)
+    square = len(vectors) == n and linalg.int_det(paired) != 0
+    full = square or len(vectors) > n and linalg.rank(vectors) == n
+    ann = [] if full else [linalg.cleared(a)[0] for a in linalg.kernel(vectors or [[0] * n])]
+    if square:  # W adj(W) = det(W) I for W = P V: column j of adj(W), signed by
+        # det(W), is tight on every vector but j; integer_rays' order is j = n-1, ..., 0
+        adj, det = linalg.adjugate(paired)
+        normals = {}
+        for j in reversed(range(n)):
+            u = [row[j] if det > 0 else -row[j] for row in adj]
+            normals[tuple(v // math.gcd(*u) for v in u)] = tuple(i for i in range(n) if i != j)
+    else:
+        normals = integer_rays(paired, n, ann)
     rows = [u if pairing is None else linalg.mat_vec(pairing, u) for u in normals]
     return normals, rows + ann + [[-v for v in a] for a in ann]
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import types
 from fractions import Fraction
@@ -44,6 +47,8 @@ from conesum.arith import (
     satake_report,
     satake_rhs,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def sqrt3_module():
@@ -491,7 +496,7 @@ class TestLvalueNumeric:
         enum = _QuadraticEnumerator(M)
         cutoff, box = (50, 120) if big else (200, 250)
         Xi = cutoff * enum.den**2
-        dtype = enum.int_dtype(box, box + 1, Xi)
+        dtype = enum.int_dtype(box, box + 1, Xi)[0]
         assert (dtype is object) == big
         A, B, _, _, _, kind = masked_points(enum, Xi, box, dtype)
         expected = sorted(zip(A.tolist(), B.tolist(), kind.tolist()))
@@ -633,6 +638,141 @@ class TestLvalueNumeric:
         field = types.SimpleNamespace(degree=2, min_poly=(1, 0, 1))
         with pytest.raises(NotTotallyReal):
             _QuadraticEnumerator(types.SimpleNamespace(field=field))
+
+
+def reference_interval_norms(N2, N1, N0, lo, hi):
+    """The integer point stage before the chunk plan: each chunk finds its
+    intervals by search, cuts the first and last, and evaluates its norms in
+    lo's dtype."""
+    C = arith._CHUNK_POINTS
+    n = (hi - lo + 1).astype(np.int64)
+    ends = np.cumsum(n)
+    total = int(ends[-1]) if len(ends) else 0
+    k = np.arange(min(total, C)).astype(lo.dtype)
+    n2k = N2 * k
+    buf = np.empty_like(k)
+    for p0 in range(0, total, C):
+        p1 = min(p0 + C, total)
+        i0 = int(np.searchsorted(ends, p0, side="right"))
+        i1 = int(np.searchsorted(ends, p1 - 1, side="right")) + 1
+        clo, chi = lo[i0:i1].copy(), hi[i0:i1].copy()
+        clo[0] += p0 - int(ends[i0] - n[i0])
+        chi[-1] -= int(ends[i1 - 1]) - p1
+        cn = (chi - clo + 1).astype(np.int64)
+        off = clo - (np.cumsum(cn) - cn)
+        L = 2 * N2 * off + N1[i0:i1]
+        M = (N2 * off + N1[i0:i1]) * off + N0[i0:i1]
+        Ni = np.add(n2k[: p1 - p0], np.repeat(L, cn), out=buf[: p1 - p0])
+        Ni *= k[: p1 - p0]
+        Ni += np.repeat(M, cn)
+        yield Ni
+
+
+def reference_lvalue(module, s, cutoff, accel=True):
+    """(value, error estimate) of ``lvalue_numeric`` by the integer point
+    loop before the float64 kernel: every chunk of
+    ``reference_interval_norms`` converted to float inside the division."""
+    enum = _QuadraticEnumerator(module)
+    den = enum.den
+    Xi = math.floor(Fraction(cutoff) * den * den)
+    ordered = s == 1
+    width = max(1, Xi // (1 << 14))
+    shells = np.zeros(Xi // width + 2) if ordered else None
+    total = tail = 0.0
+    den2 = float(den * den)
+    top = math.floor(Xi * 0.9)
+    a, lo, hi = enum.kept_intervals(cutoff, Xi)[:3]
+    buf = np.empty(arith._CHUNK_POINTS)
+    for Ni in reference_interval_norms(enum.N2, *enum.row_norm(a), lo, hi):
+        terms = np.divide(den2, Ni, out=buf[: len(Ni)], casting="unsafe")
+        if s % 2 and s > 1:
+            np.copysign(np.abs(terms) ** s, terms, out=terms)
+        else:
+            terms **= s
+        if ordered:
+            idx = (np.abs(Ni) // width).astype(np.intp)
+            shells += np.bincount(idx, weights=terms, minlength=len(shells))
+        else:
+            total += float(np.sum(terms))
+            tail += float(np.sum(np.abs(terms[np.abs(Ni) > top])))
+    if not ordered:
+        return 2.0 * total, 2.0 * tail / max(s - 1, 1) * 1.2
+    csum = 2.0 * np.cumsum(shells)
+    if accel:
+        vals = [csum[int((len(csum) - 1) * f)] for f in np.linspace(0.6, 1.0, 9)]
+        value = (vals[-2] + vals[-1]) / 2
+        return value, max(abs(v - value) for v in vals[-4:])
+    err = float(abs(2.0 * np.sum(shells[int(len(shells) * 0.9) :]))) * 10
+    return float(csum[-1]), err
+
+
+class TestPointStageAgainstReference:
+    """The float64 point stage gives the integer one's floats bit for bit."""
+
+    # (chunk size, cutoffs): the shipped chunk spans several chunks at 6e4;
+    # chunks of 7 and 64 points cut intervals into pieces of every length,
+    # down to 1, and let intervals straddle chunks
+    CHUNKS = [(None, (300, 5e3, 6e4)), (64, (300, 5e3, 6e4)), (7, (60, 600, 5e3))]
+
+    @pytest.mark.parametrize("chunk, cutoffs", CHUNKS, ids=["default", "64", "7"])
+    @pytest.mark.parametrize("name", ["sqrt3", "sqrt3+rho"])
+    def test_lvalue_is_bit_identical(self, monkeypatch, chunk, cutoffs, name):
+        if chunk is not None:
+            monkeypatch.setattr(arith, "_CHUNK_POINTS", chunk)
+        M = sample_modules()[name]
+        for cutoff in cutoffs:
+            for s in (1, 2, 3):
+                for accel in (True, False):
+                    value, err = reference_lvalue(M, s, cutoff, accel)
+                    assert lvalue_numeric(M, s, cutoff, accel=accel) == value
+                    # on the tol path: the same value, and the same estimate to
+                    # the last bit, which a tolerance one ulp below it rejects
+                    assert lvalue_numeric(M, s, cutoff, accel=accel, tol=err) == value
+                    with pytest.raises(CutoffTooSmall):
+                        lvalue_numeric(M, s, cutoff, accel=accel, tol=np.nextafter(err, 0))
+
+    def test_object_rows_are_bit_identical(self):
+        # beyond int64 the norms stay Python ints, as in the reference
+        M = big_denominator_module()
+        for s in (1, 2, 3):
+            assert lvalue_numeric(M, s, 50, accel=False) == reference_lvalue(M, s, 50, False)[0]
+
+    def test_norms_are_float64_below_2_53(self):
+        # the norms' dtype is float64 exactly when Xi and the re-centred
+        # quadratics stay below 2^53; at small a and b the bound is Xi itself
+        enum = _QuadraticEnumerator(sqrt3_module())
+        assert enum.int_dtype(1, 1, (1 << 53) - 1) == (np.int64, np.float64)
+        assert enum.int_dtype(1, 1, 1 << 53) == (np.int64, np.int64)
+        assert enum.int_dtype(1, 1, 1 << 62) == (object, object)
+        Xi = 8 * 10**6 * enum.den**2
+        assert enum.kept_intervals(8e6, Xi)[3] is np.float64
+        big = _QuadraticEnumerator(big_denominator_module())
+        assert big.kept_intervals(50, 50 * big.den**2)[3] is object
+
+    def test_first_call_loads_no_module(self):
+        # np.union1d, np.unique and np.isin load numpy.ma on their first call,
+        # some 20 ms; the enumerator calls none of them
+        code = (
+            "import sys\n"
+            "import numpy\n"
+            "from conesum.arith import LatticeModule, lvalue_numeric\n"
+            "from conesum.field import UnitGroupData, fundamental_unit_quadratic, make_field\n"
+            "F = make_field([-3, 0, 1])\n"
+            "units = UnitGroupData((fundamental_unit_quadratic(3),))\n"
+            "M = LatticeModule(basis=(F.one, F.theta / 3), rho=F.zero, units=units)\n"
+            "before = set(sys.modules)\n"
+            "lvalue_numeric(M, 2, 2e4)\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        probe = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT, env=env
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "[]"
 
 
 class TestSatakeReport:
