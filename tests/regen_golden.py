@@ -13,7 +13,10 @@ emptied; the file holds its stdout, stderr and exit code, and
   first pass at seeds 1, 2, 29 and 83 (``perfbench/workloads.py``), run with
   the x0, N_max, tolerance and json format that its child sets;
 - verify: the seven suites on both shipped configs;
-- unitsearch: the cubic config.
+- unitsearch: the cubic config, and the distinct unitsearch ops of the
+  benchmark's passes 0 to 2 at seeds 1, 2 and 7, each the cubic config with
+  the op's window, run with its a, b and radius and the json format that its
+  child sets.
 
 A change meant to alter an output regenerates the files and names every
 changed case; the script prints the names of the cases whose stdout, stderr
@@ -42,22 +45,24 @@ SQRT3_CASES = (
     ("sqrt3-x0-1,0", ["--x0", "1,0"]),
 )
 SEEDS = (1, 2, 29, 83)
+UNITSEARCH_SEEDS = (1, 2, 7)
+UNITSEARCH_PASSES = 3
 CONFIGS = ("sqrt3", "cubic49")
 
 
-def benchmark_ops(seed: int) -> list[dict]:
-    """The converge ops of pass 0 of a benchmark run at the seed."""
+def benchmark_ops(workload: str, seed: int, index: int = 0) -> list[dict]:
+    """The ops of a workload's pass at this index of a benchmark run at the seed."""
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return workloads.converge_ops(random.Random(f"converge:{seed}:0"))
+    return workloads.GENERATORS[workload](random.Random(f"{workload}:{seed}:{index}"))
 
 
 def converge_cases() -> list[dict]:
     out = [{"name": name, "config": "configs/sqrt3.json", "options": options}
            for name, options in SQRT3_CASES]
     for seed in SEEDS:
-        for i, op in enumerate(benchmark_ops(seed)):
+        for i, op in enumerate(benchmark_ops("converge", seed)):
             out.append({
                 "name": f"seed{seed}-op{i:02d}-sqrt{op['field']}-{op['draw']}",
                 "config": op["raw"],
@@ -65,6 +70,28 @@ def converge_cases() -> list[dict]:
                             f"--tol={op['tol']!r}", "--format=json"],
             })
     out.append({"name": "cubic49-no-fan", "config": "configs/cubic49.json", "options": []})
+    return out
+
+
+def unitsearch_cases() -> list[dict]:
+    shipped = ROOT / "configs" / "cubic49.json"
+    out = [{"name": "unitsearch-cubic49", "config": "configs/cubic49.json", "options": []}]
+    seen = set()
+    for seed in UNITSEARCH_SEEDS:
+        for index in range(UNITSEARCH_PASSES):
+            for op in benchmark_ops("unitsearch", seed, index):
+                key = op["a"], op["b"], op["radius"], op["window"]
+                if key in seen:
+                    continue
+                seen.add(key)
+                raw = json.loads(shipped.read_text())
+                raw["unitsearch"] = dict(raw["unitsearch"], window=op["window"])
+                out.append({
+                    "name": "op-a{}-b{}-r{}-w{}".format(*key).replace("/", "_"),
+                    "config": raw,
+                    "options": [f"--a={op['a']}", f"--b={op['b']}",
+                                f"--radius={op['radius']}", "--format=json"],
+                })
     return out
 
 
@@ -76,8 +103,7 @@ def cases() -> dict[str, list[dict]]:
         "converge": converge_cases(),
         "verify": [{"name": f"verify-{suite}-{name}", "config": f"configs/{name}.json",
                     "options": [suite]} for name in CONFIGS for suite in SUITES],
-        "unitsearch": [{"name": "unitsearch-cubic49", "config": "configs/cubic49.json",
-                        "options": []}],
+        "unitsearch": unitsearch_cases(),
     }
 
 
