@@ -529,21 +529,25 @@ class TotallyRealField:
         The root intervals are refined until each coefficient of a candidate
         product either holds no integer, which rules the subset out, or pins
         exactly one; a fully pinned candidate is then divided out exactly.
+        x - r reads -r's integers off r's bounds, with no Interval.
         """
         places = range(len(self._root_chains))
         subsets = [s for k in degrees for s in itertools.combinations(places, k)]
         depth = 0
         while subsets:
-            roots = [_interval(self._root_interval(place, depth), 0) for place in places]
+            roots = {i: _interval(self._root_interval(i, depth), 0)
+                     for i in {i for subset in subsets if len(subset) > 1 for i in subset}}
             undecided = []
             for subset in subsets:
+                if len(subset) == 1:  # r lies in (lo/s, hi/s]
+                    lo, hi, s = self._root_interval(subset[0], depth)
+                    integers = [(-(hi // s), -(lo // s) - 1)]
+                else:  # the integers in [lo 2^exp, hi 2^exp], off the mantissas
+                    integers = [(-(-c.lo >> -c.exp), c.hi >> -c.exp) if c.exp < 0
+                                else (c.lo << c.exp, c.hi << c.exp)
+                                for c in _monic_product([roots[i] for i in subset])]
                 pinned = []
-                for c in _monic_product([roots[i] for i in subset]):
-                    # the integers in [lo 2^exp, hi 2^exp], off the mantissas
-                    if c.exp < 0:
-                        lo, hi = -(-c.lo >> -c.exp), c.hi >> -c.exp
-                    else:
-                        lo, hi = c.lo << c.exp, c.hi << c.exp
+                for lo, hi in integers:
                     if lo > hi:
                         break
                     pinned.append(lo if lo == hi else None)
@@ -796,12 +800,22 @@ def min_poly_of(x: FieldElement) -> list[Fraction]:
 
 def is_unit(x: FieldElement) -> bool:
     """True when x is an algebraic integer with norm +-1."""
-    if x.is_zero():
-        return False
+    return _is_unit_poly(min_poly_of(x))
+
+
+def _is_unit_poly(mp: Sequence[Fraction]) -> bool:
+    """Whether a minimal polynomial (t for 0) is a unit's: integer, constant term +-1."""
+    return all(c.denominator == 1 for c in mp) and abs(mp[0]) == 1
+
+
+def _checked_unit(x: FieldElement) -> list[Fraction]:
+    """x's minimal polynomial; NotAUnit or NotTotallyPositive unless x is a totally positive unit."""
     mp = min_poly_of(x)
-    if any(c.denominator != 1 for c in mp):
-        return False
-    return abs(mp[0]) == 1
+    if not _is_unit_poly(mp):
+        raise NotAUnit(f"{x} is not a unit")
+    if not is_totally_positive(x):
+        raise NotTotallyPositive(f"{x} is not totally positive")
+    return mp
 
 
 def root_index_at(
@@ -829,32 +843,34 @@ def root_index_at(
 def root_indices(x: FieldElement, places: Sequence[int]) -> list[int]:
     """root_index_at for each of the places, from one minimal polynomial and
     one root isolation; a rational x has one root, index 0, at every place."""
-    mp = min_poly_of(x)
+    return _root_indices(x, min_poly_of(x), places)
+
+
+def _root_indices(x: FieldElement, mp: Sequence[Fraction], places: Sequence[int]) -> list[int]:
+    """root_indices on the minimal polynomial mp of x."""
     if len(mp) == 2:
         return [0] * len(places)
     roots = isolate_real_roots(mp)
     return [root_index_at(x, roots, place) for place in places]
 
 
-def limit_pair(
-    eps: FieldElement, assignment: Sequence[int] | None = None
-) -> tuple[frozenset[int], frozenset[int]]:
+def limit_pair(eps: FieldElement) -> tuple[frozenset[int], frozenset[int]]:
     """(argmin places, argmax places) of the embeddings of a unit.
 
     Powers of a totally positive unit converge projectively to the basis
     direction of the largest embedding (and, for negative powers, of the
     smallest); the unit is generic exactly when both sets are singletons.
-    Places are numbered from 1.  assignment, when given, is
-    root_indices(eps, range(degree)), already computed by the caller.
+    Places are numbered from 1, read off the root indices of the minimal
+    polynomial that the unit check finds.
     """
-    UnitGroupData((eps,))  # the unit check: NotAUnit or NotTotallyPositive
-    if assignment is None:
-        assignment = root_indices(eps, range(eps.field.degree))
-    lo_root = min(assignment)
-    hi_root = max(assignment)
-    mins = frozenset(i + 1 for i, k in enumerate(assignment) if k == lo_root)
-    maxs = frozenset(i + 1 for i, k in enumerate(assignment) if k == hi_root)
-    return mins, maxs
+    return _extreme_places(_root_indices(eps, _checked_unit(eps), range(eps.field.degree)))
+
+
+def _extreme_places(order: Sequence[int]) -> tuple[frozenset[int], frozenset[int]]:
+    """(argmin places, argmax places), from 1, of an order such as root indices."""
+    lo, hi = min(order), max(order)
+    return (frozenset(i + 1 for i, k in enumerate(order) if k == lo),
+            frozenset(i + 1 for i, k in enumerate(order) if k == hi))
 
 
 def _is_squarefree(d: int) -> bool:
@@ -954,10 +970,7 @@ class UnitGroupData(FrozenRecord):
     def __init__(self, generators: Sequence[FieldElement]):
         gens = tuple(generators)
         for g in gens:
-            if not is_unit(g):
-                raise NotAUnit(f"{g} is not a unit")
-            if not is_totally_positive(g):
-                raise NotTotallyPositive(f"{g} is not totally positive")
+            _checked_unit(g)
         self._fill(gens)
 
     @classmethod

@@ -1,15 +1,13 @@
 """Admissible unit sets and the convex exhaustion of the positive chamber.
 
-All log-space quantities are handled as certified intervals over a precision
-schedule: a comparison is reported only when the intervals separate, and
-anything that stays undecided raises PrecisionExhausted instead of guessing.
-The search decides its region conditions by integer sums over the generators'
-certified log matrix, walked in one kept table per precision, and only where
-those let c1 hold; the certification of a found set reads the same sums over
-its own units' log matrix.  Only what those leave open goes to the exact
-tests.  A hull chart checks its points against the boundary surface by sums
-over the log matrix, with no log, and its vertex separations by integer sums
-over its points' bounds, only what those leave open by intervals.
+All log-space quantities are certified intervals over a precision schedule,
+walked by one decider (_refined): the search's region conditions, and the
+bound conditions, limit pairs and minors of a found set, are integer sums
+over a log matrix, kept per precision; only a tie (_refined's docstring) goes
+to one exact test, and what stays open raises PrecisionExhausted.  A hull
+chart checks its points against the boundary surface by sums over the log
+matrix, and its vertex separations by integer sums over its points' bounds,
+only what those leave open by intervals.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 
 from .errors import (
     DegreeMismatch,
@@ -37,8 +35,8 @@ from .field import (
     UnitGroupData,
     UnitPowers,
     _excess_bits,
+    _extreme_places,
     is_totally_positive,
-    limit_pair,
     root_indices,
 )
 from .interval import GUARD_BITS, Interval, _iv_sign
@@ -138,12 +136,16 @@ class LogLattice:
         matrix on those columns and the first places is nonzero at some
         precision of the schedule."""
         cols = list(range(self.units.rank) if indices is None else indices)
-        for prec in PREC_SCHEDULE:
+
+        def nonzero(prec):
             L = self.log_intervals(prec)
             rows = [[L[p][q] for p in range(len(cols))] for q in cols]
-            if _iv_sign(_iv_det(rows)) is not None:
-                return True
-        raise PrecisionExhausted("cannot certify a nonzero regulator")
+            return True if _iv_sign(_iv_det(rows)) is not None else None
+
+        def exhausted():
+            raise PrecisionExhausted("cannot certify a nonzero regulator")
+
+        return _refined(nonzero, exhausted)
 
 
 @lru_cache
@@ -195,8 +197,8 @@ def compare_places(x: FieldElement, p: int, q: int) -> int:
     """Exact comparison of two real embeddings of the same element.
 
     Equal embeddings correspond to a common root of the minimal polynomial,
-    so the tie case is decided exactly rather than numerically.
-    """
+    so the tie case is decided exactly rather than numerically.  A reference
+    for the tests: the library decides orders by _refined."""
     if p == q:
         return 0
     rp, rq = root_indices(x, (p, q))
@@ -205,53 +207,60 @@ def compare_places(x: FieldElement, p: int, q: int) -> int:
 
 def _ratio_vs_rational(x: FieldElement, p: int, q: int, bound: Fraction) -> int:
     """Certified sign of x^(p) / x^(q) - bound for a totally positive x."""
-    for prec in PREC_SCHEDULE:
-        sign = _iv_sign(x.field.embed_at(x, p, prec) - x.field.embed_at(x, q, prec) * bound)
-        if sign is not None:
-            return sign
-    raise PrecisionExhausted(
-        f"ratio of places {p+1}/{q+1} is numerically indistinguishable from {bound}"
-    )
+    def exhausted():
+        raise PrecisionExhausted(f"ratio of places {p+1}/{q+1} is indistinguishable from {bound}")
+
+    embed = x.field.embed_at
+    return _refined(lambda prec: _iv_sign(embed(x, p, prec) - embed(x, q, prec) * bound), exhausted)
 
 
 def unit_region_conditions(
     eps: FieldElement, i: int, a: Fraction, b: Fraction, short_circuit: bool = False
 ) -> tuple[bool, bool, bool, bool]:
     """The four bound conditions placing a unit in the i-th search region
-    (places are 0-indexed here)."""
-    field = eps.field
-    n = field.degree
+    (places are 0-indexed here), each decided on eps alone: a reference for
+    the tests, as the library decides them by _refined."""
+    field, n = eps.field, eps.field.degree
     others = [(i + k) % n for k in range(1, n)]
-
-    below_one = field.sign_at(eps - field.one, i) < 0
-    above_one = all(field.sign_at(eps - field.one, j) > 0 for j in others)
-    c1 = below_one and above_one
-    if short_circuit and not c1:
-        return c1, False, False, False
-
-    chain = all(
-        compare_places(eps, others[k], others[k + 1]) > 0
-        for k in range(len(others) - 1)
+    tests = (
+        lambda: (field.sign_at(eps - field.one, i) < 0
+                 and all(field.sign_at(eps - field.one, j) > 0 for j in others)),
+        lambda: all(compare_places(eps, j, k) > 0 for j, k in zip(others, others[1:])),
+        lambda: all(_ratio_vs_rational(eps, j, k, a) < 0
+                    for j, k in itertools.permutations(others, 2)),
+        lambda: all(_ratio_vs_rational(eps, j, i, b) > 0 for j in others),
     )
-    if short_circuit and not chain:
-        return c1, chain, False, False
-
-    c3 = True
-    for j, k in itertools.permutations(others, 2):
-        if _ratio_vs_rational(eps, j, k, a) >= 0:
-            c3 = False
+    answers = []
+    for test in tests:
+        answers.append(test())
+        if short_circuit and not answers[-1]:
             break
-    if short_circuit and not c3:
-        return c1, chain, c3, False
+    return tuple(answers) + (False,) * (len(tests) - len(answers))
 
-    c4 = all(_ratio_vs_rational(eps, j, i, b) > 0 for j in others)
-    return c1, chain, c3, c4
+
+def _refined(question, exact):
+    """question(prec) at each precision of PREC_SCHEDULE until it answers
+    (None leaves it open), else exact().  Every condition on a unit eps is a
+    strict inequality, so refinement decides it unless it ties: c1 (eps^(i)
+    < 1 < eps^(j)) only at eps = 1; c3 and c4 never, as a ratio of
+    conjugates of a unit is a unit and no rational unit is a or b; the
+    chain, distinct coordinates and the limit pairs only where eps^(j) =
+    eps^(k) for j != k, which puts eps in a proper subfield.  So one exact
+    test is enough: an order goes to root_indices (one minimal polynomial,
+    one root isolation), whose indices decide it and, repeated, are its
+    ties; c1 is False at eps = 1; what is still open raises
+    PrecisionExhausted."""
+    for prec in PREC_SCHEDULE:
+        answer = question(prec)
+        if answer is not None:
+            return answer
+    return exact()
 
 
 def _region_quantities(logs, i: int, log_a, log_b):
-    """The four conditions of unit_region_conditions(eps, i, a, b), in order,
-    each as the lazy bounds (lo, hi) of the quantities that must all be
-    positive, from integer bounds on log eps^(p), log a and log b."""
+    """The region conditions of eps in region i, in order (c1, chain, c3,
+    c4), each as the lazy bounds (lo, hi) of the quantities that must all
+    be positive, from integer bounds on log eps^(p), log a and log b."""
     others = [(i + k) % len(logs) for k in range(1, len(logs))]
 
     def diff(j, k):  # log eps^(j) - log eps^(k)
@@ -279,122 +288,101 @@ def _decide(quantities) -> bool | None:
     return decided
 
 
-def _region_conditions(logs, i: int, log_a, log_b) -> tuple[bool | None, ...]:
-    """unit_region_conditions(eps, i, a, b) condition by condition, each None
-    when an interval leaves it open."""
-    return tuple(map(_decide, _region_quantities(logs, i, log_a, log_b)))
+def _region_conditions(logs, i: int, log_a, log_b) -> tuple[bool, ...] | None:
+    """The four region conditions, None when an interval leaves one open."""
+    answers = tuple(map(_decide, _region_quantities(logs, i, log_a, log_b)))
+    return None if None in answers else answers
 
 
 def _region_decision(logs, i: int, log_a, log_b) -> bool | None:
-    """all(unit_region_conditions(eps, i, a, b)), None when an interval leaves
-    a condition open."""
+    """Whether all four region conditions hold, None when one is left open."""
     return _decide(itertools.chain.from_iterable(_region_quantities(logs, i, log_a, log_b)))
 
 
+def _regions(lattice: LogLattice, a: Fraction, b: Fraction):
+    """(exponents, i) -> (prec -> the arguments of _region_decision for the
+    unit with these exponents in region i), log a and log b taken once a prec."""
+    bounds = cache(lambda prec: (lattice.rational_log(a, prec), lattice.rational_log(b, prec)))
+    return lambda exponents, i: lambda prec: (lattice.log_bounds(exponents, prec), i, *bounds(prec))
+
+
+def _settled(eps: FieldElement, i: int, region) -> tuple[bool, ...]:
+    """The region conditions of eps, those the schedule leaves open settled
+    as _refined says: c1 False at eps = 1, the chain by root_indices."""
+    c1, chain, c3, c4 = map(_decide, _region_quantities(*region(PREC_SCHEDULE[-1])))
+    if c1 is None and eps == eps.field.one:
+        c1 = False
+    if None in (c1, c3, c4):
+        raise PrecisionExhausted(f"region {i+1} of {eps} is open at {PREC_SCHEDULE[-1]} bits")
+    if chain is None:
+        n = eps.field.degree
+        indices = root_indices(eps, [(i + k) % n for k in range(1, n)])
+        chain = all(p > q for p, q in zip(indices, indices[1:]))
+    return c1, chain, c3, c4
+
+
 def check_admissible_bounds(cand: AdmissibleCandidate) -> ValidationReport:
-    """Per-unit verification of the sufficient ratio-bound conditions, read
-    off the candidate's log matrix; a unit it leaves a condition open for is
-    checked by the exact unit_region_conditions."""
-    lattice, prec, rank = cand.lattice, PREC_SCHEDULE[0], len(cand.units)
-    log_a, log_b = (lattice.rational_log(x, prec) for x in (cand.a, cand.b))
-    conditions = []
+    """Per-unit verification of the sufficient ratio-bound conditions,
+    decided by _refined on the candidate's log matrix."""
+    names = ("below-above-one", "chain", "ratios-within-a", "ratio-exceeds-b")
+    details = ("", "", f"a={cand.a}", f"b={cand.b}")
+    conditions, regions = [], _regions(cand.lattice, cand.a, cand.b)
     for idx, eps in enumerate(cand.units):
-        logs = lattice.log_bounds([int(q == idx) for q in range(rank)], prec)
-        decided = _region_conditions(logs, idx, log_a, log_b)
-        if None in decided:
-            decided = unit_region_conditions(eps, idx, cand.a, cand.b)
-        c1, c2, c3, c4 = decided
-        conditions.append(
-            ConditionReport(f"unit{idx+1}-below-above-one", c1)
-        )
-        conditions.append(ConditionReport(f"unit{idx+1}-chain", c2))
-        conditions.append(
-            ConditionReport(f"unit{idx+1}-ratios-within-a", c3, f"a={cand.a}")
-        )
-        conditions.append(
-            ConditionReport(f"unit{idx+1}-ratio-exceeds-b", c4, f"b={cand.b}")
-        )
+        region = regions([int(q == idx) for q in range(len(cand.units))], idx)
+        answers = _refined(lambda prec: _region_conditions(*region(prec)),
+                           lambda: _settled(eps, idx, region))
+        conditions += [ConditionReport(f"unit{idx+1}-{name}", ok, detail)
+                       for name, ok, detail in zip(names, answers, details)]
     return ValidationReport(conditions)
-
-
-def _limit_pair_of(lattice: LogLattice, exponents: Sequence[int]):
-    """limit_pair of the unit with these exponents, read off the order of its
-    log intervals at the first precision; None when two of them meet."""
-    logs = lattice.log_bounds(exponents, PREC_SCHEDULE[0])
-    places = sorted(range(len(logs)), key=logs.__getitem__)
-    if any(logs[p][1] >= logs[q][0] for p, q in zip(places, places[1:])):
-        return None
-    return frozenset({places[0] + 1}), frozenset({places[-1] + 1})
 
 
 def check_admissible(cand: AdmissibleCandidate) -> ValidationReport:
     """Direct verification of the limit-pair admissibility conditions.
 
     Distinct embeddings and the limit pairs of the units and their ratios
-    are read off the order of disjoint log intervals of the candidate's log
-    matrix, ratio eps_i / eps_j as the exponents e_i - e_j; where two
-    intervals meet, root_indices and limit_pair decide exactly.  The
-    independence minors come from the same matrix."""
-    units, lattice = cand.units, cand.lattice
-    field = units[0].field
+    (exponents e_i - e_j) are read off the order of their places, decided by
+    _refined on disjoint log intervals of the candidate's log matrix; a
+    ratio is built only at the exact end, and one equal to 1 fails as "equal
+    units".  The independence minors come from the same matrix."""
+    units, lattice, field = cand.units, cand.lattice, cand.lattice.field
     n, rank = field.degree, len(units)
     if n < 3:
         raise DegreeTooSmall("admissibility requires degree at least 3")
-    distinct, pairs = [], []
-    for idx, eps in enumerate(units):
-        pair = _limit_pair_of(lattice, [int(q == idx) for q in range(rank)])
-        if pair is None:
-            assignment = root_indices(eps, range(n))
-            distinct.append(len(set(assignment)) == n)
-            pair = limit_pair(eps, assignment)
-        else:
-            distinct.append(True)
-        pairs.append(pair)
 
-    conditions = [
-        ConditionReport(f"unit{idx+1}-distinct-coordinates", ok)
-        for idx, ok in enumerate(distinct)
-    ]
-    for idx, (mins, maxs) in enumerate(pairs):
-        want = (frozenset({idx + 1}), frozenset({(idx + 1) % n + 1}))
-        conditions.append(
-            ConditionReport(
-                f"unit{idx+1}-limit-pair",
-                (mins, maxs) == want,
-                f"got ({sorted(mins)},{sorted(maxs)})",
-            )
-        )
+    def order(i, j=None):  # the rank of each place's embedding of eps_i / eps_j, None at 1
+        def ranks(prec):
+            logs = lattice.log_bounds([int(q == i) - int(q == j) for q in range(rank)], prec)
+            places = sorted(range(n), key=logs.__getitem__)
+            disjoint = all(logs[p][1] < logs[q][0] for p, q in zip(places, places[1:]))
+            return [places.index(p) for p in range(n)] if disjoint else None
 
-    for i, j in itertools.permutations(range(rank), 2):
-        pair = _limit_pair_of(lattice, [int(q == i) - int(q == j) for q in range(rank)])
-        if pair is None:
-            ratio = units[i] * units[j].inverse()
-            if ratio == field.one:
-                conditions.append(
-                    ConditionReport(f"ratio-{i+1}-{j+1}-limit-pair", False, "equal units")
-                )
-                continue
-            pair = limit_pair(ratio)
-        mins, maxs = pair
-        want = (frozenset({i + 1}), frozenset({j + 1}))
-        conditions.append(
-            ConditionReport(
-                f"ratio-{i+1}-{j+1}-limit-pair",
-                (mins, maxs) == want,
-                f"got ({sorted(mins)},{sorted(maxs)})",
-            )
-        )
+        def exact():
+            x = units[i] if j is None else units[i] * units[j].inverse()
+            return None if j is not None and x == field.one else root_indices(x, range(n))
+
+        return _refined(ranks, exact)
+
+    orders = [order(i) for i in range(rank)]
+    conditions = [ConditionReport(f"unit{i+1}-distinct-coordinates", len(set(o)) == n)
+                  for i, o in enumerate(orders)]
+    limits = [(f"unit{i+1}", o, i, (i + 1) % n) for i, o in enumerate(orders)]
+    limits += [(f"ratio-{i+1}-{j+1}", order(i, j), i, j)
+               for i, j in itertools.permutations(range(rank), 2)]
+    for name, o, lo, hi in limits:
+        if o is None:
+            conditions.append(ConditionReport(f"{name}-limit-pair", False, "equal units"))
+            continue
+        mins, maxs = _extreme_places(o)
+        conditions.append(ConditionReport(
+            f"{name}-limit-pair", (mins, maxs) == (frozenset({lo + 1}), frozenset({hi + 1})),
+            f"got ({sorted(mins)},{sorted(maxs)})"))
 
     for subset in itertools.combinations(range(rank), n - 1):
         try:
             ok = lattice.regulator_nonzero(subset)
         except PrecisionExhausted:
             ok = False
-        conditions.append(
-            ConditionReport(
-                "independence-" + "".join(str(i + 1) for i in subset), ok
-            )
-        )
+        conditions.append(ConditionReport("independence-" + "".join(str(i + 1) for i in subset), ok))
     return ValidationReport(conditions)
 
 
@@ -403,8 +391,9 @@ def search_admissible(
 ) -> AdmissibleCandidate | None:
     """Enumerate exponent boxes of the unit lattice by growing max-norm and
     return one unit per search region, or None when the radius is too small.
-    Only a (candidate, region) the log matrix leaves open goes to the exact
-    unit_region_conditions, and only it and the units found are built exactly."""
+    Each (candidate, region) is decided by _refined on the generators' log
+    matrix, skipped where it stays open; only those the schedule leaves open
+    and the units found are built exactly."""
     field = V.field
     n = field.degree
     if n < 3:
@@ -417,8 +406,8 @@ def search_admissible(
 
     found: dict[int, FieldElement] = {}
     powers = UnitPowers(field, V.generators)
-    lattice, prec = LogLattice(V), PREC_SCHEDULE[0]
-    log_a, log_b = (lattice.rational_log(x, prec) for x in (a, b))
+    lattice = LogLattice(V)
+    regions = _regions(lattice, a, b)
     exponents = sorted(
         itertools.product(range(-radius, radius + 1), repeat=V.rank),
         key=lambda e: (max(abs(v) for v in e) if e else 0, e),
@@ -428,19 +417,19 @@ def search_admissible(
             continue
         if len(found) == n:
             break
-        logs = lattice.log_bounds(exp, prec)
+        logs = lattice.log_bounds(exp, PREC_SCHEDULE[0])
         nonpositive = {p for p, (_, hi) in enumerate(logs) if hi <= 0}
         for i in range(n):
             # c1 needs log eps^(i) < 0 < log eps^(j) for j != i: where the
-            # bounds already fail that, _region_decision is False
+            # first bounds already fail that, _region_decision is False
             if i in found or logs[i][0] >= 0 or nonpositive - {i}:
                 continue
-            ok = _region_decision(logs, i, log_a, log_b)
-            if ok is None:
-                try:
-                    ok = all(unit_region_conditions(powers(exp), i, a, b, short_circuit=True))
-                except PrecisionExhausted:
-                    continue
+            region = regions(exp, i)
+            try:
+                ok = _refined(lambda prec: _region_decision(*region(prec)),
+                              lambda: all(_settled(powers(exp), i, region)))
+            except PrecisionExhausted:
+                continue
             if ok:
                 found[i] = powers(exp)
                 break
@@ -517,9 +506,7 @@ def _iv_solve(rows, rhs):
     return [m[i][size] / m[i][i] for i in range(size)]
 
 
-def hull_chart(
-    cand: AdmissibleCandidate, index_set: Iterable[int], window: int
-) -> HullChart:
+def hull_chart(cand: AdmissibleCandidate, index_set: Iterable[int], window: int) -> HullChart:
     """Chart the exponent-sum-zero sublattice for the given (n-1)-subset of
     unit indices (0-indexed), omitting the complementary place.  The chart
     is read off the candidate's lattice and kept there."""
@@ -536,8 +523,9 @@ def hull_chart(
     (j,) = omitted
     exponent_vectors = _zero_sum_exponents(len(I), window)
 
-    last_exc: Exception | None = None
-    for prec in PREC_SCHEDULE:
+    errors = []
+
+    def chart_at(prec):
         try:
             # row q, column p: log of the chart coordinate p of eps_q; the
             # positive normalization of the boundary exponents needs the
@@ -548,26 +536,21 @@ def hull_chart(
             a_vec = _iv_solve(rows, [1] * (n - 1))
             if not all(_iv_sign(ai) == 1 for ai in a_vec):
                 raise PrecisionExhausted("exponents not certified positive")
-
             _check_on_boundary(lattice, I, j, a_vec, prec, exponent_vectors)
             monomials = _chart_monomials(lattice, I, j, prec)
             points = {exp: monomials(exp) for exp in exponent_vectors}
-            chart = HullChart(
-                index_set=I,
-                omitted=j,
-                a_vec=tuple(a_vec),
-                window=window,
-                points=points,
-                prec=prec,
-            )
-            lattice._charts[I, window] = chart
-            return chart
+            return HullChart(I, j, tuple(a_vec), window, points, prec)
         except (PrecisionExhausted, SingularMatrix) as exc:
-            last_exc = exc
-            continue
-    if isinstance(last_exc, SingularMatrix):
-        raise last_exc
-    raise PrecisionExhausted(f"hull chart failed at all precisions: {last_exc}")
+            errors.append(exc)
+            return None
+
+    def exhausted():
+        if isinstance(errors[-1], SingularMatrix):
+            raise errors[-1]
+        raise PrecisionExhausted(f"hull chart failed at all precisions: {errors[-1]}")
+
+    chart = lattice._charts[I, window] = _refined(chart_at, exhausted)
+    return chart
 
 
 def _check_on_boundary(lattice: LogLattice, I: Sequence[int], j: int, a_vec,

@@ -191,6 +191,12 @@ class TestMakeField:
             sys.setprofile(None)
         assert calls == ["sturm_chain"]
 
+    @pytest.mark.parametrize("poly", [QUADRATIC, CUBIC], ids=["sqrt3", "cubic49"])
+    def test_linear_factor_pass_makes_no_interval(self, poly):
+        # degree <= 3 runs the k = 1 pass only, which reads the integers of
+        # each root's (lo/s, hi/s] off its integer bounds
+        assert profiled_calls((Interval.scaled.__func__,), TotallyRealField, poly) == []
+
     def test_irreducibility_agrees_with_sympy(self):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
@@ -979,9 +985,35 @@ class TestLimitPair:
         with pytest.raises(NotAUnit):
             limit_pair(make_field(QUADRATIC).element([3, 1]))  # norm 6
 
+    @pytest.mark.parametrize("poly, coords", [(QUADRATIC, [2, 1]), (CUBIC, [0, 0, 1]),
+                                              (QUARTIC, [0, 0, 1, 0])],
+                             ids=["sqrt3", "cubic49", "quartic"])
+    def test_one_minimal_polynomial(self, poly, coords):
+        # 2 + sqrt3 and theta^2: the unit check and the root indices read the same one
+        unit = make_field(poly).element(coords)
+        assert profiled_calls((min_poly_of,), limit_pair, unit) == ["min_poly_of"]
+
     def test_rejects_non_totally_positive(self):
         with pytest.raises(NotTotallyPositive):
             limit_pair(make_field([-2, 0, 1]).element([1, 1]))  # norm -1
+
+
+def profiled_calls(functions, fn, *args) -> list[str]:
+    """The names of the calls made to functions while fn(*args) runs,
+    counted by code object."""
+    codes = {f.__code__ for f in functions}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 @st.composite

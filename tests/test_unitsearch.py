@@ -137,8 +137,8 @@ def reference_check_admissible(units):
         ConditionReport(f"unit{idx+1}-distinct-coordinates", len(set(assignment)) == n)
         for idx, assignment in enumerate(assignments)
     ]
-    for idx, (eps, assignment) in enumerate(zip(units, assignments)):
-        mins, maxs = limit_pair(eps, assignment)
+    for idx, eps in enumerate(units):
+        mins, maxs = limit_pair(eps)
         want = (frozenset({idx + 1}), frozenset({(idx + 1) % n + 1}))
         conditions.append(ConditionReport(
             f"unit{idx+1}-limit-pair", (mins, maxs) == want, f"got ({sorted(mins)},{sorted(maxs)})"
@@ -366,14 +366,15 @@ class TestSearch:
             cand = search_admissible(V, a, b, radius)
             assert (cand and cand.units) == reference_search(V, a, b, radius), (a, b)
 
-    def test_undecided_intervals_fall_back_to_the_exact_conditions(self, monkeypatch):
-        # a log matrix known only to within 2^200 of its scale leaves every
-        # interval around 0, so every (candidate, region) goes to the exact test
+    def test_intervals_open_at_every_precision_exhaust_the_schedule(self, monkeypatch):
+        # a log matrix known only to within 2^200 of its scale at every
+        # precision leaves every interval around 0: each (candidate, region)
+        # is asked at every precision of the schedule, stays open, and is
+        # skipped, with no exact region test and no escaping error
         _, V = cubic_units()
         real_matrix = LogLattice.log_matrix
         real_decision = unitsearch._region_decision
-        real_conditions = unitsearch.unit_region_conditions
-        decisions, exact_calls = [], []
+        decisions = []
 
         def coarse_matrix(self, prec):
             exp, M = real_matrix(self, prec)
@@ -384,17 +385,14 @@ class TestSearch:
             decisions.append(real_decision(*args))
             return decisions[-1]
 
-        def conditions(*args, **kwargs):
-            exact_calls.append(args[1])
-            return real_conditions(*args, **kwargs)
-
         monkeypatch.setattr(LogLattice, "log_matrix", coarse_matrix)
         monkeypatch.setattr(unitsearch, "_region_decision", decision)
-        monkeypatch.setattr(unitsearch, "unit_region_conditions", conditions)
-        cand = search_admissible(V, A_BOUND, B_BOUND, RADIUS)
-        assert cand.units == reference_search(V, A_BOUND, B_BOUND, RADIUS)
+        exact = (unit_region_conditions, compare_places, unitsearch._ratio_vs_rational)
+        cand, calls = calls_to(exact, search_admissible, V, A_BOUND, B_BOUND, RADIUS)
+        assert cand is None and calls == []
         assert decisions and set(decisions) == {None}
-        assert len(exact_calls) == len(decisions)
+        nonzero_exponents = (2 * RADIUS + 1) ** V.rank - 1
+        assert len(decisions) == len(PREC_SCHEDULE) * nonzero_exponents * 3
 
     def test_search_finds_candidate(self, found_candidate):
         cand = found_candidate
@@ -434,35 +432,66 @@ class TestSearch:
         report, calls = calls_to((*exact, unit_region_conditions), check_admissible_bounds, cand)
         assert report.passed and calls == []
 
-    def test_open_intervals_fall_back_to_the_exact_tests(self, found_candidate, monkeypatch):
+    def test_intervals_open_at_the_first_precision_are_decided_at_the_next(
+            self, found_candidate, monkeypatch):
         # a log matrix known only to within 2^200 of its scale at the first
-        # precision leaves every comparison open there, so each unit and
-        # ratio goes to the exact tests; the independence minors are
-        # certified at the next precision of the schedule
+        # precision leaves every comparison open there; the next precision
+        # of the schedule decides each region, bound, limit pair and
+        # independence minor, with no exact test
         real_matrix = LogLattice.log_matrix
-        counted = {"unit_region_conditions": [], "limit_pair": []}
+        asked = set()
 
         def coarse_matrix(self, prec):
+            asked.add(prec)
             exp, M = real_matrix(self, prec)
             if prec != PREC_SCHEDULE[0]:
                 return exp, M
             slack = 1 << max(0, 200 - exp)
             return exp, [[(lo - slack, hi + slack) for lo, hi in row] for row in M]
 
-        def counting(name):
-            real = getattr(unitsearch, name)
-            return lambda *args: counted[name].append(args) or real(*args)
-
         monkeypatch.setattr(LogLattice, "log_matrix", coarse_matrix)
-        for name in counted:
-            monkeypatch.setattr(unitsearch, name, counting(name))
         cand = candidate(found_candidate.units)
-        bounds, admissible = check_admissible_bounds(cand), check_admissible(cand)
+        exact = (unit_region_conditions, compare_places, unitsearch._ratio_vs_rational,
+                 limit_pair, root_indices, min_poly_of)
+        (bounds, admissible), calls = calls_to(
+            (*exact, FieldElement.inverse),
+            lambda: (check_admissible_bounds(cand), check_admissible(cand)))
+        assert calls == [] and asked == set(PREC_SCHEDULE[:2])
         assert bounds.as_dict() == reference_check_admissible_bounds(cand).as_dict()
         assert admissible.as_dict() == reference_check_admissible(cand.units).as_dict()
         assert admissible.passed
-        n = len(cand.units)
-        assert [len(counted[k]) for k in counted] == [n, n + n * (n - 1)]
+        _, V = cubic_units()
+        found, calls = calls_to(exact, search_admissible, V, A_BOUND, B_BOUND, RADIUS)
+        assert calls == [] and found.units == found_candidate.units
+
+    def test_units_of_proper_subfields_are_decided_by_their_root_indices(self):
+        # in the field of x^4 - 10x^2 + 1, theta = sqrt2 + sqrt3: units of
+        # Q(sqrt2), Q(sqrt3) and Q(sqrt6), each with two pairs of equal
+        # embeddings, which no precision of the schedule separates; their
+        # chains and place orders are read off root_indices
+        F = make_field([1, 0, -10, 0, 1])
+        u = F.element([3, -9, 0, 1])  # 3 + 2 sqrt2 = 3 + theta^3 - 9 theta
+        v = F.element([2, Fraction(11, 2), 0, Fraction(-1, 2)])  # 2 + sqrt3
+        w = F.theta * F.theta  # 5 + 2 sqrt6
+        assert min_poly_of(u) == [1, -6, 1]
+        assert root_indices(u, range(4)) == [0, 1, 0, 1]
+        assert limit_pair(u) == (frozenset({1, 3}), frozenset({2, 4}))
+        cand = candidate((u, v, w))
+        exact = (unit_region_conditions, compare_places)
+        bounds, calls = calls_to(exact, check_admissible_bounds, cand)
+        assert calls == []
+        assert bounds.as_dict() == reference_check_admissible_bounds(cand).as_dict()
+        admissible, calls = calls_to(exact, check_admissible, cand)
+        assert calls == []
+        assert admissible.as_dict() == reference_check_admissible(cand.units).as_dict()
+        names = {c.name: c.passed for c in bounds.conditions + admissible.conditions}
+        for k in range(1, 4):
+            assert names[f"unit{k}-chain"] is False
+            assert names[f"unit{k}-distinct-coordinates"] is False
+        # v's chain in region 2 and w's in region 3 meet a tie, so only the
+        # exact end decides them
+        _, tied = calls_to((root_indices,), check_admissible_bounds, candidate((u, v, w)))
+        assert tied == ["root_indices"] * 2
 
     def test_limit_pairs_cycle_through_places(self, found_candidate):
         from conesum.field import limit_pair
