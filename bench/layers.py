@@ -198,9 +198,12 @@ def fan_summation_cases() -> dict:
     construction and the window-4 truncation of the Q(sqrt 19) fan of
     Z[sqrt 19], and the insertion of a ray into the first top cone of that
     window-4 truncation and of the window-5 truncation of the Q(sqrt 3)
-    fan (both truncations built once), and the good-fan validation of
+    fan (both truncations built once), the good-fan validation of
     windows 1 and 2 of the explicit cubic fan and window 3 of the shipped
-    Q(sqrt 3) fan (each truncation built once)."""
+    Q(sqrt 3) fan (each truncation built once), and the window sum of that
+    window 3 through the boundary cycle of its convex union
+    (``summation.sum_via_dual_cycle``, tiling check included, on its top
+    cones read once) at 4 + sqrt 3."""
     from conesum import config, cycles, summation
     from conesum.fan import build_quadratic_fan, refine_insert_ray, truncate, validate_good_fan
     from conesum.geometry import ProjPolyhedron
@@ -226,6 +229,7 @@ def fan_summation_cases() -> dict:
     ))
     cubic_w1, cubic_w2 = truncate(cubic_fan(), 1), truncate(cubic_fan(), 2)
     w3 = truncate(desc, 3)
+    w3_tops = w3.top_cones
     cubic_x0 = cubic_w1.top_cones[1].extreme_rays[1]
     (cubic_star,) = [g for g in cubic_w1.group_singular_terms(cubic_x0) if not g.is_singleton]
 
@@ -262,6 +266,9 @@ def fan_summation_cases() -> dict:
         "fan.validate_good_fan.cubic.w1": lambda: validate_good_fan(cubic_w1),
         "fan.validate_good_fan.cubic.w2": lambda: validate_good_fan(cubic_w2),
         "fan.validate_good_fan.sqrt3.w3": lambda: validate_good_fan(w3),
+        "summation.sum_via_dual_cycle.sqrt3": lambda: summation.sum_via_dual_cycle(
+            w3_tops, F.element([4, 1])
+        ),
     }
 
 

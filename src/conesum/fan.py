@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Sequence
 from functools import cached_property
 
@@ -34,7 +35,7 @@ from .field import (
     is_totally_positive,
     minus_continued_fraction,
 )
-from .geometry import Cone, coordinate_rows, cut, integer_rays
+from .geometry import Cone, coordinate_rows, cut, integer_rays, walls
 from .record import FrozenRecord, Record
 
 
@@ -439,19 +440,13 @@ def validate_good_fan(tf: TruncatedFan) -> ValidationReport:
     report.add("unit-action", invariant, detail)
 
     # local coverage: internal walls shared exactly twice; a ray has none
-    wall_count: dict[frozenset, int] = {}
-    for t in tops:
-        for y in cuts[t][0]:
-            wall = frozenset(c for c in t if not sum(u * v for u, v in zip(y, c)))
-            if wall:
-                wall_count[wall] = wall_count.get(wall, 0) + 1
-    over = [k for k, v in wall_count.items() if v > 2]
+    over = sum(v > 2 for v in Counter(w for t in tops for w in walls(t, cuts[t][0])).values())
     report.add(
         "window-coverage",
         not over,
         "each wall shared by at most two cones"
         if not over
-        else f"{len(over)} walls shared more than twice",
+        else f"{over} walls shared more than twice",
     )
     return report
 

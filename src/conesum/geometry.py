@@ -80,9 +80,6 @@ class LinearSubspace:
     def contains(self, x: FieldElement) -> bool:
         return self.coordinates(x.num) is not None
 
-    def contains_subspace(self, other: "LinearSubspace") -> bool:
-        return all(self.coordinates(b) is not None for b in other.basis)
-
     def basis_elements(self) -> list[FieldElement]:
         return [self.field.element(row) for row in self.basis]
 
@@ -333,6 +330,14 @@ def cut(
         normals = integer_rays(paired, n, ann)
     rows = [u if pairing is None else linalg.mat_vec(pairing, u) for u in normals]
     return normals, rows + ann + [[-v for v in a] for a in ann]
+
+
+def walls(rays: Iterable[Sequence[int]], rows: Iterable[Sequence[int]]) -> list[frozenset]:
+    """For each row, the frozenset of the integer rays on which it vanishes, empty
+    sets dropped: a cone's walls, from its extreme rays and its facet rows."""
+    rays = list(rays)
+    found = (frozenset(r for r in rays if not sum(map(operator.mul, row, r))) for row in rows)
+    return [wall for wall in found if wall]
 
 
 class ProjPolyhedron:

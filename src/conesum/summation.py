@@ -10,6 +10,7 @@ the convergence driver verifies window by window with exact partial sums.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +33,7 @@ from .field import (
     surd_float,
     trace_pairing,
 )
-from .geometry import Cone, ProjPolyhedron
+from .geometry import Cone, ProjPolyhedron, walls
 from .record import FrozenRecord
 
 
@@ -416,27 +417,23 @@ def sum_via_dual_cycle(
 
 
 def _check_tiling(cones: Sequence[Cone], union: Cone) -> None:
-    wall_count: dict[frozenset, Cone] = {}
-    counts: dict[frozenset, int] = {}
+    """NotConvexUnion unless each piece is full-dimensional in the union and
+    each wall (geometry.walls, under the trace pairing) lies on two pieces or
+    on one and a facet of the union: as every wall lies in the union, on a
+    facet whose row vanishes on all of its rays."""
+    def facet_rows(cone):
+        return [linalg.mat_vec(union.field.trace_matrix, u.num) for u in cone.facet_normals()]
+
+    counts = Counter()
     for t in cones:
         if t.dim != union.dim:
             raise NotConvexUnion("pieces must be full-dimensional in the union")
-        for f in t.facets():
-            counts[f.key()] = counts.get(f.key(), 0) + 1
-            wall_count[f.key()] = f
-    union_facets = union.facets()
-    for key, cnt in counts.items():
-        if cnt == 2:
-            continue
+        counts.update(walls((g.num for g in t.extreme_rays), facet_rows(t)))
+    faces = walls((g.num for g in union.generators), facet_rows(union))
+    for wall, cnt in counts.items():
         if cnt > 2:
             raise NotConvexUnion("a wall is shared by more than two cones")
-        f = wall_count[key]
-        on_boundary = any(
-            uf.span.contains_subspace(f.span)
-            and all(uf.contains(g) for g in f.extreme_rays)
-            for uf in union_facets
-        )
-        if not on_boundary:
+        if cnt == 1 and not any(wall <= face for face in faces):
             raise NotConvexUnion("unmatched interior wall: union is not tiled")
 
 

@@ -1,13 +1,14 @@
 import functools
 import itertools
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conesum import field, linalg
+from conesum import fan, field, linalg
 from conesum.errors import (
     NegativeIndex,
     NotSimplicial,
@@ -694,6 +695,21 @@ class TestIntegerValidation:
         counted(field, "trace_pairing")
         assert validate_good_fan(tf).passed
         assert calls == []
+
+    @pytest.mark.parametrize("fan_name, units, window", [
+        ("three-on-a-wall", 2, 1), ("coplanar-twice", 2, 1), ("interior-generator", 2, 1)])
+    def test_coverage_counts_the_walls_of_each_top(self, fan_name, units, window, monkeypatch):
+        # one geometry.walls call per top, on its columns and cut normals
+        tf = truncate(_cubic_explicit(fan_name, units), window)
+        seen = []
+        real_walls = fan.walls
+        monkeypatch.setattr(fan, "walls", lambda rays, rows: seen.append(real_walls(rays, rows))
+                            or seen[-1])
+        report = validate_good_fan(tf)
+        assert len(seen) == len(tf.pairs)
+        over = sum(n > 2 for n in Counter(w for walls in seen for w in walls).values())
+        (coverage,) = [c for c in report.conditions if c.name == "window-coverage"]
+        assert coverage.passed == (over == 0)
 
 
 class TestGroupingByCarrier:

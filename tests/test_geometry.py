@@ -77,6 +77,12 @@ def span_intersection(S, T):
     return LinearSubspace(S.field, points)
 
 
+def contains_subspace(S, T):
+    """Whether the span S holds the span T: every basis row of T has
+    coordinates in S."""
+    return all(S.coordinates(b) is not None for b in T.basis)
+
+
 class TestLinearSubspace:
     def test_canonical_key_equality(self):
         F = make_field(QUADRATIC)
@@ -550,6 +556,24 @@ class TestIntegerCut:
         assert calls == []
 
 
+class TestWalls:
+    @settings(max_examples=150, deadline=None)
+    @given(independent_vectors())
+    def test_walls_are_the_cut_tight_sets(self, case):
+        # for n independent vectors each is extreme, and the wall of a
+        # facet row P u is the vectors the cut lists as tight on u
+        vectors, n, pairing = case
+        normals, rows = geometry.cut(vectors, n, pairing)
+        rays = [tuple(v) for v in vectors]
+        expected = [frozenset(rays[i] for i in tight) for tight in normals.values()]
+        assert geometry.walls(rays, rows[:len(normals)]) == [w for w in expected if w]
+
+    def test_empty_walls_dropped(self):
+        rays = [(1, 0, 0), (0, 1, 0)]
+        rows = [(1, 0, 0), (1, 1, 0), (0, 0, 1)]
+        assert geometry.walls(iter(rays), rows) == [frozenset({(0, 1, 0)}), frozenset(rays)]
+
+
 def reference_extreme_rays(cone):
     """The generators on which reference facet normals of rank m - 1 are
     tight."""
@@ -658,7 +682,7 @@ class TestCoordinates:
         S, v = case
         k = data.draw(st.integers(0, S.dim))
         T = LinearSubspace(S.field, list(S.basis[:k]) + [v])
-        assert S.contains_subspace(T) == (linalg.rank(list(S.basis) + list(T.basis)) == S.dim)
+        assert contains_subspace(S, T) == (linalg.rank(list(S.basis) + list(T.basis)) == S.dim)
 
 
 # ---------------------------------------------------------------------------

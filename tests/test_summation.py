@@ -63,7 +63,8 @@ from conesum.summation import (
     sum_via_dual_cycle,
 )
 
-from test_fan import reference_groups
+from test_fan import _cubic_explicit, colmez_cubic_fan, reference_groups
+from test_geometry import contains_subspace
 
 QUADRATIC = [-3, 0, 1]
 CUBIC = [1, -2, -1, 1]
@@ -461,6 +462,64 @@ class TestPartialSums:
         assert row.target == Fraction(1, 6)
 
 
+def reference_check_tiling(cones, union):
+    """The tiling check that sum_via_dual_cycle ran before geometry.walls:
+    a Cone per facet, keyed by its extreme rays, and a wall seen once placed
+    on the union's boundary by span containment and Cone.contains."""
+    facets, counts = {}, {}
+    for t in cones:
+        if t.dim != union.dim:
+            raise NotConvexUnion("pieces must be full-dimensional in the union")
+        for f in t.facets():
+            counts[f.key()] = counts.get(f.key(), 0) + 1
+            facets[f.key()] = f
+    union_facets = union.facets()
+    for key, cnt in counts.items():
+        if cnt == 2:
+            continue
+        if cnt > 2:
+            raise NotConvexUnion("a wall is shared by more than two cones")
+        f = facets[key]
+        on_boundary = any(
+            contains_subspace(uf.span, f.span) and all(uf.contains(g) for g in f.extreme_rays)
+            for uf in union_facets
+        )
+        if not on_boundary:
+            raise NotConvexUnion("unmatched interior wall: union is not tiled")
+
+
+def tiling_verdict(check, cones):
+    """The NotConvexUnion message of check on the cones and their union, or
+    None when it passes."""
+    union = Cone(cones[0].field, [g for t in cones for g in t.generators])
+    try:
+        check(cones, union)
+    except NotConvexUnion as exc:
+        return str(exc)
+    return None
+
+
+def untiled_cases():
+    """(pieces, message) of unions that are not tiled: a gap, a piece of
+    lower dimension, and walls on three pieces in degrees 2 and 3, one of
+    them met before an unmatched wall only in facet order."""
+    F, desc, vs = sqrt3_fan()
+    tops = truncate(desc, 2).top_cones
+    a, b = tops[0], tops[1]
+    (shared,) = set(a.extreme_rays) & set(b.extreme_rays)
+    cubic = truncate(_cubic_explicit("three-on-a-wall", 2), 1).top_cones
+    return [
+        ([tops[0], tops[3]], "unmatched interior wall: union is not tiled"),
+        ([a, Cone(F, [a.extreme_rays[0]])], "pieces must be full-dimensional in the union"),
+        ([a, b, Cone(F, [shared, b.interior_point()])], "a wall is shared by more than two cones"),
+        (truncate(_cubic_explicit("three-on-a-wall", 0), 0).top_cones,
+         "a wall is shared by more than two cones"),
+        # the first piece's first wall in facet order lies on three pieces
+        # and its last is unmatched: the cut's own order meets that one first
+        ([cubic[i] for i in (0, 6, 5, 22, 3)], "a wall is shared by more than two cones"),
+    ]
+
+
 class TestDualCycleBridge:
     def test_single_cone(self):
         F, desc, vs = sqrt3_fan()
@@ -485,8 +544,69 @@ class TestDualCycleBridge:
                     direct = direct + cone_term(t, desc.module_basis, x0).value
                 bridged = sum_via_dual_cycle(cones, x0)
                 assert bridged == direct
+                assert tiling_verdict(reference_check_tiling, cones) is None
                 checked += 1
         assert checked == 20
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_untiled_unions_raise_the_reference_message(self, case):
+        cones, message = untiled_cases()[case]
+        assert tiling_verdict(reference_check_tiling, cones) == message
+        assert tiling_verdict(summation._check_tiling, cones) == message
+        with pytest.raises(NotConvexUnion, match=message):
+            sum_via_dual_cycle(cones, cones[0].field.element([4, 1, 1][: cones[0].field.degree]))
+
+    def test_wall_inside_a_facet_of_the_union_is_on_its_boundary(self):
+        # a simplex cut in two through a ray inside one of its facets: that
+        # ray is a generator of the union but not an extreme ray, and the two
+        # walls on the split facet lie on the union's boundary
+        simplex = colmez_cubic_fan().orbit_cones[0]
+        F, (g0, g1, g2) = simplex.field, simplex.extreme_rays
+        r = g0 + g1
+        halves = [Cone(F, [g0, r, g2]), Cone(F, [r, g1, g2])]
+        assert tiling_verdict(summation._check_tiling, halves) is None
+        assert tiling_verdict(reference_check_tiling, halves) is None
+        x0 = F.element([5, 1, 1])
+        assert sum_via_dual_cycle(halves, x0) == sum_via_dual_cycle([simplex], x0)
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_random_pieces_match_the_reference(self, window):
+        # subsets of the tops of the sqrt3 and cubic fans, and the explicit
+        # cubic fans with a non-extreme generator, a square and a wall on
+        # three tops: the same verdict, message and first offending wall
+        F, desc, vs = sqrt3_fan()
+        sources = [truncate(desc, window).top_cones, truncate(colmez_cubic_fan(), window).top_cones]
+        sources += [truncate(_cubic_explicit(name, 2), 1).top_cones
+                    for name in ("interior-generator", "square-plus-simplex", "three-on-a-wall")]
+        rng = random.Random(window)
+        verdicts = Counter()
+        for tops in sources:
+            for _ in range(30):
+                cones = rng.sample(tops, rng.randint(1, min(6, len(tops))))
+                verdicts[tiling_verdict(reference_check_tiling, cones)] += 1
+                assert (tiling_verdict(summation._check_tiling, cones)
+                        == tiling_verdict(reference_check_tiling, cones))
+        assert verdicts[None] and verdicts["unmatched interior wall: union is not tiled"]
+
+    def test_tiling_check_builds_no_cone(self, monkeypatch):
+        # the walls come from the pieces' extreme rays and facet rows, with no
+        # facet Cone, Cone.facets or Cone.contains
+        untiled, _ = untiled_cases()[3]
+        tiled = truncate(sqrt3_fan()[1], 2).top_cones
+        unions = [Cone(c[0].field, [g for t in c for g in t.generators]) for c in (untiled, tiled)]
+        calls = []
+
+        def counted(owner, name):
+            f = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or f(*a, **k))
+
+        for name in ("__init__", "facets", "contains"):
+            counted(Cone, name)
+        counted(summation, "walls")
+        with pytest.raises(NotConvexUnion):
+            summation._check_tiling(untiled, unions[0])
+        summation._check_tiling(tiled, unions[1])
+        assert set(calls) == {"walls"}
 
     def test_non_cycle_rejected(self):
         F = make_field(QUADRATIC)

@@ -25,6 +25,7 @@ from conesum.errors import (
     NotAUnit,
     NotTotallyPositive,
     PrecisionExhausted,
+    SingularMatrix,
     UnitRankMismatch,
     WindowTooSmall,
 )
@@ -196,6 +197,29 @@ def calls_to(functions, fn, *args):
     finally:
         sys.setprofile(None)
     return result, calls
+
+
+def patched_log_matrix(monkeypatch, change, precs=PREC_SCHEDULE):
+    """Replace each lattice's log matrix at the precisions precs by change(exp,
+    M) of its (exp, M); returns the set of precisions asked for."""
+    real_matrix = LogLattice.log_matrix
+    asked = set()
+
+    def log_matrix(self, prec):
+        asked.add(prec)
+        exp, M = real_matrix(self, prec)
+        return (exp, change(exp, M)) if prec in precs else (exp, M)
+
+    monkeypatch.setattr(LogLattice, "log_matrix", log_matrix)
+    return asked
+
+
+def widened(log_slack):
+    """A change for patched_log_matrix: every bound moved outward by 2^log_slack."""
+    def change(exp, M):
+        slack = 1 << max(0, log_slack - exp)
+        return [[(lo - slack, hi + slack) for lo, hi in row] for row in M]
+    return change
 
 
 @pytest.fixture(scope="module")
@@ -523,6 +547,24 @@ class TestSearch:
             cand
         ).as_dict()
 
+    def test_c1_of_one_open_at_every_precision_is_false(self, monkeypatch):
+        # log matrices within 2^-8 of the truth leave c1 and the chain of the
+        # unit 1 open at every precision, and decide c3 and c4; c1 is settled
+        # False at eps = 1 and the chain by root_indices, as the exact
+        # reference decides them
+        F, _ = cubic_units()
+        cand = candidate((F.one, F.one, F.one))
+        patched_log_matrix(monkeypatch, widened(-8))
+        region = unitsearch._regions(cand.lattice, cand.a, cand.b)((1, 0, 0), 0)
+        c1, chain, c3, c4 = map(unitsearch._decide,
+                                unitsearch._region_quantities(*region(PREC_SCHEDULE[-1])))
+        assert (c1, chain, c3, c4) == (None, None, True, False)
+        report, calls = calls_to((root_indices, unit_region_conditions),
+                                 check_admissible_bounds, cand)
+        assert calls == ["root_indices"] * 3
+        assert report.as_dict() == reference_check_admissible_bounds(cand).as_dict()
+        assert [c.passed for c in report.conditions] == [False, False, True, False] * 3
+
     def test_lattices_of_equal_units_are_equal(self, found_candidate):
         cand = found_candidate
         again = candidate(cand.units, cand.a, cand.b)
@@ -625,6 +667,41 @@ class TestHullChart:
         exact = (FieldElement.__mul__, FieldElement.inverse, UnitPowers.__init__)
         chart, calls = calls_to(exact, hull_chart, cand, (1, 2), 3)
         assert len(chart.points) == 7 and calls == []
+
+    def test_chart_open_at_the_first_precision_is_decided_at_the_next(self, found_candidate,
+                                                                       monkeypatch):
+        # a log matrix known only to within 2^200 at 64 bits leaves an
+        # interval pivot around 0 there; the chart is read at 128 bits
+        asked = patched_log_matrix(monkeypatch, widened(200), PREC_SCHEDULE[:1])
+        cand = candidate(found_candidate.units)
+        for I in itertools.combinations(range(3), 2):
+            chart = hull_chart(cand, I, 3)
+            assert chart.prec == PREC_SCHEDULE[1] and len(chart.points) == 7
+            assert all(lo > 0 for lo, _ in chart.exponents) and verify_vertices(chart)
+        assert asked == set(PREC_SCHEDULE[:2])
+
+    @pytest.mark.parametrize("change, cause", [
+        # the elimination's last divisor straddles 0 at every precision
+        (widened(1), "divisor interval contains zero"),
+        # logs of the opposite sign certify every exponent negative
+        (lambda exp, M: [[(-hi, -lo) for lo, hi in row] for row in M],
+         "exponents not certified positive"),
+    ])
+    def test_chart_open_at_every_precision_is_exhausted(self, found_candidate, monkeypatch,
+                                                         change, cause):
+        asked = patched_log_matrix(monkeypatch, change)
+        cand = candidate(found_candidate.units)
+        with pytest.raises(PrecisionExhausted,
+                           match=f"hull chart failed at all precisions: {cause}"):
+            hull_chart(cand, (0, 1), 3)
+        assert asked == set(PREC_SCHEDULE) and not cand.lattice._charts
+
+    def test_singular_pivot_at_every_precision_is_raised(self, found_candidate, monkeypatch):
+        asked = patched_log_matrix(monkeypatch, widened(200))
+        cand = candidate(found_candidate.units)
+        with pytest.raises(SingularMatrix, match="interval pivot contains zero"):
+            hull_chart(cand, (0, 1), 3)
+        assert asked == set(PREC_SCHEDULE)
 
     def test_omitted_index_is_complement(self, found_candidate):
         chart = hull_chart(found_candidate, (0, 2), 3)
@@ -956,6 +1033,32 @@ class TestVerifyVertices:
             if s is not None:
                 assert all(v * s > 0 for v in values), (key, other)
 
+    @pytest.mark.parametrize("a0, signs", [
+        ((0, 1), [1, None]),  # 3 a_0 - 3/4 straddles 0: open
+        ((0, Fraction(1, 8)), [1, -1]),  # and lies below 0: not a vertex
+    ])
+    def test_uncertified_weights_take_the_interval_test(self, monkeypatch, a0, signs):
+        # a_0 = 0 is not certified positive, so the integer sums leave both
+        # pairs open and each is tested in intervals, with the interval
+        # loop's verdict
+        def exact(lo, hi):
+            return Interval.of(Fraction(lo), Fraction(hi), 64)
+
+        a = (exact(*a0), exact(1, 1))
+        P, Q = (exact(4, 4), exact(1, 1)), (exact(1, 1), exact(4, 4))
+        chart = HullChart((0, 1), 2, a, 0, {(0, 0): P, (1, -1): Q}, 48)
+        assert [s for _, _, s in unitsearch._integer_separations(chart)] == [None, None]
+        assert [s for _, _, s in interval_separations(chart)] == signs
+        seen, real_sign = [], unitsearch._iv_sign
+        monkeypatch.setattr(unitsearch, "_iv_sign", lambda iv: seen.append(real_sign(iv))
+                            or seen[-1])
+        if signs[-1] is None:
+            with pytest.raises(PrecisionExhausted, match=r"separation of \(1, -1\) from"):
+                verify_vertices(chart)
+        else:
+            assert verify_vertices(chart) is False
+        assert seen == signs
+
     @pytest.mark.parametrize("kind", ["midpoint", "duplicate", "inward"])
     @pytest.mark.parametrize("I", list(itertools.combinations(range(3), 2)))
     def test_agrees_with_the_interval_loop_on_adulterated_charts(self, found_candidate, kind, I):
@@ -1002,6 +1105,37 @@ class TestExhaustion:
     def test_one_is_contained_quickly(self, found_candidate):
         F, _ = cubic_units()
         assert exhaustion_contains(found_candidate, 1, F.one, window=5)
+
+
+class TestPolylineCertificate:
+    """The two-dimensional chart's edge certificate, on exact dyadic points
+    around the chart point (1, 1) of y = 1, where the log form is 0 and no
+    point is strictly below (1, 1) in both coordinates."""
+
+    @staticmethod
+    def chart(*coords):
+        exact = [tuple(Interval.of(Fraction(c), Fraction(c), 64) for c in p) for p in coords]
+        one = Interval.of(1, 1, 64)
+        return HullChart((0, 1), 2, (one, one), 1, dict(zip([(-1, 1), (1, -1)], exact)), 64)
+
+    @pytest.mark.parametrize("edge, inside", [
+        (((Fraction(1, 2), 1), (2, Fraction(1, 2))), True),  # 5/6 at z0 = 1: above
+        (((Fraction(1, 2), 2), (2, Fraction(1, 2))), False),  # 3/2 at z0 = 1: below
+    ])
+    def test_side_of_the_bracketing_edge(self, edge, inside):
+        F, _ = cubic_units()
+        chart = self.chart(*edge)
+        z = unitsearch._chart_point(F.one, chart.omitted, chart.prec)
+        assert [zi.endpoints() for zi in z] == [(1, 1), (1, 1)]
+        assert unitsearch._iv_sign(unitsearch._log_form(chart.a_vec, z)) is None
+        assert not any(all(unitsearch._iv_sign(zi - pi) == 1 for zi, pi in zip(z, P))
+                       for P in chart.points.values())
+        assert unitsearch._chart_region_contains(chart, F.one) is inside
+
+    def test_unbracketed_point_is_undecided(self):
+        F, _ = cubic_units()
+        chart = self.chart((2, Fraction(1, 2)), (4, Fraction(1, 4)))
+        assert unitsearch._chart_region_contains(chart, F.one) is None
 
 
 class TestCertifyInSimplex:
