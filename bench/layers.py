@@ -145,9 +145,11 @@ def polyhedral_cases() -> dict:
     """Facets of a fresh cube cone, the intersection of two fresh cubic cones,
     the extreme rays of a fresh simplicial cubic cone, membership in the
     relative interior of a fresh simplicial cubic cone and in a fresh
-    2-dimensional face of it, and the boundary and dual cycles of the cube
-    in P^3."""
-    from conesum import cycles, field
+    2-dimensional face of it, the boundary and dual cycles of the cube
+    in P^3, the trace-dual basis of four cube vertices (through
+    ``summation.dual_basis`` where ``geometry.trace_duals`` is missing) and
+    the trace-orthogonal point of two cubic points."""
+    from conesum import cycles, field, geometry, summation
     from conesum.geometry import Cone, ProjPolyhedron
 
     Q = field.make_field(QUARTIC)
@@ -157,6 +159,7 @@ def polyhedral_cases() -> dict:
     b = [C.element(v) for v in ([3, 1, 1], [1, 3, 1], [1, 1, 3], [2, 2, -1])]
     inside, on_face = a[0] + a[1] * 2 + a[2], a[0] + a[1] * 2
     z = cycles.boundary_cycle(ProjPolyhedron.from_points(Q, cube))
+    trace_duals = getattr(geometry, "trace_duals", summation.dual_basis)
     return {
         "geometry.facet_data.cube": lambda: Cone(Q, cube)._facet_data,
         "geometry.intersection.cubic": lambda: Cone(C, a).intersection(Cone(C, b)),
@@ -167,6 +170,8 @@ def polyhedral_cases() -> dict:
             ProjPolyhedron.from_points(Q, cube)
         ),
         "cycles.dual_cycle.cube": lambda: cycles.dual_cycle(z),
+        "geometry.trace_duals.quartic": lambda: trace_duals(cube[:3] + cube[4:5]),
+        "cycles.orthogonal_point.cubic": lambda: cycles.orthogonal_point(C, a[:2]),
     }
 
 

@@ -265,11 +265,7 @@ def suite_lemma1(config: RunConfig) -> list[dict]:
 def suite_goodfan(config: RunConfig) -> list[dict]:
     if config.fan is None:
         raise ConfigError("the fan validation suite needs a fan")
-    report = validate_good_fan(truncate(config.fan, min(config.n_max, 3)))
-    return [
-        {"name": c.name, "pass": c.passed, "detail": c.detail}
-        for c in report.conditions
-    ]
+    return validate_good_fan(truncate(config.fan, min(config.n_max, 3))).as_dict()["conditions"]
 
 
 def _admissible_search(config: RunConfig, a=None, b=None, radius=None):

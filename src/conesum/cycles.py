@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import DegreeMismatch, DependentTuple, MixedExponents, NotACycle, NotTopDegree
 from .field import FieldElement, TotallyRealField
-from .geometry import Cone, LinearSubspace, ProjPolyhedron
+from .geometry import Cone, LinearSubspace, ProjPolyhedron, trace_duals
 from .record import FrozenRecord
 
 PointKey = tuple[Fraction, ...]
@@ -150,10 +150,6 @@ class SimplexSpec(FrozenRecord):
         return len(self.points) - 2
 
 
-def _independent(field: TotallyRealField, points: Sequence[FieldElement]) -> bool:
-    return linalg.rank([p.num for p in points]) == len(points)
-
-
 def simplex_cycle(
     field: TotallyRealField, points: "Sequence[FieldElement] | SimplexSpec"
 ) -> Cycle:
@@ -168,7 +164,7 @@ def simplex_cycle(
     g = len(pts) - 2
     if g < 0:
         raise DegreeMismatch(f"a simplex cycle needs at least 2 points, got {len(pts)}")
-    if not _independent(field, pts):
+    if linalg.rank([p.num for p in pts]) != len(pts):
         return Cycle.zero(field, g)
     return Cycle(field, g, _simplex_expand(field, pts))
 
@@ -255,25 +251,25 @@ def cpd_extend(f: CPDFunction, z: Cycle):
 
 
 def orthogonal_point(field: TotallyRealField, points: Sequence[FieldElement]) -> FieldElement:
-    """The F-point spanning the trace-orthogonal complement of n-1 points."""
-    comp = LinearSubspace.from_points(field, points).orthogonal_complement()
-    if comp.dim != 1:
-        raise DependentTuple(f"{len(points)} points with a {comp.dim}-dimensional complement")
-    return field.element(comp.basis_elements()[0].ray_key())
+    """The F-point spanning the trace-orthogonal complement of n-1 points:
+    the kernel of their rows T num, first nonzero coordinate 1."""
+    ker = linalg.kernel([linalg.mat_vec(field.trace_matrix, p.num) for p in points])
+    if len(ker) != 1:
+        raise DependentTuple(f"{len(points)} points with a {len(ker)}-dimensional complement")
+    return field.element(field.element(ker[0]).proj_key())
 
 
 def dual_point_function(field: TotallyRealField) -> CPDFunction:
     """The CPD function sending a point tuple to the simplex on the
-    trace-orthogonal points of its facet spans."""
+    trace-orthogonal points of its facet spans: the trace-dual basis, whose
+    B_i spans the complement of the points but the i-th."""
     n = field.degree
 
     def evaluate(pts: tuple[FieldElement, ...]) -> Cycle:
-        if not _independent(field, pts):
+        try:
+            duals = trace_duals(pts)
+        except DependentTuple:
             return Cycle.zero(field, n - 2)
-        duals = []
-        for i in range(len(pts)):
-            rest = pts[:i] + pts[i + 1 :]
-            duals.append(orthogonal_point(field, rest))
         return Cycle(field, n - 2, _simplex_expand(field, duals))
 
     return CPDFunction(arity=n, evaluate=evaluate, zero=Cycle.zero(field, n - 2), name="dual")

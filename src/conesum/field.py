@@ -581,10 +581,10 @@ class TotallyRealField:
 
         # trace form on the power basis and the discriminant
         self.trace_matrix = [tuple(p[i + j] for j in range(n)) for i in range(n)]
-        disc = linalg.det(self.trace_matrix)
-        if disc.denominator != 1 or disc <= 0:
+        disc = linalg.int_det(self.trace_matrix)
+        if disc <= 0:
             raise DegenerateRoots(f"discriminant {disc} is not a positive integer")
-        self.disc_abs = int(disc)
+        self.disc_abs = disc
 
         self.zero = FieldElement._make(self, [0] * n, 1)
         self.one = self.from_rational(1)
@@ -633,15 +633,16 @@ class TotallyRealField:
         return cols
 
     def norm(self, x: FieldElement) -> Fraction:
-        return linalg.det(self._mult_columns(x)) / x.den**self.degree
+        return Fraction(linalg.int_det(self._mult_columns(x)), x.den**self.degree)
 
     def _invert(self, x: FieldElement) -> FieldElement:
-        """den / num, from the integer system (num * theta^k)_k z = e_0."""
+        """den / num: den z for the solution z = adj(M) e_0 / det(M) of the
+        integer system M z = e_0, M the matrix of columns num * theta^k."""
         if x.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        rows = list(zip(*self._mult_columns(x)))
-        sol = linalg.solve_unique(rows, [1] + [0] * (self.degree - 1))
-        return FieldElement(self, sol)._scale(x.den)
+        adj, det = linalg.adjugate(list(zip(*self._mult_columns(x))))
+        s = x.den if det > 0 else -x.den
+        return FieldElement._make(self, [s * row[0] for row in adj], abs(det))
 
     # -- embeddings and signs ----------------------------------------------------
 
@@ -782,7 +783,7 @@ def det_scaled(elements: Sequence[FieldElement]) -> ScaledRational:
 
 def coord_det(elements: Sequence[FieldElement]) -> Fraction:
     """Determinant of the power-basis coordinate rows of n elements."""
-    return linalg.det([e.num for e in elements]) / math.prod(e.den for e in elements)
+    return Fraction(linalg.int_det([e.num for e in elements]), math.prod(e.den for e in elements))
 
 
 def min_poly_of(x: FieldElement) -> list[Fraction]:

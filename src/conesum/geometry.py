@@ -22,6 +22,7 @@ from functools import cached_property
 
 from . import linalg
 from .errors import (
+    DependentTuple,
     NotFullDim,
     NotSalient,
     RayNotRational,
@@ -80,20 +81,6 @@ class LinearSubspace:
     def contains(self, x: FieldElement) -> bool:
         return self.coordinates(x.num) is not None
 
-    def basis_elements(self) -> list[FieldElement]:
-        return [self.field.element(row) for row in self.basis]
-
-    def orthogonal_complement(self) -> "LinearSubspace":
-        """Trace-orthogonal complement inside R^n (exact)."""
-        # Tr(b * x) = b^T T x as a linear functional on coordinates; a
-        # positive multiple of b, cleared to integers, has the same kernel
-        T = self.field.trace_matrix
-        rows = []
-        for b in self.basis:
-            v = linalg.cleared(b)[0]
-            rows.append([sum(t * c for t, c in zip(row, v)) for row in T])
-        return LinearSubspace(self.field, linalg.kernel(rows))
-
     def is_full(self) -> bool:
         return self.dim == self.field.degree
 
@@ -118,6 +105,21 @@ def coordinate_rows(points: Sequence[FieldElement]) -> tuple[list[list[int]], in
     adj, det = linalg.adjugate(list(zip(*(p.num for p in points))))
     s = 1 if det > 0 else -1
     return [[s * p.den * v for v in row] for row, p in zip(adj, points)], abs(det)
+
+
+def trace_duals(points: Sequence[FieldElement]) -> list[FieldElement]:
+    """The B_j with Tr(A_i B_j) = delta_ij for n independent F-points A_i
+    (DependentTuple if dependent).  Tr(A_i X) = M_i . num(X) / (den_i den(X))
+    for the integer rows M_i = T num_i, so B_j is column j of adj(M) times
+    den_j / det(M)."""
+    F = points[0].field
+    try:
+        adj, det = linalg.adjugate([linalg.mat_vec(F.trace_matrix, p.num) for p in points])
+    except ZeroDivisionError:
+        raise DependentTuple("tuple is linearly dependent") from None
+    s = 1 if det > 0 else -1
+    return [FieldElement._make(F, [s * p.den * row[j] for row in adj], abs(det))
+            for j, p in enumerate(points)]
 
 
 class Cone:

@@ -10,7 +10,6 @@ the convergence driver verifies window by window with exact partial sums.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -33,7 +32,7 @@ from .field import (
     surd_float,
     trace_pairing,
 )
-from .geometry import Cone, ProjPolyhedron, walls
+from .geometry import Cone, ProjPolyhedron, trace_duals, walls
 from .record import FrozenRecord
 
 
@@ -58,20 +57,8 @@ def _vanishing_pairing(a: FieldElement) -> SingularAtX0:
 
 
 def dual_basis(points: Sequence[FieldElement]) -> list[FieldElement]:
-    """B with Tr(A_i B_j) = delta_ij, solved exactly from the Gram matrix."""
-    gram = [[trace_pairing(a, b) for b in points] for a in points]
-    try:
-        inv = linalg.inverse(gram)
-    except ZeroDivisionError:
-        raise DependentTuple("tuple has singular Gram matrix") from None
-    field = points[0].field
-    out = []
-    for j in range(len(points)):
-        b = field.zero
-        for k, a in enumerate(points):
-            b = b + a * inv[k][j]
-        out.append(b)
-    return out
+    """B with Tr(A_i B_j) = delta_ij: geometry.trace_duals."""
+    return trace_duals(points)
 
 
 class TermForm:
@@ -114,13 +101,13 @@ class TermForm:
 
     @classmethod
     def primal(cls, points: Sequence[FieldElement]) -> "TermForm":
-        det = linalg.det([p.num for p in points])
+        det = linalg.int_det([p.num for p in points])
         if det == 0:
             raise DependentTuple("tuple is linearly dependent")
         T = points[0].field.trace_matrix
         rows = [[sum(t * v for t, v in zip(row, a.num)) for row in T] for a in points]
         form = cls.__new__(cls)
-        form._clear(rows, det, 1, points[0].field)
+        form._clear(rows, Fraction(det), 1, points[0].field)
         return form
 
     def _clear(self, rows, factor: Fraction, e: int, field) -> None:
@@ -420,21 +407,35 @@ def _check_tiling(cones: Sequence[Cone], union: Cone) -> None:
     """NotConvexUnion unless each piece is full-dimensional in the union and
     each wall (geometry.walls, under the trace pairing) lies on two pieces or
     on one and a facet of the union: as every wall lies in the union, on a
-    facet whose row vanishes on all of its rays."""
+    facet whose row vanishes on all of its rays.  Walls alone let a second
+    layer pass, so then the two pieces on a wall must lie on its two sides,
+    and a point inside the first piece and on no wall must lie in no other."""
     def facet_rows(cone):
         return [linalg.mat_vec(union.field.trace_matrix, u.num) for u in cone.facet_normals()]
 
-    counts = Counter()
+    sides, pieces = {}, []
     for t in cones:
         if t.dim != union.dim:
             raise NotConvexUnion("pieces must be full-dimensional in the union")
-        counts.update(walls((g.num for g in t.extreme_rays), facet_rows(t)))
+        rays, rows = [g.num for g in t.extreme_rays], facet_rows(t)
+        pieces.append(rows)
+        for wall, row in zip(walls(rays, rows), rows):  # each facet holds an extreme ray
+            sides.setdefault(wall, []).append((row, rays))
     faces = walls((g.num for g in union.generators), facet_rows(union))
-    for wall, cnt in counts.items():
-        if cnt > 2:
+    for wall, found in sides.items():
+        if len(found) > 2:
             raise NotConvexUnion("a wall is shared by more than two cones")
-        if cnt == 1 and not any(wall <= face for face in faces):
+        if len(found) == 1 and not any(wall <= face for face in faces):
             raise NotConvexUnion("unmatched interior wall: union is not tiled")
+    for (row, _), (_, rays) in (found for found in sides.values() if len(found) == 2):
+        if not any(_dot(row, r) < 0 for r in rays):
+            raise NotConvexUnion("two pieces meet a wall from the same side")
+    gens = [g.num for t in cones[:1] for g in t.extreme_rays]  # x inside the first piece
+    V = _direction([[_dot(row, g) for g in gens] for rows in pieces for row in rows], len(gens))
+    x = [sum(map(mul, V, coords)) for coords in zip(*gens)]  # x = sum V_k g_k on no wall
+    inside = sum(all(_dot(row, x) > 0 for row in rows) for rows in pieces)
+    if inside != 1:
+        raise NotConvexUnion(f"a generic point of the union lies in {inside} pieces, not one")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conesum import cycles, linalg, summation
 from conesum.errors import (
     DegreeMismatch,
     DependentTuple,
@@ -11,8 +14,8 @@ from conesum.errors import (
     NotACycle,
     NotTopDegree,
 )
-from conesum.field import make_field
-from conesum.geometry import ProjPolyhedron
+from conesum.field import make_field, trace_pairing
+from conesum.geometry import LinearSubspace, ProjPolyhedron
 from conesum.cycles import (
     CPDFunction,
     Cycle,
@@ -410,3 +413,66 @@ class TestTypedErrors:
         with pytest.raises(DependentTuple):
             orthogonal_point(F, [a, a * 3])
 
+
+
+def reference_orthogonal_point(F, points):
+    """orthogonal_point by the subspace route it took before one kernel: the
+    kernel of the trace rows of the span's echelon basis, read back as a
+    LinearSubspace, on the ray key of its basis point."""
+    span = LinearSubspace.from_points(F, points)
+    rows = [linalg.mat_vec(F.trace_matrix, linalg.cleared(b)[0]) for b in span.basis]
+    comp = LinearSubspace(F, linalg.kernel(rows))
+    if comp.dim != 1:
+        raise DependentTuple(f"{len(points)} points with a {comp.dim}-dimensional complement")
+    return F.element(F.element(comp.basis[0]).ray_key())
+
+
+class TestOneInverse:
+    """Trace duals, trace-orthogonal points and field inverses read one
+    integer adjugate or kernel, and give what the Fraction routes gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([QUADRATIC, CUBIC, QUARTIC]), st.data())
+    def test_orthogonal_point_matches_the_subspace_route(self, poly, data):
+        F = make_field(poly)
+        n = F.degree
+        vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+        dens = st.integers(1, 5)
+        points = [F.element([Fraction(v, data.draw(dens)) for v in data.draw(vec)])
+                  for _ in range(n - 1)]
+        try:
+            expected = reference_orthogonal_point(F, points)
+        except DependentTuple as exc:
+            with pytest.raises(DependentTuple, match=str(exc)):
+                orthogonal_point(F, points)
+            return
+        w = orthogonal_point(F, points)
+        assert w == expected and w.num == expected.num and w.den == expected.den
+
+    def test_each_route_reads_one_adjugate(self, monkeypatch):
+        # the dual simplex of four vertices of the cube in P^3, a field
+        # inverse and a dual basis: one adjugate each, and no kernel, rank,
+        # orthogonal_point, solve_unique or Gram inverse
+        F = make_field(QUARTIC)
+        pts = tuple(F.element([sx, sy, sz, 1]) for sx, sy, sz in
+                    ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)))
+        expected = dual_point_function(F).evaluate(pts)
+        calls = []
+        for module, name in ((linalg, "adjugate"), (linalg, "kernel"), (linalg, "rank"),
+                             (cycles, "orthogonal_point"), (linalg, "solve_unique"),
+                             (linalg, "inverse")):
+            def counted(*args, _name=name, _fn=getattr(module, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        assert dual_point_function(F).evaluate(pts) == expected
+        assert not expected.is_zero() and calls == ["adjugate"]
+        calls.clear()
+        x = F.element([Fraction(3, 7), -2, Fraction(5, 3), Fraction(-1, 4)])
+        assert x * x.inverse() == F.one and calls == ["adjugate"]
+        calls.clear()
+        duals = summation.dual_basis(list(pts))
+        assert calls == ["adjugate"]
+        assert [[trace_pairing(a, b) for b in duals] for a in pts] == [
+            [int(i == j) for j in range(4)] for i in range(4)]

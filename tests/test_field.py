@@ -745,6 +745,20 @@ class TestRingLaws:
             assert x * x.inverse() == x.field.one
             assert (x * y) / x == y
 
+    @given(vals=element_triples())
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_matches_the_fraction_solve(self, vals):
+        # the inverse as it was solved before the adjugate: the system of the
+        # multiplication columns on Fractions, scaled by den
+        for x in vals:
+            if x.is_zero():
+                continue
+            F = x.field
+            rows = list(zip(*F._mult_columns(x)))
+            sol = linalg.solve_unique(rows, [1] + [0] * (F.degree - 1))
+            inv = x.inverse()
+            assert inv == F.element(sol) * x.den and math.gcd(inv.den, *inv.num) == 1
+
 
 class TestScaledRational:
     def test_add_same_exponent(self):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from conesum import field, geometry, linalg, summation
 
+from conesum.cycles import orthogonal_point
 from conesum.errors import (
+    DependentTuple,
     NotFullDim,
     NotSalient,
     NotSimplicial,
@@ -25,6 +27,7 @@ from conesum.geometry import (
     integer_rays,
     primitive_generator,
     solve_in_basis,
+    trace_duals,
 )
 
 QUADRATIC = [-3, 0, 1]
@@ -54,6 +57,11 @@ def random_salient_cone(F, rng, nrays=None):
         )
         gens.append(base * rng.randint(2, 5) + wobble)
     return Cone(F, gens)
+
+
+def basis_points(S):
+    """The F-points of a span's echelon basis rows."""
+    return [S.field.element(row) for row in S.basis]
 
 
 def span_point(S, c):
@@ -97,12 +105,13 @@ class TestLinearSubspace:
         assert not s.contains(elem(F, 0, 0, 1))
 
     def test_orthogonal_complement_is_trace_orthogonal(self):
+        # the complement of a plane of the cubic field is the ray of its
+        # orthogonal_point
         F = make_field(CUBIC)
         s = LinearSubspace.from_points(F, [elem(F, 1, 2, 0), elem(F, 0, 1, 1)])
-        comp = s.orthogonal_complement()
-        assert comp.dim == 1
-        w = comp.basis_elements()[0]
-        for b in s.basis_elements():
+        w = orthogonal_point(F, basis_points(s))
+        assert not w.is_zero()
+        for b in basis_points(s):
             assert trace_pairing(w, b) == 0
 
     def test_intersection(self):
@@ -311,7 +320,7 @@ def reference_facet_data(cone):
     F, gens, m = cone.field, cone.generators, cone.dim
     if m < 2:
         return []
-    span_basis = cone.span.basis_elements()
+    span_basis = basis_points(cone.span)
     found = {}
     for subset in itertools.combinations(range(len(gens)), m - 1):
         rows = [tuple(trace_pairing(b, gens[i]) for b in span_basis) for i in subset]
@@ -383,7 +392,7 @@ def reference_intersection(a, b):
         return Cone(F, held) if held else None
     if b.dim == 1:
         return reference_intersection(b, a)
-    basis = span.basis_elements()
+    basis = basis_points(span)
     normals = [n for n, _ in reference_facet_data(a) + reference_facet_data(b)]
     constraints = [tuple(trace_pairing(n, e) for e in basis) for n in normals]
     points = []
@@ -827,3 +836,59 @@ class TestCoordinateRows:
         rows, d = geometry.coordinate_rows(gens)
         coords = [Fraction(sum(r * v for r, v in zip(row, x.num)), d * x.den) for row in rows]
         assert d > 0 and coords == list(solve_in_basis(gens, x))
+
+
+def reference_dual_basis(points):
+    """The dual basis as summation.dual_basis solved it before
+    geometry.trace_duals: the inverse of the Gram matrix of trace pairings,
+    applied to the points by field arithmetic."""
+    gram = [[trace_pairing(a, b) for b in points] for a in points]
+    try:
+        inv = linalg.inverse(gram)
+    except ZeroDivisionError:
+        raise DependentTuple("tuple has singular Gram matrix") from None
+    field = points[0].field
+    out = []
+    for j in range(len(points)):
+        b = field.zero
+        for k, a in enumerate(points):
+            b = b + a * inv[k][j]
+        out.append(b)
+    return out
+
+
+@st.composite
+def field_tuples(draw):
+    """n points of Q(sqrt 3), the cubic field or the quartic test field with
+    small numerators over small denominators, dependent or not."""
+    F = make_field(draw(st.sampled_from(FIELDS)))
+    n = F.degree
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(vec, min_size=n, max_size=n))
+    dens = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    return F, [F.element([Fraction(v, d) for v in row]) for row, d in zip(rows, dens)]
+
+
+class TestTraceDuals:
+    @settings(max_examples=150, deadline=None)
+    @given(field_tuples())
+    def test_duals_pair_to_delta_and_match_the_gram_inverse(self, case):
+        F, points = case
+        assume(linalg.rank([p.num for p in points]) == F.degree)
+        duals = trace_duals(points)
+        assert [[trace_pairing(a, b) for b in duals] for a in points] == [
+            [int(i == j) for j in range(F.degree)] for i in range(F.degree)]
+        assert duals == reference_dual_basis(points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(field_tuples(), st.data())
+    def test_dependent_tuples_raise(self, case, data):
+        # the last point replaced by a rational combination of the others
+        F, points = case
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=F.degree - 1,
+                                    max_size=F.degree - 1))
+        last = sum((p * c for p, c in zip(points, coeffs)), F.zero)
+        with pytest.raises(DependentTuple):
+            trace_duals(points[:-1] + [last])
+        with pytest.raises(DependentTuple):
+            reference_dual_basis(points[:-1] + [last])

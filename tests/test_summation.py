@@ -569,6 +569,40 @@ class TestDualCycleBridge:
         x0 = F.element([5, 1, 1])
         assert sum_via_dual_cycle(halves, x0) == sum_via_dual_cycle([simplex], x0)
 
+    def test_top_with_its_halves_is_covered_twice(self):
+        # every wall of a Q(sqrt 3) top and its two halves lies on two pieces,
+        # but the top and a half meet each of its walls from the same side
+        F, desc, _ = sqrt3_fan()
+        t = truncate(desc, 1).top_cones[0]
+        a, b = t.extreme_rays
+        cones = [t, Cone(F, [a, a + b]), Cone(F, [a + b, b])]
+        self.assert_covered_twice(cones, "two pieces meet a wall from the same side")
+
+    def test_simplex_with_its_stellar_subdivision_is_covered_twice(self):
+        simplex = colmez_cubic_fan().orbit_cones[0]
+        F, (e1, e2, e3) = simplex.field, simplex.extreme_rays
+        r = e1 + e2 + e3
+        cones = [simplex, Cone(F, [r, e1, e2]), Cone(F, [r, e2, e3]), Cone(F, [r, e1, e3])]
+        self.assert_covered_twice(cones, "two pieces meet a wall from the same side")
+
+    def test_two_triangulations_sharing_no_wall_are_covered_twice(self):
+        # a cubic simplex split through a point of one edge, and again through
+        # points of the other two: each wall lies on two pieces from opposite
+        # sides or on the union's boundary, and only a point inside sees both
+        simplex = colmez_cubic_fan().orbit_cones[0]
+        F, (e1, e2, e3) = simplex.field, simplex.extreme_rays
+        m, p, q = e1 + e2, e1 + e3, e2 + e3
+        cones = [Cone(F, [e1, m, e3]), Cone(F, [m, e2, e3]),
+                 Cone(F, [e1, e2, q]), Cone(F, [e1, q, p]), Cone(F, [p, q, e3])]
+        self.assert_covered_twice(cones, "a generic point of the union lies in 2 pieces, not one")
+
+    @staticmethod
+    def assert_covered_twice(cones, message):
+        assert tiling_verdict(reference_check_tiling, cones) is None
+        assert tiling_verdict(summation._check_tiling, cones) == message
+        with pytest.raises(NotConvexUnion, match=message):
+            sum_via_dual_cycle(cones, cones[0].field.element([4, 1, 1][: cones[0].field.degree]))
+
     @pytest.mark.parametrize("window", [1, 2])
     def test_random_pieces_match_the_reference(self, window):
         # subsets of the tops of the sqrt3 and cubic fans, and the explicit
