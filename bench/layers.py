@@ -145,15 +145,17 @@ def polyhedral_cases() -> dict:
     """Facets of a fresh cube cone, the intersection of two fresh cubic cones,
     the extreme rays of a fresh simplicial cubic cone, membership in the
     relative interior of a fresh simplicial cubic cone and in a fresh
-    2-dimensional face of it, the boundary and dual cycles of the cube
-    in P^3, the trace-dual basis of four cube vertices (through
-    ``summation.dual_basis`` where ``geometry.trace_duals`` is missing) and
-    the trace-orthogonal point of two cubic points."""
+    2-dimensional face of it, the boundary and dual cycles of the cube and
+    the boundary cycle of the octahedron (whose facets are all simplices)
+    in P^3, and the trace-dual basis of four cube vertices (through
+    ``summation.dual_basis`` where ``geometry.trace_duals`` is missing)."""
     from conesum import cycles, field, geometry, summation
     from conesum.geometry import Cone, ProjPolyhedron
 
     Q = field.make_field(QUARTIC)
     cube = [Q.element([sx, sy, sz, 1]) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
+    octahedron = [Q.element([s * (k == i) for k in range(3)] + [1])
+                  for i in range(3) for s in (1, -1)]
     C = field.make_field(CUBIC)
     a = [C.element(v) for v in ([2, 1, 0], [0, 2, 1], [1, 0, 2])]
     b = [C.element(v) for v in ([3, 1, 1], [1, 3, 1], [1, 1, 3], [2, 2, -1])]
@@ -169,9 +171,11 @@ def polyhedral_cases() -> dict:
         "cycles.boundary_cycle.cube": lambda: cycles.boundary_cycle(
             ProjPolyhedron.from_points(Q, cube)
         ),
+        "cycles.boundary_cycle.octahedron": lambda: cycles.boundary_cycle(
+            ProjPolyhedron.from_points(Q, octahedron)
+        ),
         "cycles.dual_cycle.cube": lambda: cycles.dual_cycle(z),
         "geometry.trace_duals.quartic": lambda: trace_duals(cube[:3] + cube[4:5]),
-        "cycles.orthogonal_point.cubic": lambda: cycles.orthogonal_point(C, a[:2]),
     }
 
 

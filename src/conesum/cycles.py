@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import DegreeMismatch, DependentTuple, MixedExponents, NotACycle, NotTopDegree
 from .field import FieldElement, TotallyRealField
-from .geometry import Cone, LinearSubspace, ProjPolyhedron, trace_duals
+from .geometry import LinearSubspace, ProjPolyhedron, cut, trace_duals
 from .record import FrozenRecord
 
 PointKey = tuple[Fraction, ...]
@@ -37,13 +37,6 @@ def _merge(out: dict[Flag, Leaf], flag: Flag, leaf: Leaf, sign: int = 1) -> None
     tgt = out.setdefault(flag, {})
     for p, w in leaf.items():
         tgt[p] = tgt.get(p, 0) + sign * w
-
-
-def _segment(a: PointKey, b: PointKey, sign: int = 1) -> dict[Flag, Leaf]:
-    """The degree-0 chain sign * ([a] - [b])."""
-    out = {(): {a: sign}}
-    _merge(out, (), {b: -sign})
-    return out
 
 
 class Cycle:
@@ -172,8 +165,8 @@ def simplex_cycle(
 def _simplex_expand(
     field: TotallyRealField, pts: Sequence[FieldElement]
 ) -> dict[Flag, Leaf]:
-    if len(pts) == 2:
-        return _segment(pts[0].proj_key(), pts[1].proj_key())
+    if len(pts) == 2:  # independent points: [a] - [b] with a != b
+        return {(): {pts[0].proj_key(): 1, pts[1].proj_key(): -1}}
     out: dict[Flag, Leaf] = {}
     for r in range(len(pts)):
         rest = pts[:r] + pts[r + 1 :]
@@ -250,15 +243,6 @@ def cpd_extend(f: CPDFunction, z: Cycle):
     return total
 
 
-def orthogonal_point(field: TotallyRealField, points: Sequence[FieldElement]) -> FieldElement:
-    """The F-point spanning the trace-orthogonal complement of n-1 points:
-    the kernel of their rows T num, first nonzero coordinate 1."""
-    ker = linalg.kernel([linalg.mat_vec(field.trace_matrix, p.num) for p in points])
-    if len(ker) != 1:
-        raise DependentTuple(f"{len(points)} points with a {len(ker)}-dimensional complement")
-    return field.element(field.element(ker[0]).proj_key())
-
-
 def dual_point_function(field: TotallyRealField) -> CPDFunction:
     """The CPD function sending a point tuple to the simplex on the
     trace-orthogonal points of its facet spans: the trace-dual basis, whose
@@ -287,28 +271,34 @@ def dual_cycle(z: Cycle) -> Cycle:
 # the boundary cycle of a projective polyhedron
 
 
-def _orientation_det(span: LinearSubspace, vectors: Sequence[Sequence[Fraction]]) -> Fraction:
-    return linalg.det([span.coordinates(v) for v in vectors])
+def _cone_boundary(span: LinearSubspace, rays, sign: int) -> dict[Flag, Leaf]:
+    """Boundary chain of the cone over the extreme rays, full-dimensional in
+    span S, oriented by S's echelon basis times sign.  Determinants run on
+    the rays' primitive integer numerators, read at S's pivots, where the
+    echelon basis is the identity.
 
-
-def _cone_boundary(cone: Cone, span: LinearSubspace, sign: int) -> dict[Flag, Leaf]:
-    """Boundary chain of a cone full-dimensional in span, oriented by the
-    span's echelon basis times sign."""
-    if cone.dim == 2:
-        x, y = cone.extreme_rays
-        d = _orientation_det(span, [x.coords, y.coords])
-        return _segment(x.proj_key(), y.proj_key(), sign if d > 0 else -sign)
+    Independent rays p_0..p_k bound a simplex: its simplex expansion times
+    the sign of det_S(p).  Otherwise each tight set of the rays' cut is a
+    facet F, its tight rays its extreme rays (so every 2-dimensional face
+    is a simplex), oriented by the sign of det_S(q, e_F) for a ray q off F
+    and F's echelon basis e_F.  On a simplex the two agree, by induction on
+    k: for the facet opposite p_j, det_S(p_j, rest) = (-1)^j det_S(p) =
+    det_F(rest) det_S(p_j, e_F), so its chain, the expansion of rest times
+    sign(det_S(p_j, e_F)) sign(det_F(rest)), is (-1)^j sign(det_S(p)) times
+    that expansion: the j-th term of the expansion of p."""
+    F, P, nums = span.field, span.pivots, [r.num for r in rays]
+    if len(rays) == span.dim:
+        s = sign if linalg.int_det([[v[p] for p in P] for v in nums]) > 0 else -sign
+        return {flag: {x: s * w for x, w in leaf.items()}
+                for flag, leaf in _simplex_expand(F, rays).items()}
     out: dict[Flag, Leaf] = {}
-    for _, tight in cone._facet_data:
-        facet = Cone(cone.field, [cone.generators[i] for i in tight])
-        # off the facet every generator pairs positively with its inner normal
-        inward = sum(
-            (g for i, g in enumerate(cone.generators) if i not in tight), cone.field.zero
-        )
-        d = _orientation_det(span, [inward.coords, *facet.span.basis])
-        child = _cone_boundary(facet, facet.span, sign if d > 0 else -sign)
+    for tight in cut(nums, F.degree, F.trace_matrix)[0].values():
+        facet = LinearSubspace(F, [nums[i] for i in tight])
+        off = next(v for i, v in enumerate(nums) if i not in tight)
+        d = linalg.det([[v[p] for p in P] for v in (off, *facet.basis)])
+        child = _cone_boundary(facet, [rays[i] for i in tight], sign if d > 0 else -sign)
         for flag, leaf in child.items():
-            _merge(out, flag + (facet.span.key,), leaf)
+            _merge(out, flag + (facet.key,), leaf)
     return out
 
 
@@ -320,7 +310,8 @@ def boundary_cycle(K: ProjPolyhedron, orientation: int = 1) -> Cycle:
     """
     if orientation not in (1, -1):
         raise MixedExponents(f"orientation must be 1 or -1, got {orientation}")
-    return Cycle(K.field, K.dim - 1, _cone_boundary(K.cone, K.cone.span, orientation))
+    cone = K.cone
+    return Cycle(K.field, K.dim - 1, _cone_boundary(cone.span, cone.extreme_rays, orientation))
 
 
 def duality_check(K: ProjPolyhedron) -> bool:

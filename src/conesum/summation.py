@@ -16,7 +16,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import linalg
-from .cycles import CPDFunction, Cycle, boundary_cycle, cpd_extend, dual_cycle, orthogonal_point
+from .cycles import CPDFunction, Cycle, boundary_cycle, cpd_extend, dual_cycle
 from .errors import (
     DependentTuple,
     NotConvexUnion,
@@ -96,7 +96,7 @@ class TermForm:
         except ZeroDivisionError:
             raise DependentTuple("tuple is linearly dependent") from None
         form = cls.__new__(cls)
-        form._clear(adj, Fraction(det ** (len(adj) - 1)) / basis_det, -1, field)
+        form._store(adj, Fraction(det ** (len(adj) - 1)) / basis_det, -1, field)
         return form
 
     @classmethod
@@ -107,15 +107,13 @@ class TermForm:
         T = points[0].field.trace_matrix
         rows = [[sum(t * v for t, v in zip(row, a.num)) for row in T] for a in points]
         form = cls.__new__(cls)
-        form._clear(rows, Fraction(det), 1, points[0].field)
+        form._store(rows, Fraction(det), 1, points[0].field)
         return form
 
-    def _clear(self, rows, factor: Fraction, e: int, field) -> None:
-        den = math.lcm(*(c.denominator for row in rows for c in row))
-        self.rows = tuple(tuple(int(c * den) for c in row) for row in rows)
-        self.scale = factor * den ** len(rows)
-        self.e = e
-        self.disc = field.disc_abs
+    def _store(self, rows, scale: Fraction, e: int, field) -> None:
+        """Keep the integer rows (an adjugate, or T num_i) as they are."""
+        self.rows = tuple(map(tuple, rows))
+        self.scale, self.e, self.disc = scale, e, field.disc_abs
 
     def coefficient(self, num: Sequence[int], den: int = 1) -> Fraction | None:
         """Rational c with value c * sqrt(D)^e at the point x = X/dx with
@@ -289,7 +287,7 @@ def _open_star(singular, frame: LatticeFrame, Y, d: int, V) -> SingularAtX0:
             cols, form = tops[0]
             off = [c for row, c in zip(form.rows, cols) if not _dot(row, Y)]
             ray = min(off, key=lambda c: frame.point(c).ray_key())
-            a = orthogonal_point(frame.field, [frame.point(c) for c in cols if c != ray])
+            a = trace_duals([frame.point(c) for c in cols])[cols.index(ray)]
             return _vanishing_pairing(frame.field.element(a.proj_key()))
 
 

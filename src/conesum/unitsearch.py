@@ -491,7 +491,9 @@ def _chart_monomials(lattice: LogLattice, I: Sequence[int], omitted: int,
 
 
 def _iv_solve(rows, rhs):
-    """Interval Gaussian elimination; raises on a pivot containing zero."""
+    """Interval Gauss-Jordan elimination; raises SingularMatrix on a pivot
+    containing zero, also one that a later column's elimination widens
+    across zero."""
     m = [list(r) + [v] for r, v in zip(rows, rhs)]
     size = len(m)
     for c in range(size):
@@ -503,6 +505,8 @@ def _iv_solve(rows, rhs):
             if i != c:
                 f = m[i][c] / m[c][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    if any(_iv_sign(m[i][i]) is None for i in range(size)):
+        raise SingularMatrix("interval pivot contains zero")
     return [m[i][size] / m[i][i] for i in range(size)]
 
 

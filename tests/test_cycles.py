@@ -15,7 +15,7 @@ from conesum.errors import (
     NotTopDegree,
 )
 from conesum.field import make_field, trace_pairing
-from conesum.geometry import LinearSubspace, ProjPolyhedron
+from conesum.geometry import Cone, LinearSubspace, ProjPolyhedron, trace_duals
 from conesum.cycles import (
     CPDFunction,
     Cycle,
@@ -27,7 +27,6 @@ from conesum.cycles import (
     dual_point_function,
     duality_check,
     is_cycle,
-    orthogonal_point,
     simplex_cycle,
 )
 
@@ -407,16 +406,9 @@ class TestTypedErrors:
         with pytest.raises(MixedExponents):
             boundary_cycle(K, orientation=orientation)
 
-    def test_orthogonal_point_of_dependent_points(self):
-        F = make_field(CUBIC)
-        a = F.element([1, 2, 0])
-        with pytest.raises(DependentTuple):
-            orthogonal_point(F, [a, a * 3])
-
-
 
 def reference_orthogonal_point(F, points):
-    """orthogonal_point by the subspace route it took before one kernel: the
+    """The trace-orthogonal point of n-1 points by the subspace route: the
     kernel of the trace rows of the span's echelon basis, read back as a
     LinearSubspace, on the ray key of its basis point."""
     span = LinearSubspace.from_points(F, points)
@@ -429,38 +421,38 @@ def reference_orthogonal_point(F, points):
 
 class TestOneInverse:
     """Trace duals, trace-orthogonal points and field inverses read one
-    integer adjugate or kernel, and give what the Fraction routes gave."""
+    integer adjugate, and give what the Fraction routes gave."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([QUADRATIC, CUBIC, QUARTIC]), st.data())
     def test_orthogonal_point_matches_the_subspace_route(self, poly, data):
+        # the trace dual opposite a point spans the complement of the others
         F = make_field(poly)
         n = F.degree
         vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
         dens = st.integers(1, 5)
         points = [F.element([Fraction(v, data.draw(dens)) for v in data.draw(vec)])
-                  for _ in range(n - 1)]
-        try:
-            expected = reference_orthogonal_point(F, points)
-        except DependentTuple as exc:
-            with pytest.raises(DependentTuple, match=str(exc)):
-                orthogonal_point(F, points)
+                  for _ in range(n)]
+        j = data.draw(st.integers(0, n - 1))
+        if linalg.rank([p.num for p in points]) < n:
+            with pytest.raises(DependentTuple):
+                trace_duals(points)
             return
-        w = orthogonal_point(F, points)
+        w = F.element(trace_duals(points)[j].proj_key())
+        expected = reference_orthogonal_point(F, points[:j] + points[j + 1:])
         assert w == expected and w.num == expected.num and w.den == expected.den
 
     def test_each_route_reads_one_adjugate(self, monkeypatch):
         # the dual simplex of four vertices of the cube in P^3, a field
         # inverse and a dual basis: one adjugate each, and no kernel, rank,
-        # orthogonal_point, solve_unique or Gram inverse
+        # solve_unique or Gram inverse
         F = make_field(QUARTIC)
         pts = tuple(F.element([sx, sy, sz, 1]) for sx, sy, sz in
                     ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)))
         expected = dual_point_function(F).evaluate(pts)
         calls = []
         for module, name in ((linalg, "adjugate"), (linalg, "kernel"), (linalg, "rank"),
-                             (cycles, "orthogonal_point"), (linalg, "solve_unique"),
-                             (linalg, "inverse")):
+                             (linalg, "solve_unique"), (linalg, "inverse")):
             def counted(*args, _name=name, _fn=getattr(module, name)):
                 calls.append(_name)
                 return _fn(*args)
@@ -476,3 +468,131 @@ class TestOneInverse:
         assert calls == ["adjugate"]
         assert [[trace_pairing(a, b) for b in duals] for a in pts] == [
             [int(i == j) for j in range(4)] for i in range(4)]
+
+
+def reference_boundary_cycle(K, orientation=1):
+    """boundary_cycle by the Cone walk it took before the integer one: a Cone
+    per face, a segment base case, and each facet oriented by the sum of the
+    generators off it, on coordinates read through LinearSubspace.coordinates."""
+
+    def orientation_det(span, vectors):
+        return linalg.det([span.coordinates(v) for v in vectors])
+
+    def walk(cone, span, sign):
+        if cone.dim == 2:
+            x, y = cone.extreme_rays
+            s = sign if orientation_det(span, [x.coords, y.coords]) > 0 else -sign
+            return {(): {x.proj_key(): s, y.proj_key(): -s}}
+        out = {}
+        for _, tight in cone._facet_data:
+            facet = Cone(cone.field, [cone.generators[i] for i in tight])
+            inward = sum(
+                (g for i, g in enumerate(cone.generators) if i not in tight), cone.field.zero
+            )
+            d = orientation_det(span, [inward.coords, *facet.span.basis])
+            for flag, leaf in walk(facet, facet.span, sign if d > 0 else -sign).items():
+                cycles._merge(out, flag + (facet.span.key,), leaf)
+        return out
+
+    return Cycle(K.field, K.dim - 1, walk(K.cone, K.cone.span, orientation))
+
+
+def cube_faces(d):
+    """Vertices of the d-cube {+-1}^d, its edges and its 2-faces (index tuples)."""
+    verts = list(itertools.product((1, -1), repeat=d))
+    edges = [(i, j) for i, j in itertools.combinations(range(len(verts)), 2)
+             if sum(a != b for a, b in zip(verts[i], verts[j])) == 1]
+    faces = []
+    for free in itertools.combinations(range(d), 2):
+        fixed = [k for k in range(d) if k not in free]
+        for values in itertools.product((1, -1), repeat=len(fixed)):
+            faces.append(tuple(i for i, v in enumerate(verts)
+                               if all(v[k] == x for k, x in zip(fixed, values))))
+    return verts, edges, faces
+
+
+def octahedron_faces(d):
+    """Vertices +-e_k of the d-dimensional cross-polytope, its edges and its
+    2-faces: the sets of pairwise non-opposite vertices of size 2 and 3."""
+    verts = [tuple(s if k == i else 0 for k in range(d)) for i in range(d) for s in (1, -1)]
+
+    def simplex(idx):
+        return all(i // 2 != j // 2 for i, j in itertools.combinations(idx, 2))
+
+    return (verts,
+            [e for e in itertools.combinations(range(len(verts)), 2) if simplex(e)],
+            [f for f in itertools.combinations(range(len(verts)), 3) if simplex(f)] if d > 2
+            else [tuple(range(len(verts)))])
+
+
+def polygon_faces(ts):
+    """The moment-curve polygon on (t, t^2), its edges and its one 2-face."""
+    verts = [(t, t * t) for t in ts]
+    k = len(verts)
+    return verts, [(i, (i + 1) % k) for i in range(k)], [tuple(range(k))]
+
+
+@st.composite
+def polyhedra(draw):
+    """A polygon, cube or octahedron of dimension 2 .. n-1 in the projective
+    space of the cubic or quartic field, carried by a random invertible
+    integer matrix, with extra generators inside some of its edges and
+    2-faces: positive integer combinations of their vertices."""
+    F = make_field(draw(st.sampled_from([CUBIC, QUARTIC])))
+    n = F.degree
+    kind = draw(st.sampled_from(["polygon", "cube", "octahedron"]))
+    d = 2 if kind == "polygon" else draw(st.integers(2, n - 1))
+    if kind == "polygon":
+        verts, edges, faces = polygon_faces(
+            sorted(draw(st.sets(st.integers(-6, 6), min_size=3, max_size=6))))
+    else:
+        verts, edges, faces = (cube_faces if kind == "cube" else octahedron_faces)(d)
+    pad = [0] * (n - 1 - d)
+    rows = [list(v) + pad + [1] for v in verts]
+    weight = st.integers(1, 3)
+    for idx in (draw(st.lists(st.sampled_from(edges), max_size=2))
+                + draw(st.lists(st.sampled_from(faces), max_size=2))):
+        ws = [draw(weight) for _ in idx]
+        rows.append([sum(w * rows[i][k] for w, i in zip(ws, idx)) for k in range(n)])
+    M = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=n, max_size=n).filter(lambda m: linalg.int_det(m) != 0))
+    points = [F.element(linalg.mat_vec(M, r)) for r in rows]
+    return ProjPolyhedron.from_points(F, points)
+
+
+class TestIntegerBoundaryWalk:
+    """boundary_cycle walks the extreme rays' integer numerators: a simplex
+    is one simplex expansion signed by one integer determinant, and every
+    other face is cut into facets, with no Cone and no span coordinates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(polyhedra())
+    def test_matches_the_cone_walk(self, K):
+        for orientation in (1, -1):
+            z = boundary_cycle(K, orientation)
+            assert z == reference_boundary_cycle(K, orientation)
+            assert is_cycle(z)
+
+    def test_calls(self, monkeypatch):
+        F = make_field(QUARTIC)
+        simplex = ProjPolyhedron.from_points(
+            F, [F.element([int(i == j) for j in range(4)]) for i in range(4)])
+        cube = ProjPolyhedron.from_points(
+            F, [F.element(list(v) + [1]) for v in itertools.product((1, -1), repeat=3)])
+        expected = [reference_boundary_cycle(K) for K in (simplex, cube)]
+        calls = []
+        for module, name in ((linalg, "int_det"), (linalg, "det"), (cycles, "cut"),
+                             (LinearSubspace, "coordinates")):
+            def counted(*args, _name=name, _fn=getattr(module, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(Cone, "__init__", lambda *args: calls.append("Cone"))
+        monkeypatch.setattr(Cone, "_canonical", lambda *args: calls.append("Cone"))
+        assert boundary_cycle(simplex) == expected[0]
+        assert calls == ["int_det"]
+        calls.clear()
+        assert boundary_cycle(cube) == expected[1]
+        assert calls.count("cut") == 7
+        assert "Cone" not in calls and "coordinates" not in calls

@@ -681,8 +681,6 @@ class TestHullChart:
         assert asked == set(PREC_SCHEDULE[:2])
 
     @pytest.mark.parametrize("change, cause", [
-        # the elimination's last divisor straddles 0 at every precision
-        (widened(1), "divisor interval contains zero"),
         # logs of the opposite sign certify every exponent negative
         (lambda exp, M: [[(-hi, -lo) for lo, hi in row] for row in M],
          "exponents not certified positive"),
@@ -702,6 +700,16 @@ class TestHullChart:
         with pytest.raises(SingularMatrix, match="interval pivot contains zero"):
             hull_chart(cand, (0, 1), 3)
         assert asked == set(PREC_SCHEDULE)
+
+    def test_pivot_widened_across_zero_at_every_precision_is_raised(self, found_candidate,
+                                                                    monkeypatch):
+        # widened by 1 every pivot excludes 0 when chosen, but the elimination
+        # of a later column leaves the last one straddling 0
+        asked = patched_log_matrix(monkeypatch, widened(1))
+        cand = candidate(found_candidate.units)
+        with pytest.raises(SingularMatrix, match="interval pivot contains zero"):
+            hull_chart(cand, (0, 1), 3)
+        assert asked == set(PREC_SCHEDULE) and not cand.lattice._charts
 
     def test_omitted_index_is_complement(self, found_candidate):
         chart = hull_chart(found_candidate, (0, 2), 3)
