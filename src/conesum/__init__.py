@@ -27,7 +27,6 @@ from .interval import Interval
 from .geometry import Cone, LinearSubspace, ProjPolyhedron, dual_cone, primitive_generator
 from .cycles import (
     Cycle,
-    SimplexSpec,
     boundary,
     boundary_cycle,
     cpd_extend,

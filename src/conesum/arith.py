@@ -693,19 +693,13 @@ SQRT3_EXPECTED = {
 }
 
 
-def satake_report(
-    module: LatticeModule,
-    vs: VertexSequence,
-    cutoffs: dict[int, float] | None = None,
-    tolerances: dict[int, float] | None = None,
-) -> dict:
+def satake_report(module: LatticeModule, vs: VertexSequence) -> dict:
     """Reproduce the three worked identities for the Q(sqrt 3) module as
     exact rational statements, then cross-check numerically.
 
     Returns a report dictionary with per-line pass flags.
     """
-    cutoffs = cutoffs or {1: 6e5, 2: 8e6, 3: 1e5}
-    tolerances = tolerances or {1: 1e-3, 2: 1e-6, 3: 1e-6}
+    numeric_checks = {1: (6e5, 1e-3), 2: (8e6, 1e-6), 3: (1e5, 1e-6)}  # s: cutoff, tolerance
     n = module.field.degree
     d_M = module.d_M
     results = []
@@ -720,25 +714,25 @@ def satake_report(
         }
     )
 
-    for s in (1, 2, 3):
+    for s, (cutoff, tolerance) in numeric_checks.items():
         data = IntersectionData(
             s=s, components=2, entries=dict(SQRT3_REFERENCE[s])
         )
         pred = satake_rhs(data, s, n, d_M)
         coeff, power = SQRT3_EXPECTED[s]
         exact_ok = pred.coeff == coeff and pred.pi_power == power
-        numeric = lvalue_numeric(module, s, cutoffs[s])
+        numeric = lvalue_numeric(module, s, cutoff)
         num_err = abs(numeric - pred.to_float())
         results.append(
             {
                 "name": f"identity-s{s}",
-                "pass": bool(exact_ok and num_err < tolerances[s]),
+                "pass": bool(exact_ok and num_err < tolerance),
                 "detail": {
                     "prediction": pred.exact_str(),
                     "exact_match": bool(exact_ok),
                     "numeric": numeric,
                     "numeric_error": num_err,
-                    "tolerance": tolerances[s],
+                    "tolerance": tolerance,
                 },
             }
         )

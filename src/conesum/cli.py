@@ -111,68 +111,28 @@ def suite_cocycle(config: RunConfig) -> list[dict]:
 
 def suite_theorem2(config: RunConfig) -> list[dict]:
     rng = random.Random(config.seed)
-    results = []
+    cases = []  # (name, field, points, detail)
     for poly in _TEST_FIELDS:
         field = make_field(poly)
         n = field.degree
-        pts = [field.element([1 if i == j else 0 for j in range(n)]) for i in range(n)]
-        ok = duality_check(ProjPolyhedron.from_points(field, pts))
-        results.append(
-            {"name": f"simplex-P{n-1}", "pass": ok, "detail": "coordinate simplex"}
-        )
-    F3 = make_field(_TEST_FIELDS[1])
-    square = [
-        F3.element([1, 0, 1]),
-        F3.element([-1, 0, 1]),
-        F3.element([0, 1, 1]),
-        F3.element([0, -1, 1]),
-    ]
-    results.append(
-        {
-            "name": "square-P2",
-            "pass": duality_check(ProjPolyhedron.from_points(F3, square)),
-            "detail": "",
-        }
-    )
+        simplex = [field.element([int(i == j) for j in range(n)]) for i in range(n)]
+        cases.append((f"simplex-P{n-1}", field, simplex, "coordinate simplex"))
+    F3, F4 = make_field(_TEST_FIELDS[1]), make_field(_TEST_FIELDS[2])
+    square = [F3.element(v) for v in ([1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1])]
+    cases.append(("square-P2", F3, square, ""))
     for trial in range(4):
         ts = sorted(rng.sample(range(-8, 9), rng.randint(3, 8)))
-        poly_pts = [F3.element([t * t, t, 1]) for t in ts]
-        ok = duality_check(ProjPolyhedron.from_points(F3, poly_pts))
-        results.append(
-            {
-                "name": f"random-polygon-{trial}",
-                "pass": ok,
-                "detail": f"{len(ts)} vertices",
-            }
-        )
-    F4 = make_field(_TEST_FIELDS[2])
-    cube = [
-        F4.element([sx, sy, sz, 1])
-        for sx in (1, -1)
-        for sy in (1, -1)
-        for sz in (1, -1)
+        polygon = [F3.element([t * t, t, 1]) for t in ts]
+        cases.append((f"random-polygon-{trial}", F3, polygon, f"{len(ts)} vertices"))
+    cube = [F4.element([sx, sy, sz, 1]) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
+    octahedron = [F4.element([s * (k == i) for k in range(3)] + [1])
+                  for i in range(3) for s in (1, -1)]
+    cases += [("cube-P3", F4, cube, ""), ("octahedron-P3", F4, octahedron, "")]
+    return [
+        {"name": name, "pass": duality_check(ProjPolyhedron.from_points(field, points)),
+         "detail": detail}
+        for name, field, points, detail in cases
     ]
-    results.append(
-        {
-            "name": "cube-P3",
-            "pass": duality_check(ProjPolyhedron.from_points(F4, cube)),
-            "detail": "",
-        }
-    )
-    octa = []
-    for i in range(3):
-        for sgn in (1, -1):
-            coords = [0, 0, 0, 1]
-            coords[i] = sgn
-            octa.append(F4.element(coords))
-    results.append(
-        {
-            "name": "octahedron-P3",
-            "pass": duality_check(ProjPolyhedron.from_points(F4, octa)),
-            "detail": "",
-        }
-    )
-    return results
 
 
 def suite_hurwitz(config: RunConfig) -> list[dict]:

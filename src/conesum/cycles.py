@@ -16,7 +16,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from . import linalg
-from .errors import DegreeMismatch, DependentTuple, MixedExponents, NotACycle, NotTopDegree
+from .errors import DegreeMismatch, DependentTuple, NotACycle, NotTopDegree
 from .field import FieldElement, TotallyRealField
 from .geometry import LinearSubspace, ProjPolyhedron, cut, trace_duals
 from .record import FrozenRecord
@@ -24,12 +24,6 @@ from .record import FrozenRecord
 PointKey = tuple[Fraction, ...]
 Flag = tuple  # tuple of LinearSubspace keys, increasing dimension
 Leaf = dict[PointKey, int]
-
-
-def _point_key(p) -> PointKey:
-    if isinstance(p, FieldElement):
-        return p.proj_key()
-    return tuple(Fraction(v) for v in p)
 
 
 def _merge(out: dict[Flag, Leaf], flag: Flag, leaf: Leaf, sign: int = 1) -> None:
@@ -131,29 +125,14 @@ def is_cycle(c: Cycle) -> bool:
 # simplicial cycles
 
 
-class SimplexSpec(FrozenRecord):
-    """Ordered tuple of projective F-points defining a simplicial cycle."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points: tuple[FieldElement, ...]):
-        self._fill(points)
-
-    def degree(self) -> int:
-        return len(self.points) - 2
-
-
-def simplex_cycle(
-    field: TotallyRealField, points: "Sequence[FieldElement] | SimplexSpec"
-) -> Cycle:
-    """The recursive flag expansion of an oriented simplex on g+2 points.
+def simplex_cycle(field: TotallyRealField, points: Sequence[FieldElement]) -> Cycle:
+    """The recursive flag expansion of an oriented simplex on g+2 F-points.
 
     Reordering by a permutation multiplies the result by its sign; a linearly
-    dependent point list yields the zero cycle.
+    dependent point list yields the zero cycle.  Scaling a point changes
+    nothing: leaves are keyed by `proj_key` and spans by their echelon basis.
     """
-    if isinstance(points, SimplexSpec):
-        points = points.points
-    pts = [field.element(_point_key(p)) for p in points]
+    pts = list(points)
     g = len(pts) - 2
     if g < 0:
         raise DegreeMismatch(f"a simplex cycle needs at least 2 points, got {len(pts)}")
@@ -271,7 +250,7 @@ def dual_cycle(z: Cycle) -> Cycle:
 # the boundary cycle of a projective polyhedron
 
 
-def _cone_boundary(span: LinearSubspace, rays, sign: int) -> dict[Flag, Leaf]:
+def _cone_boundary(span: LinearSubspace, rays, sign: int, cone=None) -> dict[Flag, Leaf]:
     """Boundary chain of the cone over the extreme rays, full-dimensional in
     span S, oriented by S's echelon basis times sign.  Determinants run on
     the rays' primitive integer numerators, read at S's pivots, where the
@@ -285,14 +264,17 @@ def _cone_boundary(span: LinearSubspace, rays, sign: int) -> dict[Flag, Leaf]:
     k: for the facet opposite p_j, det_S(p_j, rest) = (-1)^j det_S(p) =
     det_F(rest) det_S(p_j, e_F), so its chain, the expansion of rest times
     sign(det_S(p_j, e_F)) sign(det_F(rest)), is (-1)^j sign(det_S(p)) times
-    that expansion: the j-th term of the expansion of p."""
+    that expansion: the j-th term of the expansion of p.
+
+    A cone whose generators are the rays, when given, lends its kept cut."""
     F, P, nums = span.field, span.pivots, [r.num for r in rays]
     if len(rays) == span.dim:
         s = sign if linalg.int_det([[v[p] for p in P] for v in nums]) > 0 else -sign
         return {flag: {x: s * w for x, w in leaf.items()}
                 for flag, leaf in _simplex_expand(F, rays).items()}
     out: dict[Flag, Leaf] = {}
-    for tight in cut(nums, F.degree, F.trace_matrix)[0].values():
+    normals = cone._cut[0] if cone is not None else cut(nums, F.degree, F.trace_matrix)[0]
+    for tight in normals.values():
         facet = LinearSubspace(F, [nums[i] for i in tight])
         off = next(v for i, v in enumerate(nums) if i not in tight)
         d = linalg.det([[v[p] for p in P] for v in (off, *facet.basis)])
@@ -302,16 +284,17 @@ def _cone_boundary(span: LinearSubspace, rays, sign: int) -> dict[Flag, Leaf]:
     return out
 
 
-def boundary_cycle(K: ProjPolyhedron, orientation: int = 1) -> Cycle:
-    """The polyhedral cycle of the oriented boundary of K.
+def boundary_cycle(K: ProjPolyhedron) -> Cycle:
+    """The polyhedral cycle of the boundary of K, its span oriented by its
+    canonical echelon basis; -boundary_cycle(K) has the other orientation.
 
-    K must be full-dimensional in its span; the span is oriented by its
-    canonical echelon basis, flipped by the global sign.
+    K must be full-dimensional in its span.  When every generator of K's
+    cone is extreme, the facets are read off the cut of its salience check.
     """
-    if orientation not in (1, -1):
-        raise MixedExponents(f"orientation must be 1 or -1, got {orientation}")
     cone = K.cone
-    return Cycle(K.field, K.dim - 1, _cone_boundary(cone.span, cone.extreme_rays, orientation))
+    rays = cone.extreme_rays
+    kept = cone if len(rays) == len(cone.generators) else None
+    return Cycle(K.field, K.dim - 1, _cone_boundary(cone.span, rays, 1, kept))
 
 
 def duality_check(K: ProjPolyhedron) -> bool:

@@ -44,8 +44,7 @@ class NotSquarefree(ConesumError):
 
 
 class MixedExponents(ConesumError):
-    """Sum of a rational and an irrational value, an exponent not -1, 0, 1,
-    or an orientation sign not -1, 1."""
+    """Sum of a rational and an irrational value, or an exponent not -1, 0, 1."""
 
 
 class DegreeMismatch(ConesumError):

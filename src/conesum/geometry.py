@@ -359,10 +359,6 @@ class ProjPolyhedron:
     def dim(self) -> int:
         return self.cone.dim - 1
 
-    @cached_property
-    def vertices(self) -> tuple[FieldElement, ...]:
-        return self.cone.extreme_rays
-
     def faces_by_dim(self) -> dict[int, list["ProjPolyhedron"]]:
         out: dict[int, list[ProjPolyhedron]] = {self.dim: [self]}
         for f in self.cone.proper_faces():
@@ -379,7 +375,7 @@ class ProjPolyhedron:
         return hash(self.cone)
 
     def __repr__(self):
-        return f"ProjPolyhedron(dim={self.dim}, vertices={len(self.vertices)})"
+        return f"ProjPolyhedron(dim={self.dim}, vertices={len(self.cone.extreme_rays)})"
 
 
 def dual_cone(sigma: Cone) -> Cone:

@@ -779,7 +779,7 @@ class TestSatakeReport:
     def test_full_report(self):
         M = sqrt3_module()
         _, vs = build_quadratic_fan(M.basis, M.units.generators[0])
-        report = satake_report(M, vs, cutoffs={1: 6e5, 2: 8e6, 3: 1e5})
+        report = satake_report(M, vs)
         assert report["passed"], report
         names = [r["name"] for r in report["results"]]
         assert names == [

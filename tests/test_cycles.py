@@ -1,16 +1,19 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conesum import cycles, linalg, summation
+from conesum import cycles, geometry, linalg, summation
+from conesum.cli import suite_theorem2
+from conesum.config import load_config
 from conesum.errors import (
     DegreeMismatch,
     DependentTuple,
-    MixedExponents,
     NotACycle,
     NotTopDegree,
 )
@@ -30,6 +33,7 @@ from conesum.cycles import (
     simplex_cycle,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 QUADRATIC = [-3, 0, 1]
 CUBIC = [1, -2, -1, 1]
 QUARTIC = [1, 1, -4, 0, 1]
@@ -58,13 +62,6 @@ class TestSimplexCycle:
         a, b = F.element([1, 0]), F.element([1, 1])
         z = simplex_cycle(F, [a, b])
         assert z.data == {(): {a.proj_key(): 1, b.proj_key(): -1}}
-
-    def test_simplex_spec_input(self):
-        from conesum.cycles import SimplexSpec
-
-        F = make_field(QUADRATIC)
-        a, b = F.element([1, 0]), F.element([1, 1])
-        assert simplex_cycle(F, SimplexSpec((a, b))) == simplex_cycle(F, [a, b])
 
     def test_dependent_points_give_zero(self):
         F = make_field(CUBIC)
@@ -277,7 +274,6 @@ class TestBoundaryCycleOfPolyhedron:
         K = ProjPolyhedron.from_points(F, [a, b])
         z = boundary_cycle(K)
         assert z == simplex_cycle(F, [a, b])
-        assert boundary_cycle(K, orientation=-1) == -z
 
     def test_simplices_match_simplex_cycles(self):
         # anchors the orientation convention in every tested dimension
@@ -344,7 +340,7 @@ class TestDualityTheorem:
                     K = ProjPolyhedron.from_points(F, pts)
                 except Exception:
                     continue
-                if len(K.vertices) != F.degree or not K.cone.span.is_full():
+                if len(K.cone.extreme_rays) != F.degree or not K.cone.span.is_full():
                     continue
                 assert duality_check(K)
                 done += 1
@@ -398,13 +394,6 @@ class TestTypedErrors:
         z = simplex_cycle(F, [F.element([1, 0, 0]), F.element([0, 1, 0])])
         with pytest.raises(DegreeMismatch):
             cpd_extend(dual_point_function(F), z)
-
-    @pytest.mark.parametrize("orientation", [5, 0, -2])
-    def test_boundary_cycle_orientation(self, orientation):
-        F = make_field(QUADRATIC)
-        K = ProjPolyhedron.from_points(F, [F.element([1, 0]), F.element([1, 1])])
-        with pytest.raises(MixedExponents):
-            boundary_cycle(K, orientation=orientation)
 
 
 def reference_orthogonal_point(F, points):
@@ -470,7 +459,7 @@ class TestOneInverse:
             [int(i == j) for j in range(4)] for i in range(4)]
 
 
-def reference_boundary_cycle(K, orientation=1):
+def reference_boundary_cycle(K):
     """boundary_cycle by the Cone walk it took before the integer one: a Cone
     per face, a segment base case, and each facet oriented by the sum of the
     generators off it, on coordinates read through LinearSubspace.coordinates."""
@@ -494,7 +483,7 @@ def reference_boundary_cycle(K, orientation=1):
                 cycles._merge(out, flag + (facet.span.key,), leaf)
         return out
 
-    return Cycle(K.field, K.dim - 1, walk(K.cone, K.cone.span, orientation))
+    return Cycle(K.field, K.dim - 1, walk(K.cone, K.cone.span, 1))
 
 
 def cube_faces(d):
@@ -568,10 +557,9 @@ class TestIntegerBoundaryWalk:
     @settings(max_examples=60, deadline=None)
     @given(polyhedra())
     def test_matches_the_cone_walk(self, K):
-        for orientation in (1, -1):
-            z = boundary_cycle(K, orientation)
-            assert z == reference_boundary_cycle(K, orientation)
-            assert is_cycle(z)
+        z = boundary_cycle(K)
+        assert z == reference_boundary_cycle(K)
+        assert is_cycle(z)
 
     def test_calls(self, monkeypatch):
         F = make_field(QUARTIC)
@@ -594,5 +582,23 @@ class TestIntegerBoundaryWalk:
         assert calls == ["int_det"]
         calls.clear()
         assert boundary_cycle(cube) == expected[1]
-        assert calls.count("cut") == 7
+        assert calls.count("cut") == 6  # the top cone's cut is the salience check's
         assert "Cone" not in calls and "coordinates" not in calls
+
+    def test_theorem2_suite_cuts_each_cone_once(self):
+        # 20 cuts for the salience checks of the ten polyhedra and their
+        # duals, and one per facet that is not a simplex, counted by code object
+        cfg = load_config(str(ROOT / "configs" / "sqrt3.json"))
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is geometry.cut.__code__:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            results = suite_theorem2(cfg)
+        finally:
+            sys.setprofile(None)
+        assert all(r["pass"] for r in results) and len(results) == 10
+        assert len(calls) == 32

@@ -213,14 +213,14 @@ class TestFaces:
             elem(F, 0, -1, 1),
         ]
         K = ProjPolyhedron.from_points(F, pts)
-        assert len(K.vertices) == 4
+        assert len(K.cone.extreme_rays) == 4
         assert len(K.cone.facets()) == 4
 
     def test_cube_has_six_facets(self):
         F = make_field(QUARTIC)
         pts = [elem(F, sx, sy, sz, 1) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
         K = ProjPolyhedron.from_points(F, pts)
-        assert len(K.vertices) == 8
+        assert len(K.cone.extreme_rays) == 8
         assert len(K.cone.facets()) == 6
         counts = {d: len(v) for d, v in K.faces_by_dim().items()}
         assert counts[0] == 8 and counts[1] == 12 and counts[2] == 6
@@ -234,7 +234,7 @@ class TestFaces:
                 coords[i] = s
                 pts.append(F.element(coords))
         K = ProjPolyhedron.from_points(F, pts)
-        assert len(K.vertices) == 6
+        assert len(K.cone.extreme_rays) == 6
         assert len(K.cone.facets()) == 8
 
 
@@ -252,7 +252,7 @@ class TestDualPolyhedron:
         F = make_field(CUBIC)
         pts = [elem(F, 1, 0, 1), elem(F, -1, 0, 1), elem(F, 0, 1, 1), elem(F, 0, -1, 1)]
         K = ProjPolyhedron.from_points(F, pts)
-        assert len(K.dual().vertices) == len(K.cone.facets())
+        assert len(K.dual().cone.extreme_rays) == len(K.cone.facets())
 
     def test_double_dual(self):
         F = make_field(CUBIC)

@@ -36,7 +36,6 @@ def records():
         cfg.fan.vertex_sequence,
         data,
         arith.satake_rhs(data, 1, 2, cfg.module.d_M),
-        cycles.SimplexSpec((F.one, F.theta, F.one + F.theta)),
         cycles.dual_point_function(F),
         tf.group_singular_terms(cfg.x0)[0],
         report,
@@ -51,7 +50,7 @@ def records():
 
 
 def test_every_record_is_covered(records):
-    assert len(records) == 17
+    assert len(records) == 16
     assert all(type(r).__module__.startswith("conesum.") for r in records.values())
 
 
