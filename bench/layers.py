@@ -201,9 +201,10 @@ def fan_summation_cases() -> dict:
     primal value of a pair of points of the shipped module, the cocycle
     value at that ray point of the dual star cycle around it, the value of
     the star around it and of the star of six tops around a ray of window 1
-    of the explicit cubic fan (each star's (carrier, columns, form) triples
-    read once by a ``summation.WindowSum`` over its truncation's pairs, and
-    valued by ``summation.stars_value``), the hull
+    of the explicit cubic fan (each star's ``summation.Star`` read once by a
+    ``summation.WindowSum`` over its truncation's pairs, and valued once per
+    call by ``WindowSum.total`` with its value cleared, or by
+    ``summation.stars_value`` on a tree without ``Star``), the hull
     construction and the window-4 truncation of the Q(sqrt 19) fan of
     Z[sqrt 19], and the insertion of a ray into the first top cone of that
     window-4 truncation and of the window-5 truncation of the Q(sqrt 3)
@@ -242,16 +243,23 @@ def fan_summation_cases() -> dict:
     cubic_x0 = cubic_w1.top_cones[1].extreme_rays[1]
     (cubic_star,) = [g for g in cubic_w1.group_singular_terms(cubic_x0) if not g.is_singleton]
 
-    def read_star(tf, x):
-        """The (carrier, columns, form) triples of the truncation's singular
-        tops, which make up one star, and the frame of their columns."""
+    def star_value(tf, x, tops):
+        """A call that values the one star of the truncation's singular tops
+        (its tops the group's), read once by a WindowSum over its pairs."""
         terms = summation.WindowSum(tf.description, x)
         terms.add(tf.pairs)
-        return terms.singular, terms.frame
+        if not hasattr(summation, "Star"):
+            assert len(terms.singular) == len(tops)
+            return lambda: summation.stars_value(terms.singular, terms.frame, x)
+        (kept,) = terms.stars.values()
+        assert len(kept.members) == len(tops)
 
-    star_tops, frame = read_star(w6, x0)
-    cubic_tops, cubic_frame = read_star(cubic_w1, cubic_x0)
-    assert len(star_tops) == len(star.cones) and len(cubic_tops) == len(cubic_star.cones)
+        def value():
+            kept.value = None
+            return terms.total()
+
+        return value
+
     return {
         "fan.group_singular_terms.sqrt3.w6": lambda: w6.group_singular_terms(x0),
         "summation.partial_sum.sqrt3.w6.ray": lambda: summation.partial_sum(w6, x0),
@@ -260,12 +268,8 @@ def fan_summation_cases() -> dict:
         ],
         "summation.cocycle_value.sqrt3": lambda: summation.cocycle_value(pair, point),
         "summation.evaluate_cycle.sqrt3.star": lambda: summation.evaluate_cycle(star_cycle, x0),
-        "summation.star_group_value.sqrt3.w6.ray": lambda: summation.stars_value(
-            star_tops, frame, x0
-        ),
-        "summation.star_group_value.cubic.w1": lambda: summation.stars_value(
-            cubic_tops, cubic_frame, cubic_x0
-        ),
+        "summation.star_group_value.sqrt3.w6.ray": star_value(w6, x0, star.cones),
+        "summation.star_group_value.cubic.w1": star_value(cubic_w1, cubic_x0, cubic_star.cones),
         "fan.build_quadratic_fan.sqrt19": lambda: build_quadratic_fan(
             sqrt19.module_basis, sqrt19.units[0]
         ),
@@ -288,7 +292,8 @@ def converge_cases() -> dict:
     latter also on a description rebuilt from its fields on every call, as
     a new command builds it (so its frame is built on every call); the
     explicit rank-two fan of the cubic field at 5 + theta + theta^2, all 5
-    windows; ``surd_float`` on the error of the last Q(sqrt 5) row; and the
+    windows, and at the wall point theta + 2 theta^2, all 5 windows, two of
+    which add singular tops; ``surd_float`` on the error of the last Q(sqrt 5) row; and the
     quadrature area of the shipped Q(sqrt 3) module basis at its x0."""
     from conesum import config, field, summation
 
@@ -309,7 +314,8 @@ def converge_cases() -> dict:
     sqrt5 = built(5, [["1", "0"], ["1/2", "1/2"]], ["3/2", "1/2"], ["7/2", "1/2"])
     sqrt19 = built(19, [["1", "0"], ["0", "1"]], ["170", "39"], ["7", "1/3"])
     cubic = cubic_fan()
-    cubic_x0 = cubic.module_basis[0].field.element([5, 1, 1])
+    cubic_field = cubic.module_basis[0].field
+    cubic_x0, cubic_wall = cubic_field.element([5, 1, 1]), cubic_field.element([0, 1, 2])
     last = summation.converge(*sqrt5, 20, 1e-12)[-1]
     rational, coef = last.value.parts()
     error = (rational - last.target, coef, last.value.disc)
@@ -320,6 +326,7 @@ def converge_cases() -> dict:
             rebuilt(sqrt19[0]), sqrt19[1], 20, 1e-12
         ),
         "summation.converge.cubic.explicit": lambda: summation.converge(cubic, cubic_x0, 5, 0.0),
+        "summation.converge.cubic.wall.w5": lambda: summation.converge(cubic, cubic_wall, 5, 0.0),
         "field.surd_float": lambda: field.surd_float(*error),
         "summation.hurwitz_area.sqrt3": lambda: summation.hurwitz_area(
             sqrt3.module.basis, sqrt3.x0

@@ -206,13 +206,12 @@ class TruncatedFan:
         if x0.is_zero():
             raise ZeroInput("the zero point lies on every face")
         terms = WindowSum(self.description, x0)
-        tops = dict(zip(self.pairs, self.top_cones))
-        found = zip(terms.add(self.pairs), terms.singular)
-        singular = {tuple(cols): tops.pop(pair) for pair, (_, cols, _) in found}
+        tops, moves = dict(zip(self.pairs, self.top_cones)), terms.frame.moves
+        singular = {moves[r](e): tops.pop((e, r)) for e, r in terms.add(self.pairs)}
         return [
             TermGroup(sigma=Cone._canonical(self.field, tuple(map(self.field.element, keys))),
-                      cones=tuple(singular[tuple(cols)] for cols, _ in members))
-            for keys, members in star_groups(terms.singular, terms.frame)
+                      cones=tuple(singular[cols] for cols, _ in members))
+            for keys, members in star_groups(terms.stars.values(), terms.frame)
         ] + [TermGroup(sigma=None, cones=(t,)) for t in tops.values()]
 
 

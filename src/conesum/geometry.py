@@ -66,21 +66,6 @@ class LinearSubspace:
     def __hash__(self):
         return hash(self._key)
 
-    def coordinates(self, v: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-        """The c with v = sum c_j b_j, or None when v is outside the span.
-
-        Basis row j is 1 at pivot j and 0 at the other pivots, so c_j is the
-        entry of v at pivot j; the entries off the pivots decide membership.
-        """
-        c = tuple(v[p] for p in self.pivots)
-        for i, x in enumerate(v):
-            if i not in self.pivots and x != sum(cj * b[i] for cj, b in zip(c, self.basis)):
-                return None
-        return c
-
-    def contains(self, x: FieldElement) -> bool:
-        return self.coordinates(x.num) is not None
-
     def is_full(self) -> bool:
         return self.dim == self.field.degree
 

@@ -33,7 +33,7 @@ from .field import (
     trace_pairing,
 )
 from .geometry import Cone, ProjPolyhedron, trace_duals, walls
-from .record import FrozenRecord
+from .record import FrozenRecord, Record
 
 
 def cocycle_value(points: Sequence[FieldElement], x0: FieldElement) -> ScaledRational:
@@ -203,43 +203,31 @@ class ConvergenceRow(FrozenRecord):
         }
 
 
-def carrier(cols: Sequence[tuple[int, ...]], form: TermForm, Y: Sequence[int]) -> tuple:
+def carrier(cols: Sequence[tuple[int, ...]], form: TermForm, Y: Sequence[int]) -> frozenset:
     """The columns of a top (row i of its form is a nonzero multiple of the
     i-th coordinate in its rays) at which x = B Y / d has a nonzero
     coordinate: the rays of the smallest face whose span holds x."""
-    return tuple(c for row, c in zip(form.rows, cols) if _dot(row, Y))
+    return frozenset(c for row, c in zip(form.rows, cols) if _dot(row, Y))
 
 
 def _dot(row: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, row, v))
 
 
-def star_groups(singular, frame: LatticeFrame) -> list[tuple[tuple, list]]:
-    """The (carrier, columns, form) triples of singular tops grouped into
-    the stars of their carriers, as (sorted ray keys of the carrier, member
-    (columns, form) pairs): stars by carrier size, then by those keys,
-    members by the sorted ray keys of their rays.  Two singular faces of a
-    top both contain its carrier, so by minimality a top lies in one star
-    only."""
+def star_groups(stars, frame: LatticeFrame) -> list[tuple[tuple, list]]:
+    """The stars as (sorted ray keys of the carrier, members sorted by their
+    rays' sorted ray keys), by carrier size and then by those keys."""
     keys = frame.ray_keys
-    return sorted(((keys(sigma), sorted(tops, key=lambda top: keys(top[0])))
-                   for sigma, tops in _by_carrier(singular)),
-                  key=lambda star: (len(star[0]), star[0]))
+    return sorted(((keys(star.carrier), sorted(star.members, key=lambda top: keys(top[0])))
+                   for star in stars), key=lambda star: (len(star[0]), star[0]))
 
 
-def _by_carrier(singular):
-    """The (carrier, member (columns, form) pairs) of each star, in
-    first-seen order."""
-    stars: dict[frozenset, list] = {}
-    for sigma, cols, form in singular:
-        stars.setdefault(frozenset(sigma), []).append((cols, form))
-    return stars.items()
-
-
-def stars_value(singular, frame: LatticeFrame, x0: FieldElement) -> Fraction:
-    """The summed value c/sqrt(D), as c, of the stars of the singular tops,
-    as (carrier, columns, form) triples: each star is the ε⁰ coefficient of
-    the Laurent expansion of Σ_t h*(t)(x0 + εv) over its tops t, on integers.
+class Star(Record):
+    """The singular tops of one carrier σ, as (columns, form) members, and
+    their summed value c/sqrt(D) as c, or None until valued: the ε⁰
+    coefficient of the Laurent expansion of Σ_t h*(t)(x0 + εv) over its tops
+    t, on integers.  Two singular faces of a top both contain its carrier,
+    so by minimality a top lies in one star only.
 
     The identity.  Let z be a star's summed dual cycle, the sum of its tops'
     dual simplices.  For x off every wall, Σ_t h*(t)(x) = evaluate_cycle(z,
@@ -267,28 +255,32 @@ def stars_value(singular, frame: LatticeFrame, x0: FieldElement) -> Fraction:
     vanishing row is nonzero; a row is nonzero, so it vanishes at no more
     than n - 1 of them, and the value does not depend on v.
 
-    An open star raises SingularAtX0, worded by _open_star."""
-    Y, d = frame.coordinates(x0)
-    stars = [[form for _, form in tops] for _, tops in _by_carrier(singular)]
-    V = _direction([row for forms in stars for form in forms for row in form.rows
-                    if not _dot(row, Y)], len(Y))
-    values = [star_constant_term(forms, Y, d, V) for forms in stars]
-    if None in values:
-        raise _open_star(singular, frame, Y, d, V)
-    return sum(values, Fraction(0))
+    An open star raises SingularAtX0 from WindowSum.total, worded by
+    _open_star."""
+
+    __slots__ = ("carrier", "members", "value")
+
+    def __init__(self, carrier: frozenset, members: list, value: Fraction | None = None):
+        self._fill(carrier, members, value)
+
+    def valued(self, Y: Sequence[int], d: int) -> Fraction | None:
+        """Its value at x0 = B Y / d in its own direction v, kept; None if open."""
+        forms = [form for _, form in self.members]
+        V = _direction([row for form in forms for row in form.rows if not _dot(row, Y)], len(Y))
+        self.value = star_constant_term(forms, Y, d, V)
+        return self.value
 
 
-def _open_star(singular, frame: LatticeFrame, Y, d: int, V) -> SingularAtX0:
-    """The SingularAtX0 of the first open star of star_groups: of its first
-    top's rays off the carrier, take the first c in ray-key order; x0 pairs
-    to zero with the trace-dual point opposite c, which it names."""
-    for _, tops in star_groups(singular, frame):
-        if star_constant_term([form for _, form in tops], Y, d, V) is None:
-            cols, form = tops[0]
-            off = [c for row, c in zip(form.rows, cols) if not _dot(row, Y)]
-            ray = min(off, key=lambda c: frame.point(c).ray_key())
-            a = trace_duals([frame.point(c) for c in cols])[cols.index(ray)]
-            return _vanishing_pairing(frame.field.element(a.proj_key()))
+def _open_star(stars, frame: LatticeFrame, Y) -> SingularAtX0:
+    """The SingularAtX0 of the first open star in star_groups order: of its
+    first top's rays off the carrier, take the first c in ray-key order; x0
+    pairs to zero with the trace-dual point opposite c, which it names."""
+    _, members = star_groups(stars, frame)[0]
+    cols, form = members[0]
+    off = [c for row, c in zip(form.rows, cols) if not _dot(row, Y)]
+    ray = min(off, key=lambda c: frame.point(c).ray_key())
+    a = trace_duals([frame.point(c) for c in cols])[cols.index(ray)]
+    return _vanishing_pairing(frame.field.element(a.proj_key()))
 
 
 def _direction(rows, n: int) -> tuple[int, ...]:
@@ -303,7 +295,7 @@ def _direction(rows, n: int) -> tuple[int, ...]:
 def star_constant_term(forms, Y: Sequence[int], d: int, V: Sequence[int]) -> Fraction | None:
     """The ε⁰ coefficient c (value c/sqrt(D)) of the summed terms of the
     forms of one star's tops at x0 + εv, x0 = B Y / d and v = B V / d, or
-    None when a negative power of ε survives: see stars_value."""
+    None when a negative power of ε survives: see Star."""
     m = sum(not _dot(row, Y) for row in forms[0].rows)
     num, den = [0] * (m + 1), 1  # the coefficients of ε^-m .. ε^0 over den
     for form in forms:
@@ -332,18 +324,18 @@ class WindowSum:
     kept on the description's frame with its moved columns, serves every
     translate, on u^-e x0 walked in integer module coordinates; units of
     determinant 1 keep the columns positively ordered.  Only a singular top,
-    whose form vanishes at x0, gets a TermForm of its own, for its star."""
+    whose form vanishes at x0, gets a TermForm of its own, in its Star."""
 
     def __init__(self, description: FanDescription, x0: FieldElement):
         self.frame = description.frame
-        Y, self.d = self.frame.coordinates(x0)
-        self.points = self.frame.walk(Y)
+        self.Y, self.d = self.frame.coordinates(x0)
+        self.points = self.frame.walk(self.Y)
         self.regular = Fraction(0)  # the non-singular terms, as c with value c/sqrt(D)
-        self.singular: list[tuple[tuple, tuple, TermForm]] = []
+        self.stars: dict[frozenset, Star] = {}
 
     def add(self, pairs) -> list[tuple[tuple[int, ...], int]]:
         """Adds the pairs' terms, walking u^-e x0 once per run of equal e, and
-        returns the singular pairs in the order of self.singular."""
+        returns the singular pairs."""
         found, last, d, frame, forms = [], None, self.d, self.frame, self.frame.forms
         for e, r in pairs:
             if e != last:
@@ -352,12 +344,23 @@ class WindowSum:
             q = form.coefficient(Y, d)
             if q is None:  # u^e t at x0 is t at u^-e x0, so its carrier pairs with Y
                 cols = frame.moves[r](e)
-                self.singular.append((carrier(cols, form, Y), cols,
-                                      TermForm.in_basis(cols, frame.det, frame.field)))
+                sigma = carrier(cols, form, Y)
+                star = self.stars.setdefault(sigma, Star(sigma, []))
+                star.members.append((cols, TermForm.in_basis(cols, frame.det, frame.field)))
+                star.value = None
                 found.append((e, r))
             else:
                 self.regular += q
         return found
+
+    def total(self) -> Fraction:
+        """regular plus the stars' values, as c with value c/sqrt(D),
+        valuing only the stars that changed since they were last valued."""
+        opened = [star for star in self.stars.values()
+                  if star.value is None and star.valued(self.Y, self.d) is None]
+        if opened:
+            raise _open_star(opened, self.frame, self.Y)
+        return sum((star.value for star in self.stars.values()), self.regular)
 
 
 def partial_sum(tf: TruncatedFan, x0: FieldElement) -> ConvergenceRow:
@@ -366,8 +369,7 @@ def partial_sum(tf: TruncatedFan, x0: FieldElement) -> ConvergenceRow:
         raise NotTotallyPositive("partial sums are evaluated at totally positive x0")
     terms = WindowSum(tf.description, x0)
     terms.add(sorted(tf.pairs))
-    total = terms.regular + stars_value(terms.singular, terms.frame, x0)
-    return _row(tf.window, total, 1 / x0.norm(), x0.field.disc_abs)
+    return _row(tf.window, terms.total(), 1 / x0.norm(), x0.field.disc_abs)
 
 
 def _row(window: int, c: Fraction, target: Fraction, disc: int) -> ConvergenceRow:
@@ -515,22 +517,20 @@ def converge(
 ) -> list[ConvergenceRow]:
     """Exact partial sums over growing windows, stopping early once the
     absolute error against 1/N(x0) drops below tol: one WindowSum, whose
-    stars are valued again when a singular top joins them."""
+    total values a star again only when a window adds a top to it."""
     if not is_totally_positive(x0):
         raise NotTotallyPositive("partial sums are evaluated at totally positive x0")
     terms = WindowSum(description, x0)
     seen: dict[frozenset, tuple] = {}
     disc = x0.field.disc_abs
-    star = Fraction(0)
     target = 1 / x0.norm()
     walked: set[tuple[int, ...]] = set()
     rows = []
     for window in range(1, n_max + 1):
         exponents = [e for e in window_exponents(description, window) if e not in walked]
         walked.update(exponents)
-        if terms.add(new_pairs(description, exponents, seen)):
-            star = stars_value(terms.singular, terms.frame, x0)
-        rows.append(_row(window, terms.regular + star, target, disc))
+        terms.add(new_pairs(description, exponents, seen))
+        rows.append(_row(window, terms.total(), target, disc))
         if rows[-1].abs_error < tol:
             break
     return rows

@@ -180,3 +180,20 @@ def test_copies(records):
     )
     fake.points[(99, -99)] = fake.points[sorted(fake.points)[0]]
     assert (99, -99) not in chart.points
+
+
+def test_a_star_is_a_mutable_record(records):
+    # the star of a window sum at a ray point: built by position and
+    # keyword, copied field-wise, unhashable, and revalued in place
+    desc = records["FanDescription"]
+    terms = summation.WindowSum(desc, desc.field.element([3, 1]))
+    terms.add(fan.truncate(desc, 2).pairs)
+    total = terms.total()
+    (star,) = terms.stars.values()
+    fields = _fields(star)
+    assert type(star)(*fields.values()) == star == type(star)(**fields) == copy.copy(star)
+    assert repr(star).startswith(f"Star(carrier={star.carrier!r}, members=")
+    with pytest.raises(TypeError):
+        hash(star)
+    value, star.value = star.value, None
+    assert terms.total() == total and star.value == value

@@ -903,6 +903,35 @@ class TestIncrementalConverge:
                     rows = converge(desc, x0, window - 1, 0.0)
                     assert [r.value for r in rows] == [r.value for r in expected]
 
+    def test_matches_full_windows_on_the_cubic_fan(self):
+        # stars valued once per change of their members: every row of
+        # converge is the full window's partial sum at the rays of windows
+        # 1 and 2 and at the sums of two rays of a window-2 top, and where a
+        # partial sum raises, converge raises at that window with its message
+        F, desc, _ = cubic_fan()
+        truncations = [truncate(desc, window) for window in (1, 2, 3)]
+        walls = [a + b for t in truncations[1].top_cones
+                 for a, b in itertools.combinations(t.extreme_rays, 2)]
+        points = {x.ray_key(): x for x in ray_points(truncations[1]) + walls}
+        points[F.element([0, 1, 2]).ray_key()] = F.element([0, 1, 2])
+        raised = Counter()
+        for x0 in points.values():
+            expected, message = [], None
+            for tf in truncations:
+                try:
+                    expected.append(partial_sum(tf, x0))
+                except SingularAtX0 as exc:
+                    message = str(exc)
+                    break
+            window = len(expected) + 1
+            if message is None:
+                assert converge(desc, x0, 3, 0.0) == expected
+            else:
+                assert singular_message(converge, desc, x0, window, 0.0) == message
+                assert converge(desc, x0, window - 1, 0.0) == expected
+            raised[window] += 1
+        assert len(points) >= 60 and raised[4] and raised[1] and raised[2]
+
     def test_edge_ray_of_sqrt3_module_is_singular_at_window_one(self):
         F, desc, vs = sqrt3_fan()
         x0 = F.element([2, 1])  # 2 + sqrt3
@@ -1471,7 +1500,7 @@ def star_cycle(cones):
 
 def star_cycles(tf, x0):
     """The star cycle of each star group at x0, the cycle whose value
-    stars_value reads off the tops' dual simplices."""
+    summation.Star reads off the tops' dual simplices."""
     return [star_cycle(g.cones) for g in tf.group_singular_terms(x0) if not g.is_singleton]
 
 
@@ -1623,11 +1652,14 @@ class TestStarFromDualSimplices:
         Y, _ = frame.coordinates(x0)
 
         def value(group, x):
-            # stars_value's c of c/sqrt(D), in the cycle value's form q sqrt(D)
-            tops = [oriented_form(frame, t) for t in group.cones]
-            singular = [(summation.carrier(cols, form, Y), cols, form) for cols, form in tops]
+            # the star's c of c/sqrt(D), in the cycle value's form q sqrt(D)
+            terms = summation.WindowSum(tf.description, x)
+            for cols, form in (oriented_form(frame, t) for t in group.cones):
+                sigma = summation.carrier(cols, form, Y)
+                star = terms.stars.setdefault(sigma, summation.Star(sigma, []))
+                star.members.append((cols, form))
             disc = x.field.disc_abs
-            return ScaledRational(summation.stars_value(singular, frame, x) / disc, 1, disc)
+            return ScaledRational(terms.total() / disc, 1, disc)
 
         for group, z in zip(stars, cycles):
             got, want = outcome(value, group, x0), outcome(evaluate_cycle, z, x0)
@@ -1911,6 +1943,49 @@ class TestOneSingularPath:
         partial_sum(tf, x0)  # the frame and its forms are kept
         assert calls == ["adjugate"] * starred
 
+    def test_each_star_valued_once_per_change(self, monkeypatch):
+        # converge values a star when a window adds a top to it and keeps
+        # its value otherwise: one star_constant_term call per star per
+        # window that changes its members, read off the Cone view of each
+        # truncation; at the cubic wall point (0, 1, 2) windows 1 and 2 add
+        # singular tops, one star in window 1 and two more in window 2
+        F, desc, _ = cubic_fan()
+        wall = F.element([0, 1, 2])
+        expected = {}
+        for x0 in (wall, finite_ray_point(F, None)):
+            changes, before = 0, {}
+            for window in range(1, 6):
+                stars = {g.sigma.key(): {t.key() for t in g.cones}
+                         for g in truncate(desc, window).group_singular_terms(x0)
+                         if not g.is_singleton}
+                changes += sum(before.get(sigma) != tops for sigma, tops in stars.items())
+                before = stars
+            expected[x0] = changes
+        calls = []
+        count_calls(monkeypatch, calls, [(summation, "star_constant_term")])
+        for x0, changes in expected.items():
+            calls.clear()
+            assert len(converge(desc, x0, 5, 0.0)) == 5
+            assert len(calls) == changes
+        assert expected[wall] == 3
+
+    @pytest.mark.parametrize("name", ["sqrt3", "cubic"])
+    def test_a_star_that_gains_a_top_is_valued_again(self, name, monkeypatch):
+        # adding every pair a second time doubles each term and each star,
+        # so the total doubles only if each star is valued again
+        F, desc, vs = STAR_FANS[name]()
+        x0 = finite_ray_point(F, vs)
+        terms = summation.WindowSum(desc, x0)
+        terms.add(truncate(desc, 2).pairs)
+        first = terms.total()
+        assert all(star.value for star in terms.stars.values()) and terms.stars
+        calls = []
+        count_calls(monkeypatch, calls, [(summation, "star_constant_term")])
+        assert terms.total() == first and calls == []
+        terms.add(truncate(desc, 2).pairs)
+        assert terms.total() == 2 * first
+        assert len(calls) == len(terms.stars)
+
     def test_first_open_star_names_the_error(self):
         # where two stars are open, the first in the claim loop's order names
         # the error, in partial_sum and at the first open window of converge,
@@ -1967,7 +2042,8 @@ class TestOneValueForm:
         x0 = F.element([3, 1])
         terms = summation.WindowSum(tf.description, x0)
         terms.add(sorted(tf.pairs))
-        c = summation.stars_value(terms.singular, terms.frame, x0)
+        terms.total()
+        c = sum(star.value for star in terms.stars.values())
         assert type(c) is Fraction
         row = partial_sum(tf, x0)
         assert row.value == ScaledRational(terms.regular + c, -1, F.disc_abs)
